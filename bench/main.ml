@@ -10,7 +10,7 @@
 
    Experiment ids: micro, bechamel, figure2, table1 (= table4 =
    scenarios), table3, table5, table6, figure5, nginx-sweep, memory,
-   throughput, parallel, serve, shard, keys, sampling, record, obs,
+   throughput, parallel, serve, keys, sampling, record, obs,
    nolock, explore, ablation.
 
    [throughput] additionally writes its rows as JSON to --bench-out
@@ -30,22 +30,19 @@
    (default BENCH_pr6.json): the open-loop serving sweep — latency
    percentiles per (detector, offered rate) and goodput under the
    p99 SLO; its rows are simulation outputs, byte-identical at any
-   --jobs value.  [shard] writes --shard-out (default BENCH_pr7.json):
-   wall-clock of a single contended 64-thread Kard run at each shard
-   count (--shards n extends the 1/2/4/8 sweep), with a structural
-   identity check of every sharded result against the shards=1 run.
-   [keys] writes --keys-out (default BENCH_pr8.json): the key-pressure
-   precision sweep — planted vs detected wrong-lock races per
+   --jobs value.  [keys] writes --keys-out (default BENCH_pr8.json):
+   the key-pressure precision sweep — planted vs detected wrong-lock
+   races per
    (object-count point, detector config), physical-key ablation
    4/8/13 each with and without the virtual-key pool; rows are
-   simulation outputs, byte-identical at any --jobs/--shards value.
+   simulation outputs, byte-identical at any --jobs value.
    [sampling] writes --sampling-out (default BENCH_pr9.json): the
    sampling sweep — detection probability and detection-latency
    distribution (CS entries until the first race record) per
    (subject, rate), the subset check against the same-seed rate-1.0
    runs, plus the serve sweep rerun with sampled-kard detectors; rows
-   are simulation outputs, byte-identical at any --jobs/--shards
-   value.  [record] writes --record-out (default BENCH_pr10.json):
+   are simulation outputs, byte-identical at any --jobs value.
+   [record] writes --record-out (default BENCH_pr10.json):
    record/replay overhead — host-time cost of the nondeterminism
    recorder, the simulated-cycle overhead (contract: exactly 0), log
    bytes per step against the DESIGN.md section 13 budget, and a
@@ -68,7 +65,6 @@ let only = ref []
 let bench_out = ref Kard_harness.Defaults.throughput_out
 let parallel_out = ref Kard_harness.Defaults.parallel_out
 let serve_out = ref Kard_harness.Defaults.serve_out
-let shard_out = ref Kard_harness.Defaults.shard_out
 let keys_out = ref Kard_harness.Defaults.keys_out
 let sampling_out = ref Kard_harness.Defaults.sampling_out
 let record_out = ref Kard_harness.Defaults.record_out
@@ -76,10 +72,6 @@ let build_label = ref "dev"
 
 (* [None] lets Pool fall back to $KARD_JOBS / the host core count. *)
 let jobs : int option ref = ref None
-
-(* [None] lets machines fall back to $KARD_SHARDS / 1.  For the
-   [shard] experiment this instead extends the swept shard counts. *)
-let shards : int option ref = ref None
 
 (* {1 Bechamel micro-benchmarks: the simulator's real hot paths} *)
 
@@ -323,7 +315,7 @@ let serve () =
   in
   let threads = Kard_harness.Defaults.table_threads in
   let seed = Kard_harness.Defaults.seed in
-  let sweep = Experiments.serve ?jobs:!jobs ~threads ~scale ~seed ?shards:!shards () in
+  let sweep = Experiments.serve ?jobs:!jobs ~threads ~scale ~seed () in
   Experiments.print_serve sweep;
   let json = Kard_harness.Json_report.of_serve_sweep ~threads ~scale ~seed sweep in
   let oc = open_out !serve_out in
@@ -331,27 +323,6 @@ let serve () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" !serve_out
-
-(* {1 Tracked sharded single-run benchmark (BENCH_pr7.json)} *)
-
-let shard () =
-  (* One contended 64-thread run per shard count, wall-clock timed —
-     full scale regardless of --scale (a scaled-down convoy is too
-     short to time).  --shards n adds n to the default 1/2/4/8 sweep. *)
-  let shard_counts =
-    match !shards with
-    | Some n when not (List.mem n Experiments.default_shard_counts) ->
-      Experiments.default_shard_counts @ [ n ]
-    | Some _ | None -> Experiments.default_shard_counts
-  in
-  let b = Experiments.shard_bench ~shard_counts () in
-  Experiments.print_shard_bench b;
-  let json = Kard_harness.Json_report.of_shard_bench ~build:!build_label b in
-  let oc = open_out !shard_out in
-  output_string oc (Kard_harness.Json_report.pretty json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" !shard_out
 
 (* {1 Tracked key-pressure precision sweep (BENCH_pr8.json)} *)
 
@@ -362,7 +333,7 @@ let keys () =
      user moved it off the global default. *)
   let scale = if !scale = 0.01 then 1.0 else !scale in
   let seed = Kard_harness.Defaults.seed in
-  let b = Experiments.keys ?jobs:!jobs ~scale ~seed ?shards:!shards () in
+  let b = Experiments.keys ?jobs:!jobs ~scale ~seed () in
   Experiments.print_keys_bench b;
   let json = Kard_harness.Json_report.of_keys_bench ~build:!build_label b in
   let oc = open_out !keys_out in
@@ -377,7 +348,7 @@ let sampling () =
   (* Race scenarios run at full scale regardless; --scale only moves
      the key-pressure subject off its 0.1 default. *)
   let scale = if !scale = 0.01 then None else Some !scale in
-  let b = Experiments.sampling ?jobs:!jobs ?scale ?shards:!shards () in
+  let b = Experiments.sampling ?jobs:!jobs ?scale () in
   Experiments.print_sampling b;
   let json =
     Kard_harness.Json_report.of_sampling_bench ~build:!build_label
@@ -395,7 +366,7 @@ let sampling () =
 let record () =
   (* Wall-clock timed cells: serial like [throughput], and the default
      subjects already mix spec, key-pressure and scenario targets. *)
-  let b = Experiments.record_bench ~scale:!scale ?shards:!shards () in
+  let b = Experiments.record_bench ~scale:!scale () in
   Experiments.print_record b;
   let json = Kard_harness.Json_report.of_record_bench ~build:!build_label b in
   let oc = open_out !record_out in
@@ -430,7 +401,6 @@ let experiments =
     ("throughput", throughput);
     ("parallel", parallel);
     ("serve", serve);
-    ("shard", shard);
     ("keys", keys);
     ("sampling", sampling);
     ("record", record);
@@ -465,9 +435,6 @@ let () =
     | "--serve-out" :: path :: rest ->
       serve_out := path;
       parse rest
-    | "--shard-out" :: path :: rest ->
-      shard_out := path;
-      parse rest
     | "--keys-out" :: path :: rest ->
       keys_out := path;
       parse rest
@@ -476,9 +443,6 @@ let () =
       parse rest
     | "--record-out" :: path :: rest ->
       record_out := path;
-      parse rest
-    | "--shards" :: n :: rest ->
-      shards := Some (int_of_string n);
       parse rest
     | "--build-label" :: label :: rest ->
       build_label := label;

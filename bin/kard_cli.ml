@@ -98,16 +98,6 @@ let jobs_arg =
               count).  Results are merged in submission order, so any value produces identical \
               output.")
 
-let shards_arg =
-  Arg.(value & opt (some int) None
-       & info [ "shards" ] ~docv:"N"
-           ~doc:
-             "Shard count of each simulated machine (default: $(b,\\$KARD_SHARDS) or 1).  Shards \
-              the MPK/TLB hot state by TLB set and, when the detector's access hooks are pure, \
-              runs granted accesses on the lock-free burst fast path, draining per shard at \
-              virtual-clock merge points.  Reports, JSON and traces are byte-identical at any \
-              value (DESIGN.md section 10).")
-
 (* list *)
 
 let list_cmd =
@@ -124,7 +114,7 @@ let list_cmd =
       (fun spec ->
         Printf.printf "  %-28s %s\n" spec.Spec.name spec.Spec.description)
       Registry.serving;
-    Printf.printf "\nContention stress (the shard benchmark's subject):\n";
+    Printf.printf "\nContention stress (lock-convoy scheduling):\n";
     List.iter
       (fun spec ->
         Printf.printf "  %-28s %s\n" spec.Spec.name spec.Spec.description)
@@ -209,14 +199,14 @@ let run_cmd =
          & info [ "seeds" ] ~docv:"S,S,..."
              ~doc:"Run one job per seed (reported in seed-list order) instead of --seed alone.")
   in
-  let action name detector vkeys sampling threads scale seed seeds jobs shards json =
+  let action name detector vkeys sampling threads scale seed seeds jobs json =
     match Registry.find name with
     | spec ->
       let detector = with_sampling sampling (with_vkeys vkeys detector) in
       let seeds = Option.value ~default:[ seed ] seeds in
       let results =
         Pool.run_jobs ?jobs
-          (List.map (fun seed -> Job.spec ?threads ~scale ~seed ?shards detector spec) seeds)
+          (List.map (fun seed -> Job.spec ?threads ~scale ~seed detector spec) seeds)
       in
       if json then
         List.iter
@@ -234,13 +224,13 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one workload under one detector")
     Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
-          $ scale_arg $ seed_arg $ seeds_arg $ jobs_arg $ shards_arg $ json_arg)
+          $ scale_arg $ seed_arg $ seeds_arg $ jobs_arg $ json_arg)
 
 let scenario_cmd =
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
   in
-  let action name detector vkeys sampling seed shards =
+  let action name detector vkeys sampling seed =
     match Race_suite.find name with
     | scenario ->
       (* A scenario normally runs under its own configuration; --vkeys
@@ -260,12 +250,11 @@ let scenario_cmd =
           in
           Some c
       in
-      print_result (Runner.run_scenario ?shards ~seed ?override_config ~detector scenario)
+      print_result (Runner.run_scenario ~seed ?override_config ~detector scenario)
     | exception Not_found -> Printf.eprintf "unknown scenario %S; try `kard list`\n" name
   in
   Cmd.v (Cmd.info "scenario" ~doc:"Run one controlled race scenario")
-    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ seed_arg
-          $ shards_arg)
+    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ seed_arg)
 
 (* trace: run a workload with the observability sink on and export a
    Perfetto-loadable Chrome trace plus the metrics registry. *)
@@ -288,7 +277,7 @@ let trace_cmd =
          & info [ "capacity" ] ~docv:"N"
              ~doc:"Event ring capacity; oldest events are dropped beyond it.")
   in
-  let action name detector vkeys sampling threads scale seed shards out steps capacity =
+  let action name detector vkeys sampling threads scale seed out steps capacity =
     let detector = with_sampling sampling (with_vkeys vkeys detector) in
     if capacity <= 0 then Printf.eprintf "trace: --capacity must be positive (got %d)\n" capacity
     else
@@ -296,7 +285,7 @@ let trace_cmd =
     | exception Not_found -> Printf.eprintf "unknown workload %S; try `kard list`\n" name
     | spec ->
       let tr = Kard_obs.Trace.create ~capacity ~steps () in
-      let result = Runner.run ~trace:tr ?shards ?threads ~scale ~seed ~detector spec in
+      let result = Runner.run ~trace:tr ?threads ~scale ~seed ~detector spec in
       let oc = open_out out in
       output_string oc (Kard_obs.Chrome_trace.to_json ~t:tr);
       close_out oc;
@@ -315,7 +304,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run a workload with event tracing on; write a Perfetto-loadable Chrome trace")
     Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
-          $ scale_arg $ seed_arg $ shards_arg $ out_arg $ steps_arg $ capacity_arg)
+          $ scale_arg $ seed_arg $ out_arg $ steps_arg $ capacity_arg)
 
 (* hunt: sweep seeds until a schedule manifests a race, then replay
    that exact interleaving to confirm — the race-debugging loop. *)
@@ -413,7 +402,7 @@ let record_cmd =
          & info [ "o"; "out"; "output" ] ~docv:"FILE"
              ~doc:"Replay-log output path (default: $(docv) derived from the target name).")
   in
-  let action target detector vkeys sampling threads scale seed shards out json =
+  let action target detector vkeys sampling threads scale seed out json =
     let fail msg =
       Printf.eprintf "record: %s\n" msg;
       exit 2
@@ -433,8 +422,7 @@ let record_cmd =
         let seed =
           if seed = Defaults.seed then r.Campaign.rp_machine_seed else seed
         in
-        Record.record_build ?shards
-          ~threads:(r.Campaign.rp_prog.Kard_fuzz.Prog.workers + 1)
+        Record.record_build ~threads:(r.Campaign.rp_prog.Kard_fuzz.Prog.workers + 1)
           ~scale:1.0 ~seed ~detector ~target (fuzz_build r)
           (Printf.sprintf "fuzz-%d-%d" cseed i)
       | None -> (
@@ -457,7 +445,7 @@ let record_cmd =
               Some c
             | Record.Scenario _ | Record.Spec _ -> None
           in
-          Record.record ?threads ~scale ~seed ?shards ?override_config ~detector subject)
+          Record.record ?threads ~scale ~seed ?override_config ~detector subject)
     in
     Log.to_file out log;
     Printf.eprintf "recorded %s: %d picks, %d grants, %d bytes -> %s\n"
@@ -471,7 +459,7 @@ let record_cmd =
          "Run a target with the nondeterminism recorder on and write a compact replay log \
           (schedule picks, lock-grant order, anchors; recording costs zero simulated cycles)")
     Term.(const action $ target_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
-          $ scale_arg $ seed_arg $ shards_arg $ out_arg $ json_arg)
+          $ scale_arg $ seed_arg $ out_arg $ json_arg)
 
 let replay_cmd =
   let file_arg =
@@ -486,7 +474,7 @@ let replay_cmd =
                 record under cheap sampling, re-detect under full kard, tsan or lockset; \
                 fidelity checking drops to schedule-only strength).")
   in
-  let action file detector vkeys sampling shards json =
+  let action file detector vkeys sampling json =
     let fail msg =
       Printf.eprintf "replay: %s\n" msg;
       exit 2
@@ -513,9 +501,9 @@ let replay_cmd =
       match Campaign.of_target h.Log.target with
       | Some (cseed, i) ->
         let r = Campaign.reconstruct ~seed:cseed i in
-        Record.replay_build ?shards ?detector log (fuzz_build r)
+        Record.replay_build ?detector log (fuzz_build r)
           (Printf.sprintf "fuzz-%d-%d" cseed i)
-      | None -> Record.replay ?shards ?detector log
+      | None -> Record.replay ?detector log
     in
     match outcome with
     | Error msg -> fail msg
@@ -533,8 +521,7 @@ let replay_cmd =
          "Re-execute a recorded run from its nondeterminism log, byte-identical to the \
           original, verifying every pick, lock grant and anchor against the tape (exit 1 on \
           divergence)")
-    Term.(const action $ file_arg $ detector_opt_arg $ vkeys_arg $ sampling_arg $ shards_arg
-          $ json_arg)
+    Term.(const action $ file_arg $ detector_opt_arg $ vkeys_arg $ sampling_arg $ json_arg)
 
 (* bench: the tracked simulator-throughput benchmark (BENCH_pr4.json). *)
 
@@ -589,12 +576,12 @@ let bench_cmd =
                "Workload scale factor (0,1] (default: the global default for throughput, 1.0 \
                 for keys — the precision claim is about object count).")
   in
-  let action only scale seed threads_list vkeys jobs shards out =
+  let action only scale seed threads_list vkeys jobs out =
     match only with
     | `Throughput ->
       let scale = Option.value ~default:Defaults.scale scale in
       let out = Option.value ~default:Defaults.throughput_out out in
-      let rows = Experiments.throughput ~threads_list ~scale ~seed ?shards () in
+      let rows = Experiments.throughput ~threads_list ~scale ~seed () in
       Experiments.print_throughput rows;
       let json =
         Kard_harness.Json_report.of_throughput ~build:"dev" ~workload:"memcached" ~scale ~seed
@@ -608,7 +595,7 @@ let bench_cmd =
     | `Keys ->
       let scale = Option.value ~default:1.0 scale in
       let out = Option.value ~default:Defaults.keys_out out in
-      let b = Experiments.keys ?jobs ?pool:vkeys ~scale ~seed ?shards () in
+      let b = Experiments.keys ?jobs ?pool:vkeys ~scale ~seed () in
       Experiments.print_keys_bench b;
       let json = Kard_harness.Json_report.of_keys_bench ~build:"dev" b in
       let oc = open_out out in
@@ -618,7 +605,7 @@ let bench_cmd =
       Printf.printf "wrote %s\n" out
     | `Sampling ->
       let out = Option.value ~default:Defaults.sampling_out out in
-      let b = Experiments.sampling ?jobs ?scale ?shards () in
+      let b = Experiments.sampling ?jobs ?scale () in
       Experiments.print_sampling b;
       let json =
         Kard_harness.Json_report.of_sampling_bench ~build:"dev"
@@ -631,7 +618,7 @@ let bench_cmd =
       Printf.printf "wrote %s\n" out
     | `Record ->
       let out = Option.value ~default:Defaults.record_out out in
-      let b = Experiments.record_bench ?scale ~seed ?shards () in
+      let b = Experiments.record_bench ?scale ~seed () in
       Experiments.print_record b;
       let json = Kard_harness.Json_report.of_record_bench ~build:"dev" b in
       let oc = open_out out in
@@ -647,7 +634,7 @@ let bench_cmd =
           sweep (--only keys), the sampling sweep (--only sampling) or record/replay overhead \
           (--only record)")
     Term.(const action $ only_arg $ scale_opt_arg $ seed_arg $ threads_arg $ vkeys_arg $ jobs_arg
-          $ shards_arg $ out_arg)
+          $ out_arg)
 
 (* serve-sweep: the open-loop production-serving benchmark
    (BENCH_pr6.json).  Sweeps offered load over detectors and reports
@@ -703,7 +690,7 @@ let serve_sweep_cmd =
     Arg.(value & opt int Defaults.table_threads
          & info [ "t"; "threads" ] ~docv:"N" ~doc:"Worker thread count of the simulated server.")
   in
-  let action server model rates slo threads scale seed jobs shards sampling out =
+  let action server model rates slo threads scale seed jobs sampling out =
     (* --sampling swaps the default kard contestant for a sampled one
        (same "kard" label, so goodput keys stay comparable). *)
     let detectors =
@@ -713,8 +700,7 @@ let serve_sweep_cmd =
         List.map (fun (name, d) -> (name, with_sampling sampling d)) Experiments.serve_detectors
     in
     let sweep =
-      Experiments.serve ?jobs ~server ~model ~detectors ~rates ~threads ~scale ~seed ~slo
-        ?shards ()
+      Experiments.serve ?jobs ~server ~model ~detectors ~rates ~threads ~scale ~seed ~slo ()
     in
     Experiments.print_serve sweep;
     let json = Kard_harness.Json_report.of_serve_sweep ~threads ~scale ~seed sweep in
@@ -730,7 +716,7 @@ let serve_sweep_cmd =
          "Open-loop serving benchmark: sweep offered load over detectors, report latency \
           percentiles and goodput under the p99 SLO")
     Term.(const action $ server_arg $ arrivals_arg $ rates_arg $ slo_arg $ threads_opt_arg
-          $ serve_scale_arg $ seed_arg $ jobs_arg $ shards_arg $ sampling_arg $ out_arg)
+          $ serve_scale_arg $ seed_arg $ jobs_arg $ sampling_arg $ out_arg)
 
 (* fuzz: the differential campaign.  Exit code 1 on any unexpected
    divergence so CI can gate on it. *)
@@ -757,9 +743,9 @@ let fuzz_cmd =
                 strictly replay, and demand an identical report and race list.  Any difference \
                 is the never-expected replay-divergence class.")
   in
-  let action count seed corpus jobs shards sampling replay =
+  let action count seed corpus jobs sampling replay =
     let replay = if replay then Some true else None in
-    let r = Kard_fuzz.Campaign.run ?jobs ?corpus ?shards ?sampling ?replay ~count ~seed () in
+    let r = Kard_fuzz.Campaign.run ?jobs ?corpus ?sampling ?replay ~count ~seed () in
     Format.printf "%a@." Kard_fuzz.Campaign.report r;
     Printf.printf "(%d programs this invocation%s)\n" r.Kard_fuzz.Campaign.programs
       (match corpus with None -> "" | Some dir -> Printf.sprintf ", corpus %s" dir);
@@ -771,7 +757,7 @@ let fuzz_cmd =
          "Differential fuzzing: random programs under the Kard runtime, replayed through pure \
           Algorithm 1, happens-before and Eraser-lockset oracles; every divergence must match \
           the documented taxonomy")
-    Term.(const action $ count_arg $ seed_arg $ corpus_arg $ jobs_arg $ shards_arg $ sampling_arg
+    Term.(const action $ count_arg $ seed_arg $ corpus_arg $ jobs_arg $ sampling_arg
           $ replay_arg)
 
 (* repro *)

@@ -102,11 +102,12 @@ let clear_range t (meta : Kard_alloc.Obj_meta.t) =
 let hooks t =
   let null = Hooks.null ~name:"eraser-lockset" in
   { null with
-    Hooks.pure_access = false;
-    on_read = (fun ~tid ~addr -> on_access t ~tid ~addr `Read);
-    on_write = (fun ~tid ~addr -> on_access t ~tid ~addr `Write);
-    on_read_block = (fun ~tid ~block -> on_block t ~tid block `Read);
-    on_write_block = (fun ~tid ~block -> on_block t ~tid block `Write);
+    Hooks.access =
+      Some
+        { Hooks.on_read = (fun ~tid ~addr -> on_access t ~tid ~addr `Read);
+          on_write = (fun ~tid ~addr -> on_access t ~tid ~addr `Write);
+          on_read_block = (fun ~tid ~block -> on_block t ~tid block `Read);
+          on_write_block = (fun ~tid ~block -> on_block t ~tid block `Write) };
     on_lock =
       (fun ~tid ~lock ~site:_ ->
         Hashtbl.replace t.held tid (Int_set.add lock (held_of t tid));

@@ -169,11 +169,12 @@ let metadata_bytes t =
 let hooks t =
   let null = Hooks.null ~name:"tsan" in
   { null with
-    Hooks.pure_access = false;
-    on_read = (fun ~tid ~addr -> on_access t ~tid ~addr `Read);
-    on_write = (fun ~tid ~addr -> on_access t ~tid ~addr `Write);
-    on_read_block = (fun ~tid ~block -> on_block t ~tid block `Read);
-    on_write_block = (fun ~tid ~block -> on_block t ~tid block `Write);
+    Hooks.access =
+      Some
+        { Hooks.on_read = (fun ~tid ~addr -> on_access t ~tid ~addr `Read);
+          on_write = (fun ~tid ~addr -> on_access t ~tid ~addr `Write);
+          on_read_block = (fun ~tid ~block -> on_block t ~tid block `Read);
+          on_write_block = (fun ~tid ~block -> on_block t ~tid block `Write) };
     on_lock = (fun ~tid ~lock ~site:_ -> on_lock t ~tid ~lock);
     on_unlock = (fun ~tid ~lock -> on_unlock t ~tid ~lock);
     on_free = (fun ~tid:_ meta -> clear_range t meta);

@@ -79,7 +79,7 @@ type t = {
           hash is salted with the epoch number) so long runs
           eventually cover every object.  The boundary is observed at
           section entry against the machine's virtual clock, which is
-          identical at any [--jobs]/[--shards] count — rotation never
+          identical at any [--jobs] count — rotation never
           breaks determinism.  [0] disables rotation (a fixed sampled
           set for the whole run). *)
   sampling_seed : int;

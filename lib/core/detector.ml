@@ -133,7 +133,7 @@ type t = {
      every object ever unsampled (rotation iterates it to re-arm),
      deduplicated by [skip_ever].  [cur_epoch] only advances at
      section entry, so every sampling decision is a pure function of
-     state that is identical at any --jobs/--shards count. *)
+     state that is identical at any --jobs count. *)
   sampling : Sampling.t;
   mutable cur_epoch : int;
   unsampled : Dense.Bitset.t;
@@ -1369,11 +1369,10 @@ let metadata_bytes t =
 
 (* Observability of the fast path: when sampling is active, count the
    accesses that land on unsampled objects.  The count charges zero
-   cycles — the simulated fast path really is free — but the hooks
-   stop being pure no-ops, so [pure_access] must say so (the sharded
-   burst engine then falls back to the direct engine, which is
-   byte-identical).  At rate 1.0 the hooks stay the pure zeros and
-   nothing changes. *)
+   cycles — the simulated fast path really is free — but it observes
+   every access, so the machine stops batching (which is
+   byte-identical).  At rate 1.0 there are no access hooks and nothing
+   changes. *)
 let count_skipped t addr =
   (match Meta_table.find_vpage t.env.Hooks.meta (Page.vpage_of_addr addr) with
   | Some (meta : Obj_meta.t) when Dense.Bitset.mem t.unsampled meta.Obj_meta.id ->
@@ -1393,7 +1392,6 @@ let count_skipped_block t (block : Kard_sched.Op.block) =
 let hooks t =
   let counting = Sampling.enabled t.sampling in
   { Hooks.name = "kard";
-    pure_access = not counting;
     on_pick = (fun ~tid:_ -> ());
     on_spawn = (fun ~tid -> on_spawn t ~tid);
     on_global = (fun meta -> on_alloc t ~tid:(-1) meta);
@@ -1403,18 +1401,14 @@ let hooks t =
     on_unlock = (fun ~tid ~lock -> on_unlock t ~tid ~lock);
     (* Kard's whole point: no per-access instrumentation.  The
        sampling counters are the one exception, and they charge 0. *)
-    on_read =
-      (if counting then fun ~tid:_ ~addr -> count_skipped t addr
-       else fun ~tid:_ ~addr:_ -> 0);
-    on_write =
-      (if counting then fun ~tid:_ ~addr -> count_skipped t addr
-       else fun ~tid:_ ~addr:_ -> 0);
-    on_read_block =
-      (if counting then fun ~tid:_ ~block -> count_skipped_block t block
-       else fun ~tid:_ ~block:_ -> 0);
-    on_write_block =
-      (if counting then fun ~tid:_ ~block -> count_skipped_block t block
-       else fun ~tid:_ ~block:_ -> 0);
+    access =
+      (if counting then
+         Some
+           { Hooks.on_read = (fun ~tid:_ ~addr -> count_skipped t addr);
+             on_write = (fun ~tid:_ ~addr -> count_skipped t addr);
+             on_read_block = (fun ~tid:_ ~block -> count_skipped_block t block);
+             on_write_block = (fun ~tid:_ ~block -> count_skipped_block t block) }
+       else None);
     on_fault = (fun fault -> on_fault t fault);
     on_thread_exit = (fun ~tid:_ -> 0);
     on_finish = (fun () -> ());

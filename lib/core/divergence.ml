@@ -17,7 +17,7 @@ type cls =
   | Lockset_init_miss
   | Vkey_eviction_blame
   | Sampling_missed_race
-  | Shard_divergence
+  | Batch_divergence
   | Replay_divergence
   | Unexpected
 
@@ -41,7 +41,7 @@ let all =
     Lockset_init_miss;
     Vkey_eviction_blame;
     Sampling_missed_race;
-    Shard_divergence;
+    Batch_divergence;
     Replay_divergence;
     Unexpected;
   ]
@@ -65,7 +65,7 @@ let name = function
   | Lockset_init_miss -> "lockset-init-miss"
   | Vkey_eviction_blame -> "vkey-eviction-blame"
   | Sampling_missed_race -> "sampling-missed-race"
-  | Shard_divergence -> "shard-divergence"
+  | Batch_divergence -> "batch-divergence"
   | Replay_divergence -> "replay-divergence"
   | Unexpected -> "unexpected"
 
@@ -134,10 +134,11 @@ let describe = function
       "Kard under-reports by design: the sampling policy left the object (or \
        the racing section) unprotected this epoch, so the conflicting access \
        never faulted — the HardRace trade: detection latency, never soundness"
-  | Shard_divergence ->
-      "the sharded machine diverged: a run at shards>1 produced a different \
-       report or race-record list than the same run at shards=1, breaching \
-       the burst engine's determinism contract (DESIGN.md section 10): real bug"
+  | Batch_divergence ->
+      "batching diverged: a run that batches cycle commits produced a \
+       different report or race-record list than the same run unbatched, \
+       breaching the batching determinism contract (DESIGN.md section 10): \
+       real bug"
   | Replay_divergence ->
       "record/replay broke: re-executing the run from its nondeterminism log \
        produced a different report or race-record list, the log failed its \
@@ -146,7 +147,7 @@ let describe = function
   | Unexpected -> "no documented mechanism explains the disagreement: real bug"
 
 let expected = function
-  | Shard_divergence | Replay_divergence | Unexpected -> false
+  | Batch_divergence | Replay_divergence | Unexpected -> false
   | _ -> true
 
 let index c =

@@ -174,14 +174,15 @@ type cls =
           near-zero fast path, and the sampled report set must remain
           a subset of full Kard's.  Only admissible while sampling is
           active; over-reports are {e never} explained by sampling. *)
-  | Shard_divergence
-      (** The sharded machine diverged: running the same program,
-          seed and configuration at shards>1 produced a different
-          machine report or race-record list than at shards=1.  The
-          burst engine's determinism contract (DESIGN.md §10) allows
-          {e no} such difference, so this class is never expected —
-          it gates the sharded execution engine behind the fuzz
-          campaign's oracle equivalence. *)
+  | Batch_divergence
+      (** Batching diverged: running the same program, seed and
+          configuration with batched cycle commits (compiled
+          interpreter) produced a different machine report or
+          race-record list than unbatched ([`Thunks]).  The batching
+          determinism contract (DESIGN.md §10) allows {e no} such
+          difference, so this class is never expected — it gates the
+          batching machine behind the fuzz campaign's oracle
+          equivalence. *)
   | Replay_divergence
       (** Record/replay broke: re-executing a run from its recorded
           nondeterminism log (DESIGN.md §13) produced a different
@@ -192,8 +193,8 @@ type cls =
           schedule picks and lock-grant order — so replay admits no
           difference whatsoever; this class is never expected.  It
           gates the record/replay layer behind the fuzz campaign's
-          oracle equivalence, exactly as {!Shard_divergence} gates the
-          burst engine. *)
+          oracle equivalence, exactly as {!Batch_divergence} gates
+          batching. *)
   | Unexpected
       (** No documented mechanism explains the disagreement: a real
           bug in the runtime, an oracle, or the classifier. *)
@@ -210,7 +211,7 @@ val describe : cls -> string
 (** One-line human description. *)
 
 val expected : cls -> bool
-(** [true] for every class except {!Shard_divergence},
+(** [true] for every class except {!Batch_divergence},
     {!Replay_divergence} and {!Unexpected}. *)
 
 val compare : cls -> cls -> int

@@ -6,7 +6,7 @@
    The detector asks [sampled] at the few points where an object's
    protection status matters (allocation, section entry, fault drain);
    because the answer is a pure function of values that are identical
-   at any --jobs/--shards count, the sampled set — and hence every
+   at any --jobs count, the sampled set — and hence every
    report — is byte-identical across parallelism settings.
 
    The hash is one round of SplitMix64-style finalization over the

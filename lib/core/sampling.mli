@@ -3,7 +3,7 @@
 
     A pure decision procedure — every answer is a function of
     (seed, rate, epoch, id) only, so the sampled set is byte-identical
-    at any [--jobs]/[--shards] count.  At rate 1.0 the policy is
+    at any [--jobs] count.  At rate 1.0 the policy is
     disabled and every query answers [true] without hashing: the
     detector is byte-identical to the pre-sampling build.
 

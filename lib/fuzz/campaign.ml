@@ -2,56 +2,61 @@ module D = Kard_core.Divergence
 module Config = Kard_core.Config
 module Pool = Kard_harness.Pool
 
-(* (name, detector config, machine shard count, generator pressure,
-   replay gate).  The sharded entries make the burst engine a
+(* (name, detector config, batch gate, generator pressure, replay
+   gate).  The batch-gate entries make batched cycle commits a
    standing fuzz subject: every program they draw also runs the
-   dual-machine shard gate (Harness.run ?shards), so a determinism
-   breach surfaces as the never-expected shard-divergence class and
+   dual-machine batch gate (Harness.run ?batch_gate), so a determinism
+   breach surfaces as the never-expected batch-divergence class and
    fails the campaign.  The vkey rotation entries pair a virtual pool
    with the high-pressure generator profile (every program past the
    13 physical keys, half far past), keeping the cache's
    load/evict/stall windows — and their one expected evidence class,
-   vkey-eviction-blame — under the three oracles; the sharded one
-   additionally gates vkey eviction against burst-engine
-   determinism. *)
+   vkey-eviction-blame — under the three oracles; the gated one
+   additionally checks vkey eviction against batching determinism.
+   Entry order is part of the campaign: program [i] draws entry
+   [i mod 15], so reordering would change every fuzz:SEED:INDEX. *)
 let configs =
   let d = Config.default in
-  [ ("default", d, 1, `Default, false);
-    ("keys4", { d with Config.data_keys = 4 }, 1, `Default, false);
-    ("keys4-soft", { d with Config.data_keys = 4; software_fallback = true }, 1, `Default, false);
-    ("by-lock", { d with Config.section_identity = Config.By_lock }, 1, `Default, false);
-    ("default-shards4", d, 4, `Default, false);
-    ("keys4-shards3", { d with Config.data_keys = 4 }, 3, `Default, false);
-    ("vkeys64", { d with Config.vkeys = 64 }, 1, `Vkey_rotation, false);
-    ("vkeys64-keys4", { d with Config.data_keys = 4; vkeys = 64 }, 1, `Vkey_rotation, false);
-    ("vkeys64-shards2", { d with Config.vkeys = 64 }, 2, `Vkey_rotation, false);
+  [ ("default", d, false, `Default, false);
+    ("keys4", { d with Config.data_keys = 4 }, false, `Default, false);
+    ("keys4-soft", { d with Config.data_keys = 4; software_fallback = true }, false, `Default,
+     false);
+    ("by-lock", { d with Config.section_identity = Config.By_lock }, false, `Default, false);
+    ("default-batch", d, true, `Default, false);
+    ("keys4-batch", { d with Config.data_keys = 4 }, true, `Default, false);
+    ("vkeys64", { d with Config.vkeys = 64 }, false, `Vkey_rotation, false);
+    ("vkeys64-keys4", { d with Config.data_keys = 4; vkeys = 64 }, false, `Vkey_rotation, false);
+    ("vkeys64-batch", { d with Config.vkeys = 64 }, true, `Vkey_rotation, false);
     (* The sampling entries keep the subset contract under the three
        oracles: misses classify as the expected sampling-missed-race,
        while an over-report a full-detector mechanism cannot explain
        still fails the campaign.  The short epoch forces rotations
        (drain-at-fault, batched re-arm) inside even these small
-       programs; the sharded entry runs the dual-machine gate with
-       sampling active. *)
-    ("sampling50", { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, 1, `Default, false);
+       programs; the gated entry runs the dual-machine gate with
+       sampling active (a sampled detector observes accesses, so both
+       of its machines run unbatched). *)
+    ("sampling50", { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, false, `Default,
+     false);
     ("sampling25-keys4",
-     { d with Config.sampling = 0.25; sampling_epoch = 100_000; data_keys = 4 }, 1, `Default,
-     false);
+     { d with Config.sampling = 0.25; sampling_epoch = 100_000; data_keys = 4 }, false,
+     `Default, false);
     ("sampling50-vkeys64",
-     { d with Config.sampling = 0.5; sampling_epoch = 100_000; vkeys = 64 }, 1, `Vkey_rotation,
-     false);
-    ("sampling25-shards2",
-     { d with Config.sampling = 0.25; sampling_epoch = 100_000 }, 2, `Default, false);
+     { d with Config.sampling = 0.5; sampling_epoch = 100_000; vkeys = 64 }, false,
+     `Vkey_rotation, false);
+    ("sampling25-batch",
+     { d with Config.sampling = 0.25; sampling_epoch = 100_000 }, true, `Default, false);
     (* The replay-oracle entries (DESIGN.md §13) run the record/replay
        gate on their programs: record the run's nondeterminism log,
        round-trip it through the wire codec, strictly replay it, and
        demand an identical report and race list — any difference is
        the never-expected replay-divergence class.  One entry keeps
-       the default detector; the other pairs replay with the burst
-       engine and a sampled detector, the configuration where a
-       clock-reading recorder would break first. *)
-    ("replay-oracle", d, 1, `Default, true);
-    ("replay-oracle-sampling50-shards2",
-     { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, 2, `Default, true) ]
+       the default detector, whose recorded run batches cycle commits,
+       the configuration where a clock-reading recorder would break
+       first; the other pairs replay with the batch gate and a sampled
+       detector. *)
+    ("replay-oracle", d, false, `Default, true);
+    ("replay-oracle-sampling50-batch",
+     { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, true, `Default, true) ]
 
 type result = {
   programs : int;
@@ -82,14 +87,14 @@ type reconstructed = {
   rp_prog : Prog.t;
   rp_config_name : string;
   rp_config : Config.t;
-  rp_shards : int;
+  rp_batch_gate : bool;
   rp_replay : bool;
   rp_machine_seed : int;
 }
 
 let reconstruct ~seed i =
   let rand = Random.State.make [| seed; i |] in
-  let config_name, config, entry_shards, pressure, replay =
+  let config_name, config, batch_gate, pressure, replay =
     List.nth configs (i mod List.length configs)
   in
   let prog = Prog.generate ~pressure ~rand () in
@@ -97,7 +102,7 @@ let reconstruct ~seed i =
   { rp_prog = prog;
     rp_config_name = config_name;
     rp_config = config;
-    rp_shards = entry_shards;
+    rp_batch_gate = batch_gate;
     rp_replay = replay;
     rp_machine_seed = mseed }
 
@@ -111,7 +116,7 @@ let of_target s =
     | _ -> None)
   | _ -> None
 
-let run_one ?shards ?sampling ?replay ~seed i =
+let run_one ?sampling ?replay ~seed i =
   let r = reconstruct ~seed i in
   let config_name = r.rp_config_name in
   let config =
@@ -121,15 +126,15 @@ let run_one ?shards ?sampling ?replay ~seed i =
   in
   let prog = r.rp_prog in
   let mseed = r.rp_machine_seed in
-  let shards = Option.value ~default:r.rp_shards shards in
+  let batch_gate = r.rp_batch_gate in
   let replay = Option.value ~default:r.rp_replay replay in
   let outcome =
-    Harness.run ~config ~shards ~replay ~replay_target:(target ~seed i) ~seed:mseed prog
+    Harness.run ~config ~batch_gate ~replay ~replay_target:(target ~seed i) ~seed:mseed prog
   in
   let obj_classes =
     List.concat_map (fun (v : Classify.obj_verdict) -> v.Classify.classes) outcome.Harness.divergent
-    @ (if List.exists (D.equal D.Shard_divergence) outcome.Harness.classes then
-         [ D.Shard_divergence ]
+    @ (if List.exists (D.equal D.Batch_divergence) outcome.Harness.classes then
+         [ D.Batch_divergence ]
        else [])
   in
   let is_divergent = obj_classes <> [] || outcome.Harness.stuck <> None in
@@ -144,7 +149,7 @@ let run_one ?shards ?sampling ?replay ~seed i =
   let shrunk_src =
     if not is_unexpected then None
     else begin
-      let oracle p = (Harness.run ~config ~shards ~replay ~seed:mseed p).Harness.unexpected in
+      let oracle p = (Harness.run ~config ~batch_gate ~replay ~seed:mseed p).Harness.unexpected in
       let small, _evals = Shrink.minimize ~oracle prog in
       Some (header ", minimized" ^ Prog.to_ocaml small)
     end
@@ -256,7 +261,7 @@ let report fmt r =
       (String.concat " " (List.map string_of_int idxs)));
   Format.fprintf fmt "@]"
 
-let run ?jobs ?corpus ?shards ?sampling ?replay ~count ~seed () =
+let run ?jobs ?corpus ?sampling ?replay ~count ~seed () =
   Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) corpus;
   let st = match corpus with None -> empty_state seed | Some dir -> load_state dir ~seed in
   let start = st.st_done in
@@ -264,7 +269,7 @@ let run ?jobs ?corpus ?shards ?sampling ?replay ~count ~seed () =
   let outs =
     Pool.map ?jobs
       ~label:(fun _ i -> Printf.sprintf "fuzz program %d" i)
-      (run_one ?shards ?sampling ?replay ~seed) todo
+      (run_one ?sampling ?replay ~seed) todo
   in
   (* Merge in submission (= index) order: exemplars are the lowest
      index per class, so corpus contents are jobs-invariant. *)

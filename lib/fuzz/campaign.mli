@@ -26,31 +26,32 @@
       [unexpected-<index>-full.ml]. *)
 
 val configs :
-  (string * Kard_core.Config.t * int * [ `Default | `Vkey_rotation ] * bool) list
-(** The (name, detector configuration, machine shard count, generator
-    pressure, replay gate) entries a campaign cycles through: the
-    default; a 4-key detector (forcing grouping, recycling and
-    sharing); a 4-key detector with the software fallback;
-    lock-identity sections; two {e sharded} entries (4 and 3 shards)
-    whose programs also run the dual-machine shard gate
-    ({!Harness.run}), so burst-engine determinism is fuzzed alongside
-    oracle equivalence; three {e vkey rotation} entries — a 64-key
-    virtual pool over the full and the 4-key physical budget, plus a
-    sharded one — drawn with the [`Vkey_rotation] generator profile
-    ({!Prog.generate}) so every program outruns the physical keys and
-    the cache's load/evict/stall windows sit under the oracles; four
+  (string * Kard_core.Config.t * bool * [ `Default | `Vkey_rotation ] * bool) list
+(** The (name, detector configuration, batch gate, generator
+    pressure, replay gate) entries a campaign cycles through, in a
+    fixed order (program [i] draws entry [i mod 15]): the default; a
+    4-key detector (forcing grouping, recycling and sharing); a 4-key
+    detector with the software fallback; lock-identity sections; two
+    {e batch-gate} entries whose programs also run the dual-machine
+    batch gate ({!Harness.run}), so batching determinism is fuzzed
+    alongside oracle equivalence; three {e vkey rotation} entries — a
+    64-key virtual pool over the full and the 4-key physical budget,
+    plus a batch-gate one — drawn with the [`Vkey_rotation] generator
+    profile ({!Prog.generate}) so every program outruns the physical
+    keys and the cache's load/evict/stall windows sit under the
+    oracles; four
     {e sampling} entries; and two {e replay-oracle} entries whose
     programs also run the record/replay gate (record the
     nondeterminism log, round-trip the codec, strictly replay, demand
     identical results — any difference is the never-expected
     replay-divergence class), one on the default detector and one
-    pairing replay with sampling and the burst engine. *)
+    pairing replay with sampling and the batch gate. *)
 
 type reconstructed = {
   rp_prog : Prog.t;
   rp_config_name : string;
   rp_config : Kard_core.Config.t;
-  rp_shards : int;
+  rp_batch_gate : bool;
   rp_replay : bool;
   rp_machine_seed : int;
 }
@@ -81,7 +82,6 @@ type result = {
 val run :
   ?jobs:int ->
   ?corpus:string ->
-  ?shards:int ->
   ?sampling:float ->
   ?replay:bool ->
   count:int ->
@@ -90,9 +90,7 @@ val run :
   result
 (** Run programs [done..count-1] (where [done] is what the corpus
     already records, 0 without a corpus or on a fresh one).  [count]
-    is the cumulative target.  [shards] overrides every config
-    entry's shard count (so [--shards 1] disables the shard gate and
-    [--shards N] applies it to all programs); [sampling] overrides
+    is the cumulative target.  [sampling] overrides
     every entry's sampling rate (with a 100k-cycle epoch, so
     rotations happen inside small programs) — under a rate below 1.0
     residual Kard misses classify as the expected

@@ -18,29 +18,34 @@ type outcome = {
 
 let allocator = Machine.Unique_page { granule = 32; recycle_virtual_pages = false }
 
-(* The primary (trace-logged) machine never bursts — the log wrapper
-   makes its access hooks impure — so the burst engine is gated by a
-   dual run: the same program, seed and configuration on two
-   {e unwrapped} Kard machines, shards=1 vs shards=N, whose full
-   reports and race-record lists must be structurally identical
-   (DESIGN.md §10).  The unwrapped detector's hooks are pure and the
-   interpreter is compiled, so the shards=N run genuinely exercises
-   the burst fast path. *)
-let shard_gate ~config ~seed ~shards prog =
-  let run_at shards =
-    let cell = ref None in
-    let machine =
-      Machine.create ~seed ~shards ~allocator ~make_detector:(Detector.make ~config ~cell) ()
-    in
-    let (_ : Prog.run_ctx) = Prog.spawn_all prog ~machine ~on_event:(fun _ -> ()) in
-    match Machine.run machine with
-    | exception Machine.Stuck msg -> Error msg
-    | report -> Ok (report, Detector.races (Option.get !cell))
-  in
-  match (run_at 1, run_at shards) with
+(* The program on an unwrapped Kard machine — no trace log — for the
+   dual-machine gates below.  [wrap] composes around the detector. *)
+let run_unlogged ?schedule ?interp ?(wrap = fun _ h -> h) ~config ~seed prog =
+  let cell = ref None in
+  let make_detector env = wrap env (Detector.make ~config ~cell env) in
+  let machine = Machine.create ~seed ?schedule ?interp ~allocator ~make_detector () in
+  let (_ : Prog.run_ctx) = Prog.spawn_all prog ~machine ~on_event:(fun _ -> ()) in
+  match Machine.run machine with
+  | exception Machine.Stuck msg -> Error msg
+  | report -> Ok (report, Detector.races (Option.get !cell))
+
+let same_outcome a b =
+  match (a, b) with
   | Ok a, Ok b -> a = b
   | Error a, Error b -> String.equal a b
   | Ok _, Error _ | Error _, Ok _ -> false
+
+(* The primary (trace-logged) machine never batches cycle commits —
+   the log wrapper observes every access — so batching is gated by a
+   dual run: the same program, seed and configuration on two
+   {e unwrapped} Kard machines, compiled vs [`Thunks], whose full
+   reports and race-record lists must be structurally identical
+   (DESIGN.md §10).  Unwrapped full Kard has no access hooks, so the
+   compiled run genuinely batches; the thunk view never does. *)
+let batch_gate_holds ~config ~seed prog =
+  same_outcome
+    (run_unlogged ~interp:`Compiled ~config ~seed prog)
+    (run_unlogged ~interp:`Thunks ~config ~seed prog)
 
 (* The record/replay layer (DESIGN.md §13) is gated the same way: the
    program runs once more on an unwrapped Kard machine with the
@@ -48,49 +53,35 @@ let shard_gate ~config ~seed ~shards prog =
    and back — so the codec round-trips on every generated program —
    and a strict replay driven by the decoded tape must reproduce the
    report and race-record list exactly, with every pick, grant and
-   anchor matching and the tape fully consumed.  Like the shard gate,
-   the unwrapped hooks stay pure, so at shards>1 recording and replay
-   both genuinely run on the burst engine. *)
-let replay_gate ?(target = "fuzz") ~config ~seed ~shards prog =
-  let run_wrapped ?schedule wrap =
-    let cell = ref None in
-    let make_detector env = wrap env (Detector.make ~config ~cell env) in
-    let machine =
-      Machine.create ~seed ?schedule ~shards ~allocator ~make_detector ()
-    in
-    let (_ : Prog.run_ctx) = Prog.spawn_all prog ~machine ~on_event:(fun _ -> ()) in
-    match Machine.run machine with
-    | exception Machine.Stuck msg -> Error msg
-    | report -> Ok (report, Detector.races (Option.get !cell))
-  in
+   anchor matching and the tape fully consumed.  As in the batch gate,
+   the wrappers add no access hooks, so recording and replay both
+   batch whenever the detector does. *)
+let replay_gate ?(target = "fuzz") ~config ~seed prog =
   let recorder = Recorder.create () in
-  let recorded = run_wrapped (Recorder.wrap recorder) in
+  let recorded = run_unlogged ~wrap:(Recorder.wrap recorder) ~config ~seed prog in
   let header =
-    { Log.detector = "kard"; target; threads = prog.Prog.workers + 1; scale = 1.0; seed;
-      shards; config = Some config }
+    Log.header ~detector:"kard" ~target ~threads:(prog.Prog.workers + 1) ~scale:1.0 ~seed ~config
+      ()
   in
   match Log.decode (Log.encode (Recorder.log recorder ~header)) with
   | exception Log.Error _ -> false
-  | log -> (
+  | log ->
     let replayer = Replayer.create ~mode:Replayer.Strict log in
     let replayed =
-      run_wrapped ~schedule:(Replayer.schedule replayer) (Replayer.wrap replayer)
+      run_unlogged ~schedule:(Replayer.schedule replayer) ~wrap:(Replayer.wrap replayer) ~config
+        ~seed prog
     in
-    Replayer.check replayer = Ok ()
-    && match (recorded, replayed) with
-       | Ok a, Ok b -> a = b
-       | Error a, Error b -> String.equal a b
-       | Ok _, Error _ | Error _, Ok _ -> false)
+    Replayer.check replayer = Ok () && same_outcome recorded replayed
 
 let run ?(kard_filter = fun (_ : Race_record.t) -> true)
     ?(provenance_filter = fun (p : Detector.provenance) -> p) ?(config = Config.default)
-    ?(shards = 1) ?(replay = false) ?replay_target ~seed prog =
+    ?(batch_gate = false) ?(replay = false) ?replay_target ~seed prog =
   let cell = ref None in
   let log = Trace_log.create () in
   let make_detector env =
     Trace_log.wrap log ~meta:env.Hooks.meta (Detector.make ~config ~cell env)
   in
-  let machine = Machine.create ~seed ~shards ~allocator ~make_detector () in
+  let machine = Machine.create ~seed ~allocator ~make_detector () in
   let (_ : Prog.run_ctx) =
     Prog.spawn_all prog ~machine ~on_event:(fun ev -> Trace_log.emit log ev)
   in
@@ -117,13 +108,11 @@ let run ?(kard_filter = fun (_ : Race_record.t) -> true)
         ~kard ~alg1 ~hb ~lockset ()
     in
     let divergent = List.filter (fun v -> v.Classify.classes <> []) verdicts in
-    let shard_ok = shards <= 1 || shard_gate ~config ~seed ~shards prog in
-    let replay_ok =
-      (not replay) || replay_gate ?target:replay_target ~config ~seed ~shards prog
-    in
+    let batch_ok = (not batch_gate) || batch_gate_holds ~config ~seed prog in
+    let replay_ok = (not replay) || replay_gate ?target:replay_target ~config ~seed prog in
     let classes =
       List.sort_uniq D.compare
-        ((if shard_ok then [] else [ D.Shard_divergence ])
+        ((if batch_ok then [] else [ D.Batch_divergence ])
         @ (if replay_ok then [] else [ D.Replay_divergence ])
         @ List.concat_map (fun v -> v.Classify.classes) divergent)
     in

@@ -12,8 +12,8 @@ type outcome = {
       (** The subset with a non-empty class list. *)
   classes : Kard_core.Divergence.cls list;
       (** Union over [divergent], sorted; additionally contains
-          {!Kard_core.Divergence.Shard_divergence} when the sharded
-          dual run (below) diverged, and
+          {!Kard_core.Divergence.Batch_divergence} when the batch
+          gate (below) diverged, and
           {!Kard_core.Divergence.Replay_divergence} when the
           record/replay gate (below) did. *)
   unexpected : bool;
@@ -26,7 +26,7 @@ val run :
   ?kard_filter:(Kard_core.Race_record.t -> bool) ->
   ?provenance_filter:(Kard_core.Detector.provenance -> Kard_core.Detector.provenance) ->
   ?config:Kard_core.Config.t ->
-  ?shards:int ->
+  ?batch_gate:bool ->
   ?replay:bool ->
   ?replay_target:string ->
   seed:int ->
@@ -42,13 +42,14 @@ val run :
     {!Kard_core.Config.default}); [seed] drives the machine
     schedule.
 
-    [shards] (default 1) shards the primary machine and, when greater
-    than 1, additionally runs the {e shard gate}: the same program on
-    two unwrapped Kard machines — shards=1 and shards=[shards], the
-    latter on the burst engine — whose full reports and race-record
-    lists must be structurally identical.  A mismatch adds the
-    never-expected {!Kard_core.Divergence.Shard_divergence} class, so
-    oracle equivalence gates the sharded execution engine.
+    [batch_gate] (default false) additionally runs the {e batch gate}:
+    the same program on two unwrapped Kard machines — the compiled
+    interpreter, which batches cycle commits whenever the detector has
+    no access hooks, and the [`Thunks] oracle interpreter, which never
+    does — whose full reports and race-record lists must be
+    structurally identical.  A mismatch adds the never-expected
+    {!Kard_core.Divergence.Batch_divergence} class, so oracle
+    equivalence gates the batching machine.
 
     [replay] (default false) additionally runs the {e replay gate}:
     the program once more on an unwrapped Kard machine with the
@@ -58,7 +59,7 @@ val run :
     exactly with the tape fully consumed.  Any difference adds the
     never-expected {!Kard_core.Divergence.Replay_divergence} class —
     the campaign cross-checks log fidelity on generated programs the
-    same way it gates the burst engine.  [replay_target] names the
+    same way it gates batching.  [replay_target] names the
     log's header target (default ["fuzz"]). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

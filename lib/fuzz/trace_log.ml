@@ -20,10 +20,9 @@ let emit t ev = t.rev_events <- ev :: t.rev_events
 let events t = List.rev t.rev_events
 
 let wrap t ~meta (hooks : Hooks.t) =
+  let inner = Hooks.access_of hooks in
   { hooks with
-    (* The read/write wrappers below log events: never burst-eligible. *)
-    Hooks.pure_access = false;
-    on_lock =
+    Hooks.on_lock =
       (fun ~tid ~lock ~site ->
         emit t (Lock { tid; lock; site });
         hooks.Hooks.on_lock ~tid ~lock ~site);
@@ -31,18 +30,21 @@ let wrap t ~meta (hooks : Hooks.t) =
       (fun ~tid ~lock ->
         emit t (Unlock { tid; lock });
         hooks.Hooks.on_unlock ~tid ~lock);
-    on_read =
-      (fun ~tid ~addr ->
-        (match Meta_table.find_addr meta addr with
-        | Some m -> emit t (Read { tid; obj = m.Obj_meta.id })
-        | None -> ());
-        hooks.Hooks.on_read ~tid ~addr);
-    on_write =
-      (fun ~tid ~addr ->
-        (match Meta_table.find_addr meta addr with
-        | Some m -> emit t (Write { tid; obj = m.Obj_meta.id })
-        | None -> ());
-        hooks.Hooks.on_write ~tid ~addr);
+    access =
+      Some
+        { inner with
+          Hooks.on_read =
+            (fun ~tid ~addr ->
+              (match Meta_table.find_addr meta addr with
+              | Some m -> emit t (Read { tid; obj = m.Obj_meta.id })
+              | None -> ());
+              inner.Hooks.on_read ~tid ~addr);
+          on_write =
+            (fun ~tid ~addr ->
+              (match Meta_table.find_addr meta addr with
+              | Some m -> emit t (Write { tid; obj = m.Obj_meta.id })
+              | None -> ());
+              inner.Hooks.on_write ~tid ~addr) };
     on_alloc =
       (fun ~tid m ->
         emit t (Alloc { tid; obj = m.Obj_meta.id });

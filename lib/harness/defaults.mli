@@ -44,9 +44,6 @@ val serve_out : string
 (** Tracked output of [kard bench -e serve] and [kard serve-sweep]:
     ["BENCH_pr6.json"]. *)
 
-val shard_out : string
-(** Tracked output of [kard bench -e shard]: ["BENCH_pr7.json"]. *)
-
 val keys_out : string
 (** Tracked output of [kard bench -e keys] (the key-pressure sweep):
     ["BENCH_pr8.json"]. *)
@@ -68,19 +65,12 @@ val jobs_env : string
     ["KARD_JOBS"]. *)
 
 val jobs : unit -> int
-(** Worker-domain count for plan execution: [$KARD_JOBS] when set to a
-    positive integer, otherwise [Domain.recommended_domain_count ()].
-    A malformed or non-positive override is ignored. *)
-
-val shards_env : string
-(** Name of the environment variable overriding the machine shard
-    count: ["KARD_SHARDS"]. *)
-
-val shards : unit -> int
-(** Shard count for single-machine execution: [$KARD_SHARDS] when set
-    to a positive integer, otherwise [1].  Results are byte-identical
-    at any value (DESIGN.md §10), so overriding is always safe; >= 2
-    additionally turns on the burst engine where eligible. *)
+(** Worker-domain count for plan execution: [$KARD_JOBS] when set,
+    otherwise [Domain.recommended_domain_count ()].  Like every
+    override here, a variable that is unset or blank means "no
+    override", and anything else must parse.
+    @raise Failure naming the variable and its value when the override
+    is not a positive integer. *)
 
 val vkeys_env : string
 (** Name of the environment variable overriding the virtual-key pool
@@ -88,9 +78,10 @@ val vkeys_env : string
 
 val vkeys : unit -> int
 (** Virtual-key pool for default-config Kard runs: [$KARD_VKEYS] when
-    set to a non-negative integer, otherwise [0] (identity mode —
-    byte-identical to the pre-vkey detector).  A malformed override is
-    ignored. *)
+    set, otherwise [0] (identity mode — byte-identical to the pre-vkey
+    detector).
+    @raise Failure naming the variable and its value when the override
+    is not a non-negative integer. *)
 
 val sampling_env : string
 (** Name of the environment variable overriding the sampling rate:
@@ -98,9 +89,10 @@ val sampling_env : string
 
 val sampling : unit -> float
 (** Sampling rate for default-config Kard runs: [$KARD_SAMPLING] when
-    set to a float in (0, 1], otherwise [1.0] (full Kard —
-    byte-identical to the unsampled detector).  A malformed or
-    out-of-range override is ignored, never clamped. *)
+    set, otherwise [1.0] (full Kard — byte-identical to the unsampled
+    detector).
+    @raise Failure naming the variable and its value when the override
+    is not a float in (0, 1]; it is never clamped. *)
 
 val kard_config : unit -> Kard_core.Config.t
 (** [Config.default] with {!vkeys} and {!sampling} applied — what

@@ -539,7 +539,7 @@ let tp_detectors = [ Runner.Baseline; Runner.Kard (Defaults.kard_config ()) ]
 
 let throughput ?(spec = Registry.find "memcached")
     ?(threads_list = [ 1; 2; 4; 8; 16; 32; 64 ]) ?(scale = Defaults.throughput_scale)
-    ?(seed = Defaults.seed) ?shards () =
+    ?(seed = Defaults.seed) () =
   (* Deliberately serial: each cell is wall-clock timed, and concurrent
      cells would steal host cycles from each other.  Parallel wall-clock
      wins are measured by the [parallel] bench instead. *)
@@ -552,7 +552,7 @@ let throughput ?(spec = Registry.find "memcached")
         (fun detector ->
           let g0 = Gc.quick_stat () in
           let t0 = Unix.gettimeofday () in
-          let r = Runner.run ?shards ~threads ~scale ~seed ~detector spec in
+          let r = Runner.run ~threads ~scale ~seed ~detector spec in
           let elapsed = Unix.gettimeofday () -. t0 in
           let g1 = Gc.quick_stat () in
           let steps = r.Runner.report.Machine.steps in
@@ -712,14 +712,14 @@ let serve_goodput ~slo rows =
 let serve_plan ?(server = Openloop.Nginx) ?(model = Openloop.Poisson)
     ?(detectors = serve_detectors) ?(rates = default_serve_rates)
     ?(threads = Defaults.table_threads) ?(scale = Defaults.serve_scale)
-    ?(seed = Defaults.seed) ?(slo = Defaults.serve_slo) ?shards () =
+    ?(seed = Defaults.seed) ?(slo = Defaults.serve_slo) () =
   let specs = List.map (fun rate -> (rate, Openloop.spec ~model ~rate server)) rates in
   let jobs =
     List.concat_map
       (fun (_, detector) ->
         List.map
           (fun (_, spec) ->
-            Job.spec ~threads ~scale ~seed ~trace:(Job.trace_request ()) ?shards detector spec)
+            Job.spec ~threads ~scale ~seed ~trace:(Job.trace_request ()) detector spec)
           specs)
       detectors
   in
@@ -763,9 +763,8 @@ let serve_plan ?(server = Openloop.Nginx) ?(model = Openloop.Poisson)
         ss_rows = rows;
         ss_goodput = serve_goodput ~slo rows })
 
-let serve ?jobs ?server ?model ?detectors ?rates ?threads ?scale ?seed ?slo ?shards () =
-  Pool.execute ?jobs
-    (serve_plan ?server ?model ?detectors ?rates ?threads ?scale ?seed ?slo ?shards ())
+let serve ?jobs ?server ?model ?detectors ?rates ?threads ?scale ?seed ?slo () =
+  Pool.execute ?jobs (serve_plan ?server ?model ?detectors ?rates ?threads ?scale ?seed ?slo ())
 
 let print_serve sweep =
   Printf.printf "open-loop %s, %s arrivals, %d workers; SLO: p99 <= %s cycles\n" sweep.ss_server
@@ -794,89 +793,6 @@ let print_serve sweep =
         Printf.printf "goodput under SLO (%s): %g req/Mcycle\n" name rate
       else Printf.printf "goodput under SLO (%s): none (every rate misses)\n" name)
     sweep.ss_goodput
-
-(* {1 Sharded single-run benchmark (BENCH_pr7.json)} *)
-
-type shard_row = {
-  sh_shards : int;
-  sh_workers : int;
-  sh_seconds : float;
-  sh_speedup : float;
-  sh_identical : bool;
-}
-
-type shard_bench = {
-  sh_spec : string;
-  sh_threads : int;
-  sh_scale : float;
-  sh_seed : int;
-  sh_host_cores : int;
-  sh_steps : int;
-  sh_sim_cycles : int;
-  sh_rows : shard_row list;
-}
-
-let default_shard_counts = [ 1; 2; 4; 8 ]
-
-(* Mirrors the worker-resolution rule in [Machine.run_burst]; the
-   count is recorded so BENCH numbers are self-describing on any
-   host.  Worker count never affects results (DESIGN.md §10). *)
-let shard_workers_for shards =
-  if shards <= 1 then 0 else max 0 (min (shards - 1) (Domain.recommended_domain_count () - 1))
-
-let shard_bench ?(spec = Kard_workloads.Contended.convoy) ?(shard_counts = default_shard_counts)
-    ?threads ?(scale = 1.0) ?(seed = Defaults.seed) () =
-  let threads = Option.value ~default:spec.Spec.default_threads threads in
-  let detector = Runner.Kard (Defaults.kard_config ()) in
-  let run shards = Runner.run ~shards ~threads ~scale ~seed ~detector spec in
-  (* The shards=1 row is the timing and identity baseline; force it to
-     the front whatever list the caller passed. *)
-  let counts = 1 :: List.filter (fun n -> n > 1) shard_counts in
-  (* Warm-up, so the first timed row is not charged for start-up. *)
-  ignore (run 1);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let timed = List.map (fun n -> let r, s = time (fun () -> run n) in (n, r, s)) counts in
-  let _, base, base_s = List.hd timed in
-  (* Untraced results are closure-free, so structural equality checks
-     the whole result: report counters, schedule trace, race records,
-     detector stats. *)
-  let rows =
-    List.map
-      (fun (n, r, s) ->
-        { sh_shards = n;
-          sh_workers = shard_workers_for n;
-          sh_seconds = s;
-          sh_speedup = (if s > 0. then base_s /. s else 0.);
-          sh_identical = r = base })
-      timed
-  in
-  { sh_spec = spec.Spec.name;
-    sh_threads = threads;
-    sh_scale = scale;
-    sh_seed = seed;
-    sh_host_cores = Domain.recommended_domain_count ();
-    sh_steps = base.Runner.report.Machine.steps;
-    sh_sim_cycles = base.Runner.report.Machine.cycles;
-    sh_rows = rows }
-
-let print_shard_bench b =
-  Printf.printf "%s, %d threads, scale %g, seed %d (%d host cores): %s steps, %s simulated cycles\n"
-    b.sh_spec b.sh_threads b.sh_scale b.sh_seed b.sh_host_cores
-    (Text_table.fmt_int b.sh_steps)
-    (Text_table.fmt_int b.sh_sim_cycles);
-  let header = [ "shards"; "workers"; "seconds"; "speedup"; "identical" ] in
-  let cells row =
-    [ string_of_int row.sh_shards;
-      string_of_int row.sh_workers;
-      Printf.sprintf "%.3f" row.sh_seconds;
-      Printf.sprintf "%.2fx" row.sh_speedup;
-      (if row.sh_identical then "yes" else "NO") ]
-  in
-  print_string (Text_table.render ~header (List.map cells b.sh_rows))
 
 (* {1 Key-pressure sweep (BENCH_pr8.json)} *)
 
@@ -925,7 +841,7 @@ let default_keys_pool sections = 2 * sections
    (recycling) and key sharing, the vkey rows keep every association
    alive (DESIGN.md §11). *)
 let keys_plan ?(points = default_keys_points) ?(data_keys = default_keys_data_keys) ?pool
-    ?threads ?(scale = 1.0) ?(seed = Defaults.seed) ?shards () =
+    ?threads ?(scale = 1.0) ?(seed = Defaults.seed) () =
   let point_jobs (pname, profile) =
     let p = profile.Kard_workloads.Keypressure.sections in
     let pool = match pool with Some n -> n | None -> default_keys_pool p in
@@ -941,13 +857,13 @@ let keys_plan ?(points = default_keys_points) ?(data_keys = default_keys_data_ke
         data_keys
     in
     let jobs =
-      Job.spec ~threads ~scale ~seed ?shards Runner.Baseline spec
+      Job.spec ~threads ~scale ~seed Runner.Baseline spec
       :: List.map
            (fun (_, dk, vk) ->
              let config =
                { Kard_core.Config.default with Kard_core.Config.data_keys = dk; vkeys = vk }
              in
-             Job.spec ~threads ~scale ~seed ?shards (Runner.Kard config) spec)
+             Job.spec ~threads ~scale ~seed (Runner.Kard config) spec)
            configs
     in
     (configs, threads, jobs)
@@ -1015,8 +931,8 @@ let keys_plan ?(points = default_keys_points) ?(data_keys = default_keys_data_ke
         kp_seed = seed;
         kp_rows = List.concat_map snd groups })
 
-let keys ?jobs ?points ?data_keys ?pool ?threads ?scale ?seed ?shards () =
-  Pool.execute ?jobs (keys_plan ?points ?data_keys ?pool ?threads ?scale ?seed ?shards ())
+let keys ?jobs ?points ?data_keys ?pool ?threads ?scale ?seed () =
+  Pool.execute ?jobs (keys_plan ?points ?data_keys ?pool ?threads ?scale ?seed ())
 
 let print_keys_bench b =
   Printf.printf "key-pressure sweep: %d threads, scale %g, seed %d\n" b.kp_threads b.kp_scale
@@ -1116,7 +1032,7 @@ let sampling_race_objects (r : Runner.result) =
    detection cost. *)
 let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sampling_rates)
     ?(epoch = default_sampling_epoch) ?(seeds = Defaults.explorer_seeds)
-    ?(serve_rates = default_serve_sampling_rates) ?(scale = 0.1) ?slo ?shards () =
+    ?(serve_rates = default_serve_sampling_rates) ?(scale = 0.1) ?slo () =
   let subjects =
     List.map (fun name -> `Scenario (Race_suite.find name)) scenarios
     @ [ `Keypressure
@@ -1140,13 +1056,13 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
         { s.Race_suite.config with Kard_core.Config.sampling = rate;
           sampling_epoch = epoch; sampling_seed = seed }
       in
-      Job.scenario ~seed ~override_config:config ?shards (Runner.Kard config) s
+      Job.scenario ~seed ~override_config:config (Runner.Kard config) s
     | `Keypressure spec ->
       let config =
         { Kard_core.Config.default with Kard_core.Config.sampling = rate;
           sampling_epoch = epoch; sampling_seed = seed }
       in
-      Job.spec ~scale ~seed ?shards (Runner.Kard config) spec
+      Job.spec ~scale ~seed (Runner.Kard config) spec
   in
   let sweep_jobs =
     List.concat_map
@@ -1154,7 +1070,7 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
         List.concat_map (fun rate -> List.map (job subject rate) seeds) rates)
       subjects
   in
-  let serve_p = serve_plan ~detectors:(serve_sampling_detectors serve_rates) ?slo ?shards () in
+  let serve_p = serve_plan ~detectors:(serve_sampling_detectors serve_rates) ?slo () in
   Pool.plan (sweep_jobs @ serve_p.Pool.jobs) ~merge:(fun results ->
       let n_sweep = List.length sweep_jobs in
       let sweep_results = List.filteri (fun i _ -> i < n_sweep) results in
@@ -1248,9 +1164,9 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
         sp_rows = rows;
         sp_serve = serve_p.Pool.merge serve_results })
 
-let sampling ?jobs ?scenarios ?rates ?epoch ?seeds ?serve_rates ?scale ?slo ?shards () =
+let sampling ?jobs ?scenarios ?rates ?epoch ?seeds ?serve_rates ?scale ?slo () =
   Pool.execute ?jobs
-    (sampling_plan ?scenarios ?rates ?epoch ?seeds ?serve_rates ?scale ?slo ?shards ())
+    (sampling_plan ?scenarios ?rates ?epoch ?seeds ?serve_rates ?scale ?slo ())
 
 let print_sampling b =
   Printf.printf "sampling sweep: %d seeds per point, epoch %s cycles\n" (List.length b.sp_seeds)
@@ -1298,7 +1214,6 @@ type record_row = {
 type record_bench = {
   rc_scale : float;
   rc_seed : int;
-  rc_shards : int;
   rc_rows : record_row list;
 }
 
@@ -1330,11 +1245,10 @@ let record_fingerprint (r : Runner.result) =
    recording wrapper is what [rc_host_overhead_pct] measures — like
    [throughput], the cells run serially because they are wall-clock
    timed. *)
-let record_bench ?subjects ?(scale = Defaults.scale) ?(seed = Defaults.seed) ?shards () =
+let record_bench ?subjects ?(scale = Defaults.scale) ?(seed = Defaults.seed) () =
   let subjects =
     match subjects with Some s -> s | None -> default_record_subjects ()
   in
-  let shards = match shards with Some n -> n | None -> Defaults.shards () in
   (* Warm-up, so the first timed cell is not charged for image
      start-up. *)
   ignore
@@ -1354,15 +1268,15 @@ let record_bench ?subjects ?(scale = Defaults.scale) ?(seed = Defaults.seed) ?sh
         let plain, plain_s =
           time (fun () ->
               match subject with
-              | Record.Spec spec -> Runner.run ~shards ~scale ~seed ~detector spec
-              | Record.Scenario sc -> Runner.run_scenario ~shards ~seed ~detector sc)
+              | Record.Spec spec -> Runner.run ~scale ~seed ~detector spec
+              | Record.Scenario sc -> Runner.run_scenario ~seed ~detector sc)
         in
         let (recorded, log), recorded_s =
-          time (fun () -> Record.record ~shards ~scale ~seed ~detector subject)
+          time (fun () -> Record.record ~scale ~seed ~detector subject)
         in
         let bytes = Kard_replay.Log.encode log in
         let replay_identical =
-          match Record.replay ~shards log with
+          match Record.replay log with
           | Ok (replayed, Ok ()) ->
             record_fingerprint replayed = record_fingerprint recorded
           | Ok (_, Error _) | Error _ -> false
@@ -1387,11 +1301,10 @@ let record_bench ?subjects ?(scale = Defaults.scale) ?(seed = Defaults.seed) ?sh
           rc_replay_identical = replay_identical })
       subjects
   in
-  { rc_scale = scale; rc_seed = seed; rc_shards = shards; rc_rows = rows }
+  { rc_scale = scale; rc_seed = seed; rc_rows = rows }
 
 let print_record b =
-  Printf.printf "record/replay: scale %g, seed %d, shards %d\n" b.rc_scale b.rc_seed
-    b.rc_shards;
+  Printf.printf "record/replay: scale %g, seed %d\n" b.rc_scale b.rc_seed;
   let header =
     [ "subject"; "detector"; "steps"; "sim-ovh"; "plain s"; "rec s"; "host-ovh"; "log B";
       "B/step"; "picks"; "grants"; "replay" ]

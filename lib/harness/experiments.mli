@@ -190,7 +190,6 @@ val throughput :
   ?threads_list:int list ->
   ?scale:float ->
   ?seed:int ->
-  ?shards:int ->
   unit ->
   tp_row list
 (** Host throughput of the simulator itself: steps per wall-clock
@@ -274,7 +273,6 @@ val serve_plan :
   ?scale:float ->
   ?seed:int ->
   ?slo:int ->
-  ?shards:int ->
   unit ->
   serve_sweep Pool.plan
 (** One traced job per (detector, offered rate); the merge computes
@@ -294,56 +292,10 @@ val serve :
   ?scale:float ->
   ?seed:int ->
   ?slo:int ->
-  ?shards:int ->
   unit ->
   serve_sweep
 
 val print_serve : serve_sweep -> unit
-
-(** {1 Sharded single-run benchmark (tracked in BENCH_pr7.json)} *)
-
-type shard_row = {
-  sh_shards : int;
-  sh_workers : int;        (** Drain Domains the burst engine will use. *)
-  sh_seconds : float;      (** Wall-clock of the whole run. *)
-  sh_speedup : float;      (** shards=1 seconds / this row's seconds. *)
-  sh_identical : bool;     (** Structural equality with the shards=1 result. *)
-}
-
-type shard_bench = {
-  sh_spec : string;
-  sh_threads : int;
-  sh_scale : float;
-  sh_seed : int;
-  sh_host_cores : int;
-  sh_steps : int;          (** Simulated operations (identical across rows). *)
-  sh_sim_cycles : int;     (** Simulated cycles (must not move with shards). *)
-  sh_rows : shard_row list;  (** First row is always shards=1. *)
-}
-
-val default_shard_counts : int list
-(** [[1; 2; 4; 8]]. *)
-
-val shard_bench :
-  ?spec:Spec_alias.t ->
-  ?shard_counts:int list ->
-  ?threads:int ->
-  ?scale:float ->
-  ?seed:int ->
-  unit ->
-  shard_bench
-(** Time one contended Kard run (default: the 64-thread lock-convoy
-    model [convoy] at full scale) at each shard count, single run per
-    row — this is a {e single-run} speedup, unlike
-    {!parallel_bench}'s many-jobs speedup.  Every sharded row's full
-    result must be structurally identical to the shards=1 row
-    ([sh_identical]); wall-clock gains come from the burst engine's
-    per-merge-point charge aggregation and (on multi-core hosts)
-    parallel shard drains, so the speedup does not require spare
-    cores.  Deliberately not a plan: rows are wall-clock timed and
-    must not compete for the host. *)
-
-val print_shard_bench : shard_bench -> unit
 
 (** {1 Key-pressure precision sweep (tracked in BENCH_pr8.json)} *)
 
@@ -394,7 +346,6 @@ val keys_plan :
   ?threads:int ->
   ?scale:float ->
   ?seed:int ->
-  ?shards:int ->
   unit ->
   keys_bench Pool.plan
 (** Per point: one baseline job (the overhead denominator) plus, for
@@ -413,7 +364,6 @@ val keys :
   ?threads:int ->
   ?scale:float ->
   ?seed:int ->
-  ?shards:int ->
   unit ->
   keys_bench
 
@@ -485,7 +435,6 @@ val sampling_plan :
   ?serve_rates:float list ->
   ?scale:float ->
   ?slo:int ->
-  ?shards:int ->
   unit ->
   sampling_bench Pool.plan
 (** One Kard run per (subject, rate, seed), plus the serve sweep's
@@ -503,7 +452,6 @@ val sampling :
   ?serve_rates:float list ->
   ?scale:float ->
   ?slo:int ->
-  ?shards:int ->
   unit ->
   sampling_bench
 
@@ -538,7 +486,6 @@ type record_row = {
 type record_bench = {
   rc_scale : float;
   rc_seed : int;
-  rc_shards : int;
   rc_rows : record_row list;
 }
 
@@ -549,7 +496,7 @@ val default_record_subjects : unit -> (string * Runner.detector) list
 
 val record_bench :
   ?subjects:(string * Runner.detector) list ->
-  ?scale:float -> ?seed:int -> ?shards:int -> unit -> record_bench
+  ?scale:float -> ?seed:int -> unit -> record_bench
 (** Deliberately serial (wall-clock timed cells), like {!throughput}. *)
 
 val print_record : record_bench -> unit

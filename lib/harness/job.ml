@@ -17,21 +17,13 @@ type t = {
   seed : int;
   override_config : Kard_core.Config.t option;
   trace : trace_request option;
-  shards : int option;
 }
 
-let spec ?threads ?(scale = Defaults.scale) ?(seed = Defaults.seed) ?trace ?shards detector s =
-  { target = Spec s; detector; threads; scale; seed; override_config = None; trace; shards }
+let spec ?threads ?(scale = Defaults.scale) ?(seed = Defaults.seed) ?trace detector s =
+  { target = Spec s; detector; threads; scale; seed; override_config = None; trace }
 
-let scenario ?(seed = Defaults.seed) ?override_config ?trace ?shards detector s =
-  { target = Scenario s;
-    detector;
-    threads = None;
-    scale = 1.0;
-    seed;
-    override_config;
-    trace;
-    shards }
+let scenario ?(seed = Defaults.seed) ?override_config ?trace detector s =
+  { target = Scenario s; detector; threads = None; scale = 1.0; seed; override_config; trace }
 
 let describe t =
   let name =
@@ -49,8 +41,8 @@ let run t =
   in
   match t.target with
   | Spec s ->
-    Runner.run ?trace ?shards:t.shards ?threads:t.threads ~scale:t.scale ~seed:t.seed
+    Runner.run ?trace ?threads:t.threads ~scale:t.scale ~seed:t.seed
       ~detector:t.detector s
   | Scenario s ->
-    Runner.run_scenario ?trace ?shards:t.shards ~seed:t.seed ?override_config:t.override_config
+    Runner.run_scenario ?trace ~seed:t.seed ?override_config:t.override_config
       ~detector:t.detector s

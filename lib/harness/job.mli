@@ -37,10 +37,6 @@ type t = private {
   seed : int;
   override_config : Kard_core.Config.t option;  (** [Scenario] only. *)
   trace : trace_request option;
-  shards : int option;
-      (** Machine shard count; [None] = {!Defaults.shards} (i.e.
-          [$KARD_SHARDS] or 1) resolved in the executing worker.
-          Results are byte-identical at any value. *)
 }
 
 val spec :
@@ -48,23 +44,21 @@ val spec :
   ?scale:float ->
   ?seed:int ->
   ?trace:trace_request ->
-  ?shards:int ->
   Runner.detector ->
   Spec_alias.t ->
   t
 (** Defaults: the spec's own thread count, {!Defaults.scale},
-    {!Defaults.seed}, no trace, {!Defaults.shards}. *)
+    {!Defaults.seed}, no trace. *)
 
 val scenario :
   ?seed:int ->
   ?override_config:Kard_core.Config.t ->
   ?trace:trace_request ->
-  ?shards:int ->
   Runner.detector ->
   Kard_workloads.Race_suite.t ->
   t
 (** Defaults: {!Defaults.seed}, the scenario's own configuration, no
-    trace, {!Defaults.shards}. *)
+    trace. *)
 
 val describe : t -> string
 (** ["<workload>/<detector>/seed=<n>"] — used in pool error reports. *)

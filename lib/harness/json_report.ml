@@ -229,35 +229,6 @@ let of_parallel_bench ~scale (b : Experiments.parallel_bench) =
       field "promoted_words" (float_ b.Experiments.pb_promoted_words);
       field "minor_words_per_step" (float_ b.Experiments.pb_minor_words_per_step) ]
 
-let of_shard_row (row : Experiments.shard_row) =
-  obj
-    [ field "shards" (int_ row.Experiments.sh_shards);
-      field "workers" (int_ row.Experiments.sh_workers);
-      field "seconds" (float_ row.Experiments.sh_seconds);
-      field "speedup_vs_1" (float_ row.Experiments.sh_speedup);
-      field "identical" (bool_ row.Experiments.sh_identical) ]
-
-let of_shard_bench ~build (b : Experiments.shard_bench) =
-  let best =
-    List.fold_left
-      (fun acc r -> if r.Experiments.sh_speedup > acc then r.Experiments.sh_speedup else acc)
-      0. b.Experiments.sh_rows
-  in
-  let all_identical = List.for_all (fun r -> r.Experiments.sh_identical) b.Experiments.sh_rows in
-  obj
-    [ field "benchmark" (str "shard");
-      field "build" (str build);
-      field "workload" (str b.Experiments.sh_spec);
-      field "threads" (int_ b.Experiments.sh_threads);
-      field "scale" (float_ b.Experiments.sh_scale);
-      field "seed" (int_ b.Experiments.sh_seed);
-      field "host_cores" (int_ b.Experiments.sh_host_cores);
-      field "steps" (int_ b.Experiments.sh_steps);
-      field "sim_cycles" (int_ b.Experiments.sh_sim_cycles);
-      field "best_speedup" (float_ best);
-      field "identical" (bool_ all_identical);
-      field "rows" (arr (List.map of_shard_row b.Experiments.sh_rows)) ]
-
 let of_serve_row (row : Experiments.serve_row) =
   let l = row.Experiments.sv_latency in
   obj
@@ -379,7 +350,6 @@ let of_record_bench ~build (b : Experiments.record_bench) =
       field "log_format_version" (int_ Kard_replay.Log.version);
       field "scale" (float_ b.Experiments.rc_scale);
       field "seed" (int_ b.Experiments.rc_seed);
-      field "shards" (int_ b.Experiments.rc_shards);
       field "rows" (arr (List.map of_record_row b.Experiments.rc_rows)) ]
 
 let pretty json =

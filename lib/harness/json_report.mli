@@ -47,14 +47,6 @@ val of_parallel_bench : scale:float -> Experiments.parallel_bench -> string
     [jobs]) and whether both passes produced structurally identical
     results. *)
 
-val of_shard_bench : build:string -> Experiments.shard_bench -> string
-(** The tracked sharded single-run benchmark (see BENCH_pr7.json):
-    wall-clock of one contended run per shard count, each row's
-    speedup against the shards=1 row and whether its full result is
-    structurally identical to it.  [sim_cycles] is schedule-determined
-    and must not move with the shard count; ["identical"] is the AND
-    over all rows.  [build] labels the dune profile. *)
-
 val of_serve_sweep :
   threads:int -> scale:float -> seed:int -> Experiments.serve_sweep -> string
 (** The tracked serve sweep (see BENCH_pr6.json): per (detector,

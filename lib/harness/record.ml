@@ -49,14 +49,17 @@ let find_subject name =
 
 (* {1 Header <-> detector} *)
 
+(* The retired sharded machine's compatibility parameters: [header]
+   and [replay] still take a shard count, which must be 1. *)
+let check_shards fn shards =
+  if shards <> 1 then
+    invalid_arg (Printf.sprintf "Record.%s: ~shards:%d, but only 1 is accepted" fn shards)
+
 let header ~detector ~target ~threads ~scale ~seed ~shards =
-  { Log.detector = Runner.detector_name detector;
-    target;
-    threads;
-    scale;
-    seed;
-    shards;
-    config = (match detector with Runner.Kard c -> Some c | _ -> None) }
+  check_shards "header" shards;
+  Log.header ~detector:(Runner.detector_name detector) ~target ~threads ~scale ~seed
+    ?config:(match detector with Runner.Kard c -> Some c | _ -> None)
+    ()
 
 let detector_of_header (h : Log.header) =
   match (h.Log.detector, h.Log.config) with
@@ -76,14 +79,13 @@ let same_detector d (h : Log.header) =
 
 (* {1 Recording} *)
 
-let record_build ?trace ?shards ~threads ~scale ~seed ~detector ~target build name =
-  let shards = match shards with Some n -> n | None -> Defaults.shards () in
+let record_build ?trace ~threads ~scale ~seed ~detector ~target build name =
   let recorder = Recorder.create () in
   let result =
-    Runner.run_build ~wrap:(Recorder.wrap recorder) ?trace ~shards ~threads ~scale ~seed
-      ~detector build name
+    Runner.run_build ~wrap:(Recorder.wrap recorder) ?trace ~threads ~scale ~seed ~detector build
+      name
   in
-  let header = header ~detector ~target ~threads ~scale ~seed ~shards in
+  let header = header ~detector ~target ~threads ~scale ~seed ~shards:1 in
   (result, Recorder.log recorder ~header)
 
 let scenario_detector ?override_config ~detector (sc : Race_suite.t) =
@@ -92,14 +94,14 @@ let scenario_detector ?override_config ~detector (sc : Race_suite.t) =
   | Runner.Kard _, None -> Runner.Kard sc.Race_suite.config
   | ((Runner.Baseline | Runner.Alloc | Runner.Tsan | Runner.Lockset) as d), _ -> d
 
-let record ?trace ?threads ?scale ?seed ?shards ?override_config ~detector subject =
+let record ?trace ?threads ?scale ?seed ?override_config ~detector subject =
   let seed = Option.value ~default:Defaults.seed seed in
   let target = subject_target subject in
   match subject with
   | Spec spec ->
     let threads = Option.value ~default:spec.Spec.default_threads threads in
     let scale = Option.value ~default:Defaults.scale scale in
-    record_build ?trace ?shards ~threads ~scale ~seed ~detector ~target
+    record_build ?trace ~threads ~scale ~seed ~detector ~target
       (fun machine -> spec.Spec.build ~threads ~scale ~seed machine)
       spec.Spec.name
   | Scenario sc ->
@@ -107,32 +109,32 @@ let record ?trace ?threads ?scale ?seed ?shards ?override_config ~detector subje
        a [Kard _] detector takes the scenario's configuration (the
        CLI's --vkeys/--sampling knobs arrive via [override_config]). *)
     let detector = scenario_detector ?override_config ~detector sc in
-    record_build ?trace ?shards ~threads:sc.Race_suite.threads ~scale:1.0 ~seed ~detector
+    record_build ?trace ~threads:sc.Race_suite.threads ~scale:1.0 ~seed ~detector
       ~target sc.Race_suite.build sc.Race_suite.name
 
 (* {1 Replaying} *)
 
 type fidelity = (unit, string) result
 
-let replay_build ?trace ?shards ?detector (log : Log.t) build name =
+let replay_build ?trace ?detector (log : Log.t) build name =
   let h = log.Log.header in
   match (match detector with Some d -> Ok d | None -> detector_of_header h) with
   | Error _ as e -> e
   | Ok detector ->
     let mode = if same_detector detector h then Replayer.Strict else Replayer.Schedule_only in
     let replayer = Replayer.create ~mode log in
-    let shards = Option.value ~default:h.Log.shards shards in
     let result =
       Runner.run_build
         ~schedule:(Replayer.schedule replayer)
-        ~wrap:(Replayer.wrap replayer) ?trace ~shards ~threads:h.Log.threads ~scale:h.Log.scale
+        ~wrap:(Replayer.wrap replayer) ?trace ~threads:h.Log.threads ~scale:h.Log.scale
         ~seed:h.Log.seed ~detector build name
     in
     Ok (result, Replayer.check replayer)
 
 (* Fuzz targets need the campaign's program generator, which lives
    above this library — callers holding one use {!replay_build}. *)
-let replay ?trace ?shards ?detector (log : Log.t) =
+let replay ?trace ?(shards = 1) ?detector (log : Log.t) =
+  check_shards "replay" shards;
   let h = log.Log.header in
   match find_subject h.Log.target with
   | Error _ ->
@@ -142,7 +144,7 @@ let replay ?trace ?shards ?detector (log : Log.t) =
          h.Log.target)
   | Ok (Spec spec) ->
     let threads = h.Log.threads and scale = h.Log.scale and seed = h.Log.seed in
-    replay_build ?trace ?shards ?detector log
+    replay_build ?trace ?detector log
       (fun machine -> spec.Spec.build ~threads ~scale ~seed machine)
       spec.Spec.name
-  | Ok (Scenario sc) -> replay_build ?trace ?shards ?detector log sc.Race_suite.build sc.Race_suite.name
+  | Ok (Scenario sc) -> replay_build ?trace ?detector log sc.Race_suite.build sc.Race_suite.name

@@ -30,6 +30,10 @@ val subject_name : subject -> string
 val header :
   detector:Runner.detector ->
   target:string -> threads:int -> scale:float -> seed:int -> shards:int -> Kard_replay.Log.header
+(** [shards] fills the header's wire field, which replay ignores.  It
+    survives from the retired sharded machine so that callers pinning
+    [~shards:1] (the benchmark under [bench/perf]) keep working: it
+    must be 1, and any other value raises [Invalid_argument]. *)
 
 val detector_of_header : Kard_replay.Log.header -> (Runner.detector, string) result
 (** Reconstruct the recorded detector (a kard header carries its full
@@ -44,7 +48,6 @@ val record :
   ?threads:int ->
   ?scale:float ->
   ?seed:int ->
-  ?shards:int ->
   ?override_config:Kard_core.Config.t ->
   detector:Runner.detector ->
   subject ->
@@ -57,7 +60,6 @@ val record :
 
 val record_build :
   ?trace:Kard_obs.Trace.t ->
-  ?shards:int ->
   threads:int ->
   scale:float ->
   seed:int ->
@@ -82,13 +84,12 @@ val replay :
 (** Re-execute a log whose target is a spec or scenario, resolving
     everything from the header.  [detector] overrides the recorded
     one (cross-detector replay; fidelity drops to schedule-only
-    strength).  [shards] defaults to the header's count — any value
-    produces the same result.  [Error] means the target could not be
-    resolved or the detector could not be reconstructed. *)
+    strength).  [Error] means the target could not be resolved or the
+    detector could not be reconstructed.  [shards] is a compatibility
+    parameter like {!header}'s: it must be 1 (the default). *)
 
 val replay_build :
   ?trace:Kard_obs.Trace.t ->
-  ?shards:int ->
   ?detector:Runner.detector ->
   Kard_replay.Log.t ->
   (Kard_sched.Machine.t -> unit) ->

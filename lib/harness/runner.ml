@@ -36,8 +36,10 @@ let detector_name = function
 
 let kard_allocator = Machine.Unique_page { granule = 32; recycle_virtual_pages = false }
 
-let run_build ?schedule ?wrap ?trace ?interp ?shards ~threads ~scale ~seed ~detector build name =
-  let shards = match shards with Some n -> n | None -> Defaults.shards () in
+let run_build ?schedule ?wrap ?trace ?interp ?(shards = 1) ~threads ~scale ~seed ~detector build
+    name =
+  if shards <> 1 then
+    invalid_arg (Printf.sprintf "Runner.run_build: ~shards:%d, but only 1 is accepted" shards);
   let kard_cell = ref None in
   let tsan_cell = ref None in
   let lockset_cell = ref None in
@@ -54,7 +56,7 @@ let run_build ?schedule ?wrap ?trace ?interp ?shards ~threads ~scale ~seed ~dete
     | None -> make_detector
     | Some w -> fun env -> w env (make_detector env)
   in
-  let machine = Machine.create ~seed ?schedule ?trace ?interp ~shards ~allocator ~make_detector () in
+  let machine = Machine.create ~seed ?schedule ?trace ?interp ~allocator ~make_detector () in
   build machine;
   let report = Machine.run machine in
   let kard_stats = Option.map Detector.stats !kard_cell in
@@ -75,14 +77,14 @@ let run_build ?schedule ?wrap ?trace ?interp ?shards ~threads ~scale ~seed ~dete
       (match !lockset_cell with Some l -> Kard_baselines.Lockset.warnings l | None -> []);
     trace }
 
-let run ?schedule ?wrap ?trace ?interp ?shards ?threads ?(scale = Defaults.scale)
+let run ?schedule ?wrap ?trace ?interp ?threads ?(scale = Defaults.scale)
     ?(seed = Defaults.seed) ~detector (spec : Spec_alias.t) =
   let threads = Option.value ~default:spec.Kard_workloads.Spec.default_threads threads in
-  run_build ?schedule ?wrap ?trace ?interp ?shards ~threads ~scale ~seed ~detector
+  run_build ?schedule ?wrap ?trace ?interp ~threads ~scale ~seed ~detector
     (fun machine -> spec.Kard_workloads.Spec.build ~threads ~scale ~seed machine)
     spec.Kard_workloads.Spec.name
 
-let run_scenario ?schedule ?wrap ?trace ?interp ?shards ?(seed = Defaults.seed) ?override_config
+let run_scenario ?schedule ?wrap ?trace ?interp ?(seed = Defaults.seed) ?override_config
     ~detector (scenario : Kard_workloads.Race_suite.t) =
   let detector =
     match detector, override_config with
@@ -90,7 +92,7 @@ let run_scenario ?schedule ?wrap ?trace ?interp ?shards ?(seed = Defaults.seed) 
     | Kard _, None -> Kard scenario.Kard_workloads.Race_suite.config
     | ((Baseline | Alloc | Tsan | Lockset) as d), _ -> d
   in
-  run_build ?schedule ?wrap ?trace ?interp ?shards
+  run_build ?schedule ?wrap ?trace ?interp
     ~threads:scenario.Kard_workloads.Race_suite.threads ~scale:1.0
     ~seed
     ~detector

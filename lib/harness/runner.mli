@@ -39,14 +39,18 @@ val run_build :
 (** The primitive behind {!run} and {!run_scenario}: run an arbitrary
     machine-builder under a detector.  The record/replay layer uses it
     for targets that are neither specs nor scenarios (fuzz-campaign
-    programs). *)
+    programs).
+
+    [shards] survives from the retired sharded machine so that callers
+    pinning [~shards:1] (the benchmark under [bench/perf]) keep
+    working: it must be 1 (the default), and any other value raises
+    [Invalid_argument]. *)
 
 val run :
   ?schedule:Kard_sched.Schedule.t ->
   ?wrap:(Kard_sched.Hooks.env -> Kard_sched.Hooks.t -> Kard_sched.Hooks.t) ->
   ?trace:Kard_obs.Trace.t ->
   ?interp:Kard_sched.Machine.interp ->
-  ?shards:int ->
   ?threads:int -> ?scale:float -> ?seed:int -> detector:detector -> Spec_alias.t -> result
 (** Defaults: the spec's default thread count, {!Defaults.scale},
     {!Defaults.seed}.
@@ -58,16 +62,13 @@ val run :
     {!Kard_sched.Machine.create}); the filled sink comes back in
     [result.trace].  [interp] selects the machine's interpreter
     ([`Compiled] by default); [`Thunks] runs the oracle interpreter,
-    which must produce an identical result.  [shards] (default
-    {!Defaults.shards}, i.e. [$KARD_SHARDS] or 1) shards the machine;
-    results are byte-identical at any count. *)
+    which must produce an identical result. *)
 
 val run_scenario :
   ?schedule:Kard_sched.Schedule.t ->
   ?wrap:(Kard_sched.Hooks.env -> Kard_sched.Hooks.t -> Kard_sched.Hooks.t) ->
   ?trace:Kard_obs.Trace.t ->
   ?interp:Kard_sched.Machine.interp ->
-  ?shards:int ->
   ?seed:int -> ?override_config:Kard_core.Config.t -> detector:detector ->
   Kard_workloads.Race_suite.t -> result
 (** Run a controlled race scenario (always at its own thread count and

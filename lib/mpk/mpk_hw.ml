@@ -1,10 +1,4 @@
-(* Per-thread hot state is sliced by TLB set so the sharded machine can
-   hand each slice to a different shard: set selection is [vpage mod
-   set_count], replacement never crosses sets, and each slice keeps its
-   own tick — so hits, misses and victim choices are identical at any
-   shard count, including shards = 1 (where slice 0 is the whole TLB,
-   byte-for-byte today's behaviour). *)
-type core = { mutable pkru : Pkru.t; tlbs : Tlb.t array (* index = shard slice *) }
+type core = { mutable pkru : Pkru.t; tlb : Tlb.t }
 
 type stats = {
   wrpkru_calls : int;
@@ -23,8 +17,6 @@ type t = {
   cost : Cost_model.t;
   trace : Kard_obs.Trace.sink;
   page_table : Page_table.t;
-  shards : int;
-  set_count : int; (* of every TLB slice; slice routing needs it *)
   mutable cores : core option array; (* index = tid *)
   mutable last_fault : Fault.t; (* details of the latest [try_access] fault *)
   mutable wrpkru_calls : int;
@@ -37,14 +29,10 @@ type t = {
 let no_fault =
   Fault.make ~addr:0 ~pkey:Pkey.k_def ~access:`Read ~thread:(-1) ~ip:0 ~time:0
 
-let create ?(cost = Cost_model.default) ?trace ?(shards = 1) () =
-  if shards < 1 then invalid_arg "Mpk_hw.create: shards must be >= 1";
-  let set_count = Tlb.set_count (Tlb.create ()) in
+let create ?(cost = Cost_model.default) ?trace () =
   { cost;
     trace;
     page_table = Page_table.create ();
-    shards;
-    set_count;
     cores = Array.make 64 None;
     last_fault = no_fault;
     wrpkru_calls = 0;
@@ -57,13 +45,6 @@ let cost t = t.cost
 let trace t = t.trace
 let page_table t = t.page_table
 let wrpkru_count t = t.wrpkru_calls
-let shards t = t.shards
-
-(* Route a vpage to the shard owning its TLB set.  Composing through
-   the set index (rather than [vpage mod shards]) keeps every set
-   wholly inside one slice, which is what makes slicing invisible to
-   replacement. *)
-let slice_of_vpage t vpage = vpage mod t.set_count mod t.shards
 
 let register_thread t tid =
   if tid < 0 then invalid_arg (Printf.sprintf "Mpk_hw: negative thread id %d" tid);
@@ -76,10 +57,7 @@ let register_thread t tid =
     Array.blit t.cores 0 bigger 0 (Array.length t.cores);
     t.cores <- bigger
   end;
-  (* Every slice is a full-size TLB: sets a slice doesn't own just stay
-     empty forever, and a 64-entry model per slice is too small to
-     bother packing. *)
-  t.cores.(tid) <- Some { pkru = Pkru.all_access; tlbs = Array.init t.shards (fun _ -> Tlb.create ()) }
+  t.cores.(tid) <- Some { pkru = Pkru.all_access; tlb = Tlb.create () }
 
 let core_of t tid =
   if tid < 0 || tid >= Array.length t.cores then
@@ -174,7 +152,7 @@ let try_access t ~tid ~addr ~access ~ip ~time =
      happens (and is counted) even when the access then faults — the
      MMU translates first and only then applies the key check, so
      fault-heavy runs see their true dTLB traffic. *)
-  let tlb = core.tlbs.(slice_of_vpage t vpage) in
+  let tlb = core.tlb in
   let pkey =
     Tlb.translate tlb vpage ~gen:(Page_table.generation t.page_table)
       ~pt:t.page_table
@@ -195,24 +173,21 @@ let try_access t ~tid ~addr ~access ~ip ~time =
     -1
   end
 
-(* The burst engine's enqueue-time verdict: grant/deny without touching
-   any TLB slice.  Between merge points neither PKRU nor the page table
-   changes, and a TLB hit's cached pkey is generation-checked against
-   the page table — so walking the table directly gives exactly the
-   pkey [try_access] would use, and the verdict is exact.  The slice
-   TLB is touched later, by [drain_translate] on the owning shard. *)
+(* The batching machine's verdict: grant/deny without touching the
+   TLB.  Between merge points neither PKRU nor the page table changes,
+   and a TLB hit's cached pkey is generation-checked against the page
+   table — so walking the table directly gives exactly the pkey
+   [try_access] would use, and the verdict is exact.  The TLB is then
+   touched by [drain_translate]. *)
 let access_granted t ~tid ~vpage ~access =
   let core = core_of t tid in
   Pkru.grants core.pkru (Page_table.pkey_of_vpage t.page_table vpage) access
 
-(* The drain-time half of a granted burst access: run the TLB slice
-   exactly as [try_access] would have (same tick, same replacement,
-   same accounting) and return the cycles the access costs.  Only the
-   owning shard may call this for [slice], which is what makes it safe
-   lock-free. *)
-let drain_translate t ~tid ~slice vpage =
-  let core = core_of t tid in
-  let tlb = core.tlbs.(slice) in
+(* The second half of a granted batched access: run the TLB exactly as
+   [try_access] would have (same tick, same replacement, same
+   accounting) and return the cycles the access costs. *)
+let drain_translate t ~tid vpage =
+  let tlb = (core_of t tid).tlb in
   ignore
     (Tlb.translate tlb vpage ~gen:(Page_table.generation t.page_table)
        ~pt:t.page_table : Pkey.t);
@@ -226,14 +201,11 @@ let check_access t ~tid ~addr ~access ~ip ~time =
   let cycles = try_access t ~tid ~addr ~access ~ip ~time in
   if cycles >= 0 then Ok cycles else Error t.last_fault
 
-(* Bulk block-access counters carry no per-set state, so they can live
-   on any slice; slice 0 keeps totals deterministic at every shard
-   count (stats sum over slices anyway). *)
-let note_tlb_hits t ~tid n = Tlb.note_hits (core_of t tid).tlbs.(0) n
+let note_tlb_hits t ~tid n = Tlb.note_hits (core_of t tid).tlb n
 
 let note_tlb_misses t ~tid n =
   if n > 0 then Kard_obs.Trace.observe t.trace "hw.dtlb_miss_burst" n;
-  Tlb.note_misses (core_of t tid).tlbs.(0) n
+  Tlb.note_misses (core_of t tid).tlb n
 
 let stats t =
   let dtlb_accesses = ref 0 and dtlb_misses = ref 0 in
@@ -241,11 +213,8 @@ let stats t =
     (function
       | None -> ()
       | Some core ->
-        Array.iter
-          (fun tlb ->
-            dtlb_accesses := !dtlb_accesses + Tlb.accesses tlb;
-            dtlb_misses := !dtlb_misses + Tlb.misses tlb)
-          core.tlbs)
+        dtlb_accesses := !dtlb_accesses + Tlb.accesses core.tlb;
+        dtlb_misses := !dtlb_misses + Tlb.misses core.tlb)
     t.cores;
   { wrpkru_calls = t.wrpkru_calls;
     rdpkru_calls = t.rdpkru_calls;
@@ -272,5 +241,5 @@ let reset_stats t =
   t.pages_retagged <- 0;
   t.faults <- 0;
   Array.iter
-    (function None -> () | Some core -> Array.iter Tlb.reset_stats core.tlbs)
+    (function None -> () | Some core -> Tlb.reset_stats core.tlb)
     t.cores

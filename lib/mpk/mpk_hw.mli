@@ -19,27 +19,15 @@ type stats = {
   dtlb_misses : int;
 }
 
-val create : ?cost:Cost_model.t -> ?trace:Kard_obs.Trace.t -> ?shards:int -> unit -> t
+val create : ?cost:Cost_model.t -> ?trace:Kard_obs.Trace.t -> unit -> t
 (** [trace] (default none) receives a cycle-stamped event for every
     WRPKRU/RDPKRU, [pkey_mprotect] and #GP, plus hardware counters and
     dTLB-miss-burst observations in its metrics registry.  Tracing
-    never changes cycle accounting.
-
-    [shards] (default 1) slices every per-thread dTLB into [shards]
-    full-size TLBs routed by {!slice_of_vpage}.  Because TLB sets never
-    share replacement state and every set lives wholly inside one
-    slice, hit/miss/victim behaviour — and therefore every report
-    field — is identical at any shard count. *)
+    never changes cycle accounting. *)
 
 val cost : t -> Cost_model.t
 val trace : t -> Kard_obs.Trace.sink
 val page_table : t -> Page_table.t
-
-val shards : t -> int
-
-val slice_of_vpage : t -> Page.vpage -> int
-(** The shard slice owning [vpage]'s TLB set: [vpage mod set_count mod
-    shards].  The burst engine routes queued accesses with this. *)
 
 (** {1 Thread registration} *)
 
@@ -110,17 +98,17 @@ val check_access :
     that fault, since the MMU applies the key check after the walk. *)
 
 val access_granted : t -> tid:int -> vpage:Page.vpage -> access:Fault.access -> bool
-(** Enqueue-time verdict for the burst engine: would {!try_access}
-    grant this access right now?  Touches no TLB slice — the pkey comes
-    from a direct page-table walk, which between merge points (no PKRU
-    or page-table writes) equals the key any cached translation holds,
-    so the verdict is exact. *)
+(** The batching machine's verdict: would {!try_access} grant this
+    access right now?  Touches no TLB — the pkey comes from a direct
+    page-table walk, which between merge points (no PKRU or page-table
+    writes) equals the key any cached translation holds, so the
+    verdict is exact. *)
 
-val drain_translate : t -> tid:int -> slice:int -> Page.vpage -> int
-(** Drain-time half of a granted burst access: run [tid]'s TLB slice
-    [slice] for [vpage] exactly as {!try_access} would (replacement,
-    accounting) and return the access cycles (including a possible
-    dTLB-miss penalty).  Must only run on the shard owning [slice]. *)
+val drain_translate : t -> tid:int -> Page.vpage -> int
+(** Second half of a granted batched access: run [tid]'s TLB for
+    [vpage] exactly as {!try_access} would (replacement, accounting)
+    and return the access cycles (including a possible dTLB-miss
+    penalty). *)
 
 val note_tlb_hits : t -> tid:int -> int -> unit
 (** Account [n] extra dTLB hits for streamed block accesses. *)

@@ -137,7 +137,6 @@ let flush t =
 
 let accesses t = t.accesses
 let misses t = t.misses
-let set_count t = t.set_count
 let miss_rate t = if t.accesses = 0 then 0. else float_of_int t.misses /. float_of_int t.accesses
 
 let reset_stats t =

@@ -52,12 +52,6 @@ val flush : t -> unit
 val accesses : t -> int
 val misses : t -> int
 
-val set_count : t -> int
-(** Number of sets ([entries / ways]).  Replacement state never crosses
-    sets, so any partition of the set index space — e.g. the sharded
-    machine's per-shard TLB slices — preserves hit/miss/victim behaviour
-    exactly. *)
-
 val miss_rate : t -> float
 (** [misses / accesses]; 0 when nothing was accessed. *)
 

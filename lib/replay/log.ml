@@ -10,6 +10,9 @@ type header = {
   config : Config.t option;
 }
 
+let header ~detector ~target ~threads ~scale ~seed ?config () =
+  { detector; target; threads; scale; seed; shards = 1; config }
+
 type event =
   | Pick of int
   | Grant of { lock : int; tid : int }
@@ -185,6 +188,8 @@ let encode t =
   put_varint buf h.threads;
   put_float buf h.scale;
   put_zigzag buf h.seed;
+  (* The retired sharded machine's shard count: still on the wire so
+     the format version holds, ignored by replay. *)
   put_varint buf h.shards;
   (match h.config with
   | None -> Buffer.add_char buf '\000'
@@ -331,8 +336,8 @@ let of_file path =
 
 let pp_header fmt h =
   Format.fprintf fmt
-    "@[<h>%s on %s (threads=%d scale=%h seed=%d shards=%d%s)@]" h.detector h.target h.threads
-    h.scale h.seed h.shards
+    "@[<h>%s on %s (threads=%d scale=%h seed=%d%s)@]" h.detector h.target h.threads h.scale
+    h.seed
     (match h.config with
     | None -> ""
     | Some c -> Format.asprintf " %a" Config.pp c)

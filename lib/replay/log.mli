@@ -26,19 +26,26 @@ type header = {
   scale : float;  (** Exact bit pattern — not a decimal rendering. *)
   seed : int;
   shards : int;
+      (** Kept on the wire for compatibility with logs from the retired
+          sharded machine; always 1 in new logs, ignored by replay. *)
   config : Kard_core.Config.t option;
       (** The full detector configuration for kard recordings ([None]
           for detectors without one): every knob, not just the CLI
           surface, so scenario configs replay exactly. *)
 }
 
+val header :
+  detector:string -> target:string -> threads:int -> scale:float -> seed:int ->
+  ?config:Kard_core.Config.t -> unit -> header
+(** A header for a new log, with the [shards] wire field at 1. *)
+
 type event =
   | Pick of int  (** The scheduler chose this tid for the next step. *)
   | Grant of { lock : int; tid : int }
       (** [tid] entered the critical section on [lock] (the machine's
           [on_lock] point — uncontended acquire or FIFO ownership
-          transfer), at a committed virtual clock even under the burst
-          engine. *)
+          transfer), at a committed virtual clock even when the run
+          batches cycle commits. *)
   | Anchor of { picks : int; clock : int }
       (** Periodic checkpoint: absolute pick count and absolute
           virtual clock at a grant.  Pins clock-derived state —

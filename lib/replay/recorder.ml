@@ -14,12 +14,12 @@ let create ?(anchor_interval = default_anchor_interval) () =
   { rev_events = []; picks = 0; grants = 0; anchor_interval }
 
 let wrap t (env : Hooks.env) (hooks : Hooks.t) =
-  (* [pure_access] is inherited: the recorder intercepts only the pick
-     and lock hooks, so a burst-eligible detector stays burst-eligible
+  (* [access] is inherited: the recorder intercepts only the pick and
+     lock hooks, so a run that batches cycle commits still batches
      while being recorded.  Picks are logged at pick time (no clock
-     read — it may lag under burst); grants and anchors at [on_lock],
-     a committed-clock merge point, which is what makes the log
-     byte-identical at any shard count. *)
+     read — it may lag banked cycles); grants and anchors at
+     [on_lock], a committed-clock merge point, which is what makes the
+     log byte-identical whether or not the run batches. *)
   { hooks with
     Hooks.on_pick =
       (fun ~tid ->

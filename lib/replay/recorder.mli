@@ -7,9 +7,9 @@
     wrappers add zero simulated cycles — [on_pick] cannot charge by
     construction and the [on_lock] wrapper passes the inner
     detector's charge through unchanged — so a recorded run's report
-    is byte-identical to an unrecorded one.  [pure_access] is
-    inherited from the wrapped detector: recording composes with the
-    burst engine. *)
+    is byte-identical to an unrecorded one.  The access hooks are
+    inherited from the wrapped detector: recording composes with
+    batched cycle commits. *)
 
 type t
 

@@ -10,11 +10,11 @@
     every anchor's pick count and virtual clock.
 
     [Strict] mode (the default) verifies everything and holds for
-    same-configuration replays at any shard count.  [Schedule_only]
-    skips the clock half of anchors: a replay under a {e different}
-    detector charges different cycles, so only the schedule and grant
-    order — which are detector-independent for closed programs — are
-    required to match. *)
+    same-configuration replays.  [Schedule_only] skips the clock half
+    of anchors: a replay under a {e different} detector charges
+    different cycles, so only the schedule and grant order — which are
+    detector-independent for closed programs — are required to
+    match. *)
 
 type mode =
   | Strict         (** Picks, grants, anchor picks and anchor clocks. *)

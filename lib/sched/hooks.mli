@@ -22,26 +22,28 @@ type fault_action =
 
 type fault_outcome = { fault_cycles : int; action : fault_action }
 
+type access_hooks = {
+  on_read : tid:int -> addr:Op.addr -> int;
+      (** Pre-access instrumentation (TSan-style detectors only). *)
+  on_write : tid:int -> addr:Op.addr -> int;
+  on_read_block : tid:int -> block:Op.block -> int;
+      (** Instrumentation for a whole block operation: the detector
+          must charge for [block.count] accesses. *)
+  on_write_block : tid:int -> block:Op.block -> int;
+}
+(** The per-access hooks, called before every data access. *)
+
 type t = {
   name : string;
-  pure_access : bool;
-      (** Whether the four per-access hooks ([on_read]/[on_write] and
-          the block variants) are pure no-ops returning 0.  True for
-          Kard and the baseline (fault-driven detection needs no
-          per-access instrumentation); any wrapper that intercepts an
-          access hook — TSan, Eraser, the fuzz trace log — must set it
-          false explicitly, or the sharded machine's burst engine will
-          skip the hook on the fast path.  [{ null with on_read = ... }]
-          silently inherits [true]: don't do that. *)
   on_pick : tid:int -> unit;
       (** Called right after the scheduler picks [tid], before the
           step executes.  Returns no cycles: observing the schedule is
           free by construction, which is what lets the record/replay
-          layer log every pick at zero simulated cost.  Under the
-          burst engine this fires at pick time, when the virtual clock
-          may lag uncommitted work — implementations must not read the
-          clock here (grant-time hooks like [on_lock] are the
-          committed-clock observation points). *)
+          layer log every pick at zero simulated cost.  When the run
+          batches cycle commits (see {!Machine.run}), the virtual clock
+          may lag banked work at pick time, so implementations must
+          not read the clock here (grant-time hooks like [on_lock] are
+          the committed-clock observation points). *)
   on_spawn : tid:int -> int;
   on_global : Kard_alloc.Obj_meta.t -> int;
   on_alloc : tid:int -> Kard_alloc.Obj_meta.t -> int;
@@ -50,19 +52,26 @@ type t = {
       (** Called once the lock is held (critical-section entry). *)
   on_unlock : tid:int -> lock:int -> int;
       (** Called just before the lock is released (section exit). *)
-  on_read : tid:int -> addr:Op.addr -> int;
-      (** Pre-access instrumentation (TSan-style detectors only). *)
-  on_write : tid:int -> addr:Op.addr -> int;
-  on_read_block : tid:int -> block:Op.block -> int;
-      (** Instrumentation for a whole block operation: the detector
-          must charge for [block.count] accesses. *)
-  on_write_block : tid:int -> block:Op.block -> int;
+  access : access_hooks option;
+      (** [None]: the detector observes no individual access, as Kard
+          and the baseline do (fault-driven detection needs no
+          per-access instrumentation), and the machine may batch
+          granted-access cycles.  [Some]: every access goes through
+          the hooks — TSan, Eraser, the fuzz trace log, Kard counting
+          sampled-out accesses.  A wrapper that intercepts an access
+          must install [Some], so it can never inherit "no observer"
+          by accident. *)
   on_fault : Kard_mpk.Fault.t -> fault_outcome;
   on_thread_exit : tid:int -> int;
   on_finish : unit -> unit;
   metadata_bytes : unit -> int;
       (** Detector-internal memory, added to the modeled RSS. *)
 }
+
+val access_of : t -> access_hooks
+(** [t.access], or hooks that observe nothing and cost nothing when it
+    is [None]: what a wrapper that intercepts accesses calls through
+    to. *)
 
 val null : name:string -> t
 (** A detector that observes nothing and costs nothing (Baseline). *)

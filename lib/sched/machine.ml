@@ -29,6 +29,7 @@ type thread = {
   mutable cycles : int;
   mutable lock_depth : int;
   mutable op_index : int;
+  mutable pending : int; (* banked cycles awaiting [commit] *)
 }
 
 type t = {
@@ -45,8 +46,10 @@ type t = {
   locks : Lock_table.t;
   alloc : Alloc_iface.t;
   hooks : Hooks.t;
-  shard_workers : int option; (* burst-drain Domains; None = auto *)
+  batch : bool; (* bank cycles between merge points; see [run] *)
   mutable threads : thread array; (* index = tid; live prefix [0, thread_count) *)
+  mutable banked : thread array; (* threads with [pending > 0], first-bank order *)
+  mutable banked_len : int;
   mutable thread_count : int;
   runnable : Runnable_set.t; (* tids with status Runnable, maintained on transitions *)
   mutable finished_count : int;
@@ -65,16 +68,14 @@ type t = {
 exception Stuck of string
 
 let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
-    ?(max_steps = 80_000_000) ?(interp = `Compiled) ?(shards = 1) ?shard_workers
-    ~allocator ~make_detector () =
-  if shards < 1 then invalid_arg "Machine.create: shards must be >= 1";
+    ?(max_steps = 80_000_000) ?(interp = `Compiled) ~allocator ~make_detector () =
   let schedule = Option.value ~default:(Schedule.Random seed) schedule in
   let phys = Phys_mem.create () in
   let aspace = Address_space.create phys in
   let clock = Sim_clock.create () in
   (* Stamp every event of this run with the virtual cycle clock. *)
   Option.iter (fun tr -> Kard_obs.Trace.set_clock tr (fun () -> Sim_clock.now clock)) trace;
-  let hw = Mpk_hw.create ~cost ?trace ~shards () in
+  let hw = Mpk_hw.create ~cost ?trace () in
   let meta = Meta_table.create () in
   let alloc =
     match allocator with
@@ -86,6 +87,14 @@ let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
   in
   let env = { Hooks.hw; meta; cost; now = (fun () -> Sim_clock.now clock); trace } in
   let hooks = make_detector env in
+  (* Batching requires that nothing observes machine state between
+     merge points: no access hooks, the compiled interpreter (the thunk
+     view runs closures on every fetch) and no per-step trace events. *)
+  let batch =
+    Option.is_none hooks.Hooks.access
+    && (match interp with `Compiled -> true | `Thunks -> false)
+    && not (match trace with Some tr -> Kard_obs.Trace.steps tr | None -> false)
+  in
   { sched = Schedule.start schedule;
     cost;
     trace;
@@ -99,8 +108,10 @@ let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
     locks = Lock_table.create ();
     alloc;
     hooks;
-    shard_workers;
+    batch;
     threads = [||];
+    banked = [||];
+    banked_len = 0;
     thread_count = 0;
     runnable = Runnable_set.create ();
     finished_count = 0;
@@ -126,7 +137,6 @@ let aspace t = t.aspace
 let alloc_iface t = t.alloc
 let now t = Sim_clock.now t.clock
 let trace t = t.trace
-let shards t = Mpk_hw.shards t.hw
 
 let add_global ?(resident = false) t ~site ~size =
   if t.started then invalid_arg "Machine.add_global: machine already running";
@@ -163,12 +173,14 @@ let spawn t program =
       blocked_site = -1;
       cycles = 0;
       lock_depth = 0;
-      op_index = 0 }
+      op_index = 0;
+      pending = 0 }
   in
   if tid >= Array.length t.threads then begin
     let bigger = Array.make (max 4 (2 * Array.length t.threads)) thread in
     Array.blit t.threads 0 bigger 0 (Array.length t.threads);
-    t.threads <- bigger
+    t.threads <- bigger;
+    t.banked <- Array.make (Array.length bigger) thread
   end;
   t.threads.(tid) <- thread;
   Runnable_set.add t.runnable tid;
@@ -226,6 +238,39 @@ let charge t thread cycles =
   Sim_clock.advance t.clock cycles;
   if cycles > 0 then charge_waiters t thread cycles
 
+(* {1 Batched cycle commits}
+
+   Granted data accesses, computes and io ops change nothing another
+   thread can observe except cycle counts.  A batching run banks their
+   cycles on the thread and [commit]s them at the next merge point —
+   lock, unlock, fault, boxed op, non-hot fetch, halt, [max_steps] or
+   the end of the run — so every observation happens at a fully
+   committed clock.  Between merge points the lock/waiter structure is
+   frozen, and [charge] only adds, so one commit of the sum is
+   arithmetically identical to charging every op as it runs; the
+   O(waiters) dilation walk just runs once per thread per merge point
+   instead of once per op.  DESIGN.md §10 has the argument. *)
+
+let bank t thread cycles =
+  if t.batch then begin
+    assert (cycles >= 0);
+    if thread.pending = 0 && cycles > 0 then begin
+      t.banked.(t.banked_len) <- thread;
+      t.banked_len <- t.banked_len + 1
+    end;
+    thread.pending <- thread.pending + cycles
+  end
+  else charge t thread cycles
+
+let commit t =
+  for i = 0 to t.banked_len - 1 do
+    let thread = t.banked.(i) in
+    let cycles = thread.pending in
+    thread.pending <- 0;
+    charge t thread cycles
+  done;
+  t.banked_len <- 0
+
 let enter_section t thread =
   if thread.lock_depth = 0 then begin
     t.in_section <- t.in_section + 1;
@@ -278,6 +323,23 @@ let rec access_attempt t thread addr access n emulate =
   end
 
 let perform_access t thread addr access = access_attempt t thread addr access 0 false
+
+(* An access no hook observes.  A batching run takes the verdict from
+   the page table, which is exact between merge points (PKRU and the
+   page table only change at them): a granted access runs the TLB and
+   banks its cycles, a denied one commits and takes the fault path, so
+   the handler sees the clock an unbatched run would. *)
+let unobserved_access t thread addr access =
+  if t.batch then begin
+    let vpage = Page.vpage_of_addr addr in
+    if Mpk_hw.access_granted t.hw ~tid:thread.tid ~vpage ~access then
+      bank t thread (Mpk_hw.drain_translate t.hw ~tid:thread.tid vpage)
+    else begin
+      commit t;
+      perform_access t thread addr access
+    end
+  end
+  else perform_access t thread addr access
 
 (* dTLB reach assumed by the analytic block model; matches the
    default Tlb.create geometry. *)
@@ -339,23 +401,29 @@ let emit_step t thread op addr =
 let do_compute t thread cycles =
   t.computes <- t.computes + 1;
   emit_step t thread `Compute 0;
-  charge t thread cycles
+  bank t thread cycles
 
 let do_io t thread cycles =
   t.io_cycles <- t.io_cycles + cycles;
-  charge t thread cycles
+  bank t thread cycles
 
 let do_read t thread addr =
   t.reads <- t.reads + 1;
   emit_step t thread `Read addr;
-  charge t thread (t.hooks.Hooks.on_read ~tid:thread.tid ~addr);
-  perform_access t thread addr `Read
+  match t.hooks.Hooks.access with
+  | None -> unobserved_access t thread addr `Read
+  | Some h ->
+    charge t thread (h.Hooks.on_read ~tid:thread.tid ~addr);
+    perform_access t thread addr `Read
 
 let do_write t thread addr =
   t.writes <- t.writes + 1;
   emit_step t thread `Write addr;
-  charge t thread (t.hooks.Hooks.on_write ~tid:thread.tid ~addr);
-  perform_access t thread addr `Write
+  match t.hooks.Hooks.access with
+  | None -> unobserved_access t thread addr `Write
+  | Some h ->
+    charge t thread (h.Hooks.on_write ~tid:thread.tid ~addr);
+    perform_access t thread addr `Write
 
 let do_lock t thread ~lock ~site =
   Dense.Bitset.add t.sites_seen site;
@@ -412,11 +480,15 @@ let exec_op t thread op =
   | Op.Write addr -> do_write t thread addr
   | Op.Read_block b ->
     t.reads <- t.reads + b.Op.count;
-    charge t thread (t.hooks.Hooks.on_read_block ~tid:thread.tid ~block:b);
+    (match t.hooks.Hooks.access with
+    | Some h -> charge t thread (h.Hooks.on_read_block ~tid:thread.tid ~block:b)
+    | None -> ());
     perform_block t thread b `Read
   | Op.Write_block b ->
     t.writes <- t.writes + b.Op.count;
-    charge t thread (t.hooks.Hooks.on_write_block ~tid:thread.tid ~block:b);
+    (match t.hooks.Hooks.access with
+    | Some h -> charge t thread (h.Hooks.on_write_block ~tid:thread.tid ~block:b)
+    | None -> ());
     perform_block t thread b `Write
   | Op.Lock { lock; site } -> do_lock t thread ~lock ~site
   | Op.Unlock { lock } -> do_unlock t thread ~lock
@@ -433,11 +505,16 @@ let exec_op t thread op =
    and branch on it, hottest tags first.  Plain operations never
    materialise an [Op.t]; only [tag_boxed] payloads (allocations,
    frees, blocks — and every op of the `Thunks oracle interpreter)
-   take the [exec_op] detour. *)
+   take the [exec_op] detour.  Every op other than a read, write,
+   compute, io or yield is a merge point and commits banked cycles
+   first; so is a non-hot fetch, whose generator closures may read the
+   clock. *)
 let step_thread t thread =
   let cur = thread.cursor in
+  if t.banked_len > 0 && not (Program.fetch_is_hot cur) then commit t;
   let tag = Program.fetch cur in
   if tag = Program.tag_halt then begin
+    commit t;
     finish t thread;
     if thread.lock_depth > 0 then
       raise (Stuck (Printf.sprintf "thread %d finished while holding a lock" thread.tid));
@@ -448,12 +525,20 @@ let step_thread t thread =
     if tag = Program.tag_read then do_read t thread (Program.arg_a cur)
     else if tag = Program.tag_write then do_write t thread (Program.arg_a cur)
     else if tag = Program.tag_compute then do_compute t thread (Program.arg_a cur)
-    else if tag = Program.tag_lock then
+    else if tag = Program.tag_lock then begin
+      commit t;
       do_lock t thread ~lock:(Program.arg_a cur) ~site:(Program.arg_b cur)
-    else if tag = Program.tag_unlock then do_unlock t thread ~lock:(Program.arg_a cur)
+    end
+    else if tag = Program.tag_unlock then begin
+      commit t;
+      do_unlock t thread ~lock:(Program.arg_a cur)
+    end
     else if tag = Program.tag_io then do_io t thread (Program.arg_a cur)
     else if tag = Program.tag_yield then ()
-    else exec_op t thread (Program.boxed_op cur)
+    else begin
+      commit t;
+      exec_op t thread (Program.boxed_op cur)
+    end
   end
 
 (* Modeled RSS: data frames + last-level page tables + allocator
@@ -536,167 +621,31 @@ let report_of t =
     per_thread_cycles = per_thread;
     schedule_trace = Schedule.recorded t.sched }
 
-let run_direct t =
+let run t =
+  t.started <- true;
   (* The hot loop: per step, one O(log threads) pick from the
      incrementally maintained runnable set, one array index, one
      cursor fetch — nothing here scans the thread population or
      allocates. *)
   let rec loop () =
     if Runnable_set.cardinal t.runnable = 0 then begin
+      commit t;
       if t.finished_count < t.thread_count then
         raise (Stuck "deadlock: threads blocked with no runnable thread")
     end
     else begin
       t.steps <- t.steps + 1;
-      if t.steps > t.max_steps then
-        raise (Stuck (Printf.sprintf "max_steps (%d) exceeded" t.max_steps));
+      if t.steps > t.max_steps then begin
+        commit t;
+        raise (Stuck (Printf.sprintf "max_steps (%d) exceeded" t.max_steps))
+      end;
       let tid = Schedule.pick t.sched ~runnable:t.runnable in
       t.hooks.Hooks.on_pick ~tid;
       step_thread t (thread_by_tid t tid);
       loop ()
     end
   in
-  loop ()
-
-(* {1 The burst engine (shards >= 2)}
-
-   Same schedule, same observable state, different commit discipline:
-   granted data accesses get their (exact) protection verdict at
-   enqueue time and defer TLB work plus cycle accounting into
-   per-shard queues; compute/io cycles bank into per-thread sums
-   without queueing.  Everything that could *observe* or *change*
-   machine state — lock ops, faults, boxed ops, generator closures,
-   trace events, the end of the run — flushes first, so every
-   observation happens at a fully committed clock.  Between flushes
-   the lock/waiter structure and protection state are frozen, which
-   makes the per-thread sum commit (one [charge] per touched thread)
-   arithmetically identical to legacy per-access charging — and far
-   cheaper: the O(waiters) dilation walk runs once per thread per
-   burst instead of once per access. *)
-
-(* Cap queued accesses so a long lock-free stretch cannot grow queues
-   (and the clock lag) without bound. *)
-let burst_capacity = 8192
-
-let burst_flush b commit = if Burst.dirty b then Burst.flush b ~commit
-
-let burst_access t b commit thread access addr =
-  let vpage = Page.vpage_of_addr addr in
-  if Mpk_hw.access_granted t.hw ~tid:thread.tid ~vpage ~access then begin
-    Burst.enqueue b ~slice:(Mpk_hw.slice_of_vpage t.hw vpage) ~tid:thread.tid ~vpage;
-    if Burst.pending b >= burst_capacity then burst_flush b commit
-  end
-  else begin
-    (* Denied: commit everything pending, then take the legacy fault
-       path inline — handler, retries, trace events all see the same
-       clock the sequential machine would. *)
-    burst_flush b commit;
-    perform_access t thread addr access
-  end
-
-let step_thread_burst t b commit thread =
-  let cur = thread.cursor in
-  (* A non-hot fetch runs generator/thunk/spin closures that may read
-     the virtual clock ([wait_until]); commit before letting them. *)
-  if not (Program.fetch_is_hot cur) then burst_flush b commit;
-  let tag = Program.fetch cur in
-  if tag = Program.tag_halt then begin
-    (* The exit hook (and a validator wrapping it) must observe a
-       committed clock. *)
-    burst_flush b commit;
-    finish t thread;
-    if thread.lock_depth > 0 then
-      raise (Stuck (Printf.sprintf "thread %d finished while holding a lock" thread.tid));
-    charge t thread (t.hooks.Hooks.on_thread_exit ~tid:thread.tid)
-  end
-  else begin
-    thread.op_index <- thread.op_index + 1;
-    if tag = Program.tag_read then begin
-      t.reads <- t.reads + 1;
-      burst_access t b commit thread `Read (Program.arg_a cur)
-    end
-    else if tag = Program.tag_write then begin
-      t.writes <- t.writes + 1;
-      burst_access t b commit thread `Write (Program.arg_a cur)
-    end
-    else if tag = Program.tag_compute then begin
-      t.computes <- t.computes + 1;
-      Burst.add_inline b ~tid:thread.tid (Program.arg_a cur)
-    end
-    else if tag = Program.tag_lock then begin
-      burst_flush b commit;
-      do_lock t thread ~lock:(Program.arg_a cur) ~site:(Program.arg_b cur)
-    end
-    else if tag = Program.tag_unlock then begin
-      burst_flush b commit;
-      do_unlock t thread ~lock:(Program.arg_a cur)
-    end
-    else if tag = Program.tag_io then begin
-      let cycles = Program.arg_a cur in
-      t.io_cycles <- t.io_cycles + cycles;
-      Burst.add_inline b ~tid:thread.tid cycles
-    end
-    else if tag = Program.tag_yield then ()
-    else begin
-      (* Boxed ops (alloc/free/blocks) mutate the page table, the meta
-         table or stream through the TLB — merge points, all of them. *)
-      burst_flush b commit;
-      exec_op t thread (Program.boxed_op cur)
-    end
-  end
-
-let run_burst t =
-  let workers =
-    match t.shard_workers with
-    | Some w -> w
-    | None -> min (Mpk_hw.shards t.hw - 1) (Domain.recommended_domain_count () - 1)
-  in
-  let b =
-    Burst.create ~workers ~shards:(Mpk_hw.shards t.hw) ~threads:t.thread_count
-      ~hw:t.hw ()
-  in
-  let commit tid cycles = charge t t.threads.(tid) cycles in
-  Fun.protect
-    ~finally:(fun () -> Burst.stop b)
-    (fun () ->
-      let rec loop () =
-        if Runnable_set.cardinal t.runnable = 0 then begin
-          if t.finished_count < t.thread_count then
-            raise (Stuck "deadlock: threads blocked with no runnable thread")
-        end
-        else begin
-          t.steps <- t.steps + 1;
-          if t.steps > t.max_steps then begin
-            burst_flush b commit;
-            raise (Stuck (Printf.sprintf "max_steps (%d) exceeded" t.max_steps))
-          end;
-          let tid = Schedule.pick t.sched ~runnable:t.runnable in
-          t.hooks.Hooks.on_pick ~tid;
-          step_thread_burst t b commit (thread_by_tid t tid);
-          loop ()
-        end
-      in
-      loop ();
-      burst_flush b commit)
-
-let run t =
-  t.started <- true;
-  (* The burst engine requires that nothing observes machine state
-     between merge points: pure access hooks (Kard, baseline — not
-     TSan/Eraser/the fuzz trace log), the compiled interpreter (the
-     thunk view boxes every op through closures), no per-step trace
-     events, and tids that fit the packed queue encoding.  Ineligible
-     machines run the direct engine — still with sliced TLBs, still
-     byte-identical at any shard count. *)
-  let burst_eligible =
-    Mpk_hw.shards t.hw >= 2 && t.hooks.Hooks.pure_access
-    && (match t.interp with `Compiled -> true | `Thunks -> false)
-    && (match t.trace with
-       | Some tr -> not (Kard_obs.Trace.steps tr)
-       | None -> true)
-    && t.thread_count <= 65536
-  in
-  if burst_eligible then run_burst t else run_direct t;
+  loop ();
   t.hooks.Hooks.on_finish ();
   report_of t
 

@@ -33,8 +33,6 @@ val create :
   ?trace:Kard_obs.Trace.t ->
   ?max_steps:int ->
   ?interp:interp ->
-  ?shards:int ->
-  ?shard_workers:int ->
   allocator:allocator_kind ->
   make_detector:(Hooks.env -> Hooks.t) ->
   unit ->
@@ -47,19 +45,7 @@ val create :
     model and the unique-page allocator, exposed to the detector via
     {!Hooks.env}, and fed lock/fault/step events by the machine
     itself.  Tracing never charges simulated cycles, so a traced run
-    reports exactly the cycles of an untraced run.
-
-    [shards] (default 1) shards the hot MPK state by TLB set and, when
-    the detector's access hooks are pure ({!Hooks.t.pure_access}), the
-    interpreter is [`Compiled] and per-step trace events are off, runs
-    the burst engine: granted accesses take a lock-free enqueue fast
-    path and their TLB/cycle work drains per shard at virtual-clock
-    merge points (lock ops, faults, boxed ops, generator boundaries).
-    Reports, JSON and traces are byte-identical at any shard count —
-    see DESIGN.md §10 for the contract.  [shard_workers] (default
-    [min (shards - 1) (recommended_domain_count () - 1)]) pins the
-    number of drain Domains; 0 drains inline on the coordinator.
-    Worker count never affects results. *)
+    reports exactly the cycles of an untraced run. *)
 
 (** {1 Setup} *)
 
@@ -79,9 +65,6 @@ val aspace : t -> Kard_vm.Address_space.t
 val alloc_iface : t -> Kard_alloc.Alloc_iface.t
 val now : t -> int
 val trace : t -> Kard_obs.Trace.sink
-
-val shards : t -> int
-(** The shard count this machine was created with. *)
 
 (** {1 Execution} *)
 
@@ -125,6 +108,14 @@ type report = {
 
 val run : t -> report
 (** Execute until every thread finished. @raise Stuck on deadlock or
-    when [max_steps] is exceeded. *)
+    when [max_steps] is exceeded.
+
+    A run batches cycle commits when its detector has no access hooks
+    ([Hooks.t.access = None]), the interpreter is [`Compiled] and
+    per-step trace events are off: granted-access, compute and io
+    cycles are banked per thread and committed at the next merge point
+    (lock, unlock, fault, boxed op, non-hot fetch, halt, [max_steps],
+    end of run).  Reports, JSON and traces are byte-identical to the
+    unbatched run — see DESIGN.md §10 for the contract. *)
 
 val pp_report : Format.formatter -> report -> unit

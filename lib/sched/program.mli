@@ -124,9 +124,9 @@ val fetch_is_hot : cursor -> bool
 (** Whether the next {!fetch} will serve straight from the current
     segment (pure array load), as opposed to advancing through
     generator/thunk/spin frames that may run arbitrary closures — e.g.
-    [wait_until] conditions that read the virtual clock.  The sharded
-    machine's burst engine flushes pending work before any non-hot
-    fetch so such closures observe a fully committed clock. *)
+    [wait_until] conditions that read the virtual clock.  A machine
+    that batches cycle commits commits banked cycles before any
+    non-hot fetch so such closures observe a fully committed clock. *)
 
 val arg_a : cursor -> int
 val arg_b : cursor -> int

@@ -8,8 +8,8 @@ let no_paper_row =
    with a long run of in-section accesses to the one shared cell.  In
    steady state one thread holds the lock and every other thread is
    queued on it, so the per-access waiter-dilation walk is the run's
-   dominant host cost — the burst engine's per-section charge
-   aggregation is exactly what this stresses (DESIGN.md §10). *)
+   dominant host cost — batched cycle commits, one walk per thread per
+   merge point, is exactly what this stresses (DESIGN.md §10). *)
 let convoy_profile =
   { Synth.default with
     Synth.heap_objects = 1;

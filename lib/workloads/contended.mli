@@ -3,9 +3,9 @@
     Not a paper application: this model maximizes lock contention —
     all threads hammer one lock, and nearly every executed operation
     is an in-section access — so that the cost of charging waiter
-    dilation dominates the run.  It is the shard benchmark's subject
-    (BENCH_pr7.json) and a stress test for the burst engine's merge
-    discipline; results must stay byte-identical at any shard count. *)
+    dilation dominates the run.  It is the [convoy-64t] workload of
+    the benchmark under [bench/perf] and a stress test for batched
+    cycle commits; results must stay byte-identical batched or not. *)
 
 val convoy : Spec.t
 val all : Spec.t list

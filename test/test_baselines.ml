@@ -142,7 +142,7 @@ let test_lockset_state_machine () =
   in
   ignore aspace;
   let l = Lockset.create env in
-  let hooks = Lockset.hooks l in
+  let hooks = Kard_sched.Hooks.access_of (Lockset.hooks l) in
   let addr = 0x10000 in
   ignore (hooks.Kard_sched.Hooks.on_write ~tid:0 ~addr);
   check "exclusive after first" true (Lockset.state_of l addr = Lockset.Exclusive 0);

@@ -80,6 +80,7 @@ let trace_event_of_hooks trace bases =
     find 0
   in
   fun (hooks : Hooks.t) ->
+    let inner = Hooks.access_of hooks in
     { hooks with
       Hooks.on_lock =
         (fun ~tid ~lock ~site ->
@@ -89,18 +90,21 @@ let trace_event_of_hooks trace bases =
         (fun ~tid ~lock ->
           trace := A.Exit { thread = tid } :: !trace;
           hooks.Hooks.on_unlock ~tid ~lock);
-      on_read =
-        (fun ~tid ~addr ->
-          (match obj_of_addr addr with
-          | Some obj -> trace := A.Read { thread = tid; obj } :: !trace
-          | None -> ());
-          hooks.Hooks.on_read ~tid ~addr);
-      on_write =
-        (fun ~tid ~addr ->
-          (match obj_of_addr addr with
-          | Some obj -> trace := A.Write { thread = tid; obj } :: !trace
-          | None -> ());
-          hooks.Hooks.on_write ~tid ~addr) }
+      access =
+        Some
+          { inner with
+            Hooks.on_read =
+              (fun ~tid ~addr ->
+                (match obj_of_addr addr with
+                | Some obj -> trace := A.Read { thread = tid; obj } :: !trace
+                | None -> ());
+                inner.Hooks.on_read ~tid ~addr);
+            on_write =
+              (fun ~tid ~addr ->
+                (match obj_of_addr addr with
+                | Some obj -> trace := A.Write { thread = tid; obj } :: !trace
+                | None -> ());
+                inner.Hooks.on_write ~tid ~addr) } }
 
 type outcome = {
   kard_objs : int list;    (* plan indices the runtime flagged *)

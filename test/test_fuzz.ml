@@ -48,7 +48,7 @@ let test_taxonomy_names_roundtrip () =
        (fun c ->
          D.expected c
          = not
-             (D.equal c D.Unexpected || D.equal c D.Shard_divergence
+             (D.equal c D.Unexpected || D.equal c D.Batch_divergence
              || D.equal c D.Replay_divergence))
        D.all)
 
@@ -293,6 +293,21 @@ let test_replay_gate_no_divergence () =
       Alcotest.failf "program %d diverged unexpectedly:@ %a" i Harness.pp_outcome o
   done
 
+(* The batch gate on a 20-program sweep: the batched (compiled) and
+   unbatched ([`Thunks]) machines must agree on every program —
+   Batch_divergence is never expected. *)
+let test_batch_gate_no_divergence () =
+  for i = 0 to 19 do
+    let rand = Random.State.make [| 2042; i |] in
+    let prog = Prog.generate ~rand () in
+    let mseed = Random.State.int rand 1_000_000 in
+    let o = Harness.run ~batch_gate:true ~seed:mseed prog in
+    if List.mem D.Batch_divergence o.Harness.classes then
+      Alcotest.failf "program %d diverged under the batch gate:@ %a" i Harness.pp_outcome o;
+    if o.Harness.unexpected then
+      Alcotest.failf "program %d diverged unexpectedly:@ %a" i Harness.pp_outcome o
+  done
+
 let test_fuzz_target_roundtrip () =
   check "target parses back" true (Campaign.of_target (Campaign.target ~seed:42 13) = Some (42, 13));
   check "junk targets rejected" true
@@ -300,6 +315,34 @@ let test_fuzz_target_roundtrip () =
   let a = Campaign.reconstruct ~seed:42 13 and b = Campaign.reconstruct ~seed:42 13 in
   check "reconstruction is pure" true (a = b);
   check "entry 13 runs the replay oracle" true a.Campaign.rp_replay
+
+(* Program [i] of a campaign draws entry [i mod 15], so a recorded
+   [fuzz:SEED:INDEX] target reconstructs the same program only while
+   the rotation keeps its order, generator profiles and gates.  The
+   retired sharded entries kept their slots as batch-gate entries. *)
+let test_campaign_rotation_order () =
+  check "rotation order, batch gates, profiles and replay gates" true
+    (List.map (fun (name, _, batch, profile, replay) -> (name, batch, profile, replay))
+       Campaign.configs
+    = [ ("default", false, `Default, false);
+        ("keys4", false, `Default, false);
+        ("keys4-soft", false, `Default, false);
+        ("by-lock", false, `Default, false);
+        ("default-batch", true, `Default, false);
+        ("keys4-batch", true, `Default, false);
+        ("vkeys64", false, `Vkey_rotation, false);
+        ("vkeys64-keys4", false, `Vkey_rotation, false);
+        ("vkeys64-batch", true, `Vkey_rotation, false);
+        ("sampling50", false, `Default, false);
+        ("sampling25-keys4", false, `Default, false);
+        ("sampling50-vkeys64", false, `Vkey_rotation, false);
+        ("sampling25-batch", true, `Default, false);
+        ("replay-oracle", false, `Default, true);
+        ("replay-oracle-sampling50-batch", true, `Default, true) ]);
+  let r = Campaign.reconstruct ~seed:42 43 in
+  check "fuzz:42:43 (the checked-in fixture) is the replay-oracle entry" true
+    (r.Campaign.rp_config_name = "replay-oracle" && r.Campaign.rp_replay
+     && not r.Campaign.rp_batch_gate)
 
 let test_campaign_rotation_covers_replay () =
   (* One full trip through the config rotation, which includes the
@@ -396,7 +439,11 @@ let () =
             test_replay_gate_no_divergence;
           Alcotest.test_case "fuzz target round-trips" `Quick test_fuzz_target_roundtrip;
           Alcotest.test_case "rotation covers replay configs" `Quick
-            test_campaign_rotation_covers_replay ] );
+            test_campaign_rotation_covers_replay;
+          Alcotest.test_case "rotation order pinned" `Quick test_campaign_rotation_order ] );
+      ( "batch-gate",
+        [ Alcotest.test_case "20-program sweep under the gate" `Quick
+            test_batch_gate_no_divergence ] );
       ( "shrinker",
         [ Alcotest.test_case "injected bug minimizes small" `Quick
             test_shrinker_minimizes_injected_bug;

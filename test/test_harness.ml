@@ -17,14 +17,57 @@ let check_float = Alcotest.(check (float 1e-6))
    legitimately sample the documented races out, so pin the identity
    rate for the call's duration (DESIGN.md §12).  [Defaults.sampling]
    re-reads the environment on every call, making this deterministic;
-   malformed values ("") read as 1.0, so restoring an unset variable
-   is safe. *)
+   a blank value reads as unset, so restoring an unset variable is
+   safe. *)
 let with_full_kard f =
   let old = Sys.getenv_opt "KARD_SAMPLING" in
   Unix.putenv "KARD_SAMPLING" "1.0";
   Fun.protect
     ~finally:(fun () -> Unix.putenv "KARD_SAMPLING" (Option.value old ~default:""))
     f
+
+(* {1 Environment overrides} *)
+
+module Defaults = Kard_harness.Defaults
+
+(* Set [var] for the duration of [f]; blank restores "unset". *)
+let with_env var value f =
+  let old = Sys.getenv_opt var in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var (Option.value old ~default:"")) f
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let raises_naming var value f =
+  with_env var value (fun () ->
+      match f () with
+      | (_ : _) -> Alcotest.failf "%s=%S was accepted" var value
+      | exception Failure msg ->
+        check (Printf.sprintf "%s=%S: message names the variable" var value) true (contains msg var);
+        check (Printf.sprintf "%s=%S: message names the value" var value) true (contains msg value))
+
+let test_env_overrides () =
+  with_env Defaults.vkeys_env " 19 " (fun () -> check_int "KARD_VKEYS=19" 19 (Defaults.vkeys ()));
+  with_env Defaults.vkeys_env "" (fun () ->
+      check_int "blank KARD_VKEYS is unset" 0 (Defaults.vkeys ()));
+  with_env Defaults.sampling_env "0.25" (fun () ->
+      check_float "KARD_SAMPLING=0.25" 0.25 (Defaults.sampling ()));
+  with_env Defaults.sampling_env "  " (fun () ->
+      check_float "blank KARD_SAMPLING is unset" 1.0 (Defaults.sampling ()));
+  with_env Defaults.jobs_env "3" (fun () -> check_int "KARD_JOBS=3" 3 (Defaults.jobs ()))
+
+let test_env_overrides_fail_loudly () =
+  List.iter
+    (fun value -> raises_naming Defaults.vkeys_env value Defaults.vkeys)
+    [ "19x"; "-1"; "lots" ];
+  List.iter
+    (fun value -> raises_naming Defaults.sampling_env value Defaults.sampling)
+    [ "1.5"; "0"; "-0.5"; "half" ];
+  List.iter (fun value -> raises_naming Defaults.jobs_env value Defaults.jobs) [ "0"; "-2"; "4x" ];
+  raises_naming Defaults.vkeys_env "19x" Defaults.kard_config
 
 (* {1 Stats} *)
 
@@ -362,7 +405,11 @@ let test_json_pretty () =
 
 let () =
   Alcotest.run "kard_harness"
-    [ ( "stats",
+    [ ( "env",
+        [ Alcotest.test_case "overrides" `Quick test_env_overrides;
+          Alcotest.test_case "malformed overrides fail loudly" `Quick
+            test_env_overrides_fail_loudly ] );
+      ( "stats",
         [ Alcotest.test_case "geomean ratio" `Quick test_geomean_ratio;
           Alcotest.test_case "geomean overhead" `Quick test_geomean_overhead;
           Alcotest.test_case "pct and mean" `Quick test_pct_and_mean;

@@ -36,6 +36,17 @@ let test_map_empty_and_singleton () =
   check_ints "empty" [] (Pool.map ~jobs:4 (fun i -> i) []);
   check_ints "singleton" [ 7 ] (Pool.map ~jobs:4 (fun i -> i) [ 7 ])
 
+let test_map_gc_aggregates () =
+  let xs = List.init 32 Fun.id in
+  (* Small boxed values so the allocation lands in the minor heap of
+     whichever domain runs the item. *)
+  let f x = List.fold_left (fun acc (a, b) -> acc + a + b) 0 (List.init 64 (fun i -> (x, i))) in
+  let plain = Pool.map ~jobs:2 f xs in
+  let via_gc, gc = Pool.map_gc ~jobs:2 f xs in
+  check "map_gc returns the same results" true (plain = via_gc);
+  check "worker-domain allocation is counted" true (gc.Pool.minor_words > 0.);
+  check "promoted words are non-negative" true (gc.Pool.promoted_words >= 0.)
+
 let test_resolve_jobs () =
   check_int "explicit" 3 (Pool.resolve_jobs (Some 3));
   check_int "clamped to 1" 1 (Pool.resolve_jobs (Some 0));
@@ -224,6 +235,7 @@ let () =
     [ ( "pool",
         [ Alcotest.test_case "map preserves submission order" `Quick test_map_order;
           Alcotest.test_case "map empty/singleton" `Quick test_map_empty_and_singleton;
+          Alcotest.test_case "map_gc aggregation" `Quick test_map_gc_aggregates;
           Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
           Alcotest.test_case "chunks" `Quick test_chunks;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_runs_inline;

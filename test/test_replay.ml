@@ -1,6 +1,6 @@
 (* The record/replay subsystem: codec round-trips and strict
    rejection, target resolution, record->replay byte-identity across
-   shard/vkey/sampling settings, cross-detector replay, fidelity
+   vkey/sampling settings, cross-detector replay, fidelity
    tamper detection, the bytes-per-step budget, and the checked-in
    fuzz-log regression fixture. *)
 
@@ -41,13 +41,12 @@ let gen_log st =
     else None
   in
   let header =
-    { Log.detector;
-      target = Printf.sprintf "spec:w%d" (Random.State.int st 50);
-      threads = 1 + Random.State.int st 600;
-      scale = Random.State.float st 1.0;
-      seed = Random.State.int st 2_000_000 - 1_000_000;
-      shards = 1 + Random.State.int st 8;
-      config }
+    Log.header ~detector
+      ~target:(Printf.sprintf "spec:w%d" (Random.State.int st 50))
+      ~threads:(1 + Random.State.int st 600)
+      ~scale:(Random.State.float st 1.0)
+      ~seed:(Random.State.int st 2_000_000 - 1_000_000)
+      ?config ()
   in
   let n = Random.State.int st 300 in
   let picks = ref 0 and anchor_clock = ref 0 in
@@ -77,9 +76,7 @@ let codec_roundtrip =
 (* {1 Codec: strict rejection} *)
 
 let minimal_log =
-  { Log.header =
-      { Log.detector = "baseline"; target = "spec:x"; threads = 1; scale = 1.0;
-        seed = 0; shards = 1; config = None };
+  { Log.header = Log.header ~detector:"baseline" ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ();
     events = [] }
 
 let expect_error name s pred =
@@ -144,6 +141,47 @@ let test_find_subject () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonsense target resolved")
 
+(* {1 Compatibility: the retired shard count} *)
+
+(* Logs from the retired sharded machine carry a shard count above 1.
+   The varint stays on the wire, and replay ignores it. *)
+let test_legacy_shards_field () =
+  let s = Race_suite.find "ilu-lock-lock" in
+  let r, log = Record.record ~detector:(Runner.Kard s.Race_suite.config) (Record.Scenario s) in
+  check_int "new logs write shards 1" 1 log.Log.header.Log.shards;
+  let legacy =
+    Log.decode (Log.encode { log with Log.header = { log.Log.header with Log.shards = 4 } })
+  in
+  check_int "the field survives the codec" 4 legacy.Log.header.Log.shards;
+  match Record.replay legacy with
+  | Error e -> Alcotest.failf "legacy log replay failed: %s" e
+  | Ok (replayed, fidelity) ->
+    check "legacy tape consumed" true (fidelity = Ok ());
+    check "legacy log replays to the recorded result" true (replayed = r)
+
+(* [~shards] survives only for callers pinning 1: any other count
+   is rejected up front. *)
+let test_shards_other_than_one_rejected () =
+  let s = Race_suite.find "ilu-lock-lock" in
+  let detector = Runner.Kard s.Race_suite.config in
+  let _, log = Record.record ~detector (Record.Scenario s) in
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted ~shards:2" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "Runner.run_build" (fun () ->
+      ignore
+        (Runner.run_build ~shards:2 ~threads:1 ~scale:0.01 ~seed:1 ~detector (fun _ -> ()) "empty"));
+  rejects "Record.header" (fun () ->
+      ignore
+        (Record.header ~detector ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ~shards:2));
+  rejects "Record.replay" (fun () -> ignore (Record.replay ~shards:2 log));
+  check_int "Record.header ~shards:1 writes 1" 1
+    (Record.header ~detector ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ~shards:1).Log.shards;
+  check "Record.replay ~shards:1 replays" true
+    (match Record.replay ~shards:1 log with Ok (_, fidelity) -> fidelity = Ok () | Error _ -> false)
+
 (* {1 Record -> replay identity} *)
 
 (* Every controlled race scenario: recording costs nothing (the
@@ -167,29 +205,26 @@ let test_race_suite_roundtrip () =
           (Json_report.of_result replayed = Json_report.of_result plain))
     Race_suite.all
 
-(* The key-pressure workload across the settings matrix: two shard
-   counts (recorded at one, replayed at the other), two vkey pool
-   sizes and two sampling rates.  Each cell must replay to the
+(* The key-pressure workload across the settings matrix: two vkey
+   pool sizes and two sampling rates.  Each cell must replay to the
    identical result and JSON report. *)
 let test_spec_settings_matrix () =
   let spec = Registry.find "keys-10k" in
   let base = Defaults.kard_config () in
   List.iter
-    (fun (rec_shards, rep_shards, vkeys, sampling) ->
-      let name = Printf.sprintf "shards %d->%d vkeys %d sampling %g" rec_shards rep_shards vkeys sampling in
+    (fun (vkeys, sampling) ->
+      let name = Printf.sprintf "vkeys %d sampling %g" vkeys sampling in
       let config = { base with Config.vkeys; sampling; sampling_epoch = 100_000 } in
       let detector = Runner.Kard config in
-      let r, log =
-        Record.record ~scale:0.01 ~shards:rec_shards ~detector (Record.Spec spec)
-      in
-      match Record.replay ~shards:rep_shards (Log.decode (Log.encode log)) with
+      let r, log = Record.record ~scale:0.01 ~detector (Record.Spec spec) in
+      match Record.replay (Log.decode (Log.encode log)) with
       | Error e -> Alcotest.failf "%s: replay failed: %s" name e
       | Ok (replayed, fidelity) ->
         check (name ^ ": tape consumed") true (fidelity = Ok ());
         check (name ^ ": results identical") true (replayed = r);
         check (name ^ ": JSON identical") true
           (Json_report.of_result replayed = Json_report.of_result r))
-    [ (1, 2, 0, 1.0); (2, 1, 64, 1.0); (1, 2, 64, 0.5); (2, 1, 0, 0.5) ]
+    [ (0, 1.0); (64, 1.0); (64, 0.5); (0, 0.5) ]
 
 (* Zero simulated cost on a workload spec, and the wire budget from
    DESIGN.md section 13: one byte per pick below 240 threads, at most
@@ -358,6 +393,9 @@ let () =
           Alcotest.test_case "version mismatch rejected" `Quick test_version_mismatch;
           Alcotest.test_case "every truncation rejected" `Quick test_truncation_rejected;
           Alcotest.test_case "trailing bytes rejected" `Quick test_trailing_bytes_rejected;
+          Alcotest.test_case "legacy shards field ignored" `Quick test_legacy_shards_field;
+          Alcotest.test_case "shards other than 1 rejected" `Quick
+            test_shards_other_than_one_rejected;
           Alcotest.test_case "non-canonical pick rejected" `Quick
             test_non_canonical_pick_rejected ] );
       ( "targets",

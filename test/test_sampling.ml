@@ -1,6 +1,6 @@
 (* The sampling layer (DESIGN.md §12): the policy's window arithmetic,
    the rate-1.0 identity oracle (byte-identical to the pre-sampling
-   build at every jobs/shards/vkeys combination), the soundness
+   build at every jobs/vkeys combination), the soundness
    contract (a sampled run's reports are a subset of full Kard's on
    the same seed — delayed or missed, never invented), and a fuzz
    sweep under a forced sampling rate with zero unexpected
@@ -115,21 +115,21 @@ let smoke_scale = 0.05
 let full_config ~vkeys =
   { Config.default with Config.vkeys = (if vkeys then 64 else 0) }
 
-let run_keys ?(sampling = 1.0) ~vkeys ~shards () =
+let run_keys ?(sampling = 1.0) ~vkeys () =
   let config = { (full_config ~vkeys) with Config.sampling } in
-  Runner.run ~shards ~scale:smoke_scale ~detector:(Runner.Kard config)
+  Runner.run ~scale:smoke_scale ~detector:(Runner.Kard config)
     Keypressure.keys_10k
 
 let test_identity_oracle () =
   List.iter
-    (fun (vkeys, shards) ->
-      let label = Printf.sprintf "vkeys=%b shards=%d" vkeys shards in
-      let base = run_keys ~vkeys ~shards () in
-      let sampled = run_keys ~sampling:1.0 ~vkeys ~shards () in
+    (fun vkeys ->
+      let label = Printf.sprintf "vkeys=%b" vkeys in
+      let base = run_keys ~vkeys () in
+      let sampled = run_keys ~sampling:1.0 ~vkeys () in
       check (label ^ ": result byte-identical at rate 1.0") true (base = sampled);
       check (label ^ ": JSON byte-identical at rate 1.0") true
         (Json_report.of_result base = Json_report.of_result sampled))
-    [ (false, 1); (false, 2); (true, 1); (true, 2) ]
+    [ false; true ]
 
 (* The sweep itself is deterministic across worker counts: the bench
    merge is a pure function of per-job results that are themselves
@@ -212,7 +212,7 @@ let () =
           Alcotest.test_case "window churn and coverage" `Quick test_window_churn_and_coverage;
           Alcotest.test_case "epoch arithmetic" `Quick test_epoch_of ] );
       ( "identity",
-        [ Alcotest.test_case "rate 1.0 at every shards/vkeys combo" `Quick
+        [ Alcotest.test_case "rate 1.0 at every vkeys setting" `Quick
             test_identity_oracle;
           Alcotest.test_case "sweep at 1 vs 4 jobs" `Quick test_sweep_jobs_identity ] );
       ( "soundness",

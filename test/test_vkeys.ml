@@ -1,8 +1,9 @@
 (* The virtual-key layer (DESIGN.md §11): clock residency and the
    pinning predicate in the Vkey table, the identity-mode contract,
    and the whole-run guarantees — results byte-identical at any
-   --jobs/--shards with a virtual pool enabled, plus the key-pressure
-   precision story that BENCH_pr8.json tracks at full scale. *)
+   --jobs, batched or not, with a virtual pool enabled, plus the
+   key-pressure precision story that BENCH_pr8.json tracks at full
+   scale. *)
 
 module Vkey = Kard_mpk.Vkey
 module Pkey = Kard_mpk.Pkey
@@ -118,15 +119,15 @@ let smoke_pool = Experiments.default_keys_pool Keypressure.default.Keypressure.s
 
 let vkey_config () = { (Defaults.kard_config ()) with Config.vkeys = smoke_pool }
 
-let test_shards_identity () =
-  let run shards =
-    Runner.run ~shards ~scale:smoke_scale ~detector:(Runner.Kard (vkey_config ()))
+let test_batch_identity () =
+  let run interp =
+    Runner.run ~interp ~scale:smoke_scale ~detector:(Runner.Kard (vkey_config ()))
       Keypressure.keys_10k
   in
-  let r1 = run 1 and r3 = run 3 in
-  check "result identical at 1 vs 3 shards" true (r1 = r3);
-  check "JSON identical at 1 vs 3 shards" true
-    (Json_report.of_result r1 = Json_report.of_result r3)
+  let batched = run `Compiled and unbatched = run `Thunks in
+  check "result identical batched vs unbatched" true (batched = unbatched);
+  check "JSON identical batched vs unbatched" true
+    (Json_report.of_result batched = Json_report.of_result unbatched)
 
 let smoke_keys ~jobs =
   Experiments.keys ~jobs
@@ -187,7 +188,7 @@ let () =
           Alcotest.test_case "pinning and stall" `Quick test_pinning_and_stall;
           Alcotest.test_case "retag accounting" `Quick test_retag_accounting ] );
       ( "determinism",
-        [ Alcotest.test_case "keys-10k 1 vs 3 shards" `Quick test_shards_identity;
+        [ Alcotest.test_case "keys-10k batched vs unbatched" `Quick test_batch_identity;
           Alcotest.test_case "keys sweep 1 vs 4 jobs" `Quick test_jobs_identity ] );
       ( "precision",
         [ Alcotest.test_case "vkeys beat the physical keys" `Quick

@@ -16,7 +16,7 @@ let tiny_scale = 0.002
 (* The documented-race assertions below count exact detections, so
    they pin the sampling rate at 1.0 (the identity — DESIGN.md §12):
    under an ambient $KARD_SAMPLING the races would legitimately be
-   sampled out.  Other knobs ($KARD_VKEYS, $KARD_SHARDS) still apply. *)
+   sampled out.  The $KARD_VKEYS knob still applies. *)
 let full_kard () =
   { (Kard_harness.Defaults.kard_config ()) with Kard_core.Config.sampling = 1.0 }
 
