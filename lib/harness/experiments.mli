@@ -468,8 +468,11 @@ type record_row = {
       (** Recorded-run cycles minus plain-run cycles.  The recorder
           charges nothing, so the contract — and what the tracked file
           proves — is that this is exactly [0]. *)
-  rc_plain_seconds : float;     (** Host wall-clock of the unrecorded run. *)
-  rc_recorded_seconds : float;  (** Host wall-clock with the recorder wrapped in. *)
+  rc_plain_seconds : float;
+      (** Host wall-clock of the unrecorded run: the fastest of five,
+          timed alternately with the recorded ones. *)
+  rc_recorded_seconds : float;
+      (** Host wall-clock with the recorder wrapped in, fastest of five. *)
   rc_host_overhead_pct : float; (** Recording's host-time cost in percent. *)
   rc_log_bytes : int;           (** Size of the encoded log. *)
   rc_bytes_per_step : float;

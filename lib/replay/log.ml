@@ -18,7 +18,18 @@ type event =
   | Grant of { lock : int; tid : int }
   | Anchor of { picks : int; clock : int }
 
-type t = { header : header; events : event list }
+(* The body is kept as its wire bytes — every record between the
+   header and the end tag — so a log costs ~1.35 B per step resident
+   rather than a boxed event per step.  Counts are cached: the
+   trailer carries two of them and the replayer sizes its arrays from
+   all three. *)
+type t = {
+  header : header;
+  body : string;
+  pick_count : int;
+  grant_count : int;
+  anchor_count : int;
+}
 
 type error =
   | Bad_magic
@@ -57,16 +68,16 @@ let tag_end = 0xFF
 
 (* {2 Primitive encoders} *)
 
+(* Loops over local refs, not a local recursive closure: the recorder
+   calls this on every grant, and a closure would allocate each time. *)
 let put_varint buf n =
   if n < 0 then invalid_arg (Printf.sprintf "Log.put_varint: negative %d" n);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n >= 0x80 do
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!n land 0x7F)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !n)
 
 (* Signed values (seeds may be negative) zigzag into the unsigned
    encoder: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ... *)
@@ -98,14 +109,21 @@ let byte c =
   c.pos <- c.pos + 1;
   b
 
+(* Strict LEB128: the value must fit a non-negative OCaml int (62
+   bits, so a 9th byte carries at most 6 of them), and the last byte
+   of a multi-byte varint must be non-zero — an over-long spelling
+   would decode to a log that re-encodes to different bytes. *)
 let get_varint c =
-  let rec go shift acc =
-    if shift > 62 then raise (Error (Corrupt "varint overflow"));
-    let b = byte c in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+  let b = ref (byte c) in
+  let acc = ref (!b land 0x7F) and shift = ref 0 in
+  while !b land 0x80 <> 0 do
+    shift := !shift + 7;
+    b := byte c;
+    if !shift = 56 && !b >= 0x40 then raise (Error (Corrupt "varint overflow"));
+    acc := !acc lor ((!b land 0x7F) lsl !shift)
+  done;
+  if !b = 0 && !shift > 0 then raise (Error (Corrupt "non-canonical varint"));
+  !acc
 
 let get_zigzag c =
   let n = get_varint c in
@@ -176,13 +194,102 @@ let get_config c =
     software_fallback; exit_delay_cycles; section_identity; vkeys; sampling; sampling_epoch;
     sampling_seed }
 
+(* {2 Body writer}
+
+   Records are encoded as they are written, with the encoder's
+   invariants checked right there, so a recorder bug fails the
+   recording rather than a later [encode].  Per record: one or a few
+   bytes into a doubling buffer, nothing on the minor heap. *)
+
+type writer = {
+  buf : Buffer.t;
+  mutable picks : int;
+  mutable grants : int;
+  mutable anchors : int;
+  mutable anchor_picks : int;
+  mutable anchor_clock : int;
+}
+
+let writer () =
+  { buf = Buffer.create 4096; picks = 0; grants = 0; anchors = 0; anchor_picks = 0;
+    anchor_clock = 0 }
+
+let write_pick w tid =
+  if tid < 0 then invalid_arg "Log.write_pick: negative tid";
+  if tid < tag_pick_ext then Buffer.add_char w.buf (Char.unsafe_chr tid)
+  else begin
+    Buffer.add_char w.buf (Char.unsafe_chr tag_pick_ext);
+    put_varint w.buf tid
+  end;
+  w.picks <- w.picks + 1
+
+let write_grant w ~lock ~tid =
+  if lock < 0 || tid < 0 then invalid_arg "Log.write_grant: negative lock or tid";
+  Buffer.add_char w.buf (Char.unsafe_chr tag_grant);
+  put_varint w.buf lock;
+  put_varint w.buf tid;
+  w.grants <- w.grants + 1
+
+let write_anchor w ~picks ~clock =
+  if picks < w.anchor_picks || clock < w.anchor_clock then
+    invalid_arg "Log.write_anchor: anchors must be monotone";
+  Buffer.add_char w.buf (Char.unsafe_chr tag_anchor);
+  put_varint w.buf (picks - w.anchor_picks);
+  put_varint w.buf (clock - w.anchor_clock);
+  w.anchor_picks <- picks;
+  w.anchor_clock <- clock;
+  w.anchors <- w.anchors + 1
+
+let written_picks w = w.picks
+let written_grants w = w.grants
+
+let contents w ~header =
+  { header; body = Buffer.contents w.buf; pick_count = w.picks; grant_count = w.grants;
+    anchor_count = w.anchors }
+
+(* {2 Body reader}
+
+   One loop serves both the validating pass of [decode] and every
+   later walk of a decoded body.  It stops after the end tag (and
+   says so) or at the end of the data: a body held in a [t] stops
+   just short of its end tag. *)
+
+let walk c ~pick ~grant ~anchor =
+  let ended = ref false in
+  let anchor_picks = ref 0 and anchor_clock = ref 0 in
+  while (not !ended) && c.pos < String.length c.data do
+    let tag = byte c in
+    if tag < tag_pick_ext then pick tag
+    else if tag = tag_pick_ext then begin
+      let tid = get_varint c in
+      if tid < tag_pick_ext then
+        raise (Error (Corrupt (Printf.sprintf "non-canonical extended pick of tid %d" tid)));
+      pick tid
+    end
+    else if tag = tag_grant then begin
+      let lock = get_varint c in
+      let tid = get_varint c in
+      grant ~lock ~tid
+    end
+    else if tag = tag_anchor then begin
+      anchor_picks := !anchor_picks + get_varint c;
+      anchor_clock := !anchor_clock + get_varint c;
+      if !anchor_picks < 0 || !anchor_clock < 0 then raise (Error (Corrupt "anchor overflow"));
+      anchor ~picks:!anchor_picks ~clock:!anchor_clock
+    end
+    else if tag = tag_end then ended := true
+    else raise (Error (Corrupt (Printf.sprintf "unknown tag 0x%02X" tag)))
+  done;
+  !ended
+
+let iter t ~pick ~grant ~anchor =
+  ignore (walk { data = t.body; pos = 0 } ~pick ~grant ~anchor : bool)
+
 (* {2 Whole-log codec} *)
 
-let encode t =
-  let buf = Buffer.create 4096 in
+let put_header buf h =
   Buffer.add_string buf magic;
   put_varint buf version;
-  let h = t.header in
   put_string buf h.detector;
   put_string buf h.target;
   put_varint buf h.threads;
@@ -191,48 +298,18 @@ let encode t =
   (* The retired sharded machine's shard count: still on the wire so
      the format version holds, ignored by replay. *)
   put_varint buf h.shards;
-  (match h.config with
+  match h.config with
   | None -> Buffer.add_char buf '\000'
   | Some c ->
     Buffer.add_char buf '\001';
-    put_config buf c);
-  let picks = ref 0 and grants = ref 0 in
-  let last_anchor_picks = ref 0 and last_anchor_clock = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Pick tid ->
-        incr picks;
-        if tid < 0 then invalid_arg "Log.encode: negative tid"
-        else if tid < tag_pick_ext then Buffer.add_char buf (Char.chr tid)
-        else begin
-          Buffer.add_char buf (Char.chr tag_pick_ext);
-          put_varint buf tid
-        end
-      | Grant { lock; tid } ->
-        incr grants;
-        Buffer.add_char buf (Char.chr tag_grant);
-        put_varint buf lock;
-        put_varint buf tid
-      | Anchor { picks = p; clock } ->
-        if p < !last_anchor_picks || clock < !last_anchor_clock then
-          invalid_arg "Log.encode: anchors must be monotone";
-        Buffer.add_char buf (Char.chr tag_anchor);
-        put_varint buf (p - !last_anchor_picks);
-        put_varint buf (clock - !last_anchor_clock);
-        last_anchor_picks := p;
-        last_anchor_clock := clock)
-    t.events;
-  Buffer.add_char buf (Char.chr tag_end);
-  put_varint buf !picks;
-  put_varint buf !grants;
-  Buffer.contents buf
+    put_config buf c
 
-let decode data =
+let get_header c =
+  let data = c.data in
   if String.length data < String.length magic then raise (Error Bad_magic);
   if not (String.equal (String.sub data 0 (String.length magic)) magic) then
     raise (Error Bad_magic);
-  let c = { data; pos = String.length magic } in
+  c.pos <- String.length magic;
   let v = get_varint c in
   if v <> version then raise (Error (Version_mismatch v));
   let detector = get_string c in
@@ -247,92 +324,93 @@ let decode data =
     | 1 -> Some (get_config c)
     | n -> raise (Error (Corrupt (Printf.sprintf "config presence byte %d" n)))
   in
-  let header = { detector; target; threads; scale; seed; shards; config } in
-  let rev_events = ref [] in
-  let picks = ref 0 and grants = ref 0 in
-  let anchor_picks = ref 0 and anchor_clock = ref 0 in
-  let rec loop () =
-    let tag = byte c in
-    if tag < tag_pick_ext then begin
-      incr picks;
-      rev_events := Pick tag :: !rev_events;
-      loop ()
-    end
-    else if tag = tag_pick_ext then begin
-      let tid = get_varint c in
-      if tid < tag_pick_ext then
-        raise (Error (Corrupt (Printf.sprintf "non-canonical extended pick of tid %d" tid)));
-      incr picks;
-      rev_events := Pick tid :: !rev_events;
-      loop ()
-    end
-    else if tag = tag_grant then begin
-      let lock = get_varint c in
-      let tid = get_varint c in
-      incr grants;
-      rev_events := Grant { lock; tid } :: !rev_events;
-      loop ()
-    end
-    else if tag = tag_anchor then begin
-      anchor_picks := !anchor_picks + get_varint c;
-      anchor_clock := !anchor_clock + get_varint c;
-      rev_events := Anchor { picks = !anchor_picks; clock = !anchor_clock } :: !rev_events;
-      loop ()
-    end
-    else if tag = tag_end then begin
-      let trailer_picks = get_varint c in
-      let trailer_grants = get_varint c in
-      if trailer_picks <> !picks then
-        raise
-          (Error
-             (Corrupt (Printf.sprintf "trailer says %d picks, body has %d" trailer_picks !picks)));
-      if trailer_grants <> !grants then
-        raise
-          (Error
-             (Corrupt
-                (Printf.sprintf "trailer says %d grants, body has %d" trailer_grants !grants)));
-      if c.pos <> String.length data then
-        raise (Error (Corrupt (Printf.sprintf "%d trailing bytes" (String.length data - c.pos))))
-    end
-    else raise (Error (Corrupt (Printf.sprintf "unknown tag 0x%02X" tag)))
+  { detector; target; threads; scale; seed; shards; config }
+
+let encode t =
+  let head = Buffer.create 256 in
+  put_header head t.header;
+  let trailer = Buffer.create 16 in
+  Buffer.add_char trailer (Char.chr tag_end);
+  put_varint trailer t.pick_count;
+  put_varint trailer t.grant_count;
+  String.concat "" [ Buffer.contents head; t.body; Buffer.contents trailer ]
+
+let decode data =
+  let c = { data; pos = 0 } in
+  let header = get_header c in
+  let body_start = c.pos in
+  let picks = ref 0 and grants = ref 0 and anchors = ref 0 in
+  let ended =
+    walk c
+      ~pick:(fun _ -> incr picks)
+      ~grant:(fun ~lock:_ ~tid:_ -> incr grants)
+      ~anchor:(fun ~picks:_ ~clock:_ -> incr anchors)
   in
-  loop ();
-  { header; events = List.rev !rev_events }
+  if not ended then raise (Error Truncated);
+  let body_end = c.pos - 1 in
+  let trailer_picks = get_varint c in
+  let trailer_grants = get_varint c in
+  if trailer_picks <> !picks then
+    raise
+      (Error (Corrupt (Printf.sprintf "trailer says %d picks, body has %d" trailer_picks !picks)));
+  if trailer_grants <> !grants then
+    raise
+      (Error
+         (Corrupt (Printf.sprintf "trailer says %d grants, body has %d" trailer_grants !grants)));
+  if c.pos <> String.length data then
+    raise (Error (Corrupt (Printf.sprintf "%d trailing bytes" (String.length data - c.pos))));
+  { header;
+    body = String.sub data body_start (body_end - body_start);
+    pick_count = !picks;
+    grant_count = !grants;
+    anchor_count = !anchors }
 
 (* {2 Projections} *)
 
-let pick_count t =
-  List.fold_left (fun n ev -> match ev with Pick _ -> n + 1 | _ -> n) 0 t.events
-
-let grant_count t =
-  List.fold_left (fun n ev -> match ev with Grant _ -> n + 1 | _ -> n) 0 t.events
+let pick_count t = t.pick_count
+let grant_count t = t.grant_count
+let anchor_count t = t.anchor_count
 
 let picks t =
-  let arr = Array.make (pick_count t) 0 in
+  let arr = Array.make t.pick_count 0 in
   let i = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Pick tid ->
-        arr.(!i) <- tid;
-        incr i
-      | Grant _ | Anchor _ -> ())
-    t.events;
+  iter t
+    ~pick:(fun tid ->
+      arr.(!i) <- tid;
+      incr i)
+    ~grant:(fun ~lock:_ ~tid:_ -> ())
+    ~anchor:(fun ~picks:_ ~clock:_ -> ());
   arr
+
+(* {2 Event lists}
+
+   Cold conversions for tests and tools that edit a log record by
+   record; nothing on the record or replay path builds these. *)
+
+let of_events header events =
+  let w = writer () in
+  List.iter
+    (function
+      | Pick tid -> write_pick w tid
+      | Grant { lock; tid } -> write_grant w ~lock ~tid
+      | Anchor { picks; clock } -> write_anchor w ~picks ~clock)
+    events;
+  contents w ~header
+
+let events t =
+  let rev = ref [] in
+  iter t
+    ~pick:(fun tid -> rev := Pick tid :: !rev)
+    ~grant:(fun ~lock ~tid -> rev := Grant { lock; tid } :: !rev)
+    ~anchor:(fun ~picks ~clock -> rev := Anchor { picks; clock } :: !rev);
+  List.rev !rev
 
 (* {2 Files} *)
 
 let to_file path t =
-  let oc = open_out_bin path in
-  output_string oc (encode t);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (encode t))
 
-let of_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  decode data
+let of_file path = decode (In_channel.with_open_bin path In_channel.input_all)
 
 let pp_header fmt h =
   Format.fprintf fmt

@@ -53,7 +53,19 @@ type event =
           the recorded timeline; verified on same-config replays,
           skipped (clock half) on cross-detector ones. *)
 
-type t = { header : header; events : event list }
+type t = private {
+  header : header;
+  body : string;
+      (** The records exactly as on the wire, from just after the
+          header up to (not including) the end tag.  A log is held in
+          memory as these bytes — about 1.35 bytes per step on
+          memcached — never as a per-step event list. *)
+  pick_count : int;
+  grant_count : int;
+  anchor_count : int;
+}
+(** Built only by {!contents}, {!decode} and {!of_events}, so [body]
+    is always well formed and the counts always match it. *)
 
 type error =
   | Bad_magic          (** Not a kard replay log. *)
@@ -71,19 +83,67 @@ val magic : string
 val version : int
 (** The wire-format version this build reads and writes. *)
 
-val encode : t -> string
-(** @raise Invalid_argument on negative tids or non-monotone anchors
+(** {1 Writing}
+
+    A streaming body writer: each record is encoded as it is written,
+    so a recording grows its wire bytes during the run and allocates
+    nothing on the minor heap per record. *)
+
+type writer
+
+val writer : unit -> writer
+
+val write_pick : writer -> int -> unit
+(** @raise Invalid_argument on a negative tid. *)
+
+val write_grant : writer -> lock:int -> tid:int -> unit
+(** @raise Invalid_argument on a negative lock or tid. *)
+
+val write_anchor : writer -> picks:int -> clock:int -> unit
+(** Absolute pick count and clock; stored delta-coded.
+    @raise Invalid_argument if either is below the previous anchor's
     (a recorder bug, not an input error). *)
 
+val written_picks : writer -> int
+val written_grants : writer -> int
+
+val contents : writer -> header:header -> t
+(** The log written so far, under [header].  The writer stays usable. *)
+
+(** {1 Codec} *)
+
+val encode : t -> string
+(** Header, body, end tag and count trailer. *)
+
 val decode : string -> t
-(** Inverse of {!encode}. @raise Error on anything malformed. *)
+(** Inverse of {!encode}: one validating pass over the body, then one
+    copy of it. @raise Error on anything malformed. *)
 
 val to_file : string -> t -> unit
 val of_file : string -> t
+
+(** {1 Reading} *)
+
+val iter :
+  t -> pick:(int -> unit) -> grant:(lock:int -> tid:int -> unit) ->
+  anchor:(picks:int -> clock:int -> unit) -> unit
+(** Walk the body in stream order.  Anchors arrive with their absolute
+    pick count and clock. *)
 
 val picks : t -> int array
 (** The pick stream alone — feed to {!Kard_sched.Schedule.Replay}. *)
 
 val pick_count : t -> int
 val grant_count : t -> int
+val anchor_count : t -> int
+(** O(1): the counts are cached in [t]. *)
+
+(** {1 Event lists}
+
+    Cold conversions for tests and tools that edit a log record by
+    record.  [of_events] applies the writer's checks. *)
+
+val of_events : header -> event list -> t
+val events : t -> event list
+
 val pp_header : Format.formatter -> header -> unit

@@ -9,7 +9,11 @@
     detector's charge through unchanged — so a recorded run's report
     is byte-identical to an unrecorded one.  The access hooks are
     inherited from the wrapped detector: recording composes with
-    batched cycle commits. *)
+    batched cycle commits.
+
+    The streams go straight into a {!Log.writer} as wire bytes: the
+    wrappers allocate nothing per step, and the recording's resident
+    size is its encoded size. *)
 
 type t
 
@@ -21,12 +25,6 @@ val create : ?anchor_interval:int -> unit -> t
 val wrap : t -> Kard_sched.Hooks.env -> Kard_sched.Hooks.t -> Kard_sched.Hooks.t
 (** Feed as the [?wrap] argument of {!Kard_harness.Runner.run_build}
     (or apply inside a bare [make_detector]). *)
-
-val events : t -> Log.event list
-(** Everything recorded so far, in stream order. *)
-
-val pick_count : t -> int
-val grant_count : t -> int
 
 val log : t -> header:Log.header -> Log.t
 (** Package the recorded streams under [header] (call after the run). *)

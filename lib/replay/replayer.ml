@@ -14,14 +14,17 @@ type violation = {
 let pp_violation fmt v =
   Format.fprintf fmt "@[<h>%s: expected %s, got %s@]" v.at v.expected v.actual
 
-(* Anchors keyed by the grant count at which they were recorded. *)
-type anchor = { a_grant : int; a_picks : int; a_clock : int }
-
+(* Flat int arrays, filled by one walk of the log's bytes: grant [g]
+   is [(grant_locks.(g), grant_tids.(g))], and anchor [a] was recorded
+   once [anchor_grants.(a)] grants had been made. *)
 type t = {
   mode : mode;
   picks : int array;
-  grants : (int * int) array;  (* (lock, tid) in grant order *)
-  anchors : anchor array;
+  grant_locks : int array;
+  grant_tids : int array;
+  anchor_grants : int array;
+  anchor_picks : int array;
+  anchor_clocks : int array;
   mutable pick_cursor : int;
   mutable grant_cursor : int;
   mutable anchor_cursor : int;
@@ -31,25 +34,32 @@ type t = {
 
 let create ?(mode = Strict) (log : Log.t) =
   let picks = Array.make (Log.pick_count log) 0 in
-  let grants = Array.make (Log.grant_count log) (0, 0) in
-  let rev_anchors = ref [] in
-  let pi = ref 0 and gi = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Log.Pick tid ->
-        picks.(!pi) <- tid;
-        incr pi
-      | Log.Grant { lock; tid } ->
-        grants.(!gi) <- (lock, tid);
-        incr gi
-      | Log.Anchor { picks; clock } ->
-        rev_anchors := { a_grant = !gi; a_picks = picks; a_clock = clock } :: !rev_anchors)
-    log.Log.events;
+  let grant_locks = Array.make (Log.grant_count log) 0 in
+  let grant_tids = Array.make (Log.grant_count log) 0 in
+  let anchor_grants = Array.make (Log.anchor_count log) 0 in
+  let anchor_picks = Array.make (Log.anchor_count log) 0 in
+  let anchor_clocks = Array.make (Log.anchor_count log) 0 in
+  let pi = ref 0 and gi = ref 0 and ai = ref 0 in
+  Log.iter log
+    ~pick:(fun tid ->
+      picks.(!pi) <- tid;
+      incr pi)
+    ~grant:(fun ~lock ~tid ->
+      grant_locks.(!gi) <- lock;
+      grant_tids.(!gi) <- tid;
+      incr gi)
+    ~anchor:(fun ~picks:p ~clock ->
+      anchor_grants.(!ai) <- !gi;
+      anchor_picks.(!ai) <- p;
+      anchor_clocks.(!ai) <- clock;
+      incr ai);
   { mode;
     picks;
-    grants;
-    anchors = Array.of_list (List.rev !rev_anchors);
+    grant_locks;
+    grant_tids;
+    anchor_grants;
+    anchor_picks;
+    anchor_clocks;
     pick_cursor = 0;
     grant_cursor = 0;
     anchor_cursor = 0;
@@ -85,30 +95,28 @@ let wrap t (env : Hooks.env) (hooks : Hooks.t) =
       (fun ~tid ~lock ~site ->
         let g = t.grant_cursor in
         t.grant_cursor <- g + 1;
-        (if g >= Array.length t.grants then
+        (if g >= Array.length t.grant_locks then
            record_violation t
              ~at:(Printf.sprintf "grant %d" g)
-             ~expected:(Printf.sprintf "end of grants (%d recorded)" (Array.length t.grants))
+             ~expected:(Printf.sprintf "end of grants (%d recorded)" (Array.length t.grant_locks))
              ~actual:(Printf.sprintf "lock %d to tid %d" lock tid)
-         else
-           let exp_lock, exp_tid = t.grants.(g) in
-           if exp_lock <> lock || exp_tid <> tid then
-             record_violation t
-               ~at:(Printf.sprintf "grant %d" g)
-               ~expected:(Printf.sprintf "lock %d to tid %d" exp_lock exp_tid)
-               ~actual:(Printf.sprintf "lock %d to tid %d" lock tid));
+         else if t.grant_locks.(g) <> lock || t.grant_tids.(g) <> tid then
+           record_violation t
+             ~at:(Printf.sprintf "grant %d" g)
+             ~expected:(Printf.sprintf "lock %d to tid %d" t.grant_locks.(g) t.grant_tids.(g))
+             ~actual:(Printf.sprintf "lock %d to tid %d" lock tid));
         (* Anchors were recorded immediately after their grant, so
            verify every anchor keyed to the now-current grant count. *)
         while
-          t.anchor_cursor < Array.length t.anchors
-          && t.anchors.(t.anchor_cursor).a_grant = t.grant_cursor
+          t.anchor_cursor < Array.length t.anchor_grants
+          && t.anchor_grants.(t.anchor_cursor) = t.grant_cursor
         do
-          let a = t.anchors.(t.anchor_cursor) in
-          t.anchor_cursor <- t.anchor_cursor + 1;
-          if a.a_picks <> t.pick_cursor then
+          let a = t.anchor_cursor in
+          t.anchor_cursor <- a + 1;
+          if t.anchor_picks.(a) <> t.pick_cursor then
             record_violation t
-              ~at:(Printf.sprintf "anchor after grant %d" a.a_grant)
-              ~expected:(Printf.sprintf "%d picks" a.a_picks)
+              ~at:(Printf.sprintf "anchor after grant %d" t.anchor_grants.(a))
+              ~expected:(Printf.sprintf "%d picks" t.anchor_picks.(a))
               ~actual:(Printf.sprintf "%d picks" t.pick_cursor);
           (* The clock half only holds when the replay runs the same
              detector configuration: cycle charges differ otherwise. *)
@@ -116,10 +124,10 @@ let wrap t (env : Hooks.env) (hooks : Hooks.t) =
           | Schedule_only -> ()
           | Strict ->
             let now = env.Hooks.now () in
-            if a.a_clock <> now then
+            if t.anchor_clocks.(a) <> now then
               record_violation t
-                ~at:(Printf.sprintf "anchor after grant %d" a.a_grant)
-                ~expected:(Printf.sprintf "clock %d" a.a_clock)
+                ~at:(Printf.sprintf "anchor after grant %d" t.anchor_grants.(a))
+                ~expected:(Printf.sprintf "clock %d" t.anchor_clocks.(a))
                 ~actual:(Printf.sprintf "clock %d" now)
         done;
         hooks.Hooks.on_lock ~tid ~lock ~site) }
@@ -134,9 +142,9 @@ let check t =
            actual = Printf.sprintf "%d picks" t.pick_cursor } ]
      else [])
     @
-    if t.grant_cursor < Array.length t.grants then
+    if t.grant_cursor < Array.length t.grant_locks then
       [ { at = "end of run";
-          expected = Printf.sprintf "%d grants" (Array.length t.grants);
+          expected = Printf.sprintf "%d grants" (Array.length t.grant_locks);
           actual = Printf.sprintf "%d grants" t.grant_cursor } ]
     else []
   in

@@ -21,11 +21,11 @@ let check_int = Alcotest.(check int)
 
 (* {1 Codec: random logs} *)
 
-(* Random but well-formed logs: picks straddle the one-byte/extended
+(* Random but well-formed event streams: picks straddle the one-byte/extended
    boundary at 240 threads, anchors are monotone in both coordinates
    (the encoder's invariant), seeds may be negative (zigzag), and the
    optional config exercises every fingerprint field. *)
-let gen_log st =
+let gen_events st =
   let detector =
     List.nth [ "kard"; "baseline"; "alloc"; "tsan"; "lockset" ] (Random.State.int st 5)
   in
@@ -62,22 +62,32 @@ let gen_log st =
           incr picks;
           Log.Pick (Random.State.int st 600))
   in
-  { Log.header; events }
+  (header, events)
 
-let print_log (l : Log.t) =
-  Format.asprintf "%a; %d events (%d picks, %d grants)" Log.pp_header l.Log.header
-    (List.length l.Log.events) (Log.pick_count l) (Log.grant_count l)
+let gen_log st =
+  let header, events = gen_events st in
+  Log.of_events header events
 
+let print_events (header, events) =
+  let log = Log.of_events header events in
+  Format.asprintf "%a; %d events (%d picks, %d grants)" Log.pp_header header
+    (List.length events) (Log.pick_count log) (Log.grant_count log)
+
+(* The event-list conversions are the codec's reference: whatever the
+   writer packs, [decode] must read back and [events] unpack to the
+   very list that went in. *)
 let codec_roundtrip =
   QCheck.Test.make ~name:"decode (encode log) = log" ~count:300
-    (QCheck.make ~print:print_log gen_log)
-    (fun log -> Log.decode (Log.encode log) = log)
+    (QCheck.make ~print:print_events gen_events)
+    (fun (header, events) ->
+      let log = Log.of_events header events in
+      let decoded = Log.decode (Log.encode log) in
+      decoded = log && Log.events decoded = events)
 
 (* {1 Codec: strict rejection} *)
 
 let minimal_log =
-  { Log.header = Log.header ~detector:"baseline" ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ();
-    events = [] }
+  Log.of_events (Log.header ~detector:"baseline" ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ()) []
 
 let expect_error name s pred =
   match Log.decode s with
@@ -125,6 +135,28 @@ let test_non_canonical_pick_rejected () =
   expect_error "non-canonical extended pick" doctored
     (function Log.Corrupt _ -> true | _ -> false)
 
+(* The minimal log with raw body bytes spliced in before its end
+   tag, the trailer's grant count set to [grants]. *)
+let with_body ?(grants = 0) body =
+  let s = Log.encode minimal_log in
+  let cut = String.length s - 3 in
+  String.sub s 0 cut ^ body ^ "\xFF\x00" ^ String.make 1 (Char.chr grants)
+
+let test_canonical_varints_only () =
+  check "the splice itself is well formed" true
+    (Log.grant_count (Log.decode (with_body ~grants:1 "\xF1\x00\x00")) = 1);
+  (* Lock 0 spelled over-long: decodes, but re-encodes to other bytes. *)
+  expect_error "over-long varint" (with_body ~grants:1 "\xF1\x80\x00\x00")
+    (function Log.Corrupt _ -> true | _ -> false);
+  (* A 9th byte reaching bit 62 would decode to a negative lock. *)
+  expect_error "varint overflow" (with_body ~grants:1 ("\xF1" ^ String.make 8 '\x80' ^ "\x40\x00"))
+    (function Log.Corrupt _ -> true | _ -> false);
+  (* Two anchors whose pick deltas are each the largest varint: their
+     absolute pick count no longer fits an int. *)
+  let max_delta_anchor = "\xF3" ^ String.make 8 '\xFF' ^ "\x3F\x00" in
+  expect_error "anchor overflow" (with_body (max_delta_anchor ^ max_delta_anchor))
+    (function Log.Corrupt _ -> true | _ -> false)
+
 (* {1 Target resolution} *)
 
 let test_find_subject () =
@@ -150,7 +182,8 @@ let test_legacy_shards_field () =
   let r, log = Record.record ~detector:(Runner.Kard s.Race_suite.config) (Record.Scenario s) in
   check_int "new logs write shards 1" 1 log.Log.header.Log.shards;
   let legacy =
-    Log.decode (Log.encode { log with Log.header = { log.Log.header with Log.shards = 4 } })
+    Log.decode
+      (Log.encode (Log.of_events { log.Log.header with Log.shards = 4 } (Log.events log)))
   in
   check_int "the field survives the codec" 4 legacy.Log.header.Log.shards;
   match Record.replay legacy with
@@ -261,6 +294,43 @@ let test_trace_identity () =
       (Kard_obs.Chrome_trace.to_json ~t:(Option.get r1.Runner.trace)
       = Kard_obs.Chrome_trace.to_json ~t:(Option.get r2.Runner.trace))
 
+(* {1 Allocation contract} *)
+
+(* Minor-heap words [f] allocates.  ([Gc.minor_words] is exact under
+   OCaml 5.1, where [Gc.counters] lags by up to a minor heap.) *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+let within_budget name ~steps words =
+  let per_step = words /. float_of_int steps in
+  if per_step > 0.25 then Alcotest.failf "%s: %.3f words/step, budget 0.25" name per_step
+
+(* DESIGN.md section 5: the recorder writes each step's wire bytes
+   into a doubling buffer and allocates nothing per step on the minor
+   heap, and the codec moves the body as one string (a single
+   major-heap block, whatever the step count).  Memcached at 64
+   threads under 10% sampling, as the recorded benchmark workload
+   runs it; the config is pinned so $KARD_* cannot change it. *)
+let test_recording_allocation () =
+  let spec = Registry.find "memcached" in
+  let detector = Runner.Kard { Config.default with Config.sampling = 0.1 } in
+  let plain () = Runner.run ~threads:64 ~scale:0.1 ~detector spec in
+  ignore (plain () : Runner.result);
+  let plain, plain_words = minor_words plain in
+  let (recorded, log), recorded_words =
+    minor_words (fun () -> Record.record ~threads:64 ~scale:0.1 ~detector (Record.Spec spec))
+  in
+  check "recorded result = plain result" true (recorded = plain);
+  let steps = plain.Runner.report.Machine.steps in
+  within_budget "recording (minor words over the plain run)" ~steps (recorded_words -. plain_words);
+  let bytes, encode_words = minor_words (fun () -> Log.encode log) in
+  within_budget "Log.encode" ~steps encode_words;
+  let decoded, decode_words = minor_words (fun () -> Log.decode bytes) in
+  within_budget "Log.decode" ~steps decode_words;
+  check "decode (encode log) = log" true (decoded = log)
+
 (* {1 Cross-detector replay} *)
 
 (* The headline workflow: record under cheap sampling (which misses
@@ -313,10 +383,10 @@ let test_tampered_grant_detected () =
           tampered := true;
           Log.Grant { lock; tid = tid + 1 }
         | ev -> ev)
-      log.Log.events
+      (Log.events log)
   in
   check "log has a grant to tamper with" true !tampered;
-  match Record.replay { log with Log.events } with
+  match Record.replay (Log.of_events log.Log.header events) with
   | Error e -> Alcotest.failf "tampered replay failed outright: %s" e
   | Ok (_, fidelity) ->
     check "tampered grant reported as a fidelity violation" true
@@ -337,10 +407,10 @@ let test_tampered_anchor_detected () =
           tampered := true;
           Log.Anchor { picks; clock = clock + 1 }
         | ev -> ev)
-      log.Log.events
+      (Log.events log)
   in
   check "log has an anchor to tamper with" true !tampered;
-  match Record.replay { log with Log.events } with
+  match Record.replay (Log.of_events log.Log.header events) with
   | Error e -> Alcotest.failf "tampered replay failed outright: %s" e
   | Ok (_, fidelity) ->
     check "tampered anchor reported as a fidelity violation" true
@@ -397,7 +467,9 @@ let () =
           Alcotest.test_case "shards other than 1 rejected" `Quick
             test_shards_other_than_one_rejected;
           Alcotest.test_case "non-canonical pick rejected" `Quick
-            test_non_canonical_pick_rejected ] );
+            test_non_canonical_pick_rejected;
+          Alcotest.test_case "non-canonical varints rejected" `Quick
+            test_canonical_varints_only ] );
       ( "targets",
         [ Alcotest.test_case "find_subject forms" `Quick test_find_subject ] );
       ( "identity",
@@ -406,6 +478,9 @@ let () =
           Alcotest.test_case "zero cost and wire budget" `Quick
             test_spec_zero_cost_and_budget;
           Alcotest.test_case "Chrome trace bytes" `Quick test_trace_identity ] );
+      ( "allocation",
+        [ Alcotest.test_case "recording and codec allocate per log, not per step" `Quick
+            test_recording_allocation ] );
       ( "cross-detector",
         [ Alcotest.test_case "record sampled, replay full" `Quick test_cross_detector ] );
       ( "fidelity",
