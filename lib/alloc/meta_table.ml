@@ -33,4 +33,3 @@ let find_addr t addr =
 
 let find_id t id = Hashtbl.find_opt t.by_id id
 let live_count t = Hashtbl.length t.by_id
-let iter t f = Hashtbl.iter (fun _ meta -> f meta) t.by_id

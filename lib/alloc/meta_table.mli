@@ -22,4 +22,3 @@ val find_vpage : t -> Kard_mpk.Page.vpage -> Obj_meta.t option
 
 val find_id : t -> int -> Obj_meta.t option
 val live_count : t -> int
-val iter : t -> (Obj_meta.t -> unit) -> unit

@@ -128,18 +128,16 @@ type t = {
   prov_ro_blamed : Dense.Bitset.t;
   prov_proactive_blame : Dense.Bitset.t;
   prov_vkey_blamed : Dense.Bitset.t;
-  (* The sampling layer (DESIGN.md §12).  [unsampled] holds the
-     objects currently on the default-key fast path; [skip_list] is
-     every object ever unsampled (rotation iterates it to re-arm),
-     deduplicated by [skip_ever].  [cur_epoch] only advances at
-     section entry, so every sampling decision is a pure function of
-     state that is identical at any --jobs count. *)
+  (* The sampling layer (DESIGN.md §12).  [live] holds every
+     allocated, not yet freed object (rotation walks it); [unsampled]
+     the live ones currently on the default-key fast path.
+     [cur_epoch] only advances at section entry, so every sampling
+     decision is a pure function of state that is identical at any
+     --jobs count. *)
   sampling : Sampling.t;
   mutable cur_epoch : int;
+  live : Dense.Bitset.t;
   unsampled : Dense.Bitset.t;
-  skip_ever : Dense.Bitset.t;
-  mutable skip_list : int array;
-  mutable skip_n : int;
   prov_sampling_skipped : Dense.Bitset.t;
   mutable sampled_sections : int;
   mutable skipped_sections : int;
@@ -231,10 +229,8 @@ let create ?(config = Config.default) env =
     prov_vkey_blamed = Dense.Bitset.create ~capacity:256 ();
     sampling = Sampling.of_config config;
     cur_epoch = 0;
+    live = Dense.Bitset.create ~capacity:256 ();
     unsampled = Dense.Bitset.create ~capacity:256 ();
-    skip_ever = Dense.Bitset.create ~capacity:256 ();
-    skip_list = [||];
-    skip_n = 0;
     prov_sampling_skipped = Dense.Bitset.create ~capacity:256 ();
     sampled_sections = 0;
     skipped_sections = 0;
@@ -450,17 +446,7 @@ let retag_objects t objs pkey =
 
 let skip_note t obj_id =
   Dense.Bitset.add t.unsampled obj_id;
-  Dense.Bitset.add t.prov_sampling_skipped obj_id;
-  if not (Dense.Bitset.mem t.skip_ever obj_id) then begin
-    Dense.Bitset.add t.skip_ever obj_id;
-    if t.skip_n = Array.length t.skip_list then begin
-      let bigger = Array.make (Dense.grow_pow2 t.skip_n t.skip_n) 0 in
-      Array.blit t.skip_list 0 bigger 0 t.skip_n;
-      t.skip_list <- bigger
-    end;
-    t.skip_list.(t.skip_n) <- obj_id;
-    t.skip_n <- t.skip_n + 1
-  end
+  Dense.Bitset.add t.prov_sampling_skipped obj_id
 
 (* Release every piece of detector state an object leaving the
    sampled set holds; after this only the retag to the default key
@@ -492,9 +478,11 @@ let drain_unsampled t (meta : Obj_meta.t) =
    live objects sliding out of the window are drained — state
    released, pages back to the default key — right here, one batched
    retag per direction instead of a full fault round trip per outed
-   object.  The policy scan itself is bookkeeping the real runtime
-   folds into the epoch timer, so only the retags are charged — to
-   the entering section. *)
+   object.  One ascending pass over the live objects finds both
+   batches, already in id order; freed objects are never re-armed.
+   The policy scan itself is bookkeeping the real runtime folds into
+   the epoch timer, so only the retags are charged — to the entering
+   section. *)
 let maybe_rotate t =
   if not (Sampling.enabled t.sampling) || Sampling.epoch_cycles t.sampling = 0 then 0
   else begin
@@ -503,36 +491,32 @@ let maybe_rotate t =
     else begin
       t.cur_epoch <- e;
       t.sampling_rotations <- t.sampling_rotations + 1;
-      let rearm = ref [] in
-      for i = t.skip_n - 1 downto 0 do
-        let obj_id = t.skip_list.(i) in
-        if Dense.Bitset.mem t.unsampled obj_id
-           && Sampling.sampled_obj t.sampling ~epoch:e ~obj_id
-        then begin
-          Dense.Bitset.remove t.unsampled obj_id;
-          rearm := obj_id :: !rearm
-        end
-      done;
-      let drain = ref [] in
-      Meta_table.iter t.env.Hooks.meta (fun (m : Obj_meta.t) ->
-          let obj_id = m.Obj_meta.id in
-          if
-            (not (Dense.Bitset.mem t.unsampled obj_id))
-            && not (Sampling.sampled_obj t.sampling ~epoch:e ~obj_id)
-          then drain := obj_id :: !drain);
-      let drain = List.sort compare !drain in
-      List.iter (fun obj_id -> drain_note t obj_id) drain;
+      let rearm = ref [] and drain = ref [] in
+      Dense.Bitset.iter
+        (fun obj_id ->
+          let sampled = Sampling.sampled_obj t.sampling ~epoch:e ~obj_id in
+          if Dense.Bitset.mem t.unsampled obj_id then begin
+            if sampled then begin
+              Dense.Bitset.remove t.unsampled obj_id;
+              rearm := obj_id :: !rearm
+            end
+          end
+          else if not sampled then begin
+            drain_note t obj_id;
+            drain := obj_id :: !drain
+          end)
+        t.live;
       let drain_cycles =
-        match drain with
+        match !drain with
         | [] -> 0
-        | objs -> snd (retag_batch_objects t objs Pkey.k_def)
+        | objs -> snd (retag_batch_objects t (List.rev objs) Pkey.k_def)
       in
       let rearm_cycles =
         match !rearm with
         | [] -> 0
         | objs ->
           t.sampled_objects <- t.sampled_objects + List.length objs;
-          let pages, cycles = retag_batch_objects t objs Pkey.k_na in
+          let pages, cycles = retag_batch_objects t (List.rev objs) Pkey.k_na in
           t.sampling_rearm_pages <- t.sampling_rearm_pages + pages;
           cycles
       in
@@ -1327,6 +1311,7 @@ let on_spawn t ~tid =
   (cost t).Cost_model.wrpkru
 
 let on_alloc t ~tid:_ (meta : Obj_meta.t) =
+  if Sampling.enabled t.sampling then Dense.Bitset.add t.live meta.Obj_meta.id;
   if
     Sampling.enabled t.sampling
     && not (Sampling.sampled_obj t.sampling ~epoch:t.cur_epoch ~obj_id:meta.Obj_meta.id)
@@ -1346,6 +1331,10 @@ let on_alloc t ~tid:_ (meta : Obj_meta.t) =
 
 let on_free t ~tid:_ (meta : Obj_meta.t) =
   let obj_id = meta.Obj_meta.id in
+  if Sampling.enabled t.sampling then begin
+    Dense.Bitset.remove t.live obj_id;
+    Dense.Bitset.remove t.unsampled obj_id
+  end;
   Domain_state.forget t.domains ~obj_id;
   Section_object_map.forget_object t.somap ~obj_id;
   Interleave.finish t.interleave ~obj_id;

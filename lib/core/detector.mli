@@ -45,10 +45,14 @@ type stats = {
                               protocol while sampling was active. *)
   skipped_sections : int; (** Section entries on the fast path: no
                               k_na retraction, walk, or PKRU switch. *)
-  sampled_objects : int;  (** Protection decisions in favour (at
-                              allocation or rotation re-arm). *)
-  skipped_objects : int;  (** Fast-path decisions (allocation skip or
-                              rotation drain). *)
+  sampled_objects : int;  (** Protection decisions in favour: an
+                              allocation the epoch samples, or a
+                              rotation re-arming a live unsampled
+                              object.  A freed object is never
+                              re-armed. *)
+  skipped_objects : int;  (** Fast-path decisions: an allocation the
+                              epoch leaves out, or a rotation
+                              draining a live sampled object. *)
   skipped_accesses : int; (** Accesses that landed on unsampled
                               objects (charged zero cycles). *)
   sampling_rotations : int; (** Epoch boundaries observed. *)

@@ -240,7 +240,7 @@ let section_ref t section delta =
     t.section_refs <- bigger
   end;
   if section > t.max_section then t.max_section <- section;
-  t.section_refs.(section) <- max 0 (t.section_refs.(section) + delta)
+  t.section_refs.(section) <- Int.max 0 (t.section_refs.(section) + delta)
 
 let grow_slots s =
   let cap = max 4 (2 * s.n) in

@@ -30,6 +30,7 @@
 type t = {
   enabled : bool;
   threshold : int;   (* rate in 1/2^20 units; compare is [hash < threshold] *)
+  step : int;        (* window advance per epoch, fixed at creation *)
   seed : int;
   epoch_cycles : int; (* 0 = no rotation *)
   rate : float;
@@ -46,7 +47,17 @@ let create ~rate ~epoch_cycles ~seed =
     let t = int_of_float (ceil (rate *. float_of_int fixed_point_one)) in
     min fixed_point_one (max 1 t)
   in
-  { enabled = rate < 1.0; threshold; seed; epoch_cycles; rate }
+  (* Window advance per epoch: 1/128 of the ring, capped at the window
+     width so tiny windows still tile the whole ring, never 0.  Every
+     object an advance draws in pays a re-identification fault at its
+     next access, so churn per epoch — 2 * min(rate, 1/128) of the
+     live population, entering and leaving combined — is what rotation
+     costs; the 1/128 cap keeps that cost independent of the sampling
+     rate (a revolution takes at least 128 epochs) while a full
+     revolution still covers every id.  Fixed here, so a query never
+     calls the polymorphic [min]/[max]. *)
+  let step = max 1 (min threshold (fixed_point_one lsr 7)) in
+  { enabled = rate < 1.0; threshold; step; seed; epoch_cycles; rate }
 
 let of_config (c : Config.t) =
   create ~rate:c.Config.sampling ~epoch_cycles:c.Config.sampling_epoch
@@ -73,18 +84,8 @@ let finalize z =
 (* The id's fixed position on the ring. *)
 let position t v = finalize ((v * golden) + t.seed) land (fixed_point_one - 1)
 
-(* Window advance per epoch: 1/128 of the ring, capped at the window
-   width so tiny windows still tile the whole ring, never 0.  Every
-   object an advance draws in pays a re-identification fault at its
-   next access, so churn per epoch — 2 * min(rate, 1/128) of the live
-   population, entering and leaving combined — is what rotation costs;
-   the 1/128 cap keeps that cost independent of the sampling rate (a
-   revolution takes at least 128 epochs) while a full revolution still
-   covers every id. *)
-let step t = max 1 (min t.threshold (fixed_point_one lsr 7))
-
 let in_window t ~epoch pos =
-  let lo = epoch * step t land (fixed_point_one - 1) in
+  let lo = epoch * t.step land (fixed_point_one - 1) in
   (pos - lo) land (fixed_point_one - 1) < t.threshold
 
 let sampled_obj t ~epoch ~obj_id =

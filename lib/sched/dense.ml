@@ -66,6 +66,21 @@ module Bitset = struct
         end
       end
     end
+
+  (* Empty words cost one test; a non-empty word is shifted right
+     ([lsr], so the sign bit — bit 62 — comes down like any other)
+     only up to its highest member. *)
+  let iter f t =
+    let words = t.words in
+    for word = 0 to Array.length words - 1 do
+      let w = ref words.(word) in
+      let i = ref (word * bits_per_word) in
+      while !w <> 0 do
+        if !w land 1 <> 0 then f !i;
+        w := !w lsr 1;
+        incr i
+      done
+    done
 end
 
 (* A FIFO ring over ints, used for lock waiter queues: [push]/[pop]

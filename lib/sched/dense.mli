@@ -26,6 +26,10 @@ module Bitset : sig
 
   val remove : t -> int -> unit
   (** Idempotent; clearing an absent (or negative) index is a no-op. *)
+
+  val iter : (int -> unit) -> t -> unit
+  (** [iter f t] calls [f] on every member in ascending order.  [f]
+      must not add to or remove from [t]. *)
 end
 
 (** A FIFO ring buffer over ints: [Queue]'s push/pop without the

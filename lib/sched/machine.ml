@@ -356,19 +356,19 @@ let perform_block t thread (b : Op.block) access =
   let span_pages = Page.pages_spanned b.Op.base b.Op.span in
   let total_bytes = b.Op.count * b.Op.stride in
   let pages_touched =
-    min span_pages (max 1 ((total_bytes + Page.size - 1) / Page.size))
+    Int.min span_pages (Int.max 1 ((total_bytes + Page.size - 1) / Page.size))
   in
-  let sampled = min pages_touched 64 in
-  let step_pages = max 1 (span_pages / sampled) in
+  let sampled = Int.min pages_touched 64 in
+  let step_pages = Int.max 1 (span_pages / sampled) in
   for i = 0 to sampled - 1 do
     perform_access t thread (b.Op.base + (i * step_pages * Page.size)) access
   done;
-  let remaining = max 0 (b.Op.count - sampled) in
+  let remaining = Int.max 0 (b.Op.count - sampled) in
   let est_misses =
     if span_pages > tlb_reach_pages then begin
       (* Every page visit misses once the sweep exceeds TLB reach. *)
-      let passes = max 1 (total_bytes / max 1 b.Op.span) in
-      min remaining (max 0 ((pages_touched * passes) - sampled))
+      let passes = Int.max 1 (total_bytes / Int.max 1 b.Op.span) in
+      Int.min remaining (Int.max 0 ((pages_touched * passes) - sampled))
     end
     else 0
   in

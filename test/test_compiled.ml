@@ -187,6 +187,31 @@ let test_bitset () =
        false
      with Invalid_argument _ -> true)
 
+let bitset_members b =
+  let seen = ref [] in
+  Dense.Bitset.iter (fun i -> seen := i :: !seen) b;
+  List.rev !seen
+
+let test_bitset_iter () =
+  let w = Sys.int_size in
+  let b = Dense.Bitset.create ~capacity:8 () in
+  check "fresh iterates nothing" true (bitset_members b = []);
+  (* Bit 62 of a word is the sign bit of the stored int; words 1 and
+     2 stay empty between members of words 0 and 3; adding 3 * w + 5
+     grows past the initial capacity. *)
+  let members = [ (3 * w) + 5; w - 1; 0; 1; (2 * w) - 1; 3 * w; w ] in
+  List.iter (Dense.Bitset.add b) members;
+  check "ascending, bit 62 and empty words included" true
+    (bitset_members b = [ 0; 1; w - 1; w; (2 * w) - 1; 3 * w; (3 * w) + 5 ]);
+  Dense.Bitset.remove b ((2 * w) - 1);
+  Dense.Bitset.remove b 1;
+  check "removed members skipped" true
+    (bitset_members b = [ 0; w - 1; w; 3 * w; (3 * w) + 5 ]);
+  Dense.Bitset.add b 10_000;
+  check "iterates after growth" true
+    (bitset_members b = [ 0; w - 1; w; 3 * w; (3 * w) + 5; 10_000 ]);
+  check_int "iter agrees with count" (Dense.Bitset.count b) (List.length (bitset_members b))
+
 let test_int_ring () =
   let r = Dense.Int_ring.create () in
   check_int "empty length" 0 (Dense.Int_ring.length r);
@@ -328,6 +353,7 @@ let () =
       ( "dense",
         [ Alcotest.test_case "grow_pow2" `Quick test_grow_pow2;
           Alcotest.test_case "bitset" `Quick test_bitset;
+          Alcotest.test_case "bitset iter" `Quick test_bitset_iter;
           Alcotest.test_case "int_ring" `Quick test_int_ring ] );
       ( "program",
         [ Alcotest.test_case "cursor tags" `Quick test_cursor_tags;

@@ -1,17 +1,28 @@
-(* The sampling layer (DESIGN.md §12): the policy's window arithmetic,
-   the rate-1.0 identity oracle (byte-identical to the pre-sampling
-   build at every jobs/vkeys combination), the soundness
-   contract (a sampled run's reports are a subset of full Kard's on
-   the same seed — delayed or missed, never invented), and a fuzz
-   sweep under a forced sampling rate with zero unexpected
+(* The sampling layer (DESIGN.md §12): the policy's window arithmetic
+   (pinned to a reference copy of the formula), the rate-1.0 identity
+   oracle (byte-identical to the pre-sampling build at every
+   jobs/vkeys combination), what an epoch rotation drains and re-arms,
+   the soundness contract (a sampled run's reports are a subset of
+   full Kard's on the same seed — delayed or missed, never invented),
+   and a fuzz sweep under a forced sampling rate with zero unexpected
    divergences. *)
 
 module Sampling = Kard_core.Sampling
 module Config = Kard_core.Config
 module Race_record = Kard_core.Race_record
 module Pkey = Kard_mpk.Pkey
+module Page = Kard_mpk.Page
+module Page_table = Kard_mpk.Page_table
+module Mpk_hw = Kard_mpk.Mpk_hw
+module Obj_meta = Kard_alloc.Obj_meta
+module Hooks = Kard_sched.Hooks
+module Machine = Kard_sched.Machine
+module Program = Kard_sched.Program
+module Op = Kard_sched.Op
+module Detector = Kard_core.Detector
 module Race_suite = Kard_workloads.Race_suite
 module Keypressure = Kard_workloads.Keypressure
+module Apps = Kard_workloads.Apps
 module Runner = Kard_harness.Runner
 module Json_report = Kard_harness.Json_report
 module Experiments = Kard_harness.Experiments
@@ -100,6 +111,56 @@ let test_window_churn_and_coverage () =
     true (!max_churn <= churn_bound);
   check_int "one revolution covers every id" population (Hashtbl.length covered)
 
+(* The decision procedure pinned to a copy of its formula: the
+   window advances [max 1 (min threshold (2^20 lsr 7))] ring points
+   per epoch, which is the threshold itself below rate 1/128 and
+   1/128 of the ring above it.  The sweep crosses both branches, so
+   any change to how [step] is computed or cached must leave every
+   answer as it was. *)
+module Reference = struct
+  let one = 1 lsl 20
+  let mask = one - 1
+
+  let threshold rate =
+    Stdlib.min one (Stdlib.max 1 (int_of_float (ceil (rate *. float_of_int one))))
+
+  let step threshold = Stdlib.max 1 (Stdlib.min threshold (one lsr 7))
+
+  let finalize z =
+    let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+    let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+    (z lxor (z lsr 31)) land max_int
+
+  let sampled ~rate ~seed ~epoch v =
+    rate >= 1.0
+    ||
+    let threshold = threshold rate in
+    let pos = finalize ((v * 0x1e3779b97f4a7c15) + seed) land mask in
+    let lo = epoch * step threshold land mask in
+    (pos - lo) land mask < threshold
+end
+
+let test_reference_decisions () =
+  let seed = 0x5eed in
+  List.iter
+    (fun rate ->
+      let t = Sampling.create ~rate ~epoch_cycles:1 ~seed in
+      let mismatches = ref 0 in
+      for epoch = 0 to 300 do
+        for id = 0 to population - 1 do
+          if
+            Sampling.sampled_obj t ~epoch ~obj_id:id
+            <> Reference.sampled ~rate ~seed ~epoch (2 * id)
+          then incr mismatches;
+          if
+            Sampling.sampled_section t ~epoch ~section:id
+            <> Reference.sampled ~rate ~seed ~epoch ((2 * id) + 1)
+          then incr mismatches
+        done
+      done;
+      check_int (Printf.sprintf "rate %g: decisions match the reference" rate) 0 !mismatches)
+    [ 1.0 /. float_of_int Reference.one; 0.001; 1.0 /. 128.0; 0.1; 0.5; 0.999 ]
+
 let test_epoch_of () =
   let t = Sampling.create ~rate:0.5 ~epoch_cycles:1_000 ~seed:1 in
   check_int "epoch 0" 0 (Sampling.epoch_of t ~now:999);
@@ -147,6 +208,120 @@ let test_sweep_jobs_identity () =
     = Json_report.of_sampling_bench ~build:"test" ~threads:4 ~scale:0.02 ~seed:42 b4);
   check "every sweep row satisfies the subset property" true
     (List.for_all (fun r -> r.Experiments.sp_subset_ok) b1.Experiments.sp_rows)
+
+(* {1 Rotation} *)
+
+(* [sampled_objects] counts protection decisions in favour, and a
+   freed object cannot be protected: once every object is freed, no
+   number of window revolutions may re-arm one. *)
+let test_freed_not_rearmed () =
+  let config = { Config.default with Config.sampling = 0.1; sampling_epoch = 1_000 } in
+  let objects = 64 in
+  let build m =
+    let allocated = ref [] in
+    let allocs =
+      List.init objects (fun i ->
+          Op.Alloc { size = 64; site = i; on_result = (fun o -> allocated := o :: !allocated) })
+    in
+    let frees =
+      Program.delay (fun () -> Program.of_list (List.map (fun o -> Op.Free o) !allocated))
+    in
+    let rounds =
+      Program.repeat 300 (fun _ ->
+          Program.of_list
+            [ Op.Lock { lock = 0; site = 0 }; Op.Compute 1_000; Op.Unlock { lock = 0 } ])
+    in
+    ignore (Machine.spawn m (Program.concat [ Program.of_list allocs; frees; rounds ]))
+  in
+  let r =
+    Runner.run_build ~threads:1 ~scale:1.0 ~seed:1 ~detector:(Runner.Kard config) build
+      "alloc-free-rotate"
+  in
+  let st = Option.get r.Runner.kard_stats in
+  check "more than one window revolution" true (st.Detector.sampling_rotations > 128);
+  check_int "one decision per object"
+    objects
+    (st.Detector.sampled_objects + st.Detector.skipped_objects)
+
+(* What every rotation leaves behind: right after each section entry,
+   a live object's pages carry the default key exactly when the
+   current epoch does not sample it — drained if it slid out of the
+   window, re-armed (off the default key) if it slid in.  The run's
+   stats and the number of object checks come back with the
+   violations, so a run that never rotated or never checked a live
+   object cannot pass vacuously. *)
+let rotation_violations config run =
+  let sampling = Sampling.of_config config in
+  let checks = ref 0 and violations = ref [] in
+  let wrap (env : Hooks.env) (h : Hooks.t) =
+    let live = Hashtbl.create 1024 in
+    let track (m : Obj_meta.t) = Hashtbl.replace live m.Obj_meta.id m in
+    let pt = Mpk_hw.page_table env.Hooks.hw in
+    let check_live epoch =
+      Hashtbl.iter
+        (fun obj_id (m : Obj_meta.t) ->
+          incr checks;
+          let outside = not (Sampling.sampled_obj sampling ~epoch ~obj_id) in
+          let base = Page.base_of_vpage (Page.vpage_of_addr m.Obj_meta.base) in
+          for p = 0 to m.Obj_meta.pages - 1 do
+            let tag = Page_table.pkey_of_addr pt (base + (p * Page.size)) in
+            if Pkey.equal tag Pkey.k_def <> outside then
+              violations := (epoch, obj_id, p) :: !violations
+          done)
+        live
+    in
+    { h with
+      Hooks.on_global =
+        (fun m ->
+          track m;
+          h.Hooks.on_global m);
+      on_alloc =
+        (fun ~tid m ->
+          track m;
+          h.Hooks.on_alloc ~tid m);
+      on_free =
+        (fun ~tid m ->
+          Hashtbl.remove live m.Obj_meta.id;
+          h.Hooks.on_free ~tid m);
+      on_lock =
+        (fun ~tid ~lock ~site ->
+          let epoch = Sampling.epoch_of sampling ~now:(env.Hooks.now ()) in
+          let cycles = h.Hooks.on_lock ~tid ~lock ~site in
+          check_live epoch;
+          cycles) }
+  in
+  let r : Runner.result = run wrap in
+  (Option.get r.Runner.kard_stats, !checks, List.rev !violations)
+
+let check_rotation_invariant label config run =
+  let st, checks, violations = rotation_violations config run in
+  check (label ^ ": rotated") true (st.Detector.sampling_rotations > 0);
+  check (label ^ ": checked live objects") true (checks > 0);
+  match violations with
+  | [] -> ()
+  | (epoch, obj_id, page) :: _ ->
+    Alcotest.failf "%s: %d of %d checks violated; first: epoch %d object %d page %d" label
+      (List.length violations) checks epoch obj_id page
+
+let test_rotation_invariant_memcached () =
+  List.iter
+    (fun rate ->
+      let config = { Config.default with Config.sampling = rate; sampling_epoch = 20_000 } in
+      check_rotation_invariant
+        (Printf.sprintf "memcached rate %g" rate)
+        config
+        (fun wrap ->
+          Runner.run ~wrap ~threads:64 ~scale:0.05 ~detector:(Runner.Kard config)
+            Apps.memcached))
+    [ 0.5; 0.1 ]
+
+let test_rotation_invariant_keys () =
+  let config =
+    { Config.default with Config.vkeys = 64; sampling = 0.25; sampling_epoch = 20_000 }
+  in
+  check_rotation_invariant "keys-10k vkeys 64 rate 0.25" config (fun wrap ->
+      Runner.run ~wrap ~threads:8 ~scale:smoke_scale ~detector:(Runner.Kard config)
+        Keypressure.keys_10k)
 
 (* {1 The soundness contract: sampled reports are a subset} *)
 
@@ -210,7 +385,15 @@ let () =
           Alcotest.test_case "rate 1.0 is the identity" `Quick test_identity_rate;
           Alcotest.test_case "sampled fraction tracks the rate" `Quick test_rate_fraction;
           Alcotest.test_case "window churn and coverage" `Quick test_window_churn_and_coverage;
+          Alcotest.test_case "decisions match the reference formula" `Quick
+            test_reference_decisions;
           Alcotest.test_case "epoch arithmetic" `Quick test_epoch_of ] );
+      ( "rotation",
+        [ Alcotest.test_case "freed objects are never re-armed" `Quick test_freed_not_rearmed;
+          Alcotest.test_case "tags follow the epoch on memcached" `Quick
+            test_rotation_invariant_memcached;
+          Alcotest.test_case "tags follow the epoch on keys-10k" `Quick
+            test_rotation_invariant_keys ] );
       ( "identity",
         [ Alcotest.test_case "rate 1.0 at every vkeys setting" `Quick
             test_identity_oracle;
