@@ -13,7 +13,12 @@ type domain =
 
    Encoding: [k >= 0] is Read-write under data key [k]; the negative
    codes distinguish "never recorded" from an explicit Not-accessed so
-   [tracked]/[count_in] keep their hash-table meanings. *)
+   [tracked]/[count_in] keep their hash-table meanings.
+
+   Keys are small dense ints too, so each key's object set is found by
+   an array read.  The sets themselves stay hash tables, iterated in
+   place: their order is the order a vkey load retags in, and part of
+   the simulated result (DESIGN.md §5). *)
 let code_absent = -1
 let code_not_accessed = -2
 let code_read_only = -3
@@ -21,14 +26,14 @@ let code_read_only = -3
 type t = {
   mutable codes : int array; (* index = obj_id *)
   mutable tracked : int; (* codes <> code_absent *)
-  by_key : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* data key -> obj set *)
+  mutable by_key : (int, unit) Hashtbl.t option array; (* index = key: its obj set *)
   mutable migrations : int;
 }
 
 let create () =
   { codes = Array.make 256 code_absent;
     tracked = 0;
-    by_key = Hashtbl.create 16;
+    by_key = Array.make 16 None;
     migrations = 0 }
 
 let code_of t ~obj_id =
@@ -55,27 +60,35 @@ let ensure t obj_id =
     t.codes <- bigger
   end
 
+let find_bucket t k = if k >= 0 && k < Array.length t.by_key then t.by_key.(k) else None
+
 let key_bucket t k =
-  match Hashtbl.find_opt t.by_key k with
+  match find_bucket t k with
   | Some bucket -> bucket
   | None ->
+    if k >= Array.length t.by_key then begin
+      let bigger = Array.make (Dense.grow_pow2 (Array.length t.by_key) k) None in
+      Array.blit t.by_key 0 bigger 0 (Array.length t.by_key);
+      t.by_key <- bigger
+    end;
     let bucket = Hashtbl.create 16 in
-    Hashtbl.replace t.by_key k bucket;
+    t.by_key.(k) <- Some bucket;
     bucket
 
 let set t ~obj_id domain =
   if obj_id < 0 then invalid_arg "Domain_state.set: negative obj_id";
   let before_code = code_of t ~obj_id in
-  (* Compare decoded domains: recording Not-accessed on a never-seen
-     object stays a no-op, exactly as the implicit default did. *)
-  if decode before_code <> domain then begin
+  let code = encode domain in
+  (* Compare codes, counting a never-seen object as Not-accessed:
+     recording Not-accessed on it stays a no-op, exactly as the
+     implicit default did. *)
+  let effective = if before_code = code_absent then code_not_accessed else before_code in
+  if effective <> code then begin
     ensure t obj_id;
     if before_code >= 0 then Hashtbl.remove (key_bucket t before_code) obj_id;
     if before_code = code_absent then t.tracked <- t.tracked + 1;
-    t.codes.(obj_id) <- encode domain;
-    (match domain with
-    | Read_write key -> Hashtbl.replace (key_bucket t key) obj_id ()
-    | Not_accessed | Read_only -> ());
+    t.codes.(obj_id) <- code;
+    if code >= 0 then Hashtbl.replace (key_bucket t code) obj_id ();
     t.migrations <- t.migrations + 1
   end
 
@@ -88,12 +101,17 @@ let forget t ~obj_id =
   end
 
 let objects_with_key t key =
-  match Hashtbl.find_opt t.by_key key with
+  match find_bucket t key with
   | Some bucket -> Hashtbl.fold (fun obj_id () acc -> obj_id :: acc) bucket []
   | None -> []
 
+let iter_objects_with_key t key f =
+  match find_bucket t key with
+  | Some bucket -> Hashtbl.iter (fun obj_id () -> f obj_id) bucket
+  | None -> ()
+
 let key_load t key =
-  match Hashtbl.find_opt t.by_key key with
+  match find_bucket t key with
   | Some bucket -> Hashtbl.length bucket
   | None -> 0
 

@@ -30,7 +30,13 @@ val set : t -> obj_id:int -> domain -> unit
 val forget : t -> obj_id:int -> unit
 
 val objects_with_key : t -> int -> int list
-(** Objects currently in the Read-write domain under this key. *)
+(** Objects currently in the Read-write domain under this key: the
+    reverse of {!iter_objects_with_key}'s order. *)
+
+val iter_objects_with_key : t -> int -> (int -> unit) -> unit
+(** Apply a function to every object in the Read-write domain under
+    this key, in the key's set order, without building a list.  The
+    function must not change any object's domain. *)
 
 val key_load : t -> int -> int
 (** [List.length (objects_with_key t key)] in O(1) — the key

@@ -116,40 +116,38 @@ let slot_holder s i =
     lock = s.locks.(i);
     proactive = s.proactives.(i) }
 
-(* Newest holding first, as the cons-list predecessor returned. *)
-let holders t key =
-  match slots_ro t key with
-  | None -> []
-  | Some s ->
-    let rec go i acc = if i >= s.n then acc else go (i + 1) (slot_holder s i :: acc) in
-    go 0 []
+(* Scans are top-level recursions or loops, never local closures:
+   without flambda a local [let rec] that captures variables is a heap
+   block per call, and the scans below run on every section entry and
+   exit or on the fault path. *)
+
+(* Newest holding first, as the cons-list predecessor returned;
+   [skip] names a thread to leave out ([-1] leaves out nobody). *)
+let rec holders_from s ~skip i acc =
+  if i >= s.n then acc
+  else holders_from s ~skip (i + 1) (if s.tids.(i) <> skip then slot_holder s i :: acc else acc)
+
+let holders t key = match slots_ro t key with None -> [] | Some s -> holders_from s ~skip:(-1) 0 []
 
 let other_holders t key ~tid =
-  match slots_ro t key with
-  | None -> []
-  | Some s ->
-    let rec go i acc =
-      if i >= s.n then acc
-      else go (i + 1) (if s.tids.(i) <> tid then slot_holder s i :: acc else acc)
-    in
-    go 0 []
+  match slots_ro t key with None -> [] | Some s -> holders_from s ~skip:tid 0 []
+
+let rec writer_below s i =
+  if i < 0 then None
+  else if Perm.equal s.perms.(i) Perm.Read_write then Some (slot_holder s i)
+  else writer_below s (i - 1)
 
 let write_holder t key =
   match slots_ro t key with
   | None -> None
-  | Some s ->
-    let rec scan i =
-      if i < 0 then None
-      else if Perm.equal s.perms.(i) Perm.Read_write then Some (slot_holder s i)
-      else scan (i - 1)
-    in
-    scan (s.n - 1)
+  | Some s -> writer_below s (s.n - 1)
 
-let held_count t key = match slots_ro t key with None -> 0 | Some s -> s.n
+let held_count t key = if key >= 0 && key < Array.length t.slots then t.slots.(key).n else 0
 
-let slot_of s ~tid =
-  let rec scan i = if i >= s.n then -1 else if s.tids.(i) = tid then i else scan (i + 1) in
-  scan 0
+let rec slot_from s tid i =
+  if i >= s.n then -1 else if s.tids.(i) = tid then i else slot_from s tid (i + 1)
+
+let slot_of s ~tid = slot_from s tid 0
 
 (* {2 The per-tid held-keys index} *)
 
@@ -187,11 +185,13 @@ let index_add t ~tid key =
   arr.(!i) <- key;
   t.tid_nkeys.(tid) <- n + 1
 
+let rec index_from arr n key i =
+  if i >= n then -1 else if arr.(i) = key then i else index_from arr n key (i + 1)
+
 let index_remove t ~tid key =
   if tid < Array.length t.tid_nkeys then begin
     let arr = t.tid_keys.(tid) and n = t.tid_nkeys.(tid) in
-    let rec find i = if i >= n then -1 else if arr.(i) = key then i else find (i + 1) in
-    let i = find 0 in
+    let i = index_from arr n key 0 in
     if i >= 0 then begin
       Array.blit arr (i + 1) arr i (n - i - 1);
       t.tid_nkeys.(tid) <- n - 1
@@ -200,37 +200,33 @@ let index_remove t ~tid key =
 
 (* Ascending key order (canonical): the head of the result is the
    lowest-numbered key the thread holds. *)
+let rec held_below t arr ~tid i acc =
+  if i < 0 then acc
+  else
+    let key = arr.(i) in
+    let s = t.slots.(key) in
+    let j = slot_of s ~tid in
+    held_below t arr ~tid (i - 1) (if j >= 0 then (key, s.perms.(j)) :: acc else acc)
+
 let held_by t ~tid =
   if tid < 0 || tid >= Array.length t.tid_nkeys then []
-  else begin
-    let arr = t.tid_keys.(tid) and n = t.tid_nkeys.(tid) in
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        let key = arr.(i) in
-        let s = t.slots.(key) in
-        let j = slot_of s ~tid in
-        go (i - 1) (if j >= 0 then (key, s.perms.(j)) :: acc else acc)
-    in
-    go (n - 1) []
-  end
+  else held_below t t.tid_keys.(tid) ~tid (t.tid_nkeys.(tid) - 1) []
+
+let rec only_self s tid i = i >= s.n || (s.tids.(i) = tid && only_self s tid (i + 1))
+
+let rec no_other_writer s tid i =
+  i >= s.n
+  || ((s.tids.(i) = tid || not (Perm.equal s.perms.(i) Perm.Read_write))
+     && no_other_writer s tid (i + 1))
 
 let can_acquire t key ~tid perm =
-  match slots_ro t key with
-  | None -> not (Perm.equal perm Perm.No_access)
-  | Some s -> (
+  if key < 0 || key >= Array.length t.slots then not (Perm.equal perm Perm.No_access)
+  else
+    let s = t.slots.(key) in
     match perm with
-    | Perm.Read_write ->
-      let rec only_self i = i >= s.n || (s.tids.(i) = tid && only_self (i + 1)) in
-      only_self 0
-    | Perm.Read_only ->
-      let rec no_other_writer i =
-        i >= s.n
-        || ((s.tids.(i) = tid || not (Perm.equal s.perms.(i) Perm.Read_write))
-           && no_other_writer (i + 1))
-      in
-      no_other_writer 0
-    | Perm.No_access -> false)
+    | Perm.Read_write -> only_self s tid 0
+    | Perm.Read_only -> no_other_writer s tid 0
+    | Perm.No_access -> false
 
 let section_ref t section delta =
   if section < 0 then invalid_arg "Key_section_map: negative section id";
@@ -280,9 +276,9 @@ let push_slot s ~tid perm ~section ~lock ~proactive =
   s.proactives.(i) <- proactive;
   s.n <- i + 1
 
-let add_holding t key holder =
+let add_holding t key ~tid perm ~section ~lock ~proactive =
   let s = slots_of t key in
-  let i = slot_of s ~tid:holder.tid in
+  let i = slot_of s ~tid in
   if i >= 0 then begin
     (* Upgrade (or idempotent re-acquire): the holding moves to the
        top with the joined permission and the new section/lock.  A
@@ -290,26 +286,25 @@ let add_holding t key holder =
        was — one access-driven (re)acquire means the thread really
        touched data under the key, which the idealized algorithm also
        grants. *)
-    let joined = Perm.join s.perms.(i) holder.perm in
-    let proactive = s.proactives.(i) && holder.proactive in
+    let joined = Perm.join s.perms.(i) perm in
+    let proactive = s.proactives.(i) && proactive in
     remove_slot s i;
-    push_slot s ~tid:holder.tid joined ~section:holder.section ~lock:holder.lock ~proactive
+    push_slot s ~tid joined ~section ~lock ~proactive
   end
   else begin
-    push_slot s ~tid:holder.tid holder.perm ~section:holder.section ~lock:holder.lock
-      ~proactive:holder.proactive;
-    index_add t ~tid:holder.tid key;
-    section_ref t holder.section 1
+    push_slot s ~tid perm ~section ~lock ~proactive;
+    index_add t ~tid key;
+    section_ref t section 1
   end
 
-let acquire t key holder =
-  if not (can_acquire t key ~tid:holder.tid holder.perm) then
+let acquire t key ~tid perm ~section ~lock ~proactive =
+  if not (can_acquire t key ~tid perm) then
     invalid_arg
-      (Format.asprintf "Key_section_map.acquire: k%d not acquirable by t%d as %a" key holder.tid
-         Perm.pp holder.perm);
-  add_holding t key holder
+      (Format.asprintf "Key_section_map.acquire: k%d not acquirable by t%d as %a" key tid
+         Perm.pp perm);
+  add_holding t key ~tid perm ~section ~lock ~proactive
 
-let force_acquire t key holder = add_holding t key holder
+let force_acquire = add_holding
 
 let note_release_by t k ~tid ~time ~perm ~section ~lock ~proactive =
   let row = t.by_releaser.(k) in

@@ -48,11 +48,15 @@ val can_acquire : t -> int -> tid:int -> Kard_mpk.Perm.t -> bool
 (** Read-write: no other holder at all; read-only: no other
     read-write holder (section 5.4). *)
 
-val acquire : t -> int -> holder -> unit
-(** Upgrades in place if the thread already holds the key.
+val acquire :
+  t -> int -> tid:int -> Kard_mpk.Perm.t -> section:int -> lock:int -> proactive:bool -> unit
+(** Record a holding of the key, given by the fields of a {!holder}
+    (passed one by one, so the section-entry walk builds no record per
+    key).  Upgrades in place if the thread already holds the key.
     @raise Invalid_argument when the acquisition is not permitted. *)
 
-val force_acquire : t -> int -> holder -> unit
+val force_acquire :
+  t -> int -> tid:int -> Kard_mpk.Perm.t -> section:int -> lock:int -> proactive:bool -> unit
 (** Key sharing (section 5.4 rule 3b): adds the holding even when it
     violates exclusivity — the documented false-negative source. *)
 

@@ -2,18 +2,23 @@ type need =
   | Needs_read
   | Needs_write
 
+type memo = {
+  objs : int array;
+  needs : need array;
+}
+
 type t = {
   by_section : (int, (int, need) Hashtbl.t) Hashtbl.t;
   by_object : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  (* [objects_of] is called on every section entry (the proactive
-     acquisition walk) but the map only changes on identification
-     faults, so the folded entry list is memoized per section and
-     invalidated on [record]/[forget_object].  Section ids are small
-     dense ints, so the memo is an id-indexed array ([None] = stale)
-     and the hit path is one bounds-checked load.  The cached list is
-     exactly the fold of the bucket at fill time, so hits and misses
-     are indistinguishable to callers. *)
-  mutable cache : (int * need) list option array; (* index = section *)
+  (* The proactive acquisition walk reads a section's entries on every
+     section entry, but they only change when an identification adds
+     an object or upgrades a read need to a write need.  So each
+     section keeps a memo: its entries as two flat arrays in exactly
+     [objects_of]'s order, built on the first walk after a change.
+     Section ids are small dense ints, so the memo table is an
+     id-indexed array ([None] = stale) and a hit is one bounds-checked
+     load.  A [record] that changes nothing keeps the memo. *)
+  mutable cache : memo option array; (* index = section *)
 }
 
 let create () =
@@ -43,29 +48,57 @@ let bucket table key ~size =
     Hashtbl.replace table key b;
     b
 
+(* Only a new object or a read-to-write upgrade changes the section's
+   entries (an existing binding is replaced in place, so the bucket's
+   order never moves), and only then is the memo dropped and the
+   reverse index touched: an object already in the section is already
+   in its reverse index. *)
 let record t ~section ~obj_id need =
   let objs = bucket t.by_section section ~size:16 in
-  (match Hashtbl.find_opt objs obj_id, need with
-  | Some Needs_write, Needs_read -> () (* write need is sticky *)
-  | (Some (Needs_read | Needs_write) | None), _ -> Hashtbl.replace objs obj_id need);
-  invalidate t section;
-  Hashtbl.replace (bucket t.by_object obj_id ~size:8) section ()
+  match Hashtbl.find_opt objs obj_id, need with
+  | Some Needs_write, _ | Some Needs_read, Needs_read -> ()
+  | Some Needs_read, Needs_write ->
+    Hashtbl.replace objs obj_id need;
+    invalidate t section
+  | None, _ ->
+    Hashtbl.replace objs obj_id need;
+    invalidate t section;
+    Hashtbl.replace (bucket t.by_object obj_id ~size:8) section ()
 
-let fold_section t section =
+let objects_of t ~section =
   match Hashtbl.find_opt t.by_section section with
   | Some objs -> Hashtbl.fold (fun obj_id need acc -> (obj_id, need) :: acc) objs []
   | None -> []
 
-let objects_of t ~section =
-  if section < 0 then fold_section t section
+let empty_memo = { objs = [||]; needs = [||] }
+
+(* Fill from the back: the fold behind [objects_of] conses, so its
+   list is the reverse of the bucket's iteration order. *)
+let build_memo t section =
+  match Hashtbl.find_opt t.by_section section with
+  | None -> empty_memo
+  | Some bucket ->
+    let n = Hashtbl.length bucket in
+    let m = { objs = Array.make n 0; needs = Array.make n Needs_read } in
+    let i = ref n in
+    Hashtbl.iter
+      (fun obj_id need ->
+        decr i;
+        m.objs.(!i) <- obj_id;
+        m.needs.(!i) <- need)
+      bucket;
+    m
+
+let memo t ~section =
+  if section < 0 then build_memo t section
   else begin
     ensure_cache t section;
     match t.cache.(section) with
-    | Some entries -> entries
+    | Some m -> m
     | None ->
-      let entries = fold_section t section in
-      t.cache.(section) <- Some entries;
-      entries
+      let m = build_memo t section in
+      t.cache.(section) <- Some m;
+      m
   end
 
 let need_of t ~section ~obj_id =
@@ -73,15 +106,10 @@ let need_of t ~section ~obj_id =
   | Some objs -> Hashtbl.find_opt objs obj_id
   | None -> None
 
-let sections_touching t ~obj_id =
+let iter_sections_touching t ~obj_id f =
   match Hashtbl.find_opt t.by_object obj_id with
-  | Some sections -> Hashtbl.fold (fun section () acc -> section :: acc) sections []
-  | None -> []
-
-let sections_reading t ~obj_id =
-  List.filter
-    (fun section -> need_of t ~section ~obj_id = Some Needs_read)
-    (sections_touching t ~obj_id)
+  | Some sections -> Hashtbl.iter (fun section () -> f section) sections
+  | None -> ()
 
 let forget_object t ~obj_id =
   (match Hashtbl.find_opt t.by_object obj_id with

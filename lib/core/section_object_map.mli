@@ -14,15 +14,31 @@ type t
 val create : unit -> t
 
 val record : t -> section:int -> obj_id:int -> need -> unit
-(** A write need overrides an earlier read need, never the reverse. *)
+(** A write need overrides an earlier read need, never the reverse.
+    Re-recording an entry that already holds is a no-op. *)
 
 val objects_of : t -> section:int -> (int * need) list
+
+(** A section's entries as flat arrays, element by element equal to
+    {!objects_of}. *)
+type memo = private {
+  objs : int array;
+  needs : need array;  (** [needs.(i)] is the need for [objs.(i)]. *)
+}
+
+val memo : t -> section:int -> memo
+(** The section's memo, rebuilt only after its entries changed: a
+    {!record} that neither adds the object nor upgrades its need, and
+    any change to another section, return the physically same memo.
+    The arrays must not be mutated.  This is the proactive
+    acquisition walk's view, read on every section entry. *)
+
 val need_of : t -> section:int -> obj_id:int -> need option
 
-val sections_reading : t -> obj_id:int -> int list
-(** Sections whose recorded need for the object is read-only. *)
-
-val sections_touching : t -> obj_id:int -> int list
+val iter_sections_touching : t -> obj_id:int -> (int -> unit) -> unit
+(** Apply a function to every section recorded for the object, in the
+    object's section-set order, without building a list.  The function
+    must not change the map. *)
 
 val forget_object : t -> obj_id:int -> unit
 (** Called when an object is freed or demoted to Not-accessed. *)

@@ -123,13 +123,13 @@ let any_grant t pkey =
 (* Batched retag for the virtual-key cache: tag every range with
    [pkey] as ONE counted syscall (libmpk's eviction batches the
    per-object ranges into a single kernel crossing), charging the
-   cheaper [vkey_retag_page] per page.  Returns [(pages, cycles)]. *)
-let retag_batch t ranges pkey =
-  let pages =
-    List.fold_left
-      (fun acc (base, len) -> acc + Page_table.set_pkey_range t.page_table ~base ~len pkey)
-      0 ranges
-  in
+   cheaper [vkey_retag_page] per page.  A batch is any number of
+   [retag_range] writes closed by one [retag_commit], so a caller
+   walking objects in place never builds the range list; the list
+   form is the same two steps. *)
+let retag_range t ~base ~len pkey = Page_table.set_pkey_range t.page_table ~base ~len pkey
+
+let retag_commit t ~base ~pages pkey =
   if pages > 0 then begin
     t.pkey_mprotect_calls <- t.pkey_mprotect_calls + 1;
     t.pages_retagged <- t.pages_retagged + pages;
@@ -137,11 +137,18 @@ let retag_batch t ranges pkey =
     | None -> ()
     | Some tr ->
       Kard_obs.Trace.emit tr ~tid:(-1)
-        (Kard_obs.Event.Pkey_mprotect { base = fst (List.hd ranges); pages; pkey = Pkey.to_int pkey });
+        (Kard_obs.Event.Pkey_mprotect { base; pages; pkey = Pkey.to_int pkey });
       Kard_obs.Trace.incr t.trace "hw.pkey_mprotect";
       Kard_obs.Trace.observe t.trace "hw.pages_retagged" pages
   end;
-  (pages, pages * t.cost.Cost_model.vkey_retag_page)
+  pages * t.cost.Cost_model.vkey_retag_page
+
+let retag_batch t ranges pkey =
+  let pages =
+    List.fold_left (fun acc (base, len) -> acc + retag_range t ~base ~len pkey) 0 ranges
+  in
+  let base = match ranges with (base, _) :: _ -> base | [] -> 0 in
+  (pages, retag_commit t ~base ~pages pkey)
 
 let try_access t ~tid ~addr ~access ~ip ~time =
   let core = core_of t tid in

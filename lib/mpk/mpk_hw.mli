@@ -62,7 +62,19 @@ val retag_batch : t -> (Page.addr * int) list -> Pkey.t -> int * int
     per-object ranges of an evicted/loaded key into a single kernel
     crossing), at the cheaper {!Cost_model.t.vkey_retag_page} per page.
     Returns [(pages_retagged, cycles)]; an empty batch counts and
-    costs nothing. *)
+    costs nothing.  Equivalent to one {!retag_range} per range, in
+    list order, then {!retag_commit} with the first range's base. *)
+
+val retag_range : t -> base:Page.addr -> len:int -> Pkey.t -> int
+(** One range of a batch: tag its pages and return how many, with no
+    accounting — the batch's {!retag_commit} counts it.  Allocates
+    nothing. *)
+
+val retag_commit : t -> base:Page.addr -> pages:int -> Pkey.t -> int
+(** Close a batch of [pages] pages already written by {!retag_range}:
+    one counted call, the pages added to [pages_retagged], and one
+    [Pkey_mprotect] trace event carrying [base]; nothing when [pages]
+    is 0.  Returns the batch's cycles. *)
 
 val any_grant : t -> Pkey.t -> bool
 (** Does any registered thread's PKRU grant the key (read or write)?

@@ -44,15 +44,33 @@ let set_pkey t vpage pkey =
     t.pkeys.(vpage) <- Pkey.to_int pkey
   end
 
-let iter_range ~base ~len f =
+(* [set_pkey] over a range, with the per-page checks hoisted: a vkey
+   load retags every page of every object under two keys, so this is
+   a plain loop that allocates nothing.  The generation moves by one
+   per page, exactly as [count] single writes would move it. *)
+let set_pkey_range t ~base ~len pkey =
   let first = Page.vpage_of_addr base in
   let count = Page.pages_spanned base len in
-  for vpage = first to first + count - 1 do
-    f vpage
-  done;
+  let last = first + count - 1 in
+  if first < 0 then invalid_arg "Page_table.set_pkey: negative vpage";
+  t.generation <- t.generation + count;
+  if Pkey.equal pkey Pkey.k_def then
+    for vpage = first to Int.min last (Array.length t.pkeys - 1) do
+      if t.pkeys.(vpage) <> no_entry then begin
+        t.pkeys.(vpage) <- no_entry;
+        t.entries <- t.entries - 1
+      end
+    done
+  else begin
+    if last >= Array.length t.pkeys then grow t last;
+    let code = Pkey.to_int pkey in
+    let pkeys = t.pkeys in
+    for vpage = first to last do
+      if pkeys.(vpage) = no_entry then t.entries <- t.entries + 1;
+      pkeys.(vpage) <- code
+    done
+  end;
   count
-
-let set_pkey_range t ~base ~len pkey = iter_range ~base ~len (fun vp -> set_pkey t vp pkey)
 
 let pkey_of_vpage t vpage =
   if vpage < 0 || vpage >= Array.length t.pkeys then Pkey.k_def
@@ -63,15 +81,14 @@ let pkey_of_vpage t vpage =
 let pkey_of_addr t addr = pkey_of_vpage t (Page.vpage_of_addr addr)
 
 let clear_range t ~base ~len =
-  let (_ : int) =
-    iter_range ~base ~len (fun vp ->
-        t.generation <- t.generation + 1;
-        if vp >= 0 && vp < Array.length t.pkeys && t.pkeys.(vp) <> no_entry then begin
-          t.pkeys.(vp) <- no_entry;
-          t.entries <- t.entries - 1
-        end)
-  in
-  ()
+  let first = Page.vpage_of_addr base in
+  for vp = first to first + Page.pages_spanned base len - 1 do
+    t.generation <- t.generation + 1;
+    if vp >= 0 && vp < Array.length t.pkeys && t.pkeys.(vp) <> no_entry then begin
+      t.pkeys.(vp) <- no_entry;
+      t.entries <- t.entries - 1
+    end
+  done
 
 let generation t = t.generation
 let entry_count t = t.entries

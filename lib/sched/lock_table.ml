@@ -69,12 +69,16 @@ let note_owned t ~lock ~tid =
   t.held.(tid).(n) <- lock;
   t.held_n.(tid) <- n + 1
 
+(* Top level rather than local to [note_released]: without flambda a
+   local [let rec] capturing variables is a heap block per unlock. *)
+let rec find_held stk n lock i =
+  if i >= n then -1 else if stk.(i) = lock then i else find_held stk n lock (i + 1)
+
 let note_released t ~lock ~tid =
   if tid < Array.length t.held then begin
     let stk = t.held.(tid) in
     let n = t.held_n.(tid) in
-    let rec find i = if i >= n then -1 else if stk.(i) = lock then i else find (i + 1) in
-    let i = find 0 in
+    let i = find_held stk n lock 0 in
     if i >= 0 then begin
       for j = i to n - 2 do
         stk.(j) <- stk.(j + 1)

@@ -103,6 +103,81 @@ let test_meta_lookup () =
   check "gone after free" true (Meta_table.find_addr meta m.Obj_meta.base = None);
   check_int "live count zero" 0 (Meta_table.live_count meta)
 
+let obj ~id ~vpage ~pages =
+  let base = Page.base_of_vpage vpage in
+  { Obj_meta.id; base; size = pages * Page.size; reserved = pages * Page.size;
+    kind = Obj_meta.Heap 0; pages }
+
+let same found (m : Obj_meta.t) =
+  match found with Some (f : Obj_meta.t) -> f.Obj_meta.id = m.Obj_meta.id | None -> false
+
+(* The indexes are arrays over ids and vpages: they start at 4,096
+   slots and grow past them on registration. *)
+let test_meta_growth () =
+  let meta = Meta_table.create () in
+  let small = obj ~id:3 ~vpage:0x20 ~pages:1 in
+  let far = obj ~id:10_000 ~vpage:9_000 ~pages:3 in
+  Meta_table.register meta small;
+  Meta_table.register meta far;
+  check "id past 4096" true (same (Meta_table.find_id meta 10_000) far);
+  check "vpage past 4096" true (same (Meta_table.find_vpage meta 9_002) far);
+  check "first vpage past 4096" true
+    (same (Meta_table.find_addr meta (Page.base_of_vpage 9_000)) far);
+  check "earlier entries survive growth" true (same (Meta_table.find_id meta 3) small);
+  check "vpage after the object misses" true (Meta_table.find_vpage meta 9_003 = None);
+  check_int "live count" 2 (Meta_table.live_count meta);
+  Meta_table.unregister meta far;
+  check "id gone" true (Meta_table.find_id meta 10_000 = None);
+  check "pages gone" true (Meta_table.find_vpage meta 9_001 = None);
+  check_int "live count after unregister" 1 (Meta_table.live_count meta);
+  Meta_table.register meta small;
+  check_int "re-registering an id counts once" 1 (Meta_table.live_count meta)
+
+let test_meta_out_of_range () =
+  let meta = Meta_table.create () in
+  Meta_table.register meta (obj ~id:0 ~vpage:0x10 ~pages:1);
+  check "negative id" true (Meta_table.find_id meta (-1) = None);
+  check "negative vpage" true (Meta_table.find_vpage meta (-5) = None);
+  check "id past the array" true (Meta_table.find_id meta 1_000_000 = None);
+  check "vpage past the array" true (Meta_table.find_vpage meta 1_000_000 = None);
+  check "address past the array" true (Meta_table.find_addr meta max_int = None);
+  check "unregistered id inside the array" true (Meta_table.find_id meta 7 = None);
+  check "negative id rejected" true
+    (try
+       Meta_table.register meta (obj ~id:(-1) ~vpage:0x30 ~pages:1);
+       false
+     with Invalid_argument _ -> true);
+  (* Unregistering what was never registered changes nothing. *)
+  Meta_table.unregister meta (obj ~id:50_000 ~vpage:70_000 ~pages:2);
+  check_int "live count untouched" 1 (Meta_table.live_count meta)
+
+(* Native allocation packs several objects per page: a shared page
+   resolves to the latest registration, and unregistering an object
+   clears a page only while the page still resolves to it. *)
+let test_meta_shared_pages () =
+  let meta = Meta_table.create () in
+  let a = obj ~id:1 ~vpage:0x40 ~pages:2 in
+  let b = { (obj ~id:2 ~vpage:0x41 ~pages:1) with Obj_meta.base = Page.base_of_vpage 0x41 + 128 } in
+  Meta_table.register meta a;
+  Meta_table.register meta b;
+  check "a keeps its own page" true (same (Meta_table.find_vpage meta 0x40) a);
+  check "the shared page resolves to the latest" true (same (Meta_table.find_vpage meta 0x41) b);
+  check "find_addr confirms against the latest object" true
+    (same (Meta_table.find_addr meta (Page.base_of_vpage 0x41 + 200)) b);
+  check "an address of a on the shared page misses" true
+    (Meta_table.find_addr meta (Page.base_of_vpage 0x41) = None);
+  Meta_table.unregister meta a;
+  check "a's own page cleared" true (Meta_table.find_vpage meta 0x40 = None);
+  check "the shared page keeps b" true (same (Meta_table.find_vpage meta 0x41) b);
+  Meta_table.register meta a;
+  Meta_table.unregister meta b;
+  check "removing b keeps the page a re-registered" true
+    (same (Meta_table.find_vpage meta 0x41) a);
+  Meta_table.unregister meta a;
+  check "all pages clear" true
+    (Meta_table.find_vpage meta 0x40 = None && Meta_table.find_vpage meta 0x41 = None);
+  check_int "nothing live" 0 (Meta_table.live_count meta)
+
 let test_meta_site_and_kind () =
   let _, _, _, _, iface = make_upa () in
   let m, _ = iface.Alloc_iface.alloc ~site:42 16 in
@@ -210,7 +285,10 @@ let () =
           Alcotest.test_case "large allocations" `Quick test_large_allocation_page_aligned ] );
       ( "metadata",
         [ Alcotest.test_case "lookup" `Quick test_meta_lookup;
-          Alcotest.test_case "site and kind" `Quick test_meta_site_and_kind ] );
+          Alcotest.test_case "site and kind" `Quick test_meta_site_and_kind;
+          Alcotest.test_case "growth past 4096" `Quick test_meta_growth;
+          Alcotest.test_case "out-of-range lookups" `Quick test_meta_out_of_range;
+          Alcotest.test_case "shared pages" `Quick test_meta_shared_pages ] );
       ( "globals",
         [ Alcotest.test_case "unique pages" `Quick test_global_unique_pages;
           Alcotest.test_case "non-resident" `Quick test_global_non_resident ] );

@@ -36,6 +36,21 @@ let test_domain_key_index () =
   Domain_state.forget d ~obj_id:2;
   check_int "none after forget" 0 (List.length (Domain_state.objects_with_key d k1))
 
+(* In-place iteration visits the list form's objects in reverse: the
+   list is a consing fold over the same set. *)
+let test_domain_iter_in_place () =
+  let d = Domain_state.create () in
+  for obj_id = 0 to 99 do
+    Domain_state.set d ~obj_id (Domain_state.Read_write (1 + (obj_id mod 3)))
+  done;
+  Domain_state.set d ~obj_id:4 Domain_state.Read_only;
+  List.iter
+    (fun key ->
+      let visited = ref [] in
+      Domain_state.iter_objects_with_key d key (fun obj_id -> visited := obj_id :: !visited);
+      check (Printf.sprintf "key %d" key) true (!visited = Domain_state.objects_with_key d key))
+    [ 1; 2; 3; 9 ]
+
 let test_domain_counts () =
   let d = Domain_state.create () in
   Domain_state.set d ~obj_id:1 Domain_state.Read_only;
@@ -72,26 +87,112 @@ let test_somap_write_sticky () =
   check "read upgrades to write" true
     (Somap.need_of m ~section:10 ~obj_id:2 = Some Somap.Needs_write)
 
+let sections_touching m ~obj_id =
+  let acc = ref [] in
+  Somap.iter_sections_touching m ~obj_id (fun section -> acc := section :: !acc);
+  !acc
+
 let test_somap_reverse_index () =
   let m = Somap.create () in
   Somap.record m ~section:10 ~obj_id:1 Somap.Needs_read;
   Somap.record m ~section:20 ~obj_id:1 Somap.Needs_read;
   Somap.record m ~section:30 ~obj_id:1 Somap.Needs_write;
-  check_int "three touching" 3 (List.length (Somap.sections_touching m ~obj_id:1));
-  check_int "two reading" 2 (List.length (Somap.sections_reading m ~obj_id:1));
+  check_int "three touching" 3 (List.length (sections_touching m ~obj_id:1));
+  check_int "two reading" 2
+    (List.length
+       (List.filter
+          (fun section -> Somap.need_of m ~section ~obj_id:1 = Some Somap.Needs_read)
+          (sections_touching m ~obj_id:1)));
   Somap.forget_object m ~obj_id:1;
-  check_int "forgotten" 0 (List.length (Somap.sections_touching m ~obj_id:1));
+  check_int "forgotten" 0 (List.length (sections_touching m ~obj_id:1));
   check "removed from sections" true (Somap.need_of m ~section:10 ~obj_id:1 = None)
+
+(* The walk's memo: a [record] that changes nothing keeps it, anything
+   that changes the section's entries replaces it. *)
+let test_somap_memo_identity () =
+  let m = Somap.create () in
+  Somap.record m ~section:10 ~obj_id:1 Somap.Needs_read;
+  let m1 = Somap.memo m ~section:10 in
+  Somap.record m ~section:10 ~obj_id:1 Somap.Needs_read;
+  check "re-recording a read keeps the memo" true (Somap.memo m ~section:10 == m1);
+  Somap.record m ~section:20 ~obj_id:1 Somap.Needs_write;
+  check "another section's change keeps the memo" true (Somap.memo m ~section:10 == m1);
+  Somap.record m ~section:10 ~obj_id:1 Somap.Needs_write;
+  let m2 = Somap.memo m ~section:10 in
+  check "an upgrade replaces the memo" true (m2 != m1);
+  check "the upgraded need is in the memo" true
+    (m2.Somap.needs = [| Somap.Needs_write |] && m2.Somap.objs = [| 1 |]);
+  Somap.record m ~section:10 ~obj_id:1 Somap.Needs_read;
+  Somap.record m ~section:10 ~obj_id:1 Somap.Needs_write;
+  check "a sticky write keeps the memo" true (Somap.memo m ~section:10 == m2);
+  Somap.record m ~section:10 ~obj_id:2 Somap.Needs_read;
+  check "a new object replaces the memo" true (Somap.memo m ~section:10 != m2);
+  check_int "unknown section has an empty memo" 0
+    (Array.length (Somap.memo m ~section:99).Somap.objs)
+
+type somap_op =
+  | Record of int * int * Somap.need
+  | Forget of int
+  | Read_memos
+
+let somap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ ( 6,
+          map3
+            (fun section obj_id w ->
+              Record (section, obj_id, if w then Somap.Needs_write else Somap.Needs_read))
+            (int_range 0 4) (int_range 0 80) bool );
+        (1, map (fun obj_id -> Forget obj_id) (int_range 0 80));
+        (2, return Read_memos) ])
+
+let memo_matches m section =
+  let memo = Somap.memo m ~section in
+  let listed = Somap.objects_of m ~section in
+  Array.length memo.Somap.objs = List.length listed
+  && Array.length memo.Somap.needs = List.length listed
+  && List.for_all2
+       (fun (obj_id, need) i -> memo.Somap.objs.(i) = obj_id && memo.Somap.needs.(i) = need)
+       listed
+       (List.init (List.length listed) Fun.id)
+
+(* After any sequence of records and forgets, read at any points in
+   between (so memos are cached, then go stale), every section's memo
+   is [objects_of] element by element: same objects, same needs, same
+   order.  Up to 81 objects per section, so the buckets resize. *)
+let somap_memo_prop =
+  QCheck.Test.make ~name:"memo equals objects_of element by element" ~count:300
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 400) somap_op_gen))
+    (fun ops ->
+      let m = Somap.create () in
+      let all_match () = List.for_all (memo_matches m) [ 0; 1; 2; 3; 4; 7 ] in
+      List.for_all
+        (function
+          | Record (section, obj_id, need) ->
+            Somap.record m ~section ~obj_id need;
+            true
+          | Forget obj_id ->
+            Somap.forget_object m ~obj_id;
+            true
+          | Read_memos -> all_match ())
+        ops
+      && all_match ())
 
 (* {1 Key_section_map} *)
 
 let holder ?(perm = Perm.Read_write) ?(section = 10) ?(lock = 1) ?(proactive = false) tid =
   { Ksmap.tid; perm; section; lock; proactive }
 
+let acquire ?(force = false) m k (h : Ksmap.holder) =
+  (if force then Ksmap.force_acquire else Ksmap.acquire)
+    m k ~tid:h.Ksmap.tid h.Ksmap.perm ~section:h.Ksmap.section ~lock:h.Ksmap.lock
+    ~proactive:h.Ksmap.proactive
+
 let test_ksmap_exclusive_write () =
   let m = Ksmap.create () in
   let k = 1 in
-  Ksmap.acquire m k (holder 0);
+  acquire m k (holder 0);
   check "second rw denied" false (Ksmap.can_acquire m k ~tid:1 Perm.Read_write);
   check "ro denied under rw" false (Ksmap.can_acquire m k ~tid:1 Perm.Read_only);
   check "holder may re-acquire" true (Ksmap.can_acquire m k ~tid:0 Perm.Read_write);
@@ -103,9 +204,9 @@ let test_ksmap_exclusive_write () =
 let test_ksmap_shared_read () =
   let m = Ksmap.create () in
   let k = 2 in
-  Ksmap.acquire m k (holder ~perm:Perm.Read_only 0);
+  acquire m k (holder ~perm:Perm.Read_only 0);
   check "second reader allowed" true (Ksmap.can_acquire m k ~tid:1 Perm.Read_only);
-  Ksmap.acquire m k (holder ~perm:Perm.Read_only ~section:20 1);
+  acquire m k (holder ~perm:Perm.Read_only ~section:20 1);
   check_int "two holders" 2 (List.length (Ksmap.holders m k));
   check "writer denied under readers" false (Ksmap.can_acquire m k ~tid:2 Perm.Read_write);
   check "no write holder" true (Ksmap.write_holder m k = None)
@@ -113,7 +214,7 @@ let test_ksmap_shared_read () =
 let test_ksmap_release_and_timestamp () =
   let m = Ksmap.create () in
   let k = 3 in
-  Ksmap.acquire m k (holder 0);
+  acquire m k (holder 0);
   Ksmap.release m k ~tid:0 ~time:1000;
   check "released" true (Ksmap.holders m k = []);
   (match Ksmap.last_release m k with
@@ -125,8 +226,8 @@ let test_ksmap_release_and_timestamp () =
 let test_ksmap_upgrade () =
   let m = Ksmap.create () in
   let k = 4 in
-  Ksmap.acquire m k (holder ~perm:Perm.Read_only 0);
-  Ksmap.acquire m k (holder ~perm:Perm.Read_write 0);
+  acquire m k (holder ~perm:Perm.Read_only 0);
+  acquire m k (holder ~perm:Perm.Read_write 0);
   (match Ksmap.write_holder m k with
   | Some h -> check_int "upgraded in place" 0 h.Ksmap.tid
   | None -> Alcotest.fail "expected upgrade");
@@ -135,19 +236,19 @@ let test_ksmap_upgrade () =
 let test_ksmap_force_acquire () =
   let m = Ksmap.create () in
   let k = 5 in
-  Ksmap.acquire m k (holder 0);
+  acquire m k (holder 0);
   check "normal acquire raises" true
     (try
-       Ksmap.acquire m k (holder 1);
+       acquire m k (holder 1);
        false
      with Invalid_argument _ -> true);
-  Ksmap.force_acquire m k (holder ~section:20 1);
+  acquire ~force:true m k (holder ~section:20 1);
   check_int "shared holding" 2 (List.length (Ksmap.holders m k))
 
 let test_ksmap_sections () =
   let m = Ksmap.create () in
-  Ksmap.acquire m 1 (holder ~section:10 0);
-  Ksmap.acquire m 2 (holder ~section:20 1);
+  acquire m 1 (holder ~section:10 0);
+  acquire m 2 (holder ~section:20 1);
   check "section 10 active" true (Ksmap.is_section_active m ~section:10);
   check_int "two active" 2 (List.length (Ksmap.active_sections m));
   Ksmap.release m 1 ~tid:0 ~time:0;
@@ -161,7 +262,7 @@ let assign_env () =
 
 let test_assign_reuse_rule () =
   let ka, ksmap, domains, somap = assign_env () in
-  Ksmap.acquire ksmap 5 (holder 0);
+  acquire ksmap 5 (holder 0);
   (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 with
   | Key_assign.Reuse k -> check_int "reuses held key" 5 k
   | _ -> Alcotest.fail "expected Reuse")
@@ -197,7 +298,7 @@ let test_assign_share_rule () =
   List.iteri
     (fun i key ->
       Domain_state.set domains ~obj_id:i (Domain_state.Read_write key);
-      Ksmap.acquire ksmap key (holder ~section:(20 + i) i))
+      acquire ksmap key (holder ~section:(20 + i) i))
     (Key_assign.available_keys ka);
   Somap.record somap ~section:20 ~obj_id:0 Somap.Needs_write;
   Somap.record somap ~section:21 ~obj_id:1 Somap.Needs_write;
@@ -293,7 +394,7 @@ let saturate ?(skip = fun _ -> false) ka ksmap domains somap =
     (fun i key ->
       Domain_state.set domains ~obj_id:(100 + i) (Domain_state.Read_write key);
       Somap.record somap ~section:(20 + i) ~obj_id:(100 + i) Somap.Needs_write;
-      if not (skip i) then Ksmap.acquire ksmap key (holder ~section:(20 + i) ~lock:i i))
+      if not (skip i) then acquire ksmap key (holder ~section:(20 + i) ~lock:i i))
     (Key_assign.available_keys ka)
 
 let test_assign_saturation_share () =
@@ -388,7 +489,7 @@ let assign_decision_prop =
             incr next_obj
           done;
           match held_by with
-          | Some tid -> Ksmap.acquire ksmap key (holder ~section:(20 + tid) ~lock:tid tid)
+          | Some tid -> acquire ksmap key (holder ~section:(20 + tid) ~lock:tid tid)
           | None -> ())
         key_states;
       let faulter = 9 (* holds nothing *) in
@@ -420,11 +521,14 @@ let () =
     [ ( "domains",
         [ Alcotest.test_case "default and migration" `Quick test_domain_default_and_migration;
           Alcotest.test_case "key index" `Quick test_domain_key_index;
+          Alcotest.test_case "in-place key iteration" `Quick test_domain_iter_in_place;
           Alcotest.test_case "counts" `Quick test_domain_counts ] );
       ( "section_object_map",
         [ Alcotest.test_case "record/lookup" `Quick test_somap_record_lookup;
           Alcotest.test_case "write sticky" `Quick test_somap_write_sticky;
-          Alcotest.test_case "reverse index" `Quick test_somap_reverse_index ] );
+          Alcotest.test_case "reverse index" `Quick test_somap_reverse_index;
+          Alcotest.test_case "memo identity" `Quick test_somap_memo_identity;
+          QCheck_alcotest.to_alcotest somap_memo_prop ] );
       ( "key_section_map",
         [ Alcotest.test_case "exclusive write" `Quick test_ksmap_exclusive_write;
           Alcotest.test_case "shared read" `Quick test_ksmap_shared_read;

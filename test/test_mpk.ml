@@ -132,6 +132,34 @@ let test_page_table () =
   check "cleared back to default" true (Pkey.equal (Page_table.pkey_of_addr pt 0x5000) Pkey.k_def);
   check_int "no entries left" 0 (Page_table.entry_count pt)
 
+(* A range write is [set_pkey] on each page: same tags, same entry
+   count, same generation, whatever the keys already there and
+   however far past the table's current size the range reaches. *)
+let page_table_range_prop =
+  QCheck.Test.make ~name:"set_pkey_range = set_pkey per page" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 20)
+        (triple (int_bound 9000) (int_bound (6 * Page.size)) (int_bound 15)))
+    (fun writes ->
+      let ranged = Page_table.create () and single = Page_table.create () in
+      List.for_all
+        (fun (vpage, len, key) ->
+          let base = Page.base_of_vpage vpage + (len mod 97) in
+          let pkey = Pkey.of_int key in
+          let pages = Page_table.set_pkey_range ranged ~base ~len pkey in
+          let first = Page.vpage_of_addr base in
+          for vp = first to first + Page.pages_spanned base len - 1 do
+            Page_table.set_pkey single vp pkey
+          done;
+          pages = Page.pages_spanned base len
+          && Page_table.generation ranged = Page_table.generation single
+          && Page_table.entry_count ranged = Page_table.entry_count single)
+        writes
+      && List.for_all
+           (fun vp ->
+             Pkey.equal (Page_table.pkey_of_vpage ranged vp) (Page_table.pkey_of_vpage single vp))
+           (List.init 9100 Fun.id))
+
 (* {1 Tlb} *)
 
 let test_tlb_hit_miss () =
@@ -356,7 +384,9 @@ let () =
       ( "page",
         [ Alcotest.test_case "geometry" `Quick test_page_geometry;
           Alcotest.test_case "pages spanned" `Quick test_pages_spanned ] );
-      ("page_table", [ Alcotest.test_case "tag and clear" `Quick test_page_table ]);
+      ( "page_table",
+        [ Alcotest.test_case "tag and clear" `Quick test_page_table;
+          QCheck_alcotest.to_alcotest page_table_range_prop ] );
       ( "tlb",
         [ Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "eviction" `Quick test_tlb_eviction;
