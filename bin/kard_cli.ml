@@ -7,12 +7,10 @@
      trace <workload>          run with tracing; export a Chrome/Perfetto trace
      record <target>           run with the nondeterminism recorder on; write a replay log
      replay <file>             re-execute a recorded log, verifying fidelity against the tape
-     bench                     tracked benchmarks: throughput (Defaults.throughput_out),
-                               --only keys, the key-pressure precision sweep (Defaults.keys_out),
-                               --only sampling, the sampling sweep (Defaults.sampling_out),
-                               or --only record, recording overhead (Defaults.record_out)
+     bench --only keys         the key-pressure precision sweep (writes Defaults.keys_out)
+     bench --only sampling     the sampling sweep (writes Defaults.sampling_out)
      serve-sweep               open-loop serving latency/goodput sweep (writes Defaults.serve_out)
-     repro <experiment>        regenerate a paper table/figure
+     repro <experiment>        regenerate a paper table/figure (or all of them)
      fuzz                      differential fuzzing campaign over random programs
 *)
 
@@ -48,8 +46,44 @@ let detector_arg =
        & info [ "d"; "detector" ] ~docv:"DETECTOR"
            ~doc:"Detector: baseline, alloc, kard, tsan or lockset.")
 
+(* Names and numbers are checked while the command line is parsed, so
+   a bad value is a usage error (exit 124, one-line message) rather
+   than a run that ignores it or a crash inside a worker.  [of_string]
+   says what it expected, as the Defaults parsers do. *)
+let number_conv of_string print =
+  let parse s =
+    Result.map_error (fun expected -> `Msg (Printf.sprintf "invalid value %S, %s" s expected))
+      (of_string s)
+  in
+  Arg.conv (parse, print)
+
+let name_conv ~kind ~hint find print =
+  let parse s =
+    match find s with
+    | v -> Ok v
+    | exception Not_found -> Error (`Msg (Printf.sprintf "unknown %s %S; see %s" kind s hint))
+  in
+  Arg.conv (parse, print)
+
+let positive_int = number_conv Defaults.positive_int_of_string Format.pp_print_int
+
+let workload_conv =
+  name_conv ~kind:"workload" ~hint:"`kard list`" Registry.find (fun fmt spec ->
+      Format.pp_print_string fmt spec.Spec.name)
+
+let scenario_conv =
+  name_conv ~kind:"scenario" ~hint:"`kard list`" Race_suite.find (fun fmt s ->
+      Format.pp_print_string fmt s.Race_suite.name)
+
+let workload_arg =
+  Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
+
+let scenario_arg =
+  Arg.(required & pos 0 (some scenario_conv) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
+
+(* The flags parse exactly as their environment overrides do. *)
 let vkeys_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (number_conv Defaults.vkeys_of_string Format.pp_print_int)) None
        & info [ "vkeys" ] ~docv:"N"
            ~doc:
              "Virtual-key pool size for the kard detector (default: $(b,\\$KARD_VKEYS) or 0).  \
@@ -65,7 +99,7 @@ let with_vkeys vkeys detector =
   | _, d -> d
 
 let sampling_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some (number_conv Defaults.sampling_of_string Format.pp_print_float)) None
        & info [ "sampling" ] ~docv:"RATE"
            ~doc:
              "Sampling rate in (0,1] for the kard detector (default: $(b,\\$KARD_SAMPLING) or \
@@ -81,7 +115,8 @@ let with_sampling sampling detector =
   | _, d -> d
 
 let threads_arg =
-  Arg.(value & opt (some int) None & info [ "t"; "threads" ] ~docv:"N" ~doc:"Thread count.")
+  Arg.(value & opt (some positive_int) None
+       & info [ "t"; "threads" ] ~docv:"N" ~doc:"Thread count.")
 
 let scale_arg =
   Arg.(value & opt float Defaults.scale
@@ -91,7 +126,7 @@ let seed_arg =
   Arg.(value & opt int Defaults.seed & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler seed.")
 
 let jobs_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some positive_int) None
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:
              "Worker domains for independent runs (default: $(b,\\$KARD_JOBS) or the host core \
@@ -191,78 +226,59 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit a machine-readable JSON report.")
 
 let run_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
-  in
   let seeds_arg =
     Arg.(value & opt (some (list int)) None
          & info [ "seeds" ] ~docv:"S,S,..."
              ~doc:"Run one job per seed (reported in seed-list order) instead of --seed alone.")
   in
-  let action name detector vkeys sampling threads scale seed seeds jobs json =
-    match Registry.find name with
-    | spec ->
-      let detector = with_sampling sampling (with_vkeys vkeys detector) in
-      let seeds = Option.value ~default:[ seed ] seeds in
-      let results =
-        Pool.run_jobs ?jobs
-          (List.map (fun seed -> Job.spec ?threads ~scale ~seed detector spec) seeds)
-      in
-      if json then
-        List.iter
-          (fun result ->
-            print_endline
-              (Kard_harness.Json_report.pretty (Kard_harness.Json_report.of_result result)))
-          results
-      else
-        List.iteri
-          (fun i result ->
-            if i > 0 then print_newline ();
-            print_result result)
-          results
-    | exception Not_found -> Printf.eprintf "unknown workload %S; try `kard list`\n" name
+  let action spec detector vkeys sampling threads scale seed seeds jobs json =
+    let detector = with_sampling sampling (with_vkeys vkeys detector) in
+    let seeds = Option.value ~default:[ seed ] seeds in
+    let results =
+      Pool.run_jobs ?jobs
+        (List.map (fun seed -> Job.spec ?threads ~scale ~seed detector spec) seeds)
+    in
+    if json then
+      List.iter
+        (fun result ->
+          print_endline
+            (Kard_harness.Json_report.pretty (Kard_harness.Json_report.of_result result)))
+        results
+    else
+      List.iteri
+        (fun i result ->
+          if i > 0 then print_newline ();
+          print_result result)
+        results
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one workload under one detector")
-    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
+    Term.(const action $ workload_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
           $ scale_arg $ seed_arg $ seeds_arg $ jobs_arg $ json_arg)
 
 let scenario_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
-  in
-  let action name detector vkeys sampling seed =
-    match Race_suite.find name with
-    | scenario ->
-      (* A scenario normally runs under its own configuration; --vkeys
-         and --sampling override just those knobs on top of it. *)
-      let override_config =
-        match (vkeys, sampling) with
-        | None, None -> None
-        | _ ->
-          let c = scenario.Race_suite.config in
-          let c =
-            match vkeys with Some n -> { c with Kard_core.Config.vkeys = n } | None -> c
-          in
-          let c =
-            match sampling with
-            | Some r -> { c with Kard_core.Config.sampling = r }
-            | None -> c
-          in
-          Some c
-      in
-      print_result (Runner.run_scenario ~seed ?override_config ~detector scenario)
-    | exception Not_found -> Printf.eprintf "unknown scenario %S; try `kard list`\n" name
+  let action scenario detector vkeys sampling seed =
+    (* A scenario normally runs under its own configuration; --vkeys
+       and --sampling override just those knobs on top of it. *)
+    let override_config =
+      match (vkeys, sampling) with
+      | None, None -> None
+      | _ ->
+        let c = scenario.Race_suite.config in
+        let c = match vkeys with Some n -> { c with Kard_core.Config.vkeys = n } | None -> c in
+        let c =
+          match sampling with Some r -> { c with Kard_core.Config.sampling = r } | None -> c
+        in
+        Some c
+    in
+    print_result (Runner.run_scenario ~seed ?override_config ~detector scenario)
   in
   Cmd.v (Cmd.info "scenario" ~doc:"Run one controlled race scenario")
-    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ seed_arg)
+    Term.(const action $ scenario_arg $ detector_arg $ vkeys_arg $ sampling_arg $ seed_arg)
 
 (* trace: run a workload with the observability sink on and export a
    Perfetto-loadable Chrome trace plus the metrics registry. *)
 
 let trace_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
-  in
   let out_arg =
     Arg.(value & opt string "trace.json"
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Chrome trace output path.")
@@ -273,99 +289,89 @@ let trace_cmd =
              ~doc:"Also record every read/write/compute step (fills the ring fast).")
   in
   let capacity_arg =
-    Arg.(value & opt int 65536
+    Arg.(value & opt positive_int 65536
          & info [ "capacity" ] ~docv:"N"
              ~doc:"Event ring capacity; oldest events are dropped beyond it.")
   in
-  let action name detector vkeys sampling threads scale seed out steps capacity =
+  let action spec detector vkeys sampling threads scale seed out steps capacity =
     let detector = with_sampling sampling (with_vkeys vkeys detector) in
-    if capacity <= 0 then Printf.eprintf "trace: --capacity must be positive (got %d)\n" capacity
-    else
-    match Registry.find name with
-    | exception Not_found -> Printf.eprintf "unknown workload %S; try `kard list`\n" name
-    | spec ->
-      let tr = Kard_obs.Trace.create ~capacity ~steps () in
-      let result = Runner.run ~trace:tr ?threads ~scale ~seed ~detector spec in
-      let oc = open_out out in
-      output_string oc (Kard_obs.Chrome_trace.to_json ~t:tr);
-      close_out oc;
-      let r = result.Runner.report in
-      Printf.printf "workload:  %s under %s (threads=%d scale=%g seed=%d)\n" result.Runner.spec_name
-        result.Runner.detector_name result.Runner.threads result.Runner.scale result.Runner.seed;
-      Printf.printf "cycles:    %s   faults: %d   dTLB miss rate: %.5f\n"
-        (Kard_harness.Text_table.fmt_int r.Machine.cycles)
-        r.Machine.faults r.Machine.dtlb_miss_rate;
-      Printf.printf "trace:     %s (load in ui.perfetto.dev or about:tracing)\n\n" out;
-      Kard_harness.Obs_report.print_trace_summary tr;
-      print_newline ();
-      Kard_harness.Obs_report.print_metrics (Kard_obs.Trace.metrics tr)
+    let tr = Kard_obs.Trace.create ~capacity ~steps () in
+    let result = Runner.run ~trace:tr ?threads ~scale ~seed ~detector spec in
+    let oc = open_out out in
+    output_string oc (Kard_obs.Chrome_trace.to_json ~t:tr);
+    close_out oc;
+    let r = result.Runner.report in
+    Printf.printf "workload:  %s under %s (threads=%d scale=%g seed=%d)\n" result.Runner.spec_name
+      result.Runner.detector_name result.Runner.threads result.Runner.scale result.Runner.seed;
+    Printf.printf "cycles:    %s   faults: %d   dTLB miss rate: %.5f\n"
+      (Kard_harness.Text_table.fmt_int r.Machine.cycles)
+      r.Machine.faults r.Machine.dtlb_miss_rate;
+    Printf.printf "trace:     %s (load in ui.perfetto.dev or about:tracing)\n\n" out;
+    Kard_harness.Obs_report.print_trace_summary tr;
+    print_newline ();
+    Kard_harness.Obs_report.print_metrics (Kard_obs.Trace.metrics tr)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run a workload with event tracing on; write a Perfetto-loadable Chrome trace")
-    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
+    Term.(const action $ workload_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
           $ scale_arg $ seed_arg $ out_arg $ steps_arg $ capacity_arg)
 
 (* hunt: sweep seeds until a schedule manifests a race, then replay
    that exact interleaving to confirm — the race-debugging loop. *)
 
 let hunt_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
-  in
   let tries_arg =
-    Arg.(value & opt int 50 & info [ "tries" ] ~docv:"N" ~doc:"Seeds to sweep (default 50).")
+    Arg.(value & opt positive_int 50
+         & info [ "tries" ] ~docv:"N" ~doc:"Seeds to sweep (default 50).")
   in
-  let action name tries jobs =
-    match Race_suite.find name with
-    | exception Not_found -> Printf.eprintf "unknown scenario %S; try `kard list`\n" name
-    | scenario ->
-      let detector = Runner.Kard scenario.Race_suite.config in
-      (* Sweep one pool-width batch of seeds at a time, scanning each
-         batch in seed order: the reported hit is always the smallest
-         racing seed, exactly as the old serial loop found it. *)
-      let width = Pool.resolve_jobs jobs in
-      let rec sweep = function
-        | [] -> None
-        | batch :: rest ->
-          let results =
-            Pool.run_jobs ?jobs
-              (List.map (fun seed -> Job.scenario ~seed detector scenario) batch)
-          in
-          let hit =
-            List.find_opt
-              (fun (_, r) -> r.Runner.kard_ilu_races <> [])
-              (List.combine batch results)
-          in
-          (match hit with Some _ -> hit | None -> sweep rest)
-      in
-      (match sweep (Pool.chunks width (List.init tries (fun i -> i + 1))) with
-      | None -> Printf.printf "no race manifested in %d schedules\n" tries
-      | Some (seed, found) ->
-        Printf.printf "race manifested at seed %d (%d/%d schedules swept):\n" seed seed tries;
-        List.iter
-          (fun race -> Format.printf "  %a@." Kard_core.Race_record.pp race)
-          found.Runner.kard_ilu_races;
-        (* Replay the recorded interleaving: must reproduce exactly. *)
-        let tape = found.Runner.report.Machine.schedule_trace in
-        let cell = ref None in
-        let machine =
-          Machine.create ~schedule:(Kard_sched.Schedule.Replay tape)
-            ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
-            ~make_detector:(Kard_core.Detector.make ~config:scenario.Race_suite.config ~cell)
-            ()
+  let action scenario tries jobs =
+    let detector = Runner.Kard scenario.Race_suite.config in
+    (* Sweep one pool-width batch of seeds at a time, scanning each
+       batch in seed order: the reported hit is always the smallest
+       racing seed, exactly as the old serial loop found it. *)
+    let width = Pool.resolve_jobs jobs in
+    let rec sweep = function
+      | [] -> None
+      | batch :: rest ->
+        let results =
+          Pool.run_jobs ?jobs
+            (List.map (fun seed -> Job.scenario ~seed detector scenario) batch)
         in
-        scenario.Race_suite.build machine;
-        let (_ : Machine.report) = Machine.run machine in
-        let replayed = Kard_core.Detector.ilu_races (Option.get !cell) in
-        Printf.printf "replayed the %d-step schedule: %d race(s) reproduced %s\n"
-          (Array.length tape) (List.length replayed)
-          (if List.length replayed = List.length found.Runner.kard_ilu_races then "(exact)"
-           else "(differs!)"))
+        let hit =
+          List.find_opt
+            (fun (_, r) -> r.Runner.kard_ilu_races <> [])
+            (List.combine batch results)
+        in
+        (match hit with Some _ -> hit | None -> sweep rest)
+    in
+    match sweep (Pool.chunks width (List.init tries (fun i -> i + 1))) with
+    | None -> Printf.printf "no race manifested in %d schedules\n" tries
+    | Some (seed, found) ->
+      Printf.printf "race manifested at seed %d (%d/%d schedules swept):\n" seed seed tries;
+      List.iter
+        (fun race -> Format.printf "  %a@." Kard_core.Race_record.pp race)
+        found.Runner.kard_ilu_races;
+      (* Replay the recorded interleaving: must reproduce exactly. *)
+      let tape = found.Runner.report.Machine.schedule_trace in
+      let cell = ref None in
+      let machine =
+        Machine.create ~schedule:(Kard_sched.Schedule.Replay tape)
+          ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+          ~make_detector:(Kard_core.Detector.make ~config:scenario.Race_suite.config ~cell)
+          ()
+      in
+      scenario.Race_suite.build machine;
+      let (_ : Machine.report) = Machine.run machine in
+      let replayed = Kard_core.Detector.ilu_races (Option.get !cell) in
+      Printf.printf "replayed the %d-step schedule: %d race(s) reproduced %s\n"
+        (Array.length tape) (List.length replayed)
+        (if List.length replayed = List.length found.Runner.kard_ilu_races then "(exact)"
+         else "(differs!)")
   in
   Cmd.v
     (Cmd.info "hunt" ~doc:"Sweep schedules for a race, then replay the found interleaving")
-    Term.(const action $ name_arg $ tries_arg $ jobs_arg)
+    Term.(const action $ scenario_arg $ tries_arg $ jobs_arg)
 
 (* record / replay: the nondeterminism-log layer (DESIGN.md §13).
    With --json both commands print only the run's result JSON on
@@ -523,118 +529,64 @@ let replay_cmd =
           divergence)")
     Term.(const action $ file_arg $ detector_opt_arg $ vkeys_arg $ sampling_arg $ json_arg)
 
-(* bench: the tracked simulator-throughput benchmark (BENCH_pr4.json). *)
+(* bench: the tracked simulated sweeps (BENCH_pr8.json, BENCH_pr9.json). *)
+
+let write_json out json =
+  let oc = open_out out in
+  output_string oc (Kard_harness.Json_report.pretty json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n" out
 
 let bench_cmd =
-  let only_conv =
-    let parse = function
-      | "throughput" -> Ok `Throughput
-      | "keys" -> Ok `Keys
-      | "sampling" -> Ok `Sampling
-      | "record" -> Ok `Record
-      | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown benchmark %S (throughput, keys, sampling or record)" s))
-    in
-    let print fmt o =
-      Format.pp_print_string fmt
-        (match o with
-        | `Throughput -> "throughput"
-        | `Keys -> "keys"
-        | `Sampling -> "sampling"
-        | `Record -> "record")
-    in
-    Arg.conv (parse, print)
-  in
   (* The tracked filenames render from Defaults so the help text can
      never go stale against where `kard bench` actually writes. *)
   let only_arg =
-    Arg.(value & opt only_conv `Throughput
+    Arg.(required
+         & opt (some (enum [ ("keys", `Keys); ("sampling", `Sampling) ])) None
          & info [ "only" ] ~docv:"BENCH"
              ~doc:
                (Printf.sprintf
-                  "Which tracked benchmark to run: $(b,throughput) (simulator ops/sec, %s), \
-                   $(b,keys) (the key-pressure precision sweep, %s), $(b,sampling) (detection \
-                   probability/latency vs rate plus the sampled-kard serve sweep, %s) or \
-                   $(b,record) (record/replay overhead and log bytes per step, %s)."
-                  Defaults.throughput_out Defaults.keys_out Defaults.sampling_out
-                  Defaults.record_out))
+                  "Which tracked sweep to run: $(b,keys) (the key-pressure precision sweep, %s) \
+                   or $(b,sampling) (detection probability/latency vs rate plus the \
+                   sampled-kard serve sweep, %s)."
+                  Defaults.keys_out Defaults.sampling_out))
   in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "out"; "output" ] ~docv:"FILE"
-             ~doc:"JSON output path (default: the benchmark's tracked file).")
-  in
-  let threads_arg =
-    Arg.(value & opt (list int) [ 1; 2; 4; 8; 16; 32; 64 ]
-         & info [ "threads" ] ~docv:"N,N,..." ~doc:"Thread counts to sweep (throughput only).")
+             ~doc:"JSON output path (default: the sweep's tracked file).")
   in
   let scale_opt_arg =
     Arg.(value & opt (some float) None
          & info [ "scale" ] ~docv:"F"
              ~doc:
-               "Workload scale factor (0,1] (default: the global default for throughput, 1.0 \
-                for keys — the precision claim is about object count).")
+               "Workload scale factor (0,1] (default: 1.0 for keys — the precision claim is \
+                about object count; 0.1 for sampling's key-pressure subject, whose race \
+                scenarios always run at full scale).")
   in
-  let action only scale seed threads_list vkeys jobs out =
+  let action only scale seed vkeys jobs out =
     match only with
-    | `Throughput ->
-      let scale = Option.value ~default:Defaults.scale scale in
-      let out = Option.value ~default:Defaults.throughput_out out in
-      let rows = Experiments.throughput ~threads_list ~scale ~seed () in
-      Experiments.print_throughput rows;
-      let json =
-        Kard_harness.Json_report.of_throughput ~build:"dev" ~workload:"memcached" ~scale ~seed
-          rows
-      in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
     | `Keys ->
-      let scale = Option.value ~default:1.0 scale in
-      let out = Option.value ~default:Defaults.keys_out out in
-      let b = Experiments.keys ?jobs ?pool:vkeys ~scale ~seed () in
+      let b = Experiments.keys ?jobs ?pool:vkeys ?scale ~seed () in
       Experiments.print_keys_bench b;
-      let json = Kard_harness.Json_report.of_keys_bench ~build:"dev" b in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
+      write_json
+        (Option.value ~default:Defaults.keys_out out)
+        (Kard_harness.Json_report.of_keys_bench b)
     | `Sampling ->
-      let out = Option.value ~default:Defaults.sampling_out out in
       let b = Experiments.sampling ?jobs ?scale () in
       Experiments.print_sampling b;
-      let json =
-        Kard_harness.Json_report.of_sampling_bench ~build:"dev"
-          ~threads:Defaults.table_threads ~scale:Defaults.serve_scale ~seed:Defaults.seed b
-      in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    | `Record ->
-      let out = Option.value ~default:Defaults.record_out out in
-      let b = Experiments.record_bench ?scale ~seed () in
-      Experiments.print_record b;
-      let json = Kard_harness.Json_report.of_record_bench ~build:"dev" b in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
+      write_json
+        (Option.value ~default:Defaults.sampling_out out)
+        (Kard_harness.Json_report.of_sampling_bench ~threads:Defaults.table_threads
+           ~scale:Defaults.serve_scale ~seed:Defaults.seed b)
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run a tracked benchmark: simulator throughput (default), the key-pressure precision \
-          sweep (--only keys), the sampling sweep (--only sampling) or record/replay overhead \
-          (--only record)")
-    Term.(const action $ only_arg $ scale_opt_arg $ seed_arg $ threads_arg $ vkeys_arg $ jobs_arg
-          $ out_arg)
+         "Run a tracked simulated sweep: the key-pressure precision sweep (--only keys) or the \
+          sampling sweep (--only sampling)")
+    Term.(const action $ only_arg $ scale_opt_arg $ seed_arg $ vkeys_arg $ jobs_arg $ out_arg)
 
 (* serve-sweep: the open-loop production-serving benchmark
    (BENCH_pr6.json).  Sweeps offered load over detectors and reports
@@ -687,7 +639,7 @@ let serve_sweep_cmd =
          & info [ "o"; "out"; "output" ] ~docv:"FILE" ~doc:"JSON output path.")
   in
   let threads_opt_arg =
-    Arg.(value & opt int Defaults.table_threads
+    Arg.(value & opt positive_int Defaults.table_threads
          & info [ "t"; "threads" ] ~docv:"N" ~doc:"Worker thread count of the simulated server.")
   in
   let action server model rates slo threads scale seed jobs sampling out =
@@ -703,12 +655,7 @@ let serve_sweep_cmd =
       Experiments.serve ?jobs ~server ~model ~detectors ~rates ~threads ~scale ~seed ~slo ()
     in
     Experiments.print_serve sweep;
-    let json = Kard_harness.Json_report.of_serve_sweep ~threads ~scale ~seed sweep in
-    let oc = open_out out in
-    output_string oc (Kard_harness.Json_report.pretty json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" out
+    write_json out (Kard_harness.Json_report.of_serve_sweep ~threads ~scale ~seed sweep)
   in
   Cmd.v
     (Cmd.info "serve-sweep"
@@ -760,47 +707,67 @@ let fuzz_cmd =
     Term.(const action $ count_arg $ seed_arg $ corpus_arg $ jobs_arg $ sampling_arg
           $ replay_arg)
 
-(* repro *)
+(* repro: every experiment of the paper's evaluation, in `repro all`
+   order.  An experiment answers to its id and to its aliases, the
+   paper's other numbers for the same table or figure. *)
 
-let repro_one ?jobs ~scale = function
-  | "table1" | "figure1" | "table4" | "figure4" | "scenarios" ->
-    Experiments.print_scenarios (Experiments.scenarios ?jobs ())
-  | "table3" -> Experiments.print_table3 (Experiments.table3 ?jobs ~scale ())
-  | "table5" ->
-    print_endline "full key budget (13 data keys):";
-    Experiments.print_table5 (Experiments.table5 ?jobs ~scale ());
-    print_endline "\npressure-scaled key budget (4 data keys; see EXPERIMENTS.md):";
-    Experiments.print_table5 (Experiments.table5 ?jobs ~data_keys:4 ~scale ())
-  | "table6" -> Experiments.print_table6 (Experiments.table6 ?jobs ~scale ())
-  | "figure2" -> Experiments.print_figure2 (Experiments.figure2 ())
-  | "figure5" -> Experiments.print_figure5 (Experiments.figure5 ?jobs ~scale ())
-  | "nginx-sweep" -> Experiments.print_nginx_sweep (Experiments.nginx_sweep ?jobs ~scale ())
-  | "memory" -> Experiments.print_memory (Experiments.memory ?jobs ~scale ())
-  | "ablation" -> Experiments.print_ablation (Experiments.ablation ?jobs ~scale ())
-  | "micro" -> Experiments.print_micro ()
-  | exp -> Printf.eprintf "unknown experiment %S\n" exp
+let experiments =
+  let open Experiments in
+  [ ("micro", [], fun ~jobs:_ ~scale:_ -> print_micro ());
+    ("figure2", [], fun ~jobs:_ ~scale:_ -> print_figure2 (figure2 ()));
+    ( "table1",
+      [ "figure1"; "table4"; "figure4"; "scenarios" ],
+      fun ~jobs ~scale:_ -> print_scenarios (scenarios ?jobs ()) );
+    ("table3", [], fun ~jobs ~scale -> print_table3 (table3 ?jobs ~scale ()));
+    ( "table5",
+      [],
+      fun ~jobs ~scale ->
+        print_endline "full key budget (13 data keys):";
+        print_table5 (table5 ?jobs ~scale ());
+        print_endline "\npressure-scaled key budget (4 data keys; see EXPERIMENTS.md):";
+        print_table5 (table5 ?jobs ~data_keys:4 ~scale ()) );
+    ("table6", [], fun ~jobs ~scale -> print_table6 (table6 ?jobs ~scale ()));
+    ("figure5", [], fun ~jobs ~scale -> print_figure5 (figure5 ?jobs ~scale ()));
+    ("nginx-sweep", [], fun ~jobs ~scale -> print_nginx_sweep (nginx_sweep ?jobs ~scale ()));
+    ("memory", [], fun ~jobs ~scale -> print_memory (memory ?jobs ~scale ()));
+    ("ablation", [], fun ~jobs ~scale -> print_ablation (ablation ?jobs ~scale ()));
+    ("nolock", [], fun ~jobs ~scale -> print_nolock (nolock ?jobs ~scale ()));
+    ("explore", [], fun ~jobs ~scale:_ -> print_explore (explore ?jobs ())) ]
+
+(* Resolves to the (name, run) pairs to execute; a single name keeps
+   the spelling it was given for its header. *)
+let find_experiments = function
+  | "all" -> List.map (fun (id, _, run) -> (id, run)) experiments
+  | name ->
+    let _, _, run =
+      List.find (fun (id, aliases, _) -> id = name || List.mem name aliases) experiments
+    in
+    [ (name, run) ]
+
+let experiment_conv =
+  name_conv ~kind:"experiment" ~hint:"--help" find_experiments (fun fmt runs ->
+      Format.pp_print_string fmt (String.concat "," (List.map fst runs)))
 
 let repro_cmd =
   let exp_arg =
-    Arg.(required & pos 0 (some string) None
+    Arg.(required & pos 0 (some experiment_conv) None
          & info [] ~docv:"EXPERIMENT"
              ~doc:
-               "One of: table1, table3, table4, table5, table6, figure2, figure5, nginx-sweep, \
-                memory, ablation, micro, all.")
+               (Printf.sprintf "One of: %s, or all (every one in that order)."
+                  (String.concat ", "
+                     (List.map
+                        (fun (id, aliases, _) ->
+                          if aliases = [] then id
+                          else Printf.sprintf "%s (also %s)" id (String.concat ", " aliases))
+                        experiments))))
   in
-  let action exp scale jobs =
-    let experiments =
-      if exp = "all" then
-        [ "micro"; "figure2"; "scenarios"; "table3"; "table5"; "table6"; "figure5"; "nginx-sweep";
-          "memory"; "ablation" ]
-      else [ exp ]
-    in
+  let action runs scale jobs =
     List.iter
-      (fun e ->
-        Printf.printf "== %s ==\n" e;
-        repro_one ?jobs ~scale e;
+      (fun (name, run) ->
+        Printf.printf "== %s ==\n%!" name;
+        run ~jobs ~scale;
         print_newline ())
-      experiments
+      runs
   in
   Cmd.v (Cmd.info "repro" ~doc:"Regenerate a table or figure from the paper")
     Term.(const action $ exp_arg $ scale_arg $ jobs_arg)

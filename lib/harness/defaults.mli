@@ -4,8 +4,8 @@
     Before this module existed, scale 0.01 / seed 42 / seeds 1..20
     were re-stated independently by [Runner], [Explorer], the bench
     driver and the CLI, and could silently drift apart.  Plan-builders
-    ({!Experiments}, {!Explorer}), the executables and the docs all
-    read the values from here. *)
+    ({!Experiments}, {!Explorer}), the CLI and the docs all read the
+    values from here. *)
 
 val scale : float
 (** Default workload scale factor: [0.01] (1/100 of the paper's
@@ -23,9 +23,6 @@ val explorer_scale : float
 val explorer_seeds : int list
 (** The canonical schedule-exploration sweep: seeds [1..20]. *)
 
-val throughput_scale : float
-(** Default scale of the tracked throughput benchmark: [0.05]. *)
-
 val serve_scale : float
 (** Default scale of the serve sweep: [0.05] (1000 requests per
     sweep point at the full-size request count of 20000). *)
@@ -34,35 +31,28 @@ val serve_slo : int
 (** Default latency SLO for goodput: p99 <= [200_000] simulated
     cycles, roughly 3x the unloaded median nginx service latency. *)
 
-val throughput_out : string
-(** Tracked output of [kard bench -e throughput]: ["BENCH_pr4.json"]. *)
-
-val parallel_out : string
-(** Tracked output of [kard bench -e parallel]: ["BENCH_pr3.json"]. *)
-
 val serve_out : string
-(** Tracked output of [kard bench -e serve] and [kard serve-sweep]:
-    ["BENCH_pr6.json"]. *)
+(** Tracked output of [kard serve-sweep]: ["BENCH_pr6.json"]. *)
 
 val keys_out : string
-(** Tracked output of [kard bench -e keys] (the key-pressure sweep):
-    ["BENCH_pr8.json"]. *)
+(** Tracked output of [kard bench --only keys] (the key-pressure
+    sweep): ["BENCH_pr8.json"]. *)
 
 val sampling_out : string
-(** Tracked output of [kard bench -e sampling] (the sampling sweep:
-    detection probability / latency vs rate, plus sampled-kard serve
-    goodput): ["BENCH_pr9.json"]. *)
-
-val record_out : string
-(** Tracked output of [kard bench --only record] (recording overhead
-    and log bytes/step of the record/replay layer):
-    ["BENCH_pr10.json"].  CLI help strings must render this value —
-    not a hardcoded filename — so the tracked name can move without
-    leaving stale references. *)
+(** Tracked output of [kard bench --only sampling] (the sampling
+    sweep: detection probability / latency vs rate, plus sampled-kard
+    serve goodput): ["BENCH_pr9.json"].  CLI help strings render these
+    values — not hardcoded filenames — so a tracked name can move
+    without leaving stale references. *)
 
 val jobs_env : string
 (** Name of the environment variable overriding the worker count:
     ["KARD_JOBS"]. *)
+
+val positive_int_of_string : string -> (int, string) result
+(** A positive integer, surrounding blanks ignored.  [Error] says what
+    was expected.  [$KARD_JOBS] and the CLI's [--jobs] both parse with
+    it, so they accept exactly the same values. *)
 
 val jobs : unit -> int
 (** Worker-domain count for plan execution: [$KARD_JOBS] when set,
@@ -76,23 +66,34 @@ val vkeys_env : string
 (** Name of the environment variable overriding the virtual-key pool
     size: ["KARD_VKEYS"]. *)
 
+val vkeys_of_string : string -> (int, string) result
+(** A virtual-key pool size: a non-negative integer, surrounding
+    blanks ignored.  [Error] says what was expected.  [$KARD_VKEYS]
+    and the CLI's [--vkeys] both parse with it, so they accept exactly
+    the same values. *)
+
 val vkeys : unit -> int
 (** Virtual-key pool for default-config Kard runs: [$KARD_VKEYS] when
     set, otherwise [0] (identity mode — byte-identical to the pre-vkey
     detector).
     @raise Failure naming the variable and its value when the override
-    is not a non-negative integer. *)
+    is rejected by {!vkeys_of_string}. *)
 
 val sampling_env : string
 (** Name of the environment variable overriding the sampling rate:
     ["KARD_SAMPLING"]. *)
+
+val sampling_of_string : string -> (float, string) result
+(** A sampling rate: a float in (0, 1], surrounding blanks ignored; it
+    is never clamped.  [Error] says what was expected.
+    [$KARD_SAMPLING] and the CLI's [--sampling] both parse with it. *)
 
 val sampling : unit -> float
 (** Sampling rate for default-config Kard runs: [$KARD_SAMPLING] when
     set, otherwise [1.0] (full Kard — byte-identical to the unsampled
     detector).
     @raise Failure naming the variable and its value when the override
-    is not a float in (0, 1]; it is never clamped. *)
+    is rejected by {!sampling_of_string}. *)
 
 val kard_config : unit -> Kard_core.Config.t
 (** [Config.default] with {!vkeys} and {!sampling} applied — what

@@ -521,134 +521,87 @@ let print_ablation rows =
               string_of_int row.ab_sharing ])
           rows))
 
-(* {1 Simulator throughput} *)
+(* {1 Lock-free benchmarks: the section 7.2 omission claim} *)
 
-type tp_row = {
-  tp_threads : int;
-  tp_detector : string;
-  tp_steps : int;
-  tp_sim_cycles : int;
-  tp_host_seconds : float;
-  tp_ops_per_sec : float;
-  tp_minor_words : float;
-  tp_promoted_words : float;
-  tp_minor_words_per_step : float;
+type nolock_row = {
+  nl_name : string;
+  nl_alloc_pct : float;
+  nl_kard_pct : float;
+  nl_faults : int;
+  nl_cs_entries : int;
 }
 
-let tp_detectors = [ Runner.Baseline; Runner.Kard (Defaults.kard_config ()) ]
-
-let throughput ?(spec = Registry.find "memcached")
-    ?(threads_list = [ 1; 2; 4; 8; 16; 32; 64 ]) ?(scale = Defaults.throughput_scale)
-    ?(seed = Defaults.seed) () =
-  (* Deliberately serial: each cell is wall-clock timed, and concurrent
-     cells would steal host cycles from each other.  Parallel wall-clock
-     wins are measured by the [parallel] bench instead. *)
-  (* Warm up allocators/caches once so the first timed cell is not
-     charged for image start-up. *)
-  ignore (Runner.run ~threads:2 ~scale:(scale /. 4.) ~seed ~detector:Runner.Baseline spec);
-  List.concat_map
-    (fun threads ->
-      List.map
-        (fun detector ->
-          let g0 = Gc.quick_stat () in
-          let t0 = Unix.gettimeofday () in
-          let r = Runner.run ~threads ~scale ~seed ~detector spec in
-          let elapsed = Unix.gettimeofday () -. t0 in
-          let g1 = Gc.quick_stat () in
-          let steps = r.Runner.report.Machine.steps in
-          let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
-          { tp_threads = threads;
-            tp_detector = r.Runner.detector_name;
-            tp_steps = steps;
-            tp_sim_cycles = r.Runner.report.Machine.cycles;
-            tp_host_seconds = elapsed;
-            tp_ops_per_sec =
-              (if elapsed > 0. then float_of_int steps /. elapsed else 0.);
-            tp_minor_words = minor_words;
-            tp_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-            tp_minor_words_per_step =
-              (if steps > 0 then minor_words /. float_of_int steps else 0.) })
-        tp_detectors)
-    threads_list
-
-let print_throughput rows =
-  let header =
-    [ "threads"; "detector"; "steps"; "sim cycles"; "host s"; "ops/s"; "minor w/step" ]
+let nolock_plan ?(scale = Defaults.scale) () =
+  let specs = Registry.lock_free in
+  let jobs =
+    List.concat_map
+      (fun spec ->
+        [ Job.spec ~scale Runner.Baseline spec;
+          Job.spec ~scale Runner.Alloc spec;
+          Job.spec ~scale (Runner.Kard (Defaults.kard_config ())) spec ])
+      specs
   in
-  let cells row =
-    [ string_of_int row.tp_threads;
-      row.tp_detector;
-      Text_table.fmt_int row.tp_steps;
-      Text_table.fmt_int row.tp_sim_cycles;
-      Printf.sprintf "%.3f" row.tp_host_seconds;
-      Text_table.fmt_int (int_of_float row.tp_ops_per_sec);
-      Printf.sprintf "%.2f" row.tp_minor_words_per_step ]
+  Pool.plan jobs ~merge:(fun results ->
+      List.map2
+        (fun spec group ->
+          match group with
+          | [ base; alloc; kard ] ->
+            { nl_name = spec.Spec.name;
+              nl_alloc_pct = Runner.overhead_pct ~baseline:base alloc;
+              nl_kard_pct = Runner.overhead_pct ~baseline:base kard;
+              nl_faults = kard.Runner.report.Machine.faults;
+              nl_cs_entries = kard.Runner.report.Machine.cs_entries }
+          | _ -> assert false)
+        specs
+        (Pool.chunks 3 results))
+
+let nolock ?jobs ?scale () = Pool.execute ?jobs (nolock_plan ?scale ())
+
+let print_nolock rows =
+  print_string
+    "benchmarks without locks were omitted from Table 3 because Kard adds no overhead;\n\
+     demonstrated here (only the allocator substitution remains):\n";
+  print_string
+    (Text_table.render
+       ~header:[ "benchmark"; "alloc%"; "kard%"; "faults"; "cs entries" ]
+       (List.map
+          (fun row ->
+            [ row.nl_name;
+              Text_table.fmt_pct row.nl_alloc_pct;
+              Text_table.fmt_pct row.nl_kard_pct;
+              string_of_int row.nl_faults;
+              string_of_int row.nl_cs_entries ])
+          rows))
+
+(* {1 Schedule exploration: detection is schedule-sensitive} *)
+
+let explore_plan () =
+  let scenario name = (name, Explorer.explore_scenario_plan (Race_suite.find name)) in
+  let spec name = (name, Explorer.explore_spec_plan (Registry.find name)) in
+  (* Section 5.5's mitigation: delay injection raises the detection
+     rate of rarely-overlapping sections. *)
+  let delayed (label, delay) =
+    let config = { Kard_core.Config.default with Kard_core.Config.exit_delay_cycles = delay } in
+    ( "small-cs-race " ^ label,
+      Explorer.explore_scenario_plan ~config Race_suite.small_cs_race )
   in
-  print_string (Text_table.render ~header (List.map cells rows))
-
-(* {1 Parallel executor benchmark (BENCH_pr3.json)} *)
-
-type parallel_bench = {
-  pb_jobs : int;
-  pb_host_cores : int;
-  pb_job_count : int;
-  pb_serial_seconds : float;
-  pb_parallel_seconds : float;
-  pb_speedup : float;
-  pb_sim_cycles : int;
-  pb_identical : bool;
-  pb_minor_words : float;
-  pb_promoted_words : float;
-  pb_minor_words_per_step : float;
-}
-
-let parallel_bench ?jobs ?(scale = Defaults.scale) () =
-  let jobs = Pool.resolve_jobs jobs in
-  let js = (table3_plan ~scale ()).Pool.jobs in
-  (* Warm-up, so neither timed pass is charged for image start-up. *)
-  ignore (Job.run (List.hd js));
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  let sweeps =
+    List.map scenario
+      [ "ilu-lock-lock"; "ilu-lock-nolock"; "exclusive-write"; "different-offset-small-cs";
+        "small-cs-race" ]
+    @ List.map spec [ "aget"; "nginx" ]
+    @ List.map delayed [ ("(no delay)", 0); ("(delay 50k)", 50_000); ("(delay 200k)", 200_000) ]
   in
-  (* GC counters come from [run_jobs_gc], which measures each job
-     inside whichever domain executes it — so the parallel pass is
-     counted in full (sampling [Gc.quick_stat] here, in the submitting
-     domain, would miss everything the workers allocate).  The parallel
-     pass's aggregate is the one reported: it is the pass that used to
-     be unmeasurable, and per-job allocation is the same work either
-     way. *)
-  let serial, serial_s = time (fun () -> Pool.run_jobs ~jobs:1 js) in
-  let (par, par_gc), par_s = time (fun () -> Pool.run_jobs_gc ~jobs js) in
-  let sim_cycles =
-    List.fold_left (fun acc r -> acc + r.Runner.report.Machine.cycles) 0 serial
-  in
-  let steps = List.fold_left (fun acc r -> acc + r.Runner.report.Machine.steps) 0 serial in
-  let minor_words = par_gc.Pool.minor_words in
-  (* Untraced results are closure-free, so structural equality is the
-     full determinism check: every counter, race record and baseline
-     warning must match between the serial and parallel pass. *)
-  { pb_jobs = jobs;
-    pb_host_cores = Domain.recommended_domain_count ();
-    pb_job_count = List.length js;
-    pb_serial_seconds = serial_s;
-    pb_parallel_seconds = par_s;
-    pb_speedup = (if par_s > 0. then serial_s /. par_s else 0.);
-    pb_sim_cycles = sim_cycles;
-    pb_identical = (serial = par);
-    pb_minor_words = minor_words;
-    pb_promoted_words = par_gc.Pool.promoted_words;
-    pb_minor_words_per_step =
-      (if steps > 0 then minor_words /. float_of_int steps else 0.) }
+  let summaries = Pool.concat (List.map snd sweeps) in
+  Pool.plan summaries.Pool.jobs ~merge:(fun results ->
+      List.combine (List.map fst sweeps) (summaries.Pool.merge results))
 
-let print_parallel_bench b =
-  Printf.printf
-    "%d jobs on %d workers (%d host cores): serial %.3f s, parallel %.3f s -> %.2fx; results \
-     identical: %s; total simulated cycles %s; serial minor words/step %.2f\n"
-    b.pb_job_count b.pb_jobs b.pb_host_cores b.pb_serial_seconds b.pb_parallel_seconds b.pb_speedup
-    (if b.pb_identical then "yes" else "NO")
-    (Text_table.fmt_int b.pb_sim_cycles) b.pb_minor_words_per_step
+let explore ?jobs () = Pool.execute ?jobs (explore_plan ())
+
+let print_explore rows =
+  Printf.printf "per-run detection probability across %d scheduler seeds:\n"
+    (List.length Defaults.explorer_seeds);
+  List.iter (fun (name, summary) -> Explorer.print_summary ~name summary) rows
 
 (* {1 Open-loop serve sweep (BENCH_pr6.json)} *)
 
@@ -1192,148 +1145,6 @@ let print_sampling b =
   print_string (Text_table.render ~header (List.map cells b.sp_rows));
   print_newline ();
   print_serve b.sp_serve
-
-(* {1 Record/replay overhead (BENCH_pr10.json)} *)
-
-type record_row = {
-  rc_subject : string;
-  rc_detector : string;
-  rc_steps : int;
-  rc_sim_cycles : int;
-  rc_sim_overhead_cycles : int;
-  rc_plain_seconds : float;
-  rc_recorded_seconds : float;
-  rc_host_overhead_pct : float;
-  rc_log_bytes : int;
-  rc_bytes_per_step : float;
-  rc_picks : int;
-  rc_grants : int;
-  rc_replay_identical : bool;
-}
-
-type record_bench = {
-  rc_scale : float;
-  rc_seed : int;
-  rc_rows : record_row list;
-}
-
-(* A function, not a value: the kard detector reads $KARD_VKEYS and
-   $KARD_SAMPLING at construction time. *)
-let default_record_subjects () =
-  let kard = Runner.Kard (Defaults.kard_config ()) in
-  [ ("memcached", Runner.Baseline);
-    ("memcached", kard);
-    ("aget", kard);
-    ("keys-10k", kard);
-    ("scenario:ilu-lock-lock", kard) ]
-
-(* The detection outcome of a run, minus the trace sink (compared as
-   Chrome JSON by the tests; [Trace.t] holds closures). *)
-let record_fingerprint (r : Runner.result) =
-  ( r.Runner.report,
-    r.Runner.kard_races,
-    r.Runner.kard_ilu_races,
-    r.Runner.tsan_races,
-    r.Runner.lockset_warnings )
-
-(* Per (subject, detector): a plain run, a recorded run (contract:
-   same result, zero extra simulated cycles — [rc_sim_overhead_cycles]
-   is tracked precisely so the file proves it stays 0), a strict
-   replay of the log (must reproduce the recorded result and pass the
-   tape-fidelity check), and the encoded log's size against the
-   DESIGN.md §13 bytes-per-step budget.  Host-time overhead of the
-   recording wrapper is what [rc_host_overhead_pct] measures, from the
-   fastest of [record_timing_pairs] alternating plain/recorded pairs —
-   like [throughput], the cells run serially because they are
-   wall-clock timed. *)
-let record_timing_pairs = 5
-
-let record_bench ?subjects ?(scale = Defaults.scale) ?(seed = Defaults.seed) () =
-  let subjects =
-    match subjects with Some s -> s | None -> default_record_subjects ()
-  in
-  (* Warm-up, so the first timed cell is not charged for image
-     start-up. *)
-  ignore
-    (Runner.run ~threads:2 ~scale:(scale /. 4.) ~seed ~detector:Runner.Baseline
-       (Registry.find "memcached"));
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rows =
-    List.map
-      (fun (name, detector) ->
-        let subject =
-          match Record.find_subject name with Ok s -> s | Error e -> invalid_arg e
-        in
-        let run_plain () =
-          match subject with
-          | Record.Spec spec -> Runner.run ~scale ~seed ~detector spec
-          | Record.Scenario sc -> Runner.run_scenario ~seed ~detector sc
-        in
-        let run_recorded () = Record.record ~scale ~seed ~detector subject in
-        (* One sample per side measures host noise, not the recorder:
-           alternate the sides and keep the fastest of each. *)
-        let plain, plain_s = time run_plain in
-        let (recorded, log), recorded_s = time run_recorded in
-        let plain_s = ref plain_s and recorded_s = ref recorded_s in
-        for _ = 2 to record_timing_pairs do
-          plain_s := Float.min !plain_s (snd (time run_plain));
-          recorded_s := Float.min !recorded_s (snd (time run_recorded))
-        done;
-        let plain_s = !plain_s and recorded_s = !recorded_s in
-        let bytes = Kard_replay.Log.encode log in
-        let replay_identical =
-          match Record.replay log with
-          | Ok (replayed, Ok ()) ->
-            record_fingerprint replayed = record_fingerprint recorded
-          | Ok (_, Error _) | Error _ -> false
-        in
-        let steps = recorded.Runner.report.Machine.steps in
-        { rc_subject = name;
-          rc_detector = recorded.Runner.detector_name;
-          rc_steps = steps;
-          rc_sim_cycles = recorded.Runner.report.Machine.cycles;
-          rc_sim_overhead_cycles =
-            recorded.Runner.report.Machine.cycles - plain.Runner.report.Machine.cycles;
-          rc_plain_seconds = plain_s;
-          rc_recorded_seconds = recorded_s;
-          rc_host_overhead_pct =
-            (if plain_s > 0. then 100. *. (recorded_s -. plain_s) /. plain_s else 0.);
-          rc_log_bytes = String.length bytes;
-          rc_bytes_per_step =
-            (if steps > 0 then float_of_int (String.length bytes) /. float_of_int steps
-             else 0.);
-          rc_picks = Kard_replay.Log.pick_count log;
-          rc_grants = Kard_replay.Log.grant_count log;
-          rc_replay_identical = replay_identical })
-      subjects
-  in
-  { rc_scale = scale; rc_seed = seed; rc_rows = rows }
-
-let print_record b =
-  Printf.printf "record/replay: scale %g, seed %d\n" b.rc_scale b.rc_seed;
-  let header =
-    [ "subject"; "detector"; "steps"; "sim-ovh"; "plain s"; "rec s"; "host-ovh"; "log B";
-      "B/step"; "picks"; "grants"; "replay" ]
-  in
-  let cells row =
-    [ row.rc_subject;
-      row.rc_detector;
-      Text_table.fmt_int row.rc_steps;
-      string_of_int row.rc_sim_overhead_cycles;
-      Printf.sprintf "%.3f" row.rc_plain_seconds;
-      Printf.sprintf "%.3f" row.rc_recorded_seconds;
-      Text_table.fmt_pct row.rc_host_overhead_pct;
-      Text_table.fmt_int row.rc_log_bytes;
-      Printf.sprintf "%.3f" row.rc_bytes_per_step;
-      Text_table.fmt_int row.rc_picks;
-      Text_table.fmt_int row.rc_grants;
-      (if row.rc_replay_identical then "identical" else "DIVERGED") ]
-  in
-  print_string (Text_table.render ~header (List.map cells b.rc_rows))
 
 (* {1 MPK micro} *)
 

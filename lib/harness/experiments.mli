@@ -169,66 +169,35 @@ val ablation : ?jobs:int -> ?scale:float -> unit -> ablation_row list
 
 val print_ablation : ablation_row list -> unit
 
-(** {1 Simulator throughput (tracked in BENCH_pr4.json)} *)
+(** {1 Lock-free benchmarks (section 7.2)} *)
 
-type tp_row = {
-  tp_threads : int;
-  tp_detector : string;
-  tp_steps : int;          (** Simulated operations executed. *)
-  tp_sim_cycles : int;     (** Simulated cycles (schedule-determined). *)
-  tp_host_seconds : float; (** Wall-clock time of the host process. *)
-  tp_ops_per_sec : float;  (** [tp_steps / tp_host_seconds]. *)
-  tp_minor_words : float;    (** [Gc.quick_stat] minor_words delta of the run. *)
-  tp_promoted_words : float; (** promoted_words delta of the run. *)
-  tp_minor_words_per_step : float;
-      (** [tp_minor_words / tp_steps]: the allocation-rate tracker
-          behind the per-step allocation contract (DESIGN.md §8). *)
+type nolock_row = {
+  nl_name : string;
+  nl_alloc_pct : float;    (** Allocator substitution alone vs baseline. *)
+  nl_kard_pct : float;     (** Full Kard vs baseline. *)
+  nl_faults : int;         (** Kard run's faults. *)
+  nl_cs_entries : int;     (** Kard run's critical-section entries. *)
 }
 
-val throughput :
-  ?spec:Spec_alias.t ->
-  ?threads_list:int list ->
-  ?scale:float ->
-  ?seed:int ->
-  unit ->
-  tp_row list
-(** Host throughput of the simulator itself: steps per wall-clock
-    second for a Baseline and a Kard run of [spec] (default memcached,
-    {!Defaults.throughput_scale}, threads 1–64).  This is the hot-loop
-    regression tracker — simulated cycle outputs are
-    schedule-determined and must not move, but ops/s measures the
-    scheduler + MPK fast paths.  One warm-up run precedes the sweep.
-    Deliberately {e not} a plan: each cell is wall-clock timed, so
-    cells must not compete for host cores. *)
+val nolock_plan : ?scale:float -> unit -> nolock_row list Pool.plan
+val nolock : ?jobs:int -> ?scale:float -> unit -> nolock_row list
+(** Every {!Kard_workloads.Registry.lock_free} benchmark under the
+    baseline, the allocator alone and Kard: the paper omits them from
+    Table 3 because Kard adds no overhead without locks, so only the
+    allocator substitution should remain. *)
 
-val print_throughput : tp_row list -> unit
+val print_nolock : nolock_row list -> unit
 
-(** {1 Parallel executor benchmark (tracked in BENCH_pr3.json)} *)
+(** {1 Schedule exploration (sections 3.1 and 5.5)} *)
 
-type parallel_bench = {
-  pb_jobs : int;              (** Worker count of the parallel pass. *)
-  pb_host_cores : int;        (** [Domain.recommended_domain_count ()]. *)
-  pb_job_count : int;
-  pb_serial_seconds : float;  (** Wall-clock of the [~jobs:1] pass. *)
-  pb_parallel_seconds : float;
-  pb_speedup : float;         (** serial / parallel. *)
-  pb_sim_cycles : int;        (** Summed simulated cycles (must not move). *)
-  pb_identical : bool;        (** Structural equality of both result lists. *)
-  pb_minor_words : float;     (** minor_words delta of the serial pass. *)
-  pb_promoted_words : float;  (** promoted_words delta of the serial pass. *)
-  pb_minor_words_per_step : float;
-      (** Serial-pass minor words per simulated step (per-domain GC
-          counters make the parallel pass unmeasurable from here). *)
-}
+val explore_plan : unit -> (string * Explorer.summary) list Pool.plan
+val explore : ?jobs:int -> unit -> (string * Explorer.summary) list
+(** Per-run detection probability over {!Defaults.explorer_seeds}:
+    five race scenarios, the aget and nginx models, and small-cs-race
+    under section 5.5's exit-delay injection at 0, 50k and 200k
+    cycles.  Rows are labelled. *)
 
-val parallel_bench : ?jobs:int -> ?scale:float -> unit -> parallel_bench
-(** Execute the Table 3 job list twice — serially and on [jobs]
-    workers — and compare wall-clock and outputs.  [pb_identical] is
-    the pool's determinism contract measured end-to-end; [pb_speedup]
-    only materialises on multi-core hosts ([pb_host_cores] makes the
-    recorded number self-describing). *)
-
-val print_parallel_bench : parallel_bench -> unit
+val print_explore : (string * Explorer.summary) list -> unit
 
 (** {1 Open-loop serve sweep (tracked in BENCH_pr6.json)} *)
 
@@ -456,53 +425,6 @@ val sampling :
   sampling_bench
 
 val print_sampling : sampling_bench -> unit
-
-(** {1 Record/replay overhead (BENCH_pr10.json)} *)
-
-type record_row = {
-  rc_subject : string;          (** Target name as resolved by {!Record.find_subject}. *)
-  rc_detector : string;
-  rc_steps : int;               (** Machine steps of the recorded run. *)
-  rc_sim_cycles : int;
-  rc_sim_overhead_cycles : int;
-      (** Recorded-run cycles minus plain-run cycles.  The recorder
-          charges nothing, so the contract — and what the tracked file
-          proves — is that this is exactly [0]. *)
-  rc_plain_seconds : float;
-      (** Host wall-clock of the unrecorded run: the fastest of five,
-          timed alternately with the recorded ones. *)
-  rc_recorded_seconds : float;
-      (** Host wall-clock with the recorder wrapped in, fastest of five. *)
-  rc_host_overhead_pct : float; (** Recording's host-time cost in percent. *)
-  rc_log_bytes : int;           (** Size of the encoded log. *)
-  rc_bytes_per_step : float;
-      (** [rc_log_bytes / rc_steps] — against the DESIGN.md §13 budget
-          of ~1 byte per step plus ~3 per lock grant. *)
-  rc_picks : int;
-  rc_grants : int;
-  rc_replay_identical : bool;
-      (** Strict replay of the log reproduced the recorded result
-          (report, races, warnings) and passed the tape-fidelity
-          check. *)
-}
-
-type record_bench = {
-  rc_scale : float;
-  rc_seed : int;
-  rc_rows : record_row list;
-}
-
-val default_record_subjects : unit -> (string * Runner.detector) list
-(** memcached under baseline and kard, aget, the keys-10k key-pressure
-    workload, and the ilu-lock-lock scenario — a function because the
-    kard config reads [$KARD_VKEYS]/[$KARD_SAMPLING]. *)
-
-val record_bench :
-  ?subjects:(string * Runner.detector) list ->
-  ?scale:float -> ?seed:int -> unit -> record_bench
-(** Deliberately serial (wall-clock timed cells), like {!throughput}. *)
-
-val print_record : record_bench -> unit
 
 (** {1 MPK microbenchmarks (section 2.2)} *)
 

@@ -175,60 +175,6 @@ let of_result (r : Runner.result) =
       [ field "trace" (of_trace tr); field "metrics" (of_metrics (Kard_obs.Trace.metrics tr)) ]
     | None -> [])
 
-let of_tp_row (row : Experiments.tp_row) =
-  obj
-    [ field "threads" (int_ row.Experiments.tp_threads);
-      field "detector" (str row.Experiments.tp_detector);
-      field "steps" (int_ row.Experiments.tp_steps);
-      field "sim_cycles" (int_ row.Experiments.tp_sim_cycles);
-      field "host_seconds" (float_ row.Experiments.tp_host_seconds);
-      field "ops_per_sec" (float_ row.Experiments.tp_ops_per_sec);
-      field "minor_words" (float_ row.Experiments.tp_minor_words);
-      field "promoted_words" (float_ row.Experiments.tp_promoted_words);
-      field "minor_words_per_step" (float_ row.Experiments.tp_minor_words_per_step) ]
-
-let of_throughput ?pre ~build ~workload ~scale ~seed rows =
-  obj
-    ([ field "benchmark" (str "throughput");
-       field "workload" (str workload);
-       field "scale" (float_ scale);
-       field "seed" (int_ seed);
-       field "build" (str build);
-       field "rows" (arr (List.map of_tp_row rows)) ]
-    @
-    match pre with
-    | None -> []
-    | Some (commit, pre_build, pre_rows) ->
-      (* The pre-PR reference measurement: same harness, same host,
-         taken at [commit] immediately before the optimisation being
-         tracked, so speedup and allocation-rate claims are
-         self-contained in the file.  Each section carries its own
-         build label because the two measurements need not share a
-         dune profile (wall-clock comparisons across sections must
-         account for that; steps/sim_cycles are build-independent). *)
-      [ field "pre_pr"
-          (obj
-             [ field "commit" (str commit);
-               field "build" (str pre_build);
-               field "rows" (arr (List.map of_tp_row pre_rows)) ])
-      ])
-
-let of_parallel_bench ~scale (b : Experiments.parallel_bench) =
-  obj
-    [ field "benchmark" (str "parallel");
-      field "scale" (float_ scale);
-      field "jobs" (int_ b.Experiments.pb_jobs);
-      field "host_cores" (int_ b.Experiments.pb_host_cores);
-      field "job_count" (int_ b.Experiments.pb_job_count);
-      field "serial_seconds" (float_ b.Experiments.pb_serial_seconds);
-      field "parallel_seconds" (float_ b.Experiments.pb_parallel_seconds);
-      field "speedup" (float_ b.Experiments.pb_speedup);
-      field "sim_cycles" (int_ b.Experiments.pb_sim_cycles);
-      field "identical" (bool_ b.Experiments.pb_identical);
-      field "minor_words" (float_ b.Experiments.pb_minor_words);
-      field "promoted_words" (float_ b.Experiments.pb_promoted_words);
-      field "minor_words_per_step" (float_ b.Experiments.pb_minor_words_per_step) ]
-
 let of_serve_row (row : Experiments.serve_row) =
   let l = row.Experiments.sv_latency in
   obj
@@ -289,10 +235,9 @@ let of_keys_row (row : Experiments.keys_row) =
       field "vkey_retag_pages" (int_ row.Experiments.kp_vkey_retag_pages);
       field "vkey_stalls" (int_ row.Experiments.kp_vkey_stalls) ]
 
-let of_keys_bench ~build (b : Experiments.keys_bench) =
+let of_keys_bench (b : Experiments.keys_bench) =
   obj
     [ field "benchmark" (str "keys");
-      field "build" (str build);
       field "threads" (int_ b.Experiments.kp_threads);
       field "scale" (float_ b.Experiments.kp_scale);
       field "seed" (int_ b.Experiments.kp_seed);
@@ -317,40 +262,14 @@ let of_sampling_row (row : Experiments.sampling_row) =
       field "skipped_accesses" (int_ row.Experiments.sp_skipped_accesses);
       field "mean_sim_cycles" (float_ row.Experiments.sp_mean_cycles) ]
 
-let of_sampling_bench ~build ~threads ~scale ~seed (b : Experiments.sampling_bench) =
+let of_sampling_bench ~threads ~scale ~seed (b : Experiments.sampling_bench) =
   obj
     [ field "benchmark" (str "sampling");
-      field "build" (str build);
       field "epoch_cycles" (int_ b.Experiments.sp_epoch);
       field "seeds" (arr (List.map int_ b.Experiments.sp_seeds));
       field "rates" (arr (List.map float_ b.Experiments.sp_rates));
       field "rows" (arr (List.map of_sampling_row b.Experiments.sp_rows));
       field "serve" (of_serve_sweep ~threads ~scale ~seed b.Experiments.sp_serve) ]
-
-let of_record_row (row : Experiments.record_row) =
-  obj
-    [ field "subject" (str row.Experiments.rc_subject);
-      field "detector" (str row.Experiments.rc_detector);
-      field "steps" (int_ row.Experiments.rc_steps);
-      field "sim_cycles" (int_ row.Experiments.rc_sim_cycles);
-      field "sim_overhead_cycles" (int_ row.Experiments.rc_sim_overhead_cycles);
-      field "plain_host_seconds" (float_ row.Experiments.rc_plain_seconds);
-      field "recorded_host_seconds" (float_ row.Experiments.rc_recorded_seconds);
-      field "host_overhead_pct" (float_ row.Experiments.rc_host_overhead_pct);
-      field "log_bytes" (int_ row.Experiments.rc_log_bytes);
-      field "bytes_per_step" (float_ row.Experiments.rc_bytes_per_step);
-      field "picks" (int_ row.Experiments.rc_picks);
-      field "grants" (int_ row.Experiments.rc_grants);
-      field "replay_identical" (bool_ row.Experiments.rc_replay_identical) ]
-
-let of_record_bench ~build (b : Experiments.record_bench) =
-  obj
-    [ field "benchmark" (str "record");
-      field "build" (str build);
-      field "log_format_version" (int_ Kard_replay.Log.version);
-      field "scale" (float_ b.Experiments.rc_scale);
-      field "seed" (int_ b.Experiments.rc_seed);
-      field "rows" (arr (List.map of_record_row b.Experiments.rc_rows)) ]
 
 let pretty json =
   let buf = Buffer.create (String.length json * 2) in

@@ -24,29 +24,6 @@ val of_result : Runner.result -> string
     (for Kard runs) the detector statistics, and (for traced runs) the
     trace summary and metrics registry. *)
 
-val of_throughput :
-  ?pre:string * string * Experiments.tp_row list ->
-  build:string ->
-  workload:string ->
-  scale:float ->
-  seed:int ->
-  Experiments.tp_row list ->
-  string
-(** The tracked throughput benchmark (see BENCH_pr4.json): one object
-    per (threads, detector) cell of {!Experiments.throughput}, each
-    row carrying the GC counters behind the per-step allocation
-    contract.  [build] labels the dune profile the rows were measured
-    under ("dev" or "release").  [?pre] embeds a
-    [(commit, build, rows)] pre-optimisation reference measurement as
-    a ["pre_pr"] section. *)
-
-val of_parallel_bench : scale:float -> Experiments.parallel_bench -> string
-(** The tracked parallel-executor benchmark (see BENCH_pr3.json):
-    serial vs parallel wall-clock of one job list, the speedup, the
-    summed simulated cycles (schedule-determined — must not move with
-    [jobs]) and whether both passes produced structurally identical
-    results. *)
-
 val of_serve_sweep :
   threads:int -> scale:float -> seed:int -> Experiments.serve_sweep -> string
 (** The tracked serve sweep (see BENCH_pr6.json): per (detector,
@@ -56,15 +33,15 @@ val of_serve_sweep :
     pure-data snapshots, so the emitted bytes are identical at any
     [--jobs] value. *)
 
-val of_keys_bench : build:string -> Experiments.keys_bench -> string
+val of_keys_bench : Experiments.keys_bench -> string
 (** The tracked key-pressure precision sweep (see BENCH_pr8.json):
     per (point, detector config) the planted / detected counts and
     their ratio, the overhead against the point's baseline, and the
     key-management counters (sharing, recycling, vkey cache traffic).
-    [build] labels the dune profile. *)
+    Simulation outputs only, so the bytes do not depend on the dune
+    profile or [--jobs]. *)
 
 val of_sampling_bench :
-  build:string ->
   threads:int ->
   scale:float ->
   seed:int ->
@@ -76,15 +53,8 @@ val of_sampling_bench :
     the same-seed rate-1.0 runs and the fast-path counters; plus the
     embedded ["serve"] sweep with sampled-kard detectors — the
     goodput-under-SLO recovery claim.  [threads]/[scale]/[seed]
-    describe the serve section.  [build] labels the dune profile. *)
-
-val of_record_bench : build:string -> Experiments.record_bench -> string
-(** The tracked record/replay overhead benchmark (see
-    BENCH_pr10.json): per (subject, detector) the recording wrapper's
-    host-time overhead, the simulated-cycle overhead (contract:
-    exactly 0), the encoded log's size and bytes-per-step against the
-    DESIGN.md §13 budget, and whether a strict replay reproduced the
-    recorded result.  [build] labels the dune profile. *)
+    describe the serve section.  Like {!of_keys_bench}, independent of
+    the dune profile. *)
 
 val pretty : string -> string
 (** Re-indent a JSON string (objects and arrays, 2 spaces). *)

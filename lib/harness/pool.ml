@@ -61,39 +61,6 @@ let map ?jobs ?(label = default_label) f items =
 
 let run_jobs ?jobs js = map ?jobs ~label:(fun _ j -> Job.describe j) Job.run js
 
-type gc_stats = { minor_words : float; promoted_words : float }
-
-(* GC counters are per-domain ([Gc.quick_stat] reads the calling
-   domain's own allocation totals), so sampling them around a parallel
-   [map] from the submitting domain misses everything the workers
-   allocate.  Instead, every item's delta is measured inside whichever
-   domain executes it, and the deltas are summed in submission order —
-   the aggregate covers all executing domains at any [~jobs] value. *)
-let map_gc ?jobs ?(label = default_label) f items =
-  let wrapped x =
-    (* [Gc.minor_words] reads the live allocation pointer;
-       [quick_stat]'s [minor_words] only refreshes at collection
-       events, so its per-item delta is 0 unless a minor GC happened
-       to land inside the item. *)
-    let before_minor = Gc.minor_words () in
-    let before = Gc.quick_stat () in
-    let v = f x in
-    let after_minor = Gc.minor_words () in
-    let after = Gc.quick_stat () in
-    (v, after_minor -. before_minor, after.Gc.promoted_words -. before.Gc.promoted_words)
-  in
-  let mapped = map ?jobs ~label wrapped items in
-  let gc =
-    List.fold_left
-      (fun acc (_, m, p) ->
-        { minor_words = acc.minor_words +. m; promoted_words = acc.promoted_words +. p })
-      { minor_words = 0.; promoted_words = 0. }
-      mapped
-  in
-  (List.map (fun (v, _, _) -> v) mapped, gc)
-
-let run_jobs_gc ?jobs js = map_gc ?jobs ~label:(fun _ j -> Job.describe j) Job.run js
-
 type 'a plan = {
   jobs : Job.t list;
   merge : Runner.result list -> 'a;
@@ -102,6 +69,16 @@ type 'a plan = {
 let plan jobs ~merge = { jobs; merge }
 
 let execute ?jobs p = p.merge (run_jobs ?jobs p.jobs)
+
+let concat plans =
+  let rec split results = function
+    | [] -> []
+    | p :: rest ->
+      let n = List.length p.jobs in
+      p.merge (List.filteri (fun i _ -> i < n) results)
+      :: split (List.filteri (fun i _ -> i >= n) results) rest
+  in
+  { jobs = List.concat_map (fun p -> p.jobs) plans; merge = (fun results -> split results plans) }
 
 let chunks k l =
   if k <= 0 then invalid_arg "Pool.chunks: k must be positive";

@@ -36,21 +36,6 @@ val map : ?jobs:int -> ?label:(int -> 'a -> string) -> ('a -> 'b) -> 'a list -> 
 val run_jobs : ?jobs:int -> Job.t list -> Runner.result list
 (** {!map} specialised to jobs, labelled with {!Job.describe}. *)
 
-type gc_stats = { minor_words : float; promoted_words : float }
-(** Allocation totals summed over every item of a {!map_gc}, measured
-    inside whichever domain executed each item. *)
-
-val map_gc :
-  ?jobs:int -> ?label:(int -> 'a -> string) -> ('a -> 'b) -> 'a list -> 'b list * gc_stats
-(** Like {!map}, but also aggregates GC counters across {e all}
-    executing domains: [Gc.quick_stat] is per-domain, so measuring a
-    parallel map from the submitting domain alone under-counts worker
-    allocation.  The mapped results are unchanged (and still
-    submission-ordered). *)
-
-val run_jobs_gc : ?jobs:int -> Job.t list -> Runner.result list * gc_stats
-(** {!map_gc} specialised to jobs, labelled with {!Job.describe}. *)
-
 (** {1 Plans}
 
     A plan is a list of jobs plus a merge function over their results
@@ -67,6 +52,11 @@ val plan : Job.t list -> merge:(Runner.result list -> 'a) -> 'a plan
 
 val execute : ?jobs:int -> 'a plan -> 'a
 (** Run the plan's jobs on the pool and merge in submission order. *)
+
+val concat : 'a plan list -> 'a list plan
+(** One plan running every given plan's jobs, so they share the pool;
+    its merge hands each plan the results of its own jobs and lists
+    the merged values in the given order. *)
 
 val chunks : int -> 'b list -> 'b list list
 (** [chunks k l] splits [l] into consecutive groups of [k] (the last

@@ -49,24 +49,52 @@ let raises_naming var value f =
         check (Printf.sprintf "%s=%S: message names the variable" var value) true (contains msg var);
         check (Printf.sprintf "%s=%S: message names the value" var value) true (contains msg value))
 
+(* The CLI's [--vkeys], [--sampling] and [--jobs] parse with the same
+   functions as [$KARD_VKEYS], [$KARD_SAMPLING] and [$KARD_JOBS], so
+   each value below goes through both doors and must get the same
+   answer. *)
 let test_env_overrides () =
-  with_env Defaults.vkeys_env " 19 " (fun () -> check_int "KARD_VKEYS=19" 19 (Defaults.vkeys ()));
+  List.iter
+    (fun (value, n) ->
+      with_env Defaults.vkeys_env value (fun () ->
+          check_int ("KARD_VKEYS=" ^ value) n (Defaults.vkeys ()));
+      check ("--vkeys " ^ value) true (Defaults.vkeys_of_string value = Ok n))
+    [ (" 19 ", 19); ("0", 0) ];
   with_env Defaults.vkeys_env "" (fun () ->
       check_int "blank KARD_VKEYS is unset" 0 (Defaults.vkeys ()));
-  with_env Defaults.sampling_env "0.25" (fun () ->
-      check_float "KARD_SAMPLING=0.25" 0.25 (Defaults.sampling ()));
+  List.iter
+    (fun (value, r) ->
+      with_env Defaults.sampling_env value (fun () ->
+          check_float ("KARD_SAMPLING=" ^ value) r (Defaults.sampling ()));
+      check ("--sampling " ^ value) true (Defaults.sampling_of_string value = Ok r))
+    [ ("0.25", 0.25); ("1", 1.0) ];
   with_env Defaults.sampling_env "  " (fun () ->
       check_float "blank KARD_SAMPLING is unset" 1.0 (Defaults.sampling ()));
-  with_env Defaults.jobs_env "3" (fun () -> check_int "KARD_JOBS=3" 3 (Defaults.jobs ()))
+  with_env Defaults.jobs_env "3" (fun () -> check_int "KARD_JOBS=3" 3 (Defaults.jobs ()));
+  check "--jobs 3" true (Defaults.positive_int_of_string "3" = Ok 3)
 
 let test_env_overrides_fail_loudly () =
+  let rejected flag of_string value =
+    check (Printf.sprintf "%s %S rejected" flag value) true (Result.is_error (of_string value))
+  in
   List.iter
-    (fun value -> raises_naming Defaults.vkeys_env value Defaults.vkeys)
-    [ "19x"; "-1"; "lots" ];
+    (fun value ->
+      raises_naming Defaults.vkeys_env value Defaults.vkeys;
+      rejected "--vkeys" Defaults.vkeys_of_string value)
+    [ "19x"; "-1"; "-3"; "lots" ];
   List.iter
-    (fun value -> raises_naming Defaults.sampling_env value Defaults.sampling)
-    [ "1.5"; "0"; "-0.5"; "half" ];
-  List.iter (fun value -> raises_naming Defaults.jobs_env value Defaults.jobs) [ "0"; "-2"; "4x" ];
+    (fun value ->
+      raises_naming Defaults.sampling_env value Defaults.sampling;
+      rejected "--sampling" Defaults.sampling_of_string value)
+    [ "1.5"; "0"; "-0.5"; "half"; "nan" ];
+  (* A blank variable means "unset"; a blank flag value is malformed. *)
+  rejected "--vkeys" Defaults.vkeys_of_string "";
+  rejected "--sampling" Defaults.sampling_of_string " ";
+  List.iter
+    (fun value ->
+      raises_naming Defaults.jobs_env value Defaults.jobs;
+      rejected "--jobs" Defaults.positive_int_of_string value)
+    [ "0"; "-2"; "4x" ];
   raises_naming Defaults.vkeys_env "19x" Defaults.kard_config
 
 (* {1 Stats} *)

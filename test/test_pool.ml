@@ -36,17 +36,6 @@ let test_map_empty_and_singleton () =
   check_ints "empty" [] (Pool.map ~jobs:4 (fun i -> i) []);
   check_ints "singleton" [ 7 ] (Pool.map ~jobs:4 (fun i -> i) [ 7 ])
 
-let test_map_gc_aggregates () =
-  let xs = List.init 32 Fun.id in
-  (* Small boxed values so the allocation lands in the minor heap of
-     whichever domain runs the item. *)
-  let f x = List.fold_left (fun acc (a, b) -> acc + a + b) 0 (List.init 64 (fun i -> (x, i))) in
-  let plain = Pool.map ~jobs:2 f xs in
-  let via_gc, gc = Pool.map_gc ~jobs:2 f xs in
-  check "map_gc returns the same results" true (plain = via_gc);
-  check "worker-domain allocation is counted" true (gc.Pool.minor_words > 0.);
-  check "promoted words are non-negative" true (gc.Pool.promoted_words >= 0.)
-
 let test_resolve_jobs () =
   check_int "explicit" 3 (Pool.resolve_jobs (Some 3));
   check_int "clamped to 1" 1 (Pool.resolve_jobs (Some 0));
@@ -164,6 +153,20 @@ let test_table3_oracle () =
       check "tsan" true (s.Experiments.tsan = p.Experiments.tsan))
     serial par
 
+(* A concatenated plan hands each plan exactly its own results: the
+   same values as executing the plans one by one, at any worker
+   count, in the given order. *)
+let test_concat_oracle () =
+  let sweep name seeds = Explorer.explore_scenario_plan ~seeds (Race_suite.find name) in
+  let plans = [ sweep "ilu-lock-lock" [ 1; 2; 3 ]; sweep "small-cs-race" [ 4; 5 ] ] in
+  let one_by_one = List.map (Pool.execute ~jobs:1) plans in
+  List.iter
+    (fun jobs ->
+      check (Printf.sprintf "concat at jobs=%d" jobs) true
+        (Pool.execute ~jobs (Pool.concat plans) = one_by_one))
+    [ 1; 4 ];
+  check "empty concat" true (Pool.execute (Pool.concat []) = [])
+
 let test_explorer_oracle () =
   let scenario = Race_suite.find "ilu-lock-lock" in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
@@ -235,7 +238,6 @@ let () =
     [ ( "pool",
         [ Alcotest.test_case "map preserves submission order" `Quick test_map_order;
           Alcotest.test_case "map empty/singleton" `Quick test_map_empty_and_singleton;
-          Alcotest.test_case "map_gc aggregation" `Quick test_map_gc_aggregates;
           Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
           Alcotest.test_case "chunks" `Quick test_chunks;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_runs_inline;
@@ -247,6 +249,7 @@ let () =
         [ Alcotest.test_case "run_jobs jobs 1 vs 4" `Slow test_run_jobs_oracle;
           Alcotest.test_case "table3 jobs 1 vs 4" `Slow test_table3_oracle;
           Alcotest.test_case "explorer jobs 1 vs 4" `Slow test_explorer_oracle;
+          Alcotest.test_case "concat jobs 1 vs 4" `Slow test_concat_oracle;
           Alcotest.test_case "json byte-for-byte" `Slow test_json_byte_identical;
           Alcotest.test_case "traces identical" `Slow test_trace_oracle ] );
       ( "job",

@@ -238,18 +238,23 @@ let test_race_suite_roundtrip () =
           (Json_report.of_result replayed = Json_report.of_result plain))
     Race_suite.all
 
-(* The key-pressure workload across the settings matrix: two vkey
-   pool sizes and two sampling rates.  Each cell must replay to the
-   identical result and JSON report. *)
+(* Workload specs: the key-pressure workload across the settings
+   matrix (two vkey pool sizes, two sampling rates), and memcached
+   under the baseline detector, a recording made without Kard.  Each
+   cell must record at zero cost and replay to the identical result
+   and JSON report. *)
 let test_spec_settings_matrix () =
-  let spec = Registry.find "keys-10k" in
+  let keys = Registry.find "keys-10k" in
   let base = Defaults.kard_config () in
+  let keys_cell (vkeys, sampling) =
+    let config = { base with Config.vkeys; sampling; sampling_epoch = 100_000 } in
+    (Printf.sprintf "keys-10k vkeys %d sampling %g" vkeys sampling, keys, Runner.Kard config)
+  in
   List.iter
-    (fun (vkeys, sampling) ->
-      let name = Printf.sprintf "vkeys %d sampling %g" vkeys sampling in
-      let config = { base with Config.vkeys; sampling; sampling_epoch = 100_000 } in
-      let detector = Runner.Kard config in
+    (fun (name, spec, detector) ->
+      let plain = Runner.run ~scale:0.01 ~detector spec in
       let r, log = Record.record ~scale:0.01 ~detector (Record.Spec spec) in
+      check (name ^ ": recording is free") true (r = plain);
       match Record.replay (Log.decode (Log.encode log)) with
       | Error e -> Alcotest.failf "%s: replay failed: %s" name e
       | Ok (replayed, fidelity) ->
@@ -257,7 +262,8 @@ let test_spec_settings_matrix () =
         check (name ^ ": results identical") true (replayed = r);
         check (name ^ ": JSON identical") true
           (Json_report.of_result replayed = Json_report.of_result r))
-    [ (0, 1.0); (64, 1.0); (64, 0.5); (0, 0.5) ]
+    (List.map keys_cell [ (0, 1.0); (64, 1.0); (64, 0.5); (0, 0.5) ]
+    @ [ ("memcached baseline", Registry.find "memcached", Runner.Baseline) ])
 
 (* Zero simulated cost on a workload spec, and the wire budget from
    DESIGN.md section 13: one byte per pick below 240 threads, at most
@@ -474,7 +480,7 @@ let () =
         [ Alcotest.test_case "find_subject forms" `Quick test_find_subject ] );
       ( "identity",
         [ Alcotest.test_case "race suite round-trips" `Quick test_race_suite_roundtrip;
-          Alcotest.test_case "keys-10k settings matrix" `Quick test_spec_settings_matrix;
+          Alcotest.test_case "workload settings matrix" `Quick test_spec_settings_matrix;
           Alcotest.test_case "zero cost and wire budget" `Quick
             test_spec_zero_cost_and_budget;
           Alcotest.test_case "Chrome trace bytes" `Quick test_trace_identity ] );

@@ -204,8 +204,8 @@ let test_sweep_jobs_identity () =
   let b1 = smoke_sweep ~jobs:1 and b4 = smoke_sweep ~jobs:4 in
   check "sampling sweep identical at 1 vs 4 jobs" true (b1 = b4);
   check "sampling JSON identical at 1 vs 4 jobs" true
-    (Json_report.of_sampling_bench ~build:"test" ~threads:4 ~scale:0.02 ~seed:42 b1
-    = Json_report.of_sampling_bench ~build:"test" ~threads:4 ~scale:0.02 ~seed:42 b4);
+    (Json_report.of_sampling_bench ~threads:4 ~scale:0.02 ~seed:42 b1
+    = Json_report.of_sampling_bench ~threads:4 ~scale:0.02 ~seed:42 b4);
   check "every sweep row satisfies the subset property" true
     (List.for_all (fun r -> r.Experiments.sp_subset_ok) b1.Experiments.sp_rows)
 

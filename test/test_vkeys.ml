@@ -152,7 +152,7 @@ let test_jobs_identity () =
   let b1 = smoke_keys ~jobs:1 and b4 = smoke_keys ~jobs:4 in
   check "keys sweep identical at 1 vs 4 jobs" true (b1 = b4);
   check "keys JSON identical at 1 vs 4 jobs" true
-    (Json_report.of_keys_bench ~build:"test" b1 = Json_report.of_keys_bench ~build:"test" b4)
+    (Json_report.of_keys_bench b1 = Json_report.of_keys_bench b4)
 
 (* {1 One vkey load, against the list form} *)
 
