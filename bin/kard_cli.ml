@@ -118,8 +118,10 @@ let threads_arg =
   Arg.(value & opt (some positive_int) None
        & info [ "t"; "threads" ] ~docv:"N" ~doc:"Thread count.")
 
+let scale_conv = number_conv Defaults.scale_of_string Format.pp_print_float
+
 let scale_arg =
-  Arg.(value & opt float Defaults.scale
+  Arg.(value & opt scale_conv Defaults.scale
        & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (0,1].")
 
 let seed_arg =
@@ -356,8 +358,7 @@ let hunt_cmd =
       let tape = found.Runner.report.Machine.schedule_trace in
       let cell = ref None in
       let machine =
-        Machine.create ~schedule:(Kard_sched.Schedule.Replay tape)
-          ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+        Machine.create ~schedule:(Kard_sched.Schedule.Replay tape) ~allocator:Machine.Unique_page
           ~make_detector:(Kard_core.Detector.make ~config:scenario.Race_suite.config ~cell)
           ()
       in
@@ -558,7 +559,7 @@ let bench_cmd =
              ~doc:"JSON output path (default: the sweep's tracked file).")
   in
   let scale_opt_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some scale_conv) None
          & info [ "scale" ] ~docv:"F"
              ~doc:
                "Workload scale factor (0,1] (default: 1.0 for keys — the precision claim is \
@@ -622,7 +623,10 @@ let serve_sweep_cmd =
                 bursts).")
   in
   let rates_arg =
-    Arg.(value & opt (list float) Experiments.default_serve_rates
+    Arg.(value
+         & opt
+             (list (number_conv Defaults.positive_float_of_string Format.pp_print_float))
+             Experiments.default_serve_rates
          & info [ "rates" ] ~docv:"R,R,..."
              ~doc:"Offered loads to sweep, in requests per million simulated cycles.")
   in
@@ -631,7 +635,7 @@ let serve_sweep_cmd =
          & info [ "slo" ] ~docv:"CYCLES" ~doc:"Latency SLO: p99 budget in simulated cycles.")
   in
   let serve_scale_arg =
-    Arg.(value & opt float Defaults.serve_scale
+    Arg.(value & opt scale_conv Defaults.serve_scale
          & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (0,1].")
   in
   let out_arg =

@@ -20,8 +20,7 @@ let run ~label ~large_cs =
   in
   let cell = ref None in
   let machine =
-    Machine.create ~seed:42
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+    Machine.create ~seed:42 ~allocator:Machine.Unique_page
       ~make_detector:(Detector.make ~cell)
       ()
   in

@@ -12,8 +12,7 @@ module Op = Kard_sched.Op
 let () =
   let detector = ref None in
   let machine =
-    Machine.create ~seed:7
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+    Machine.create ~seed:7 ~allocator:Machine.Unique_page
       ~make_detector:(Kard_core.Detector.make ~cell:detector)
       ()
   in

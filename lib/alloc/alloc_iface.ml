@@ -6,7 +6,6 @@ type stats = {
   ftruncate_calls : int;
   bytes_requested : int;
   bytes_reserved : int;
-  recycled : int;
 }
 
 let zero_stats =
@@ -16,8 +15,7 @@ let zero_stats =
     mmap_calls = 0;
     ftruncate_calls = 0;
     bytes_requested = 0;
-    bytes_reserved = 0;
-    recycled = 0 }
+    bytes_reserved = 0 }
 
 type t = {
   name : string;
@@ -26,9 +24,3 @@ type t = {
   free : Obj_meta.t -> int;
   stats : unit -> stats;
 }
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[<h>allocs=%d frees=%d globals=%d mmap=%d ftruncate=%d requested=%dB reserved=%dB recycled=%d@]"
-    s.allocations s.frees s.global_allocations s.mmap_calls s.ftruncate_calls
-    s.bytes_requested s.bytes_reserved s.recycled

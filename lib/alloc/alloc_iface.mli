@@ -14,7 +14,6 @@ type stats = {
   ftruncate_calls : int;
   bytes_requested : int;
   bytes_reserved : int;   (** Including granule rounding. *)
-  recycled : int;         (** Allocations served from the recycle list. *)
 }
 
 val zero_stats : stats
@@ -32,5 +31,3 @@ type t = {
   free : Obj_meta.t -> int;
   stats : unit -> stats;
 }
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -3,44 +3,33 @@ module Cost_model = Kard_mpk.Cost_model
 module Address_space = Kard_vm.Address_space
 module Memfd = Kard_vm.Memfd
 
-type recycled_mapping = {
-  r_base : Page.addr;
-  r_reserved : int;
-  r_pages : int;
-}
+(* The paper's fixed consolidation size: up to 128 objects share one
+   physical page. *)
+let granule = 32
 
 type t = {
   aspace : Address_space.t;
   meta : Meta_table.t;
   cost : Cost_model.t;
   trace : Kard_obs.Trace.sink;
-  granule : int;
-  recycle_virtual_pages : bool;
   memfd : Memfd.t;
   mutable cursor : int; (* next free byte offset in the memfd *)
-  recycle_lists : (int, recycled_mapping list) Hashtbl.t; (* keyed by reserved size *)
   mutable next_id : int;
   mutable stats : Alloc_iface.stats;
   mutable live_wasted : int;
 }
 
-let create ?(granule = 32) ?(recycle_virtual_pages = false) ?trace aspace ~meta ~cost () =
-  if granule <= 0 || Page.size mod granule <> 0 then
-    invalid_arg "Unique_page_alloc.create: granule must divide the page size";
+let create ?trace aspace ~meta ~cost () =
   { aspace;
     meta;
     cost;
     trace;
-    granule;
-    recycle_virtual_pages;
     memfd = Memfd.create (Address_space.phys aspace) ~name:"kard-heap";
     cursor = 0;
-    recycle_lists = Hashtbl.create 16;
     next_id = 0;
     stats = Alloc_iface.zero_stats;
     live_wasted = 0 }
 
-let granule t = t.granule
 let file_bytes t = Memfd.size t.memfd
 let wasted_bytes t = t.live_wasted
 
@@ -49,7 +38,7 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let round_up_granule t size = (size + t.granule - 1) / t.granule * t.granule
+let round_up_granule size = (size + granule - 1) / granule * granule
 
 let bump_stats t f = t.stats <- f t.stats
 
@@ -64,7 +53,6 @@ let emit_alloc t (meta : Obj_meta.t) alloc =
     Kard_obs.Trace.incr t.trace
       (match alloc with
       | Kard_obs.Event.Fresh -> "alloc.fresh"
-      | Kard_obs.Event.Recycled -> "alloc.recycled"
       | Kard_obs.Event.Global -> "alloc.global")
 
 (* Grow the memfd so that [cursor + reserved) is covered; returns the
@@ -80,63 +68,34 @@ let ensure_file_covers t upto =
   end
   else 0
 
-let take_recycled t reserved =
-  if not t.recycle_virtual_pages then None
-  else
-    match Hashtbl.find_opt t.recycle_lists reserved with
-    | Some (m :: rest) ->
-      Hashtbl.replace t.recycle_lists reserved rest;
-      Some m
-    | Some [] | None -> None
-
-let push_recycled t (meta : Obj_meta.t) =
-  let m = { r_base = meta.base; r_reserved = meta.reserved; r_pages = meta.pages } in
-  let existing = Option.value ~default:[] (Hashtbl.find_opt t.recycle_lists m.r_reserved) in
-  Hashtbl.replace t.recycle_lists m.r_reserved (m :: existing)
-
 let alloc t ~site size =
   if size <= 0 then invalid_arg "Unique_page_alloc.alloc: size must be positive";
-  let reserved = round_up_granule t size in
+  let reserved = round_up_granule size in
   bump_stats t (fun s ->
       { s with
         allocations = s.allocations + 1;
         bytes_requested = s.bytes_requested + size;
         bytes_reserved = s.bytes_reserved + reserved });
   t.live_wasted <- t.live_wasted + (reserved - size);
-  match take_recycled t reserved with
-  | Some m ->
-    bump_stats t (fun s -> { s with recycled = s.recycled + 1 });
-    let meta =
-      { Obj_meta.id = fresh_id t;
-        base = m.r_base;
-        size;
-        reserved;
-        kind = Obj_meta.Heap site;
-        pages = m.r_pages }
-    in
-    Meta_table.register t.meta meta;
-    emit_alloc t meta Kard_obs.Event.Recycled;
-    (meta, t.cost.Cost_model.malloc)
-  | None ->
-    (* Large allocations start on a fresh file page so they stay
-       page-aligned; small ones pack at the consolidation cursor. *)
-    if reserved >= Page.size && Page.offset_in_page t.cursor <> 0 then
-      t.cursor <- Page.base_of_vpage (Page.vpage_of_addr t.cursor + 1);
-    let file_start = t.cursor in
-    let file_end = file_start + reserved in
-    t.cursor <- file_end;
-    let grow_cost = ensure_file_covers t file_end in
-    let first_file_page = Page.vpage_of_addr file_start in
-    let pages = Page.pages_spanned file_start reserved in
-    let mapped_base = Address_space.mmap_file t.aspace t.memfd ~file_page:first_file_page ~pages in
-    bump_stats t (fun s -> { s with mmap_calls = s.mmap_calls + 1 });
-    let base = mapped_base + Page.offset_in_page file_start in
-    let meta =
-      { Obj_meta.id = fresh_id t; base; size; reserved; kind = Obj_meta.Heap site; pages }
-    in
-    Meta_table.register t.meta meta;
-    emit_alloc t meta Kard_obs.Event.Fresh;
-    (meta, t.cost.Cost_model.mmap + grow_cost)
+  (* Large allocations start on a fresh file page so they stay
+     page-aligned; small ones pack at the consolidation cursor. *)
+  if reserved >= Page.size && Page.offset_in_page t.cursor <> 0 then
+    t.cursor <- Page.base_of_vpage (Page.vpage_of_addr t.cursor + 1);
+  let file_start = t.cursor in
+  let file_end = file_start + reserved in
+  t.cursor <- file_end;
+  let grow_cost = ensure_file_covers t file_end in
+  let first_file_page = Page.vpage_of_addr file_start in
+  let pages = Page.pages_spanned file_start reserved in
+  let mapped_base = Address_space.mmap_file t.aspace t.memfd ~file_page:first_file_page ~pages in
+  bump_stats t (fun s -> { s with mmap_calls = s.mmap_calls + 1 });
+  let base = mapped_base + Page.offset_in_page file_start in
+  let meta =
+    { Obj_meta.id = fresh_id t; base; size; reserved; kind = Obj_meta.Heap site; pages }
+  in
+  Meta_table.register t.meta meta;
+  emit_alloc t meta Kard_obs.Event.Fresh;
+  (meta, t.cost.Cost_model.mmap + grow_cost)
 
 let alloc_global t ~site ~resident size =
   if size <= 0 then invalid_arg "Unique_page_alloc.alloc_global: size must be positive";
@@ -175,17 +134,11 @@ let free t (meta : Obj_meta.t) =
     Kard_obs.Trace.incr t.trace "alloc.free");
   bump_stats t (fun s -> { s with frees = s.frees + 1 });
   t.live_wasted <- t.live_wasted - (meta.reserved - meta.size);
-  if t.recycle_virtual_pages && Obj_meta.is_heap meta then begin
-    push_recycled t meta;
-    t.cost.Cost_model.atomic_op
-  end
-  else begin
-    (* The virtual mapping goes away; physical file pages stay resident
-       because the allocator does not reuse file space (section 6). *)
-    let first_vpage = Page.vpage_of_addr meta.base in
-    Address_space.munmap t.aspace ~base:(Page.base_of_vpage first_vpage) ~pages:meta.pages;
-    t.cost.Cost_model.munmap
-  end
+  (* The virtual mapping goes away; physical file pages stay resident
+     because the allocator does not reuse file space (section 6). *)
+  let first_vpage = Page.vpage_of_addr meta.base in
+  Address_space.munmap t.aspace ~base:(Page.base_of_vpage first_vpage) ~pages:meta.pages;
+  t.cost.Cost_model.munmap
 
 let iface t =
   { Alloc_iface.name = "kard-unique-page";

@@ -11,30 +11,24 @@
     matching the paper's implementation note (section 6) that global
     variables are not consolidated.
 
-    [recycle_virtual_pages] enables the future-work optimization the
-    paper cites from PUSh: freed unique-page mappings are kept per
-    size class and reused without a fresh [mmap]. Off by default to
-    match the evaluated system; the ablation bench flips it. *)
+    Sizes round up to the paper's fixed 32-byte consolidation granule.
+    A free unmaps the object's virtual pages; they are never reused,
+    as in the evaluated system. *)
 
 type t
 
 val create :
-  ?granule:int ->
-  ?recycle_virtual_pages:bool ->
   ?trace:Kard_obs.Trace.t ->
   Kard_vm.Address_space.t ->
   meta:Meta_table.t ->
   cost:Kard_mpk.Cost_model.t ->
   unit ->
   t
-(** [granule] defaults to 32 bytes, the paper's fixed consolidation
-    size. @raise Invalid_argument unless it divides the page size.
-    [trace] receives fresh/recycled/global allocation and free events
-    on the runtime track. *)
+(** [trace] receives fresh/global allocation and free events on the
+    runtime track. *)
 
 val iface : t -> Alloc_iface.t
 
-val granule : t -> int
 val file_bytes : t -> int
 (** Current size of the backing in-memory file. *)
 

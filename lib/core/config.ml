@@ -40,7 +40,7 @@ let default =
 let pp fmt t =
   Format.fprintf fmt
     "@[<h>{keys=%d proactive=%b interleave=%b ts-prune=%b dedupe=%b meta-prune=%b recycle=%b \
-     share-disjoint=%b soft-fallback=%b vkeys=%d sampling=%g}@]"
+     share-disjoint=%b vkeys=%d sampling=%g}@]"
     t.data_keys t.proactive_acquisition t.protection_interleaving t.timestamp_pruning
-    t.redundancy_pruning t.metadata_pruning t.prefer_recycle t.share_disjoint_sections
-    t.software_fallback t.vkeys t.sampling
+    t.redundancy_pruning t.metadata_pruning t.prefer_recycle t.share_disjoint_sections t.vkeys
+    t.sampling

@@ -37,12 +37,10 @@ type t = {
       (** When sharing is forced, prefer keys whose sections touch
           disjoint object sets (the Table 4 mitigation). *)
   software_fallback : bool;
-      (** Section 8: instead of ever sharing a hardware key, move the
-          object into a software-protected pool with one virtual key
-          per object.  Eliminates the sharing false negative at a
-          fault-per-access cost to pooled objects.  When enabled, one
-          hardware key is reserved for the pool (at most 12 data
-          keys remain). *)
+      (** Retired: must be [false].  The section 8 software key pool
+          it enabled is gone — virtual keys ([vkeys]) cover the same
+          key-sharing false negative — and {!Detector.create}
+          rejects [true], as does the replay log decoder. *)
   exit_delay_cycles : int;
       (** Delay injection (section 5.5): hold keys this many extra
           cycles at section exit while a protection interleaving the
@@ -58,9 +56,8 @@ type t = {
           A positive value gives the detector that many virtual keys,
           cached over the physical data keys by a clock-eviction table;
           one physical key ([k13]) is repurposed as the always-deny
-          tag of evicted keys, so at most 12 data keys remain resident
-          (11 under [software_fallback], whose pool key moves to
-          [k12]).  Sharing becomes a last resort {e after} eviction,
+          tag of evicted keys, so at most 12 data keys remain
+          resident.  Sharing becomes a last resort {e after} eviction,
           shrinking the Table 4 false-negative window. *)
   sampling : float;
       (** Fraction of objects under pkey protection (HardRace-style

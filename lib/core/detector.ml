@@ -56,8 +56,6 @@ type stats = {
   records_logged : int;
   records_redundant : int;
   records_pruned_spurious : int;
-  soft_fallbacks : int;
-  soft_faults : int;
   vkey_pool : int;
   vkey_resident : int;
   vkey_hits : int;
@@ -86,10 +84,8 @@ type t = {
   assign : Key_assign.t;
   interleave : Interleave.t;
   pruning : Pruning.t;
-  soft : Soft_keys.t;
   vkey : Vkey.t;
   slots : int array; (* physical residency slots, virtual mode only *)
-  soft_key : Pkey.t; (* always-denied tag of software-pooled pages *)
   (* Per-thread and per-site state is indexed by the (small, dense)
      id, and the seen-object sets are bitsets: these are touched on
      every section entry/exit and must not hash or allocate. *)
@@ -112,8 +108,6 @@ type t = {
   mutable reactive_acq : int;
   mutable demotions : int;
   mutable ts_rescues : int;
-  mutable soft_fallbacks : int;
-  mutable soft_faults : int;
   (* Per-object provenance for the differential classifier
      (Divergence): which documented precision-losing mechanisms fired
      on which objects this run.  All appended on fault/assignment cold
@@ -123,7 +117,6 @@ type t = {
   prov_key_shared : Dense.Bitset.t;
   prov_recycled : Dense.Bitset.t;
   prov_pruned : Dense.Bitset.t;
-  prov_softened : Dense.Bitset.t;
   prov_demoted : Dense.Bitset.t;
   prov_ro_blamed : Dense.Bitset.t;
   prov_proactive_blame : Dense.Bitset.t;
@@ -143,7 +136,6 @@ type t = {
   mutable skipped_sections : int;
   mutable sampled_objects : int;
   mutable skipped_objects : int;
-  mutable skipped_accesses : int;
   mutable sampling_rotations : int;
   mutable sampling_rearm_pages : int;
   mutable cs_entries : int;
@@ -167,42 +159,28 @@ let evict_tag = Pkey.of_int Pkey.data_key_count
 let data_key_ints = List.map Pkey.to_int Pkey.data_keys
 
 let create ?(config = Config.default) env =
+  if config.Config.software_fallback then
+    invalid_arg "Detector.create: software_fallback is retired (use vkeys)";
   let vpool = max 0 config.Config.vkeys in
-  (* The software pool reserves a data key as its always-denied
-     hardware tag.  Identity mode: the last one (k13).  Virtual mode:
-     k13 is the evict tag, so the pool moves down to k12 and the
-     residency slots shrink accordingly. *)
-  let assign_config =
-    if config.Config.software_fallback then
-      { config with Config.data_keys = min config.Config.data_keys (Pkey.data_key_count - 1) }
-    else config
-  in
-  let reserved =
-    (if vpool > 0 then 1 else 0) + if config.Config.software_fallback then 1 else 0
-  in
+  (* Virtual mode reserves the last data key as the evict tag. *)
   let slots =
     if vpool = 0 then [||]
     else
       Array.init
-        (min vpool (min config.Config.data_keys (Pkey.data_key_count - reserved)))
+        (min vpool (min config.Config.data_keys (Pkey.data_key_count - 1)))
         (fun i -> i + 1)
   in
   let vkey = if vpool = 0 then Vkey.identity else Vkey.create ~pool:vpool ~phys:slots in
-  let soft_key =
-    Pkey.of_int (if vpool > 0 then Pkey.data_key_count - 1 else Pkey.data_key_count)
-  in
   { config;
     env;
     domains = Domain_state.create ();
     somap = Section_object_map.create ();
     ksmap = Key_section_map.create ();
-    assign = Key_assign.create assign_config;
+    assign = Key_assign.create config;
     interleave = Interleave.create ();
     pruning = Pruning.create ~dedupe:config.Config.redundancy_pruning ();
-    soft = Soft_keys.create ();
     vkey;
     slots;
-    soft_key;
     threads = Array.make 16 None;
     active = Array.make 64 [||];
     active_n = Array.make 64 0;
@@ -220,14 +198,11 @@ let create ?(config = Config.default) env =
     reactive_acq = 0;
     demotions = 0;
     ts_rescues = 0;
-    soft_fallbacks = 0;
-    soft_faults = 0;
     prov_rescued = Dense.Bitset.create ~capacity:256 ();
     prov_grouped = Dense.Bitset.create ~capacity:256 ();
     prov_key_shared = Dense.Bitset.create ~capacity:256 ();
     prov_recycled = Dense.Bitset.create ~capacity:256 ();
     prov_pruned = Dense.Bitset.create ~capacity:256 ();
-    prov_softened = Dense.Bitset.create ~capacity:256 ();
     prov_demoted = Dense.Bitset.create ~capacity:256 ();
     prov_ro_blamed = Dense.Bitset.create ~capacity:256 ();
     prov_proactive_blame = Dense.Bitset.create ~capacity:256 ();
@@ -241,7 +216,6 @@ let create ?(config = Config.default) env =
     skipped_sections = 0;
     sampled_objects = 0;
     skipped_objects = 0;
-    skipped_accesses = 0;
     sampling_rotations = 0;
     sampling_rearm_pages = 0;
     cs_entries = 0;
@@ -256,23 +230,13 @@ let hw t = t.env.Hooks.hw
 let now t = t.env.Hooks.now ()
 let trace t = t.env.Hooks.trace
 
-(* The domain-table id of software-pooled objects: the reserved
-   physical key itself in identity mode, one past the virtual pool
-   otherwise — it must never collide with a virtual key, or a vkey
-   load would retag pooled pages with a grantable slot. *)
-let soft_id t =
-  if Vkey.virtualized t.vkey then Vkey.pool t.vkey + 1 else Pkey.to_int t.soft_key
-
 (* The physical tag an object protected by [key] must carry right now:
    the key itself in identity mode; in virtual mode the key's residency
-   slot, the evict tag while it is evicted, or the software-pool tag
-   for pooled objects. *)
+   slot, or the evict tag while it is evicted. *)
 let phys_tag t key =
   if Vkey.virtualized t.vkey then
-    if key > Vkey.pool t.vkey then t.soft_key
-    else
-      let p = Vkey.phys_of t.vkey key in
-      if p < 0 then evict_tag else Pkey.of_int p
+    let p = Vkey.phys_of t.vkey key in
+    if p < 0 then evict_tag else Pkey.of_int p
   else Pkey.of_int key
 
 (* Data keys currently held by some section; sampled into the trace on
@@ -667,11 +631,7 @@ let assign_write_key t ~tid ~frame (meta : Obj_meta.t) =
     end
     | d -> (d, 0)
   in
-  (* A Share redirected to the software pool is not a sharing event:
-     no key ends up multi-held. *)
-  (match decision with
-  | Key_assign.Share _ when t.config.Config.software_fallback -> ()
-  | d -> Key_assign.note t.assign d);
+  Key_assign.note t.assign decision;
   let c = cost t in
   let finish_with key assign extra =
     (match trace t with
@@ -730,29 +690,17 @@ let assign_write_key t ~tid ~frame (meta : Obj_meta.t) =
     (key, finish_with key Kard_obs.Event.Assign_recycle
             (load_cycles + demote_cost + c.Cost_model.atomic_op))
   | Key_assign.Share key ->
-    if t.config.Config.software_fallback then begin
-      (* Section 8: never share — pool the object under a software
-         key instead.  Its pages get the reserved always-denied
-         hardware tag, so every access traps into the handler. *)
-      t.soft_fallbacks <- t.soft_fallbacks + 1;
-      Dense.Bitset.add t.prov_softened meta.Obj_meta.id;
-      Soft_keys.add_object t.soft ~obj_id:meta.Obj_meta.id;
-      let sid = soft_id t in
-      (sid, finish_with sid Kard_obs.Event.Assign_share c.Cost_model.atomic_op)
-    end
-    else begin
-      (* Sharing provenance: the key stays multi-held, so accesses by
-         any co-holder to any object under it stop faulting — mark the
-         incoming object and everything already grouped under the key. *)
-      Dense.Bitset.add t.prov_key_shared meta.Obj_meta.id;
-      Domain_state.iter_objects_with_key t.domains key (Dense.Bitset.add t.prov_key_shared);
-      Key_section_map.force_acquire t.ksmap key ~tid Perm.Read_write ~section:site
-        ~lock:frame.lock ~proactive:false;
-      frame_note_acquired frame key;
-      grant_in_context t ~tid key Perm.Read_write;
-      t.reactive_acq <- t.reactive_acq + 1;
-      (key, finish_with key Kard_obs.Event.Assign_share c.Cost_model.atomic_op)
-    end
+    (* Sharing provenance: the key stays multi-held, so accesses by
+       any co-holder to any object under it stop faulting — mark the
+       incoming object and everything already grouped under the key. *)
+    Dense.Bitset.add t.prov_key_shared meta.Obj_meta.id;
+    Domain_state.iter_objects_with_key t.domains key (Dense.Bitset.add t.prov_key_shared);
+    Key_section_map.force_acquire t.ksmap key ~tid Perm.Read_write ~section:site
+      ~lock:frame.lock ~proactive:false;
+    frame_note_acquired frame key;
+    grant_in_context t ~tid key Perm.Read_write;
+    t.reactive_acq <- t.reactive_acq + 1;
+    (key, finish_with key Kard_obs.Event.Assign_share c.Cost_model.atomic_op)
 
 (* {2 Race records} *)
 
@@ -1017,9 +965,9 @@ let handle_vkey_miss t (fault : Fault.t) (meta : Obj_meta.t) =
     let mprotect = protect_pages t meta Pkey.k_ro in
     { Hooks.fault_cycles = mprotect + c.Cost_model.map_op; action = Hooks.Retry }
   | Domain_state.Read_write key ->
-    if key > Vkey.pool t.vkey || Vkey.resident t.vkey key then begin
-      (* Stale tag (the key was reloaded or the object pooled while
-         this access was in flight): heal and retry. *)
+    if Vkey.resident t.vkey key then begin
+      (* Stale tag (the key was reloaded while this access was in
+         flight): heal and retry. *)
       let mprotect = protect_pages t meta (phys_tag t key) in
       { Hooks.fault_cycles = mprotect + c.Cost_model.map_op; action = Hooks.Retry }
     end
@@ -1047,39 +995,6 @@ let handle_vkey_miss t (fault : Fault.t) (meta : Obj_meta.t) =
       end
     end
 
-(* Accesses to software-pooled objects always fault; the key-enforced
-   rules run in software with one virtual key per object, so there is
-   nothing to share and no false negative — at a fault per access. *)
-let handle_soft_fault t (fault : Fault.t) (meta : Obj_meta.t) =
-  t.soft_faults <- t.soft_faults + 1;
-  let c = cost t in
-  let tid = fault.Fault.thread in
-  let frame = current_frame t tid in
-  (match frame with
-  | Some f ->
-    let need =
-      match fault.Fault.access with
-      | `Write -> Section_object_map.Needs_write
-      | `Read -> Section_object_map.Needs_read
-    in
-    Section_object_map.record t.somap ~section:f.site ~obj_id:meta.Obj_meta.id need
-  | None -> ());
-  let verdict =
-    Soft_keys.access t.soft ~obj_id:meta.Obj_meta.id ~tid
-      ~section:(Option.map (fun f -> f.site) frame)
-      ~lock:(Option.map (fun f -> f.lock) frame)
-      ~access:fault.Fault.access
-  in
-  (match verdict with
-  | Soft_keys.Soft_ok -> ()
-  | Soft_keys.Soft_conflict holders ->
-    let faulter = thread_state t tid in
-    let holders =
-      List.filter (fun h -> not (holds_lock faulter h.Key_section_map.lock)) holders
-    in
-    if holders <> [] then log_race t fault meta (List.map side_of_holder holders));
-  { Hooks.fault_cycles = 2 * c.Cost_model.map_op; action = Hooks.Emulate }
-
 let on_fault t (fault : Fault.t) =
   let c = cost t in
   let anomaly () =
@@ -1098,11 +1013,6 @@ let on_fault t (fault : Fault.t) =
       drain_unsampled t meta
     else if Pkey.equal fault.Fault.pkey Pkey.k_na then handle_na_fault t fault meta
     else if Pkey.equal fault.Fault.pkey Pkey.k_ro then handle_ro_fault t fault meta
-    else if
-      t.config.Config.software_fallback
-      && Pkey.equal fault.Fault.pkey t.soft_key
-      && Soft_keys.mem t.soft ~obj_id:meta.Obj_meta.id
-    then handle_soft_fault t fault meta
     else if Vkey.virtualized t.vkey then begin
       if Pkey.equal fault.Fault.pkey evict_tag then handle_vkey_miss t fault meta
       else
@@ -1134,9 +1044,6 @@ let rec proactive_walk t c ~tid ~frame (m : Section_object_map.memo) i pkru cycl
     let cycles = cycles + 8 in
     let code = Domain_state.rw_key_code t.domains ~obj_id in
     if code < 0 then (* Not-accessed or Read-only: nothing to acquire *)
-      proactive_walk t c ~tid ~frame m next pkru cycles
-    else if Vkey.virtualized t.vkey && code > Vkey.pool t.vkey then
-      (* Software-pooled: every access faults anyway. *)
       proactive_walk t c ~tid ~frame m next pkru cycles
     else begin
       let phys = Vkey.phys_of t.vkey code in
@@ -1298,8 +1205,6 @@ let on_unlock t ~tid ~lock =
           | Some meta -> cycles := !cycles + demote_to_kna t meta
           | None -> Domain_state.forget t.domains ~obj_id)
         affected);
-    if t.config.Config.software_fallback then
-      Soft_keys.release_thread t.soft ~tid ~time;
     cycles := !cycles + Mpk_hw.wrpkru (hw t) ~tid frame.saved_pkru;
     (match trace t with
     | None -> ()
@@ -1368,30 +1273,22 @@ let metadata_bytes t =
   + (per_section * Section_object_map.section_count t.somap)
   + (per_record * Pruning.logged t.pruning)
 
-(* Observability of the fast path: when sampling is active, count the
-   accesses that land on unsampled objects.  The count charges zero
-   cycles — the simulated fast path really is free — but it observes
-   every access, so the machine stops batching (which is
-   byte-identical).  At rate 1.0 there are no access hooks and nothing
-   changes. *)
-let count_skipped t addr =
-  (match Meta_table.find_vpage t.env.Hooks.meta (Page.vpage_of_addr addr) with
-  | Some (meta : Obj_meta.t) when Dense.Bitset.mem t.unsampled meta.Obj_meta.id ->
-    t.skipped_accesses <- t.skipped_accesses + 1;
-    Kard_obs.Trace.incr (trace t) "sampling.skipped_accesses"
-  | Some _ | None -> ());
-  0
+(* Accesses that landed on unsampled objects: their pages keep
+   [k_def], so the MMU's own grant count is the tally and no access
+   hook is installed — sampled runs batch like full-rate ones. *)
+let skipped_accesses t =
+  if Sampling.enabled t.sampling then Mpk_hw.default_grants (hw t) else 0
 
-let count_skipped_block t (block : Kard_sched.Op.block) =
-  (match Meta_table.find_vpage t.env.Hooks.meta (Page.vpage_of_addr block.Kard_sched.Op.base) with
-  | Some (meta : Obj_meta.t) when Dense.Bitset.mem t.unsampled meta.Obj_meta.id ->
-    t.skipped_accesses <- t.skipped_accesses + block.Kard_sched.Op.count;
-    Kard_obs.Trace.incr (trace t) "sampling.skipped_accesses"
-  | Some _ | None -> ());
-  0
+(* The trace gets the final count once, at run end. *)
+let on_finish t =
+  let n = skipped_accesses t in
+  match trace t with
+  | Some tr when n > 0 ->
+    Kard_obs.Metrics.incr ~by:n
+      (Kard_obs.Metrics.counter (Kard_obs.Trace.metrics tr) "sampling.skipped_accesses")
+  | Some _ | None -> ()
 
 let hooks t =
-  let counting = Sampling.enabled t.sampling in
   { Hooks.name = "kard";
     on_pick = (fun ~tid:_ -> ());
     on_spawn = (fun ~tid -> on_spawn t ~tid);
@@ -1400,19 +1297,11 @@ let hooks t =
     on_free = (fun ~tid meta -> on_free t ~tid meta);
     on_lock = (fun ~tid ~lock ~site -> on_lock t ~tid ~lock ~site);
     on_unlock = (fun ~tid ~lock -> on_unlock t ~tid ~lock);
-    (* Kard's whole point: no per-access instrumentation.  The
-       sampling counters are the one exception, and they charge 0. *)
-    access =
-      (if counting then
-         Some
-           { Hooks.on_read = (fun ~tid:_ ~addr -> count_skipped t addr);
-             on_write = (fun ~tid:_ ~addr -> count_skipped t addr);
-             on_read_block = (fun ~tid:_ ~block -> count_skipped_block t block);
-             on_write_block = (fun ~tid:_ ~block -> count_skipped_block t block) }
-       else None);
+    (* Kard's whole point: no per-access instrumentation. *)
+    access = None;
     on_fault = (fun fault -> on_fault t fault);
     on_thread_exit = (fun ~tid:_ -> 0);
-    on_finish = (fun () -> ());
+    on_finish = (fun () -> on_finish t);
     metadata_bytes = (fun () -> metadata_bytes t) }
 
 let races t = Pruning.records t.pruning
@@ -1441,8 +1330,6 @@ let stats t : stats =
     records_logged = Pruning.logged t.pruning;
     records_redundant = Pruning.redundant t.pruning;
     records_pruned_spurious = Pruning.removed_spurious t.pruning;
-    soft_fallbacks = t.soft_fallbacks;
-    soft_faults = t.soft_faults;
     vkey_pool = vs.Vkey.st_pool;
     vkey_resident = Vkey.resident_count t.vkey;
     vkey_hits = vs.Vkey.st_hits;
@@ -1456,7 +1343,7 @@ let stats t : stats =
     skipped_sections = t.skipped_sections;
     sampled_objects = t.sampled_objects;
     skipped_objects = t.skipped_objects;
-    skipped_accesses = t.skipped_accesses;
+    skipped_accesses = skipped_accesses t;
     sampling_rotations = t.sampling_rotations;
     sampling_rearm_pages = t.sampling_rearm_pages;
     first_race_cs = t.first_race_cs }
@@ -1470,7 +1357,6 @@ type provenance = {
   key_shared : bool;
   recycled : bool;
   pruned : bool;
-  softened : bool;
   demoted : bool;
   ro_identified : bool;
   ro_blamed : bool;
@@ -1485,7 +1371,6 @@ let provenance t ~obj_id =
     key_shared = Dense.Bitset.mem t.prov_key_shared obj_id;
     recycled = Dense.Bitset.mem t.prov_recycled obj_id;
     pruned = Dense.Bitset.mem t.prov_pruned obj_id;
-    softened = Dense.Bitset.mem t.prov_softened obj_id;
     demoted = Dense.Bitset.mem t.prov_demoted obj_id;
     ro_identified = Dense.Bitset.mem t.ro_seen obj_id;
     ro_blamed = Dense.Bitset.mem t.prov_ro_blamed obj_id;
@@ -1501,7 +1386,6 @@ let key_section_map t = t.ksmap
 let config t = t.config
 let vkey_stats t = Vkey.stats t.vkey
 let assignable_keys t = Key_assign.available_keys t.assign
-let soft_pool_id t = soft_id t
 let expected_page_key t ~key = phys_tag t key
 
 let make ?config ~cell env =

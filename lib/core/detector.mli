@@ -29,8 +29,6 @@ type stats = {
   records_logged : int;
   records_redundant : int;
   records_pruned_spurious : int;
-  soft_fallbacks : int;   (** Objects moved to the software pool. *)
-  soft_faults : int;      (** Per-access faults on pooled objects. *)
   vkey_pool : int;        (** Virtual-key pool size (0 = identity mode). *)
   vkey_resident : int;    (** Virtual keys resident at run end. *)
   vkey_hits : int;        (** {!Kard_mpk.Vkey.ensure} residency hits. *)
@@ -54,7 +52,9 @@ type stats = {
                               epoch leaves out, or a rotation
                               draining a live sampled object. *)
   skipped_accesses : int; (** Accesses that landed on unsampled
-                              objects (charged zero cycles). *)
+                              objects (charged zero cycles), as the
+                              MMU granted them on [k_def]
+                              ({!Kard_mpk.Mpk_hw.default_grants}). *)
   sampling_rotations : int; (** Epoch boundaries observed. *)
   sampling_rearm_pages : int; (** Pages batch-retagged back to [k_na]
                                   by rotation re-arms. *)
@@ -65,8 +65,12 @@ type stats = {
 }
 
 val create : ?config:Config.t -> Kard_sched.Hooks.env -> t
+(** @raise Invalid_argument when [config.software_fallback] is set:
+    the software key pool is retired. *)
 
 val hooks : t -> Kard_sched.Hooks.t
+(** [access] is [None] at every sampling rate: the detector observes
+    no individual access, so every run may batch cycle commits. *)
 
 val races : t -> Race_record.t list
 (** Surviving potential data-race records. *)
@@ -98,7 +102,6 @@ type provenance = {
   key_shared : bool;  (** Under a key force-shared across sections (rule 3b). *)
   recycled : bool;    (** Demoted to Read-only by a key recycling. *)
   pruned : bool;      (** Had a record removed as interleave-spurious. *)
-  softened : bool;    (** Moved to the software key pool. *)
   demoted : bool;     (** Bounced to Not-accessed (keyless access or
                           interleaving wind-down). *)
   ro_identified : bool;  (** Ever identified into the Read-only domain
@@ -145,13 +148,10 @@ val assignable_keys : t -> int list
 (** The keys effective assignment may hand out: physical data keys in
     identity mode, the virtual pool otherwise. *)
 
-val soft_pool_id : t -> int
-(** The domain-table id software-pooled objects sit under. *)
-
 val expected_page_key : t -> key:int -> Kard_mpk.Pkey.t
 (** The physical tag pages protected by [key] must carry right now
-    (the key itself, its residency slot, the evict tag, or the
-    software-pool tag) — the validator's page-table oracle. *)
+    (the key itself, its residency slot, or the evict tag) — the
+    validator's page-table oracle. *)
 
 val make :
   ?config:Config.t -> cell:t option ref -> Kard_sched.Hooks.env -> Kard_sched.Hooks.t

@@ -69,14 +69,8 @@ let max_sampled_objects = 64
 let check_domain_tags t =
   let domains = Detector.domains t.detector in
   let page_table = Mpk_hw.page_table t.env.Hooks.hw in
-  (* Softened objects live past the assignable space, under the pool's
-     reserved tag; the detector supplies the expected physical tag per
-     key (slot / evict tag under the vkey cache). *)
-  let keys =
-    if (Detector.config t.detector).Config.software_fallback then
-      Detector.assignable_keys t.detector @ [ Detector.soft_pool_id t.detector ]
-    else Detector.assignable_keys t.detector
-  in
+  (* The detector supplies the expected physical tag per key (slot /
+     evict tag under the vkey cache). *)
   List.iter
     (fun key ->
       let objs = Domain_state.objects_with_key domains key in
@@ -95,18 +89,17 @@ let check_domain_tags t =
             | None ->
               fail t "object #%d has a domain entry but no metadata" obj_id)
         objs)
-    keys
+    (Detector.assignable_keys t.detector)
 
 let make ?config ~cell ~vcell env =
   let hooks = Detector.make ?config ~cell env in
   let detector = Option.get !cell in
   let t = { env; detector; depth = Hashtbl.create 16; checks = 0 } in
   vcell := Some t;
-  (* When key sharing is possible (or redirected to the software
-     pool), exclusivity is deliberately relaxed; skip that check. *)
+  (* When key sharing is possible, exclusivity is deliberately
+     relaxed; skip that check. *)
   let sharing_possible =
     (Detector.config detector).Config.data_keys < Pkey.data_key_count
-    || (Detector.config detector).Config.software_fallback
     (* Virtual mode shares only at full-pool pinning, but that is
        run-dependent; keep the check off rather than flag it. *)
     || (Detector.config detector).Config.vkeys > 0

@@ -19,8 +19,7 @@ let configs =
   let d = Config.default in
   [ ("default", d, false, `Default, false);
     ("keys4", { d with Config.data_keys = 4 }, false, `Default, false);
-    ("keys4-soft", { d with Config.data_keys = 4; software_fallback = true }, false, `Default,
-     false);
+    ("keys4-vkeys16", { d with Config.data_keys = 4; vkeys = 16 }, true, `Vkey_rotation, false);
     ("by-lock", { d with Config.section_identity = Config.By_lock }, false, `Default, false);
     ("default-batch", d, true, `Default, false);
     ("keys4-batch", { d with Config.data_keys = 4 }, true, `Default, false);
@@ -33,8 +32,7 @@ let configs =
        still fails the campaign.  The short epoch forces rotations
        (drain-at-fault, batched re-arm) inside even these small
        programs; the gated entry runs the dual-machine gate with
-       sampling active (a sampled detector observes accesses, so both
-       of its machines run unbatched). *)
+       sampling active. *)
     ("sampling50", { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, false, `Default,
      false);
     ("sampling25-keys4",

@@ -30,16 +30,17 @@ val configs :
 (** The (name, detector configuration, batch gate, generator
     pressure, replay gate) entries a campaign cycles through, in a
     fixed order (program [i] draws entry [i mod 15]): the default; a
-    4-key detector (forcing grouping, recycling and sharing); a 4-key
-    detector with the software fallback; lock-identity sections; two
-    {e batch-gate} entries whose programs also run the dual-machine
-    batch gate ({!Harness.run}), so batching determinism is fuzzed
-    alongside oracle equivalence; three {e vkey rotation} entries — a
-    64-key virtual pool over the full and the 4-key physical budget,
-    plus a batch-gate one — drawn with the [`Vkey_rotation] generator
-    profile ({!Prog.generate}) so every program outruns the physical
-    keys and the cache's load/evict/stall windows sit under the
-    oracles; four
+    4-key detector (forcing grouping, recycling and sharing); a
+    16-key virtual pool over 4 physical keys; lock-identity sections;
+    two {e batch-gate} entries whose programs also run the
+    dual-machine batch gate ({!Harness.run}), so batching determinism
+    is fuzzed alongside oracle equivalence; three {e vkey rotation}
+    entries — a 64-key virtual pool over the full and the 4-key
+    physical budget, plus a batch-gate one.  The vkey entries (the
+    16-key one is batch-gated too) are drawn with the
+    [`Vkey_rotation] generator profile ({!Prog.generate}) so every
+    program outruns the physical keys and the cache's
+    load/evict/stall windows sit under the oracles; four
     {e sampling} entries; and two {e replay-oracle} entries whose
     programs also run the record/replay gate (record the
     nondeterminism log, round-trip the codec, strictly replay, demand

@@ -16,7 +16,7 @@ type outcome = {
   stuck : string option;
 }
 
-let allocator = Machine.Unique_page { granule = 32; recycle_virtual_pages = false }
+let allocator = Machine.Unique_page
 
 (* The program on an unwrapped Kard machine — no trace log — for the
    dual-machine gates below.  [wrap] composes around the detector. *)
@@ -40,8 +40,9 @@ let same_outcome a b =
    dual run: the same program, seed and configuration on two
    {e unwrapped} Kard machines, compiled vs [`Thunks], whose full
    reports and race-record lists must be structurally identical
-   (DESIGN.md §10).  Unwrapped full Kard has no access hooks, so the
-   compiled run genuinely batches; the thunk view never does. *)
+   (DESIGN.md §10).  Unwrapped Kard has no access hooks at any
+   sampling rate, so the compiled run genuinely batches; the thunk
+   view never does. *)
 let batch_gate_holds ~config ~seed prog =
   same_outcome
     (run_unlogged ~interp:`Compiled ~config ~seed prog)
@@ -55,7 +56,7 @@ let batch_gate_holds ~config ~seed prog =
    report and race-record list exactly, with every pick, grant and
    anchor matching and the tape fully consumed.  As in the batch gate,
    the wrappers add no access hooks, so recording and replay both
-   batch whenever the detector does. *)
+   batch. *)
 let replay_gate ?(target = "fuzz") ~config ~seed prog =
   let recorder = Recorder.create () in
   let recorded = run_unlogged ~wrap:(Recorder.wrap recorder) ~config ~seed prog in

@@ -57,7 +57,7 @@ val generate : ?pressure:[ `Default | `Vkey_rotation ] -> rand:Random.State.t ->
 (** A random valid program.  Slot counts are bimodal: half the
     programs use a handful of objects, half use more than the 13
     physical data keys so key assignment is forced into grouping,
-    recycling, sharing or soft-key spill.  [`Vkey_rotation] shifts
+    recycling or sharing.  [`Vkey_rotation] shifts
     both modes above the physical budget (14..20 and 24..64 slots):
     the campaign pairs it with virtual-pool configs so the vkey
     cache's load/evict/stall paths — not just key assignment — sit

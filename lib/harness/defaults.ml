@@ -30,9 +30,20 @@ let int_where ok ~expected s =
   | Some n when ok n -> Ok n
   | Some _ | None -> Error ("expected " ^ expected)
 
+let float_where ok ~expected s =
+  match float_of_string_opt (String.trim s) with
+  | Some r when ok r -> Ok r
+  | Some _ | None -> Error ("expected " ^ expected)
+
+(* (0, 1]: NaN and the infinities fail the comparisons. *)
+let in_unit_interval r = r > 0.0 && r <= 1.0
+
 let jobs_env = "KARD_JOBS"
 
 let positive_int_of_string = int_where (fun n -> n >= 1) ~expected:"a positive integer"
+
+let positive_float_of_string =
+  float_where (fun r -> Float.is_finite r && r > 0.0) ~expected:"a positive finite number"
 
 let jobs () =
   env_override jobs_env positive_int_of_string
@@ -54,10 +65,8 @@ let sampling_env = "KARD_SAMPLING"
    the whole default-config surface into a sampled detector at that
    rate.  Out-of-range values fail rather than clamp — a typo must not
    silently weaken detection. *)
-let sampling_of_string s =
-  match float_of_string_opt (String.trim s) with
-  | Some r when r > 0.0 && r <= 1.0 -> Ok r
-  | Some _ | None -> Error "expected a rate in (0, 1]"
+let sampling_of_string = float_where in_unit_interval ~expected:"a rate in (0, 1]"
+let scale_of_string = float_where in_unit_interval ~expected:"a scale in (0, 1]"
 
 let sampling () = env_override sampling_env sampling_of_string |> Option.value ~default:1.0
 

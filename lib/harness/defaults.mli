@@ -54,6 +54,10 @@ val positive_int_of_string : string -> (int, string) result
     was expected.  [$KARD_JOBS] and the CLI's [--jobs] both parse with
     it, so they accept exactly the same values. *)
 
+val positive_float_of_string : string -> (float, string) result
+(** A positive finite float, surrounding blanks ignored: what the
+    serve sweep's [--rates] list takes per element. *)
+
 val jobs : unit -> int
 (** Worker-domain count for plan execution: [$KARD_JOBS] when set,
     otherwise [Domain.recommended_domain_count ()].  Like every
@@ -87,6 +91,11 @@ val sampling_of_string : string -> (float, string) result
 (** A sampling rate: a float in (0, 1], surrounding blanks ignored; it
     is never clamped.  [Error] says what was expected.
     [$KARD_SAMPLING] and the CLI's [--sampling] both parse with it. *)
+
+val scale_of_string : string -> (float, string) result
+(** A workload scale factor: a float in (0, 1], surrounding blanks
+    ignored; it is never clamped.  [Error] says what was expected.
+    Every [--scale] flag parses with it. *)
 
 val sampling : unit -> float
 (** Sampling rate for default-config Kard runs: [$KARD_SAMPLING] when

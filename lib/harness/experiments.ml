@@ -482,8 +482,7 @@ let ablation_variants =
     ("no metadata pruning", { Config.default with Config.metadata_pruning = false });
     ("4 data keys", { Config.default with Config.data_keys = 4 });
     ("1 data key", { Config.default with Config.data_keys = 1 });
-    ( "1 data key + software fallback",
-      { Config.default with Config.data_keys = 1; software_fallback = true } );
+    ("1 data key + 192 vkeys", { Config.default with Config.data_keys = 1; vkeys = 192 });
     ( "binary mode (sections = locks)",
       { Config.default with Config.section_identity = Config.By_lock } ) ]
 

@@ -59,8 +59,6 @@ let of_kard_stats (s : Kard_core.Detector.stats) =
       field "records_logged" (int_ s.Kard_core.Detector.records_logged);
       field "records_redundant" (int_ s.Kard_core.Detector.records_redundant);
       field "records_pruned_spurious" (int_ s.Kard_core.Detector.records_pruned_spurious);
-      field "soft_fallbacks" (int_ s.Kard_core.Detector.soft_fallbacks);
-      field "soft_faults" (int_ s.Kard_core.Detector.soft_faults);
       field "vkeys"
         (obj
            [ field "pool" (int_ s.Kard_core.Detector.vkey_pool);

@@ -34,7 +34,7 @@ let detector_name = function
   | Tsan -> "tsan"
   | Lockset -> "lockset"
 
-let kard_allocator = Machine.Unique_page { granule = 32; recycle_virtual_pages = false }
+let kard_allocator = Machine.Unique_page
 
 let run_build ?schedule ?wrap ?trace ?interp ?(shards = 1) ~threads ~scale ~seed ~detector build
     name =

@@ -24,6 +24,7 @@ type t = {
   mutable pkey_mprotect_calls : int;
   mutable pages_retagged : int;
   mutable faults : int;
+  mutable default_grants : int; (* granted accesses to [k_def] pages *)
 }
 
 let no_fault =
@@ -39,12 +40,17 @@ let create ?(cost = Cost_model.default) ?trace () =
     rdpkru_calls = 0;
     pkey_mprotect_calls = 0;
     pages_retagged = 0;
-    faults = 0 }
+    faults = 0;
+    default_grants = 0 }
 
 let cost t = t.cost
 let trace t = t.trace
 let page_table t = t.page_table
 let wrpkru_count t = t.wrpkru_calls
+let default_grants t = t.default_grants
+
+let note_grant t pkey =
+  if Pkey.equal pkey Pkey.k_def then t.default_grants <- t.default_grants + 1
 
 let register_thread t tid =
   if tid < 0 then invalid_arg (Printf.sprintf "Mpk_hw: negative thread id %d" tid);
@@ -164,10 +170,12 @@ let try_access t ~tid ~addr ~access ~ip ~time =
     Tlb.translate tlb vpage ~gen:(Page_table.generation t.page_table)
       ~pt:t.page_table
   in
-  if Pkru.grants core.pkru pkey access then
+  if Pkru.grants core.pkru pkey access then begin
+    note_grant t pkey;
     if Tlb.last_missed tlb then
       t.cost.Cost_model.mem_access + t.cost.Cost_model.dtlb_miss
     else t.cost.Cost_model.mem_access
+  end
   else begin
     t.faults <- t.faults + 1;
     (match t.trace with
@@ -195,9 +203,8 @@ let access_granted t ~tid ~vpage ~access =
    accounting) and return the cycles the access costs. *)
 let drain_translate t ~tid vpage =
   let tlb = (core_of t tid).tlb in
-  ignore
-    (Tlb.translate tlb vpage ~gen:(Page_table.generation t.page_table)
-       ~pt:t.page_table : Pkey.t);
+  note_grant t
+    (Tlb.translate tlb vpage ~gen:(Page_table.generation t.page_table) ~pt:t.page_table);
   if Tlb.last_missed tlb then
     t.cost.Cost_model.mem_access + t.cost.Cost_model.dtlb_miss
   else t.cost.Cost_model.mem_access
@@ -213,6 +220,10 @@ let note_tlb_hits t ~tid n = Tlb.note_hits (core_of t tid).tlb n
 let note_tlb_misses t ~tid n =
   if n > 0 then Kard_obs.Trace.observe t.trace "hw.dtlb_miss_burst" n;
   Tlb.note_misses (core_of t tid).tlb n
+
+let note_streamed_grants t vpage n =
+  if Pkey.equal (Page_table.pkey_of_vpage t.page_table vpage) Pkey.k_def then
+    t.default_grants <- t.default_grants + n
 
 let stats t =
   let dtlb_accesses = ref 0 and dtlb_misses = ref 0 in
@@ -247,6 +258,7 @@ let reset_stats t =
   t.pkey_mprotect_calls <- 0;
   t.pages_retagged <- 0;
   t.faults <- 0;
+  t.default_grants <- 0;
   Array.iter
     (function None -> () | Some core -> Tlb.reset_stats core.tlb)
     t.cores

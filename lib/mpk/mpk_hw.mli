@@ -127,10 +127,22 @@ val note_tlb_hits : t -> tid:int -> int -> unit
 
 val note_tlb_misses : t -> tid:int -> int -> unit
 
+val note_streamed_grants : t -> Page.vpage -> int -> unit
+(** Account [n] streamed block accesses to [vpage] in
+    {!default_grants} when the page carries [k_def]: the part of a
+    block op the machine charges analytically instead of checking. *)
+
 val stats : t -> stats
 val wrpkru_count : t -> int
 (** Running WRPKRU total, without building a {!stats} record — cheap
     enough to snapshot at every section entry. *)
+
+val default_grants : t -> int
+(** Granted accesses to pages tagged [k_def], which every PKRU grants:
+    counted where the verdict is taken ({!try_access},
+    {!drain_translate}, {!note_streamed_grants}), so no per-access
+    hook is needed to observe them.  Under sampling these are exactly
+    the accesses to unsampled objects. *)
 
 val miss_rate : misses:int -> accesses:int -> float
 (** [misses / accesses], 0 when [accesses] is 0 — the single guarded

@@ -2,7 +2,6 @@ type access = [ `Read | `Write ]
 
 type alloc_kind =
   | Fresh
-  | Recycled
   | Global
 
 type assign_kind =
@@ -78,7 +77,6 @@ let assign_str = function
 
 let alloc_str = function
   | Fresh -> "fresh"
-  | Recycled -> "recycled"
   | Global -> "global"
 
 let args = function

@@ -8,9 +8,8 @@
 type access = [ `Read | `Write ]
 
 type alloc_kind =
-  | Fresh     (** A new unique-page mapping was created. *)
-  | Recycled  (** A freed virtual mapping was reused (PUSh-style). *)
-  | Global    (** Load-time global registration. *)
+  | Fresh   (** A new unique-page mapping was created. *)
+  | Global  (** Load-time global registration. *)
 
 type assign_kind =
   | Assign_fresh    (** An unheld key was assigned (rule 1). *)

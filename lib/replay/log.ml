@@ -178,6 +178,10 @@ let get_config c =
     | [ a; b; c; d; e; f; g; h ] -> (a, b, c, d, e, f, g, h)
     | _ -> assert false
   in
+  (* The retired software key pool keeps its wire bit; no detector can
+     replay a log that sets it. *)
+  if software_fallback then
+    raise (Error (Corrupt "config sets the retired software_fallback"));
   let exit_delay_cycles = get_varint c in
   let section_identity =
     match byte c with

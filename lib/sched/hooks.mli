@@ -57,8 +57,7 @@ type t = {
           and the baseline do (fault-driven detection needs no
           per-access instrumentation), and the machine may batch
           granted-access cycles.  [Some]: every access goes through
-          the hooks — TSan, Eraser, the fuzz trace log, Kard counting
-          sampled-out accesses.  A wrapper that intercepts an access
+          the hooks — TSan, Eraser, the fuzz trace log.  A wrapper that intercepts an access
           must install [Some], so it can never inherit "no observer"
           by accident. *)
   on_fault : Kard_mpk.Fault.t -> fault_outcome;

@@ -8,7 +8,7 @@ module Meta_table = Kard_alloc.Meta_table
 module Alloc_iface = Kard_alloc.Alloc_iface
 
 type allocator_kind =
-  | Unique_page of { granule : int; recycle_virtual_pages : bool }
+  | Unique_page
   | Native
 
 type interp =
@@ -79,10 +79,9 @@ let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
   let meta = Meta_table.create () in
   let alloc =
     match allocator with
-    | Unique_page { granule; recycle_virtual_pages } ->
+    | Unique_page ->
       Kard_alloc.Unique_page_alloc.iface
-        (Kard_alloc.Unique_page_alloc.create ~granule ~recycle_virtual_pages ?trace aspace ~meta
-           ~cost ())
+        (Kard_alloc.Unique_page_alloc.create ?trace aspace ~meta ~cost ())
     | Native -> Kard_alloc.Native_alloc.iface (Kard_alloc.Native_alloc.create aspace ~meta ~cost ())
   in
   let env = { Hooks.hw; meta; cost; now = (fun () -> Sim_clock.now clock); trace } in
@@ -374,6 +373,7 @@ let perform_block t thread (b : Op.block) access =
   in
   Mpk_hw.note_tlb_misses t.hw ~tid:thread.tid est_misses;
   Mpk_hw.note_tlb_hits t.hw ~tid:thread.tid (remaining - est_misses);
+  Mpk_hw.note_streamed_grants t.hw (Page.vpage_of_addr b.Op.base) remaining;
   let cycles =
     int_of_float (float_of_int remaining /. t.cost.Cost_model.mem_throughput)
     + (est_misses * t.cost.Cost_model.dtlb_miss)

@@ -12,8 +12,7 @@
 type t
 
 type allocator_kind =
-  | Unique_page of { granule : int; recycle_virtual_pages : bool }
-      (** Kard's allocator (section 5.3). *)
+  | Unique_page  (** Kard's allocator (section 5.3). *)
   | Native  (** Compact bump allocator (Baseline / TSan). *)
 
 type interp =

@@ -12,14 +12,11 @@ module Native = Kard_alloc.Native_alloc
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make_upa ?granule ?recycle () =
+let make_upa () =
   let phys = Kard_vm.Phys_mem.create () in
   let aspace = Kard_vm.Address_space.create phys in
   let meta = Meta_table.create () in
-  let upa =
-    Upa.create ?granule ?recycle_virtual_pages:recycle aspace ~meta
-      ~cost:Kard_mpk.Cost_model.default ()
-  in
+  let upa = Upa.create aspace ~meta ~cost:Kard_mpk.Cost_model.default () in
   (phys, aspace, meta, upa, Upa.iface upa)
 
 (* {1 Figure 2: consolidation} *)
@@ -34,7 +31,7 @@ let test_figure2_consolidation () =
   check_int "128 virtual pages" 128 (Kard_vm.Address_space.mapped_pages aspace);
   (* The file grows in batches; the objects' data needs only 1 page. *)
   check "few physical frames" true (Kard_vm.Phys_mem.resident_frames phys <= 16);
-  check "file covers the data" true (Upa.file_bytes upa >= 128 * Upa.granule upa)
+  check "file covers the data" true (Upa.file_bytes upa >= 128 * 32)
 
 let test_unique_virtual_pages () =
   let _, _, _, _, iface = make_upa () in
@@ -46,6 +43,35 @@ let test_unique_virtual_pages () =
      shared physical page. *)
   check "page-internal bases differ" true
     (Page.offset_in_page m1.Obj_meta.base <> Page.offset_in_page m2.Obj_meta.base)
+
+let test_freed_pages_not_reused () =
+  let _, _, _, _, iface = make_upa () in
+  let m, _ = iface.Alloc_iface.alloc ~site:1 32 in
+  let (_ : int) = iface.Alloc_iface.free m in
+  let m2, _ = iface.Alloc_iface.alloc ~site:1 32 in
+  check "fresh virtual pages" true (m2.Obj_meta.base <> m.Obj_meta.base)
+
+(* A free unmaps the object's virtual pages and nothing else: the
+   backing file keeps its bytes and frames (file space is not reused
+   either, section 6), so the next object takes a fresh page-internal
+   slot rather than the freed one. *)
+let test_free_unmaps_keeps_file () =
+  let phys, aspace, _, upa, iface = make_upa () in
+  let keep, _ = iface.Alloc_iface.alloc ~site:1 32 in
+  let m, _ = iface.Alloc_iface.alloc ~site:1 32 in
+  let mapped = Kard_vm.Address_space.mapped_pages aspace in
+  let file = Upa.file_bytes upa and frames = Kard_vm.Phys_mem.resident_frames phys in
+  let cost = iface.Alloc_iface.free m in
+  check_int "free costs one munmap" Kard_mpk.Cost_model.default.Kard_mpk.Cost_model.munmap cost;
+  check_int "its page unmapped" (mapped - 1) (Kard_vm.Address_space.mapped_pages aspace);
+  check_int "file unchanged" file (Upa.file_bytes upa);
+  check_int "frames unchanged" frames (Kard_vm.Phys_mem.resident_frames phys);
+  let m2, _ = iface.Alloc_iface.alloc ~site:1 32 in
+  check "fresh slot" true
+    (List.for_all
+       (fun (o : Obj_meta.t) ->
+         Page.offset_in_page m2.Obj_meta.base <> Page.offset_in_page o.Obj_meta.base)
+       [ keep; m ])
 
 let test_aliased_objects_share_physical_page () =
   let _, aspace, _, _, iface = make_upa () in
@@ -68,13 +94,6 @@ let test_granule_rounding () =
   check_int "8 B wasted" 8 (Upa.wasted_bytes upa);
   let m2, _ = iface.Alloc_iface.alloc ~site:1 33 in
   check_int "33 B reserves 64 B" 64 m2.Obj_meta.reserved
-
-let test_granule_validation () =
-  check "granule must divide page" true
-    (try
-       ignore (make_upa ~granule:48 ());
-       false
-     with Invalid_argument _ -> true)
 
 let test_large_allocation_page_aligned () =
   let _, _, _, _, iface = make_upa () in
@@ -203,25 +222,6 @@ let test_global_non_resident () =
   check_int "not mapped" 0 (Kard_vm.Address_space.mapped_pages aspace);
   ignore phys
 
-(* {1 Recycling (the PUSh-style extension, off by default)} *)
-
-let test_no_recycling_by_default () =
-  let _, _, _, _, iface = make_upa () in
-  let m, _ = iface.Alloc_iface.alloc ~site:1 32 in
-  let (_ : int) = iface.Alloc_iface.free m in
-  let m2, _ = iface.Alloc_iface.alloc ~site:1 32 in
-  check "fresh virtual pages" true (m2.Obj_meta.base <> m.Obj_meta.base);
-  check_int "no recycled allocs" 0 (iface.Alloc_iface.stats ()).Alloc_iface.recycled
-
-let test_recycling_reuses_mapping () =
-  let _, _, _, _, iface = make_upa ~recycle:true () in
-  let m, _ = iface.Alloc_iface.alloc ~site:1 32 in
-  let (_ : int) = iface.Alloc_iface.free m in
-  let m2, cost = iface.Alloc_iface.alloc ~site:1 32 in
-  check "same base reused" true (m2.Obj_meta.base = m.Obj_meta.base);
-  check_int "one recycled" 1 (iface.Alloc_iface.stats ()).Alloc_iface.recycled;
-  check "cheap fast path" true (cost < Kard_mpk.Cost_model.default.Kard_mpk.Cost_model.mmap)
-
 (* {1 Native allocator} *)
 
 let make_native () =
@@ -277,11 +277,12 @@ let () =
     [ ( "consolidation",
         [ Alcotest.test_case "figure 2" `Quick test_figure2_consolidation;
           Alcotest.test_case "unique virtual pages" `Quick test_unique_virtual_pages;
+          Alcotest.test_case "freed pages not reused" `Quick test_freed_pages_not_reused;
+          Alcotest.test_case "free unmaps, keeps the file" `Quick test_free_unmaps_keeps_file;
           Alcotest.test_case "physical sharing" `Quick test_aliased_objects_share_physical_page;
           QCheck_alcotest.to_alcotest upa_no_overlap_prop ] );
       ( "granule",
         [ Alcotest.test_case "rounding" `Quick test_granule_rounding;
-          Alcotest.test_case "validation" `Quick test_granule_validation;
           Alcotest.test_case "large allocations" `Quick test_large_allocation_page_aligned ] );
       ( "metadata",
         [ Alcotest.test_case "lookup" `Quick test_meta_lookup;
@@ -292,9 +293,6 @@ let () =
       ( "globals",
         [ Alcotest.test_case "unique pages" `Quick test_global_unique_pages;
           Alcotest.test_case "non-resident" `Quick test_global_non_resident ] );
-      ( "recycling",
-        [ Alcotest.test_case "off by default" `Quick test_no_recycling_by_default;
-          Alcotest.test_case "reuses mappings" `Quick test_recycling_reuses_mapping ] );
       ( "native",
         [ Alcotest.test_case "packs objects" `Quick test_native_packs_objects;
           Alcotest.test_case "freelist reuse" `Quick test_native_freelist_reuse;

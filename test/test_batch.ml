@@ -95,13 +95,23 @@ let test_ineligible_hooks_identity () =
 let convoy_threads = 16
 let convoy_scale = 0.02
 
-let run_convoy ?schedule ?(interp = `Compiled) ?(wrap = fun _ h -> h) () =
+(* Full Kard and a sampled detector, pinned here rather than taken
+   from $KARD_SAMPLING: a sampled run batches just as a full-rate one
+   does, because the detector counts sampled-out accesses without
+   access hooks. *)
+let convoy_configs =
+  [ ("full", Kard_core.Config.default);
+    ( "sampled",
+      { Kard_core.Config.default with
+        Kard_core.Config.sampling = 0.25;
+        sampling_epoch = 100_000 } ) ]
+
+let run_convoy ?schedule ?(interp = `Compiled) ?(config = Kard_core.Config.default)
+    ?(wrap = fun _ h -> h) () =
   let cell = ref None in
   let machine =
-    Machine.create ?schedule ~seed:7 ~interp
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
-      ~make_detector:(fun env ->
-        wrap env (Kard_core.Detector.make ~config:Kard_core.Config.default ~cell env))
+    Machine.create ?schedule ~seed:7 ~interp ~allocator:Machine.Unique_page
+      ~make_detector:(fun env -> wrap env (Kard_core.Detector.make ~config ~cell env))
       ()
   in
   Contended.convoy.Spec.build ~threads:convoy_threads ~scale:convoy_scale ~seed:7 machine;
@@ -109,14 +119,19 @@ let run_convoy ?schedule ?(interp = `Compiled) ?(wrap = fun _ h -> h) () =
   (report, Kard_core.Detector.races (Option.get !cell))
 
 let test_convoy_identity () =
-  let batched = run_convoy () in
-  check "convoy identical to thunks" true (batched = run_convoy ~interp:`Thunks ());
-  check "convoy identical to observed" true (batched = run_convoy ~wrap:observed ())
+  List.iter
+    (fun (label, config) ->
+      let batched = run_convoy ~config () in
+      check (label ^ ": convoy identical to thunks") true
+        (batched = run_convoy ~config ~interp:`Thunks ());
+      check (label ^ ": convoy identical to observed") true
+        (batched = run_convoy ~config ~wrap:observed ()))
+    convoy_configs
 
 (* The identity tests above are vacuous unless batching really runs.
    [on_pick] may see a clock that lags banked cycles (Hooks.mli), so a
    clock-reading pick hook tells batched and unbatched runs apart. *)
-let pick_clocks ?interp wrap =
+let pick_clocks ?interp ?config wrap =
   let clocks = ref [] in
   let spy env (h : Hooks.t) =
     let h = wrap env h in
@@ -126,15 +141,24 @@ let pick_clocks ?interp wrap =
           clocks := env.Hooks.now () :: !clocks;
           h.Hooks.on_pick ~tid) }
   in
-  let report, _ = run_convoy ?interp ~wrap:spy () in
+  let report, _ = run_convoy ?interp ?config ~wrap:spy () in
   (report, !clocks)
 
 let test_batching_is_live () =
-  let batched, batched_clocks = pick_clocks (fun _ h -> h) in
-  let unbatched, unbatched_clocks = pick_clocks observed in
-  check "reports identical" true (batched = unbatched);
-  check "pick-time clocks differ: the batched run banks cycles" true
-    (batched_clocks <> unbatched_clocks)
+  List.iter
+    (fun (label, config) ->
+      let no_access_hooks = ref false in
+      let probe _ (h : Hooks.t) =
+        no_access_hooks := Option.is_none h.Hooks.access;
+        h
+      in
+      let batched, batched_clocks = pick_clocks ~config probe in
+      let unbatched, unbatched_clocks = pick_clocks ~config observed in
+      check (label ^ ": the detector installs no access hooks") true !no_access_hooks;
+      check (label ^ ": reports identical") true (batched = unbatched);
+      check (label ^ ": pick-time clocks differ: the batched run banks cycles") true
+        (batched_clocks <> unbatched_clocks))
+    convoy_configs
 
 (* Both unbatched references commit every charge at once, so they
    agree with each other even on the clocks [on_pick] sees. *)

@@ -118,8 +118,7 @@ let setter_program ~flag =
 let run_dynamic interp =
   let cell = ref None in
   let machine =
-    Machine.create ~seed:11 ~interp
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+    Machine.create ~seed:11 ~interp ~allocator:Machine.Unique_page
       ~make_detector:(Kard_core.Detector.make ~config:Kard_core.Config.default ~cell)
       ()
   in

@@ -327,63 +327,6 @@ let test_assign_stats () =
   Key_assign.note ka d;
   check_int "fresh counted" 1 (Key_assign.stats ka).Key_assign.fresh_events
 
-(* {1 Soft_keys: the section 8 software fallback} *)
-
-module Soft_keys = Kard_core.Soft_keys
-
-let test_soft_pool_membership () =
-  let s = Soft_keys.create () in
-  check "empty" false (Soft_keys.mem s ~obj_id:1);
-  Soft_keys.add_object s ~obj_id:1;
-  check "pooled" true (Soft_keys.mem s ~obj_id:1);
-  check_int "count" 1 (Soft_keys.pooled s)
-
-let test_soft_exclusive_write () =
-  let s = Soft_keys.create () in
-  Soft_keys.add_object s ~obj_id:1;
-  check "writer claims" true
-    (Soft_keys.access s ~obj_id:1 ~tid:0 ~section:(Some 10) ~lock:(Some 1) ~access:`Write
-    = Soft_keys.Soft_ok);
-  (match Soft_keys.access s ~obj_id:1 ~tid:1 ~section:(Some 20) ~lock:(Some 2) ~access:`Write with
-  | Soft_keys.Soft_conflict [ h ] -> check_int "holder id" 0 h.Ksmap.tid
-  | _ -> Alcotest.fail "expected conflict");
-  check "holder re-access fine" true
-    (Soft_keys.access s ~obj_id:1 ~tid:0 ~section:(Some 10) ~lock:(Some 1) ~access:`Read
-    = Soft_keys.Soft_ok)
-
-let test_soft_shared_read () =
-  let s = Soft_keys.create () in
-  Soft_keys.add_object s ~obj_id:1;
-  check "reader 1" true
-    (Soft_keys.access s ~obj_id:1 ~tid:0 ~section:(Some 10) ~lock:(Some 1) ~access:`Read
-    = Soft_keys.Soft_ok);
-  check "reader 2 shares" true
-    (Soft_keys.access s ~obj_id:1 ~tid:1 ~section:(Some 20) ~lock:(Some 2) ~access:`Read
-    = Soft_keys.Soft_ok);
-  check "writer conflicts with readers" true
-    (match Soft_keys.access s ~obj_id:1 ~tid:2 ~section:(Some 30) ~lock:(Some 3) ~access:`Write with
-    | Soft_keys.Soft_conflict _ -> true
-    | Soft_keys.Soft_ok -> false)
-
-let test_soft_release () =
-  let s = Soft_keys.create () in
-  Soft_keys.add_object s ~obj_id:1;
-  ignore (Soft_keys.access s ~obj_id:1 ~tid:0 ~section:(Some 10) ~lock:(Some 1) ~access:`Write);
-  Soft_keys.release_thread s ~tid:0 ~time:100;
-  check "free after release" true
-    (Soft_keys.access s ~obj_id:1 ~tid:1 ~section:(Some 20) ~lock:(Some 2) ~access:`Write
-    = Soft_keys.Soft_ok)
-
-let test_soft_outside_section () =
-  let s = Soft_keys.create () in
-  Soft_keys.add_object s ~obj_id:1;
-  (* Outside-section accesses check conflicts but never claim. *)
-  check "outside ok when free" true
-    (Soft_keys.access s ~obj_id:1 ~tid:0 ~section:None ~lock:None ~access:`Write = Soft_keys.Soft_ok);
-  check "still free" true
-    (Soft_keys.access s ~obj_id:1 ~tid:1 ~section:(Some 20) ~lock:(Some 2) ~access:`Write
-    = Soft_keys.Soft_ok)
-
 (* {1 Key_assign saturation: the full-table decisions} *)
 
 (* Put every data key under protection (one object each, recorded in
@@ -427,39 +370,46 @@ let test_assign_saturation_recycle () =
     Alcotest.failf "expected Recycle of the unheld key, got %s"
       (Format.asprintf "%a" Key_assign.pp_decision d)
 
-let test_assign_saturation_soft_spill () =
-  (* The section 8 fallback at the sharing moment: [choose] still says
-     Share, but with [software_fallback] on the detector pools the
-     object instead of force-acquiring — conflicts on it are caught in
-     the pool while the saturated key table is left untouched. *)
-  let config = { Config.default with Config.software_fallback = true } in
-  let ka = Key_assign.create config in
-  let ksmap = Ksmap.create () in
-  let domains = Domain_state.create () in
-  let somap = Somap.create () in
-  saturate ka ksmap domains somap;
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 with
-  | Key_assign.Share _ -> ()
-  | d ->
-    Alcotest.failf "expected Share at full saturation, got %s"
-      (Format.asprintf "%a" Key_assign.pp_decision d));
-  let soft = Soft_keys.create () in
-  Soft_keys.add_object soft ~obj_id:500;
-  check "spilled object pooled" true (Soft_keys.mem soft ~obj_id:500);
-  check "spill claims no data key" true
-    (List.for_all
-       (fun k -> not (List.mem 500 (Domain_state.objects_with_key domains k)))
-       (Key_assign.available_keys ka));
-  check "spiller's write claims in the pool" true
-    (Soft_keys.access soft ~obj_id:500 ~tid:50 ~section:(Some 10) ~lock:(Some 9) ~access:`Write
-    = Soft_keys.Soft_ok);
-  (match
-     Soft_keys.access soft ~obj_id:500 ~tid:3 ~section:(Some 23) ~lock:(Some 3) ~access:`Write
-   with
-  | Soft_keys.Soft_conflict [ h ] -> check_int "conflict blames the pool holder" 50 h.Ksmap.tid
-  | _ -> Alcotest.fail "expected a soft conflict on the spilled object");
-  check "key table still fully held after the spill" true
-    (List.for_all (fun k -> Ksmap.holders ksmap k <> []) (Key_assign.available_keys ka))
+let test_assign_saturation_vkey_pool () =
+  (* The sharing moment with a virtual pool over the same hardware:
+     once a one-key budget's key is held the next section must share
+     it, but a 16-key pool over that one key hands out fresh keys
+     until all 16 are held, and shares only then. *)
+  let fail_with expected d =
+    Alcotest.failf "expected %s, got %s" expected (Format.asprintf "%a" Key_assign.pp_decision d)
+  in
+  let sections config n =
+    (* Threads 0..n-1 each enter a section that takes a fresh key and
+       keeps holding it; then thread 50 enters one more. *)
+    let ka = Key_assign.create config in
+    let ksmap = Ksmap.create () and domains = Domain_state.create () in
+    let somap = Somap.create () in
+    for i = 0 to n - 1 do
+      Somap.record somap ~section:(20 + i) ~obj_id:(100 + i) Somap.Needs_write;
+      match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:i ~section:(20 + i) with
+      | Key_assign.Fresh key as d ->
+        Key_assign.note ka d;
+        Domain_state.set domains ~obj_id:(100 + i) (Domain_state.Read_write key);
+        acquire ksmap key (holder ~section:(20 + i) ~lock:i i)
+      | d -> fail_with (Printf.sprintf "Fresh for section %d" i) d
+    done;
+    Somap.record somap ~section:10 ~obj_id:500 Somap.Needs_write;
+    Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10
+  in
+  let one_key = { Config.default with Config.data_keys = 1 } in
+  (match sections one_key 1 with
+  | Key_assign.Share k -> check_int "one key shares the held key" 1 k
+  | d -> fail_with "Share" d);
+  let pooled = { one_key with Config.vkeys = 16 } in
+  (match sections pooled 1 with
+  | Key_assign.Fresh k -> check_int "the pool hands out its second key" 2 k
+  | d -> fail_with "Fresh" d);
+  (match sections pooled 15 with
+  | Key_assign.Fresh k -> check_int "and its last" 16 k
+  | d -> fail_with "Fresh" d);
+  match sections pooled 16 with
+  | Key_assign.Share k -> check "shares a pool key" true (k >= 1 && k <= 16)
+  | d -> fail_with "Share at full pool saturation" d
 
 (* {1 Key assignment properties} *)
 
@@ -547,12 +497,6 @@ let () =
             test_assign_saturation_recycle;
           Alcotest.test_case "saturation: share when all keys held" `Quick
             test_assign_saturation_share;
-          Alcotest.test_case "saturation: soft pool takes the spill" `Quick
-            test_assign_saturation_soft_spill ] );
-      ("key_assign properties", [ QCheck_alcotest.to_alcotest assign_decision_prop ]);
-      ( "soft_keys",
-        [ Alcotest.test_case "pool membership" `Quick test_soft_pool_membership;
-          Alcotest.test_case "exclusive write" `Quick test_soft_exclusive_write;
-          Alcotest.test_case "shared read" `Quick test_soft_shared_read;
-          Alcotest.test_case "release" `Quick test_soft_release;
-          Alcotest.test_case "outside section" `Quick test_soft_outside_section ] ) ]
+          Alcotest.test_case "saturation: a vkey pool defers sharing" `Quick
+            test_assign_saturation_vkey_pool ] );
+      ("key_assign properties", [ QCheck_alcotest.to_alcotest assign_decision_prop ]) ]

@@ -119,11 +119,7 @@ let run_plan ~seed (plan : plan) =
   let ids = Array.make n_objects (-1) in
   let allocated = ref 0 in
   let make_detector env = trace_event_of_hooks trace bases (Detector.make ~cell env) in
-  let machine =
-    Machine.create ~seed
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
-      ~make_detector ()
-  in
+  let machine = Machine.create ~seed ~allocator:Machine.Unique_page ~make_detector () in
   let round_program r =
     Program.delay (fun () ->
         let addr = bases.(r.r_obj) in
@@ -269,8 +265,8 @@ let test_proactive_repro_plan () =
 (* {1 Wide generator: full surface, taxonomy-bounded divergence}
 
    The one-object-per-call-site restriction is gone: programs from
-   the fuzz generator exercise grouping, recycling, sharing, soft-key
-   spill, demotion and the RO domain.  Exact agreement is impossible
+   the fuzz generator exercise grouping, recycling, sharing, vkey
+   eviction, demotion and the RO domain.  Exact agreement is impossible
    by design; the contract is that the multi-oracle classifier
    explains every disagreement with a documented class. *)
 
@@ -292,13 +288,14 @@ let test_wide_default_config () =
   run_wide ~base:500 ~configs:[ Kard_core.Config.default ] 30
 
 let test_wide_pressure_configs () =
-  (* 4 data keys force grouping/recycling/sharing; By_lock coarsens
-     section identity.  All divergence must still classify. *)
+  (* 4 data keys force grouping/recycling/sharing, and a 16-key
+     virtual pool over them adds eviction; By_lock coarsens section
+     identity.  All divergence must still classify. *)
   let d = Kard_core.Config.default in
   run_wide ~base:600
     ~configs:
       [ { d with Kard_core.Config.data_keys = 4 };
-        { d with Kard_core.Config.data_keys = 4; software_fallback = true };
+        { d with Kard_core.Config.data_keys = 4; vkeys = 16 };
         { d with Kard_core.Config.section_identity = Kard_core.Config.By_lock } ]
     12
 

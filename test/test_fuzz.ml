@@ -319,14 +319,15 @@ let test_fuzz_target_roundtrip () =
 (* Program [i] of a campaign draws entry [i mod 15], so a recorded
    [fuzz:SEED:INDEX] target reconstructs the same program only while
    the rotation keeps its order, generator profiles and gates.  The
-   retired sharded entries kept their slots as batch-gate entries. *)
+   retired sharded entries kept their slots as batch-gate entries, and
+   the retired soft-pool entry's slot holds a batch-gated vkey one. *)
 let test_campaign_rotation_order () =
   check "rotation order, batch gates, profiles and replay gates" true
     (List.map (fun (name, _, batch, profile, replay) -> (name, batch, profile, replay))
        Campaign.configs
     = [ ("default", false, `Default, false);
         ("keys4", false, `Default, false);
-        ("keys4-soft", false, `Default, false);
+        ("keys4-vkeys16", true, `Vkey_rotation, false);
         ("by-lock", false, `Default, false);
         ("default-batch", true, `Default, false);
         ("keys4-batch", true, `Default, false);
@@ -343,6 +344,29 @@ let test_campaign_rotation_order () =
   check "fuzz:42:43 (the checked-in fixture) is the replay-oracle entry" true
     (r.Campaign.rp_config_name = "replay-oracle" && r.Campaign.rp_replay
      && not r.Campaign.rp_batch_gate)
+
+(* Entry 2, the retired soft-pool entry's slot, pairs a 16-key
+   virtual pool over 4 physical keys with the batch gate.  A dozen of
+   its programs, rebuilt from their campaign targets, must all pass
+   the batch gate with nothing unexpected. *)
+let test_vkey_batch_entry () =
+  for k = 0 to 11 do
+    let i = 2 + (k * List.length Campaign.configs) in
+    let r = Campaign.reconstruct ~seed:4242 i in
+    check "the keys4-vkeys16 entry, batch-gated" true
+      (r.Campaign.rp_config_name = "keys4-vkeys16" && r.Campaign.rp_batch_gate);
+    check "4 physical keys under 16 virtual ones" true
+      (r.Campaign.rp_config
+      = { Kard_core.Config.default with Kard_core.Config.data_keys = 4; vkeys = 16 });
+    let o =
+      Harness.run ~config:r.Campaign.rp_config ~batch_gate:true ~seed:r.Campaign.rp_machine_seed
+        r.Campaign.rp_prog
+    in
+    if List.mem D.Batch_divergence o.Harness.classes then
+      Alcotest.failf "program %d diverged under the batch gate:@ %a" i Harness.pp_outcome o;
+    if o.Harness.unexpected then
+      Alcotest.failf "program %d diverged unexpectedly:@ %a" i Harness.pp_outcome o
+  done
 
 let test_campaign_rotation_covers_replay () =
   (* One full trip through the config rotation, which includes the
@@ -440,7 +464,8 @@ let () =
           Alcotest.test_case "fuzz target round-trips" `Quick test_fuzz_target_roundtrip;
           Alcotest.test_case "rotation covers replay configs" `Quick
             test_campaign_rotation_covers_replay;
-          Alcotest.test_case "rotation order pinned" `Quick test_campaign_rotation_order ] );
+          Alcotest.test_case "rotation order pinned" `Quick test_campaign_rotation_order;
+          Alcotest.test_case "vkey entry under the batch gate" `Quick test_vkey_batch_entry ] );
       ( "batch-gate",
         [ Alcotest.test_case "20-program sweep under the gate" `Quick
             test_batch_gate_no_divergence ] );

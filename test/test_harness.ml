@@ -71,7 +71,10 @@ let test_env_overrides () =
   with_env Defaults.sampling_env "  " (fun () ->
       check_float "blank KARD_SAMPLING is unset" 1.0 (Defaults.sampling ()));
   with_env Defaults.jobs_env "3" (fun () -> check_int "KARD_JOBS=3" 3 (Defaults.jobs ()));
-  check "--jobs 3" true (Defaults.positive_int_of_string "3" = Ok 3)
+  check "--jobs 3" true (Defaults.positive_int_of_string "3" = Ok 3);
+  check "--scale 0.002" true (Defaults.scale_of_string " 0.002 " = Ok 0.002);
+  check "--scale 1" true (Defaults.scale_of_string "1" = Ok 1.0);
+  check "--rates 12" true (Defaults.positive_float_of_string "12" = Ok 12.0)
 
 let test_env_overrides_fail_loudly () =
   let rejected flag of_string value =
@@ -95,6 +98,8 @@ let test_env_overrides_fail_loudly () =
       raises_naming Defaults.jobs_env value Defaults.jobs;
       rejected "--jobs" Defaults.positive_int_of_string value)
     [ "0"; "-2"; "4x" ];
+  List.iter (rejected "--scale" Defaults.scale_of_string) [ "0"; "2"; "-1"; "nan"; "inf"; "" ];
+  List.iter (rejected "--rates" Defaults.positive_float_of_string) [ "0"; "-3"; "nan"; "inf" ];
   raises_naming Defaults.vkeys_env "19x" Defaults.kard_config
 
 (* {1 Stats} *)
@@ -330,6 +335,26 @@ let test_memory_breakdown () =
     check "water_spatial blows up, aget does not" true (pct water > pct aget)
   | _ -> Alcotest.fail "expected two rows")
 
+(* The ablation's key-budget rows on memcached: 13 keys neither
+   recycle nor share, 4 keys recycle, 1 key also shares, and a
+   192-key virtual pool over that one key recycles nothing and shares
+   less, at the default's record count. *)
+let test_ablation_key_budget_rows () =
+  let rows = Experiments.ablation ~jobs:1 ~scale:0.002 () in
+  check "one row per variant, in order" true
+    (List.map (fun r -> r.Experiments.ab_label) rows = List.map fst Experiments.ablation_variants);
+  let row label = List.find (fun r -> r.Experiments.ab_label = label) rows in
+  let default = row "default (13 keys, all filters)" in
+  check_int "13 keys: no recycling" 0 default.Experiments.ab_recycling;
+  check_int "13 keys: no sharing" 0 default.Experiments.ab_sharing;
+  check "4 keys recycle" true ((row "4 data keys").Experiments.ab_recycling > 0);
+  let one = row "1 data key" and pooled = row "1 data key + 192 vkeys" in
+  check "1 key shares" true (one.Experiments.ab_sharing > 0);
+  check_int "the pool recycles nothing" 0 pooled.Experiments.ab_recycling;
+  check "the pool shares less" true (pooled.Experiments.ab_sharing < one.Experiments.ab_sharing);
+  check_int "the pool keeps the default's records" default.Experiments.ab_records
+    pooled.Experiments.ab_records
+
 let test_table6_shape () =
   with_full_kard @@ fun () ->
   let rows = Experiments.table6 ~scale:0.01 () in
@@ -457,6 +482,7 @@ let () =
           Alcotest.test_case "figure2" `Quick test_figure2_numbers;
           Alcotest.test_case "nginx sweep monotone" `Slow test_nginx_sweep_monotone;
           Alcotest.test_case "memory breakdown" `Slow test_memory_breakdown;
+          Alcotest.test_case "ablation key-budget rows" `Slow test_ablation_key_budget_rows;
           Alcotest.test_case "table6 matches paper" `Slow test_table6_shape ] );
       ( "explorer",
         [ Alcotest.test_case "scenario sweep" `Slow test_explorer_scenarios;

@@ -356,6 +356,49 @@ let test_hw_fault_path_dtlb_accounting () =
     (Result.is_ok (Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Read ~ip:2 ~time:2));
   check_int "still one miss total" 1 (Mpk_hw.stats hw).Mpk_hw.dtlb_misses
 
+(* [default_grants] is counted where the MMU takes its verdict: a
+   granted access to a [k_def] page counts, a granted access to a
+   keyed page and a faulting access do not, and [reset_stats] clears
+   the tally with the other counters. *)
+let test_hw_default_grants () =
+  let hw = make_hw () in
+  let k3 = Pkey.of_int 3 in
+  let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x8000 ~len:4096 k3 in
+  let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 (Pkru.set Pkru.deny_all k3 Perm.Read_only) in
+  let access addr access = Mpk_hw.check_access hw ~tid:0 ~addr ~access ~ip:0 ~time:0 in
+  check "k_def write granted" true (Result.is_ok (access 0x4000 `Write));
+  check "k_def read granted" true (Result.is_ok (access 0x4010 `Read));
+  check_int "both k_def grants counted" 2 (Mpk_hw.default_grants hw);
+  check "keyed read granted" true (Result.is_ok (access 0x8000 `Read));
+  check "keyed write faults" true (Result.is_error (access 0x8000 `Write));
+  check_int "keyed grant and fault not counted" 2 (Mpk_hw.default_grants hw);
+  check_int "the fault itself counted" 1 (Mpk_hw.stats hw).Mpk_hw.faults;
+  Mpk_hw.reset_stats hw;
+  check_int "reset clears the tally" 0 (Mpk_hw.default_grants hw)
+
+(* The batched access path ([access_granted] then [drain_translate])
+   and a block op's analytic remainder ([note_streamed_grants]) feed
+   the same tally as [try_access], and only for [k_def] pages. *)
+let test_hw_drained_and_streamed_grants () =
+  let hw = make_hw () in
+  let k3 = Pkey.of_int 3 in
+  let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x8000 ~len:4096 k3 in
+  let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 (Pkru.set Pkru.deny_all k3 Perm.Read_write) in
+  let def_page = Page.vpage_of_addr 0x4000 and keyed_page = Page.vpage_of_addr 0x8000 in
+  let drain vpage =
+    check "batched access granted" true
+      (Mpk_hw.access_granted hw ~tid:0 ~vpage ~access:`Write);
+    ignore (Mpk_hw.drain_translate hw ~tid:0 vpage : int)
+  in
+  drain def_page;
+  check_int "drained k_def access counted" 1 (Mpk_hw.default_grants hw);
+  drain keyed_page;
+  check_int "drained keyed access not counted" 1 (Mpk_hw.default_grants hw);
+  Mpk_hw.note_streamed_grants hw def_page 500;
+  check_int "streamed k_def accesses counted" 501 (Mpk_hw.default_grants hw);
+  Mpk_hw.note_streamed_grants hw keyed_page 500;
+  check_int "streamed keyed accesses not counted" 501 (Mpk_hw.default_grants hw)
+
 let test_cost_model_sanity () =
   let c = Cost_model.default in
   check "wrpkru slower than rdpkru" true (c.Cost_model.wrpkru > c.Cost_model.rdpkru);
@@ -406,4 +449,7 @@ let () =
             test_hw_direct_page_table_write_not_masked;
           Alcotest.test_case "fault-path dTLB accounting" `Quick
             test_hw_fault_path_dtlb_accounting;
+          Alcotest.test_case "default-key grants counted" `Quick test_hw_default_grants;
+          Alcotest.test_case "drained and streamed grants counted" `Quick
+            test_hw_drained_and_streamed_grants;
           Alcotest.test_case "cost model sanity" `Quick test_cost_model_sanity ] ) ]

@@ -241,6 +241,22 @@ let test_trace_metrics_populated () =
   check "fault roundtrips histogrammed" true
     (List.mem_assoc "fault.roundtrip_cycles" (Metrics.histograms m))
 
+(* The trace's [sampling.skipped_accesses] counter is the run's stat
+   of the same name, published once at run end — a block op's whole
+   [count] lands in both, not one tick per op. *)
+let test_trace_skipped_counter () =
+  let tr = Trace.create () in
+  let config = { Kard_core.Config.default with Kard_core.Config.sampling = 0.25 } in
+  let r =
+    Runner.run ~trace:tr ~scale:0.003 ~seed:42 ~detector:(Runner.Kard config)
+      (Registry.find "memcached")
+  in
+  let skipped = (Option.get r.Runner.kard_stats).Kard_core.Detector.skipped_accesses in
+  check "accesses skipped" true (skipped > 0);
+  check_int "counter equals the stat" skipped
+    (Option.value ~default:0
+       (List.assoc_opt "sampling.skipped_accesses" (Metrics.counters (Trace.metrics tr))))
+
 (* {1 Chrome trace export} *)
 
 (* Structural JSON validity: balanced braces/brackets outside strings,
@@ -336,6 +352,7 @@ let () =
         [ Alcotest.test_case "categories" `Slow test_trace_categories;
           Alcotest.test_case "monotone per thread" `Slow test_trace_monotone_per_thread;
           Alcotest.test_case "metrics populated" `Slow test_trace_metrics_populated;
+          Alcotest.test_case "skipped counter equals the stat" `Slow test_trace_skipped_counter;
           Alcotest.test_case "steps off by default" `Slow test_step_events_off_by_default ] );
       ( "chrome",
         [ Alcotest.test_case "export" `Slow test_chrome_export;

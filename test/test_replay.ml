@@ -192,17 +192,23 @@ let test_legacy_shards_field () =
     check "legacy tape consumed" true (fidelity = Ok ());
     check "legacy log replays to the recorded result" true (replayed = r)
 
-(* [~shards] survives only for callers pinning 1: any other count
-   is rejected up front. *)
+(* [~shards] survives only for callers pinning 1, and
+   [Config.software_fallback] only as [false]: any other value is
+   rejected up front. *)
 let test_shards_other_than_one_rejected () =
   let s = Race_suite.find "ilu-lock-lock" in
   let detector = Runner.Kard s.Race_suite.config in
   let _, log = Record.record ~detector (Record.Scenario s) in
   let rejects name f =
     match f () with
-    | () -> Alcotest.failf "%s accepted ~shards:2" name
+    | () -> Alcotest.failf "%s accepted a retired setting" name
     | exception Invalid_argument _ -> ()
   in
+  let soft = { s.Race_suite.config with Config.software_fallback = true } in
+  rejects "Detector.create" (fun () ->
+      ignore
+        (Runner.run_build ~threads:1 ~scale:0.01 ~seed:1 ~detector:(Runner.Kard soft)
+           (fun _ -> ()) "empty"));
   rejects "Runner.run_build" (fun () ->
       ignore
         (Runner.run_build ~shards:2 ~threads:1 ~scale:0.01 ~seed:1 ~detector (fun _ -> ()) "empty"));
@@ -214,6 +220,20 @@ let test_shards_other_than_one_rejected () =
     (Record.header ~detector ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ~shards:1).Log.shards;
   check "Record.replay ~shards:1 replays" true
     (match Record.replay ~shards:1 log with Ok (_, fidelity) -> fidelity = Ok () | Error _ -> false)
+
+(* The log keeps the retired [software_fallback] bit in its config
+   flags, and its version: a header that sets the bit must not
+   decode, while the same header with it clear does. *)
+let test_software_fallback_bit_rejected () =
+  let header config =
+    Log.header ~detector:"kard" ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ~config ()
+  in
+  let encode config = Log.encode (Log.of_events (header config) []) in
+  let soft = { Config.default with Config.software_fallback = true } in
+  expect_error "software_fallback bit" (encode soft)
+    (function Log.Corrupt _ -> true | _ -> false);
+  check "the bit clear decodes" true
+    ((Log.decode (encode Config.default)).Log.header = header Config.default)
 
 (* {1 Record -> replay identity} *)
 
@@ -472,6 +492,8 @@ let () =
           Alcotest.test_case "legacy shards field ignored" `Quick test_legacy_shards_field;
           Alcotest.test_case "shards other than 1 rejected" `Quick
             test_shards_other_than_one_rejected;
+          Alcotest.test_case "software fallback bit rejected" `Quick
+            test_software_fallback_bit_rejected;
           Alcotest.test_case "non-canonical pick rejected" `Quick
             test_non_canonical_pick_rejected;
           Alcotest.test_case "non-canonical varints rejected" `Quick

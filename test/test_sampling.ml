@@ -15,6 +15,7 @@ module Page = Kard_mpk.Page
 module Page_table = Kard_mpk.Page_table
 module Mpk_hw = Kard_mpk.Mpk_hw
 module Obj_meta = Kard_alloc.Obj_meta
+module Meta_table = Kard_alloc.Meta_table
 module Hooks = Kard_sched.Hooks
 module Machine = Kard_sched.Machine
 module Program = Kard_sched.Program
@@ -249,12 +250,25 @@ let test_freed_not_rearmed () =
    window, re-armed (off the default key) if it slid in.  The run's
    stats and the number of object checks come back with the
    violations, so a run that never rotated or never checked a live
-   object cannot pass vacuously. *)
+   object cannot pass vacuously.  The wrapper also keeps an
+   independent count of the accesses [skipped_accesses] reports: those
+   landing on a live object the current epoch does not sample, a block
+   op counting its [count]. *)
 let rotation_violations config run =
   let sampling = Sampling.of_config config in
-  let checks = ref 0 and violations = ref [] in
+  let checks = ref 0 and violations = ref [] and skipped = ref 0 in
   let wrap (env : Hooks.env) (h : Hooks.t) =
     let live = Hashtbl.create 1024 in
+    let cur_epoch = ref 0 in
+    let tally_skipped addr n =
+      match Meta_table.find_vpage env.Hooks.meta (Page.vpage_of_addr addr) with
+      | Some m
+        when Hashtbl.mem live m.Obj_meta.id
+             && not (Sampling.sampled_obj sampling ~epoch:!cur_epoch ~obj_id:m.Obj_meta.id) ->
+        skipped := !skipped + n
+      | Some _ | None -> ()
+    in
+    let inner = Hooks.access_of h in
     let track (m : Obj_meta.t) = Hashtbl.replace live m.Obj_meta.id m in
     let pt = Mpk_hw.page_table env.Hooks.hw in
     let check_live epoch =
@@ -287,16 +301,38 @@ let rotation_violations config run =
         (fun ~tid ~lock ~site ->
           let epoch = Sampling.epoch_of sampling ~now:(env.Hooks.now ()) in
           let cycles = h.Hooks.on_lock ~tid ~lock ~site in
+          cur_epoch := epoch;
           check_live epoch;
-          cycles) }
+          cycles);
+      access =
+        Some
+          { Hooks.on_read =
+              (fun ~tid ~addr ->
+                tally_skipped addr 1;
+                inner.Hooks.on_read ~tid ~addr);
+            on_write =
+              (fun ~tid ~addr ->
+                tally_skipped addr 1;
+                inner.Hooks.on_write ~tid ~addr);
+            on_read_block =
+              (fun ~tid ~block ->
+                tally_skipped block.Op.base block.Op.count;
+                inner.Hooks.on_read_block ~tid ~block);
+            on_write_block =
+              (fun ~tid ~block ->
+                tally_skipped block.Op.base block.Op.count;
+                inner.Hooks.on_write_block ~tid ~block) } }
   in
   let r : Runner.result = run wrap in
-  (Option.get r.Runner.kard_stats, !checks, List.rev !violations)
+  (Option.get r.Runner.kard_stats, !checks, List.rev !violations, !skipped)
 
 let check_rotation_invariant label config run =
-  let st, checks, violations = rotation_violations config run in
+  let st, checks, violations, skipped = rotation_violations config run in
   check (label ^ ": rotated") true (st.Detector.sampling_rotations > 0);
   check (label ^ ": checked live objects") true (checks > 0);
+  check (label ^ ": accesses skipped") true (skipped > 0);
+  check_int (label ^ ": skipped_accesses matches the reference count") skipped
+    st.Detector.skipped_accesses;
   match violations with
   | [] -> ()
   | (epoch, obj_id, page) :: _ ->
@@ -322,6 +358,30 @@ let test_rotation_invariant_keys () =
   check_rotation_invariant "keys-10k vkeys 64 rate 0.25" config (fun wrap ->
       Runner.run ~wrap ~threads:8 ~scale:smoke_scale ~detector:(Runner.Kard config)
         Keypressure.keys_10k)
+
+(* {1 Hooks: sampling installs none} *)
+
+(* Sampling needs no per-access instrumentation: the detector installs
+   no access hooks at any rate, with or without a vkey pool, so every
+   sampled run may batch its granted accesses. *)
+let test_no_access_hooks_at_any_rate () =
+  List.iter
+    (fun (rate, vkeys) ->
+      let config = { Config.default with Config.sampling = rate; vkeys } in
+      let installed = ref None in
+      let (_ : Machine.t) =
+        Machine.create ~allocator:Machine.Unique_page
+          ~make_detector:(fun env ->
+            let h = Detector.make ~config ~cell:(ref None) env in
+            installed := Some h;
+            h)
+          ()
+      in
+      check
+        (Printf.sprintf "rate %g vkeys %d: no access hooks" rate vkeys)
+        true
+        (Option.is_none (Option.get !installed).Hooks.access))
+    (List.concat_map (fun rate -> [ (rate, 0); (rate, 64) ]) [ 0.05; 0.1; 0.25; 0.5; 1.0 ])
 
 (* {1 The soundness contract: sampled reports are a subset} *)
 
@@ -398,6 +458,9 @@ let () =
         [ Alcotest.test_case "rate 1.0 at every vkeys setting" `Quick
             test_identity_oracle;
           Alcotest.test_case "sweep at 1 vs 4 jobs" `Quick test_sweep_jobs_identity ] );
+      ( "hooks",
+        [ Alcotest.test_case "no access hooks at any rate" `Quick
+            test_no_access_hooks_at_any_rate ] );
       ( "soundness",
         [ Alcotest.test_case "subset on the race suite" `Quick test_subset_on_race_suite;
           Alcotest.test_case "detection latency stat" `Quick test_first_race_cs ] );

@@ -332,6 +332,30 @@ let test_machine_block_op () =
      the sampled page checks. *)
   check "throughput cycles" true (r.Machine.cycles >= 499 && r.Machine.cycles < 20_000)
 
+(* A block op is a sampled set of checked page accesses plus an
+   analytically charged remainder; the MMU's grant tally must still
+   see [count] accesses, as single reads and writes are seen once
+   each.  (Sampled Kard reports this tally as [skipped_accesses].) *)
+let test_machine_block_op_grants () =
+  let m = null_machine () in
+  let base = ref 0 in
+  let prog =
+    Program.concat
+      [ Program.of_list
+          [ Op.Alloc
+              { size = 8 * 4096; site = 1; on_result = (fun meta -> base := meta.Kard_alloc.Obj_meta.base) } ];
+        Program.delay (fun () ->
+            Program.of_list
+              [ Op.Write_block { base = !base; count = 3000; stride = 8; span = 8 * 4096 };
+                Op.Read !base;
+                Op.Write (!base + 8) ]) ]
+  in
+  let (_ : int) = Machine.spawn m prog in
+  let r = Machine.run m in
+  check_int "all accesses performed" 3002 (r.Machine.reads + r.Machine.writes);
+  check_int "every access granted on k_def, counted once" 3002
+    (Kard_mpk.Mpk_hw.default_grants (Machine.env m).Hooks.hw)
+
 let test_machine_stall_accounting () =
   (* Detection work inside a held section must also cost the waiters:
      compare a contended run against an uncontended one. *)
@@ -419,8 +443,7 @@ let test_schedule_pick_unit () =
 let contended_kard_report ?schedule ~seed () =
   let cell = ref None in
   let m =
-    Machine.create ?schedule ~seed
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+    Machine.create ?schedule ~seed ~allocator:Machine.Unique_page
       ~make_detector:(Kard_core.Detector.make ~config:Kard_core.Config.default ~cell)
       ()
   in
@@ -501,6 +524,7 @@ let () =
           Alcotest.test_case "blocked thread waits" `Quick test_machine_blocked_thread_waits;
           Alcotest.test_case "determinism" `Quick test_machine_determinism;
           Alcotest.test_case "block op" `Quick test_machine_block_op;
+          Alcotest.test_case "block op grants counted" `Quick test_machine_block_op_grants;
           Alcotest.test_case "stall accounting" `Quick test_machine_stall_accounting;
           Alcotest.test_case "max steps" `Quick test_machine_max_steps;
           Alcotest.test_case "sim clock" `Quick test_sim_clock ] );

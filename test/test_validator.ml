@@ -10,12 +10,10 @@ module Spec = Kard_workloads.Spec
 
 let check = Alcotest.(check bool)
 
-let run_validated ?config build =
-  let cell = ref None in
+let run_validated ?config ?(cell = ref None) build =
   let vcell = ref None in
   let machine =
-    Machine.create ~seed:42
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+    Machine.create ~seed:42 ~allocator:Machine.Unique_page
       ~make_detector:(Validator.make ?config ~cell ~vcell)
       ()
   in
@@ -36,6 +34,26 @@ let workload_case (spec : Spec.t) =
       in
       check "checks ran" true (Validator.checks_performed v > 0))
 
+(* The ablation's starved configurations on its workload: one data
+   key, bare and under a 192-key virtual pool.  Sections share the
+   key in both, and the PKRU and domain-tag checks must hold. *)
+let test_one_key_memcached () =
+  let memcached = Registry.find "memcached" in
+  List.iter
+    (fun vkeys ->
+      let config = { Kard_core.Config.default with Kard_core.Config.data_keys = 1; vkeys } in
+      let cell = ref None in
+      let v =
+        run_validated ~config ~cell (fun machine ->
+            memcached.Spec.build ~threads:memcached.Spec.default_threads ~scale:0.002 ~seed:42
+              machine)
+      in
+      let st = Kard_core.Detector.stats (Option.get !cell) in
+      check (Printf.sprintf "vkeys %d: checks ran" vkeys) true (Validator.checks_performed v > 0);
+      check (Printf.sprintf "vkeys %d: the key was shared" vkeys) true
+        (st.Kard_core.Detector.sharing_events > 0))
+    [ 0; 192 ]
+
 (* The validator must actually catch a broken runtime: corrupt the
    page table (which the detector never restores) so an object in the
    Read-write domain is no longer tagged with its key — the sampled
@@ -45,8 +63,7 @@ let test_validator_catches_violation () =
   let vcell = ref None in
   let env_ref = ref None in
   let machine =
-    Machine.create ~seed:1
-      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+    Machine.create ~seed:1 ~allocator:Machine.Unique_page
       ~make_detector:(fun env ->
         env_ref := Some env;
         Validator.make ~cell ~vcell env)
@@ -87,4 +104,5 @@ let () =
       ("workloads", List.map workload_case Registry.extended);
       ( "meta",
         [ Alcotest.test_case "catches a corrupted runtime" `Quick
-            test_validator_catches_violation ] ) ]
+            test_validator_catches_violation;
+          Alcotest.test_case "one data key, bare and with vkeys" `Slow test_one_key_memcached ] ) ]

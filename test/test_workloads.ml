@@ -179,8 +179,7 @@ let random_profile_prop =
     (fun profile ->
       let cell = ref None in
       let machine =
-        Kard_sched.Machine.create ~seed:5
-          ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+        Kard_sched.Machine.create ~seed:5 ~allocator:Machine.Unique_page
           ~make_detector:(Kard_core.Detector.make ~cell)
           ()
       in
