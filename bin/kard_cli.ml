@@ -2,9 +2,9 @@
 
    Subcommands:
      list                      catalog of workloads and race scenarios
-     run <workload>            run one workload under one detector
-     scenario <name>           run one controlled race scenario
-     trace <workload>          run with tracing; export a Chrome/Perfetto trace
+     run <target>              run one workload or race scenario under one detector
+     trace <target>            run with tracing; export a Chrome/Perfetto trace
+     hunt <target>             sweep schedules for a race, then replay the interleaving
      record <target>           run with the nondeterminism recorder on; write a replay log
      replay <file>             re-execute a recorded log, verifying fidelity against the tape
      bench --only keys         the key-pressure precision sweep (writes Defaults.keys_out)
@@ -12,6 +12,12 @@
      serve-sweep               open-loop serving latency/goodput sweep (writes Defaults.serve_out)
      repro <experiment>        regenerate a paper table/figure (or all of them)
      fuzz                      differential fuzzing campaign over random programs
+
+   A target is a workload or race scenario name (workloads first;
+   spec:NAME and scenario:NAME disambiguate); record also takes
+   fuzz:SEED:INDEX.  -d kard runs the target's own configuration: a
+   scenario's, a fuzz program's campaign entry, or else the defaults,
+   with --vkeys and --sampling applied on top.
 *)
 
 module Machine = Kard_sched.Machine
@@ -28,23 +34,6 @@ module Log = Kard_replay.Log
 module Campaign = Kard_fuzz.Campaign
 
 open Cmdliner
-
-let detector_conv =
-  let parse = function
-    | "baseline" -> Ok Runner.Baseline
-    | "alloc" -> Ok Runner.Alloc
-    | "kard" -> Ok (Runner.Kard (Defaults.kard_config ()))
-    | "tsan" -> Ok Runner.Tsan
-    | "lockset" -> Ok Runner.Lockset
-    | s -> Error (`Msg (Printf.sprintf "unknown detector %S" s))
-  in
-  let print fmt d = Format.pp_print_string fmt (Runner.detector_name d) in
-  Arg.conv (parse, print)
-
-let detector_arg =
-  Arg.(value & opt detector_conv (Runner.Kard (Defaults.kard_config ()))
-       & info [ "d"; "detector" ] ~docv:"DETECTOR"
-           ~doc:"Detector: baseline, alloc, kard, tsan or lockset.")
 
 (* Names and numbers are checked while the command line is parsed, so
    a bad value is a usage error (exit 124, one-line message) rather
@@ -67,19 +56,17 @@ let name_conv ~kind ~hint find print =
 
 let positive_int = number_conv Defaults.positive_int_of_string Format.pp_print_int
 
-let workload_conv =
-  name_conv ~kind:"workload" ~hint:"`kard list`" Registry.find (fun fmt spec ->
-      Format.pp_print_string fmt spec.Spec.name)
+let target_conv =
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Runner.find_target s) in
+  Arg.conv (parse, fun fmt t -> Format.pp_print_string fmt (Runner.target_name t))
 
-let scenario_conv =
-  name_conv ~kind:"scenario" ~hint:"`kard list`" Race_suite.find (fun fmt s ->
-      Format.pp_print_string fmt s.Race_suite.name)
-
-let workload_arg =
-  Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
-
-let scenario_arg =
-  Arg.(required & pos 0 (some scenario_conv) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
+let target_arg =
+  Arg.(required & pos 0 (some target_conv) None
+       & info [] ~docv:"TARGET"
+           ~doc:
+             "Workload or race scenario name (see `kard list`); $(b,spec:)NAME and \
+              $(b,scenario:)NAME disambiguate.  A scenario always runs at its own thread count \
+              and full scale.")
 
 (* The flags parse exactly as their environment overrides do. *)
 let vkeys_arg =
@@ -91,13 +78,6 @@ let vkeys_arg =
               byte-identical to the pre-vkey layer; a positive pool virtualizes key identity \
               over the hardware registers with clock eviction (DESIGN.md section 11).")
 
-(* --vkeys only parameterizes the kard detector; other detectors have
-   no key space and ignore it. *)
-let with_vkeys vkeys detector =
-  match (vkeys, detector) with
-  | Some n, Runner.Kard c -> Runner.Kard { c with Kard_core.Config.vkeys = n }
-  | _, d -> d
-
 let sampling_arg =
   Arg.(value & opt (some (number_conv Defaults.sampling_of_string Format.pp_print_float)) None
        & info [ "sampling" ] ~docv:"RATE"
@@ -108,11 +88,43 @@ let sampling_arg =
               epoch, and unsampled accesses take a near-zero fast path.  Reports under a rate \
               are always a subset of full Kard's (DESIGN.md section 12).")
 
-(* Like --vkeys: only the kard detector has a sampling policy. *)
-let with_sampling sampling detector =
-  match (sampling, detector) with
-  | Some r, Runner.Kard c -> Runner.Kard { c with Kard_core.Config.sampling = r }
-  | _, d -> d
+let detector_conv =
+  Arg.enum
+    [ ("baseline", `Baseline); ("alloc", `Alloc); ("kard", `Kard); ("tsan", `Tsan);
+      ("lockset", `Lockset) ]
+
+(* The configuration -d kard starts from. *)
+let own_config = function
+  | Runner.Scenario sc -> sc.Race_suite.config
+  | Runner.Spec _ -> Defaults.kard_config ()
+
+(* One rule for every subcommand: -d kard starts from the target's own
+   configuration and applies --vkeys and --sampling on top; the other
+   detectors have no key space or sampling policy and ignore both. *)
+let select ~vkeys ~sampling choice (own : Kard_core.Config.t) =
+  match choice with
+  | `Baseline -> Runner.Baseline
+  | `Alloc -> Runner.Alloc
+  | `Tsan -> Runner.Tsan
+  | `Lockset -> Runner.Lockset
+  | `Kard ->
+    Runner.Kard
+      { own with
+        Kard_core.Config.vkeys = Option.value ~default:own.Kard_core.Config.vkeys vkeys;
+        sampling = Option.value ~default:own.Kard_core.Config.sampling sampling }
+
+(* -d, --vkeys and --sampling, awaiting the target's own configuration. *)
+let detector_term =
+  let detector_arg =
+    Arg.(value & opt detector_conv `Kard
+         & info [ "d"; "detector" ] ~docv:"DETECTOR"
+             ~doc:
+               "Detector: baseline, alloc, kard, tsan or lockset.  $(b,kard) runs the target's \
+                own configuration (a scenario's, a fuzz program's campaign entry, else the \
+                defaults) with $(b,--vkeys) and $(b,--sampling) applied on top.")
+  in
+  Term.(const (fun choice vkeys sampling -> select ~vkeys ~sampling choice)
+        $ detector_arg $ vkeys_arg $ sampling_arg)
 
 let threads_arg =
   Arg.(value & opt (some positive_int) None
@@ -161,12 +173,15 @@ let list_cmd =
       (fun spec ->
         Printf.printf "  %-28s %s\n" spec.Spec.name spec.Spec.description)
       Registry.key_pressure;
-    Printf.printf "\nRace scenarios (Tables 1/4, Figures 1/4):\n";
+    Printf.printf
+      "\nRace scenarios (Tables 1/4, Figures 1/4; `kard run NAME` runs one under its own \
+       config):\n";
     List.iter
       (fun s -> Printf.printf "  %-28s %s\n" s.Race_suite.name s.Race_suite.description)
       Race_suite.all
   in
-  Cmd.v (Cmd.info "list" ~doc:"List workloads and race scenarios")
+  Cmd.v (Cmd.info "list" ~doc:"List workloads and race scenarios: the targets of run, trace, \
+                             hunt and record")
     Term.(const action $ const ())
 
 (* run *)
@@ -233,12 +248,12 @@ let run_cmd =
          & info [ "seeds" ] ~docv:"S,S,..."
              ~doc:"Run one job per seed (reported in seed-list order) instead of --seed alone.")
   in
-  let action spec detector vkeys sampling threads scale seed seeds jobs json =
-    let detector = with_sampling sampling (with_vkeys vkeys detector) in
+  let action target detector threads scale seed seeds jobs json =
+    let detector = detector (own_config target) in
     let seeds = Option.value ~default:[ seed ] seeds in
     let results =
       Pool.run_jobs ?jobs
-        (List.map (fun seed -> Job.spec ?threads ~scale ~seed detector spec) seeds)
+        (List.map (fun seed -> Job.make ?threads ~scale ~seed detector target) seeds)
     in
     if json then
       List.iter
@@ -253,31 +268,11 @@ let run_cmd =
           print_result result)
         results
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one workload under one detector")
-    Term.(const action $ workload_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
-          $ scale_arg $ seed_arg $ seeds_arg $ jobs_arg $ json_arg)
+  Cmd.v (Cmd.info "run" ~doc:"Run one workload or race scenario under one detector")
+    Term.(const action $ target_arg $ detector_term $ threads_arg $ scale_arg $ seed_arg
+          $ seeds_arg $ jobs_arg $ json_arg)
 
-let scenario_cmd =
-  let action scenario detector vkeys sampling seed =
-    (* A scenario normally runs under its own configuration; --vkeys
-       and --sampling override just those knobs on top of it. *)
-    let override_config =
-      match (vkeys, sampling) with
-      | None, None -> None
-      | _ ->
-        let c = scenario.Race_suite.config in
-        let c = match vkeys with Some n -> { c with Kard_core.Config.vkeys = n } | None -> c in
-        let c =
-          match sampling with Some r -> { c with Kard_core.Config.sampling = r } | None -> c
-        in
-        Some c
-    in
-    print_result (Runner.run_scenario ~seed ?override_config ~detector scenario)
-  in
-  Cmd.v (Cmd.info "scenario" ~doc:"Run one controlled race scenario")
-    Term.(const action $ scenario_arg $ detector_arg $ vkeys_arg $ sampling_arg $ seed_arg)
-
-(* trace: run a workload with the observability sink on and export a
+(* trace: run a target with the observability sink on and export a
    Perfetto-loadable Chrome trace plus the metrics registry. *)
 
 let trace_cmd =
@@ -295,10 +290,10 @@ let trace_cmd =
          & info [ "capacity" ] ~docv:"N"
              ~doc:"Event ring capacity; oldest events are dropped beyond it.")
   in
-  let action spec detector vkeys sampling threads scale seed out steps capacity =
-    let detector = with_sampling sampling (with_vkeys vkeys detector) in
+  let action target detector threads scale seed out steps capacity =
+    let detector = detector (own_config target) in
     let tr = Kard_obs.Trace.create ~capacity ~steps () in
-    let result = Runner.run ~trace:tr ?threads ~scale ~seed ~detector spec in
+    let result = Runner.run ~trace:tr ?threads ~scale ~seed ~detector target in
     let oc = open_out out in
     output_string oc (Kard_obs.Chrome_trace.to_json ~t:tr);
     close_out oc;
@@ -315,9 +310,9 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Run a workload with event tracing on; write a Perfetto-loadable Chrome trace")
-    Term.(const action $ workload_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
-          $ scale_arg $ seed_arg $ out_arg $ steps_arg $ capacity_arg)
+       ~doc:"Run a target with event tracing on; write a Perfetto-loadable Chrome trace")
+    Term.(const action $ target_arg $ detector_term $ threads_arg $ scale_arg $ seed_arg
+          $ out_arg $ steps_arg $ capacity_arg)
 
 (* hunt: sweep seeds until a schedule manifests a race, then replay
    that exact interleaving to confirm — the race-debugging loop. *)
@@ -327,8 +322,8 @@ let hunt_cmd =
     Arg.(value & opt positive_int 50
          & info [ "tries" ] ~docv:"N" ~doc:"Seeds to sweep (default 50).")
   in
-  let action scenario tries jobs =
-    let detector = Runner.Kard scenario.Race_suite.config in
+  let action target tries jobs =
+    let detector = Runner.Kard (own_config target) in
     (* Sweep one pool-width batch of seeds at a time, scanning each
        batch in seed order: the reported hit is always the smallest
        racing seed, exactly as the old serial loop found it. *)
@@ -337,8 +332,7 @@ let hunt_cmd =
       | [] -> None
       | batch :: rest ->
         let results =
-          Pool.run_jobs ?jobs
-            (List.map (fun seed -> Job.scenario ~seed detector scenario) batch)
+          Pool.run_jobs ?jobs (List.map (fun seed -> Job.make ~seed detector target) batch)
         in
         let hit =
           List.find_opt
@@ -356,15 +350,10 @@ let hunt_cmd =
         found.Runner.kard_ilu_races;
       (* Replay the recorded interleaving: must reproduce exactly. *)
       let tape = found.Runner.report.Machine.schedule_trace in
-      let cell = ref None in
-      let machine =
-        Machine.create ~schedule:(Kard_sched.Schedule.Replay tape) ~allocator:Machine.Unique_page
-          ~make_detector:(Kard_core.Detector.make ~config:scenario.Race_suite.config ~cell)
-          ()
+      let replayed =
+        (Runner.run ~schedule:(Kard_sched.Schedule.Replay tape) ~seed ~detector target)
+          .Runner.kard_ilu_races
       in
-      scenario.Race_suite.build machine;
-      let (_ : Machine.report) = Machine.run machine in
-      let replayed = Kard_core.Detector.ilu_races (Option.get !cell) in
       Printf.printf "replayed the %d-step schedule: %d race(s) reproduced %s\n"
         (Array.length tape) (List.length replayed)
         (if List.length replayed = List.length found.Runner.kard_ilu_races then "(exact)"
@@ -372,14 +361,14 @@ let hunt_cmd =
   in
   Cmd.v
     (Cmd.info "hunt" ~doc:"Sweep schedules for a race, then replay the found interleaving")
-    Term.(const action $ scenario_arg $ tries_arg $ jobs_arg)
+    Term.(const action $ target_arg $ tries_arg $ jobs_arg)
 
 (* record / replay: the nondeterminism-log layer (DESIGN.md §13).
    With --json both commands print only the run's result JSON on
    stdout — status and fidelity lines go to stderr — so CI can diff a
-   recorded run against its replay byte-for-byte.  Targets are
-   workloads, scenario:NAME, or fuzz:SEED:INDEX (a campaign program,
-   reconstructed from the pair). *)
+   recorded run against its replay byte-for-byte.  Targets are those
+   of run, or fuzz:SEED:INDEX (a campaign program, reconstructed from
+   the pair, whose own configuration is its campaign entry's). *)
 
 let fuzz_build (r : Campaign.reconstructed) machine =
   let (_ : Kard_fuzz.Prog.run_ctx) =
@@ -395,64 +384,50 @@ let print_or_json ~json result =
 let sanitize_target name =
   String.map (function ':' | '/' -> '-' | c -> c) name
 
+let resolve_log_target s =
+  match Campaign.of_target s with
+  | Some (cseed, i) -> Ok (`Fuzz (cseed, i, Campaign.reconstruct ~seed:cseed i))
+  | None -> Result.map (fun target -> `Target target) (Runner.find_target s)
+
+let log_target_config = function
+  | `Fuzz (_, _, r) -> r.Campaign.rp_config
+  | `Target target -> own_config target
+
 let record_cmd =
+  (* The name as given names the default output file. *)
+  let record_target_conv =
+    let parse s =
+      Result.map (fun t -> (s, t)) (resolve_log_target s)
+      |> Result.map_error (fun msg -> `Msg msg)
+    in
+    Arg.conv (parse, fun fmt (s, _) -> Format.pp_print_string fmt s)
+  in
   let target_arg =
-    Arg.(required & pos 0 (some string) None
+    Arg.(required & pos 0 (some record_target_conv) None
          & info [] ~docv:"TARGET"
              ~doc:
-               "What to record: a workload name, $(b,scenario:)NAME, or \
-                $(b,fuzz:)SEED$(b,:)INDEX (program INDEX of fuzz campaign SEED, reconstructed \
-                from the pair — no program file needed).")
+               "What to record: a target as for $(b,run), or $(b,fuzz:)SEED$(b,:)INDEX \
+                (program INDEX of fuzz campaign SEED, reconstructed from the pair — no program \
+                file needed).")
   in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "out"; "output" ] ~docv:"FILE"
              ~doc:"Replay-log output path (default: $(docv) derived from the target name).")
   in
-  let action target detector vkeys sampling threads scale seed out json =
-    let fail msg =
-      Printf.eprintf "record: %s\n" msg;
-      exit 2
-    in
-    let out = Option.value ~default:(sanitize_target target ^ ".rlog") out in
+  let action (name, target) detector threads scale seed out json =
+    let out = Option.value ~default:(sanitize_target name ^ ".rlog") out in
+    let detector = detector (log_target_config target) in
     let result, log =
-      match Campaign.of_target target with
-      | Some (cseed, i) ->
-        (* A campaign program records under its campaign entry's
-           detector configuration and machine seed by default;
-           --sampling/--vkeys (e.g. record cheap, replay full) and
-           --seed still apply on top. *)
-        let r = Campaign.reconstruct ~seed:cseed i in
-        let detector =
-          with_sampling sampling (with_vkeys vkeys (Runner.Kard r.Campaign.rp_config))
-        in
-        let seed =
-          if seed = Defaults.seed then r.Campaign.rp_machine_seed else seed
-        in
+      match target with
+      | `Fuzz (cseed, i, r) ->
+        (* A campaign program records at its campaign entry's machine
+           seed unless --seed says otherwise. *)
+        let seed = if seed = Defaults.seed then r.Campaign.rp_machine_seed else seed in
         Record.record_build ~threads:(r.Campaign.rp_prog.Kard_fuzz.Prog.workers + 1)
-          ~scale:1.0 ~seed ~detector ~target (fuzz_build r)
+          ~scale:1.0 ~seed ~detector ~target:(Campaign.target ~seed:cseed i) (fuzz_build r)
           (Printf.sprintf "fuzz-%d-%d" cseed i)
-      | None -> (
-        match Record.find_subject target with
-        | Error msg -> fail msg
-        | Ok subject ->
-          let detector = with_sampling sampling (with_vkeys vkeys detector) in
-          let override_config =
-            match subject with
-            | Record.Scenario sc when vkeys <> None || sampling <> None ->
-              let c = sc.Race_suite.config in
-              let c =
-                match vkeys with Some n -> { c with Kard_core.Config.vkeys = n } | None -> c
-              in
-              let c =
-                match sampling with
-                | Some r -> { c with Kard_core.Config.sampling = r }
-                | None -> c
-              in
-              Some c
-            | Record.Scenario _ | Record.Spec _ -> None
-          in
-          Record.record ?threads ~scale ~seed ?override_config ~detector subject)
+      | `Target target -> Record.record ?threads ~scale ~seed ~detector target
     in
     Log.to_file out log;
     Printf.eprintf "recorded %s: %d picks, %d grants, %d bytes -> %s\n"
@@ -465,8 +440,8 @@ let record_cmd =
        ~doc:
          "Run a target with the nondeterminism recorder on and write a compact replay log \
           (schedule picks, lock-grant order, anchors; recording costs zero simulated cycles)")
-    Term.(const action $ target_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
-          $ scale_arg $ seed_arg $ out_arg $ json_arg)
+    Term.(const action $ target_arg $ detector_term $ threads_arg $ scale_arg $ seed_arg
+          $ out_arg $ json_arg)
 
 let replay_cmd =
   let file_arg =
@@ -479,7 +454,8 @@ let replay_cmd =
              ~doc:
                "Replay under this detector instead of the recorded one (cross-detector replay: \
                 record under cheap sampling, re-detect under full kard, tsan or lockset; \
-                fidelity checking drops to schedule-only strength).")
+                fidelity checking drops to schedule-only strength).  As for $(b,record), \
+                $(b,kard) means the recorded target's own configuration.")
   in
   let action file detector vkeys sampling json =
     let fail msg =
@@ -491,26 +467,29 @@ let replay_cmd =
     Printf.eprintf "replaying %s: %s, %d picks, %d grants\n" file
       (Format.asprintf "%a" Log.pp_header h)
       (Log.pick_count log) (Log.grant_count log);
-    (* An explicit -d/--vkeys/--sampling builds an override detector;
-       otherwise the header's own detector replays in strict mode. *)
+    let target =
+      match resolve_log_target h.Log.target with
+      | Ok target -> target
+      | Error msg -> fail (Printf.sprintf "cannot resolve recorded target: %s" msg)
+    in
+    (* -d selects as record does; --vkeys or --sampling alone tune the
+       recorded detector; with none of the three the recorded detector
+       replays in strict mode. *)
     let detector =
       match (detector, vkeys, sampling) with
       | None, None, None -> None
-      | _ ->
-        let base =
-          match detector with
-          | Some d -> d
-          | None -> (match Record.detector_of_header h with Ok d -> d | Error msg -> fail msg)
-        in
-        Some (with_sampling sampling (with_vkeys vkeys base))
+      | Some choice, _, _ -> Some (select ~vkeys ~sampling choice (log_target_config target))
+      | None, _, _ -> (
+        match Record.detector_of_header h with
+        | Ok (Runner.Kard c) -> Some (select ~vkeys ~sampling `Kard c)
+        | Ok d -> Some d
+        | Error msg -> fail msg)
     in
     let outcome =
-      match Campaign.of_target h.Log.target with
-      | Some (cseed, i) ->
-        let r = Campaign.reconstruct ~seed:cseed i in
-        Record.replay_build ?detector log (fuzz_build r)
-          (Printf.sprintf "fuzz-%d-%d" cseed i)
-      | None -> Record.replay ?detector log
+      match target with
+      | `Fuzz (cseed, i, r) ->
+        Record.replay_build ?detector log (fuzz_build r) (Printf.sprintf "fuzz-%d-%d" cseed i)
+      | `Target _ -> Record.replay ?detector log
     in
     match outcome with
     | Error msg -> fail msg
@@ -569,13 +548,13 @@ let bench_cmd =
   let action only scale seed vkeys jobs out =
     match only with
     | `Keys ->
-      let b = Experiments.keys ?jobs ?pool:vkeys ?scale ~seed () in
+      let b = Pool.execute ?jobs (Experiments.keys_plan ?pool:vkeys ?scale ~seed ()) in
       Experiments.print_keys_bench b;
       write_json
         (Option.value ~default:Defaults.keys_out out)
         (Kard_harness.Json_report.of_keys_bench b)
     | `Sampling ->
-      let b = Experiments.sampling ?jobs ?scale () in
+      let b = Pool.execute ?jobs (Experiments.sampling_plan ?scale ()) in
       Experiments.print_sampling b;
       write_json
         (Option.value ~default:Defaults.sampling_out out)
@@ -631,7 +610,7 @@ let serve_sweep_cmd =
              ~doc:"Offered loads to sweep, in requests per million simulated cycles.")
   in
   let slo_arg =
-    Arg.(value & opt int Defaults.serve_slo
+    Arg.(value & opt positive_int Defaults.serve_slo
          & info [ "slo" ] ~docv:"CYCLES" ~doc:"Latency SLO: p99 budget in simulated cycles.")
   in
   let serve_scale_arg =
@@ -650,13 +629,16 @@ let serve_sweep_cmd =
     (* --sampling swaps the default kard contestant for a sampled one
        (same "kard" label, so goodput keys stay comparable). *)
     let detectors =
-      match sampling with
-      | None -> Experiments.serve_detectors
-      | Some _ ->
-        List.map (fun (name, d) -> (name, with_sampling sampling d)) Experiments.serve_detectors
+      List.map
+        (fun (name, d) ->
+          match d with
+          | Runner.Kard c -> (name, select ~vkeys:None ~sampling `Kard c)
+          | d -> (name, d))
+        Experiments.serve_detectors
     in
     let sweep =
-      Experiments.serve ?jobs ~server ~model ~detectors ~rates ~threads ~scale ~seed ~slo ()
+      Pool.execute ?jobs
+        (Experiments.serve_plan ~server ~model ~detectors ~rates ~threads ~scale ~seed ~slo ())
     in
     Experiments.print_serve sweep;
     write_json out (Kard_harness.Json_report.of_serve_sweep ~threads ~scale ~seed sweep)
@@ -674,7 +656,7 @@ let serve_sweep_cmd =
 
 let fuzz_cmd =
   let count_arg =
-    Arg.(value & opt int 1000
+    Arg.(value & opt positive_int 1000
          & info [ "n"; "count" ] ~docv:"N"
              ~doc:"Cumulative number of programs (a resumed corpus runs only the remainder).")
   in
@@ -717,26 +699,29 @@ let fuzz_cmd =
 
 let experiments =
   let open Experiments in
+  let run ?jobs plan print = print (Pool.execute ?jobs plan) in
   [ ("micro", [], fun ~jobs:_ ~scale:_ -> print_micro ());
     ("figure2", [], fun ~jobs:_ ~scale:_ -> print_figure2 (figure2 ()));
     ( "table1",
       [ "figure1"; "table4"; "figure4"; "scenarios" ],
-      fun ~jobs ~scale:_ -> print_scenarios (scenarios ?jobs ()) );
-    ("table3", [], fun ~jobs ~scale -> print_table3 (table3 ?jobs ~scale ()));
+      fun ~jobs ~scale:_ -> run ?jobs (scenarios_plan ()) print_scenarios );
+    ("table3", [], fun ~jobs ~scale -> run ?jobs (table3_plan ~scale ()) print_table3);
     ( "table5",
       [],
       fun ~jobs ~scale ->
         print_endline "full key budget (13 data keys):";
-        print_table5 (table5 ?jobs ~scale ());
+        run ?jobs (table5_plan ~scale ()) print_table5;
         print_endline "\npressure-scaled key budget (4 data keys; see EXPERIMENTS.md):";
-        print_table5 (table5 ?jobs ~data_keys:4 ~scale ()) );
-    ("table6", [], fun ~jobs ~scale -> print_table6 (table6 ?jobs ~scale ()));
-    ("figure5", [], fun ~jobs ~scale -> print_figure5 (figure5 ?jobs ~scale ()));
-    ("nginx-sweep", [], fun ~jobs ~scale -> print_nginx_sweep (nginx_sweep ?jobs ~scale ()));
-    ("memory", [], fun ~jobs ~scale -> print_memory (memory ?jobs ~scale ()));
-    ("ablation", [], fun ~jobs ~scale -> print_ablation (ablation ?jobs ~scale ()));
-    ("nolock", [], fun ~jobs ~scale -> print_nolock (nolock ?jobs ~scale ()));
-    ("explore", [], fun ~jobs ~scale:_ -> print_explore (explore ?jobs ())) ]
+        run ?jobs (table5_plan ~data_keys:4 ~scale ()) print_table5 );
+    ("table6", [], fun ~jobs ~scale -> run ?jobs (table6_plan ~scale ()) print_table6);
+    ("figure5", [], fun ~jobs ~scale -> run ?jobs (figure5_plan ~scale ()) print_figure5);
+    ( "nginx-sweep",
+      [],
+      fun ~jobs ~scale -> run ?jobs (nginx_sweep_plan ~scale ()) print_nginx_sweep );
+    ("memory", [], fun ~jobs ~scale -> run ?jobs (memory_plan ~scale ()) print_memory);
+    ("ablation", [], fun ~jobs ~scale -> run ?jobs (ablation_plan ~scale ()) print_ablation);
+    ("nolock", [], fun ~jobs ~scale -> run ?jobs (nolock_plan ~scale ()) print_nolock);
+    ("explore", [], fun ~jobs ~scale:_ -> run ?jobs (explore_plan ()) print_explore) ]
 
 (* Resolves to the (name, run) pairs to execute; a single name keeps
    the spelling it was given for its header. *)
@@ -781,5 +766,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; scenario_cmd; trace_cmd; hunt_cmd; record_cmd; replay_cmd;
+          [ list_cmd; run_cmd; trace_cmd; hunt_cmd; record_cmd; replay_cmd;
             bench_cmd; serve_sweep_cmd; repro_cmd; fuzz_cmd ]))

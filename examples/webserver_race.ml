@@ -10,9 +10,10 @@ let () =
   let spec = Kard_workloads.Registry.find "nginx" in
   Format.printf "workload: %a@.@." Kard_workloads.Spec.pp spec;
   let scale = 0.005 in
-  let baseline = Runner.run ~scale ~detector:Runner.Baseline spec in
-  let kard = Runner.run ~scale ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ())) spec in
-  let tsan = Runner.run ~scale ~detector:Runner.Tsan spec in
+  let nginx = Runner.Spec spec in
+  let baseline = Runner.run ~scale ~detector:Runner.Baseline nginx in
+  let kard = Runner.run ~scale ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ())) nginx in
+  let tsan = Runner.run ~scale ~detector:Runner.Tsan nginx in
   let cycles r = r.Runner.report.Machine.cycles in
   Format.printf "baseline: %11d simulated cycles@." (cycles baseline);
   Format.printf "kard:     %11d (%+.1f%%)@." (cycles kard) (Runner.overhead_pct ~baseline kard);

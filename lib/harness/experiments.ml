@@ -3,16 +3,15 @@ module Spec = Kard_workloads.Spec
 module Race_suite = Kard_workloads.Race_suite
 module Registry = Kard_workloads.Registry
 
-(* Experiments are plan-builders: each returns a {!Pool.plan} whose
-   jobs are pure data and whose merge reassembles rows in submission
-   order, so [Pool.execute ~jobs:1] and [~jobs:N] produce identical
-   tables (see DESIGN.md §7).  The [?jobs] executors below are the
-   stable entry points. *)
+(* Each experiment is a {!Pool.plan} whose jobs are pure data and
+   whose merge reassembles rows in submission order, so
+   [Pool.execute ~jobs:1] and [~jobs:N] produce identical tables (see
+   DESIGN.md §7). *)
 
 (* {1 Table 3} *)
 
 type t3_row = {
-  spec : Spec_alias.t;
+  spec : Spec.t;
   base : Runner.result;
   alloc : Runner.result;
   kard : Runner.result;
@@ -26,7 +25,7 @@ let table3_plan ?(threads = Defaults.table_threads) ?(scale = Defaults.scale)
     ?(specs = Registry.all) () =
   let jobs =
     List.concat_map
-      (fun spec -> List.map (fun d -> Job.spec ~threads ~scale d spec) t3_detectors)
+      (fun spec -> List.map (fun d -> Job.make ~threads ~scale d (Runner.Spec spec)) t3_detectors)
       specs
   in
   Pool.plan jobs ~merge:(fun results ->
@@ -37,9 +36,6 @@ let table3_plan ?(threads = Defaults.table_threads) ?(scale = Defaults.scale)
           | _ -> assert false)
         specs
         (Pool.chunks (List.length t3_detectors) results))
-
-let table3 ?jobs ?threads ?scale ?specs () =
-  Pool.execute ?jobs (table3_plan ?threads ?scale ?specs ())
 
 let t3_kard_pct row = Runner.overhead_pct ~baseline:row.base row.kard
 let t3_alloc_pct row = Runner.overhead_pct ~baseline:row.base row.alloc
@@ -106,9 +102,9 @@ let scenarios_plan ?(names = List.map (fun s -> s.Race_suite.name) Race_suite.al
   let jobs =
     List.concat_map
       (fun scenario ->
-        [ Job.scenario ~seed (Runner.Kard scenario.Race_suite.config) scenario;
-          Job.scenario ~seed Runner.Tsan scenario;
-          Job.scenario ~seed Runner.Lockset scenario ])
+        List.map
+          (fun d -> Job.make ~seed d (Runner.Scenario scenario))
+          [ Runner.Kard scenario.Race_suite.config; Runner.Tsan; Runner.Lockset ])
       scenarios
   in
   Pool.plan jobs ~merge:(fun results ->
@@ -129,8 +125,6 @@ let scenarios_plan ?(names = List.map (fun s -> s.Race_suite.name) Race_suite.al
           | _ -> assert false)
         scenarios
         (Pool.chunks 3 results))
-
-let scenarios ?jobs ?names ?seed () = Pool.execute ?jobs (scenarios_plan ?names ?seed ())
 
 let print_scenarios rows =
   let header = [ "scenario"; "kard"; "expect"; "tsan"; "expect"; "lockset"; "expect"; "ok" ] in
@@ -160,10 +154,10 @@ type t5_row = {
 
 let table5_plan ?(data_keys = Kard_mpk.Pkey.data_key_count) ?(threads_list = [ 4; 8; 16; 32 ])
     ?(scale = Defaults.scale) () =
-  let spec = Registry.find "memcached" in
+  let memcached = Runner.Spec (Registry.find "memcached") in
   let config = { Kard_core.Config.default with Kard_core.Config.data_keys } in
   let jobs =
-    List.map (fun threads -> Job.spec ~threads ~scale (Runner.Kard config) spec) threads_list
+    List.map (fun threads -> Job.make ~threads ~scale (Runner.Kard config) memcached) threads_list
   in
   Pool.plan jobs ~merge:(fun results ->
       List.map2
@@ -176,9 +170,6 @@ let table5_plan ?(data_keys = Kard_mpk.Pkey.data_key_count) ?(threads_list = [ 4
             recycling = stats.Kard_core.Detector.recycling_events;
             sharing = stats.Kard_core.Detector.sharing_events })
         threads_list results)
-
-let table5 ?jobs ?data_keys ?threads_list ?scale () =
-  Pool.execute ?jobs (table5_plan ?data_keys ?threads_list ?scale ())
 
 let print_table5 rows =
   let header = [ "memcached"; "t=4"; "t=8"; "t=16"; "t=32" ] in
@@ -223,9 +214,9 @@ let table6_plan ?(scale = Defaults.scale) () =
   let jobs =
     List.concat_map
       (fun (name, _, _, _) ->
-        let spec = Registry.find name in
-        [ Job.spec ~scale (Runner.Kard (Defaults.kard_config ())) spec;
-          Job.spec ~scale Runner.Tsan spec ])
+        let app = Runner.Spec (Registry.find name) in
+        [ Job.make ~scale (Runner.Kard (Defaults.kard_config ())) app;
+          Job.make ~scale Runner.Tsan app ])
       paper
   in
   Pool.plan jobs ~merge:(fun results ->
@@ -247,8 +238,6 @@ let table6_plan ?(scale = Defaults.scale) () =
           | _ -> assert false)
         paper
         (Pool.chunks 2 results))
-
-let table6 ?jobs ?scale () = Pool.execute ?jobs (table6_plan ?scale ())
 
 let print_table6 rows =
   let header =
@@ -277,10 +266,11 @@ let figure5_plan ?(threads_list = [ 8; 16; 32 ]) ?(scale = Defaults.scale)
   let jobs =
     List.concat_map
       (fun spec ->
+        let target = Runner.Spec spec in
         List.concat_map
           (fun threads ->
-            [ Job.spec ~threads ~scale Runner.Baseline spec;
-              Job.spec ~threads ~scale (Runner.Kard (Defaults.kard_config ())) spec ])
+            [ Job.make ~threads ~scale Runner.Baseline target;
+              Job.make ~threads ~scale (Runner.Kard (Defaults.kard_config ())) target ])
           threads_list)
       specs
   in
@@ -298,9 +288,6 @@ let figure5_plan ?(threads_list = [ 8; 16; 32 ]) ?(scale = Defaults.scale)
           in
           { f5_name = spec.Spec.name; by_threads })
         specs per_spec)
-
-let figure5 ?jobs ?threads_list ?scale ?specs () =
-  Pool.execute ?jobs (figure5_plan ?threads_list ?scale ?specs ())
 
 let print_figure5 rows =
   match rows with
@@ -332,9 +319,9 @@ let nginx_sweep_plan ?(sizes = [ 128; 256; 512; 1024 ]) ?(scale = Defaults.scale
   let jobs =
     List.concat_map
       (fun file_kb ->
-        let spec = Kard_workloads.Apps.nginx_with_file ~file_kb in
-        [ Job.spec ~scale Runner.Baseline spec;
-          Job.spec ~scale (Runner.Kard (Defaults.kard_config ())) spec ])
+        let nginx = Runner.Spec (Kard_workloads.Apps.nginx_with_file ~file_kb) in
+        [ Job.make ~scale Runner.Baseline nginx;
+          Job.make ~scale (Runner.Kard (Defaults.kard_config ())) nginx ])
       sizes
   in
   Pool.plan jobs ~merge:(fun results ->
@@ -345,8 +332,6 @@ let nginx_sweep_plan ?(sizes = [ 128; 256; 512; 1024 ]) ?(scale = Defaults.scale
           | _ -> assert false)
         sizes
         (Pool.chunks 2 results))
-
-let nginx_sweep ?jobs ?sizes ?scale () = Pool.execute ?jobs (nginx_sweep_plan ?sizes ?scale ())
 
 let print_nginx_sweep rows =
   let header = [ "file size"; "kard overhead" ] in
@@ -408,8 +393,9 @@ let memory_plan ?(threads = Defaults.table_threads) ?(scale = Defaults.scale)
   let jobs =
     List.concat_map
       (fun spec ->
-        [ Job.spec ~threads ~scale Runner.Baseline spec;
-          Job.spec ~threads ~scale (Runner.Kard (Defaults.kard_config ())) spec ])
+        let target = Runner.Spec spec in
+        [ Job.make ~threads ~scale Runner.Baseline target;
+          Job.make ~threads ~scale (Runner.Kard (Defaults.kard_config ())) target ])
       specs
   in
   Pool.plan jobs ~merge:(fun results ->
@@ -431,9 +417,6 @@ let memory_plan ?(threads = Defaults.table_threads) ?(scale = Defaults.scale)
           | _ -> assert false)
         specs
         (Pool.chunks 2 results))
-
-let memory ?jobs ?threads ?scale ?specs () =
-  Pool.execute ?jobs (memory_plan ?threads ?scale ?specs ())
 
 let print_memory rows =
   let header =
@@ -487,10 +470,11 @@ let ablation_variants =
       { Config.default with Config.section_identity = Config.By_lock } ) ]
 
 let ablation_plan ?(scale = Defaults.scale) () =
-  let spec = Registry.find "memcached" in
+  let memcached = Runner.Spec (Registry.find "memcached") in
   let jobs =
-    Job.spec ~scale Runner.Baseline spec
-    :: List.map (fun (_, config) -> Job.spec ~scale (Runner.Kard config) spec) ablation_variants
+    Job.make ~scale Runner.Baseline memcached
+    :: List.map (fun (_, config) -> Job.make ~scale (Runner.Kard config) memcached)
+         ablation_variants
   in
   Pool.plan jobs ~merge:(function
     | base :: variants ->
@@ -504,8 +488,6 @@ let ablation_plan ?(scale = Defaults.scale) () =
             ab_sharing = stats.Kard_core.Detector.sharing_events })
         ablation_variants variants
     | [] -> assert false)
-
-let ablation ?jobs ?scale () = Pool.execute ?jobs (ablation_plan ?scale ())
 
 let print_ablation rows =
   print_string
@@ -535,9 +517,9 @@ let nolock_plan ?(scale = Defaults.scale) () =
   let jobs =
     List.concat_map
       (fun spec ->
-        [ Job.spec ~scale Runner.Baseline spec;
-          Job.spec ~scale Runner.Alloc spec;
-          Job.spec ~scale (Runner.Kard (Defaults.kard_config ())) spec ])
+        List.map
+          (fun d -> Job.make ~scale d (Runner.Spec spec))
+          [ Runner.Baseline; Runner.Alloc; Runner.Kard (Defaults.kard_config ()) ])
       specs
   in
   Pool.plan jobs ~merge:(fun results ->
@@ -553,8 +535,6 @@ let nolock_plan ?(scale = Defaults.scale) () =
           | _ -> assert false)
         specs
         (Pool.chunks 3 results))
-
-let nolock ?jobs ?scale () = Pool.execute ?jobs (nolock_plan ?scale ())
 
 let print_nolock rows =
   print_string
@@ -594,8 +574,6 @@ let explore_plan () =
   let summaries = Pool.concat (List.map snd sweeps) in
   Pool.plan summaries.Pool.jobs ~merge:(fun results ->
       List.combine (List.map fst sweeps) (summaries.Pool.merge results))
-
-let explore ?jobs () = Pool.execute ?jobs (explore_plan ())
 
 let print_explore rows =
   Printf.printf "per-run detection probability across %d scheduler seeds:\n"
@@ -671,7 +649,8 @@ let serve_plan ?(server = Openloop.Nginx) ?(model = Openloop.Poisson)
       (fun (_, detector) ->
         List.map
           (fun (_, spec) ->
-            Job.spec ~threads ~scale ~seed ~trace:(Job.trace_request ()) detector spec)
+            Job.make ~threads ~scale ~seed ~trace:(Job.trace_request ()) detector
+              (Runner.Spec spec))
           specs)
       detectors
   in
@@ -714,9 +693,6 @@ let serve_plan ?(server = Openloop.Nginx) ?(model = Openloop.Poisson)
         ss_threads = threads;
         ss_rows = rows;
         ss_goodput = serve_goodput ~slo rows })
-
-let serve ?jobs ?server ?model ?detectors ?rates ?threads ?scale ?seed ?slo () =
-  Pool.execute ?jobs (serve_plan ?server ?model ?detectors ?rates ?threads ?scale ?seed ?slo ())
 
 let print_serve sweep =
   Printf.printf "open-loop %s, %s arrivals, %d workers; SLO: p99 <= %s cycles\n" sweep.ss_server
@@ -809,13 +785,13 @@ let keys_plan ?(points = default_keys_points) ?(data_keys = default_keys_data_ke
         data_keys
     in
     let jobs =
-      Job.spec ~threads ~scale ~seed Runner.Baseline spec
+      Job.make ~threads ~scale ~seed Runner.Baseline (Runner.Spec spec)
       :: List.map
            (fun (_, dk, vk) ->
              let config =
                { Kard_core.Config.default with Kard_core.Config.data_keys = dk; vkeys = vk }
              in
-             Job.spec ~threads ~scale ~seed (Runner.Kard config) spec)
+             Job.make ~threads ~scale ~seed (Runner.Kard config) (Runner.Spec spec))
            configs
     in
     (configs, threads, jobs)
@@ -882,9 +858,6 @@ let keys_plan ?(points = default_keys_points) ?(data_keys = default_keys_data_ke
         kp_scale = scale;
         kp_seed = seed;
         kp_rows = List.concat_map snd groups })
-
-let keys ?jobs ?points ?data_keys ?pool ?threads ?scale ?seed () =
-  Pool.execute ?jobs (keys_plan ?points ?data_keys ?pool ?threads ?scale ?seed ())
 
 let print_keys_bench b =
   Printf.printf "key-pressure sweep: %d threads, scale %g, seed %d\n" b.kp_threads b.kp_scale
@@ -986,14 +959,10 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
     ?(epoch = default_sampling_epoch) ?(seeds = Defaults.explorer_seeds)
     ?(serve_rates = default_serve_sampling_rates) ?(scale = 0.1) ?slo () =
   let subjects =
-    List.map (fun name -> `Scenario (Race_suite.find name)) scenarios
-    @ [ `Keypressure
+    List.map (fun name -> Runner.Scenario (Race_suite.find name)) scenarios
+    @ [ Runner.Spec
           (Kard_workloads.Keypressure.spec ~name:"keys-10k"
              ~description:"key-pressure sampling point" Kard_workloads.Keypressure.default) ]
-  in
-  let subject_name = function
-    | `Scenario s -> s.Race_suite.name
-    | `Keypressure spec -> spec.Spec.name
   in
   (* The sampling seed follows the run seed: each of the sweep's
      seeds draws an independent window, so detection per (subject,
@@ -1002,19 +971,15 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
      handful of ids and runs too short to rotate — under one fixed
      window every seed would answer identically). *)
   let job subject rate seed =
-    match subject with
-    | `Scenario s ->
-      let config =
-        { s.Race_suite.config with Kard_core.Config.sampling = rate;
-          sampling_epoch = epoch; sampling_seed = seed }
-      in
-      Job.scenario ~seed ~override_config:config (Runner.Kard config) s
-    | `Keypressure spec ->
-      let config =
-        { Kard_core.Config.default with Kard_core.Config.sampling = rate;
-          sampling_epoch = epoch; sampling_seed = seed }
-      in
-      Job.spec ~scale ~seed (Runner.Kard config) spec
+    let own =
+      match subject with
+      | Runner.Scenario s -> s.Race_suite.config
+      | Runner.Spec _ -> Kard_core.Config.default
+    in
+    let config =
+      { own with Kard_core.Config.sampling = rate; sampling_epoch = epoch; sampling_seed = seed }
+    in
+    Job.make ~scale ~seed (Runner.Kard config) subject
   in
   let sweep_jobs =
     List.concat_map
@@ -1067,8 +1032,8 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
                       no-invented-races guarantee instead. *)
                    let subset_ok =
                      match (subject, full) with
-                     | `Keypressure _, _ | _, None -> true
-                     | `Scenario _, Some full_sets ->
+                     | Runner.Spec _, _ | _, None -> true
+                     | Runner.Scenario _, Some full_sets ->
                        List.for_all2
                          (fun r full_set ->
                            List.for_all
@@ -1088,7 +1053,7 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
                      float_of_int (List.fold_left (fun acc r -> acc + f r) 0 group)
                      /. float_of_int (List.length group)
                    in
-                   { sp_subject = subject_name subject;
+                   { sp_subject = Runner.target_name subject;
                      sp_rate = rate;
                      sp_runs = List.length group;
                      sp_detected = List.length detecting;
@@ -1115,10 +1080,6 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
         sp_rates = rates;
         sp_rows = rows;
         sp_serve = serve_p.Pool.merge serve_results })
-
-let sampling ?jobs ?scenarios ?rates ?epoch ?seeds ?serve_rates ?scale ?slo () =
-  Pool.execute ?jobs
-    (sampling_plan ?scenarios ?rates ?epoch ?seeds ?serve_rates ?scale ?slo ())
 
 let print_sampling b =
   Printf.printf "sampling sweep: %d seeds per point, epoch %s cycles\n" (List.length b.sp_seeds)

@@ -1,20 +1,20 @@
 (** Drivers that regenerate every table and figure of the paper's
     evaluation (section 7).
 
-    Every experiment is a {e plan-builder}: [<name>_plan] describes the
-    runs as a {!Pool.plan} — a list of pure-data {!Job.t}s plus a merge
-    that reassembles rows in submission order — and the [<name> ?jobs]
-    executor runs it on the Domain pool.  Because each job is a pure
+    Every experiment is a {e plan}: [<name>_plan] describes the runs
+    as a {!Pool.plan} — a list of pure-data {!Job.t}s plus a merge
+    that reassembles rows in submission order — and the caller runs
+    it with {!Pool.execute}.  Because each job is a pure
     function of its inputs and rows are merged in submission order,
     [~jobs:1] and [~jobs:N] produce identical tables (DESIGN.md §7);
-    the test suite asserts this.  Each experiment returns structured
-    data (so tests can assert on shapes) and has a printer that renders
-    a paper-style table. *)
+    the test suite asserts this.  Each plan merges into structured
+    data (so tests can assert on shapes), and each experiment has a
+    printer that renders a paper-style table. *)
 
 (** {1 Table 3: performance, memory and dTLB overheads} *)
 
 type t3_row = {
-  spec : Spec_alias.t;
+  spec : Kard_workloads.Spec.t;
   base : Runner.result;
   alloc : Runner.result;
   kard : Runner.result;
@@ -22,10 +22,8 @@ type t3_row = {
 }
 
 val table3_plan :
-  ?threads:int -> ?scale:float -> ?specs:Spec_alias.t list -> unit -> t3_row list Pool.plan
-
-val table3 :
-  ?jobs:int -> ?threads:int -> ?scale:float -> ?specs:Spec_alias.t list -> unit -> t3_row list
+  ?threads:int -> ?scale:float -> ?specs:Kard_workloads.Spec.t list -> unit ->
+  t3_row list Pool.plan
 
 val print_table3 : t3_row list -> unit
 
@@ -47,7 +45,6 @@ type scenario_row = {
 }
 
 val scenarios_plan : ?names:string list -> ?seed:int -> unit -> scenario_row list Pool.plan
-val scenarios : ?jobs:int -> ?names:string list -> ?seed:int -> unit -> scenario_row list
 val print_scenarios : scenario_row list -> unit
 
 (** {1 Table 5: memcached key recycling and sharing vs threads} *)
@@ -63,9 +60,6 @@ type t5_row = {
 
 val table5_plan :
   ?data_keys:int -> ?threads_list:int list -> ?scale:float -> unit -> t5_row list Pool.plan
-
-val table5 :
-  ?jobs:int -> ?data_keys:int -> ?threads_list:int list -> ?scale:float -> unit -> t5_row list
 (** [data_keys] defaults to the full 13.  A scaled run holds a
     proportionally smaller live key working set than the full 162k
     request run, so the key-pressure dynamics of the paper's Table 5
@@ -87,7 +81,6 @@ type t6_row = {
 }
 
 val table6_plan : ?scale:float -> unit -> t6_row list Pool.plan
-val table6 : ?jobs:int -> ?scale:float -> unit -> t6_row list
 val print_table6 : t6_row list -> unit
 
 (** {1 Figure 5: scalability} *)
@@ -98,12 +91,8 @@ type f5_row = {
 }
 
 val figure5_plan :
-  ?threads_list:int list -> ?scale:float -> ?specs:Spec_alias.t list -> unit ->
+  ?threads_list:int list -> ?scale:float -> ?specs:Kard_workloads.Spec.t list -> unit ->
   f5_row list Pool.plan
-
-val figure5 :
-  ?jobs:int -> ?threads_list:int list -> ?scale:float -> ?specs:Spec_alias.t list -> unit ->
-  f5_row list
 
 val print_figure5 : f5_row list -> unit
 
@@ -112,7 +101,6 @@ val print_figure5 : f5_row list -> unit
 type nginx_row = { file_kb : int; kard_pct : float }
 
 val nginx_sweep_plan : ?sizes:int list -> ?scale:float -> unit -> nginx_row list Pool.plan
-val nginx_sweep : ?jobs:int -> ?sizes:int list -> ?scale:float -> unit -> nginx_row list
 val print_nginx_sweep : nginx_row list -> unit
 
 (** {1 Figure 2: consolidated unique page allocation} *)
@@ -141,10 +129,8 @@ type mem_row = {
 }
 
 val memory_plan :
-  ?threads:int -> ?scale:float -> ?specs:Spec_alias.t list -> unit -> mem_row list Pool.plan
-
-val memory :
-  ?jobs:int -> ?threads:int -> ?scale:float -> ?specs:Spec_alias.t list -> unit -> mem_row list
+  ?threads:int -> ?scale:float -> ?specs:Kard_workloads.Spec.t list -> unit ->
+  mem_row list Pool.plan
 
 val print_memory : mem_row list -> unit
 
@@ -163,7 +149,6 @@ val ablation_variants : (string * Kard_core.Config.t) list
     first. *)
 
 val ablation_plan : ?scale:float -> unit -> ablation_row list Pool.plan
-val ablation : ?jobs:int -> ?scale:float -> unit -> ablation_row list
 (** memcached under every {!ablation_variants} configuration, one row
     per variant, all against a single shared baseline run. *)
 
@@ -180,7 +165,6 @@ type nolock_row = {
 }
 
 val nolock_plan : ?scale:float -> unit -> nolock_row list Pool.plan
-val nolock : ?jobs:int -> ?scale:float -> unit -> nolock_row list
 (** Every {!Kard_workloads.Registry.lock_free} benchmark under the
     baseline, the allocator alone and Kard: the paper omits them from
     Table 3 because Kard adds no overhead without locks, so only the
@@ -191,7 +175,6 @@ val print_nolock : nolock_row list -> unit
 (** {1 Schedule exploration (sections 3.1 and 5.5)} *)
 
 val explore_plan : unit -> (string * Explorer.summary) list Pool.plan
-val explore : ?jobs:int -> unit -> (string * Explorer.summary) list
 (** Per-run detection probability over {!Defaults.explorer_seeds}:
     five race scenarios, the aget and nginx models, and small-cs-race
     under section 5.5's exit-delay injection at 0, 50k and 200k
@@ -250,19 +233,6 @@ val serve_plan :
     sweep point replays the identical arrival timetable (a pure
     function of [(seed, rate)]), so detectors are compared under the
     same offered load. *)
-
-val serve :
-  ?jobs:int ->
-  ?server:Kard_workloads.Openloop.server ->
-  ?model:Kard_workloads.Openloop.arrival ->
-  ?detectors:(string * Runner.detector) list ->
-  ?rates:float list ->
-  ?threads:int ->
-  ?scale:float ->
-  ?seed:int ->
-  ?slo:int ->
-  unit ->
-  serve_sweep
 
 val print_serve : serve_sweep -> unit
 
@@ -324,17 +294,6 @@ val keys_plan :
     (key recycling demotes the victim object before the wrong-lock
     write lands), the vkey rows keep every lock association alive for
     the whole run (DESIGN.md §11). *)
-
-val keys :
-  ?jobs:int ->
-  ?points:(string * Kard_workloads.Keypressure.profile) list ->
-  ?data_keys:int list ->
-  ?pool:int ->
-  ?threads:int ->
-  ?scale:float ->
-  ?seed:int ->
-  unit ->
-  keys_bench
 
 val print_keys_bench : keys_bench -> unit
 
@@ -411,18 +370,6 @@ val sampling_plan :
     detection-latency distribution and the subset check per row.
     [scale] (default 0.1) applies to the key-pressure subject only —
     scenarios always run at full scale. *)
-
-val sampling :
-  ?jobs:int ->
-  ?scenarios:string list ->
-  ?rates:float list ->
-  ?epoch:int ->
-  ?seeds:int list ->
-  ?serve_rates:float list ->
-  ?scale:float ->
-  ?slo:int ->
-  unit ->
-  sampling_bench
 
 val print_sampling : sampling_bench -> unit
 

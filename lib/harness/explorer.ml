@@ -43,22 +43,14 @@ let explore_scenario_plan ?(seeds = default_seeds) ?config
     (scenario : Kard_workloads.Race_suite.t) =
   let config = Option.value ~default:scenario.Kard_workloads.Race_suite.config config in
   sweep_plan
-    (List.map (fun seed ->
-         Job.scenario ~seed ~override_config:config (Runner.Kard config) scenario))
+    (List.map (fun seed -> Job.make ~seed (Runner.Kard config) (Runner.Scenario scenario)))
     seeds
 
-let explore_scenario ?jobs ?seeds ?config scenario =
-  Pool.execute ?jobs (explore_scenario_plan ?seeds ?config scenario)
-
-let explore_spec_plan ?(seeds = default_seeds) ?(scale = Defaults.explorer_scale) ?threads
-    (spec : Spec_alias.t) =
+let explore_spec_plan ?(seeds = default_seeds) ?(scale = Defaults.explorer_scale) ?threads spec =
+  let detector = Runner.Kard (Defaults.kard_config ()) in
   sweep_plan
-    (List.map (fun seed ->
-         Job.spec ?threads ~scale ~seed (Runner.Kard (Defaults.kard_config ())) spec))
+    (List.map (fun seed -> Job.make ?threads ~scale ~seed detector (Runner.Spec spec)))
     seeds
-
-let explore_spec ?jobs ?seeds ?scale ?threads spec =
-  Pool.execute ?jobs (explore_spec_plan ?seeds ?scale ?threads spec)
 
 let print_summary ~name s =
   Printf.printf "%-28s detection rate %3.0f%% (%d/%d runs), races per run %d..%d\n" name

@@ -6,7 +6,7 @@
     scheduler seeds and reports how often each detector observes the
     race — an estimate of per-run detection probability.
 
-    Sweeps are plan-builders over {!Pool}: each seed is one job, and
+    Sweeps are plans for {!Pool.execute}: each seed is one job, and
     outcomes are merged back in seed order, so a summary is identical
     at [~jobs:1] and [~jobs:N]. *)
 
@@ -28,18 +28,11 @@ type summary = {
 val explore_scenario_plan :
   ?seeds:int list -> ?config:Kard_core.Config.t -> Kard_workloads.Race_suite.t ->
   summary Pool.plan
-
-val explore_scenario :
-  ?jobs:int -> ?seeds:int list -> ?config:Kard_core.Config.t -> Kard_workloads.Race_suite.t ->
-  summary
 (** Default: {!Defaults.explorer_seeds} (1..20) and the scenario's own
     configuration. *)
 
 val explore_spec_plan :
-  ?seeds:int list -> ?scale:float -> ?threads:int -> Spec_alias.t -> summary Pool.plan
-
-val explore_spec :
-  ?jobs:int -> ?seeds:int list -> ?scale:float -> ?threads:int -> Spec_alias.t -> summary
+  ?seeds:int list -> ?scale:float -> ?threads:int -> Kard_workloads.Spec.t -> summary Pool.plan
 (** Sweep a full workload model (e.g. aget) across schedules, at
     {!Defaults.explorer_scale} by default. *)
 

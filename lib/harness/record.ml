@@ -1,51 +1,8 @@
 module Log = Kard_replay.Log
 module Recorder = Kard_replay.Recorder
 module Replayer = Kard_replay.Replayer
-module Registry = Kard_workloads.Registry
 module Race_suite = Kard_workloads.Race_suite
 module Spec = Kard_workloads.Spec
-
-type subject =
-  | Spec of Spec.t
-  | Scenario of Race_suite.t
-
-let subject_target = function
-  | Spec spec -> "spec:" ^ spec.Spec.name
-  | Scenario sc -> "scenario:" ^ sc.Race_suite.name
-
-let subject_name = function
-  | Spec spec -> spec.Spec.name
-  | Scenario sc -> sc.Race_suite.name
-
-(* Bare names resolve workload-first (the larger namespace); the
-   prefixed forms disambiguate, and are what headers always carry. *)
-let find_subject name =
-  let spec n =
-    match Registry.find n with
-    | spec -> Ok (Spec spec)
-    | exception Not_found -> Error (Printf.sprintf "unknown workload %S" n)
-  in
-  let scenario n =
-    match Race_suite.find n with
-    | sc -> Ok (Scenario sc)
-    | exception Not_found -> Error (Printf.sprintf "unknown scenario %S" n)
-  in
-  match String.index_opt name ':' with
-  | Some i when String.sub name 0 i = "spec" ->
-    spec (String.sub name (i + 1) (String.length name - i - 1))
-  | Some i when String.sub name 0 i = "scenario" ->
-    scenario (String.sub name (i + 1) (String.length name - i - 1))
-  | _ -> (
-    match spec name with
-    | Ok _ as ok -> ok
-    | Error _ -> (
-      match scenario name with
-      | Ok _ as ok -> ok
-      | Error _ ->
-        Error
-          (Printf.sprintf "unknown workload or scenario %S; try `kard list` (prefixes spec: \
-                           and scenario: disambiguate)"
-             name)))
 
 (* {1 Header <-> detector} *)
 
@@ -79,72 +36,66 @@ let same_detector d (h : Log.header) =
 
 (* {1 Recording} *)
 
-let record_build ?trace ~threads ~scale ~seed ~detector ~target build name =
+(* [run ~wrap] with the recorder composed in; the header describes
+   the run as its result reports it. *)
+let recorded ~detector ~target run =
   let recorder = Recorder.create () in
-  let result =
-    Runner.run_build ~wrap:(Recorder.wrap recorder) ?trace ~threads ~scale ~seed ~detector build
-      name
+  let (result : Runner.result) = run ~wrap:(Recorder.wrap recorder) in
+  let header =
+    header ~detector ~target ~threads:result.threads ~scale:result.scale ~seed:result.seed
+      ~shards:1
   in
-  let header = header ~detector ~target ~threads ~scale ~seed ~shards:1 in
   (result, Recorder.log recorder ~header)
 
-let scenario_detector ?override_config ~detector (sc : Race_suite.t) =
-  match (detector, override_config) with
-  | Runner.Kard _, Some c -> Runner.Kard c
-  | Runner.Kard _, None -> Runner.Kard sc.Race_suite.config
-  | ((Runner.Baseline | Runner.Alloc | Runner.Tsan | Runner.Lockset) as d), _ -> d
+let record_build ?trace ~threads ~scale ~seed ~detector ~target build name =
+  recorded ~detector ~target (fun ~wrap ->
+      Runner.run_build ~wrap ?trace ~threads ~scale ~seed ~detector build name)
 
-let record ?trace ?threads ?scale ?seed ?override_config ~detector subject =
-  let seed = Option.value ~default:Defaults.seed seed in
-  let target = subject_target subject in
-  match subject with
-  | Spec spec ->
-    let threads = Option.value ~default:spec.Spec.default_threads threads in
-    let scale = Option.value ~default:Defaults.scale scale in
-    record_build ?trace ~threads ~scale ~seed ~detector ~target
-      (fun machine -> spec.Spec.build ~threads ~scale ~seed machine)
-      spec.Spec.name
-  | Scenario sc ->
-    (* Scenarios always run at their own thread count and full scale;
-       a [Kard _] detector takes the scenario's configuration (the
-       CLI's --vkeys/--sampling knobs arrive via [override_config]). *)
-    let detector = scenario_detector ?override_config ~detector sc in
-    record_build ?trace ~threads:sc.Race_suite.threads ~scale:1.0 ~seed ~detector
-      ~target sc.Race_suite.build sc.Race_suite.name
+let record ?trace ?threads ?scale ?seed ~detector target =
+  let header_target =
+    match target with
+    | Runner.Spec spec -> "spec:" ^ spec.Spec.name
+    | Runner.Scenario sc -> "scenario:" ^ sc.Race_suite.name
+  in
+  recorded ~detector ~target:header_target (fun ~wrap ->
+      Runner.run ~wrap ?trace ?threads ?scale ?seed ~detector target)
 
 (* {1 Replaying} *)
 
 type fidelity = (unit, string) result
 
+(* [run ~schedule ~wrap ~detector] driven and checked by the log's
+   replayer, under the recorded detector unless one is given. *)
+let replayed ?detector (log : Log.t) run =
+  let h = log.Log.header in
+  Result.map
+    (fun detector ->
+      let mode = if same_detector detector h then Replayer.Strict else Replayer.Schedule_only in
+      let replayer = Replayer.create ~mode log in
+      let result =
+        run ~schedule:(Replayer.schedule replayer) ~wrap:(Replayer.wrap replayer) ~detector
+      in
+      (result, Replayer.check replayer))
+    (match detector with Some d -> Ok d | None -> detector_of_header h)
+
 let replay_build ?trace ?detector (log : Log.t) build name =
   let h = log.Log.header in
-  match (match detector with Some d -> Ok d | None -> detector_of_header h) with
-  | Error _ as e -> e
-  | Ok detector ->
-    let mode = if same_detector detector h then Replayer.Strict else Replayer.Schedule_only in
-    let replayer = Replayer.create ~mode log in
-    let result =
-      Runner.run_build
-        ~schedule:(Replayer.schedule replayer)
-        ~wrap:(Replayer.wrap replayer) ?trace ~threads:h.Log.threads ~scale:h.Log.scale
-        ~seed:h.Log.seed ~detector build name
-    in
-    Ok (result, Replayer.check replayer)
+  replayed ?detector log (fun ~schedule ~wrap ~detector ->
+      Runner.run_build ~schedule ~wrap ?trace ~threads:h.Log.threads ~scale:h.Log.scale
+        ~seed:h.Log.seed ~detector build name)
 
 (* Fuzz targets need the campaign's program generator, which lives
    above this library — callers holding one use {!replay_build}. *)
 let replay ?trace ?(shards = 1) ?detector (log : Log.t) =
   check_shards "replay" shards;
   let h = log.Log.header in
-  match find_subject h.Log.target with
+  match Runner.find_target h.Log.target with
   | Error _ ->
     Error
       (Printf.sprintf "cannot resolve recorded target %S here (fuzz targets replay via `kard \
                        replay`)"
          h.Log.target)
-  | Ok (Spec spec) ->
-    let threads = h.Log.threads and scale = h.Log.scale and seed = h.Log.seed in
-    replay_build ?trace ?detector log
-      (fun machine -> spec.Spec.build ~threads ~scale ~seed machine)
-      spec.Spec.name
-  | Ok (Scenario sc) -> replay_build ?trace ?detector log sc.Race_suite.build sc.Race_suite.name
+  | Ok target ->
+    replayed ?detector log (fun ~schedule ~wrap ~detector ->
+        Runner.run ~schedule ~wrap ?trace ~threads:h.Log.threads ~scale:h.Log.scale
+          ~seed:h.Log.seed ~detector target)

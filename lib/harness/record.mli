@@ -1,4 +1,4 @@
-(** Record/replay orchestration: resolve targets, run them under the
+(** Record/replay orchestration: run targets under the
     {!Kard_replay} recorder, and re-execute logs with fidelity
     checking.
 
@@ -13,19 +13,6 @@
     sampling in production, replay under full kard or the TSan/lockset
     oracles at the desk; clock anchors are then skipped, since
     detector cycle charges differ). *)
-
-type subject =
-  | Spec of Kard_workloads.Spec.t
-  | Scenario of Kard_workloads.Race_suite.t
-
-val find_subject : string -> (subject, string) result
-(** Accepts bare names (workloads first, then scenarios) and the
-    explicit [spec:NAME] / [scenario:NAME] forms headers carry. *)
-
-val subject_target : subject -> string
-(** The canonical target string recorded in a header. *)
-
-val subject_name : subject -> string
 
 val header :
   detector:Runner.detector ->
@@ -48,15 +35,13 @@ val record :
   ?threads:int ->
   ?scale:float ->
   ?seed:int ->
-  ?override_config:Kard_core.Config.t ->
   detector:Runner.detector ->
-  subject ->
+  Runner.target ->
   Runner.result * Kard_replay.Log.t
-(** Run the subject with recording on.  The returned result is
+(** {!Runner.run} with recording on.  The returned result is
     byte-identical to an unrecorded run (the recorder charges no
-    cycles); the log is ready to {!Kard_replay.Log.to_file}.
-    Scenario subjects run at their own thread count and full scale,
-    under their own config unless [override_config] is given. *)
+    cycles); the log is ready to {!Kard_replay.Log.to_file}, and its
+    header names the target as [spec:NAME] or [scenario:NAME]. *)
 
 val record_build :
   ?trace:Kard_obs.Trace.t ->
@@ -82,7 +67,8 @@ val replay :
   Kard_replay.Log.t ->
   (Runner.result * fidelity, string) result
 (** Re-execute a log whose target is a spec or scenario, resolving
-    everything from the header.  [detector] overrides the recorded
+    everything from the header (the target through
+    {!Runner.find_target}).  [detector] overrides the recorded
     one (cross-detector replay; fidelity drops to schedule-only
     strength).  [Error] means the target could not be resolved or the
     detector could not be reconstructed.  [shards] is a compatibility

@@ -1,6 +1,47 @@
 module Machine = Kard_sched.Machine
 module Hooks = Kard_sched.Hooks
 module Detector = Kard_core.Detector
+module Spec = Kard_workloads.Spec
+module Race_suite = Kard_workloads.Race_suite
+module Registry = Kard_workloads.Registry
+
+type target =
+  | Spec of Spec.t
+  | Scenario of Race_suite.t
+
+let target_name = function
+  | Spec spec -> spec.Spec.name
+  | Scenario sc -> sc.Race_suite.name
+
+(* Bare names resolve workload-first (the larger namespace); the
+   prefixed forms disambiguate, and are what headers always carry. *)
+let find_target name =
+  let spec n =
+    match Registry.find n with
+    | spec -> Ok (Spec spec)
+    | exception Not_found -> Error (Printf.sprintf "unknown workload %S" n)
+  in
+  let scenario n =
+    match Race_suite.find n with
+    | sc -> Ok (Scenario sc)
+    | exception Not_found -> Error (Printf.sprintf "unknown scenario %S" n)
+  in
+  match String.index_opt name ':' with
+  | Some i when String.sub name 0 i = "spec" ->
+    spec (String.sub name (i + 1) (String.length name - i - 1))
+  | Some i when String.sub name 0 i = "scenario" ->
+    scenario (String.sub name (i + 1) (String.length name - i - 1))
+  | _ -> (
+    match spec name with
+    | Ok _ as ok -> ok
+    | Error _ -> (
+      match scenario name with
+      | Ok _ as ok -> ok
+      | Error _ ->
+        Error
+          (Printf.sprintf "unknown workload or scenario %S; try `kard list` (prefixes spec: \
+                           and scenario: disambiguate)"
+             name)))
 
 type detector =
   | Baseline
@@ -78,25 +119,16 @@ let run_build ?schedule ?wrap ?trace ?interp ?(shards = 1) ~threads ~scale ~seed
     trace }
 
 let run ?schedule ?wrap ?trace ?interp ?threads ?(scale = Defaults.scale)
-    ?(seed = Defaults.seed) ~detector (spec : Spec_alias.t) =
-  let threads = Option.value ~default:spec.Kard_workloads.Spec.default_threads threads in
-  run_build ?schedule ?wrap ?trace ?interp ~threads ~scale ~seed ~detector
-    (fun machine -> spec.Kard_workloads.Spec.build ~threads ~scale ~seed machine)
-    spec.Kard_workloads.Spec.name
-
-let run_scenario ?schedule ?wrap ?trace ?interp ?(seed = Defaults.seed) ?override_config
-    ~detector (scenario : Kard_workloads.Race_suite.t) =
-  let detector =
-    match detector, override_config with
-    | Kard _, Some config -> Kard config
-    | Kard _, None -> Kard scenario.Kard_workloads.Race_suite.config
-    | ((Baseline | Alloc | Tsan | Lockset) as d), _ -> d
-  in
-  run_build ?schedule ?wrap ?trace ?interp
-    ~threads:scenario.Kard_workloads.Race_suite.threads ~scale:1.0
-    ~seed
-    ~detector
-    scenario.Kard_workloads.Race_suite.build scenario.Kard_workloads.Race_suite.name
+    ?(seed = Defaults.seed) ~detector target =
+  match target with
+  | Spec spec ->
+    let threads = Option.value ~default:spec.Spec.default_threads threads in
+    run_build ?schedule ?wrap ?trace ?interp ~threads ~scale ~seed ~detector
+      (fun machine -> spec.Spec.build ~threads ~scale ~seed machine)
+      spec.Spec.name
+  | Scenario sc ->
+    run_build ?schedule ?wrap ?trace ?interp ~threads:sc.Race_suite.threads ~scale:1.0 ~seed
+      ~detector sc.Race_suite.build sc.Race_suite.name
 
 let overhead_pct ~baseline result =
   let b = float_of_int baseline.report.Machine.cycles in

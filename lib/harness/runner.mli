@@ -1,4 +1,18 @@
-(** Run one workload under one detector configuration. *)
+(** Run one target under one detector configuration. *)
+
+type target =
+  | Spec of Kard_workloads.Spec.t
+      (** A workload model, run at a chosen thread count and scale. *)
+  | Scenario of Kard_workloads.Race_suite.t
+      (** A controlled race scenario: always its own thread count and
+          full scale. *)
+
+val find_target : string -> (target, string) result
+(** Resolve a target name.  Bare names look up workloads first, then
+    scenarios; the [spec:NAME] and [scenario:NAME] forms, which replay
+    headers carry, disambiguate.  [Error] says what was not found. *)
+
+val target_name : target -> string
 
 type detector =
   | Baseline      (** Native allocator, no detection. *)
@@ -36,10 +50,9 @@ val run_build :
   ?shards:int ->
   threads:int -> scale:float -> seed:int -> detector:detector ->
   (Kard_sched.Machine.t -> unit) -> string -> result
-(** The primitive behind {!run} and {!run_scenario}: run an arbitrary
-    machine-builder under a detector.  The record/replay layer uses it
-    for targets that are neither specs nor scenarios (fuzz-campaign
-    programs).
+(** The primitive behind {!run}: run an arbitrary machine-builder under
+    a detector.  The record/replay layer uses it for targets that are
+    neither specs nor scenarios (fuzz-campaign programs).
 
     [shards] survives from the retired sharded machine so that callers
     pinning [~shards:1] (the benchmark under [bench/perf]) keep
@@ -51,9 +64,10 @@ val run :
   ?wrap:(Kard_sched.Hooks.env -> Kard_sched.Hooks.t -> Kard_sched.Hooks.t) ->
   ?trace:Kard_obs.Trace.t ->
   ?interp:Kard_sched.Machine.interp ->
-  ?threads:int -> ?scale:float -> ?seed:int -> detector:detector -> Spec_alias.t -> result
-(** Defaults: the spec's default thread count, {!Defaults.scale},
-    {!Defaults.seed}.
+  ?threads:int -> ?scale:float -> ?seed:int -> detector:detector -> target -> result
+(** Run [target] under exactly [detector].  Defaults: the spec's
+    default thread count, {!Defaults.scale}, {!Defaults.seed}; a
+    scenario ignores [threads] and [scale].
     [schedule] overrides the seeded schedule (the record/replay layer
     passes [Schedule.Replay] here; [seed] still reaches the workload
     builder).  [wrap] composes around the detector's hooks at machine
@@ -63,17 +77,6 @@ val run :
     [result.trace].  [interp] selects the machine's interpreter
     ([`Compiled] by default); [`Thunks] runs the oracle interpreter,
     which must produce an identical result. *)
-
-val run_scenario :
-  ?schedule:Kard_sched.Schedule.t ->
-  ?wrap:(Kard_sched.Hooks.env -> Kard_sched.Hooks.t -> Kard_sched.Hooks.t) ->
-  ?trace:Kard_obs.Trace.t ->
-  ?interp:Kard_sched.Machine.interp ->
-  ?seed:int -> ?override_config:Kard_core.Config.t -> detector:detector ->
-  Kard_workloads.Race_suite.t -> result
-(** Run a controlled race scenario (always at its own thread count and
-    full scale).  A [Kard _] detector runs with the scenario's own
-    configuration unless [override_config] is given. *)
 
 val overhead_pct : baseline:result -> result -> float
 (** Execution-time overhead in percent, from total cycles. *)

@@ -1,0 +1,81 @@
+(* Golden simulated outputs: one line per case with the run's cycles,
+   steps, faults, race count and an md5 of its full JSON report.  The
+   dune rule beside this file diffs the output against golden.expected,
+   so a failing diff names the case and the metric that moved;
+   `dune promote` accepts an intended change.  Every case names its
+   detector configuration explicitly, so the KARD_VKEYS and
+   KARD_SAMPLING overrides leave the output alone. *)
+
+module Config = Kard_core.Config
+module Machine = Kard_sched.Machine
+module Spec = Kard_workloads.Spec
+module Registry = Kard_workloads.Registry
+module Race_suite = Kard_workloads.Race_suite
+module Runner = Kard_harness.Runner
+module Record = Kard_harness.Record
+module Json_report = Kard_harness.Json_report
+module Log = Kard_replay.Log
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let line label (r : Runner.result) =
+  let rep = r.Runner.report in
+  let races =
+    List.length r.Runner.kard_races + List.length r.Runner.tsan_races
+    + List.length r.Runner.lockset_warnings
+  in
+  Printf.printf "%s cycles=%d steps=%d faults=%d races=%d json=%s\n" label rep.Machine.cycles
+    rep.Machine.steps rep.Machine.faults races
+    (md5 (Json_report.of_result r))
+
+let workload_configs =
+  [ ("default", Config.default);
+    ("vkeys-192", { Config.default with Config.vkeys = 192 });
+    ("sampling-0.25", { Config.default with Config.sampling = 0.25 }) ]
+
+let workloads () =
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (label, config) ->
+          line
+            (Printf.sprintf "%s/kard-%s" spec.Spec.name label)
+            (Runner.run ~scale:0.003 ~detector:(Runner.Kard config) (Runner.Spec spec)))
+        workload_configs)
+    (Registry.all @ [ Registry.find "convoy"; Registry.find "keys-10k" ])
+
+let scenarios () =
+  List.iter
+    (fun (sc : Race_suite.t) ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun detector ->
+              line
+                (Printf.sprintf "scenario:%s/%s/seed=%d" sc.Race_suite.name
+                   (Runner.detector_name detector) seed)
+                (Runner.run ~seed ~detector (Runner.Scenario sc)))
+            [ Runner.Kard sc.Race_suite.config; Runner.Tsan; Runner.Lockset ])
+        [ 1; 2; 3 ])
+    Race_suite.all
+
+(* Record memcached under 10% sampling, round-trip the log through its
+   codec and replay it under the recorded detector. *)
+let record_replay () =
+  let detector = Runner.Kard { Config.default with Config.sampling = 0.1 } in
+  let recorded, log =
+    Record.record ~scale:0.02 ~detector (Runner.Spec (Registry.find "memcached"))
+  in
+  let bytes = Log.encode log in
+  line "memcached/record" recorded;
+  match Record.replay (Log.decode bytes) with
+  | Error msg -> failwith msg
+  | Ok (replayed, fidelity) ->
+    Printf.printf "memcached/replay log=%s fidelity=%s json=%s\n" (md5 bytes)
+      (match fidelity with Ok () -> "ok" | Error _ -> "diverged")
+      (md5 (Json_report.of_result replayed))
+
+let () =
+  workloads ();
+  scenarios ();
+  record_replay ()

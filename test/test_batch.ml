@@ -70,7 +70,7 @@ let test_race_suite_identity () =
   List.iter
     (fun sc ->
       let run ?wrap ?interp () =
-        Runner.run_scenario ?wrap ?interp ~detector:(Runner.Kard sc.Race_suite.config) sc
+        Runner.run ?wrap ?interp ~detector:(Runner.Kard sc.Race_suite.config) (Runner.Scenario sc)
       in
       let batched = run () in
       List.iter
@@ -86,7 +86,7 @@ let test_race_suite_identity () =
 let test_ineligible_hooks_identity () =
   List.iter
     (fun (name, detector) ->
-      let run interp = Runner.run_scenario ~interp ~detector Race_suite.nolock_nolock in
+      let run interp = Runner.run ~interp ~detector (Runner.Scenario Race_suite.nolock_nolock) in
       check (name ^ " identical compiled vs thunks") true (run `Compiled = run `Thunks))
     [ ("tsan", Runner.Tsan); ("lockset", Runner.Lockset) ]
 
@@ -185,7 +185,7 @@ let test_convoy_trace_identity () =
     let trace = Kard_obs.Trace.create () in
     let r =
       Runner.run ?wrap ~trace ~threads:convoy_threads ~scale:convoy_scale
-        ~detector:(Runner.Kard (Defaults.kard_config ())) Contended.convoy
+        ~detector:(Runner.Kard (Defaults.kard_config ())) (Runner.Spec Contended.convoy)
     in
     (r, Kard_obs.Chrome_trace.to_json ~t:(Option.get r.Runner.trace))
   in
@@ -202,7 +202,7 @@ let test_serve_point_identity () =
     let r =
       Runner.run ?wrap ~trace ~threads:4 ~scale:0.01
         ~detector:(Runner.Kard (Defaults.kard_config ()))
-        (Openloop.spec ~rate:10.0 Openloop.Nginx)
+        (Runner.Spec (Openloop.spec ~rate:10.0 Openloop.Nginx))
     in
     (r.Runner.report, Kard_obs.Snapshot.of_metrics (Kard_obs.Trace.metrics (Option.get r.Runner.trace)))
   in
@@ -233,7 +233,8 @@ let test_wrapper_sees_every_access () =
   in
   let r =
     Runner.run ~wrap:counting ~threads:4 ~scale:0.002
-      ~detector:(Runner.Kard Kard_core.Config.default) (Kard_workloads.Registry.find "memcached")
+      ~detector:(Runner.Kard Kard_core.Config.default)
+      (Runner.Spec (Kard_workloads.Registry.find "memcached"))
   in
   let rep = r.Runner.report in
   check "the run accessed memory" true (rep.Machine.reads + rep.Machine.writes > 0);

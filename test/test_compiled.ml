@@ -44,7 +44,7 @@ let test_workloads_oracle () =
     (fun spec ->
       List.iter
         (fun detector ->
-          let run interp = Runner.run ~interp ~scale:0.002 ~seed:42 ~detector spec in
+          let run interp = Runner.run ~interp ~scale:0.002 ~seed:42 ~detector (Runner.Spec spec) in
           assert_identical
             (spec.Kard_workloads.Spec.name ^ "/" ^ Runner.detector_name detector)
             (run `Compiled) (run `Thunks))
@@ -59,7 +59,7 @@ let test_workloads_oracle_reseeded () =
     (fun seed ->
       let run interp =
         Runner.run ~interp ~scale:0.005 ~seed ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
-          spec
+          (Runner.Spec spec)
       in
       assert_identical (Printf.sprintf "memcached seed=%d" seed) (run `Compiled) (run `Thunks))
     [ 1; 7; 1234 ]
@@ -67,7 +67,10 @@ let test_workloads_oracle_reseeded () =
 let test_race_suite_oracle () =
   List.iter
     (fun scenario ->
-      let run interp = Runner.run_scenario ~interp ~seed:42 ~detector:(Runner.Kard scenario.Race_suite.config) scenario in
+      let run interp =
+        Runner.run ~interp ~seed:42 ~detector:(Runner.Kard scenario.Race_suite.config)
+          (Runner.Scenario scenario)
+      in
       let compiled = run `Compiled and oracle = run `Thunks in
       assert_identical scenario.Race_suite.name compiled oracle;
       check_int (scenario.Race_suite.name ^ ": races") (List.length compiled.Runner.kard_races)
@@ -146,9 +149,9 @@ let test_allocation_budget () =
   let spec = Registry.find "memcached" in
   let detector = Runner.Kard (Kard_harness.Defaults.kard_config ()) in
   (* Warm once so module initialization doesn't bill the budget. *)
-  ignore (Runner.run ~threads:8 ~scale:0.01 ~seed:42 ~detector spec : Runner.result);
+  ignore (Runner.run ~threads:8 ~scale:0.01 ~seed:42 ~detector (Runner.Spec spec) : Runner.result);
   let before = Gc.quick_stat () in
-  let result = Runner.run ~threads:8 ~scale:0.01 ~seed:42 ~detector spec in
+  let result = Runner.run ~threads:8 ~scale:0.01 ~seed:42 ~detector (Runner.Spec spec) in
   let after = Gc.quick_stat () in
   let minor = after.Gc.minor_words -. before.Gc.minor_words in
   let steps = result.Runner.report.Machine.steps in

@@ -17,9 +17,9 @@ let check_int = Alcotest.(check int)
 
 let scenario_case (s : Race_suite.t) =
   Alcotest.test_case s.Race_suite.name `Quick (fun () ->
-      let kard = Runner.run_scenario ~detector:(Runner.Kard s.Race_suite.config) s in
-      let tsan = Runner.run_scenario ~detector:Runner.Tsan s in
-      let lockset = Runner.run_scenario ~detector:Runner.Lockset s in
+      let kard = Runner.run ~detector:(Runner.Kard s.Race_suite.config) (Runner.Scenario s) in
+      let tsan = Runner.run ~detector:Runner.Tsan (Runner.Scenario s) in
+      let lockset = Runner.run ~detector:Runner.Lockset (Runner.Scenario s) in
       let fmt_exp e = Format.asprintf "%a" Race_suite.pp_expectation e in
       let kard_n = List.length kard.Runner.kard_ilu_races in
       if not (Race_suite.check s.Race_suite.expect_kard_ilu kard_n) then
@@ -35,27 +35,22 @@ let scenario_case (s : Race_suite.t) =
 let seed_robustness_case seed =
   Alcotest.test_case (Printf.sprintf "ilu-lock-lock seed %d" seed) `Quick (fun () ->
       let s = Race_suite.ilu_lock_lock in
-      let kard = Runner.run_scenario ~seed ~detector:(Runner.Kard s.Race_suite.config) s in
+      let kard = Runner.run ~seed ~detector:(Runner.Kard s.Race_suite.config) (Runner.Scenario s) in
       check "race found" true (List.length kard.Runner.kard_ilu_races >= 1))
 
 let seed_robustness_negative seed =
   Alcotest.test_case (Printf.sprintf "same-lock seed %d" seed) `Quick (fun () ->
       let s = Race_suite.same_lock in
-      let kard = Runner.run_scenario ~seed ~detector:(Runner.Kard s.Race_suite.config) s in
+      let kard = Runner.run ~seed ~detector:(Runner.Kard s.Race_suite.config) (Runner.Scenario s) in
       check_int "no false positive" 0 (List.length kard.Runner.kard_ilu_races))
 
 (* {1 Ablations} *)
 
-let run_scenario_with_config s config =
-  let cell = ref None in
-  let machine =
-    Machine.create ~seed:42 ~allocator:Machine.Unique_page
-      ~make_detector:(Detector.make ~config ~cell)
-      ()
-  in
-  s.Race_suite.build machine;
-  let (_ : Machine.report) = Machine.run machine in
-  Option.get !cell
+let run_with_config s config =
+  Runner.run ~seed:42 ~detector:(Runner.Kard config) (Runner.Scenario s)
+
+let ilu_races r = r.Runner.kard_ilu_races
+let stats r = Option.get r.Runner.kard_stats
 
 let test_ablation_no_interleaving () =
   (* Without protection interleaving, the different-offset record is
@@ -64,28 +59,28 @@ let test_ablation_no_interleaving () =
     { Race_suite.different_offset_large_cs.Race_suite.config with
       Config.protection_interleaving = false }
   in
-  let d = run_scenario_with_config Race_suite.different_offset_large_cs config in
-  check "false positive without interleaving" true (List.length (Detector.ilu_races d) >= 1);
-  let default = run_scenario_with_config Race_suite.different_offset_large_cs Config.default in
-  check_int "pruned with interleaving" 0 (List.length (Detector.ilu_races default))
+  let d = run_with_config Race_suite.different_offset_large_cs config in
+  check "false positive without interleaving" true (List.length (ilu_races d) >= 1);
+  let default = run_with_config Race_suite.different_offset_large_cs Config.default in
+  check_int "pruned with interleaving" 0 (List.length (ilu_races default))
 
 let test_ablation_no_dedupe () =
   let config = { Config.default with Config.redundancy_pruning = false } in
-  let with_dedupe = run_scenario_with_config Race_suite.ilu_lock_lock Config.default in
-  let without = run_scenario_with_config Race_suite.ilu_lock_lock config in
+  let with_dedupe = run_with_config Race_suite.ilu_lock_lock Config.default in
+  let without = run_with_config Race_suite.ilu_lock_lock config in
   check "dedupe reduces records" true
-    (List.length (Detector.races without) >= List.length (Detector.races with_dedupe));
+    (List.length without.Runner.kard_races >= List.length with_dedupe.Runner.kard_races);
   check "duplicates appear without dedupe" true
-    ((Detector.stats without).Detector.records_logged
-    >= (Detector.stats with_dedupe).Detector.records_logged)
+    ((stats without).Detector.records_logged
+    >= (stats with_dedupe).Detector.records_logged)
 
 let test_ablation_reactive_only () =
   (* Disabling proactive acquisition must not lose the race; it only
      costs more faults. *)
   let config = { Config.default with Config.proactive_acquisition = false } in
-  let d = run_scenario_with_config Race_suite.ilu_lock_lock config in
-  check "race still found" true (List.length (Detector.ilu_races d) >= 1);
-  let stats = Detector.stats d in
+  let d = run_with_config Race_suite.ilu_lock_lock config in
+  check "race still found" true (List.length (ilu_races d) >= 1);
+  let stats = stats d in
   check_int "nothing proactive" 0 stats.Detector.proactive_acquisitions
 
 let test_delay_injection_raises_detection () =
@@ -93,8 +88,9 @@ let test_delay_injection_raises_detection () =
      overlapping sections' race is found far more often when exits
      linger. *)
   let rate config =
-    (Kard_harness.Explorer.explore_scenario ~seeds:(List.init 10 (fun i -> i + 1)) ~config
-       Race_suite.small_cs_race)
+    (Kard_harness.Pool.execute
+       (Kard_harness.Explorer.explore_scenario_plan ~seeds:(List.init 10 (fun i -> i + 1)) ~config
+          Race_suite.small_cs_race))
       .Kard_harness.Explorer.detection_rate
   in
   let without = rate Config.default in
@@ -104,35 +100,35 @@ let test_delay_injection_raises_detection () =
 
 let test_delay_injection_no_false_alarms () =
   let config = { Config.default with Config.exit_delay_cycles = 100_000 } in
-  let d = run_scenario_with_config Race_suite.same_lock config in
-  check_int "consistent locking stays clean" 0 (List.length (Detector.ilu_races d))
+  let d = run_with_config Race_suite.same_lock config in
+  check_int "consistent locking stays clean" 0 (List.length (ilu_races d))
 
 let test_binary_mode_still_detects () =
   (* Section 8's binary deployment: sections named by lock only.
      Detection of ILU races is unchanged (the conflicting sides hold
      different locks by definition); consistent locking stays clean. *)
   let config = { Config.default with Config.section_identity = Config.By_lock } in
-  let racy = run_scenario_with_config Race_suite.ilu_lock_lock config in
-  check "race still found" true (List.length (Detector.ilu_races racy) >= 1);
-  let clean = run_scenario_with_config Race_suite.same_lock config in
-  check_int "no false positives" 0 (List.length (Detector.ilu_races clean))
+  let racy = run_with_config Race_suite.ilu_lock_lock config in
+  check "race still found" true (List.length (ilu_races racy) >= 1);
+  let clean = run_with_config Race_suite.same_lock config in
+  check_int "no false positives" 0 (List.length (ilu_races clean))
 
 let test_key_sharing_only_under_pressure () =
   (* With the full 13 keys the sharing scenario's conflict is caught. *)
-  let d = run_scenario_with_config Race_suite.key_sharing_false_negative Config.default in
-  check "13 keys avoid the false negative" true (List.length (Detector.ilu_races d) >= 1);
+  let d = run_with_config Race_suite.key_sharing_false_negative Config.default in
+  check "13 keys avoid the false negative" true (List.length (ilu_races d) >= 1);
   let one_key = { Config.default with Config.data_keys = 1 } in
-  let d1 = run_scenario_with_config Race_suite.key_sharing_false_negative one_key in
-  check_int "1 key shares and misses" 0 (List.length (Detector.ilu_races d1));
-  check "sharing event recorded" true ((Detector.stats d1).Detector.sharing_events >= 1);
+  let d1 = run_with_config Race_suite.key_sharing_false_negative one_key in
+  check_int "1 key shares and misses" 0 (List.length (ilu_races d1));
+  check "sharing event recorded" true ((stats d1).Detector.sharing_events >= 1);
   (* A second data key already separates the two sections' objects:
      the false negative needs a one-key budget. *)
   let d2 =
-    run_scenario_with_config Race_suite.key_sharing_false_negative
+    run_with_config Race_suite.key_sharing_false_negative
       { Config.default with Config.data_keys = 2 }
   in
-  check_int "2 keys share nothing" 0 (Detector.stats d2).Detector.sharing_events;
-  check "2 keys avoid the false negative" true (List.length (Detector.ilu_races d2) >= 1)
+  check_int "2 keys share nothing" 0 (stats d2).Detector.sharing_events;
+  check "2 keys avoid the false negative" true (List.length (ilu_races d2) >= 1)
 
 let test_vkeys_one_key_no_false_alarms () =
   (* The ablation's "1 data key + 192 vkeys" row caches every virtual
@@ -143,11 +139,11 @@ let test_vkeys_one_key_no_false_alarms () =
   let misses = ref 0 in
   List.iter
     (fun (s : Race_suite.t) ->
-      let clean config = Detector.ilu_races (run_scenario_with_config s config) = [] in
+      let clean config = ilu_races (run_with_config s config) = [] in
       if s.Race_suite.expect_kard_ilu = Race_suite.Exactly 0 && clean (one_key s) then begin
-        let d = run_scenario_with_config s { (one_key s) with Config.vkeys = 192 } in
-        misses := !misses + (Detector.stats d).Detector.vkey_misses;
-        check_int (s.Race_suite.name ^ ": no records") 0 (List.length (Detector.ilu_races d))
+        let d = run_with_config s { (one_key s) with Config.vkeys = 192 } in
+        misses := !misses + (stats d).Detector.vkey_misses;
+        check_int (s.Race_suite.name ^ ": no records") 0 (List.length (ilu_races d))
       end)
     Race_suite.all;
   check "the pool missed" true (!misses > 0)

@@ -5,6 +5,7 @@ module Stats = Kard_harness.Stats
 module Text_table = Kard_harness.Text_table
 module Runner = Kard_harness.Runner
 module Experiments = Kard_harness.Experiments
+module Pool = Kard_harness.Pool
 module Registry = Kard_workloads.Registry
 module Machine = Kard_sched.Machine
 
@@ -219,25 +220,42 @@ let test_runner_detector_names () =
 
 let test_runner_overhead_math () =
   let spec = Registry.find "aget" in
-  let base = Runner.run ~scale:0.002 ~detector:Runner.Baseline spec in
-  let kard = Runner.run ~scale:0.002 ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ())) spec in
+  let base = Runner.run ~scale:0.002 ~detector:Runner.Baseline (Runner.Spec spec) in
+  let kard =
+    Runner.run ~scale:0.002 ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
+      (Runner.Spec spec)
+  in
   let pct = Runner.overhead_pct ~baseline:base kard in
   check "kard costs something" true (pct > 0.);
   check "self overhead is zero" true (abs_float (Runner.overhead_pct ~baseline:base base) < 1e-9)
 
 let test_runner_detector_payloads () =
   let spec = Registry.find "aget" in
-  let base = Runner.run ~scale:0.002 ~detector:Runner.Baseline spec in
+  let base = Runner.run ~scale:0.002 ~detector:Runner.Baseline (Runner.Spec spec) in
   check "baseline has no kard stats" true (base.Runner.kard_stats = None);
   check "baseline reports no races" true (base.Runner.kard_races = []);
-  let tsan = Runner.run ~scale:0.002 ~detector:Runner.Tsan spec in
+  let tsan = Runner.run ~scale:0.002 ~detector:Runner.Tsan (Runner.Spec spec) in
   check "tsan run has no kard stats" true (tsan.Runner.kard_stats = None)
+
+(* A kard detector runs with exactly its own configuration, on a
+   scenario too: the 13-key default keeps key-sharing-false-negative's
+   two sections on separate keys and reports the race; the scenario's
+   own one-key configuration shares the key and misses it. *)
+let test_runner_detector_as_given () =
+  let sc = Kard_workloads.Race_suite.key_sharing_false_negative in
+  let ilu config =
+    List.length
+      (Runner.run ~detector:(Runner.Kard config) (Runner.Scenario sc)).Runner.kard_ilu_races
+  in
+  check "the default config reports the race" true (ilu Kard_core.Config.default >= 1);
+  check_int "the scenario's own config misses it" 0
+    (ilu sc.Kard_workloads.Race_suite.config)
 
 (* {1 Experiments} *)
 
 let test_table3_shape () =
   let specs = [ Registry.find "aget"; Registry.find "streamcluster" ] in
-  let rows = Experiments.table3 ~scale:0.002 ~specs () in
+  let rows = Pool.execute (Experiments.table3_plan ~scale:0.002 ~specs ()) in
   check_int "two rows" 2 (List.length rows);
   List.iter
     (fun row ->
@@ -247,7 +265,7 @@ let test_table3_shape () =
     rows
 
 let test_scenarios_all_pass () =
-  let rows = Experiments.scenarios () in
+  let rows = Pool.execute (Experiments.scenarios_plan ()) in
   List.iter
     (fun row ->
       let name = row.Experiments.scenario.Kard_workloads.Race_suite.name in
@@ -263,7 +281,7 @@ let test_figure2_numbers () =
   check "physically consolidated" true (s.Experiments.physical_pages <= 16)
 
 let test_nginx_sweep_monotone () =
-  let rows = Experiments.nginx_sweep ~sizes:[ 128; 1024 ] ~scale:0.002 () in
+  let rows = Pool.execute (Experiments.nginx_sweep_plan ~sizes:[ 128; 1024 ] ~scale:0.002 ()) in
   match rows with
   | [ small; large ] ->
     check "smaller files suffer more" true
@@ -297,26 +315,32 @@ let test_chart_grouped () =
 
 let test_explorer_scenarios () =
   let s =
-    Kard_harness.Explorer.explore_scenario ~seeds:[ 1; 2; 3; 4; 5 ]
-      Kard_workloads.Race_suite.ilu_lock_lock
+    Pool.execute
+      (Kard_harness.Explorer.explore_scenario_plan ~seeds:[ 1; 2; 3; 4; 5 ]
+         Kard_workloads.Race_suite.ilu_lock_lock)
   in
   check_int "five runs" 5 s.Kard_harness.Explorer.runs;
   check "always detected" true (s.Kard_harness.Explorer.detection_rate = 1.0);
   let clean =
-    Kard_harness.Explorer.explore_scenario ~seeds:[ 1; 2; 3 ] Kard_workloads.Race_suite.same_lock
+    Pool.execute
+      (Kard_harness.Explorer.explore_scenario_plan ~seeds:[ 1; 2; 3 ]
+         Kard_workloads.Race_suite.same_lock)
   in
   check "never false positives" true (clean.Kard_harness.Explorer.detection_rate = 0.0)
 
 let test_explorer_spec () =
   with_full_kard @@ fun () ->
-  let s = Kard_harness.Explorer.explore_spec ~seeds:[ 1; 2 ] (Registry.find "aget") in
+  let s =
+    Pool.execute (Kard_harness.Explorer.explore_spec_plan ~seeds:[ 1; 2 ] (Registry.find "aget"))
+  in
   check_int "two runs" 2 s.Kard_harness.Explorer.runs;
   check "aget race robust" true (s.Kard_harness.Explorer.detecting_runs >= 1)
 
 let test_memory_breakdown () =
   let rows =
-    Experiments.memory ~scale:0.002
-      ~specs:[ Registry.find "water_spatial"; Registry.find "aget" ] ()
+    Pool.execute
+      (Experiments.memory_plan ~scale:0.002
+         ~specs:[ Registry.find "water_spatial"; Registry.find "aget" ] ())
   in
   check_int "two rows" 2 (List.length rows);
   List.iter
@@ -340,7 +364,7 @@ let test_memory_breakdown () =
    192-key virtual pool over that one key recycles nothing and shares
    less, at the default's record count. *)
 let test_ablation_key_budget_rows () =
-  let rows = Experiments.ablation ~jobs:1 ~scale:0.002 () in
+  let rows = Pool.execute ~jobs:1 (Experiments.ablation_plan ~scale:0.002 ()) in
   check "one row per variant, in order" true
     (List.map (fun r -> r.Experiments.ab_label) rows = List.map fst Experiments.ablation_variants);
   let row label = List.find (fun r -> r.Experiments.ab_label = label) rows in
@@ -357,7 +381,7 @@ let test_ablation_key_budget_rows () =
 
 let test_table6_shape () =
   with_full_kard @@ fun () ->
-  let rows = Experiments.table6 ~scale:0.01 () in
+  let rows = Pool.execute (Experiments.table6_plan ~scale:0.01 ()) in
   check_int "four applications" 4 (List.length rows);
   List.iter
     (fun row ->
@@ -401,13 +425,15 @@ let test_json_race () =
 
 let test_json_result () =
   let r = Runner.run ~scale:0.002 ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
-      (Registry.find "aget")
+      (Runner.Spec (Registry.find "aget"))
   in
   let json = Json.of_result r in
   check "workload" true (contains json "\"workload\":\"aget\"");
   check "kard stats present" true (contains json "\"kard\":{");
   check "races array" true (contains json "\"races\":[");
-  let base = Runner.run ~scale:0.002 ~detector:Runner.Baseline (Registry.find "aget") in
+  let base =
+    Runner.run ~scale:0.002 ~detector:Runner.Baseline (Runner.Spec (Registry.find "aget"))
+  in
   check "baseline has no kard object" false (contains (Json.of_result base) "\"kard\":{")
 
 let test_json_metrics () =
@@ -427,7 +453,7 @@ let test_json_traced_result () =
   let tr = Kard_obs.Trace.create () in
   let r =
     Runner.run ~trace:tr ~scale:0.002 ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
-      (Registry.find "aget")
+      (Runner.Spec (Registry.find "aget"))
   in
   let json = Json.of_result r in
   check "trace summary" true (contains json "\"trace\":{");
@@ -435,7 +461,7 @@ let test_json_traced_result () =
   check "metrics registry" true (contains json "\"metrics\":{");
   let untraced =
     Runner.run ~scale:0.002 ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
-      (Registry.find "aget")
+      (Runner.Spec (Registry.find "aget"))
   in
   check "untraced run embeds neither" false (contains (Json.of_result untraced) "\"metrics\":{")
 
@@ -475,7 +501,8 @@ let () =
       ( "runner",
         [ Alcotest.test_case "detector names" `Quick test_runner_detector_names;
           Alcotest.test_case "overhead math" `Slow test_runner_overhead_math;
-          Alcotest.test_case "detector payloads" `Slow test_runner_detector_payloads ] );
+          Alcotest.test_case "detector payloads" `Slow test_runner_detector_payloads;
+          Alcotest.test_case "kard config as given" `Quick test_runner_detector_as_given ] );
       ( "experiments",
         [ Alcotest.test_case "table3 shape" `Slow test_table3_shape;
           Alcotest.test_case "scenarios pass" `Slow test_scenarios_all_pass;

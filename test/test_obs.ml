@@ -208,7 +208,7 @@ let traced_run () =
   let tr = Trace.create () in
   let r =
     Runner.run ~trace:tr ~scale:0.002 ~seed:42 ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
-      (Registry.find "memcached")
+      (Runner.Spec (Registry.find "memcached"))
   in
   (tr, r)
 
@@ -249,7 +249,7 @@ let test_trace_skipped_counter () =
   let config = { Kard_core.Config.default with Kard_core.Config.sampling = 0.25 } in
   let r =
     Runner.run ~trace:tr ~scale:0.003 ~seed:42 ~detector:(Runner.Kard config)
-      (Registry.find "memcached")
+      (Runner.Spec (Registry.find "memcached"))
   in
   let skipped = (Option.get r.Runner.kard_stats).Kard_core.Detector.skipped_accesses in
   check "accesses skipped" true (skipped > 0);
@@ -315,8 +315,10 @@ let test_chrome_export_empty () =
 let test_tracing_costs_no_cycles () =
   let spec = Registry.find "aget" in
   let detector = Runner.Kard (Kard_harness.Defaults.kard_config ()) in
-  let plain = Runner.run ~scale:0.002 ~seed:7 ~detector spec in
-  let traced = Runner.run ~trace:(Trace.create ()) ~scale:0.002 ~seed:7 ~detector spec in
+  let plain = Runner.run ~scale:0.002 ~seed:7 ~detector (Runner.Spec spec) in
+  let traced =
+    Runner.run ~trace:(Trace.create ()) ~scale:0.002 ~seed:7 ~detector (Runner.Spec spec)
+  in
   let p = plain.Runner.report and t = traced.Runner.report in
   check_int "identical cycles" p.Machine.cycles t.Machine.cycles;
   check_int "identical wall cycles" p.Machine.wall_cycles t.Machine.wall_cycles;

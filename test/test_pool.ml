@@ -111,7 +111,10 @@ let test_crash_smallest_index () =
    reports: any cross-run shared mutable state would show up here as a
    divergence (or a crash). *)
 let test_concurrent_identical_jobs () =
-  let job = Job.spec ~scale ~seed:7 (Runner.Kard (Defaults.kard_config ())) (Registry.find "aget") in
+  let job =
+    Job.make ~scale ~seed:7 (Runner.Kard (Defaults.kard_config ()))
+      (Runner.Spec (Registry.find "aget"))
+  in
   match Pool.run_jobs ~jobs:2 [ job; job ] with
   | [ a; b ] ->
     check "identical reports" true (a = b);
@@ -128,8 +131,8 @@ let test_run_jobs_oracle () =
   let jobs =
     List.concat_map
       (fun seed ->
-        [ Job.spec ~scale ~seed Runner.Baseline spec;
-          Job.spec ~scale ~seed (Runner.Kard (Defaults.kard_config ())) spec ])
+        [ Job.make ~scale ~seed Runner.Baseline (Runner.Spec spec);
+          Job.make ~scale ~seed (Runner.Kard (Defaults.kard_config ())) (Runner.Spec spec) ])
       [ 1; 2; 3 ]
   in
   let serial = Pool.run_jobs ~jobs:1 jobs in
@@ -138,8 +141,8 @@ let test_run_jobs_oracle () =
 
 let test_table3_oracle () =
   let specs = [ Registry.find "aget"; Registry.find "streamcluster" ] in
-  let serial = Experiments.table3 ~jobs:1 ~scale ~specs () in
-  let par = Experiments.table3 ~jobs:4 ~scale ~specs () in
+  let serial = Pool.execute ~jobs:1 (Experiments.table3_plan ~scale ~specs ()) in
+  let par = Pool.execute ~jobs:4 (Experiments.table3_plan ~scale ~specs ()) in
   check_int "same row count" (List.length serial) (List.length par);
   (* [t3_row.spec] holds build closures, so compare the result fields
      (all closure-free) rather than whole rows. *)
@@ -170,8 +173,8 @@ let test_concat_oracle () =
 let test_explorer_oracle () =
   let scenario = Race_suite.find "ilu-lock-lock" in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
-  let serial = Explorer.explore_scenario ~jobs:1 ~seeds scenario in
-  let par = Explorer.explore_scenario ~jobs:4 ~seeds scenario in
+  let serial = Pool.execute ~jobs:1 (Explorer.explore_scenario_plan ~seeds scenario) in
+  let par = Pool.execute ~jobs:4 (Explorer.explore_scenario_plan ~seeds scenario) in
   check "summaries identical" true (serial = par);
   check_ints "outcomes in seed order" seeds
     (List.map (fun o -> o.Explorer.seed) par.Explorer.outcomes)
@@ -182,7 +185,7 @@ let test_json_byte_identical () =
   let spec = Registry.find "aget" in
   let jobs =
     List.map
-      (fun seed -> Job.spec ~scale ~seed (Runner.Kard (Defaults.kard_config ())) spec)
+      (fun seed -> Job.make ~scale ~seed (Runner.Kard (Defaults.kard_config ())) (Runner.Spec spec))
       [ 1; 2; 3; 4 ]
   in
   let render results =
@@ -200,9 +203,9 @@ let test_trace_oracle () =
   let jobs =
     List.map
       (fun seed ->
-        Job.spec ~scale ~seed
+        Job.make ~scale ~seed
           ~trace:(Job.trace_request ~capacity:4096 ())
-          (Runner.Kard (Defaults.kard_config ())) spec)
+          (Runner.Kard (Defaults.kard_config ())) (Runner.Spec spec))
       [ 1; 2 ]
   in
   let export results =
@@ -218,14 +221,14 @@ let test_trace_oracle () =
 (* {1 Job construction & defaults} *)
 
 let test_job_defaults () =
-  let job = Job.spec (Runner.Kard (Defaults.kard_config ())) (Registry.find "aget") in
+  let job = Job.make (Runner.Kard (Defaults.kard_config ())) (Runner.Spec (Registry.find "aget")) in
   let r = Job.run job in
   check "default scale" true (r.Runner.scale = Defaults.scale);
   check_int "default seed" Defaults.seed r.Runner.seed;
   check "no trace unless requested" true (r.Runner.trace = None)
 
 let test_job_describe () =
-  let job = Job.spec ~seed:9 Runner.Tsan (Registry.find "aget") in
+  let job = Job.make ~seed:9 Runner.Tsan (Runner.Spec (Registry.find "aget")) in
   Alcotest.(check string) "describe" "aget/tsan/seed=9" (Job.describe job)
 
 let test_defaults_jobs_env () =

@@ -159,17 +159,20 @@ let test_canonical_varints_only () =
 
 (* {1 Target resolution} *)
 
-let test_find_subject () =
-  (match Record.find_subject "spec:memcached" with
-  | Ok (Record.Spec s) -> check "spec: prefix" true (s.Kard_workloads.Spec.name = "memcached")
+let test_find_target () =
+  (match Runner.find_target "spec:memcached" with
+  | Ok (Runner.Spec s) -> check "spec: prefix" true (s.Kard_workloads.Spec.name = "memcached")
   | _ -> Alcotest.fail "spec:memcached did not resolve");
-  (match Record.find_subject "memcached" with
-  | Ok (Record.Spec s) -> check "bare workload name" true (s.Kard_workloads.Spec.name = "memcached")
+  (match Runner.find_target "memcached" with
+  | Ok (Runner.Spec s) -> check "bare workload name" true (s.Kard_workloads.Spec.name = "memcached")
   | _ -> Alcotest.fail "bare memcached did not resolve");
-  (match Record.find_subject "scenario:ilu-lock-lock" with
-  | Ok (Record.Scenario s) -> check "scenario: prefix" true (s.Race_suite.name = "ilu-lock-lock")
+  (match Runner.find_target "scenario:ilu-lock-lock" with
+  | Ok (Runner.Scenario s) -> check "scenario: prefix" true (s.Race_suite.name = "ilu-lock-lock")
   | _ -> Alcotest.fail "scenario:ilu-lock-lock did not resolve");
-  (match Record.find_subject "no-such-workload" with
+  (match Runner.find_target "ilu-lock-lock" with
+  | Ok (Runner.Scenario s) -> check "bare scenario name" true (s.Race_suite.name = "ilu-lock-lock")
+  | _ -> Alcotest.fail "bare ilu-lock-lock did not resolve");
+  (match Runner.find_target "no-such-workload" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonsense target resolved")
 
@@ -179,7 +182,7 @@ let test_find_subject () =
    The varint stays on the wire, and replay ignores it. *)
 let test_legacy_shards_field () =
   let s = Race_suite.find "ilu-lock-lock" in
-  let r, log = Record.record ~detector:(Runner.Kard s.Race_suite.config) (Record.Scenario s) in
+  let r, log = Record.record ~detector:(Runner.Kard s.Race_suite.config) (Runner.Scenario s) in
   check_int "new logs write shards 1" 1 log.Log.header.Log.shards;
   let legacy =
     Log.decode
@@ -198,7 +201,7 @@ let test_legacy_shards_field () =
 let test_shards_other_than_one_rejected () =
   let s = Race_suite.find "ilu-lock-lock" in
   let detector = Runner.Kard s.Race_suite.config in
-  let _, log = Record.record ~detector (Record.Scenario s) in
+  let _, log = Record.record ~detector (Runner.Scenario s) in
   let rejects name f =
     match f () with
     | () -> Alcotest.failf "%s accepted a retired setting" name
@@ -245,8 +248,8 @@ let test_race_suite_roundtrip () =
   List.iter
     (fun (s : Race_suite.t) ->
       let detector = Runner.Kard s.Race_suite.config in
-      let plain = Runner.run_scenario ~detector s in
-      let recorded, log = Record.record ~detector (Record.Scenario s) in
+      let plain = Runner.run ~detector (Runner.Scenario s) in
+      let recorded, log = Record.record ~detector (Runner.Scenario s) in
       check (s.Race_suite.name ^ ": recording is free") true (recorded = plain);
       let log = Log.decode (Log.encode log) in
       match Record.replay log with
@@ -272,8 +275,8 @@ let test_spec_settings_matrix () =
   in
   List.iter
     (fun (name, spec, detector) ->
-      let plain = Runner.run ~scale:0.01 ~detector spec in
-      let r, log = Record.record ~scale:0.01 ~detector (Record.Spec spec) in
+      let plain = Runner.run ~scale:0.01 ~detector (Runner.Spec spec) in
+      let r, log = Record.record ~scale:0.01 ~detector (Runner.Spec spec) in
       check (name ^ ": recording is free") true (r = plain);
       match Record.replay (Log.decode (Log.encode log)) with
       | Error e -> Alcotest.failf "%s: replay failed: %s" name e
@@ -291,8 +294,8 @@ let test_spec_settings_matrix () =
 let test_spec_zero_cost_and_budget () =
   let spec = Registry.find "keys-10k" in
   let detector = Runner.Kard (Defaults.kard_config ()) in
-  let plain = Runner.run ~scale:0.01 ~detector spec in
-  let recorded, log = Record.record ~scale:0.01 ~detector (Record.Spec spec) in
+  let plain = Runner.run ~scale:0.01 ~detector (Runner.Spec spec) in
+  let recorded, log = Record.record ~scale:0.01 ~detector (Runner.Spec spec) in
   check "recorded result = plain result" true (recorded = plain);
   let bytes = String.length (Log.encode log) in
   let picks = Log.pick_count log and grants = Log.grant_count log in
@@ -308,7 +311,7 @@ let test_trace_identity () =
   let s = Race_suite.find "ilu-lock-lock" in
   let detector = Runner.Kard s.Race_suite.config in
   let t1 = Kard_obs.Trace.create () in
-  let r1, log = Record.record ~trace:t1 ~detector (Record.Scenario s) in
+  let r1, log = Record.record ~trace:t1 ~detector (Runner.Scenario s) in
   let t2 = Kard_obs.Trace.create () in
   match Record.replay ~trace:t2 log with
   | Error e -> Alcotest.failf "traced replay failed: %s" e
@@ -342,11 +345,11 @@ let within_budget name ~steps words =
 let test_recording_allocation () =
   let spec = Registry.find "memcached" in
   let detector = Runner.Kard { Config.default with Config.sampling = 0.1 } in
-  let plain () = Runner.run ~threads:64 ~scale:0.1 ~detector spec in
+  let plain () = Runner.run ~threads:64 ~scale:0.1 ~detector (Runner.Spec spec) in
   ignore (plain () : Runner.result);
   let plain, plain_words = minor_words plain in
   let (recorded, log), recorded_words =
-    minor_words (fun () -> Record.record ~threads:64 ~scale:0.1 ~detector (Record.Spec spec))
+    minor_words (fun () -> Record.record ~threads:64 ~scale:0.1 ~detector (Runner.Spec spec))
   in
   check "recorded result = plain result" true (recorded = plain);
   let steps = plain.Runner.report.Machine.steps in
@@ -369,8 +372,7 @@ let test_cross_detector () =
     { s.Race_suite.config with Config.sampling = 0.25; sampling_epoch = 100_000 }
   in
   let r_sampled, log =
-    Record.record ~detector:(Runner.Kard sampled) ~override_config:sampled
-      (Record.Scenario s)
+    Record.record ~detector:(Runner.Kard sampled) (Runner.Scenario s)
   in
   check_int "sampling hid the planted race at record time" 0
     (List.length r_sampled.Runner.kard_ilu_races);
@@ -397,7 +399,7 @@ let test_cross_detector () =
 
 let record_scenario name =
   let s = Race_suite.find name in
-  Record.record ~detector:(Runner.Kard s.Race_suite.config) (Record.Scenario s)
+  Record.record ~detector:(Runner.Kard s.Race_suite.config) (Runner.Scenario s)
 
 let test_tampered_grant_detected () =
   let _, log = record_scenario "ilu-lock-lock" in
@@ -424,7 +426,7 @@ let test_tampered_anchor_detected () =
      replayer's clock check. *)
   let spec = Registry.find "keys-10k" in
   let detector = Runner.Kard (Defaults.kard_config ()) in
-  let _, log = Record.record ~scale:0.01 ~detector (Record.Spec spec) in
+  let _, log = Record.record ~scale:0.01 ~detector (Runner.Spec spec) in
   let tampered = ref false in
   let events =
     List.map
@@ -499,7 +501,7 @@ let () =
           Alcotest.test_case "non-canonical varints rejected" `Quick
             test_canonical_varints_only ] );
       ( "targets",
-        [ Alcotest.test_case "find_subject forms" `Quick test_find_subject ] );
+        [ Alcotest.test_case "find_target forms" `Quick test_find_target ] );
       ( "identity",
         [ Alcotest.test_case "race suite round-trips" `Quick test_race_suite_roundtrip;
           Alcotest.test_case "workload settings matrix" `Quick test_spec_settings_matrix;

@@ -27,6 +27,7 @@ module Apps = Kard_workloads.Apps
 module Runner = Kard_harness.Runner
 module Json_report = Kard_harness.Json_report
 module Experiments = Kard_harness.Experiments
+module Pool = Kard_harness.Pool
 module Defaults = Kard_harness.Defaults
 module Campaign = Kard_fuzz.Campaign
 
@@ -180,7 +181,7 @@ let full_config ~vkeys =
 let run_keys ?(sampling = 1.0) ~vkeys () =
   let config = { (full_config ~vkeys) with Config.sampling } in
   Runner.run ~scale:smoke_scale ~detector:(Runner.Kard config)
-    Keypressure.keys_10k
+    (Runner.Spec Keypressure.keys_10k)
 
 let test_identity_oracle () =
   List.iter
@@ -197,9 +198,10 @@ let test_identity_oracle () =
    merge is a pure function of per-job results that are themselves
    byte-identical at any parallelism. *)
 let smoke_sweep ~jobs =
-  Experiments.sampling ~jobs
-    ~scenarios:[ "ilu-lock-lock"; "exclusive-write" ]
-    ~rates:[ 0.5; 1.0 ] ~seeds:[ 42; 43 ] ~serve_rates:[ 0.5 ] ~scale:0.02 ()
+  Pool.execute ~jobs
+    (Experiments.sampling_plan
+       ~scenarios:[ "ilu-lock-lock"; "exclusive-write" ]
+       ~rates:[ 0.5; 1.0 ] ~seeds:[ 42; 43 ] ~serve_rates:[ 0.5 ] ~scale:0.02 ())
 
 let test_sweep_jobs_identity () =
   let b1 = smoke_sweep ~jobs:1 and b4 = smoke_sweep ~jobs:4 in
@@ -348,7 +350,7 @@ let test_rotation_invariant_memcached () =
         config
         (fun wrap ->
           Runner.run ~wrap ~threads:64 ~scale:0.05 ~detector:(Runner.Kard config)
-            Apps.memcached))
+            (Runner.Spec Apps.memcached)))
     [ 0.5; 0.1 ]
 
 let test_rotation_invariant_keys () =
@@ -357,7 +359,7 @@ let test_rotation_invariant_keys () =
   in
   check_rotation_invariant "keys-10k vkeys 64 rate 0.25" config (fun wrap ->
       Runner.run ~wrap ~threads:8 ~scale:smoke_scale ~detector:(Runner.Kard config)
-        Keypressure.keys_10k)
+        (Runner.Spec Keypressure.keys_10k))
 
 (* {1 Hooks: sampling installs none} *)
 
@@ -398,7 +400,7 @@ let test_subset_on_race_suite () =
         let config =
           { s.Race_suite.config with Config.sampling = rate; sampling_epoch = 50_000 }
         in
-        Runner.run_scenario ~seed ~override_config:config ~detector:(Runner.Kard config) s
+        Runner.run ~seed ~detector:(Runner.Kard config) (Runner.Scenario s)
       in
       List.iter
         (fun seed ->
@@ -418,7 +420,7 @@ let test_subset_on_race_suite () =
 let test_first_race_cs () =
   let s = Race_suite.find "ilu-lock-lock" in
   let r =
-    Runner.run_scenario ~seed:42 ~detector:(Runner.Kard s.Race_suite.config) s
+    Runner.run ~seed:42 ~detector:(Runner.Kard s.Race_suite.config) (Runner.Scenario s)
   in
   match r.Runner.kard_stats with
   | None -> Alcotest.fail "kard run must report stats"

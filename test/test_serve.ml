@@ -4,6 +4,7 @@
 
 module Openloop = Kard_workloads.Openloop
 module Experiments = Kard_harness.Experiments
+module Pool = Kard_harness.Pool
 module Runner = Kard_harness.Runner
 module Json = Kard_harness.Json_report
 module Window = Kard_obs.Window
@@ -97,9 +98,11 @@ let test_goodput () =
 (* {1 Sweep determinism across --jobs} *)
 
 let sweep ~jobs =
-  Experiments.serve ~jobs
-    ~detectors:[ ("none", Runner.Baseline); ("kard", Runner.Kard (Kard_harness.Defaults.kard_config ())) ]
-    ~rates:[ 10.0; 28.0 ] ~scale:0.01 ~seed:42 ()
+  Pool.execute ~jobs
+    (Experiments.serve_plan
+       ~detectors:
+         [ ("none", Runner.Baseline); ("kard", Runner.Kard (Kard_harness.Defaults.kard_config ())) ]
+       ~rates:[ 10.0; 28.0 ] ~scale:0.01 ~seed:42 ())
 
 let test_sweep_jobs_identical () =
   let serial = sweep ~jobs:1 in

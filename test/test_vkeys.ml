@@ -25,6 +25,7 @@ module Keypressure = Kard_workloads.Keypressure
 module Runner = Kard_harness.Runner
 module Json_report = Kard_harness.Json_report
 module Experiments = Kard_harness.Experiments
+module Pool = Kard_harness.Pool
 module Defaults = Kard_harness.Defaults
 
 let check = Alcotest.(check bool)
@@ -135,7 +136,7 @@ let vkey_config () = { (Defaults.kard_config ()) with Config.vkeys = smoke_pool 
 let test_batch_identity () =
   let run interp =
     Runner.run ~interp ~scale:smoke_scale ~detector:(Runner.Kard (vkey_config ()))
-      Keypressure.keys_10k
+      (Runner.Spec Keypressure.keys_10k)
   in
   let batched = run `Compiled and unbatched = run `Thunks in
   check "result identical batched vs unbatched" true (batched = unbatched);
@@ -143,10 +144,11 @@ let test_batch_identity () =
     (Json_report.of_result batched = Json_report.of_result unbatched)
 
 let smoke_keys ~jobs =
-  Experiments.keys ~jobs
-    ~points:[ ("10k", Keypressure.default) ]
-    ~data_keys:[ 4; Pkey.data_key_count ]
-    ~scale:smoke_scale ()
+  Pool.execute ~jobs
+    (Experiments.keys_plan
+       ~points:[ ("10k", Keypressure.default) ]
+       ~data_keys:[ 4; Pkey.data_key_count ]
+       ~scale:smoke_scale ())
 
 let test_jobs_identity () =
   let b1 = smoke_keys ~jobs:1 and b4 = smoke_keys ~jobs:4 in
@@ -293,7 +295,9 @@ let test_retag_equivalence () =
    objects in place. *)
 let test_fault_path_allocation () =
   let detector = Runner.Kard { Config.default with Config.vkeys = 192 } in
-  let run () = Runner.run ~threads:8 ~scale:0.2 ~seed:42 ~detector Keypressure.keys_10k in
+  let run () =
+    Runner.run ~threads:8 ~scale:0.2 ~seed:42 ~detector (Runner.Spec Keypressure.keys_10k)
+  in
   ignore (run () : Runner.result);
   let before = Gc.minor_words () in
   let result = run () in

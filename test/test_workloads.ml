@@ -44,7 +44,7 @@ let completion_case (spec : Spec.t) =
   Alcotest.test_case spec.Spec.name `Slow (fun () ->
       List.iter
         (fun detector ->
-          let r = Runner.run ~scale:tiny_scale ~detector spec in
+          let r = Runner.run ~scale:tiny_scale ~detector (Runner.Spec spec) in
           check "made progress" true (r.Runner.report.Machine.cycles > 0))
         [ Runner.Baseline; Runner.Alloc; Runner.Kard (Kard_harness.Defaults.kard_config ()); Runner.Tsan ])
 
@@ -52,7 +52,10 @@ let completion_case (spec : Spec.t) =
 
 let race_free_case (spec : Spec.t) =
   Alcotest.test_case spec.Spec.name `Slow (fun () ->
-      let r = Runner.run ~scale:tiny_scale ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ())) spec in
+      let r =
+        Runner.run ~scale:tiny_scale ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
+          (Runner.Spec spec)
+      in
       check_int "no ILU records" 0 (List.length r.Runner.kard_ilu_races))
 
 (* {1 Structural statistics match the paper's columns} *)
@@ -61,15 +64,15 @@ let test_structure_sites () =
   List.iter
     (fun (name, expected_sites) ->
       let spec = Registry.find name in
-      let r = Runner.run ~scale:tiny_scale ~detector:Runner.Baseline spec in
+      let r = Runner.run ~scale:tiny_scale ~detector:Runner.Baseline (Runner.Spec spec) in
       check_int (name ^ " unique sections") expected_sites r.Runner.report.Machine.unique_sections)
     [ ("streamcluster", 6); ("x264", 2); ("raytrace", 8); ("lu_ncb", 6); ("fft", 8) ]
 
 let test_structure_scaling () =
   (* Entries scale with the factor; structure (sites) does not. *)
   let spec = Registry.find "raytrace" in
-  let small = Runner.run ~scale:0.002 ~detector:Runner.Baseline spec in
-  let large = Runner.run ~scale:0.01 ~detector:Runner.Baseline spec in
+  let small = Runner.run ~scale:0.002 ~detector:Runner.Baseline (Runner.Spec spec) in
+  let large = Runner.run ~scale:0.01 ~detector:Runner.Baseline (Runner.Spec spec) in
   check "entries grow with scale" true
     (large.Runner.report.Machine.cs_entries > small.Runner.report.Machine.cs_entries);
   check_int "sites stable" small.Runner.report.Machine.unique_sections
@@ -77,8 +80,8 @@ let test_structure_scaling () =
 
 let test_determinism () =
   let spec = Registry.find "pigz" in
-  let r1 = Runner.run ~scale:tiny_scale ~seed:9 ~detector:Runner.Baseline spec in
-  let r2 = Runner.run ~scale:tiny_scale ~seed:9 ~detector:Runner.Baseline spec in
+  let r1 = Runner.run ~scale:tiny_scale ~seed:9 ~detector:Runner.Baseline (Runner.Spec spec) in
+  let r2 = Runner.run ~scale:tiny_scale ~seed:9 ~detector:Runner.Baseline (Runner.Spec spec) in
   check_int "same seed, same cycles" r1.Runner.report.Machine.cycles
     r2.Runner.report.Machine.cycles
 
@@ -92,17 +95,17 @@ let distinct_objs races =
 let app_race_case name expected =
   Alcotest.test_case name `Slow (fun () ->
       let spec = Registry.find name in
-      let r = Runner.run ~scale:0.01 ~detector:(Runner.Kard (full_kard ())) spec in
+      let r = Runner.run ~scale:0.01 ~detector:(Runner.Kard (full_kard ())) (Runner.Spec spec) in
       check_int "racy objects" expected (distinct_objs r.Runner.kard_races))
 
 let test_pigz_fp_is_not_seen_by_tsan () =
   let spec = Registry.find "pigz" in
-  let r = Runner.run ~scale:0.01 ~detector:Runner.Tsan spec in
+  let r = Runner.run ~scale:0.01 ~detector:Runner.Tsan (Runner.Spec spec) in
   check_int "granule detector sees nothing" 0 (List.length r.Runner.tsan_races)
 
 let test_aget_race_is_the_counter () =
   let spec = Registry.find "aget" in
-  let r = Runner.run ~scale:0.01 ~detector:(Runner.Kard (full_kard ())) spec in
+  let r = Runner.run ~scale:0.01 ~detector:(Runner.Kard (full_kard ())) (Runner.Spec spec) in
   match r.Runner.kard_ilu_races with
   | race :: _ ->
     check "faulting side is the lock-free reader" true
@@ -134,7 +137,10 @@ let test_synth_effective_entries () =
 
 let lockfree_case (spec : Spec.t) =
   Alcotest.test_case spec.Spec.name `Slow (fun () ->
-      let kard = Runner.run ~scale:tiny_scale ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ())) spec in
+      let kard =
+        Runner.run ~scale:tiny_scale ~detector:(Runner.Kard (Kard_harness.Defaults.kard_config ()))
+          (Runner.Spec spec)
+      in
       check_int "no critical sections" 0 kard.Runner.report.Machine.cs_entries;
       check_int "no faults" 0 kard.Runner.report.Machine.faults;
       check_int "no races" 0 (List.length kard.Runner.kard_races);
@@ -203,7 +209,7 @@ let random_profile_all_detectors_prop =
                 (fun ~threads ~scale ~seed machine ->
                   Kard_workloads.Synth.build profile ~threads ~scale ~seed machine) }
           in
-          let r = Runner.run ~scale:1.0 ~detector spec in
+          let r = Runner.run ~scale:1.0 ~detector (Runner.Spec spec) in
           r.Runner.report.Machine.cycles > 0)
         [ Runner.Baseline; Runner.Tsan; Runner.Lockset ])
 
