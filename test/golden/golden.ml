@@ -1,5 +1,7 @@
 (* Golden simulated outputs: one line per case with the run's cycles,
-   steps, faults, race count and an md5 of its full JSON report.  The
+   steps, faults, race count, an md5 of its full JSON report, its dTLB
+   accesses and misses and its wall cycles (the JSON report carries
+   only the miss rate and neither clock).  The
    dune rule beside this file diffs the output against golden.expected,
    so a failing diff names the case and the metric that moved;
    `dune promote` accepts an intended change.  Every case names its
@@ -18,15 +20,20 @@ module Log = Kard_replay.Log
 
 let md5 s = Digest.to_hex (Digest.string s)
 
+let clocks (rep : Machine.report) =
+  Printf.sprintf "dtlb=%d/%d wall=%d" rep.Machine.dtlb_accesses rep.Machine.dtlb_misses
+    rep.Machine.wall_cycles
+
 let line label (r : Runner.result) =
   let rep = r.Runner.report in
   let races =
     List.length r.Runner.kard_races + List.length r.Runner.tsan_races
     + List.length r.Runner.lockset_warnings
   in
-  Printf.printf "%s cycles=%d steps=%d faults=%d races=%d json=%s\n" label rep.Machine.cycles
+  Printf.printf "%s cycles=%d steps=%d faults=%d races=%d json=%s %s\n" label rep.Machine.cycles
     rep.Machine.steps rep.Machine.faults races
     (md5 (Json_report.of_result r))
+    (clocks rep)
 
 let workload_configs =
   [ ("default", Config.default);
@@ -71,9 +78,10 @@ let record_replay () =
   match Record.replay (Log.decode bytes) with
   | Error msg -> failwith msg
   | Ok (replayed, fidelity) ->
-    Printf.printf "memcached/replay log=%s fidelity=%s json=%s\n" (md5 bytes)
+    Printf.printf "memcached/replay log=%s fidelity=%s json=%s %s\n" (md5 bytes)
       (match fidelity with Ok () -> "ok" | Error _ -> "diverged")
       (md5 (Json_report.of_result replayed))
+      (clocks replayed.Runner.report)
 
 let () =
   workloads ();
