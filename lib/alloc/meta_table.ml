@@ -9,16 +9,17 @@ module Page = Kard_mpk.Page
    every slot that indexes it, so a lookup returns the stored option
    without allocating.
 
-   The initial capacity stays at the hash tables' 4,096: a smaller
-   start changes how often the major GC runs when thousands of tiny
-   machines are created in a row (DESIGN.md §5). *)
+   Both start at 64 slots, the size a race scenario needs, and double
+   on demand: anything over 256 words would be allocated straight into
+   the major heap on every [Machine.create] (DESIGN.md §5).  The start
+   must be at least 1, since [grown] doubles. *)
 type t = {
   mutable by_vpage : Obj_meta.t option array; (* index = vpage *)
   mutable by_id : Obj_meta.t option array; (* index = object id *)
   mutable live : int; (* ids with an entry *)
 }
 
-let initial_capacity = 4096
+let initial_capacity = 64
 
 let create () =
   { by_vpage = Array.make initial_capacity None;

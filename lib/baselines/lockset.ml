@@ -27,8 +27,10 @@ type t = {
   mutable warnings : warning list;
 }
 
+(* [cells] is only looked up and counted, never iterated: it starts
+   small, on the minor heap, and resizes itself (DESIGN.md §5). *)
 let create env =
-  { env; cells = Hashtbl.create 4096; held = Hashtbl.create 16; warnings = [] }
+  { env; cells = Hashtbl.create 64; held = Hashtbl.create 16; warnings = [] }
 
 let held_of t tid = Option.value ~default:Int_set.empty (Hashtbl.find_opt t.held tid)
 

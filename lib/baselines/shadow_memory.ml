@@ -7,7 +7,9 @@ type cell = {
 
 type t = (int, cell) Hashtbl.t
 
-let create () = Hashtbl.create 4096
+(* Only looked up and counted, never iterated: it starts small, on the
+   minor heap, and resizes itself (DESIGN.md §5). *)
+let create () = Hashtbl.create 64
 
 let cell_of t addr =
   let granule = addr lsr 3 in

@@ -19,7 +19,8 @@ type t = {
   shadow : Shadow_memory.t;
   locks_held : (int, int) Hashtbl.t;              (* tid -> lock count *)
   (* Whether each epoch was produced under a lock, for the ILU split:
-     (tid, clock) -> held a lock. *)
+     (tid, clock) -> held a lock.  Only looked up and counted, so it
+     starts small, on the minor heap (DESIGN.md §5). *)
   epoch_locked : (int * int, bool) Hashtbl.t;
   mutable races : race list;
   seen : (int * int * int, unit) Hashtbl.t;       (* dedupe: granule x tids *)
@@ -32,7 +33,7 @@ let create ?(max_threads = 64) env =
     lock_clocks = Hashtbl.create 16;
     shadow = Shadow_memory.create ();
     locks_held = Hashtbl.create 16;
-    epoch_locked = Hashtbl.create 4096;
+    epoch_locked = Hashtbl.create 64;
     races = [];
     seen = Hashtbl.create 64 }
 

@@ -8,7 +8,8 @@
    {!Pkey.k_def}); any other value is [Pkey.to_int] of the tag.  The
    array only grows on explicit [set_pkey] writes, so reads of
    never-tagged pages stay on the bounds-check fast path no matter
-   how large the address is. *)
+   how large the address is.  It starts at 64 slots, on the minor
+   heap (DESIGN.md §5), and [grow] doubles it. *)
 
 let no_entry = -1
 
@@ -18,7 +19,7 @@ type t = {
   mutable generation : int;
 }
 
-let create () = { pkeys = Array.make 4096 no_entry; entries = 0; generation = 0 }
+let create () = { pkeys = Array.make 64 no_entry; entries = 0; generation = 0 }
 
 let grow t vpage =
   let n = ref (Array.length t.pkeys) in

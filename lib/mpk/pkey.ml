@@ -2,10 +2,10 @@ type t = int
 
 let count = 16
 
-let of_int i =
-  if i < 0 || i >= count then
-    invalid_arg (Printf.sprintf "Pkey.of_int: %d outside [0, %d]" i (count - 1));
-  i
+(* Inlined, with the error path out of line: the TLB converts its
+   cached key back on every simulated access. *)
+let out_of_range i = invalid_arg (Printf.sprintf "Pkey.of_int: %d outside [0, %d]" i (count - 1))
+let[@inline] of_int i = if i < 0 || i >= count then out_of_range i else i
 
 let to_int t = t
 let k_def = 0

@@ -1,56 +1,90 @@
-type entry = {
-  mutable vpage : Page.vpage;
-  mutable valid : bool;
-  mutable stamp : int;
-  mutable pkey : Pkey.t;    (* translated protection key, cached at fill *)
-  mutable pkey_gen : int;   (* page-table generation the cache is valid for *)
-}
+(* Every way of every set lives in one int array, four ints per way:
+   the vpage ([invalid] until the first fill), the LRU stamp, the
+   cached pkey and the page-table generation the pkey was filled at.
+   Set [s] occupies the [ways] consecutive ways from [s * set_words].
+   At the default 64 entries that is 256 ints, small enough for the
+   minor heap: a machine creates one TLB per thread, and the sweep
+   loops create thousands of machines (DESIGN.md §5). *)
+let way_words = 4
+let vpage_at = 0
+let stamp_at = 1
+let pkey_at = 2
+let gen_at = 3
+
+(* No page is negative: [vpage mod set_count] would not index a set. *)
+let invalid = -1
 
 type t = {
-  sets : entry array array;
+  table : int array;
   set_count : int;
+  set_words : int; (* [ways per set * way_words] *)
   mutable tick : int;
   mutable accesses : int;
   mutable misses : int;
-  mutable last_miss : bool; (* whether the latest [translate] missed *)
+  mutable last_miss : bool; (* whether the latest access missed *)
 }
 
-(* A generation no live page table ever reports, so plain [access]
-   fills are never mistaken for a valid pkey cache. *)
+(* A generation no page table ever reports (they count up from 0), so
+   a way that was just filled, or last touched by plain [access], is
+   never mistaken for a valid pkey cache. *)
 let stale_gen = -1
 
 let create ?(entries = 64) ?(ways = 4) () =
   if entries <= 0 || ways <= 0 || entries mod ways <> 0 then
     invalid_arg "Tlb.create: entries must be a positive multiple of ways";
-  let set_count = entries / ways in
-  let fresh_entry _ = { vpage = 0; valid = false; stamp = 0; pkey = Pkey.k_def; pkey_gen = stale_gen } in
-  { sets = Array.init set_count (fun _ -> Array.init ways fresh_entry);
-    set_count;
+  let arr = Array.make (entries * way_words) 0 in
+  for way = 0 to entries - 1 do
+    arr.((way * way_words) + vpage_at) <- invalid;
+    arr.((way * way_words) + gen_at) <- stale_gen
+  done;
+  { table = arr;
+    set_count = entries / ways;
+    set_words = ways * way_words;
     tick = 0;
     accesses = 0;
     misses = 0;
     last_miss = false }
 
-let find_entry set vpage =
-  let ways = Array.length set in
-  let rec find i =
-    if i >= ways then None
-    else if set.(i).valid && set.(i).vpage = vpage then Some set.(i)
-    else find (i + 1)
-  in
-  find 0
+(* The way in [\[way, stop)] holding [vpage], or -1.  Top-level, so a
+   lookup builds no closure, and typed, so it compares ints inline. *)
+let rec find_way (table : int array) (vpage : int) way stop =
+  if way >= stop then -1
+  else if table.(way + vpage_at) = vpage then way
+  else find_way table vpage (way + way_words) stop
 
-(* Evict the LRU way (or fill an invalid one, which has stamp 0). *)
-let victim_of set =
-  let ways = Array.length set in
-  let victim = ref set.(0) in
-  for i = 1 to ways - 1 do
-    let e = set.(i) in
-    let v = !victim in
-    if (not e.valid) && v.valid then victim := e
-    else if e.valid = v.valid && e.stamp < v.stamp then victim := e
-  done;
-  !victim
+(* The least recently used way in [\[way, stop)], the first of equals.
+   Every fill stamps a tick of at least 1 and an invalid way keeps
+   stamp 0, so invalid ways fill first, in way order. *)
+let rec victim_of (table : int array) lru way stop =
+  if way >= stop then lru
+  else
+    let lru = if table.(way + stamp_at) < table.(lru + stamp_at) then way else lru in
+    victim_of table lru (way + way_words) stop
+
+(* One access: the tick and the counters move, and the way that holds
+   [vpage] (after a miss, the refilled victim) is stamped.  Returns
+   that way's offset; [last_miss] tells which case it was. *)
+let[@inline] touch t vpage =
+  t.tick <- t.tick + 1;
+  t.accesses <- t.accesses + 1;
+  let table = t.table in
+  let first = vpage mod t.set_count * t.set_words in
+  let stop = first + t.set_words in
+  let way = find_way table vpage first stop in
+  if way >= 0 then begin
+    table.(way + stamp_at) <- t.tick;
+    t.last_miss <- false;
+    way
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    t.last_miss <- true;
+    let way = victim_of table first (first + way_words) stop in
+    table.(way + vpage_at) <- vpage;
+    table.(way + stamp_at) <- t.tick;
+    table.(way + gen_at) <- stale_gen;
+    way
+  end
 
 (* The hot-path variant of [access_translate]: same accounting, same
    replacement, but no closure, no tuple and no option — page-table
@@ -58,70 +92,34 @@ let victim_of set =
    [last_missed].  Per the allocation contract, every simulated data
    access runs through here. *)
 let translate t vpage ~gen ~pt =
-  t.tick <- t.tick + 1;
-  t.accesses <- t.accesses + 1;
-  let set = t.sets.(vpage mod t.set_count) in
-  let ways = Array.length set in
-  let found = ref (-1) in
-  let i = ref 0 in
-  while !found < 0 && !i < ways do
-    let e = set.(!i) in
-    if e.valid && e.vpage = vpage then found := !i else incr i
-  done;
-  if !found >= 0 then begin
-    let entry = set.(!found) in
-    entry.stamp <- t.tick;
-    t.last_miss <- false;
-    (* Hit/miss accounting is translation presence only (see
-       [access_translate]): a stale pkey re-walks but still hits. *)
-    if entry.pkey_gen <> gen then begin
-      entry.pkey <- Page_table.pkey_of_vpage pt vpage;
-      entry.pkey_gen <- gen
-    end;
-    entry.pkey
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    t.last_miss <- true;
-    let v = victim_of set in
-    v.vpage <- vpage;
-    v.valid <- true;
-    v.stamp <- t.tick;
-    v.pkey <- Page_table.pkey_of_vpage pt vpage;
-    v.pkey_gen <- gen;
-    v.pkey
-  end
+  let way = touch t vpage in
+  let table = t.table in
+  (* Hit/miss accounting is translation presence only (see
+     [access_translate]): a stale pkey re-walks but still hits. *)
+  if table.(way + gen_at) <> gen then begin
+    table.(way + pkey_at) <- Pkey.to_int (Page_table.pkey_of_vpage pt vpage);
+    table.(way + gen_at) <- gen
+  end;
+  Pkey.of_int table.(way + pkey_at)
 
 let last_missed t = t.last_miss
 
 let access_translate t vpage ~gen ~load =
-  t.tick <- t.tick + 1;
-  t.accesses <- t.accesses + 1;
-  let set = t.sets.(vpage mod t.set_count) in
-  match find_entry set vpage with
-  | Some entry ->
-    entry.stamp <- t.tick;
-    (* Hit/miss accounting is translation presence only: a stale pkey
-       still has a cached translation, it just re-walks the key — so
-       dTLB statistics are unaffected by pkey churn. *)
-    if entry.pkey_gen <> gen then begin
-      entry.pkey <- load ();
-      entry.pkey_gen <- gen
-    end;
-    (entry.pkey, `Hit)
-  | None ->
-    t.misses <- t.misses + 1;
-    let v = victim_of set in
-    v.vpage <- vpage;
-    v.valid <- true;
-    v.stamp <- t.tick;
-    v.pkey <- load ();
-    v.pkey_gen <- gen;
-    (v.pkey, `Miss)
+  let way = touch t vpage in
+  let table = t.table in
+  (* Hit/miss accounting is translation presence only: a stale pkey
+     still has a cached translation, it just re-walks the key — so dTLB
+     statistics are unaffected by pkey churn. *)
+  if table.(way + gen_at) <> gen then begin
+    table.(way + pkey_at) <- Pkey.to_int (load ());
+    table.(way + gen_at) <- gen
+  end;
+  (Pkey.of_int table.(way + pkey_at), if t.last_miss then `Miss else `Hit)
 
 let access t vpage =
-  (* Translation-only probe: fills carry no usable pkey cache. *)
-  snd (access_translate t vpage ~gen:stale_gen ~load:(fun () -> Pkey.k_def))
+  (* Translation-only probe: leaves no usable pkey cache. *)
+  t.table.(touch t vpage + gen_at) <- stale_gen;
+  if t.last_miss then `Miss else `Hit
 
 let note_hits t n =
   assert (n >= 0);
@@ -131,9 +129,6 @@ let note_misses t n =
   assert (n >= 0);
   t.accesses <- t.accesses + n;
   t.misses <- t.misses + n
-
-let flush t =
-  Array.iter (fun set -> Array.iter (fun e -> e.valid <- false) set) t.sets
 
 let accesses t = t.accesses
 let misses t = t.misses

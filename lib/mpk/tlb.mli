@@ -46,9 +46,6 @@ val note_misses : t -> int -> unit
 (** Record [n] additional accesses that missed (block sweeps over
     buffers far larger than the TLB reach miss on every new page). *)
 
-val flush : t -> unit
-(** Full flush, as [mprotect] (but not [WRPKRU]!) would force. *)
-
 val accesses : t -> int
 val misses : t -> int
 

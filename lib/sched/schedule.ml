@@ -15,7 +15,8 @@ type state = {
 let start policy =
   { policy;
     rng = Random.State.make [| (match policy with Random seed -> seed | Round_robin | Replay _ -> 0) |];
-    picks = Array.make 1024 0;
+    (* Small enough for the minor heap (DESIGN.md §5); [record] doubles. *)
+    picks = Array.make 64 0;
     pick_count = 0;
     cursor = 0;
     rr_last = -1 }

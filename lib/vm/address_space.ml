@@ -19,9 +19,12 @@ type t = {
    null-pointer style mistakes in workload programs. *)
 let first_vpage = 0x10
 
+(* [map] is only looked up and counted, never iterated, so its bucket
+   count cannot reach an output; it starts small, on the minor heap
+   (DESIGN.md §5), and the hash table resizes itself. *)
 let create phys =
   { phys;
-    map = Hashtbl.create 4096;
+    map = Hashtbl.create 64;
     pt_groups = Hashtbl.create 64;
     peak_pt_groups = 0;
     peak_mapped = 0;

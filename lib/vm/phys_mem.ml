@@ -15,8 +15,10 @@ type t = {
   mutable total_allocated : int;
 }
 
+(* [frames] is only looked up and counted, never iterated, so it starts
+   small, on the minor heap (DESIGN.md §5). *)
 let create () =
-  { frames = Hashtbl.create 1024; next_frame = 0; resident = 0; peak = 0; total_allocated = 0 }
+  { frames = Hashtbl.create 64; next_frame = 0; resident = 0; peak = 0; total_allocated = 0 }
 
 let alloc_frame t =
   let frame = t.next_frame in

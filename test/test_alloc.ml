@@ -130,8 +130,8 @@ let obj ~id ~vpage ~pages =
 let same found (m : Obj_meta.t) =
   match found with Some (f : Obj_meta.t) -> f.Obj_meta.id = m.Obj_meta.id | None -> false
 
-(* The indexes are arrays over ids and vpages: they start at 4,096
-   slots and grow past them on registration. *)
+(* The indexes are arrays over ids and vpages: they start at 64 slots
+   and double on registration, here past 4,096 in one step. *)
 let test_meta_growth () =
   let meta = Meta_table.create () in
   let small = obj ~id:3 ~vpage:0x20 ~pages:1 in

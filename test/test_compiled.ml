@@ -208,6 +208,48 @@ let test_section_allocation_budget () =
       "section entry/exit allocation budget broken: %.2f minor words/section (budget 20)"
       per_section
 
+(* Set-up, which the sweep loops (the race suite, the explorer, the
+   fuzz campaign) pay once per schedule: [Machine.create] plus the
+   scenario's build, for every race scenario under its own config, as
+   [Runner.run] sets it up.  OCaml allocates any block over 256 words
+   straight into the major heap, and those words pace the major GC, so
+   set-up must stay on the minor heap: when every table started sized
+   for the largest workload, each scenario wrote 18,438 words there and
+   a race-suite trial ran about 600 major collections.  The minor
+   budget holds the 13 set-ups together (measured: about 43,000 words
+   in the dev profile). *)
+let test_setup_budget () =
+  let setup (sc : Race_suite.t) =
+    let machine =
+      Machine.create ~seed:42 ~allocator:Machine.Unique_page
+        ~make_detector:(Kard_core.Detector.make ~config:sc.Race_suite.config ~cell:(ref None))
+        ()
+    in
+    sc.Race_suite.build machine
+  in
+  (* Warm once so module initialization doesn't bill the budget. *)
+  List.iter setup Race_suite.all;
+  let minor =
+    List.fold_left
+      (fun minor (sc : Race_suite.t) ->
+        (* [Gc.counters] counts minor words only up to the last minor
+           collection, so the minor words come from [Gc.minor_words]. *)
+        let _, promoted0, major0 = Gc.counters () in
+        let minor0 = Gc.minor_words () in
+        setup sc;
+        let minor1 = Gc.minor_words () in
+        let _, promoted1, major1 = Gc.counters () in
+        let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+        if direct_major > 0. then
+          Alcotest.failf "set-up budget broken: %s allocates %.0f words directly in the major heap"
+            sc.Race_suite.name direct_major;
+        minor +. (minor1 -. minor0))
+      0. Race_suite.all
+  in
+  if minor > 50_000. then
+    Alcotest.failf "set-up budget broken: %.0f minor words for %d scenarios (budget 50,000)" minor
+      (List.length Race_suite.all)
+
 (* {1 Dense} *)
 
 let test_grow_pow2 () =
@@ -400,7 +442,8 @@ let () =
           Alcotest.test_case "dynamic program" `Quick test_dynamic_program_oracle ] );
       ( "allocation",
         [ Alcotest.test_case "per-step budget" `Slow test_allocation_budget;
-          Alcotest.test_case "section entry/exit budget" `Slow test_section_allocation_budget ] );
+          Alcotest.test_case "section entry/exit budget" `Slow test_section_allocation_budget;
+          Alcotest.test_case "set-up budget" `Quick test_setup_budget ] );
       ( "dense",
         [ Alcotest.test_case "grow_pow2" `Quick test_grow_pow2;
           Alcotest.test_case "bitset" `Quick test_bitset;

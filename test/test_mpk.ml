@@ -176,11 +176,11 @@ let test_tlb_eviction () =
   ignore (Tlb.access tlb 4);
   check "0 was evicted" true (Tlb.access tlb 0 = `Miss)
 
-let test_tlb_flush_and_bulk () =
+let test_tlb_bulk () =
   let tlb = Tlb.create () in
+  (* Two first touches: two accesses, two misses. *)
   ignore (Tlb.access tlb 7);
-  Tlb.flush tlb;
-  check "flush invalidates" true (Tlb.access tlb 7 = `Miss);
+  ignore (Tlb.access tlb 71);
   Tlb.note_hits tlb 100;
   Tlb.note_misses tlb 50;
   check_int "bulk accesses" 152 (Tlb.accesses tlb);
@@ -227,6 +227,87 @@ let test_tlb_pkey_caching () =
   check "refilled gen hits without walk" true (hm4 = `Hit && !walks = 2);
   check_int "four accesses, one miss" 1 (Tlb.misses tlb);
   check_int "accesses counted" 4 (Tlb.accesses tlb)
+
+(* The TLB against a reference model: one list per set, most recently
+   used first, holding each page with the generation its key was
+   cached at ([None] after a plain [access]).  Random [access],
+   [access_translate] and [translate] sequences, interleaved with
+   page-table writes that bump the generation, must give the model's
+   hit/miss verdicts and counters, the page table's current key, and a
+   walk exactly when the model has no key cached at the current
+   generation. *)
+type tlb_op =
+  | Access of int
+  | Access_translate of int
+  | Translate of int
+  | Retag of int * int (* vpage, key *)
+
+let pp_tlb_op = function
+  | Access vp -> Printf.sprintf "access %d" vp
+  | Access_translate vp -> Printf.sprintf "access_translate %d" vp
+  | Translate vp -> Printf.sprintf "translate %d" vp
+  | Retag (vp, k) -> Printf.sprintf "retag %d k%d" vp k
+
+let tlb_model_prop ~entries ~ways =
+  let sets = entries / ways in
+  let vpage = QCheck.Gen.int_bound ((3 * entries) - 1) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun vp -> Access vp) vpage);
+          (3, map (fun vp -> Access_translate vp) vpage);
+          (3, map (fun vp -> Translate vp) vpage);
+          (1, map2 (fun vp k -> Retag (vp, k)) vpage (int_bound (Pkey.count - 1))) ])
+  in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "matches an LRU model (%d entries, %d ways)" entries ways)
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_tlb_op ops))
+       QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops ->
+      let tlb = Tlb.create ~entries ~ways () in
+      let pt = Page_table.create () in
+      let model = Array.make sets [] in
+      let accesses = ref 0 and misses = ref 0 in
+      (* The model's verdict, and the generation [vp] had cached. *)
+      let touch vp ~cache =
+        incr accesses;
+        let set = vp mod sets in
+        let cached = List.assoc_opt vp model.(set) in
+        if Option.is_none cached then incr misses;
+        let others = List.remove_assoc vp model.(set) in
+        let others = List.filteri (fun i _ -> i < ways - 1) others in
+        model.(set) <- (vp, cache) :: others;
+        ((if Option.is_some cached then `Hit else `Miss), Option.join cached)
+      in
+      let step = function
+        | Access vp -> Tlb.access tlb vp = fst (touch vp ~cache:None)
+        | Access_translate vp ->
+          let gen = Page_table.generation pt in
+          let walks = ref 0 in
+          let load () =
+            incr walks;
+            Page_table.pkey_of_vpage pt vp
+          in
+          let key, verdict = Tlb.access_translate tlb vp ~gen ~load in
+          let expected, cached = touch vp ~cache:(Some gen) in
+          verdict = expected
+          && Pkey.equal key (Page_table.pkey_of_vpage pt vp)
+          && !walks = if cached = Some gen then 0 else 1
+        | Translate vp ->
+          let gen = Page_table.generation pt in
+          let key = Tlb.translate tlb vp ~gen ~pt in
+          let expected, _ = touch vp ~cache:(Some gen) in
+          Tlb.last_missed tlb = (expected = `Miss)
+          && Pkey.equal key (Page_table.pkey_of_vpage pt vp)
+        | Retag (vp, k) ->
+          Page_table.set_pkey pt vp (Pkey.of_int k);
+          true
+      in
+      List.for_all
+        (fun op -> step op && Tlb.accesses tlb = !accesses && Tlb.misses tlb = !misses)
+        ops)
 
 (* {1 Mpk_hw} *)
 
@@ -433,9 +514,12 @@ let () =
       ( "tlb",
         [ Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "eviction" `Quick test_tlb_eviction;
-          Alcotest.test_case "flush and bulk" `Quick test_tlb_flush_and_bulk;
+          Alcotest.test_case "bulk" `Quick test_tlb_bulk;
           Alcotest.test_case "lru" `Quick test_tlb_lru;
-          Alcotest.test_case "pkey caching + generation" `Quick test_tlb_pkey_caching ] );
+          Alcotest.test_case "pkey caching + generation" `Quick test_tlb_pkey_caching;
+          QCheck_alcotest.to_alcotest (tlb_model_prop ~entries:8 ~ways:2);
+          QCheck_alcotest.to_alcotest (tlb_model_prop ~entries:4 ~ways:1);
+          QCheck_alcotest.to_alcotest (tlb_model_prop ~entries:64 ~ways:4) ] );
       ( "mpk_hw",
         [ Alcotest.test_case "default access" `Quick test_hw_access_default;
           Alcotest.test_case "fault on denied" `Quick test_hw_fault_on_denied;
