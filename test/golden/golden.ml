@@ -1,12 +1,15 @@
 (* Golden simulated outputs: one line per case with the run's cycles,
    steps, faults, race count, an md5 of its full JSON report, its dTLB
-   accesses and misses and its wall cycles (the JSON report carries
-   only the miss rate and neither clock).  The
-   dune rule beside this file diffs the output against golden.expected,
-   so a failing diff names the case and the metric that moved;
-   `dune promote` accepts an intended change.  Every case names its
-   detector configuration explicitly, so the KARD_VKEYS and
-   KARD_SAMPLING overrides leave the output alone. *)
+   accesses and misses, its wall cycles, and md5s of every thread's
+   cycles and of the pick sequence (the JSON report carries only the
+   miss rate, neither clock, no per-thread cycles and no schedule).
+   Two traced runs add an md5 of their Chrome trace JSON, which stamps
+   the clock at every event, and two fuzz campaigns print their
+   divergence histograms.  The dune rule beside this file diffs the
+   output against golden.expected, so a failing diff names the case and
+   the metric that moved; `dune promote` accepts an intended change.
+   Every case names its detector configuration explicitly, so the
+   KARD_VKEYS and KARD_SAMPLING overrides leave the output alone. *)
 
 module Config = Kard_core.Config
 module Machine = Kard_sched.Machine
@@ -17,23 +20,27 @@ module Runner = Kard_harness.Runner
 module Record = Kard_harness.Record
 module Json_report = Kard_harness.Json_report
 module Log = Kard_replay.Log
+module Campaign = Kard_fuzz.Campaign
 
 let md5 s = Digest.to_hex (Digest.string s)
+let md5_ints a = md5 (String.concat "," (Array.to_list (Array.map string_of_int a)))
 
 let clocks (rep : Machine.report) =
-  Printf.sprintf "dtlb=%d/%d wall=%d" rep.Machine.dtlb_accesses rep.Machine.dtlb_misses
-    rep.Machine.wall_cycles
+  Printf.sprintf "dtlb=%d/%d wall=%d threads=%s picks=%s" rep.Machine.dtlb_accesses
+    rep.Machine.dtlb_misses rep.Machine.wall_cycles
+    (md5_ints rep.Machine.per_thread_cycles)
+    (md5_ints rep.Machine.schedule_trace)
 
-let line label (r : Runner.result) =
+let line ?(extra = "") label (r : Runner.result) =
   let rep = r.Runner.report in
   let races =
     List.length r.Runner.kard_races + List.length r.Runner.tsan_races
     + List.length r.Runner.lockset_warnings
   in
-  Printf.printf "%s cycles=%d steps=%d faults=%d races=%d json=%s %s\n" label rep.Machine.cycles
+  Printf.printf "%s cycles=%d steps=%d faults=%d races=%d json=%s %s%s\n" label rep.Machine.cycles
     rep.Machine.steps rep.Machine.faults races
     (md5 (Json_report.of_result r))
-    (clocks rep)
+    (clocks rep) extra
 
 let workload_configs =
   [ ("default", Config.default);
@@ -83,7 +90,40 @@ let record_replay () =
       (md5 (Json_report.of_result replayed))
       (clocks replayed.Runner.report)
 
+(* `kard trace NAME [-t N] --scale S` at its defaults: seed 42, a
+   65,536-event ring, no step events.  [chrome] is the md5 of the file
+   that command writes. *)
+let traces () =
+  List.iter
+    (fun (name, threads, scale) ->
+      let tr = Kard_obs.Trace.create ~capacity:65536 ~steps:false () in
+      let r =
+        Runner.run ~trace:tr ?threads ~scale ~detector:(Runner.Kard Config.default)
+          (Runner.Spec (Registry.find name))
+      in
+      line
+        ~extra:(" chrome=" ^ md5 (Kard_obs.Chrome_trace.to_json ~t:tr))
+        (Printf.sprintf "%s/trace" name) r)
+    [ ("convoy", Some 16, 0.02); ("memcached", None, 0.002) ]
+
+(* `kard fuzz --count 200 --seed 42`, plain and at sampling 0.1: the
+   divergence histogram, class by class. *)
+let fuzz () =
+  List.iter
+    (fun (label, sampling) ->
+      let r = Campaign.run ~jobs:1 ?sampling ~count:200 ~seed:42 () in
+      Printf.printf "fuzz/seed=42/count=200/%s divergent=%d unexpected=%d classes=%s\n" label
+        r.Campaign.divergent
+        (List.length r.Campaign.unexpected_indices)
+        (String.concat ","
+           (List.map
+              (fun (c, n) -> Printf.sprintf "%s:%d" (Kard_core.Divergence.name c) n)
+              r.Campaign.class_counts)))
+    [ ("plain", None); ("sampling-0.1", Some 0.1) ]
+
 let () =
   workloads ();
   scenarios ();
-  record_replay ()
+  record_replay ();
+  traces ();
+  fuzz ()
