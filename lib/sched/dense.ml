@@ -84,9 +84,7 @@ module Bitset = struct
 end
 
 (* A FIFO ring over ints, used for lock waiter queues: [push]/[pop]
-   are the [Queue] operations without the per-node allocation, and
-   [nth] gives the machine's waiter-charging walk O(1) random access
-   (front of the queue is index 0). *)
+   are the [Queue] operations without the per-node allocation. *)
 module Int_ring = struct
   type t = {
     mutable buf : int array;
@@ -117,13 +115,4 @@ module Int_ring = struct
     t.head <- (t.head + 1) mod Array.length t.buf;
     t.len <- t.len - 1;
     v
-
-  let nth t i =
-    if i < 0 || i >= t.len then invalid_arg "Dense.Int_ring.nth: out of range";
-    t.buf.((t.head + i) mod Array.length t.buf)
-
-  let iter f t =
-    for i = 0 to t.len - 1 do
-      f (nth t i)
-    done
 end

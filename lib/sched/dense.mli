@@ -33,9 +33,7 @@ module Bitset : sig
 end
 
 (** A FIFO ring buffer over ints: [Queue]'s push/pop without the
-    per-node allocation, plus O(1) [nth] from the front — the
-    machine's waiter-charging walk needs indexed access so it can
-    iterate without a closure. *)
+    per-node allocation, for lock waiter queues. *)
 module Int_ring : sig
   type t
 
@@ -45,10 +43,4 @@ module Int_ring : sig
 
   val pop : t -> int
   (** @raise Invalid_argument when empty. *)
-
-  val nth : t -> int -> int
-  (** [nth t 0] is the front (next to pop).
-      @raise Invalid_argument out of range. *)
-
-  val iter : (int -> unit) -> t -> unit
 end

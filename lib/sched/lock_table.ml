@@ -6,6 +6,9 @@
 type lock_state = {
   mutable owner : int; (* -1 = free *)
   waiters : Dense.Int_ring.t;
+  (* Cycles charged to the owners of this lock while it had waiters;
+     a waiter's stall is the growth of this counter while it waits. *)
+  mutable dilated : int;
 }
 
 type t = {
@@ -39,7 +42,7 @@ let state_of t lock =
   match t.locks.(lock) with
   | Some s -> s
   | None ->
-    let s = { owner = -1; waiters = Dense.Int_ring.create () } in
+    let s = { owner = -1; waiters = Dense.Int_ring.create (); dilated = 0 } in
     t.locks.(lock) <- Some s;
     s
 
@@ -56,8 +59,8 @@ let ensure_tid t tid =
 
 (* The per-tid held index mirrors [owner] exactly; nesting depths are
    tiny, so the stack operations are O(locks held by one thread), not
-   O(all locks) — this is what lets the machine charge lock waiters
-   without scanning every thread (and every lock) per charge. *)
+   O(all locks) — this is what lets [dilate] charge a holder's waiters
+   without scanning every lock per charge. *)
 let note_owned t ~lock ~tid =
   ensure_tid t tid;
   let n = t.held_n.(tid) in
@@ -122,46 +125,26 @@ let release t ~lock ~tid =
     Some next
   end
 
-let owner t ~lock =
-  if lock < 0 || lock >= Array.length t.locks then None
-  else
-    match t.locks.(lock) with
-    | Some s when s.owner >= 0 -> Some s.owner
-    | Some _ | None -> None
+let dilate t ~tid cycles =
+  let waiters = ref 0 in
+  if tid < Array.length t.held then begin
+    let stk = t.held.(tid) in
+    for i = 0 to t.held_n.(tid) - 1 do
+      match t.locks.(stk.(i)) with
+      | Some s ->
+        let n = Dense.Int_ring.length s.waiters in
+        if n > 0 then begin
+          s.dilated <- s.dilated + cycles;
+          waiters := !waiters + n
+        end
+      | None -> ()
+    done
+  end;
+  !waiters
 
-let held_count t ~tid = if tid < Array.length t.held then t.held_n.(tid) else 0
-
-let held_nth t ~tid i =
-  if i < 0 || i >= held_count t ~tid then invalid_arg "Lock_table.held_nth"
-  else t.held.(tid).(i)
-
-(* Most recently acquired first, as the cons-list predecessor. *)
-let held_by t ~tid =
-  let rec go i acc = if i >= held_count t ~tid then acc else go (i + 1) (t.held.(tid).(i) :: acc) in
-  go 0 []
-
-let iter_held t ~tid f =
-  for i = held_count t ~tid - 1 downto 0 do
-    f t.held.(tid).(i)
-  done
-
-let iter_waiters t ~lock f =
-  if lock >= 0 && lock < Array.length t.locks then
-    match t.locks.(lock) with
-    | Some s -> Dense.Int_ring.iter f s.waiters
-    | None -> ()
-
-let waiter_count t ~lock =
+let dilation t ~lock =
   if lock < 0 || lock >= Array.length t.locks then 0
-  else
-    match t.locks.(lock) with
-    | Some s -> Dense.Int_ring.length s.waiters
-    | None -> 0
-
-let waiter_nth t ~lock i =
-  match t.locks.(lock) with
-  | Some s -> Dense.Int_ring.nth s.waiters i
-  | None -> invalid_arg "Lock_table.waiter_nth: unknown lock"
+  else match t.locks.(lock) with Some s -> s.dilated | None -> 0
 
 let contended_acquires t = t.contended
 let total_acquires t = t.total

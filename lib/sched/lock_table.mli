@@ -3,15 +3,15 @@
     Non-reentrant POSIX-style mutexes with FIFO wakeup.  Lock ids are
     plain (small, dense) non-negative ints chosen by the workload;
     lock state is held in id-indexed arrays and waiter queues in ring
-    buffers, so the lock/unlock path neither hashes nor allocates
-    (beyond the held-list cons per acquire).
+    buffers, so the lock/unlock path neither hashes nor allocates.
 
-    Alongside the per-lock owner and waiter queue, the table maintains
-    a per-thread index of held locks, so "which locks does thread [t]
-    own" and "who waits on lock [l]" are both answerable in time
-    proportional to the answer — never by scanning every lock or every
-    thread.  The machine's waiter-stall accounting is built on these
-    two queries. *)
+    Each lock also carries a stall counter for the machine's
+    critical-path accounting (DESIGN.md §4): the cycles charged to its
+    owners while it had waiters.  A per-thread index of held locks lets
+    {!dilate} bump the counters of one holder's locks in time
+    proportional to the locks it holds — never by scanning every lock
+    or visiting any waiter.  A waiter's stall is the growth of its
+    lock's counter between blocking and hand-off. *)
 
 type t
 
@@ -30,35 +30,14 @@ val release : t -> lock:int -> tid:int -> int option
     (the held-lock index moves the lock to the waiter as well).
     @raise Invalid_argument if [tid] does not own [lock]. *)
 
-val owner : t -> lock:int -> int option
+val dilate : t -> tid:int -> int -> int
+(** [dilate t ~tid cycles] adds [cycles] to the stall counter of every
+    lock [tid] holds that has waiters, and returns the number of
+    threads waiting on those locks.  O(locks held by [tid]). *)
 
-val held_by : t -> tid:int -> int list
-(** All locks the thread currently owns, most recently acquired first.
-    O(locks held by [tid]), maintained incrementally by
-    [acquire]/[release] rather than folded over the whole table. *)
-
-val iter_held : t -> tid:int -> (int -> unit) -> unit
-(** Apply a function to every lock [tid] owns (allocation-free
-    [held_by]). *)
-
-val held_count : t -> tid:int -> int
-
-val held_nth : t -> tid:int -> int -> int
-(** [held_nth t ~tid i] is the [i]th owned lock, oldest first.
-    Indexed access for allocation-free walks on the machine's
-    per-charge path.
-    @raise Invalid_argument when [i] is out of range. *)
-
-val iter_waiters : t -> lock:int -> (int -> unit) -> unit
-(** Apply a function to every thread queued on [lock], FIFO order. *)
-
-val waiter_count : t -> lock:int -> int
-
-val waiter_nth : t -> lock:int -> int -> int
-(** [waiter_nth t ~lock i] is the [i]th queued thread, FIFO order
-    (index 0 is woken next); with {!waiter_count} this gives the
-    machine a closure-free waiter walk.
-    @raise Invalid_argument out of range. *)
+val dilation : t -> lock:int -> int
+(** The stall counter of [lock]: 0 for a lock never used.  A blocking
+    thread records it; at hand-off the difference is its stall. *)
 
 val contended_acquires : t -> int
 val total_acquires : t -> int

@@ -26,6 +26,7 @@ type thread = {
   mutable status : thread_status;
   mutable blocked_lock : int; (* valid while status = Blocked *)
   mutable blocked_site : int;
+  mutable dilation_base : int; (* [blocked_lock]'s stall counter at blocking *)
   mutable cycles : int;
   mutable lock_depth : int;
   mutable op_index : int;
@@ -170,6 +171,7 @@ let spawn t program =
       status = Runnable;
       blocked_lock = -1;
       blocked_site = -1;
+      dilation_base = 0;
       cycles = 0;
       lock_depth = 0;
       op_index = 0;
@@ -192,6 +194,7 @@ let block t thread ~lock ~site =
   thread.status <- Blocked;
   thread.blocked_lock <- lock;
   thread.blocked_site <- site;
+  thread.dilation_base <- Lock_table.dilation t.locks ~lock;
   Runnable_set.remove t.runnable thread.tid
 
 let wake t thread =
@@ -209,33 +212,25 @@ let finish t thread =
    handling, key juggling) increasingly expensive as thread counts —
    and hence waiter counts — grow (the paper's Figure 5 dynamic).
    Baseline in-section compute dilates identically, so comparisons
-   stay fair. *)
-let charge_held_lock t lock cycles =
-  (* Walk only the locks the holder owns and the threads actually
-     queued on them (both indexed by Lock_table), instead of testing
-     every thread against every blocked lock's owner.  A thread sits
-     in a waiter queue iff its status is [Blocked] on that lock, so
-     the charged set is identical to a full scan.  Indexed access
-     ([waiter_nth]/[held_nth]) rather than iterators or lists keeps
-     the per-charge walk allocation-free. *)
-  let n = Lock_table.waiter_count t.locks ~lock in
-  for i = 0 to n - 1 do
-    let th = t.threads.(Lock_table.waiter_nth t.locks ~lock i) in
-    th.cycles <- th.cycles + cycles;
-    Sim_clock.advance t.clock cycles
-  done
+   stay fair.
 
-let charge_waiters t holder cycles =
-  if holder.lock_depth > 0 then
-    for i = 0 to Lock_table.held_count t.locks ~tid:holder.tid - 1 do
-      charge_held_lock t (Lock_table.held_nth t.locks ~tid:holder.tid i) cycles
-    done
-
+   No waiter is visited here.  [Lock_table.dilate] adds the cycles to
+   the stall counter of each held lock that has waiters and returns
+   the waiter count, and the clock advances by cycles x waiters at
+   once.  A waiter collects its stall, the counter's growth since it
+   blocked, at hand-off in [do_unlock] — the only way out of
+   [Blocked].  The stall is one level deep: a stalled waiter's own
+   waiters are not charged.  DESIGN.md §5 has the argument that
+   reports equal those of charging each waiter as the cycles are
+   spent. *)
 let charge t thread cycles =
   assert (cycles >= 0);
   thread.cycles <- thread.cycles + cycles;
-  Sim_clock.advance t.clock cycles;
-  if cycles > 0 then charge_waiters t thread cycles
+  let waiters =
+    if cycles > 0 && thread.lock_depth > 0 then Lock_table.dilate t.locks ~tid:thread.tid cycles
+    else 0
+  in
+  Sim_clock.advance t.clock (cycles * (1 + waiters))
 
 (* {1 Batched cycle commits}
 
@@ -247,8 +242,9 @@ let charge t thread cycles =
    committed clock.  Between merge points the lock/waiter structure is
    frozen, and [charge] only adds, so one commit of the sum is
    arithmetically identical to charging every op as it runs; the
-   O(waiters) dilation walk just runs once per thread per merge point
-   instead of once per op.  DESIGN.md §10 has the argument. *)
+   O(held locks) stall-counter update just runs once per thread per
+   merge point instead of once per op.  DESIGN.md §10 has the
+   argument. *)
 
 let bank t thread cycles =
   if t.batch then begin
@@ -461,6 +457,9 @@ let do_unlock t thread ~lock =
       | Runnable | Finished ->
         raise (Stuck (Printf.sprintf "woken thread %d was not blocked" waiter_tid))
     in
+    (* The stall its holders charged while it waited. *)
+    waiter.cycles <-
+      waiter.cycles + Lock_table.dilation t.locks ~lock - waiter.dilation_base;
     wake t waiter;
     charge t waiter t.cost.Cost_model.lock_contended;
     (match t.trace with
@@ -623,10 +622,9 @@ let report_of t =
 
 let run t =
   t.started <- true;
-  (* The hot loop: per step, one O(log threads) pick from the
-     incrementally maintained runnable set, one array index, one
-     cursor fetch — nothing here scans the thread population or
-     allocates. *)
+  (* The hot loop: per step, one O(1) pick from the incrementally
+     maintained runnable set, one array index, one cursor fetch —
+     nothing here scans the thread population or allocates. *)
   let rec loop () =
     if Runnable_set.cardinal t.runnable = 0 then begin
       commit t;

@@ -1,13 +1,17 @@
 (** The scheduler's runnable-thread set: a dense integer set over
     thread ids with order-statistics queries.
 
-    Backed by a Fenwick (binary-indexed) tree over a presence bitmap,
-    so membership updates and rank/select queries cost O(log n) in the
-    id-space size — effectively constant for any realistic thread
-    count, and crucially independent of how many threads exist.  This
-    replaces the O(threads) re-filtering the machine's step loop used
-    to do, and gives {!Schedule.pick} the two order-sensitive queries
-    the policies need without materializing a list:
+    The members are kept in one array sorted ascending, beside a
+    presence bitmap.  A pick is one array read: [kth_largest] and
+    [kth_smallest] index the array, and [mem] reads the bitmap.
+    [first_above] is a binary search.  [add] and [remove] shift the
+    members above the id, so they cost at most the runnable count.
+    They run only on status transitions (spawn, block, wake, finish),
+    never per step.  Only a new, larger id (which grows the arrays)
+    and the options of [first_above], [min_elt] and [max_elt]
+    allocate.
+
+    {!Schedule.pick} needs two order-sensitive queries:
 
     - [kth_largest], matching the historical pick order (the machine
       kept threads in reverse spawn order, so the random policy indexed
@@ -48,5 +52,5 @@ val min_elt : t -> int option
 val max_elt : t -> int option
 
 val to_list : t -> int list
-(** Members in ascending order — O(capacity); for tests and debugging
-    only, never on the hot path. *)
+(** Members in ascending order; for tests and debugging only, never on
+    the hot path. *)

@@ -8,8 +8,8 @@
 
     Picking reads the machine's {!Runnable_set} directly (no per-step
     list materialization) and appends to a growable pick buffer, so a
-    pick costs O(log threads) selection plus O(1) recording — the
-    machine's step loop no longer pays O(threads) per operation. *)
+    random pick costs one RNG draw, one array read and O(1)
+    recording, whatever the thread count. *)
 
 type t =
   | Random of int        (** Uniform over runnable threads, seeded. *)

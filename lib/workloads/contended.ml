@@ -7,9 +7,10 @@ let no_paper_row =
 (* Every iteration is one critical section on the single global lock,
    with a long run of in-section accesses to the one shared cell.  In
    steady state one thread holds the lock and every other thread is
-   queued on it, so the per-access waiter-dilation walk is the run's
-   dominant host cost — batched cycle commits, one walk per thread per
-   merge point, is exactly what this stresses (DESIGN.md §10). *)
+   queued on it, so every in-section charge stalls the whole queue:
+   the lock's stall counter and the clock's cycles x waiters step run
+   at their widest, and each hand-off credits one waiter (DESIGN.md
+   §5, §10). *)
 let convoy_profile =
   { Synth.default with
     Synth.heap_objects = 1;

@@ -90,7 +90,7 @@ let test_ineligible_hooks_identity () =
       check (name ^ " identical compiled vs thunks") true (run `Compiled = run `Thunks))
     [ ("tsan", Runner.Tsan); ("lockset", Runner.Lockset) ]
 
-(* {1 Convoy: the waiter-dilation stress that batching pays off on} *)
+(* {1 Convoy: every in-section charge stalls the whole waiter queue} *)
 
 let convoy_threads = 16
 let convoy_scale = 0.02
