@@ -56,7 +56,12 @@ let workloads () =
             (Printf.sprintf "%s/kard-%s" spec.Spec.name label)
             (Runner.run ~scale:0.003 ~detector:(Runner.Kard config) (Runner.Spec spec)))
         workload_configs)
-    (Registry.all @ [ Registry.find "convoy"; Registry.find "keys-10k" ])
+    (Registry.all @ [ Registry.find "convoy"; Registry.find "keys-10k" ]);
+  (* More threads than one byte can number, so thread ids past 255
+     appear in the pick sequence. *)
+  line "convoy/threads=300/kard-default"
+    (Runner.run ~threads:300 ~scale:0.003 ~detector:(Runner.Kard Config.default)
+       (Runner.Spec (Registry.find "convoy")))
 
 let scenarios () =
   List.iter
