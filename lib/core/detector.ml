@@ -334,7 +334,7 @@ let active_enter t ~site ~tid =
   t.active_count <- t.active_count + 1;
   if t.active_count > t.max_active then t.max_active <- t.active_count
 
-let rec last_index stk tid i =
+let rec last_index (stk : int array) (tid : int) i =
   if i < 0 then -1 else if stk.(i) = tid then i else last_index stk tid (i - 1)
 
 let active_exit t ~site ~tid =

@@ -185,7 +185,7 @@ let index_add t ~tid key =
   arr.(!i) <- key;
   t.tid_nkeys.(tid) <- n + 1
 
-let rec index_from arr n key i =
+let rec index_from (arr : int array) n (key : int) i =
   if i >= n then -1 else if arr.(i) = key then i else index_from arr n key (i + 1)
 
 let index_remove t ~tid key =

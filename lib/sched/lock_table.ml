@@ -74,7 +74,7 @@ let note_owned t ~lock ~tid =
 
 (* Top level rather than local to [note_released]: without flambda a
    local [let rec] capturing variables is a heap block per unlock. *)
-let rec find_held stk n lock i =
+let rec find_held (stk : int array) n (lock : int) i =
   if i >= n then -1 else if stk.(i) = lock then i else find_held stk n lock (i + 1)
 
 let note_released t ~lock ~tid =

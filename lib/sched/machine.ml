@@ -68,8 +68,13 @@ type t = {
 
 exception Stuck of string
 
+(* The step cap exists to turn a livelock (a [wait_until] that never
+   holds) into [Stuck], so it must sit far above every valid run.  The
+   longest is fluidanimate at full scale, 80,879,879 steps, which a
+   release build runs in about 4 s on one AMD EPYC core; 2^28 is 3.3
+   times that, so a livelocked run still stops within seconds. *)
 let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
-    ?(max_steps = 80_000_000) ?(interp = `Compiled) ~allocator ~make_detector () =
+    ?(max_steps = 1 lsl 28) ?(interp = `Compiled) ~allocator ~make_detector () =
   let schedule = Option.value ~default:(Schedule.Random seed) schedule in
   let phys = Phys_mem.create () in
   let aspace = Address_space.create phys in

@@ -56,14 +56,15 @@ val wait_until : (unit -> bool) -> t
 (** Append operations one at a time into a segment under
     construction; the allocation-free-loop counterpart of building an
     [Op.t list] and calling {!of_list} (no intermediate list, no
-    variant per plain operation).  Used by the hot workload
-    generators. *)
+    variant per plain operation).  The hot workload generators keep
+    one per worker as an arena ({!reset}, emit, {!current}). *)
 module Builder : sig
   type program := t
   type t
 
   val create : ?hint:int -> unit -> t
-  (** [hint] is the expected operation count (arrays double past it). *)
+  (** [hint] is the expected operation count: the buffers are made at
+      that size on the first emit, not before, and double past it. *)
 
   val read : t -> int -> unit
   val write : t -> int -> unit
@@ -77,9 +78,6 @@ module Builder : sig
   (** Append any operation; [Alloc]/[Free]/blocks go to the boxed
       side table, plain operations are unpacked into the int arrays. *)
 
-  val seal : t -> program
-  (** Finish the segment.  The builder must not be reused after. *)
-
   val reset : t -> unit
   (** Start a new segment in the same buffers (arena reuse). *)
 
@@ -89,8 +87,8 @@ module Builder : sig
       only until the next [reset] and must be fully consumed by a
       single cursor before then.  Repeated calls return the same
       program value, so a generator body that does [reset]; emit;
-      [current] allocates nothing per iteration.  Use {!seal} instead
-      whenever the program may outlive the builder's next cycle. *)
+      [current] allocates nothing per iteration.  A program that may
+      outlive the builder's next cycle is built with {!of_list}. *)
 end
 
 (** {1 Cursors (consumption)} *)

@@ -7,9 +7,10 @@
     bug, then replay that schedule while investigating.
 
     Picking reads the machine's {!Runnable_set} directly (no per-step
-    list materialization) and appends to a growable pick buffer, so a
-    random pick costs one RNG draw, one array read and O(1)
-    recording, whatever the thread count. *)
+    list materialization) and appends one byte to a doubling pick log
+    (five for a thread id past 254), so a random pick costs one RNG
+    draw, one array read and O(1) recording, whatever the thread
+    count. *)
 
 type t =
   | Random of int        (** Uniform over runnable threads, seeded. *)
@@ -28,6 +29,7 @@ val pick : state -> runnable:Runnable_set.t -> int
     preserves the pick sequence of every historical seed. *)
 
 val recorded : state -> int array
-(** Every pick made so far, in order — feed to {!Replay}. *)
+(** Every pick made so far, in order — feed to {!Replay}.  Decodes the
+    pick log into a fresh array on each call. *)
 
 val pp : Format.formatter -> t -> unit

@@ -30,8 +30,7 @@ let convoy_profile =
     cs_compute = 0;
     io = 0;
     sweep_objects = 0;
-    min_entries = 640;
-    mode = Synth.Partitioned }
+    min_entries = 640 }
 
 let convoy =
   { Spec.name = "convoy";

@@ -33,8 +33,7 @@ let lock_free_profile ~heap ~heap_size ~iterations ~block ~span ~compute =
     block_span = span;
     compute;
     sweep_objects = 0;
-    min_entries = 200;
-    mode = Synth.Partitioned }
+    min_entries = 200 }
 
 let blackscholes =
   make ~name:"blackscholes" ~description:"option pricing; embarrassingly parallel, no locks"

@@ -34,8 +34,7 @@ let streamcluster =
         block_accesses = 145_565;
         block_span = 3 * mib;
         compute = 17_191;
-        sweep_objects = 0;
-        mode = Synth.Partitioned }
+        sweep_objects = 0 }
 
 let x264 =
   let paper =
@@ -61,8 +60,7 @@ let x264 =
         ro_reads_per_entry = 0;
         block_accesses = 37_983;
         block_span = 7 * mib;
-        compute = 90_585;
-        mode = Synth.Partitioned }
+        compute = 90_585 }
 
 let vips =
   let paper =
@@ -89,8 +87,7 @@ let vips =
         block_accesses = 77_390_000;
         block_span = 6 * mib;
         compute = 83_070_000;
-        min_entries = 37;
-        mode = Synth.Partitioned }
+        min_entries = 37 }
 
 let bodytrack =
   let paper =
@@ -118,8 +115,7 @@ let bodytrack =
         block_accesses = 57_188;
         block_span = 4 * mib;
         compute = 93_530;
-        sweep_objects = 48;
-        mode = Synth.Partitioned }
+        sweep_objects = 48 }
 
 let fluidanimate =
   let paper =
@@ -146,7 +142,6 @@ let fluidanimate =
         block_span = 48 * mib;
         compute = 874;
         sweep_objects = 12;
-        min_entries = 2_000;
-        mode = Synth.Partitioned }
+        min_entries = 2_000 }
 
 let all = [ streamcluster; x264; vips; bodytrack; fluidanimate ]

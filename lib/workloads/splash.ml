@@ -31,8 +31,7 @@ let ocean_cp =
         ro_reads_per_entry = 1;
         block_accesses = 780_153;
         block_span = 220 * mib;
-        compute = 808_322;
-        mode = Synth.Partitioned }
+        compute = 808_322 }
 
 let ocean_ncp =
   let paper =
@@ -57,8 +56,7 @@ let ocean_ncp =
         ro_reads_per_entry = 0;
         block_accesses = 1_345_600;
         block_span = 225 * mib;
-        compute = 1_145_000;
-        mode = Synth.Partitioned }
+        compute = 1_145_000 }
 
 let raytrace =
   let paper =
@@ -84,8 +82,7 @@ let raytrace =
         block_accesses = 9_066;
         block_span = mib + (mib / 2);
         compute = 4_741;
-        min_entries = 1_500;
-        mode = Synth.Partitioned }
+        min_entries = 1_500 }
 
 let water_nsquared =
   let paper =
@@ -112,8 +109,7 @@ let water_nsquared =
         block_span = 2 * mib;
         compute = 164_334;
         sweep_objects = 24;
-        min_entries = 1_200;
-        mode = Synth.Partitioned }
+        min_entries = 1_200 }
 
 let water_spatial =
   let paper =
@@ -140,8 +136,7 @@ let water_spatial =
         block_span = 6 * mib;
         compute = 8_160_000;
         sweep_objects = 64;
-        min_entries = 320;
-        mode = Synth.Partitioned }
+        min_entries = 320 }
 
 let radix =
   let paper =
@@ -166,8 +161,7 @@ let radix =
         block_accesses = 14_120_000;
         block_span = 250 * mib;
         compute = 98_400_000;
-        min_entries = 103;
-        mode = Synth.Partitioned }
+        min_entries = 103 }
 
 let lu_ncb =
   let paper =
@@ -192,8 +186,7 @@ let lu_ncb =
         block_accesses = 1_654_600;
         block_span = 8 * mib;
         compute = 7_080_000;
-        min_entries = 520;
-        mode = Synth.Partitioned }
+        min_entries = 520 }
 
 let lu_cb =
   let paper =
@@ -218,8 +211,7 @@ let lu_cb =
         block_accesses = 656_935;
         block_span = 8 * mib;
         compute = 3_220_000;
-        min_entries = 520;
-        mode = Synth.Partitioned }
+        min_entries = 520 }
 
 let barnes =
   let paper =
@@ -246,8 +238,7 @@ let barnes =
         block_span = 16 * mib;
         compute = 1_600;
         cs_compute = 1_021;
-        min_entries = 2_000;
-        mode = Synth.Partitioned }
+        min_entries = 2_000 }
 
 let fft =
   let paper =
@@ -272,8 +263,7 @@ let fft =
         block_accesses = 35_710_000;
         block_span = 190 * mib;
         compute = 170_700_000;
-        min_entries = 32;
-        mode = Synth.Partitioned }
+        min_entries = 32 }
 
 let all =
   [ ocean_cp; ocean_ncp; raytrace; water_nsquared; water_spatial; radix; lu_ncb; lu_cb; barnes; fft ]

@@ -2,10 +2,6 @@ module Op = Kard_sched.Op
 module Program = Kard_sched.Program
 module Machine = Kard_sched.Machine
 
-type object_mode =
-  | Partitioned
-  | Striped
-
 type profile = {
   heap_objects : int;
   heap_size : int;
@@ -26,7 +22,6 @@ type profile = {
   cs_compute : int;
   io : int;
   sweep_objects : int;
-  mode : object_mode;
   min_entries : int;
 }
 
@@ -50,7 +45,6 @@ let default =
     cs_compute = 0;
     io = 0;
     sweep_objects = 0;
-    mode = Partitioned;
     min_entries = 160 }
 
 let factor p ~scale = Builder.scale_factor ~scale ~entries:p.entries ~min_entries:p.min_entries
@@ -60,6 +54,23 @@ let effective_entries p ~scale = Builder.scaled (factor p ~scale) p.entries
 (* Deterministic per-iteration mixing, so runs are reproducible under
    a fixed machine seed without sharing RNG state across threads. *)
 let mix idx salt = ((idx * 2654435761) lxor (salt * 40503)) land max_int
+
+(* Writable objects are partitioned into ownership classes so that a
+   given object is only ever written under one lock: class [cls] owns
+   {j < n | j mod classes = cls}.  Callers pick only from a non-empty
+   class ([cls < n]), and the pick is below [n]. *)
+let pick_in_class ~classes ~cls ~idx ~salt n =
+  let size = ((n - 1 - cls) / classes) + 1 in
+  cls + (classes * (mix idx salt mod size))
+
+(* One worker's generator state: the arena every iteration is compiled
+   into, and its private buffer's two block descriptors, built once the
+   worker's prologue has allocated the buffer. *)
+type worker_state = {
+  arena : Program.Builder.t;
+  mutable read_block : Op.t;
+  mutable write_block : Op.t;
+}
 
 let build p ~threads ~scale ~seed:_ machine =
   assert (threads > 0);
@@ -75,11 +86,13 @@ let build p ~threads ~scale ~seed:_ machine =
   (* Private buffers scale with the workload so memory ratios are
      preserved, but never below the dTLB reach (the miss behaviour of
      a large sweep must survive scaling). *)
-  let span = if p.block_span = 0 then 0 else max (64 * 4096) (Builder.scaled f p.block_span) in
+  let span =
+    if p.block_span = 0 then 0 else Int.max (64 * 4096) (Builder.scaled f p.block_span)
+  in
   (* Globals are registered up front; their addresses are known now.
      Only the globals that can enter the shared pool are ever touched,
      so only those are resident. *)
-  let touched_globals = max 0 (rw_wanted + ro_wanted - heap_n) in
+  let touched_globals = Int.max 0 (rw_wanted + ro_wanted - heap_n) in
   let global_bases =
     Array.init p.globals (fun i ->
         (Machine.add_global machine ~resident:(i < touched_globals) ~site:(9000 + i)
@@ -87,131 +100,123 @@ let build p ~threads ~scale ~seed:_ machine =
           .Kard_alloc.Obj_meta.base)
   in
   (* Heap bases are filled by the main thread's allocation phase. *)
-  let heap_bases = Array.make (max 1 heap_n) 0 in
+  let heap_bases = Array.make (Int.max 1 heap_n) 0 in
   let allocated = ref 0 in
   let pool_size = heap_n + p.globals in
-  let rw_n = min rw_wanted pool_size in
-  let ro_n = min ro_wanted (pool_size - rw_n) in
-  (* Shared object [j]: heap objects first, then globals. *)
+  let rw_n = Int.min rw_wanted pool_size in
+  let ro_n = Int.min ro_wanted (pool_size - rw_n) in
+  (* Shared object [j]: heap objects first, then globals.  The first
+     [rw_n] are written in sections, the next [ro_n] only read. *)
   let shared_base j = if j < heap_n then heap_bases.(j) else global_bases.(j - heap_n) in
-  let rw_base j = shared_base (j mod max 1 rw_n) in
-  let ro_base j = shared_base (rw_n + (j mod max 1 ro_n)) in
   let obj_size j = if j < heap_n then p.heap_size else p.global_size in
   let ready () = !allocated >= heap_n in
   let entries_of_thread tid =
     (entries / threads) + (if tid < entries mod threads then 1 else 0)
   in
-  (* Each worker owns a private buffer; its base is resolved lazily
-     after the worker's own allocation. *)
-  let private_buffers = Array.make threads 0 in
-  let private_buffer_base tid = private_buffers.(tid) in
-  (* One worker iteration.  [idx] is a globally unique iteration id. *)
-  let iteration tid idx =
-    (* Ops are compiled straight into a flat segment: the segment is
-       built once when this iteration's turn comes and then executed
-       allocation-free, one tag per step. *)
-    let b = Program.Builder.create () in
-    let add op = Program.Builder.op b op in
+  let classes = Int.max 1 p.locks in
+  let churn_whole = int_of_float p.churn_per_entry in
+  let churn_frac = p.churn_per_entry -. float_of_int churn_whole in
+  let churn_per_mille = int_of_float (churn_frac *. 1000.) in
+  (* Sweep distinct non-shared heap objects individually: unique-page
+     layout turns this into dTLB pressure.  Shared objects are
+     excluded — touching them lock-free would be a race. *)
+  let shared_heap = Int.min heap_n (rw_n + ro_n) in
+  let sweepable = heap_n - shared_heap in
+  let sweeps = Int.max 0 (Int.min p.sweep_objects sweepable) in
+  (* At most: the churn allocs, the block, the sweep, compute, io, and
+     the section with its body. *)
+  let ops_per_iteration =
+    churn_whole + 1 + 1 + sweeps + 2 + 3 + p.ro_reads_per_entry + (2 * p.rw_writes_per_entry)
+  in
+  (* One worker iteration.  [idx] is a globally unique iteration id.
+     Its ops are compiled into the worker's arena, which the cursor
+     drains before the next iteration resets it, so a steady-state
+     iteration allocates nothing. *)
+  let iteration w idx =
+    let b = w.arena in
+    Program.Builder.reset b;
     (* Allocation churn: request-scoped objects (alloc, touch, free). *)
     let churn_count =
-      let whole = int_of_float p.churn_per_entry in
-      let frac = p.churn_per_entry -. float_of_int whole in
-      whole + (if frac > 0. && mix idx 3 mod 1000 < int_of_float (frac *. 1000.) then 1 else 0)
+      churn_whole
+      + if churn_frac > 0. && mix idx 3 mod 1000 < churn_per_mille then 1 else 0
     in
     let churned = ref [] in
     for c = 0 to churn_count - 1 do
-      add
+      Program.Builder.op b
         (Op.Alloc
            { size = p.churn_size;
              site = 7000 + (mix idx c mod 8);
              on_result = (fun meta -> churned := meta :: !churned) })
     done;
     (* Private streaming work (the bulk of the baseline's cycles). *)
-    if p.block_accesses > 0 then begin
-      let access = if mix idx 5 mod 4 = 0 then `Write else `Read in
-      add (Builder.block ~base:(private_buffer_base tid) ~count:p.block_accesses ~span access)
-    end;
-    (* Sweep distinct non-shared heap objects individually: unique-page
-       layout turns this into dTLB pressure.  Shared objects are
-       excluded — touching them lock-free would be a race. *)
-    let shared_heap = min heap_n (rw_n + ro_n) in
-    let sweepable = heap_n - shared_heap in
-    if p.sweep_objects > 0 && sweepable > 0 then
-      for j = 0 to min p.sweep_objects sweepable - 1 do
-        Program.Builder.read b heap_bases.(shared_heap + ((mix idx 7 + (j * 13)) mod sweepable))
-      done;
+    if p.block_accesses > 0 then
+      Program.Builder.op b (if mix idx 5 mod 4 = 0 then w.write_block else w.read_block);
+    for j = 0 to sweeps - 1 do
+      Program.Builder.read b heap_bases.(shared_heap + ((mix idx 7 + (j * 13)) mod sweepable))
+    done;
     if p.compute > 0 then Program.Builder.compute b p.compute;
     if p.io > 0 then Program.Builder.io b p.io;
-    (* The critical section.  Writable objects are partitioned into
-       ownership classes so that a given object is only ever written
-       under one lock: class [c] owns {j | j mod classes = c}, and a
-       class whose slice is empty simply writes nothing this entry. *)
-    let pick_in_class ~classes ~cls ~salt n =
-      if cls >= n then None
-      else
-        let size = ((n - 1 - cls) / classes) + 1 in
-        Some (cls + (classes * (mix idx salt mod size)))
-    in
-    let site, lock, rw_pick, ro_pick =
-      match p.mode with
-      | Partitioned ->
-        let site = idx mod max 1 p.sites in
-        let lock = site mod max 1 p.locks in
-        (* Objects are owned per lock, so sites sharing a lock share a
-           slice consistently. *)
-        let pick_rw w = pick_in_class ~classes:(max 1 p.locks) ~cls:lock ~salt:(11 + w) rw_n in
-        let pick_ro r = pick_in_class ~classes:(max 1 p.locks) ~cls:lock ~salt:(13 + r) ro_n in
-        (site, lock, pick_rw, pick_ro)
-      | Striped ->
-        let stripe = mix idx 17 mod max 1 p.locks in
-        let site = mix idx 19 mod max 1 p.sites in
-        let pick_rw w = pick_in_class ~classes:(max 1 p.locks) ~cls:stripe ~salt:(23 + w) rw_n in
-        (* Read-only objects are safe under any lock. *)
-        let pick_ro r = if ro_n = 0 then None else Some (mix (idx + r) 29 mod ro_n) in
-        (site, stripe, pick_rw, pick_ro)
-    in
-    let body = ref [] in
-    for w = 0 to p.rw_writes_per_entry - 1 do
-      match rw_pick w with
-      | Some j when rw_n > 0 ->
-        let j = j mod rw_n in
-        let offset = 8 * (mix idx w mod max 1 (obj_size j / 8)) in
-        body := Op.Write (rw_base j + offset) :: Op.Read (rw_base j + offset) :: !body
-      | Some _ | None -> ()
-    done;
-    for r = 0 to p.ro_reads_per_entry - 1 do
-      match ro_pick r with
-      | Some j when ro_n > 0 -> body := Op.Read (ro_base (j mod ro_n)) :: !body
-      | Some _ | None -> ()
-    done;
-    let body = if p.cs_compute > 0 then Op.Compute p.cs_compute :: !body else !body in
-    if body <> [] || p.sites > 0 then
-      List.iter add (Builder.critical_section ~lock:(100 + lock) ~site:(10 + site) body);
-    (* Free the churned objects (request lifetime ends).  The list is
-       only populated when the Alloc ops execute, so the frees are
-       emitted dynamically after the main op list drains. *)
-    let frees () =
-      match !churned with
-      | [] -> None
-      | meta :: rest ->
-        churned := rest;
-        Some (Op.Free meta)
-    in
-    Program.append (Program.Builder.seal b) (Program.of_thunk frees)
+    (* The critical section.  Section [site] locks [site mod locks], and
+       a lock's class whose slice is empty touches nothing this entry.
+       Objects are owned per lock, so sites sharing a lock share a
+       slice consistently. *)
+    let site = idx mod Int.max 1 p.sites in
+    let lock = site mod classes in
+    let has_rw = p.rw_writes_per_entry > 0 && lock < rw_n in
+    let has_ro = p.ro_reads_per_entry > 0 && lock < ro_n in
+    if p.cs_compute > 0 || has_rw || has_ro || p.sites > 0 then begin
+      Program.Builder.lock b ~lock:(100 + lock) ~site:(10 + site);
+      if p.cs_compute > 0 then Program.Builder.compute b p.cs_compute;
+      if has_ro then
+        for r = p.ro_reads_per_entry - 1 downto 0 do
+          Program.Builder.read b
+            (shared_base (rw_n + pick_in_class ~classes ~cls:lock ~idx ~salt:(13 + r) ro_n))
+        done;
+      if has_rw then
+        for w = p.rw_writes_per_entry - 1 downto 0 do
+          let j = pick_in_class ~classes ~cls:lock ~idx ~salt:(11 + w) rw_n in
+          let addr = shared_base j + (8 * (mix idx w mod Int.max 1 (obj_size j / 8))) in
+          Program.Builder.write b addr;
+          Program.Builder.read b addr
+        done;
+      Program.Builder.unlock b ~lock:(100 + lock)
+    end;
+    if churn_count = 0 then Program.Builder.current b
+    else begin
+      (* Free the churned objects (request lifetime ends).  The list is
+         only populated when the Alloc ops execute, so the frees are
+         emitted dynamically after the arena's ops drain. *)
+      let frees () =
+        match !churned with
+        | [] -> None
+        | meta :: rest ->
+          churned := rest;
+          Some (Op.Free meta)
+      in
+      Program.append (Program.Builder.current b) (Program.of_thunk frees)
+    end
   in
   let worker tid =
+    let w =
+      { arena = Program.Builder.create ~hint:ops_per_iteration ();
+        read_block = Op.Yield;
+        write_block = Op.Yield }
+    in
     let prologue =
       if p.block_accesses > 0 then
         Program.of_list
           [ Op.Alloc
-              { size = max span 8;
+              { size = Int.max span 8;
                 site = 8000 + tid;
                 on_result =
-                  (fun meta -> private_buffers.(tid) <- meta.Kard_alloc.Obj_meta.base) } ]
+                  (fun meta ->
+                    let base = meta.Kard_alloc.Obj_meta.base in
+                    w.read_block <- Builder.block ~base ~count:p.block_accesses ~span `Read;
+                    w.write_block <- Builder.block ~base ~count:p.block_accesses ~span `Write) } ]
       else Program.empty
     in
     let n = entries_of_thread tid in
-    let work = Program.repeat n (fun k -> iteration tid ((k * threads) + tid)) in
+    let work = Program.repeat n (fun k -> iteration w ((k * threads) + tid)) in
     Program.concat [ prologue; Builder.wait_until ready; work ]
   in
   let main_thread =

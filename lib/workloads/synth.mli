@@ -7,17 +7,12 @@
     iteration.  The profile's counts are taken from the paper's
     Table 3 row for the application, so the three overhead factors the
     paper names — protected sharable objects, critical-section
-    entries, and dTLB pressure — are reproduced structurally. *)
+    entries, and dTLB pressure — are reproduced structurally.
 
-type object_mode =
-  | Partitioned
-      (** Section [i] owns a fixed slice of the shared objects and a
-          fixed lock: the PARSEC/SPLASH pattern.  Race free. *)
-  | Striped
-      (** Objects hash to one of [locks] lock stripes; call sites vary
-          independently, so sections accumulate large object sets over
-          time — the memcached pattern that exhausts protection keys.
-          Race free (each object is always locked by its stripe). *)
+    Sections own fixed slices of the shared objects: section [i] locks
+    [i mod locks], and lock [c] guards the objects [j] with
+    [j mod locks = c] (the PARSEC/SPLASH pattern), so every profile is
+    race free. *)
 
 type profile = {
   heap_objects : int;        (** Allocated by the main thread at start. *)
@@ -44,7 +39,6 @@ type profile = {
   sweep_objects : int;       (** Distinct heap objects touched
                                  individually per iteration (dTLB
                                  pressure under unique-page layout). *)
-  mode : object_mode;
   min_entries : int;         (** Scaling floor (see {!Builder.scale_factor}). *)
 }
 

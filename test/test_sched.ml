@@ -518,6 +518,22 @@ let test_schedule_pick_unit () =
   check_int "falls back after tape" 1 (Kard_sched.Schedule.pick st ~runnable);
   check "recorded everything" true (Kard_sched.Schedule.recorded st = [| 2; 0; 1 |])
 
+(* The pick log stores tids 0-254 in one byte and escapes every other
+   tid, so a tape mixing both, replayed pick for pick, must come back
+   out of [recorded] unchanged: first the boundary tids once each,
+   then 100,000 picks that grow the log many times over. *)
+let test_schedule_pick_log_roundtrip () =
+  let tids = [| 0; 1; 254; 255; 256; 65_535; 70_000 |] in
+  let runnable = runnable_of_list (Array.to_list tids) in
+  let replay tape =
+    let st = Kard_sched.Schedule.start (Kard_sched.Schedule.Replay tape) in
+    Array.iter (fun _ -> ignore (Kard_sched.Schedule.pick st ~runnable : int)) tape;
+    Kard_sched.Schedule.recorded st
+  in
+  check "boundary tids" true (replay tids = tids);
+  let long = Array.init 100_000 (fun i -> tids.(i * 7919 mod 13 mod 7)) in
+  check "100,000 picks" true (replay long = long)
+
 (* Replay determinism over a genuinely contended, faulting workload:
    the safety net for the scheduler/TLB refactors.  A full Kard run is
    recorded under [Random] and re-executed under [Replay]; every field
@@ -541,8 +557,7 @@ let contended_kard_report ?schedule ~seed () =
       rw_writes_per_entry = 3;
       ro_reads_per_entry = 2;
       cs_compute = 500;
-      churn_per_entry = 0.5;
-      mode = Kard_workloads.Synth.Striped }
+      churn_per_entry = 0.5 }
   in
   Kard_workloads.Synth.build profile ~threads:8 ~scale:1.0 ~seed:5 m;
   Machine.run m
@@ -617,6 +632,7 @@ let () =
           Alcotest.test_case "round robin" `Quick test_schedule_round_robin;
           Alcotest.test_case "short tape fallback" `Quick test_schedule_replay_short_tape;
           Alcotest.test_case "pick unit" `Quick test_schedule_pick_unit;
+          Alcotest.test_case "pick log round trip" `Quick test_schedule_pick_log_roundtrip;
           Alcotest.test_case "replay full report (contended, faulting)" `Quick
             test_replay_full_report_identical;
           Alcotest.test_case "seeded full-report determinism" `Quick

@@ -176,8 +176,7 @@ let profile_gen =
       churn_per_entry = churn;
       block_accesses = block;
       compute = 500;
-      min_entries = 20;
-      mode = Kard_workloads.Synth.Partitioned }
+      min_entries = 20 }
 
 let random_profile_prop =
   QCheck.Test.make ~name:"random partitioned profiles are race-free under kard" ~count:60
