@@ -1275,7 +1275,7 @@ let metadata_bytes t =
 
 (* Accesses that landed on unsampled objects: their pages keep
    [k_def], so the MMU's own grant count is the tally and no access
-   hook is installed — sampled runs batch like full-rate ones. *)
+   hook is installed. *)
 let skipped_accesses t =
   if Sampling.enabled t.sampling then Mpk_hw.default_grants (hw t) else 0
 

@@ -70,7 +70,7 @@ val create : ?config:Config.t -> Kard_sched.Hooks.env -> t
 
 val hooks : t -> Kard_sched.Hooks.t
 (** [access] is [None] at every sampling rate: the detector observes
-    no individual access, so every run may batch cycle commits. *)
+    no individual access. *)
 
 val races : t -> Race_record.t list
 (** Surviving potential data-race records. *)

@@ -135,9 +135,9 @@ let describe = function
        the racing section) unprotected this epoch, so the conflicting access \
        never faulted — the HardRace trade: detection latency, never soundness"
   | Batch_divergence ->
-      "batching diverged: a run that batches cycle commits produced a \
-       different report or race-record list than the same run unbatched, \
-       breaching the batching determinism contract (DESIGN.md section 10): \
+      "the batch gate diverged: the compiled and the Thunks interpreters \
+       produced different reports or race-record lists for the same program, \
+       seed and configuration, though they must be observationally identical: \
        real bug"
   | Replay_divergence ->
       "record/replay broke: re-executing the run from its nondeterminism log \

@@ -175,14 +175,13 @@ type cls =
           a subset of full Kard's.  Only admissible while sampling is
           active; over-reports are {e never} explained by sampling. *)
   | Batch_divergence
-      (** Batching diverged: running the same program, seed and
-          configuration with batched cycle commits (compiled
-          interpreter) produced a different machine report or
-          race-record list than unbatched ([`Thunks]).  The batching
-          determinism contract (DESIGN.md §10) allows {e no} such
-          difference, so this class is never expected — it gates the
-          batching machine behind the fuzz campaign's oracle
-          equivalence. *)
+      (** The batch gate diverged: the same program, seed and
+          configuration on the compiled interpreter and on the
+          [`Thunks] oracle interpreter, both without access hooks,
+          produced different machine reports or race-record lists.
+          The two interpreters must be observationally identical, so
+          this class is never expected — it gates the compiled
+          interpreter behind the fuzz campaign's oracle equivalence. *)
   | Replay_divergence
       (** Record/replay broke: re-executing a run from its recorded
           nondeterminism log (DESIGN.md §13) produced a different
@@ -193,8 +192,8 @@ type cls =
           schedule picks and lock-grant order — so replay admits no
           difference whatsoever; this class is never expected.  It
           gates the record/replay layer behind the fuzz campaign's
-          oracle equivalence, exactly as {!Batch_divergence} gates
-          batching. *)
+          oracle equivalence, exactly as {!Batch_divergence} gates the
+          compiled interpreter. *)
   | Unexpected
       (** No documented mechanism explains the disagreement: a real
           bug in the runtime, an oracle, or the classifier. *)

@@ -3,16 +3,20 @@ module Config = Kard_core.Config
 module Pool = Kard_harness.Pool
 
 (* (name, detector config, batch gate, generator pressure, replay
-   gate).  The batch-gate entries make batched cycle commits a
-   standing fuzz subject: every program they draw also runs the
-   dual-machine batch gate (Harness.run ?batch_gate), so a determinism
-   breach surfaces as the never-expected batch-divergence class and
-   fails the campaign.  The vkey rotation entries pair a virtual pool
-   with the high-pressure generator profile (every program past the
-   13 physical keys, half far past), keeping the cache's
-   load/evict/stall windows — and their one expected evidence class,
-   vkey-eviction-blame — under the three oracles; the gated one
-   additionally checks vkey eviction against batching determinism.
+   gate).  The batch-gate entries make the compiled interpreter
+   without access hooks — the path every Kard run takes outside the
+   fuzzer — a standing fuzz subject: every program they draw also
+   runs the dual-machine batch gate (Harness.run ?batch_gate), which
+   compares it with the [`Thunks] oracle interpreter, so a breach
+   surfaces as the never-expected batch-divergence class and fails
+   the campaign.  Gate, class and entry names come from the batched
+   cycle commits the gate was built to check (DESIGN.md §10).  The
+   vkey rotation entries pair a virtual pool with the high-pressure
+   generator profile (every program past the 13 physical keys, half
+   far past), keeping the cache's load/evict/stall windows — and
+   their one expected evidence class, vkey-eviction-blame — under the
+   three oracles; the gated one additionally checks vkey eviction on
+   both interpreters.
    Entry order is part of the campaign: program [i] draws entry
    [i mod 15], so reordering would change every fuzz:SEED:INDEX. *)
 let configs =
@@ -48,10 +52,8 @@ let configs =
        round-trip it through the wire codec, strictly replay it, and
        demand an identical report and race list — any difference is
        the never-expected replay-divergence class.  One entry keeps
-       the default detector, whose recorded run batches cycle commits,
-       the configuration where a clock-reading recorder would break
-       first; the other pairs replay with the batch gate and a sampled
-       detector. *)
+       the default detector; the other pairs replay with the batch
+       gate and a sampled detector. *)
     ("replay-oracle", d, false, `Default, true);
     ("replay-oracle-sampling50-batch",
      { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, true, `Default, true) ]

@@ -33,8 +33,9 @@ val configs :
     4-key detector (forcing grouping, recycling and sharing); a
     16-key virtual pool over 4 physical keys; lock-identity sections;
     two {e batch-gate} entries whose programs also run the
-    dual-machine batch gate ({!Harness.run}), so batching determinism
-    is fuzzed alongside oracle equivalence; three {e vkey rotation}
+    dual-machine batch gate ({!Harness.run}), so the compiled
+    interpreter is checked against the [`Thunks] oracle alongside
+    oracle equivalence; three {e vkey rotation}
     entries — a 64-key virtual pool over the full and the 4-key
     physical budget, plus a batch-gate one.  The vkey entries (the
     16-key one is batch-gated too) are drawn with the

@@ -35,14 +35,13 @@ let same_outcome a b =
   | Error a, Error b -> String.equal a b
   | Ok _, Error _ | Error _, Ok _ -> false
 
-(* The primary (trace-logged) machine never batches cycle commits —
-   the log wrapper observes every access — so batching is gated by a
-   dual run: the same program, seed and configuration on two
-   {e unwrapped} Kard machines, compiled vs [`Thunks], whose full
-   reports and race-record lists must be structurally identical
-   (DESIGN.md §10).  Unwrapped Kard has no access hooks at any
-   sampling rate, so the compiled run genuinely batches; the thunk
-   view never does. *)
+(* The primary (trace-logged) machine runs the log's access hooks, so
+   the path every Kard run takes outside the fuzzer — the compiled
+   interpreter with no access hooks, at any sampling rate — is gated
+   by a dual run, the batch gate: the same program, seed and
+   configuration on two {e unwrapped} Kard machines, compiled vs
+   [`Thunks], whose full reports and race-record lists must be
+   structurally identical. *)
 let batch_gate_holds ~config ~seed prog =
   same_outcome
     (run_unlogged ~interp:`Compiled ~config ~seed prog)
@@ -55,8 +54,8 @@ let batch_gate_holds ~config ~seed prog =
    and a strict replay driven by the decoded tape must reproduce the
    report and race-record list exactly, with every pick, grant and
    anchor matching and the tape fully consumed.  As in the batch gate,
-   the wrappers add no access hooks, so recording and replay both
-   batch. *)
+   the wrappers add no access hooks, so recording and replay both take
+   the unhooked access path. *)
 let replay_gate ?(target = "fuzz") ~config ~seed prog =
   let recorder = Recorder.create () in
   let recorded = run_unlogged ~wrap:(Recorder.wrap recorder) ~config ~seed prog in

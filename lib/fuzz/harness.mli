@@ -43,13 +43,13 @@ val run :
     schedule.
 
     [batch_gate] (default false) additionally runs the {e batch gate}:
-    the same program on two unwrapped Kard machines — the compiled
-    interpreter, which batches cycle commits whenever the detector has
-    no access hooks, and the [`Thunks] oracle interpreter, which never
-    does — whose full reports and race-record lists must be
+    the same program on two unwrapped Kard machines, neither with access
+    hooks — the compiled interpreter and the [`Thunks] oracle
+    interpreter — whose full reports and race-record lists must be
     structurally identical.  A mismatch adds the never-expected
     {!Kard_core.Divergence.Batch_divergence} class, so oracle
-    equivalence gates the batching machine.
+    equivalence gates the compiled interpreter on the unhooked access
+    path every Kard run takes outside the fuzzer.
 
     [replay] (default false) additionally runs the {e replay gate}:
     the program once more on an unwrapped Kard machine with the
@@ -59,7 +59,7 @@ val run :
     exactly with the tape fully consumed.  Any difference adds the
     never-expected {!Kard_core.Divergence.Replay_divergence} class —
     the campaign cross-checks log fidelity on generated programs the
-    same way it gates batching.  [replay_target] names the
-    log's header target (default ["fuzz"]). *)
+    same way it gates the compiled interpreter.  [replay_target] names
+    the log's header target (default ["fuzz"]). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -49,9 +49,6 @@ let page_table t = t.page_table
 let wrpkru_count t = t.wrpkru_calls
 let default_grants t = t.default_grants
 
-let note_grant t pkey =
-  if Pkey.equal pkey Pkey.k_def then t.default_grants <- t.default_grants + 1
-
 let register_thread t tid =
   if tid < 0 then invalid_arg (Printf.sprintf "Mpk_hw: negative thread id %d" tid);
   if tid >= Array.length t.cores then begin
@@ -171,7 +168,7 @@ let try_access t ~tid ~addr ~access ~ip ~time =
       ~pt:t.page_table
   in
   if Pkru.grants core.pkru pkey access then begin
-    note_grant t pkey;
+    if Pkey.equal pkey Pkey.k_def then t.default_grants <- t.default_grants + 1;
     if Tlb.last_missed tlb then
       t.cost.Cost_model.mem_access + t.cost.Cost_model.dtlb_miss
     else t.cost.Cost_model.mem_access
@@ -187,27 +184,6 @@ let try_access t ~tid ~addr ~access ~ip ~time =
     t.last_fault <- Fault.make ~addr ~pkey ~access ~thread:tid ~ip ~time;
     -1
   end
-
-(* The batching machine's verdict: grant/deny without touching the
-   TLB.  Between merge points neither PKRU nor the page table changes,
-   and a TLB hit's cached pkey is generation-checked against the page
-   table — so walking the table directly gives exactly the pkey
-   [try_access] would use, and the verdict is exact.  The TLB is then
-   touched by [drain_translate]. *)
-let access_granted t ~tid ~vpage ~access =
-  let core = core_of t tid in
-  Pkru.grants core.pkru (Page_table.pkey_of_vpage t.page_table vpage) access
-
-(* The second half of a granted batched access: run the TLB exactly as
-   [try_access] would have (same tick, same replacement, same
-   accounting) and return the cycles the access costs. *)
-let drain_translate t ~tid vpage =
-  let tlb = (core_of t tid).tlb in
-  note_grant t
-    (Tlb.translate tlb vpage ~gen:(Page_table.generation t.page_table) ~pt:t.page_table);
-  if Tlb.last_missed tlb then
-    t.cost.Cost_model.mem_access + t.cost.Cost_model.dtlb_miss
-  else t.cost.Cost_model.mem_access
 
 let last_fault t = t.last_fault
 

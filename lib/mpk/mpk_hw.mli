@@ -109,19 +109,6 @@ val check_access :
     translation — and its dTLB accounting — happens even for accesses
     that fault, since the MMU applies the key check after the walk. *)
 
-val access_granted : t -> tid:int -> vpage:Page.vpage -> access:Fault.access -> bool
-(** The batching machine's verdict: would {!try_access} grant this
-    access right now?  Touches no TLB — the pkey comes from a direct
-    page-table walk, which between merge points (no PKRU or page-table
-    writes) equals the key any cached translation holds, so the
-    verdict is exact. *)
-
-val drain_translate : t -> tid:int -> Page.vpage -> int
-(** Second half of a granted batched access: run [tid]'s TLB for
-    [vpage] exactly as {!try_access} would (replacement, accounting)
-    and return the access cycles (including a possible dTLB-miss
-    penalty). *)
-
 val note_tlb_hits : t -> tid:int -> int -> unit
 (** Account [n] extra dTLB hits for streamed block accesses. *)
 
@@ -139,10 +126,10 @@ val wrpkru_count : t -> int
 
 val default_grants : t -> int
 (** Granted accesses to pages tagged [k_def], which every PKRU grants:
-    counted where the verdict is taken ({!try_access},
-    {!drain_translate}, {!note_streamed_grants}), so no per-access
-    hook is needed to observe them.  Under sampling these are exactly
-    the accesses to unsampled objects. *)
+    counted where the verdict is taken ({!try_access} and
+    {!note_streamed_grants}), so no per-access hook is needed to
+    observe them.  Under sampling these are exactly the accesses to
+    unsampled objects. *)
 
 val miss_rate : misses:int -> accesses:int -> float
 (** [misses / accesses], 0 when [accesses] is 0 — the single guarded

@@ -7,7 +7,7 @@
     (the detector) drives every effect of a load or eviction: batched
     page retagging, PKRU edits and cycle charges all happen on its
     fault/lock paths, which is what keeps reports byte-identical at any
-    [--jobs] and under batched cycle commits (DESIGN.md §11).
+    [--jobs] (DESIGN.md §11).
 
     Pinning is a predicate, not a counter: {!ensure} asks [evictable]
     before displacing a resident key, and the detector answers from

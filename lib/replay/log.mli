@@ -44,8 +44,7 @@ type event =
   | Grant of { lock : int; tid : int }
       (** [tid] entered the critical section on [lock] (the machine's
           [on_lock] point — uncontended acquire or FIFO ownership
-          transfer), at a committed virtual clock even when the run
-          batches cycle commits. *)
+          transfer). *)
   | Anchor of { picks : int; clock : int }
       (** Periodic checkpoint: absolute pick count and absolute
           virtual clock at a grant.  Pins clock-derived state —

@@ -13,11 +13,10 @@ let create ?(anchor_interval = default_anchor_interval) () =
 
 let wrap t (env : Hooks.env) (hooks : Hooks.t) =
   (* [access] is inherited: the recorder intercepts only the pick and
-     lock hooks, so a run that batches cycle commits still batches
-     while being recorded.  Picks are logged at pick time (no clock
-     read — it may lag banked cycles); grants and anchors at
-     [on_lock], a committed-clock merge point, which is what makes the
-     log byte-identical whether or not the run batches. *)
+     lock hooks, so a recorded run takes the same access path as an
+     unrecorded one.  Picks are logged at pick time with no clock
+     read; grants, and the anchors that carry the clock, at
+     [on_lock]. *)
   let w = t.writer in
   { hooks with
     Hooks.on_pick =

@@ -8,8 +8,8 @@
     construction and the [on_lock] wrapper passes the inner
     detector's charge through unchanged — so a recorded run's report
     is byte-identical to an unrecorded one.  The access hooks are
-    inherited from the wrapped detector: recording composes with
-    batched cycle commits.
+    inherited from the wrapped detector, so recording adds no
+    per-access call.
 
     The streams go straight into a {!Log.writer} as wire bytes: the
     wrappers allocate nothing per step, and the recording's resident

@@ -39,11 +39,9 @@ type t = {
       (** Called right after the scheduler picks [tid], before the
           step executes.  Returns no cycles: observing the schedule is
           free by construction, which is what lets the record/replay
-          layer log every pick at zero simulated cost.  When the run
-          batches cycle commits (see {!Machine.run}), the virtual clock
-          may lag banked work at pick time, so implementations must
-          not read the clock here (grant-time hooks like [on_lock] are
-          the committed-clock observation points). *)
+          layer log every pick at zero simulated cost.  The virtual
+          clock is committed at pick time: every earlier op has been
+          charged (see {!Machine.run}). *)
   on_spawn : tid:int -> int;
   on_global : Kard_alloc.Obj_meta.t -> int;
   on_alloc : tid:int -> Kard_alloc.Obj_meta.t -> int;
@@ -55,11 +53,10 @@ type t = {
   access : access_hooks option;
       (** [None]: the detector observes no individual access, as Kard
           and the baseline do (fault-driven detection needs no
-          per-access instrumentation), and the machine may batch
-          granted-access cycles.  [Some]: every access goes through
-          the hooks — TSan, Eraser, the fuzz trace log.  A wrapper that intercepts an access
-          must install [Some], so it can never inherit "no observer"
-          by accident. *)
+          per-access instrumentation).  [Some]: every access goes
+          through the hooks — TSan, Eraser, the fuzz trace log.  A
+          wrapper that intercepts an access must install [Some], so it
+          can never inherit "no observer" by accident. *)
   on_fault : Kard_mpk.Fault.t -> fault_outcome;
   on_thread_exit : tid:int -> int;
   on_finish : unit -> unit;

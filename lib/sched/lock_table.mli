@@ -6,11 +6,12 @@
     buffers, so the lock/unlock path neither hashes nor allocates.
 
     Each lock also carries a stall counter for the machine's
-    critical-path accounting (DESIGN.md §4): the cycles charged to its
-    owners while it had waiters.  A per-thread index of held locks lets
-    {!dilate} bump the counters of one holder's locks in time
-    proportional to the locks it holds — never by scanning every lock
-    or visiting any waiter.  A waiter's stall is the growth of its
+    critical-path accounting (DESIGN.md §4, §5): the cycles charged to
+    its owners while it had waiters.  Per thread the table keeps the
+    number of threads waiting on the locks it holds and the cycles
+    charged to it, updated at a contended {!acquire} and at
+    {!release}, so {!charge_held} and {!dilation} are O(1) — no lock
+    or waiter is visited.  A waiter's stall is the growth of its
     lock's counter between blocking and hand-off. *)
 
 type t
@@ -27,13 +28,14 @@ val acquire : t -> lock:int -> tid:int -> acquire_result
 
 val release : t -> lock:int -> tid:int -> int option
 (** Returns the woken waiter, to whom ownership transfers directly
-    (the held-lock index moves the lock to the waiter as well).
+    (with the lock's other waiters, in the per-thread counts).
     @raise Invalid_argument if [tid] does not own [lock]. *)
 
-val dilate : t -> tid:int -> int -> int
-(** [dilate t ~tid cycles] adds [cycles] to the stall counter of every
-    lock [tid] holds that has waiters, and returns the number of
-    threads waiting on those locks.  O(locks held by [tid]). *)
+val charge_held : t -> tid:int -> int -> int
+(** [charge_held t ~tid cycles] charges [cycles] to the stall counter
+    of every lock [tid] holds that has waiters, and returns the number
+    of threads waiting on those locks; 0 for a thread never seen.
+    O(1).  The machine calls it for cycles charged inside a section. *)
 
 val dilation : t -> lock:int -> int
 (** The stall counter of [lock]: 0 for a lock never used.  A blocking

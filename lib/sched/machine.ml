@@ -30,7 +30,6 @@ type thread = {
   mutable cycles : int;
   mutable lock_depth : int;
   mutable op_index : int;
-  mutable pending : int; (* banked cycles awaiting [commit] *)
 }
 
 type t = {
@@ -47,10 +46,7 @@ type t = {
   locks : Lock_table.t;
   alloc : Alloc_iface.t;
   hooks : Hooks.t;
-  batch : bool; (* bank cycles between merge points; see [run] *)
   mutable threads : thread array; (* index = tid; live prefix [0, thread_count) *)
-  mutable banked : thread array; (* threads with [pending > 0], first-bank order *)
-  mutable banked_len : int;
   mutable thread_count : int;
   runnable : Runnable_set.t; (* tids with status Runnable, maintained on transitions *)
   mutable finished_count : int;
@@ -92,14 +88,6 @@ let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
   in
   let env = { Hooks.hw; meta; cost; now = (fun () -> Sim_clock.now clock); trace } in
   let hooks = make_detector env in
-  (* Batching requires that nothing observes machine state between
-     merge points: no access hooks, the compiled interpreter (the thunk
-     view runs closures on every fetch) and no per-step trace events. *)
-  let batch =
-    Option.is_none hooks.Hooks.access
-    && (match interp with `Compiled -> true | `Thunks -> false)
-    && not (match trace with Some tr -> Kard_obs.Trace.steps tr | None -> false)
-  in
   { sched = Schedule.start schedule;
     cost;
     trace;
@@ -113,10 +101,7 @@ let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
     locks = Lock_table.create ();
     alloc;
     hooks;
-    batch;
     threads = [||];
-    banked = [||];
-    banked_len = 0;
     thread_count = 0;
     runnable = Runnable_set.create ();
     finished_count = 0;
@@ -179,14 +164,12 @@ let spawn t program =
       dilation_base = 0;
       cycles = 0;
       lock_depth = 0;
-      op_index = 0;
-      pending = 0 }
+      op_index = 0 }
   in
   if tid >= Array.length t.threads then begin
     let bigger = Array.make (max 4 (2 * Array.length t.threads)) thread in
     Array.blit t.threads 0 bigger 0 (Array.length t.threads);
-    t.threads <- bigger;
-    t.banked <- Array.make (Array.length bigger) thread
+    t.threads <- bigger
   end;
   t.threads.(tid) <- thread;
   Runnable_set.add t.runnable tid;
@@ -219,57 +202,24 @@ let finish t thread =
    Baseline in-section compute dilates identically, so comparisons
    stay fair.
 
-   No waiter is visited here.  [Lock_table.dilate] adds the cycles to
-   the stall counter of each held lock that has waiters and returns
-   the waiter count, and the clock advances by cycles x waiters at
-   once.  A waiter collects its stall, the counter's growth since it
-   blocked, at hand-off in [do_unlock] — the only way out of
-   [Blocked].  The stall is one level deep: a stalled waiter's own
-   waiters are not charged.  DESIGN.md §5 has the argument that
-   reports equal those of charging each waiter as the cycles are
-   spent. *)
+   No waiter or lock is visited here.  [Lock_table.charge_held] adds
+   the cycles to the stall counters of the held locks that have
+   waiters and returns the waiter count in O(1), and the clock
+   advances by cycles x waiters at once.  A waiter collects its
+   stall, the counter's growth since it blocked, at hand-off in
+   [do_unlock] — the only way out of [Blocked].  The stall is one
+   level deep: a stalled waiter's own waiters are not charged.
+   DESIGN.md §5 has the argument that reports equal those of charging
+   each waiter as the cycles are spent. *)
 let charge t thread cycles =
   assert (cycles >= 0);
   thread.cycles <- thread.cycles + cycles;
   let waiters =
-    if cycles > 0 && thread.lock_depth > 0 then Lock_table.dilate t.locks ~tid:thread.tid cycles
+    if cycles > 0 && thread.lock_depth > 0 then
+      Lock_table.charge_held t.locks ~tid:thread.tid cycles
     else 0
   in
   Sim_clock.advance t.clock (cycles * (1 + waiters))
-
-(* {1 Batched cycle commits}
-
-   Granted data accesses, computes and io ops change nothing another
-   thread can observe except cycle counts.  A batching run banks their
-   cycles on the thread and [commit]s them at the next merge point —
-   lock, unlock, fault, boxed op, non-hot fetch, halt, [max_steps] or
-   the end of the run — so every observation happens at a fully
-   committed clock.  Between merge points the lock/waiter structure is
-   frozen, and [charge] only adds, so one commit of the sum is
-   arithmetically identical to charging every op as it runs; the
-   O(held locks) stall-counter update just runs once per thread per
-   merge point instead of once per op.  DESIGN.md §10 has the
-   argument. *)
-
-let bank t thread cycles =
-  if t.batch then begin
-    assert (cycles >= 0);
-    if thread.pending = 0 && cycles > 0 then begin
-      t.banked.(t.banked_len) <- thread;
-      t.banked_len <- t.banked_len + 1
-    end;
-    thread.pending <- thread.pending + cycles
-  end
-  else charge t thread cycles
-
-let commit t =
-  for i = 0 to t.banked_len - 1 do
-    let thread = t.banked.(i) in
-    let cycles = thread.pending in
-    thread.pending <- 0;
-    charge t thread cycles
-  done;
-  t.banked_len <- 0
 
 let enter_section t thread =
   if thread.lock_depth = 0 then begin
@@ -323,23 +273,6 @@ let rec access_attempt t thread addr access n emulate =
   end
 
 let perform_access t thread addr access = access_attempt t thread addr access 0 false
-
-(* An access no hook observes.  A batching run takes the verdict from
-   the page table, which is exact between merge points (PKRU and the
-   page table only change at them): a granted access runs the TLB and
-   banks its cycles, a denied one commits and takes the fault path, so
-   the handler sees the clock an unbatched run would. *)
-let unobserved_access t thread addr access =
-  if t.batch then begin
-    let vpage = Page.vpage_of_addr addr in
-    if Mpk_hw.access_granted t.hw ~tid:thread.tid ~vpage ~access then
-      bank t thread (Mpk_hw.drain_translate t.hw ~tid:thread.tid vpage)
-    else begin
-      commit t;
-      perform_access t thread addr access
-    end
-  end
-  else perform_access t thread addr access
 
 (* dTLB reach assumed by the analytic block model; matches the
    default Tlb.create geometry. *)
@@ -402,29 +335,27 @@ let emit_step t thread op addr =
 let do_compute t thread cycles =
   t.computes <- t.computes + 1;
   emit_step t thread `Compute 0;
-  bank t thread cycles
+  charge t thread cycles
 
 let do_io t thread cycles =
   t.io_cycles <- t.io_cycles + cycles;
-  bank t thread cycles
+  charge t thread cycles
 
 let do_read t thread addr =
   t.reads <- t.reads + 1;
   emit_step t thread `Read addr;
-  match t.hooks.Hooks.access with
-  | None -> unobserved_access t thread addr `Read
-  | Some h ->
-    charge t thread (h.Hooks.on_read ~tid:thread.tid ~addr);
-    perform_access t thread addr `Read
+  (match t.hooks.Hooks.access with
+  | Some h -> charge t thread (h.Hooks.on_read ~tid:thread.tid ~addr)
+  | None -> ());
+  perform_access t thread addr `Read
 
 let do_write t thread addr =
   t.writes <- t.writes + 1;
   emit_step t thread `Write addr;
-  match t.hooks.Hooks.access with
-  | None -> unobserved_access t thread addr `Write
-  | Some h ->
-    charge t thread (h.Hooks.on_write ~tid:thread.tid ~addr);
-    perform_access t thread addr `Write
+  (match t.hooks.Hooks.access with
+  | Some h -> charge t thread (h.Hooks.on_write ~tid:thread.tid ~addr)
+  | None -> ());
+  perform_access t thread addr `Write
 
 let do_lock t thread ~lock ~site =
   Dense.Bitset.add t.sites_seen site;
@@ -509,16 +440,11 @@ let exec_op t thread op =
    and branch on it, hottest tags first.  Plain operations never
    materialise an [Op.t]; only [tag_boxed] payloads (allocations,
    frees, blocks — and every op of the `Thunks oracle interpreter)
-   take the [exec_op] detour.  Every op other than a read, write,
-   compute, io or yield is a merge point and commits banked cycles
-   first; so is a non-hot fetch, whose generator closures may read the
-   clock. *)
+   take the [exec_op] detour. *)
 let step_thread t thread =
   let cur = thread.cursor in
-  if t.banked_len > 0 && not (Program.fetch_is_hot cur) then commit t;
   let tag = Program.fetch cur in
   if tag = Program.tag_halt then begin
-    commit t;
     finish t thread;
     if thread.lock_depth > 0 then
       raise (Stuck (Printf.sprintf "thread %d finished while holding a lock" thread.tid));
@@ -529,20 +455,12 @@ let step_thread t thread =
     if tag = Program.tag_read then do_read t thread (Program.arg_a cur)
     else if tag = Program.tag_write then do_write t thread (Program.arg_a cur)
     else if tag = Program.tag_compute then do_compute t thread (Program.arg_a cur)
-    else if tag = Program.tag_lock then begin
-      commit t;
+    else if tag = Program.tag_lock then
       do_lock t thread ~lock:(Program.arg_a cur) ~site:(Program.arg_b cur)
-    end
-    else if tag = Program.tag_unlock then begin
-      commit t;
-      do_unlock t thread ~lock:(Program.arg_a cur)
-    end
+    else if tag = Program.tag_unlock then do_unlock t thread ~lock:(Program.arg_a cur)
     else if tag = Program.tag_io then do_io t thread (Program.arg_a cur)
     else if tag = Program.tag_yield then ()
-    else begin
-      commit t;
-      exec_op t thread (Program.boxed_op cur)
-    end
+    else exec_op t thread (Program.boxed_op cur)
   end
 
 (* Modeled RSS: data frames + last-level page tables + allocator
@@ -631,17 +549,13 @@ let run t =
      maintained runnable set, one array index, one cursor fetch —
      nothing here scans the thread population or allocates. *)
   let rec loop () =
-    if Runnable_set.cardinal t.runnable = 0 then begin
-      commit t;
-      if t.finished_count < t.thread_count then
-        raise (Stuck "deadlock: threads blocked with no runnable thread")
-    end
+    if Runnable_set.cardinal t.runnable = 0 then
+      (if t.finished_count < t.thread_count then
+         raise (Stuck "deadlock: threads blocked with no runnable thread"))
     else begin
       t.steps <- t.steps + 1;
-      if t.steps > t.max_steps then begin
-        commit t;
-        raise (Stuck (Printf.sprintf "max_steps (%d) exceeded" t.max_steps))
-      end;
+      if t.steps > t.max_steps then
+        raise (Stuck (Printf.sprintf "max_steps (%d) exceeded" t.max_steps));
       let tid = Schedule.pick t.sched ~runnable:t.runnable in
       t.hooks.Hooks.on_pick ~tid;
       step_thread t (thread_by_tid t tid);

@@ -109,12 +109,8 @@ val run : t -> report
 (** Execute until every thread finished. @raise Stuck on deadlock or
     when [max_steps] is exceeded.
 
-    A run batches cycle commits when its detector has no access hooks
-    ([Hooks.t.access = None]), the interpreter is [`Compiled] and
-    per-step trace events are off: granted-access, compute and io
-    cycles are banked per thread and committed at the next merge point
-    (lock, unlock, fault, boxed op, non-hot fetch, halt, [max_steps],
-    end of run).  Reports, JSON and traces are byte-identical to the
-    unbatched run — see DESIGN.md §10 for the contract. *)
+    Every operation is charged as it runs, so the virtual clock that
+    any hook reads — [on_pick] included — is the committed total of
+    all work done so far. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -333,8 +333,6 @@ let fetch cur =
     advance cur
   end
 
-let fetch_is_hot cur = cur.pc < cur.len
-
 let arg_a cur = cur.seg.a.(cur.ix)
 let arg_b cur = cur.seg.b.(cur.ix)
 let boxed_op cur = cur.box

@@ -118,14 +118,6 @@ val fetch : cursor -> int
     path), advancing the cursor.  Returns {!tag_halt} forever once
     the program is exhausted. *)
 
-val fetch_is_hot : cursor -> bool
-(** Whether the next {!fetch} will serve straight from the current
-    segment (pure array load), as opposed to advancing through
-    generator/thunk/spin frames that may run arbitrary closures — e.g.
-    [wait_until] conditions that read the virtual clock.  A machine
-    that batches cycle commits commits banked cycles before any
-    non-hot fetch so such closures observe a fully committed clock. *)
-
 val arg_a : cursor -> int
 val arg_b : cursor -> int
 (** Operands of the operation just fetched (see the tag table). *)

@@ -3,7 +3,7 @@ type t = { mutable now : int }
 let create () = { now = 0 }
 let now t = t.now
 
-let advance t cycles =
+let[@inline] advance t cycles =
   assert (cycles >= 0);
   t.now <- t.now + cycles
 

@@ -10,7 +10,7 @@ let no_paper_row =
    queued on it, so every in-section charge stalls the whole queue:
    the lock's stall counter and the clock's cycles x waiters step run
    at their widest, and each hand-off credits one waiter (DESIGN.md
-   §5, §10). *)
+   §5). *)
 let convoy_profile =
   { Synth.default with
     Synth.heap_objects = 1;

@@ -8,10 +8,16 @@
    same simulated cycles, same races, bit-for-bit identical JSON
    reports.  This file pins that equivalence across every Table 3
    workload, every controlled race scenario, and a dynamic
-   data-dependent program, then pins the point of the whole exercise:
-   the per-step allocation contract (DESIGN.md). *)
+   data-dependent program.  A second reference is [observed], a
+   wrapper that installs the detector's own access hooks as
+   observers: the same compiled interpreter, taking the machine's
+   hooked access path, must give the same runs, clocks and traces.
+   Then the file pins the point of the whole exercise: the per-step
+   allocation contract (DESIGN.md). *)
 
 module Machine = Kard_sched.Machine
+module Hooks = Kard_sched.Hooks
+module Schedule = Kard_sched.Schedule
 module Program = Kard_sched.Program
 module Dense = Kard_sched.Dense
 module Op = Kard_sched.Op
@@ -19,6 +25,9 @@ module Runner = Kard_harness.Runner
 module Json_report = Kard_harness.Json_report
 module Registry = Kard_workloads.Registry
 module Race_suite = Kard_workloads.Race_suite
+module Contended = Kard_workloads.Contended
+module Openloop = Kard_workloads.Openloop
+module Defaults = Kard_harness.Defaults
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -26,16 +35,18 @@ let check_string = Alcotest.(check string)
 
 (* {1 Oracle: workloads} *)
 
-(* The JSON rendering covers everything observable about a run —
-   machine report, detector stats, race records, uniqueness counts —
-   so string equality is the strongest portable comparison.  The
-   structural check on [report] is kept as a second witness because a
-   JSON diff is painful to read when it does fire. *)
+(* Structural equality of the whole result is the strongest
+   comparison: besides the machine report and race records it covers
+   the detector stats the JSON leaves out (fault counts, anomalies,
+   timestamp rescues), the ILU list and the uniqueness counts.  The
+   report, step and JSON checks run first because their failures are
+   easier to read. *)
 let assert_identical name (compiled : Runner.result) (oracle : Runner.result) =
   check (name ^ ": report") true (compiled.Runner.report = oracle.Runner.report);
   check_int (name ^ ": steps") compiled.Runner.report.Machine.steps
     oracle.Runner.report.Machine.steps;
-  check_string (name ^ ": json") (Json_report.of_result compiled) (Json_report.of_result oracle)
+  check_string (name ^ ": json") (Json_report.of_result compiled) (Json_report.of_result oracle);
+  check (name ^ ": result") true (compiled = oracle)
 
 let detectors = [ Runner.Baseline; Runner.Kard (Kard_harness.Defaults.kard_config ()) ]
 
@@ -137,6 +148,163 @@ let test_dynamic_program_oracle () =
   check "dynamic: report" true (report_c = report_t);
   check "dynamic: races" true (races_c = races_t);
   check "dynamic: did work" true (report_c.Machine.steps > 10)
+
+(* {1 Oracle: the observed wrapper} *)
+
+let observed (_ : Hooks.env) (h : Hooks.t) = { h with Hooks.access = Some (Hooks.access_of h) }
+
+(* Every controlled race scenario, full result and JSON. *)
+let test_race_suite_observed () =
+  List.iter
+    (fun sc ->
+      let run ?wrap () =
+        Runner.run ?wrap ~detector:(Runner.Kard sc.Race_suite.config) (Runner.Scenario sc)
+      in
+      assert_identical (sc.Race_suite.name ^ " observed") (run ()) (run ~wrap:observed ()))
+    Race_suite.all
+
+(* Detectors with access hooks of their own (TSan, Eraser). *)
+let test_access_hook_detectors_oracle () =
+  List.iter
+    (fun (name, detector) ->
+      let run interp = Runner.run ~interp ~detector (Runner.Scenario Race_suite.nolock_nolock) in
+      check (name ^ " identical compiled vs thunks") true (run `Compiled = run `Thunks))
+    [ ("tsan", Runner.Tsan); ("lockset", Runner.Lockset) ]
+
+(* Convoy: every in-section charge stalls the whole waiter queue.
+   Full Kard and a sampled detector, pinned here rather than taken
+   from $KARD_SAMPLING: the sampled detector counts sampled-out
+   accesses without access hooks, as full Kard does. *)
+let convoy_threads = 16
+let convoy_scale = 0.02
+
+let convoy_configs =
+  [ ("full", Kard_core.Config.default);
+    ( "sampled",
+      { Kard_core.Config.default with
+        Kard_core.Config.sampling = 0.25;
+        sampling_epoch = 100_000 } ) ]
+
+let run_convoy ?schedule ?(interp = `Compiled) ?(config = Kard_core.Config.default)
+    ?(wrap = fun _ h -> h) () =
+  let cell = ref None in
+  let machine =
+    Machine.create ?schedule ~seed:7 ~interp ~allocator:Machine.Unique_page
+      ~make_detector:(fun env -> wrap env (Kard_core.Detector.make ~config ~cell env))
+      ()
+  in
+  Contended.convoy.Kard_workloads.Spec.build ~threads:convoy_threads ~scale:convoy_scale ~seed:7
+    machine;
+  let report = Machine.run machine in
+  (report, Kard_core.Detector.races (Option.get !cell))
+
+let test_convoy_oracle () =
+  List.iter
+    (fun (label, config) ->
+      let compiled = run_convoy ~config () in
+      check (label ^ ": convoy identical to thunks") true
+        (compiled = run_convoy ~config ~interp:`Thunks ());
+      check (label ^ ": convoy identical to observed") true
+        (compiled = run_convoy ~config ~wrap:observed ()))
+    convoy_configs
+
+(* Every op is charged as it runs, so the clock any hook reads is
+   committed, [on_pick]'s included: a clock-reading pick hook sees
+   the same clocks on all three machines. *)
+let pick_clocks ?interp ?config wrap =
+  let clocks = ref [] in
+  let spy env (h : Hooks.t) =
+    let h = wrap env h in
+    { h with
+      Hooks.on_pick =
+        (fun ~tid ->
+          clocks := env.Hooks.now () :: !clocks;
+          h.Hooks.on_pick ~tid) }
+  in
+  let report, _ = run_convoy ?interp ?config ~wrap:spy () in
+  (report, !clocks)
+
+let test_pick_time_clocks () =
+  List.iter
+    (fun (label, config) ->
+      let plain = fun _ h -> h in
+      let compiled, compiled_clocks = pick_clocks ~config plain in
+      let thunks, thunks_clocks = pick_clocks ~interp:`Thunks ~config plain in
+      let wrapped, wrapped_clocks = pick_clocks ~config observed in
+      check (label ^ ": reports identical") true (compiled = thunks && compiled = wrapped);
+      check (label ^ ": pick-time clocks compiled = thunks") true
+        (compiled_clocks = thunks_clocks);
+      check (label ^ ": pick-time clocks compiled = observed") true
+        (compiled_clocks = wrapped_clocks))
+    convoy_configs
+
+(* Record the schedule under the thunk oracle, replay the tape on the
+   compiled machine: same picks, same report, same races. *)
+let test_convoy_replay () =
+  let report, races = run_convoy ~interp:`Thunks () in
+  let tape = report.Machine.schedule_trace in
+  check "convoy recorded a schedule" true (Array.length tape > 0);
+  let report', races' = run_convoy ~schedule:(Schedule.Replay tape) () in
+  check "replayed report identical" true (report = report');
+  check "replayed races identical" true (races = races')
+
+(* Chrome traces serialize to the same bytes. *)
+let test_convoy_trace_observed () =
+  let run ?wrap () =
+    let trace = Kard_obs.Trace.create () in
+    let r =
+      Runner.run ?wrap ~trace ~threads:convoy_threads ~scale:convoy_scale
+        ~detector:(Runner.Kard (Defaults.kard_config ())) (Runner.Spec Contended.convoy)
+    in
+    (r, Kard_obs.Chrome_trace.to_json ~t:(Option.get r.Runner.trace))
+  in
+  let r1, json1 = run () and r2, json2 = run ~wrap:observed () in
+  check "traced reports identical" true (r1.Runner.report = r2.Runner.report);
+  check "traced races identical" true (r1.Runner.kard_races = r2.Runner.kard_races);
+  check "Chrome trace bytes identical" true (json1 = json2)
+
+(* A serve point, whose generator closures read the clock. *)
+let test_serve_point_observed () =
+  let run ?wrap () =
+    let trace = Kard_obs.Trace.create () in
+    let r =
+      Runner.run ?wrap ~trace ~threads:4 ~scale:0.01
+        ~detector:(Runner.Kard (Defaults.kard_config ()))
+        (Runner.Spec (Openloop.spec ~rate:10.0 Openloop.Nginx))
+    in
+    (r.Runner.report, Kard_obs.Snapshot.of_metrics (Kard_obs.Trace.metrics (Option.get r.Runner.trace)))
+  in
+  check "serve point report and metrics identical" true (run () = run ~wrap:observed ())
+
+(* Access hooks are structural: a wrapper that intercepts accesses
+   installs [Some] access hooks, so it sees every access of a
+   compiled, full-Kard machine. *)
+let test_wrapper_sees_every_access () =
+  let calls = ref 0 in
+  let counting (_ : Hooks.env) (h : Hooks.t) =
+    let inner = Hooks.access_of h in
+    { h with
+      Hooks.access =
+        Some
+          { Hooks.on_read = (fun ~tid ~addr -> incr calls; inner.Hooks.on_read ~tid ~addr);
+            on_write = (fun ~tid ~addr -> incr calls; inner.Hooks.on_write ~tid ~addr);
+            on_read_block =
+              (fun ~tid ~block ->
+                calls := !calls + block.Op.count;
+                inner.Hooks.on_read_block ~tid ~block);
+            on_write_block =
+              (fun ~tid ~block ->
+                calls := !calls + block.Op.count;
+                inner.Hooks.on_write_block ~tid ~block) } }
+  in
+  let r =
+    Runner.run ~wrap:counting ~threads:4 ~scale:0.002
+      ~detector:(Runner.Kard Kard_core.Config.default)
+      (Runner.Spec (Registry.find "memcached"))
+  in
+  let rep = r.Runner.report in
+  check "the run accessed memory" true (rep.Machine.reads + rep.Machine.writes > 0);
+  check_int "one hook call per access" (rep.Machine.reads + rep.Machine.writes) !calls
 
 (* {1 The allocation contract} *)
 
@@ -458,7 +626,18 @@ let () =
         [ Alcotest.test_case "workloads compiled = thunks" `Slow test_workloads_oracle;
           Alcotest.test_case "memcached across seeds" `Slow test_workloads_oracle_reseeded;
           Alcotest.test_case "race suite compiled = thunks" `Quick test_race_suite_oracle;
-          Alcotest.test_case "dynamic program" `Quick test_dynamic_program_oracle ] );
+          Alcotest.test_case "dynamic program" `Quick test_dynamic_program_oracle;
+          Alcotest.test_case "access-hook detectors compiled = thunks" `Quick
+            test_access_hook_detectors_oracle ] );
+      ( "observed",
+        [ Alcotest.test_case "race suite compiled = observed" `Quick test_race_suite_observed;
+          Alcotest.test_case "convoy compiled = thunks = observed" `Quick test_convoy_oracle;
+          Alcotest.test_case "pick-time clocks: compiled = Thunks = observed" `Quick
+            test_pick_time_clocks;
+          Alcotest.test_case "convoy replayed from a tape" `Quick test_convoy_replay;
+          Alcotest.test_case "convoy Chrome trace bytes" `Quick test_convoy_trace_observed;
+          Alcotest.test_case "serve point" `Quick test_serve_point_observed;
+          Alcotest.test_case "wrapper sees every access" `Quick test_wrapper_sees_every_access ] );
       ( "allocation",
         [ Alcotest.test_case "per-step budget" `Slow test_allocation_budget;
           Alcotest.test_case "generator per-step budget" `Slow test_generator_allocation_budget;

@@ -293,9 +293,9 @@ let test_replay_gate_no_divergence () =
       Alcotest.failf "program %d diverged unexpectedly:@ %a" i Harness.pp_outcome o
   done
 
-(* The batch gate on a 20-program sweep: the batched (compiled) and
-   unbatched ([`Thunks]) machines must agree on every program —
-   Batch_divergence is never expected. *)
+(* The batch gate on a 20-program sweep: the compiled and the
+   [`Thunks] machines, neither with access hooks, must agree on every
+   program — Batch_divergence is never expected. *)
 let test_batch_gate_no_divergence () =
   for i = 0 to 19 do
     let rand = Random.State.make [| 2042; i |] in

@@ -364,8 +364,7 @@ let test_rotation_invariant_keys () =
 (* {1 Hooks: sampling installs none} *)
 
 (* Sampling needs no per-access instrumentation: the detector installs
-   no access hooks at any rate, with or without a vkey pool, so every
-   sampled run may batch its granted accesses. *)
+   no access hooks at any rate, with or without a vkey pool. *)
 let test_no_access_hooks_at_any_rate () =
   List.iter
     (fun (rate, vkeys) ->

@@ -224,13 +224,13 @@ let test_lock_errors () =
   check "free release rejected" true
     (rejects (fun () -> Lock_table.release lt ~lock:99 ~tid:0))
 
-(* [dilate] reads the held-lock index: it moves the stall counter of
-   each lock [tid] holds that has waiters, and counts those waiters.
-   [stalled] returns the count and the moved locks among [1; 2; 3]. *)
+(* [charge_held] moves the stall counter of each lock [tid] holds that
+   has waiters, and counts those waiters.  [stalled] returns the count
+   and the moved locks among [1; 2; 3]. *)
 let stalled lt ~tid =
   let locks = [ 1; 2; 3 ] in
   let before = List.map (fun lock -> Lock_table.dilation lt ~lock) locks in
-  let waiters = Lock_table.dilate lt ~tid 1 in
+  let waiters = Lock_table.charge_held lt ~tid 1 in
   ( waiters,
     List.filteri (fun i lock -> Lock_table.dilation lt ~lock > List.nth before i) locks )
 
@@ -244,7 +244,7 @@ let test_lock_stats () =
   check "held lock with a waiter" true (stalled lt ~tid:0 = (1, [ 1 ]));
   check "held lock without waiters" true (stalled lt ~tid:2 = (0, []))
 
-let test_lock_held_index () =
+let test_lock_nested_holds () =
   let lt = Lock_table.create () in
   ignore (Lock_table.acquire lt ~lock:1 ~tid:0);
   ignore (Lock_table.acquire lt ~lock:2 ~tid:0);
@@ -254,27 +254,151 @@ let test_lock_held_index () =
   check "other thread isolated" true (stalled lt ~tid:1 = (1, [ 3 ]));
   check "a waiter holds nothing" true (stalled lt ~tid:5 = (0, []));
   check "hand-off to the waiter" true (Lock_table.release lt ~lock:2 ~tid:0 = Some 6);
-  check "release shrinks the index" true (stalled lt ~tid:0 = (1, [ 1 ]));
-  (* Contended handoff must move the lock between held sets. *)
+  check "hand-off leaves the releaser's other lock" true (stalled lt ~tid:0 = (1, [ 1 ]));
+  (* A contended hand-off moves the lock, and its other waiters, to
+     the waiter. *)
   ignore (Lock_table.acquire lt ~lock:1 ~tid:1);
   check "waiter not yet an owner" true (stalled lt ~tid:1 = (1, [ 3 ]));
   check "first waiter first" true (Lock_table.release lt ~lock:1 ~tid:0 = Some 5);
-  check "releaser's index empty" true (stalled lt ~tid:0 = (0, []));
-  check "transferred lock in waiter's index" true (stalled lt ~tid:5 = (1, [ 1 ]))
+  check "releaser holds nothing" true (stalled lt ~tid:0 = (0, []));
+  check "transferred lock charged to the waiter" true (stalled lt ~tid:5 = (1, [ 1 ]))
 
 let test_lock_waiter_iteration () =
   let lt = Lock_table.create () in
   ignore (Lock_table.acquire lt ~lock:9 ~tid:0);
   ignore (Lock_table.acquire lt ~lock:9 ~tid:2);
   ignore (Lock_table.acquire lt ~lock:9 ~tid:1);
-  check_int "two waiters" 2 (Lock_table.dilate lt ~tid:0 10);
+  check_int "two waiters" 2 (Lock_table.charge_held lt ~tid:0 10);
   check_int "counter moved by the cycles" 10 (Lock_table.dilation lt ~lock:9);
   check "FIFO order" true
     (Lock_table.release lt ~lock:9 ~tid:0 = Some 2 && Lock_table.release lt ~lock:9 ~tid:2 = Some 1);
-  check_int "last waiter owns it, none left" 0 (Lock_table.dilate lt ~tid:1 10);
+  check_int "last waiter owns it, none left" 0 (Lock_table.charge_held lt ~tid:1 10);
   check_int "no waiters, counter still" 10 (Lock_table.dilation lt ~lock:9);
   check_int "unknown lock has no stall" 0 (Lock_table.dilation lt ~lock:404);
-  check_int "a thread never seen holds nothing" 0 (Lock_table.dilate lt ~tid:404 10)
+  check_int "a thread never seen holds nothing" 0 (Lock_table.charge_held lt ~tid:404 10)
+
+(* The counter counts only cycles charged while the lock has waiters:
+   an owner's charges before its first waiter queues, and after its
+   last waiter took over, leave it still. *)
+let test_lock_counter_opens_at_first_waiter () =
+  let lt = Lock_table.create () in
+  ignore (Lock_table.acquire lt ~lock:4 ~tid:0);
+  check_int "no waiters yet" 0 (Lock_table.charge_held lt ~tid:0 100);
+  check_int "counter still" 0 (Lock_table.dilation lt ~lock:4);
+  ignore (Lock_table.acquire lt ~lock:4 ~tid:1);
+  check_int "one waiter" 1 (Lock_table.charge_held lt ~tid:0 7);
+  check_int "only the cycles since it queued" 7 (Lock_table.dilation lt ~lock:4);
+  check "hand-off" true (Lock_table.release lt ~lock:4 ~tid:0 = Some 1);
+  check_int "the new owner has no waiters" 0 (Lock_table.charge_held lt ~tid:1 50);
+  check_int "counter still after hand-off" 7 (Lock_table.dilation lt ~lock:4);
+  ignore (Lock_table.acquire lt ~lock:4 ~tid:0);
+  check_int "a new waiter opens it again" 1 (Lock_table.charge_held lt ~tid:1 3);
+  check_int "from where it stood" 10 (Lock_table.dilation lt ~lock:4)
+
+(* The walk [charge_held] replaced, kept as its reference: each lock's
+   owner, FIFO waiters and stall counter, and a charge that visits
+   every lock the thread owns and adds the cycles to each one with
+   waiters. *)
+module Walk = struct
+  type t = {
+    owner : int array;
+    waiters : int Queue.t array;
+    dilated : int array;
+  }
+
+  let create ~locks =
+    { owner = Array.make locks (-1);
+      waiters = Array.init locks (fun _ -> Queue.create ());
+      dilated = Array.make locks 0 }
+
+  let acquire w ~lock ~tid =
+    if w.owner.(lock) = -1 then (w.owner.(lock) <- tid; true)
+    else (Queue.push tid w.waiters.(lock); false)
+
+  let release w ~lock =
+    match Queue.take_opt w.waiters.(lock) with
+    | None -> w.owner.(lock) <- -1; None
+    | Some next -> w.owner.(lock) <- next; Some next
+
+  let dilate w ~tid cycles =
+    let waiting = ref 0 in
+    Array.iteri
+      (fun lock owner ->
+        let n = Queue.length w.waiters.(lock) in
+        if owner = tid && n > 0 then begin
+          w.dilated.(lock) <- w.dilated.(lock) + cycles;
+          waiting := !waiting + n
+        end)
+      w.owner;
+    !waiting
+end
+
+(* Random lock traffic over 4 threads and 4 locks, charged as the
+   machine charges: a charge reaches the table only while the thread
+   is in a section ([depth > 0]), so the uncontended acquire's and the
+   contended hand-off's charges, which run before the section is
+   entered, reach it only when the thread already holds another lock.
+   Every waiter count [charge_held] returns, every waiter's stall (the
+   counter's growth from blocking to hand-off) and the final counters
+   must equal the walk's.  Threads take locks in ascending order, so
+   the traffic never deadlocks. *)
+let test_lock_charge_model () =
+  let threads = 4 and locks = 4 in
+  let rng = Random.State.make [| 2024 |] in
+  for _ = 1 to 300 do
+    let lt = Lock_table.create () and w = Walk.create ~locks in
+    let depth = Array.make threads 0 in
+    let held = Array.make threads [] in
+    let blocked = Array.make threads None in (* (lock, table base, walk base) *)
+    let charge tid cycles =
+      if cycles > 0 && depth.(tid) > 0 then
+        check_int "waiter count" (Walk.dilate w ~tid cycles)
+          (Lock_table.charge_held lt ~tid cycles)
+    in
+    let enter tid lock =
+      charge tid (Random.State.int rng 5);
+      depth.(tid) <- depth.(tid) + 1;
+      held.(tid) <- lock :: held.(tid);
+      charge tid (Random.State.int rng 5)
+    in
+    for _ = 1 to 60 do
+      let runnable = List.filter (fun tid -> blocked.(tid) = None) (List.init threads Fun.id) in
+      let tid = List.nth runnable (Random.State.int rng (List.length runnable)) in
+      let top = List.fold_left max (-1) held.(tid) in
+      match Random.State.int rng 3 with
+      | 0 when top < locks - 1 ->
+        let lock = top + 1 + Random.State.int rng (locks - 1 - top) in
+        let acquired = Walk.acquire w ~lock ~tid in
+        (match Lock_table.acquire lt ~lock ~tid with
+        | Lock_table.Acquired ->
+          check "both grant" true acquired;
+          enter tid lock
+        | Lock_table.Must_wait ->
+          check "both queue" false acquired;
+          blocked.(tid) <- Some (lock, Lock_table.dilation lt ~lock, w.Walk.dilated.(lock)))
+      | 1 when held.(tid) <> [] ->
+        let lock = List.nth held.(tid) (Random.State.int rng (List.length held.(tid))) in
+        charge tid (Random.State.int rng 5);
+        depth.(tid) <- depth.(tid) - 1;
+        held.(tid) <- List.filter (( <> ) lock) held.(tid);
+        let next = Walk.release w ~lock in
+        check "same hand-off" true (Lock_table.release lt ~lock ~tid = next);
+        Option.iter
+          (fun waiter ->
+            match blocked.(waiter) with
+            | Some (l, base, walk_base) when l = lock ->
+              check_int "stall from block to hand-off" (w.Walk.dilated.(lock) - walk_base)
+                (Lock_table.dilation lt ~lock - base);
+              blocked.(waiter) <- None;
+              enter waiter lock
+            | _ -> Alcotest.fail "hand-off to a thread not waiting on the lock")
+          next
+      | _ -> charge tid (Random.State.int rng 200)
+    done;
+    for lock = 0 to locks - 1 do
+      check_int "counter" w.Walk.dilated.(lock) (Lock_table.dilation lt ~lock)
+    done
+  done
 
 (* {1 Machine} *)
 
@@ -432,8 +556,7 @@ let test_machine_stall_accounting () =
        320 + 500 + 30 + 30 + (320 + 7 + 30);
        3000 + 30 + 4000 + 30 + 100 + 30 + (1 + 320 + 9 + 30) |]
   in
-  (* The compiled interpreter batches computes; the thunk oracle
-     charges each one as it runs. *)
+  (* The compiled interpreter and the thunk oracle must agree. *)
   List.iter
     (fun interp ->
       let m =
@@ -613,8 +736,11 @@ let () =
           Alcotest.test_case "fifo wakeup" `Quick test_lock_fifo;
           Alcotest.test_case "errors" `Quick test_lock_errors;
           Alcotest.test_case "stats" `Quick test_lock_stats;
-          Alcotest.test_case "held-lock index" `Quick test_lock_held_index;
-          Alcotest.test_case "waiter iteration" `Quick test_lock_waiter_iteration ] );
+          Alcotest.test_case "nested holds" `Quick test_lock_nested_holds;
+          Alcotest.test_case "waiter iteration" `Quick test_lock_waiter_iteration;
+          Alcotest.test_case "counter opens at the first waiter" `Quick
+            test_lock_counter_opens_at_first_waiter;
+          Alcotest.test_case "charge_held = the walk" `Quick test_lock_charge_model ] );
       ( "machine",
         [ Alcotest.test_case "compute/io" `Quick test_machine_compute_io;
           Alcotest.test_case "alloc and access" `Quick test_machine_alloc_and_access;

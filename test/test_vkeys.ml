@@ -1,9 +1,9 @@
 (* The virtual-key layer (DESIGN.md §11): clock residency and the
    pinning predicate in the Vkey table, the identity-mode contract,
    and the whole-run guarantees — results byte-identical at any
-   --jobs, batched or not, with a virtual pool enabled, plus the
-   key-pressure precision story that BENCH_pr8.json tracks at full
-   scale. *)
+   --jobs and on either interpreter, with a virtual pool enabled,
+   plus the key-pressure precision story that BENCH_pr8.json tracks
+   at full scale. *)
 
 module Vkey = Kard_mpk.Vkey
 module Pkey = Kard_mpk.Pkey
@@ -133,15 +133,15 @@ let smoke_pool = Experiments.default_keys_pool Keypressure.default.Keypressure.s
 
 let vkey_config () = { (Defaults.kard_config ()) with Config.vkeys = smoke_pool }
 
-let test_batch_identity () =
+let test_interp_identity () =
   let run interp =
     Runner.run ~interp ~scale:smoke_scale ~detector:(Runner.Kard (vkey_config ()))
       (Runner.Spec Keypressure.keys_10k)
   in
-  let batched = run `Compiled and unbatched = run `Thunks in
-  check "result identical batched vs unbatched" true (batched = unbatched);
-  check "JSON identical batched vs unbatched" true
-    (Json_report.of_result batched = Json_report.of_result unbatched)
+  let compiled = run `Compiled and thunks = run `Thunks in
+  check "result identical compiled vs thunks" true (compiled = thunks);
+  check "JSON identical compiled vs thunks" true
+    (Json_report.of_result compiled = Json_report.of_result thunks)
 
 let smoke_keys ~jobs =
   Pool.execute ~jobs
@@ -361,7 +361,7 @@ let () =
       ( "allocation",
         [ Alcotest.test_case "fault-path budget" `Slow test_fault_path_allocation ] );
       ( "determinism",
-        [ Alcotest.test_case "keys-10k batched vs unbatched" `Quick test_batch_identity;
+        [ Alcotest.test_case "keys-10k compiled vs thunks" `Quick test_interp_identity;
           Alcotest.test_case "keys sweep 1 vs 4 jobs" `Quick test_jobs_identity ] );
       ( "precision",
         [ Alcotest.test_case "vkeys beat the physical keys" `Quick
