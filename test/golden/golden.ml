@@ -45,6 +45,10 @@ let line ?(extra = "") label (r : Runner.result) =
 let workload_configs =
   [ ("default", Config.default);
     ("vkeys-192", { Config.default with Config.vkeys = 192 });
+    (* 16 keys over the 12 residency slots: nginx, memcached, pigz
+       and keys-10k evict keys, and all but pigz recycle live
+       associations. *)
+    ("vkeys-16", { Config.default with Config.vkeys = 16 });
     ("sampling-0.25", { Config.default with Config.sampling = 0.25 }) ]
 
 let workloads () =
@@ -95,21 +99,23 @@ let record_replay () =
       (md5 (Json_report.of_result replayed))
       (clocks replayed.Runner.report)
 
-(* `kard trace NAME [-t N] --scale S` at its defaults: seed 42, a
-   65,536-event ring, no step events.  [chrome] is the md5 of the file
-   that command writes. *)
+(* `kard trace NAME [-t N] [--vkeys V] --scale S` at its defaults:
+   seed 42, a 65,536-event ring, no step events.  [chrome] is the md5
+   of the file that command writes.  The keys-10k trace keeps every
+   event (about 52k) and pins each vkey batch's base, pages and key. *)
 let traces () =
   List.iter
-    (fun (name, threads, scale) ->
+    (fun (name, threads, vkeys, scale) ->
       let tr = Kard_obs.Trace.create ~capacity:65536 ~steps:false () in
       let r =
-        Runner.run ~trace:tr ?threads ~scale ~detector:(Runner.Kard Config.default)
+        Runner.run ~trace:tr ?threads ~scale
+          ~detector:(Runner.Kard { Config.default with Config.vkeys })
           (Runner.Spec (Registry.find name))
       in
       line
         ~extra:(" chrome=" ^ md5 (Kard_obs.Chrome_trace.to_json ~t:tr))
         (Printf.sprintf "%s/trace" name) r)
-    [ ("convoy", Some 16, 0.02); ("memcached", None, 0.002) ]
+    [ ("convoy", Some 16, 0, 0.02); ("memcached", None, 0, 0.002); ("keys-10k", None, 192, 0.003) ]
 
 (* `kard fuzz --count 200 --seed 42`, plain and at sampling 0.1: the
    divergence histogram, class by class. *)
