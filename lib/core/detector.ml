@@ -5,6 +5,7 @@ module Page = Kard_mpk.Page
 module Fault = Kard_mpk.Fault
 module Cost_model = Kard_mpk.Cost_model
 module Mpk_hw = Kard_mpk.Mpk_hw
+module Page_table = Kard_mpk.Page_table
 module Vkey = Kard_mpk.Vkey
 module Obj_meta = Kard_alloc.Obj_meta
 module Meta_table = Kard_alloc.Meta_table
@@ -144,11 +145,6 @@ type t = {
      section-entry PKRU here instead of returning a (pkru, cycles)
      tuple, keeping the per-section-entry path allocation-free. *)
   mutable walk_pkru : Pkru.t;
-  (* The vkey retag batch in progress ([retag_key]): its target tag,
-     the pages written so far and the base its trace event reports. *)
-  mutable retag_pkey : Pkey.t;
-  mutable retag_pages : int;
-  mutable retag_base : Page.addr;
 }
 
 (* Virtual mode repurposes the last data key as the always-deny tag of
@@ -220,10 +216,7 @@ let create ?(config = Config.default) env =
     sampling_rearm_pages = 0;
     cs_entries = 0;
     first_race_cs = -1;
-    walk_pkru = Pkru.all_access;
-    retag_pkey = Pkey.k_def;
-    retag_pages = 0;
-    retag_base = 0 }
+    walk_pkru = Pkru.all_access }
 
 let cost t = t.env.Hooks.cost
 let hw t = t.env.Hooks.hw
@@ -378,9 +371,20 @@ let active_readers t ~obj_id ~excluding_tid =
    page holding its base. *)
 let range_base (m : Obj_meta.t) = Page.base_of_vpage (Page.vpage_of_addr m.Obj_meta.base)
 let range_len (m : Obj_meta.t) = m.Obj_meta.pages * Page.size
+let object_pages m = Page.pages_spanned (range_base m) (range_len m)
 
 let protect_pages t meta pkey =
   Mpk_hw.pkey_mprotect (hw t) ~base:(range_base meta) ~len:(range_len meta) pkey
+
+(* Tag an object's pages for the Read-write domain under [key].  In
+   virtual mode the pages carry the virtual key itself, so they follow
+   its loads and evictions with no further write; the call is counted
+   under the physical tag the key has now. *)
+let protect_key_pages t meta key =
+  if Vkey.virtualized t.vkey then
+    Mpk_hw.pkey_mprotect_vkey (hw t) ~base:(range_base meta) ~len:(range_len meta) ~vkey:key
+      (phys_tag t key)
+  else protect_pages t meta (Pkey.of_int key)
 
 let demote_to_kna t (meta : Obj_meta.t) =
   t.demotions <- t.demotions + 1;
@@ -419,28 +423,25 @@ let retag_batch_objects t objs pkey =
   in
   Mpk_hw.retag_batch (hw t) ranges pkey
 
-let retag_key_object t obj_id =
-  match Meta_table.find_id t.env.Hooks.meta obj_id with
-  | Some m ->
-    let base = range_base m in
-    let pages = Mpk_hw.retag_range (hw t) ~base ~len:(range_len m) t.retag_pkey in
-    t.retag_pages <- t.retag_pages + pages;
-    t.retag_base <- base
-  | None -> ()
+(* The base a vkey batch's trace event reports: that of the last
+   object a walk of the key's set visits, which the golden Chrome
+   traces pin.  Only a trace sink reads it. *)
+let batch_base t key =
+  let base = ref 0 in
+  Domain_state.iter_objects_with_key t.domains key (fun obj_id ->
+      match Meta_table.find_id t.env.Hooks.meta obj_id with
+      | Some m -> base := range_base m
+      | None -> ());
+  !base
 
-(* The vkey load's batch: retag every page of the objects under [key]
-   to [pkey], walking the key's object set in place — no list, no
-   per-object allocation.  Accounted exactly as [retag_batch_objects]
-   on [Domain_state.objects_with_key], whose head (the base the trace
-   event reports) is the last object visited that still has metadata.
-   Returns the cycles; the page count is left in [t.retag_pages]. *)
-let retag_key t key pkey =
-  t.retag_pkey <- pkey;
-  t.retag_pages <- 0;
-  t.retag_base <- 0;
-  Domain_state.iter_objects_with_key t.domains key (retag_key_object t);
-  Vkey.note_retag_pages t.vkey t.retag_pages;
-  Mpk_hw.retag_commit (hw t) ~base:t.retag_base ~pages:t.retag_pages pkey
+(* One side of a vkey load: rebind [key]'s pages to [pkey] in O(1),
+   accounted as one batch over the key's page total.  Returns the
+   cycles. *)
+let rebind_key t key pkey =
+  let pages = Domain_state.key_pages t.domains key in
+  let base = match trace t with None -> 0 | Some _ -> batch_base t key in
+  Vkey.note_retag_pages t.vkey pages;
+  Mpk_hw.rebind_vkey (hw t) ~vkey:key ~base ~pages pkey
 
 (* {2 The sampling layer (DESIGN.md §12)} *)
 
@@ -525,12 +526,12 @@ let maybe_rotate t =
   end
 
 (* Make [key] resident (virtual mode), driving the effects the vkey
-   table itself never performs: the displaced key's objects are
-   batch-retagged to the always-deny tag and the loaded key's objects
-   to its slot.  Pinning is answered from ground truth — a key with
-   live holders, or whose slot some thread's PKRU still grants, must
-   not be displaced or that thread would touch the newly resident
-   key's objects unchecked.  Returns the cycle cost, or [None] when
+   table itself never performs: the displaced key's pages are rebound
+   to the always-deny tag and the loaded key's pages to its slot.
+   Pinning is answered from ground truth — a key with live holders, or
+   whose slot some thread's PKRU still grants, must not be displaced
+   or that thread would touch the newly resident key's objects
+   unchecked.  Returns the cycle cost, or [None] when
    every slot is pinned by a running thread. *)
 let ensure_resident t ~tid key =
   match
@@ -541,15 +542,16 @@ let ensure_resident t ~tid key =
   | Vkey.Hit _ -> Some 0
   | Vkey.Full -> None
   | Vkey.Loaded { slot; evicted } ->
-    let evict_cycles = if evicted >= 0 then retag_key t evicted evict_tag else 0 in
-    let evicted_pages = if evicted >= 0 then t.retag_pages else 0 in
-    let load_cycles = retag_key t key (Pkey.of_int slot) in
+    let evict_cycles = if evicted >= 0 then rebind_key t evicted evict_tag else 0 in
+    let load_cycles = rebind_key t key (Pkey.of_int slot) in
     (match trace t with
     | None -> ()
     | Some tr ->
-      Kard_obs.Trace.emit tr ~tid
-        (Kard_obs.Event.Vkey_load
-           { vkey = key; slot; evicted; pages = evicted_pages + t.retag_pages }));
+      let pages = Domain_state.key_pages t.domains key in
+      let pages =
+        if evicted >= 0 then pages + Domain_state.key_pages t.domains evicted else pages
+      in
+      Kard_obs.Trace.emit tr ~tid (Kard_obs.Event.Vkey_load { vkey = key; slot; evicted; pages }));
     Some ((cost t).Cost_model.vkey_load + evict_cycles + load_cycles)
 
 (* Every slot is pinned: pick the resident key to share, preferring
@@ -647,17 +649,22 @@ let assign_write_key t ~tid ~frame (meta : Obj_meta.t) =
         (Kard_obs.Event.Key_assign { key; obj_id = meta.Obj_meta.id; assign }));
     (* Grouping provenance: landing under a key that other live
        objects already carry multiplexes them — faults and non-faults
-       against this key stop distinguishing the group members. *)
-    let grouped_other = ref false in
-    Domain_state.iter_objects_with_key t.domains key (fun obj_id ->
-        if obj_id <> meta.Obj_meta.id then begin
-          grouped_other := true;
-          Dense.Bitset.add t.prov_grouped obj_id
-        end);
-    if !grouped_other then Dense.Bitset.add t.prov_grouped meta.Obj_meta.id;
-    Domain_state.set t.domains ~obj_id:meta.Obj_meta.id (Domain_state.Read_write key);
-    Dense.Bitset.add t.rw_seen meta.Obj_meta.id;
-    let mprotect = protect_pages t meta (phys_tag t key) in
+       against this key stop distinguishing the group members.  Every
+       member of a key with two or more members is marked already, so
+       only a key's sole member can still need it. *)
+    let obj_id = meta.Obj_meta.id in
+    let members = Domain_state.key_load t.domains key in
+    let others =
+      if Domain_state.rw_key_code t.domains ~obj_id = key then members - 1 else members
+    in
+    if others > 0 then begin
+      if members = 1 then
+        Domain_state.iter_objects_with_key t.domains key (Dense.Bitset.add t.prov_grouped);
+      Dense.Bitset.add t.prov_grouped obj_id
+    end;
+    Domain_state.set t.domains ~obj_id ~pages:(object_pages meta) (Domain_state.Read_write key);
+    Dense.Bitset.add t.rw_seen obj_id;
+    let mprotect = protect_key_pages t meta key in
     sample_occupancy t;
     extra + mprotect + c.Cost_model.map_op
   in
@@ -968,7 +975,7 @@ let handle_vkey_miss t (fault : Fault.t) (meta : Obj_meta.t) =
     if Vkey.resident t.vkey key then begin
       (* Stale tag (the key was reloaded while this access was in
          flight): heal and retry. *)
-      let mprotect = protect_pages t meta (phys_tag t key) in
+      let mprotect = protect_key_pages t meta key in
       { Hooks.fault_cycles = mprotect + c.Cost_model.map_op; action = Hooks.Retry }
     end
     else begin
@@ -1252,6 +1259,11 @@ let on_free t ~tid:_ (meta : Obj_meta.t) =
     Dense.Bitset.remove t.live obj_id;
     Dense.Bitset.remove t.unsampled obj_id
   end;
+  (* A freed object leaves its key, so its pages keep the tag they
+     carry now rather than following the key's later loads. *)
+  if Vkey.virtualized t.vkey && Domain_state.rw_key_code t.domains ~obj_id >= 0 then
+    Page_table.resolve_range (Mpk_hw.page_table (hw t)) ~base:(range_base meta)
+      ~len:(range_len meta);
   Domain_state.forget t.domains ~obj_id;
   Section_object_map.forget_object t.somap ~obj_id;
   Interleave.finish t.interleave ~obj_id;

@@ -16,9 +16,12 @@ type domain =
    [tracked]/[count_in] keep their hash-table meanings.
 
    Keys are small dense ints too, so each key's object set is found by
-   an array read.  The sets themselves stay hash tables, iterated in
-   place: their order is the order a vkey load retags in, and part of
-   the simulated result (DESIGN.md §5). *)
+   an array read.  The sets themselves stay hash tables, mapping each
+   member to its page count.  Their iteration order decides the order
+   recycling demotes in and the base a vkey batch's trace event names,
+   so it is part of the simulated result (DESIGN.md §5).  Each key's
+   page total sits beside them, so a vkey load or eviction counts its
+   batch without visiting a member. *)
 let code_absent = -1
 let code_not_accessed = -2
 let code_read_only = -3
@@ -26,7 +29,8 @@ let code_read_only = -3
 type t = {
   mutable codes : int array; (* index = obj_id *)
   mutable tracked : int; (* codes <> code_absent *)
-  mutable by_key : (int, unit) Hashtbl.t option array; (* index = key: its obj set *)
+  mutable by_key : (int, int) Hashtbl.t option array; (* index = key: member -> pages *)
+  mutable key_pages : int array; (* index = key: its members' pages; empty until a join *)
   mutable migrations : int;
 }
 
@@ -34,6 +38,7 @@ let create () =
   { codes = Array.make 256 code_absent;
     tracked = 0;
     by_key = Array.make 16 None;
+    key_pages = [||];
     migrations = 0 }
 
 let code_of t ~obj_id =
@@ -75,7 +80,21 @@ let key_bucket t k =
     t.by_key.(k) <- Some bucket;
     bucket
 
-let set t ~obj_id domain =
+let join t key obj_id pages =
+  Hashtbl.replace (key_bucket t key) obj_id pages;
+  if key >= Array.length t.key_pages then begin
+    let bigger = Array.make (Dense.grow_pow2 (Array.length t.key_pages) key) 0 in
+    Array.blit t.key_pages 0 bigger 0 (Array.length t.key_pages);
+    t.key_pages <- bigger
+  end;
+  t.key_pages.(key) <- t.key_pages.(key) + pages
+
+let leave t key obj_id =
+  let bucket = key_bucket t key in
+  t.key_pages.(key) <- t.key_pages.(key) - Hashtbl.find bucket obj_id;
+  Hashtbl.remove bucket obj_id
+
+let set t ~obj_id ?(pages = 0) domain =
   if obj_id < 0 then invalid_arg "Domain_state.set: negative obj_id";
   let before_code = code_of t ~obj_id in
   let code = encode domain in
@@ -85,30 +104,32 @@ let set t ~obj_id domain =
   let effective = if before_code = code_absent then code_not_accessed else before_code in
   if effective <> code then begin
     ensure t obj_id;
-    if before_code >= 0 then Hashtbl.remove (key_bucket t before_code) obj_id;
+    if before_code >= 0 then leave t before_code obj_id;
     if before_code = code_absent then t.tracked <- t.tracked + 1;
     t.codes.(obj_id) <- code;
-    if code >= 0 then Hashtbl.replace (key_bucket t code) obj_id ();
+    if code >= 0 then join t code obj_id pages;
     t.migrations <- t.migrations + 1
   end
 
 let forget t ~obj_id =
   let code = code_of t ~obj_id in
   if code <> code_absent then begin
-    if code >= 0 then Hashtbl.remove (key_bucket t code) obj_id;
+    if code >= 0 then leave t code obj_id;
     t.codes.(obj_id) <- code_absent;
     t.tracked <- t.tracked - 1
   end
 
 let objects_with_key t key =
   match find_bucket t key with
-  | Some bucket -> Hashtbl.fold (fun obj_id () acc -> obj_id :: acc) bucket []
+  | Some bucket -> Hashtbl.fold (fun obj_id _ acc -> obj_id :: acc) bucket []
   | None -> []
 
 let iter_objects_with_key t key f =
   match find_bucket t key with
-  | Some bucket -> Hashtbl.iter (fun obj_id () -> f obj_id) bucket
+  | Some bucket -> Hashtbl.iter (fun obj_id _ -> f obj_id) bucket
   | None -> ()
+
+let key_pages t key = if key >= 0 && key < Array.length t.key_pages then t.key_pages.(key) else 0
 
 let key_load t key =
   match find_bucket t key with

@@ -26,7 +26,11 @@ val rw_key_code : t -> obj_id:int -> int
     per-object test on the section-entry hot path, where only the
     Read-write case carries information. *)
 
-val set : t -> obj_id:int -> domain -> unit
+val set : t -> obj_id:int -> ?pages:int -> domain -> unit
+(** Move the object to a domain.  [pages] (default 0) is its page
+    count, added to {!key_pages} of its key while it is Read-write
+    there; it is read only when the object joins a key. *)
+
 val forget : t -> obj_id:int -> unit
 
 val objects_with_key : t -> int -> int list
@@ -41,6 +45,10 @@ val iter_objects_with_key : t -> int -> (int -> unit) -> unit
 val key_load : t -> int -> int
 (** [List.length (objects_with_key t key)] in O(1) — the key
     assigner's free-key test. *)
+
+val key_pages : t -> int -> int
+(** The pages of every object in the Read-write domain under this
+    key, summed in O(1): what retagging all of them would touch. *)
 
 val count_in : t -> [ `Not_accessed | `Read_only | `Read_write ] -> int
 (** Objects explicitly recorded in the given domain. *)

@@ -94,18 +94,31 @@ let rdpkru t ~tid =
 let pkru_of t ~tid = (core_of t tid).pkru
 let set_pkru_in_context t ~tid pkru = (core_of t tid).pkru <- pkru
 
-let pkey_mprotect t ~base ~len pkey =
-  let pages = Page_table.set_pkey_range t.page_table ~base ~len pkey in
+(* One counted [pkey_mprotect] call over [pages] pages already
+   written, reported under [pkey]. *)
+let count_mprotect t ~base ~pages pkey =
   t.pkey_mprotect_calls <- t.pkey_mprotect_calls + 1;
   t.pages_retagged <- t.pages_retagged + pages;
-  (match t.trace with
+  match t.trace with
   | None -> ()
   | Some tr ->
     Kard_obs.Trace.emit tr ~tid:(-1)
       (Kard_obs.Event.Pkey_mprotect { base; pages; pkey = Pkey.to_int pkey });
     Kard_obs.Trace.incr t.trace "hw.pkey_mprotect";
-    Kard_obs.Trace.observe t.trace "hw.pages_retagged" pages);
+    Kard_obs.Trace.observe t.trace "hw.pages_retagged" pages
+
+let mprotect_cycles t pages =
   t.cost.Cost_model.pkey_mprotect_base + (pages * t.cost.Cost_model.pkey_mprotect_page)
+
+let pkey_mprotect t ~base ~len pkey =
+  let pages = Page_table.set_pkey_range t.page_table ~base ~len pkey in
+  count_mprotect t ~base ~pages pkey;
+  mprotect_cycles t pages
+
+let pkey_mprotect_vkey t ~base ~len ~vkey pkey =
+  let pages = Page_table.set_vkey_range t.page_table ~base ~len ~vkey pkey in
+  count_mprotect t ~base ~pages pkey;
+  mprotect_cycles t pages
 
 (* Does any registered thread's PKRU currently grant [pkey]?  The
    vkey layer's pinning ground truth: a slot some saved context still
@@ -123,35 +136,26 @@ let any_grant t pkey =
   in
   scan 0
 
-(* Batched retag for the virtual-key cache: tag every range with
-   [pkey] as ONE counted syscall (libmpk's eviction batches the
-   per-object ranges into a single kernel crossing), charging the
-   cheaper [vkey_retag_page] per page.  A batch is any number of
-   [retag_range] writes closed by one [retag_commit], so a caller
-   walking objects in place never builds the range list; the list
-   form is the same two steps. *)
-let retag_range t ~base ~len pkey = Page_table.set_pkey_range t.page_table ~base ~len pkey
-
+(* Batched retag for the virtual-key cache: one counted syscall for
+   any number of ranges (libmpk's eviction batches the per-object
+   ranges into a single kernel crossing), charged at the cheaper
+   [vkey_retag_page] per page; nothing is counted for an empty batch. *)
 let retag_commit t ~base ~pages pkey =
-  if pages > 0 then begin
-    t.pkey_mprotect_calls <- t.pkey_mprotect_calls + 1;
-    t.pages_retagged <- t.pages_retagged + pages;
-    match t.trace with
-    | None -> ()
-    | Some tr ->
-      Kard_obs.Trace.emit tr ~tid:(-1)
-        (Kard_obs.Event.Pkey_mprotect { base; pages; pkey = Pkey.to_int pkey });
-      Kard_obs.Trace.incr t.trace "hw.pkey_mprotect";
-      Kard_obs.Trace.observe t.trace "hw.pages_retagged" pages
-  end;
+  if pages > 0 then count_mprotect t ~base ~pages pkey;
   pages * t.cost.Cost_model.vkey_retag_page
 
 let retag_batch t ranges pkey =
   let pages =
-    List.fold_left (fun acc (base, len) -> acc + retag_range t ~base ~len pkey) 0 ranges
+    List.fold_left
+      (fun acc (base, len) -> acc + Page_table.set_pkey_range t.page_table ~base ~len pkey)
+      0 ranges
   in
   let base = match ranges with (base, _) :: _ -> base | [] -> 0 in
   (pages, retag_commit t ~base ~pages pkey)
+
+let rebind_vkey t ~vkey ~base ~pages pkey =
+  Page_table.bind t.page_table ~vkey pkey;
+  retag_commit t ~base ~pages pkey
 
 let try_access t ~tid ~addr ~access ~ip ~time =
   let core = core_of t tid in

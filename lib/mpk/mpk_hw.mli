@@ -56,25 +56,26 @@ val set_pkru_in_context : t -> tid:int -> Pkru.t -> unit
 val pkey_mprotect : t -> base:Page.addr -> len:int -> Pkey.t -> int
 (** Tag a range of pages with a key; returns cycles consumed. *)
 
+val pkey_mprotect_vkey : t -> base:Page.addr -> len:int -> vkey:int -> Pkey.t -> int
+(** {!pkey_mprotect} for the virtual-key cache: tag the range with the
+    virtual key [vkey] ({!Page_table.set_vkey_range}), whose pages
+    carry the pkey given until {!rebind_vkey} moves them.  Counted,
+    traced and charged exactly as {!pkey_mprotect} with that pkey. *)
+
 val retag_batch : t -> (Page.addr * int) list -> Pkey.t -> int * int
-(** Batched retag for the virtual-key cache: tag every [(base, len)]
-    range with the key as {e one} counted syscall (libmpk batches the
-    per-object ranges of an evicted/loaded key into a single kernel
-    crossing), at the cheaper {!Cost_model.t.vkey_retag_page} per page.
-    Returns [(pages_retagged, cycles)]; an empty batch counts and
-    costs nothing.  Equivalent to one {!retag_range} per range, in
-    list order, then {!retag_commit} with the first range's base. *)
+(** Batched retag: tag every [(base, len)] range with the key as
+    {e one} counted syscall (libmpk batches the per-object ranges of
+    an evicted/loaded key into a single kernel crossing), at the
+    cheaper {!Cost_model.t.vkey_retag_page} per page.  Returns
+    [(pages_retagged, cycles)]; an empty batch counts and costs
+    nothing.  The trace event carries the first range's base. *)
 
-val retag_range : t -> base:Page.addr -> len:int -> Pkey.t -> int
-(** One range of a batch: tag its pages and return how many, with no
-    accounting — the batch's {!retag_commit} counts it.  Allocates
-    nothing. *)
-
-val retag_commit : t -> base:Page.addr -> pages:int -> Pkey.t -> int
-(** Close a batch of [pages] pages already written by {!retag_range}:
-    one counted call, the pages added to [pages_retagged], and one
-    [Pkey_mprotect] trace event carrying [base]; nothing when [pages]
-    is 0.  Returns the batch's cycles. *)
+val rebind_vkey : t -> vkey:int -> base:Page.addr -> pages:int -> Pkey.t -> int
+(** Load or evict a virtual key: every page tagged with [vkey] now
+    carries the pkey given ({!Page_table.bind}), in O(1).  [pages] is
+    how many pages that is, so the call is counted, traced (with
+    [base]) and charged as the {!retag_batch} that retags them one by
+    one.  Returns the cycles. *)
 
 val any_grant : t -> Pkey.t -> bool
 (** Does any registered thread's PKRU grant the key (read or write)?

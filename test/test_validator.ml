@@ -54,6 +54,26 @@ let test_one_key_memcached () =
         (st.Kard_core.Detector.sharing_events > 0))
     [ 0; 192 ]
 
+(* keys-10k under a virtual pool, the eviction-heavy runs: about
+   4,000 evictions at 192 keys, and at 16 keys over the 12 residency
+   slots a load every few sections.  The domain-tag check then sees
+   pages on every load and eviction path. *)
+let test_keys_vkeys () =
+  let keys = Registry.find "keys-10k" in
+  List.iter
+    (fun vkeys ->
+      let config = { Kard_core.Config.default with Kard_core.Config.vkeys } in
+      let cell = ref None in
+      let v =
+        run_validated ~config ~cell (fun machine ->
+            keys.Spec.build ~threads:8 ~scale:0.05 ~seed:42 machine)
+      in
+      let st = Kard_core.Detector.stats (Option.get !cell) in
+      check (Printf.sprintf "vkeys %d: checks ran" vkeys) true (Validator.checks_performed v > 0);
+      check (Printf.sprintf "vkeys %d: keys were evicted" vkeys) true
+        (st.Kard_core.Detector.vkey_evictions > 0))
+    [ 192; 16 ]
+
 (* The validator must actually catch a broken runtime: corrupt the
    page table (which the detector never restores) so an object in the
    Read-write domain is no longer tagged with its key — the sampled
@@ -105,4 +125,5 @@ let () =
       ( "meta",
         [ Alcotest.test_case "catches a corrupted runtime" `Quick
             test_validator_catches_violation;
-          Alcotest.test_case "one data key, bare and with vkeys" `Slow test_one_key_memcached ] ) ]
+          Alcotest.test_case "one data key, bare and with vkeys" `Slow test_one_key_memcached;
+          Alcotest.test_case "keys-10k, evicting vkeys" `Slow test_keys_vkeys ] ) ]

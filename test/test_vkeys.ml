@@ -166,8 +166,8 @@ let pkey_mprotects trace =
       | _ -> None)
     (Trace.events trace)
 
-(* The detector retags a loaded key's objects by walking the key's
-   object set in place.  The reference is the list form it replaced:
+(* A vkey load rebinds the evicted and the loaded key's pages without
+   visiting them.  The reference is the list form of the retag:
    [Mpk_hw.retag_batch] over the ranges of [objects_with_key], in that
    list's order, for the evicted key and then the loaded one.  One
    thread drives the hooks directly: two sections put three and two
@@ -283,17 +283,234 @@ let test_retag_equivalence () =
   check "trace events: base, pages and key of each batch" true
     (emitted = pkey_mprotects ref_trace)
 
+(* {1 Rebinding against the eager walk} *)
+
+(* The eager reference: what a detector that retagged every page of
+   the evicted and the loaded key's objects at each vkey load would
+   leave in the page table and report in its counters.  It replays
+   the detector's trace hook by hook.  An ordinary [Pkey_mprotect]
+   writes its range.  A [Vkey_load] walks the two keys' object sets
+   as they stood before the hook (a hook loads keys before it changes
+   any domain) and retags their pages object by object, one counted
+   batch per non-empty set; the detector must have traced exactly
+   those batches, base and all, just before the load. *)
+module Eager = struct
+  type t = {
+    pt : Page_table.t;
+    mutable calls : int;
+    mutable pages : int;
+    mutable retag_pages : int;
+  }
+
+  let create () = { pt = Page_table.create (); calls = 0; pages = 0; retag_pages = 0 }
+
+  let write e (base, pages, pkey) =
+    let len = pages * Page.size in
+    ignore (Page_table.set_pkey_range e.pt ~base ~len (Pkey.of_int pkey) : int);
+    e.calls <- e.calls + 1;
+    e.pages <- e.pages + pages
+
+  (* One key's batch: the retags, and the trace event it must match
+     ([None] for an empty set, which counts nothing). *)
+  let batch e ranges pkey =
+    let pages =
+      List.fold_left
+        (fun acc (base, len) -> acc + Page_table.set_pkey_range e.pt ~base ~len pkey)
+        0 ranges
+    in
+    e.retag_pages <- e.retag_pages + pages;
+    if pages = 0 then None
+    else begin
+      e.calls <- e.calls + 1;
+      e.pages <- e.pages + pages;
+      Some (fst (List.hd ranges), pages, Pkey.to_int pkey)
+    end
+
+  (* [before.(k)]: the ranges of key [k]'s objects before the hook, in
+     [Domain_state.objects_with_key] order.  Calls [on_load] with each
+     load's virtual key and evicted key. *)
+  let replay e ~before ~evict_tag ~on_load events =
+    let pending = ref [] in
+    List.iter
+      (fun (ev : Event.t) ->
+        match ev.Event.kind with
+        | Event.Pkey_mprotect { base; pages; pkey } -> pending := (base, pages, pkey) :: !pending
+        | Event.Vkey_load { vkey; slot; evicted; pages } ->
+          let expected =
+            List.filter_map Fun.id
+              [ (if evicted >= 0 then batch e before.(evicted) evict_tag else None);
+                batch e before.(vkey) (Pkey.of_int slot) ]
+          in
+          let n = List.length expected in
+          if List.rev (List.filteri (fun i _ -> i < n) !pending) <> expected then
+            Alcotest.failf "vkey %d's load did not trace the eager walk's %d batches" vkey n;
+          let want = List.fold_left (fun acc (_, p, _) -> acc + p) 0 expected in
+          if pages <> want then
+            Alcotest.failf "vkey %d's load event: %d pages, the eager walk retags %d" vkey pages
+              want;
+          (* Anything older was an ordinary call that preceded the load. *)
+          List.iter (write e) (List.rev (List.filteri (fun i _ -> i >= n) !pending));
+          pending := [];
+          on_load ~vkey ~evicted
+        | _ -> ())
+      events;
+    List.iter (write e) (List.rev !pending)
+end
+
+(* Random alloc, lock, read, write, unlock and free hooks from two
+   threads over six object slots, under a 4-key pool on 2 residency
+   slots.  Accesses go through [Mpk_hw.try_access], so each fault
+   carries the tag the page table resolves, and a faulting access is
+   retried as the machine retries it.  After every hook, every page's
+   key and the three retag counters must equal the eager reference's.
+   A freed Read-write object's pages keep the tag they had at the
+   free: the sequences must free such an object and then evict and
+   reload its key. *)
+let test_rebinding_model () =
+  let rng = Random.State.make [| 24 |] in
+  let pool = 4 and threads = 2 and locks = 4 in
+  let evict_tag = Pkey.of_int Pkey.data_key_count in
+  let freed_then_reloaded = ref 0 in
+  for _ = 1 to 80 do
+    let trace = Trace.create () in
+    let hw = Mpk_hw.create ~trace () in
+    let meta = Meta_table.create () in
+    let clock = ref 0 in
+    let env =
+      { Hooks.hw; meta; cost = Cost_model.default; now = (fun () -> !clock); trace = Some trace }
+    in
+    let config = { Config.default with Config.vkeys = pool; data_keys = 2 } in
+    let d = Detector.create ~config env in
+    let h = Detector.hooks d in
+    let domains = Detector.domains d in
+    let eager = Eager.create () in
+    let seen = ref 0 in
+    (* Freed Read-write objects' keys: 0 until the key is evicted, 1
+       after, dropped once it is loaded back. *)
+    let watched = ref [] in
+    let on_load ~vkey ~evicted =
+      watched :=
+        List.filter_map
+          (fun (k, state) ->
+            if state = 0 && k = evicted then Some (k, 1)
+            else if state = 1 && k = vkey then begin
+              incr freed_then_reloaded;
+              None
+            end
+            else Some (k, state))
+          !watched
+    in
+    let first_vpage = 0x40 in
+    let next_vpage = ref first_vpage in
+    let range (m : Obj_meta.t) =
+      (Page.base_of_vpage (Page.vpage_of_addr m.Obj_meta.base), m.Obj_meta.pages * Page.size)
+    in
+    let hook f =
+      let before =
+        Array.init (pool + 1) (fun key ->
+            List.filter_map
+              (fun id -> Option.map range (Meta_table.find_id meta id))
+              (Domain_state.objects_with_key domains key))
+      in
+      incr clock;
+      let r = f () in
+      let events = List.filteri (fun i _ -> i >= !seen) (Trace.events trace) in
+      seen := Trace.event_count trace;
+      Eager.replay eager ~before ~evict_tag ~on_load events;
+      let pt = Mpk_hw.page_table hw in
+      for vp = first_vpage to !next_vpage do
+        let want = Page_table.pkey_of_vpage eager.Eager.pt vp in
+        let got = Page_table.pkey_of_vpage pt vp in
+        if not (Pkey.equal want got) then
+          Alcotest.failf "vpage %d carries %a, the eager walk leaves %a" vp Pkey.pp got Pkey.pp
+            want
+      done;
+      let st = Mpk_hw.stats hw in
+      let counters =
+        [ ("pkey_mprotect calls", eager.Eager.calls, st.Mpk_hw.pkey_mprotect_calls);
+          ("pages retagged", eager.Eager.pages, st.Mpk_hw.pages_retagged);
+          ( "vkey retag pages",
+            eager.Eager.retag_pages,
+            (Detector.vkey_stats d).Vkey.st_retag_pages ) ]
+      in
+      List.iter
+        (fun (name, want, got) ->
+          if want <> got then Alcotest.failf "%s: %d, the eager walk counts %d" name got want)
+        counters;
+      r
+    in
+    for tid = 0 to threads - 1 do
+      Mpk_hw.register_thread hw tid;
+      ignore (hook (fun () -> h.Hooks.on_spawn ~tid) : int)
+    done;
+    let objs = Array.make 6 None in
+    let next_id = ref 0 in
+    let held = Array.make threads [] in
+    let holder = Array.make (locks + 1) (-1) in
+    for _ = 1 to 200 do
+      let tid = Random.State.int rng threads in
+      let slot = Random.State.int rng (Array.length objs) in
+      match Random.State.int rng 6, objs.(slot) with
+      | 0, None ->
+        let pages = 1 + Random.State.int rng 3 in
+        let m =
+          { Obj_meta.id = !next_id; base = Page.base_of_vpage !next_vpage + 64;
+            size = (pages * Page.size) - 64; reserved = pages * Page.size;
+            kind = Obj_meta.Heap 0; pages }
+        in
+        incr next_id;
+        next_vpage := !next_vpage + pages + 1;
+        Meta_table.register meta m;
+        objs.(slot) <- Some m;
+        ignore (hook (fun () -> h.Hooks.on_alloc ~tid m) : int)
+      | 0, Some m ->
+        let key = Domain_state.rw_key_code domains ~obj_id:m.Obj_meta.id in
+        if key > 0 then watched := (key, 0) :: !watched;
+        ignore (hook (fun () -> h.Hooks.on_free ~tid m) : int);
+        Meta_table.unregister meta m;
+        objs.(slot) <- None
+      | 1, _ ->
+        let lock = 1 + Random.State.int rng locks in
+        if holder.(lock) < 0 && List.length held.(tid) < 2 then begin
+          holder.(lock) <- tid;
+          held.(tid) <- lock :: held.(tid);
+          ignore (hook (fun () -> h.Hooks.on_lock ~tid ~lock ~site:lock) : int)
+        end
+      | 2, _ -> (
+        match held.(tid) with
+        | lock :: rest ->
+          holder.(lock) <- -1;
+          held.(tid) <- rest;
+          ignore (hook (fun () -> h.Hooks.on_unlock ~tid ~lock) : int)
+        | [] -> ())
+      | _, Some m ->
+        let access = if Random.State.bool rng then `Write else `Read in
+        let addr = m.Obj_meta.base + (Random.State.int rng m.Obj_meta.pages * Page.size) in
+        let rec attempt n =
+          if n < 4 && Mpk_hw.try_access hw ~tid ~addr ~access ~ip:0 ~time:!clock < 0 then begin
+            let fault = Mpk_hw.last_fault hw in
+            match (hook (fun () -> h.Hooks.on_fault fault)).Hooks.action with
+            | Hooks.Retry -> attempt (n + 1)
+            | Hooks.Emulate -> ()
+          end
+        in
+        attempt 0
+      | _, None -> ()
+    done
+  done;
+  check "a freed object's key was evicted and reloaded" true (!freed_then_reloaded > 0)
+
 (* {1 The fault-path allocation contract} *)
 
 (* keys-10k under a virtual pool is the fault-heavy workload: about
    one step in seven faults, and nearly half of the faults load a
    virtual key.  Faults, vkey loads and section entries must allocate
-   in proportion to neither the objects they retag nor the entries
+   in proportion to neither the objects under a key nor the entries
    they walk (DESIGN.md §5).  The configuration is explicit so that no
    $KARD_* sweep changes what is measured.  Dev-profile reference:
-   about 19 words/step, from about 80 before retags walked the key's
-   objects in place and 30.5 while each iteration built a fresh
-   program builder. *)
+   16.3 words/step, from about 80 before retags walked the key's
+   objects in place, 30.5 while each iteration built a fresh program
+   builder and 19.2 while each load walked the two keys' objects. *)
 let test_fault_path_allocation () =
   let detector = Runner.Kard { Config.default with Config.vkeys = 192 } in
   let run () =
@@ -306,8 +523,8 @@ let test_fault_path_allocation () =
   let steps = result.Runner.report.Machine.steps in
   let per_step = minor /. float_of_int steps in
   check "steps sane" true (steps > 40_000);
-  if per_step > 25.0 then
-    Alcotest.failf "fault-path allocation budget broken: %.2f minor words/step (budget 25)"
+  if per_step > 18.0 then
+    Alcotest.failf "fault-path allocation budget broken: %.2f minor words/step (budget 18)"
       per_step
 
 (* {1 Whole runs: the precision story} *)
@@ -357,7 +574,8 @@ let () =
           Alcotest.test_case "pinning and stall" `Quick test_pinning_and_stall;
           Alcotest.test_case "retag accounting" `Quick test_retag_accounting ] );
       ( "retag",
-        [ Alcotest.test_case "one load equals the list form" `Quick test_retag_equivalence ] );
+        [ Alcotest.test_case "one load equals the list form" `Quick test_retag_equivalence;
+          Alcotest.test_case "rebinding equals the eager walk" `Quick test_rebinding_model ] );
       ( "allocation",
         [ Alcotest.test_case "fault-path budget" `Slow test_fault_path_allocation ] );
       ( "determinism",
