@@ -49,6 +49,9 @@ let workload_configs =
        and keys-10k evict keys, and all but pigz recycle live
        associations. *)
     ("vkeys-16", { Config.default with Config.vkeys = 16 });
+    (* The same pool over two residency slots: the stall window opens
+       on 10 of the 21 workloads and the share fallback runs on 7. *)
+    ("dk2-vkeys-16", { Config.default with Config.data_keys = 2; vkeys = 16 });
     ("sampling-0.25", { Config.default with Config.sampling = 0.25 }) ]
 
 let workloads () =
