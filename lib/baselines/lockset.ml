@@ -123,7 +123,6 @@ let hooks t =
 
 let warnings t = List.rev t.warnings
 let state_of t addr = (cell_of t addr).st
-let candidate_lockset t addr = Int_set.elements (cell_of t addr).candidates
 
 let make ~cell env =
   let t = create env in

@@ -27,6 +27,5 @@ val create : Kard_sched.Hooks.env -> t
 val hooks : t -> Kard_sched.Hooks.t
 val warnings : t -> warning list
 val state_of : t -> Kard_mpk.Page.addr -> state
-val candidate_lockset : t -> Kard_mpk.Page.addr -> int list
 
 val make : cell:t option ref -> Kard_sched.Hooks.env -> Kard_sched.Hooks.t

@@ -21,5 +21,4 @@ let cell_of t addr =
     cell
 
 let clear t addr = Hashtbl.remove t (addr lsr 3)
-let cells t = Hashtbl.length t
 let bytes t = 32 * Hashtbl.length t

@@ -20,7 +20,6 @@ val clear : t -> Kard_mpk.Page.addr -> unit
 (** Drop the cell covering the address's granule, if it exists
     (no-op, and no allocation, otherwise). *)
 
-val cells : t -> int
 val bytes : t -> int
 (** Modeled shadow-memory footprint (TSan uses multiple shadow words
     per granule; we charge 32 B per touched granule). *)

@@ -183,7 +183,6 @@ let hooks t =
 
 let races t = List.rev t.races
 let ilu_races t = List.filter (fun r -> r.locked || r.prior_locked) (races t)
-let shadow_cells t = Shadow_memory.cells t.shadow
 
 let make ?max_threads ~cell env =
   let t = create ?max_threads env in

@@ -27,7 +27,5 @@ val ilu_races : t -> race list
 (** Races where at least one side held a lock (for Table 6's
     ILU/non-ILU split). *)
 
-val shadow_cells : t -> int
-
 val make :
   ?max_threads:int -> cell:t option ref -> Kard_sched.Hooks.env -> Kard_sched.Hooks.t

@@ -566,16 +566,8 @@ let share_fallback t ~section =
         if v >= 0 then Some v else None)
       (Array.to_list t.slots)
   in
-  let my_objects = List.map fst (Section_object_map.objects_of t.somap ~section) in
   let disjoint v =
-    List.for_all
-      (fun (h : Key_section_map.holder) ->
-        let theirs =
-          List.map fst
-            (Section_object_map.objects_of t.somap ~section:h.Key_section_map.section)
-        in
-        not (List.exists (fun o -> List.mem o theirs) my_objects))
-      (Key_section_map.holders t.ksmap v)
+    Key_assign.disjoint_sections t.somap ~section (Key_section_map.holders t.ksmap v)
   in
   let preferred =
     if t.config.Config.share_disjoint_sections then List.find_opt disjoint candidates
@@ -864,9 +856,8 @@ let handle_data_fault t (fault : Fault.t) (meta : Obj_meta.t) key =
      objects, so a holder whose section never touches the faulted
      object is a key collision, not a conflict. *)
   let section_touches_obj (h : Key_section_map.holder) =
-    Option.is_some
-      (Section_object_map.need_of t.somap ~section:h.Key_section_map.section
-         ~obj_id:meta.Obj_meta.id)
+    Section_object_map.touches t.somap ~section:h.Key_section_map.section
+      ~obj_id:meta.Obj_meta.id
   in
   let conflicts =
     if t.config.Config.metadata_pruning then List.filter section_touches_obj conflicts
@@ -1034,12 +1025,13 @@ let on_fault t (fault : Fault.t) =
 
 (* {2 Section entry and exit (section 5.4)} *)
 
-(* The proactive acquisition walk over the section's memo (section
-   5.4), as a top-level tail recursion over the memo's index threading
-   the PKRU and cycle count: entered on every section entry, it
-   allocates nothing. *)
-let rec proactive_walk t c ~tid ~frame (m : Section_object_map.memo) i pkru cycles =
-  if i >= Array.length m.Section_object_map.objs then begin
+(* The proactive acquisition walk over the section's entries (section
+   5.4), in identification order, as a top-level tail recursion over
+   their index threading the PKRU and cycle count: entered on every
+   section entry, it allocates nothing.  Nothing in the walk records
+   into the map, so the arrays stay put under it. *)
+let rec proactive_walk t c ~tid ~frame (m : Section_object_map.entries) i pkru cycles =
+  if i >= m.Section_object_map.n then begin
     t.walk_pkru <- pkru;
     cycles
   end
@@ -1081,10 +1073,7 @@ let rec proactive_walk t c ~tid ~frame (m : Section_object_map.memo) i pkru cycl
              conflict. *)
           let cooling =
             t.config.Config.exit_delay_cycles > 0
-            &&
-            match Key_section_map.last_release t.ksmap code with
-            | Some (stamp, _) -> now t < stamp
-            | None -> false
+            && now t < Key_section_map.last_release_time t.ksmap code
           in
           if cooling then proactive_walk t c ~tid ~frame m next pkru cycles
           else if Key_section_map.can_acquire t.ksmap code ~tid wanted then
@@ -1155,7 +1144,7 @@ let on_lock t ~tid ~lock ~site =
     let cycles =
       if t.config.Config.proactive_acquisition then
         proactive_walk t c ~tid ~frame
-          (Section_object_map.memo t.somap ~section:site)
+          (Section_object_map.entries t.somap ~section:site)
           0
           (Pkru.set pkru0 Pkey.k_na Perm.No_access)
           (sync_cost + c.Cost_model.map_op)
@@ -1393,7 +1382,6 @@ let sampling_active t = Sampling.enabled t.sampling
 let cs_entries t = t.cs_entries
 let first_race_cs t = t.first_race_cs
 let domains t = t.domains
-let section_object_map t = t.somap
 let key_section_map t = t.ksmap
 let config t = t.config
 let vkey_stats t = Vkey.stats t.vkey

@@ -80,7 +80,6 @@ val ilu_races : t -> Race_record.t list
 val stats : t -> stats
 
 val domains : t -> Domain_state.t
-val section_object_map : t -> Section_object_map.t
 val key_section_map : t -> Key_section_map.t
 val config : t -> Config.t
 

@@ -61,11 +61,6 @@ let observe t ~obj_id ~tid ~offset =
     add_offset entry tid offset;
     verdict_of entry
 
-let participants t ~obj_id =
-  match Hashtbl.find_opt t.entries obj_id with
-  | Some entry -> List.map fst entry.offsets
-  | None -> []
-
 let finish t ~obj_id = Hashtbl.remove t.entries obj_id
 
 let finish_thread t ~tid =

@@ -31,8 +31,6 @@ val attach_record : t -> obj_id:int -> record:Race_record.t -> unit
 val observe : t -> obj_id:int -> tid:int -> offset:int -> verdict
 (** A new faulting access on the object while interleaving. *)
 
-val participants : t -> obj_id:int -> int list
-
 val finish : t -> obj_id:int -> unit
 (** Terminate interleaving for the object (a participant left its
     critical section, or a verdict was reached). *)

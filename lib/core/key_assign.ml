@@ -60,14 +60,16 @@ let in_key_space t key =
   if t.pool > 0 then key >= 1 && key <= t.pool
   else key >= 1 && key <= t.config.Config.data_keys
 
+let rec touches_any somap (mine : Section_object_map.entries) ~theirs i =
+  i < mine.Section_object_map.n
+  && (Section_object_map.touches somap ~section:theirs ~obj_id:mine.Section_object_map.objs.(i)
+     || touches_any somap mine ~theirs (i + 1))
+
 let disjoint_sections somap ~section holders =
-  let my_objects = List.map fst (Section_object_map.objects_of somap ~section) in
+  let mine = Section_object_map.entries somap ~section in
   List.for_all
-    (fun holder ->
-      let their_objects =
-        List.map fst (Section_object_map.objects_of somap ~section:holder.Key_section_map.section)
-      in
-      not (List.exists (fun obj -> List.mem obj their_objects) my_objects))
+    (fun (h : Key_section_map.holder) ->
+      not (touches_any somap mine ~theirs:h.Key_section_map.section 0))
     holders
 
 (* Legacy share scoring, shared by both modes (virtual mode only

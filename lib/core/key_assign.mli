@@ -41,6 +41,11 @@ val available_keys : t -> int list
 (** The keys this configuration may hand out (physical data keys or
     the virtual pool). *)
 
+val disjoint_sections :
+  Section_object_map.t -> section:int -> Key_section_map.holder list -> bool
+(** The Table 4 test for sharing a key: no object [section] has
+    recorded is recorded by any holder's section. *)
+
 val choose :
   t ->
   ksmap:Key_section_map.t ->

@@ -23,7 +23,8 @@ type holder = {
    slot [n-1] is the most recent holding (list head), a new holding
    appends, and an upgrade moves the holding to the top.  Release
    stamps go to per-key (and per-key-per-releaser) flat arrays, time
-   [-1] meaning "never".
+   [-1] meaning "never"; only the per-releaser rows keep who released
+   and for which section, because only the fault-window check asks.
 
    [held_by] is answered from a per-tid sorted index of held keys —
    O(keys the thread holds), not O(key capacity), which matters once
@@ -48,14 +49,7 @@ type release_row = {
 type t = {
   mutable slots : slots array; (* index = key *)
   mutable lr_time : int array; (* key -> last release time, -1 = none *)
-  mutable lr_tid : int array;
-  mutable lr_perm : Perm.t array;
-  mutable lr_section : int array;
-  mutable lr_lock : int array;
-  mutable lr_proactive : bool array;
   mutable by_releaser : release_row array; (* index = key *)
-  mutable section_refs : int array; (* section -> live holdings *)
-  mutable max_section : int; (* highest section index ever referenced *)
   mutable tid_keys : int array array; (* tid -> ascending keys held *)
   mutable tid_nkeys : int array;
 }
@@ -70,14 +64,7 @@ let create () =
   let cap = Kard_mpk.Pkey.count in
   { slots = Array.init cap (fun _ -> fresh_slots ());
     lr_time = Array.make cap (-1);
-    lr_tid = Array.make cap 0;
-    lr_perm = Array.make cap Perm.No_access;
-    lr_section = Array.make cap 0;
-    lr_lock = Array.make cap 0;
-    lr_proactive = Array.make cap false;
     by_releaser = Array.init cap (fun _ -> fresh_release_row ());
-    section_refs = Array.make 64 0;
-    max_section = -1;
     tid_keys = Array.make 16 [||];
     tid_nkeys = Array.make 16 0 }
 
@@ -87,17 +74,8 @@ let ensure_key t key =
   let cap = Array.length t.slots in
   if key >= cap then begin
     let cap' = Dense.grow_pow2 cap key in
-    let grown mk init arr =
-      let r = Array.init cap' (fun i -> if i < cap then arr.(i) else mk init) in
-      r
-    in
     t.slots <- Array.init cap' (fun i -> if i < cap then t.slots.(i) else fresh_slots ());
-    t.lr_time <- grown (fun x -> x) (-1) t.lr_time;
-    t.lr_tid <- grown (fun x -> x) 0 t.lr_tid;
-    t.lr_perm <- grown (fun x -> x) Perm.No_access t.lr_perm;
-    t.lr_section <- grown (fun x -> x) 0 t.lr_section;
-    t.lr_lock <- grown (fun x -> x) 0 t.lr_lock;
-    t.lr_proactive <- grown (fun x -> x) false t.lr_proactive;
+    t.lr_time <- Array.init cap' (fun i -> if i < cap then t.lr_time.(i) else -1);
     t.by_releaser <-
       Array.init cap' (fun i -> if i < cap then t.by_releaser.(i) else fresh_release_row ())
   end
@@ -228,16 +206,6 @@ let can_acquire t key ~tid perm =
     | Perm.Read_only -> no_other_writer s tid 0
     | Perm.No_access -> false
 
-let section_ref t section delta =
-  if section < 0 then invalid_arg "Key_section_map: negative section id";
-  if section >= Array.length t.section_refs then begin
-    let bigger = Array.make (Dense.grow_pow2 (Array.length t.section_refs) section) 0 in
-    Array.blit t.section_refs 0 bigger 0 (Array.length t.section_refs);
-    t.section_refs <- bigger
-  end;
-  if section > t.max_section then t.max_section <- section;
-  t.section_refs.(section) <- Int.max 0 (t.section_refs.(section) + delta)
-
 let grow_slots s =
   let cap = max 4 (2 * s.n) in
   let bigger_int arr =
@@ -293,8 +261,7 @@ let add_holding t key ~tid perm ~section ~lock ~proactive =
   end
   else begin
     push_slot s ~tid perm ~section ~lock ~proactive;
-    index_add t ~tid key;
-    section_ref t section 1
+    index_add t ~tid key
   end
 
 let acquire t key ~tid perm ~section ~lock ~proactive =
@@ -340,25 +307,11 @@ let release t key ~tid ~time =
     remove_slot s i;
     index_remove t ~tid key;
     t.lr_time.(key) <- time;
-    t.lr_tid.(key) <- tid;
-    t.lr_perm.(key) <- perm;
-    t.lr_section.(key) <- section;
-    t.lr_lock.(key) <- lock;
-    t.lr_proactive.(key) <- proactive;
-    note_release_by t key ~tid ~time ~perm ~section ~lock ~proactive;
-    section_ref t section (-1)
+    note_release_by t key ~tid ~time ~perm ~section ~lock ~proactive
   end
 
-let last_release t key =
-  if key < 0 || key >= Array.length t.lr_time || t.lr_time.(key) < 0 then None
-  else
-    Some
-      ( t.lr_time.(key),
-        { tid = t.lr_tid.(key);
-          perm = t.lr_perm.(key);
-          section = t.lr_section.(key);
-          lock = t.lr_lock.(key);
-          proactive = t.lr_proactive.(key) } )
+let last_release_time t key =
+  if key < 0 || key >= Array.length t.lr_time then -1 else t.lr_time.(key)
 
 let last_release_by_other t key ~tid =
   (* Most recent release of [key] by any other thread; on equal stamps
@@ -387,20 +340,4 @@ let last_release_by_other t key ~tid =
             proactive = row.r_proactive.(r) } )
   end
 
-let recently_released t key ~now ~window =
-  if key < 0 || key >= Array.length t.lr_time then false
-  else
-    let time = t.lr_time.(key) in
-    time >= 0 && now - time <= window
-
 let unheld_keys t ~among = List.filter (fun key -> held_count t key = 0) among
-
-let active_sections t =
-  let acc = ref [] in
-  for section = t.max_section downto 0 do
-    if t.section_refs.(section) > 0 then acc := section :: !acc
-  done;
-  !acc
-
-let is_section_active t ~section =
-  section >= 0 && section < Array.length t.section_refs && t.section_refs.(section) > 0

@@ -4,6 +4,9 @@
     currently hold each Read-write domain key, with what permission,
     and when each key was last released — the input to race checks,
     key assignment and the timestamp-based pruning of section 5.5.
+    Which sections are executing is the detector's to track (its
+    per-site active stacks); this map knows a section only as the
+    field of a holding.
 
     Keys are plain [int]s: the physical data pkeys in identity mode,
     or virtual keys [1..pool] under the vkey cache (DESIGN.md §11).
@@ -63,20 +66,14 @@ val force_acquire :
 val release : t -> int -> tid:int -> time:int -> unit
 (** Removes the thread's holding and stamps the release time. *)
 
-val last_release : t -> int -> (int * holder) option
-(** Time and identity of the most recent release, for the fault-delay
-    window check of section 5.5. *)
+val last_release_time : t -> int -> int
+(** The stamp of the key's most recent release, [-1] if it was never
+    released: the section-entry walk's delay-injection cooldown. *)
 
 val last_release_by_other : t -> int -> tid:int -> (int * holder) option
 (** The most recent release of the key by a thread other than [tid]
     (each thread's latest release is remembered separately, so a
-    faulter's own releases do not mask the conflicting one). *)
-
-val recently_released : t -> int -> now:int -> window:int -> bool
+    faulter's own releases do not mask the conflicting one), for the
+    fault-delay window check of section 5.5. *)
 
 val unheld_keys : t -> among:int list -> int list
-
-val active_sections : t -> int list
-(** Sections on whose behalf some key is currently held. *)
-
-val is_section_active : t -> section:int -> bool

@@ -2,132 +2,130 @@ type need =
   | Needs_read
   | Needs_write
 
-type memo = {
-  objs : int array;
-  needs : need array;
+type entries = {
+  mutable objs : int array;
+  mutable needs : need array;
+  mutable n : int;
 }
 
+(* Section ids are small dense ints, so the sections live in an
+   id-indexed array, [absent] marking one never recorded.  The
+   proactive acquisition walk reads a section's arrays directly on
+   every section entry; they change only when an identification
+   appends an object or upgrades a read need (one slot rewritten), and
+   when a freed or demoted object is shifted out.
+
+   The object index maps each object's sections to their need, so
+   membership and need lookups read the object's own table.  Its
+   iteration order is part of the simulated result: through the
+   detector's [active_readers] it orders a race record's holding
+   sides, and so decides which holder the record names first. *)
 type t = {
-  by_section : (int, (int, need) Hashtbl.t) Hashtbl.t;
-  by_object : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  (* The proactive acquisition walk reads a section's entries on every
-     section entry, but they only change when an identification adds
-     an object or upgrades a read need to a write need.  So each
-     section keeps a memo: its entries as two flat arrays in exactly
-     [objects_of]'s order, built on the first walk after a change.
-     Section ids are small dense ints, so the memo table is an
-     id-indexed array ([None] = stale) and a hit is one bounds-checked
-     load.  A [record] that changes nothing keeps the memo. *)
-  mutable cache : memo option array; (* index = section *)
+  mutable sections : entries array; (* index = section *)
+  by_object : (int, (int, need) Hashtbl.t) Hashtbl.t;
+  mutable section_count : int;
+  mutable entry_count : int;
 }
+
+let absent = { objs = [||]; needs = [||]; n = 0 }
 
 let create () =
-  { by_section = Hashtbl.create 64;
+  { sections = Array.make 64 absent;
     by_object = Hashtbl.create 256;
-    cache = Array.make 64 None }
+    section_count = 0;
+    entry_count = 0 }
 
-let invalidate t section =
-  if section >= 0 && section < Array.length t.cache then t.cache.(section) <- None
+let entries t ~section =
+  if section >= 0 && section < Array.length t.sections then t.sections.(section) else absent
 
-let ensure_cache t section =
-  if section >= Array.length t.cache then begin
-    let n = ref (Array.length t.cache) in
-    while section >= !n do
-      n := 2 * !n
-    done;
-    let bigger = Array.make !n None in
-    Array.blit t.cache 0 bigger 0 (Array.length t.cache);
-    t.cache <- bigger
-  end
-
-let bucket table key ~size =
-  match Hashtbl.find_opt table key with
-  | Some b -> b
-  | None ->
-    let b = Hashtbl.create size in
-    Hashtbl.replace table key b;
-    b
-
-(* Only a new object or a read-to-write upgrade changes the section's
-   entries (an existing binding is replaced in place, so the bucket's
-   order never moves), and only then is the memo dropped and the
-   reverse index touched: an object already in the section is already
-   in its reverse index. *)
-let record t ~section ~obj_id need =
-  let objs = bucket t.by_section section ~size:16 in
-  match Hashtbl.find_opt objs obj_id, need with
-  | Some Needs_write, _ | Some Needs_read, Needs_read -> ()
-  | Some Needs_read, Needs_write ->
-    Hashtbl.replace objs obj_id need;
-    invalidate t section
-  | None, _ ->
-    Hashtbl.replace objs obj_id need;
-    invalidate t section;
-    Hashtbl.replace (bucket t.by_object obj_id ~size:8) section ()
-
-let objects_of t ~section =
-  match Hashtbl.find_opt t.by_section section with
-  | Some objs -> Hashtbl.fold (fun obj_id need acc -> (obj_id, need) :: acc) objs []
-  | None -> []
-
-let empty_memo = { objs = [||]; needs = [||] }
-
-(* Fill from the back: the fold behind [objects_of] conses, so its
-   list is the reverse of the bucket's iteration order. *)
-let build_memo t section =
-  match Hashtbl.find_opt t.by_section section with
-  | None -> empty_memo
-  | Some bucket ->
-    let n = Hashtbl.length bucket in
-    let m = { objs = Array.make n 0; needs = Array.make n Needs_read } in
-    let i = ref n in
-    Hashtbl.iter
-      (fun obj_id need ->
-        decr i;
-        m.objs.(!i) <- obj_id;
-        m.needs.(!i) <- need)
-      bucket;
-    m
-
-let memo t ~section =
-  if section < 0 then build_memo t section
+(* The section's own entries, made on its first record. *)
+let section_entries t section =
+  if section < 0 then invalid_arg "Section_object_map: negative section id";
+  if section >= Array.length t.sections then begin
+    let bigger = Array.make (Kard_sched.Dense.grow_pow2 (Array.length t.sections) section) absent in
+    Array.blit t.sections 0 bigger 0 (Array.length t.sections);
+    t.sections <- bigger
+  end;
+  let e = t.sections.(section) in
+  if e != absent then e
   else begin
-    ensure_cache t section;
-    match t.cache.(section) with
-    | Some m -> m
-    | None ->
-      let m = build_memo t section in
-      t.cache.(section) <- Some m;
-      m
+    let e = { objs = [||]; needs = [||]; n = 0 } in
+    t.sections.(section) <- e;
+    t.section_count <- t.section_count + 1;
+    e
   end
+
+let append t e obj_id need =
+  if e.n = Array.length e.objs then begin
+    let cap = max 4 (2 * e.n) in
+    let objs = Array.make cap 0 and needs = Array.make cap Needs_read in
+    Array.blit e.objs 0 objs 0 e.n;
+    Array.blit e.needs 0 needs 0 e.n;
+    e.objs <- objs;
+    e.needs <- needs
+  end;
+  e.objs.(e.n) <- obj_id;
+  e.needs.(e.n) <- need;
+  e.n <- e.n + 1;
+  t.entry_count <- t.entry_count + 1
+
+let rec index_of e (obj_id : int) i =
+  if i >= e.n then -1 else if e.objs.(i) = obj_id then i else index_of e obj_id (i + 1)
+
+(* Only a new object or a read-to-write upgrade changes the map; an
+   upgrade replaces the object's binding in place, so the object
+   index's order never moves. *)
+let record t ~section ~obj_id need =
+  let e = section_entries t section in
+  match Hashtbl.find_opt t.by_object obj_id with
+  | None ->
+    let sections = Hashtbl.create 8 in
+    Hashtbl.replace sections section need;
+    Hashtbl.replace t.by_object obj_id sections;
+    append t e obj_id need
+  | Some sections -> (
+    match (Hashtbl.find_opt sections section, need) with
+    | Some Needs_write, _ | Some Needs_read, Needs_read -> ()
+    | Some Needs_read, Needs_write ->
+      Hashtbl.replace sections section Needs_write;
+      e.needs.(index_of e obj_id 0) <- Needs_write
+    | None, _ ->
+      Hashtbl.replace sections section need;
+      append t e obj_id need)
 
 let need_of t ~section ~obj_id =
-  match Hashtbl.find_opt t.by_section section with
-  | Some objs -> Hashtbl.find_opt objs obj_id
+  match Hashtbl.find_opt t.by_object obj_id with
+  | Some sections -> Hashtbl.find_opt sections section
   | None -> None
+
+let touches t ~section ~obj_id =
+  match Hashtbl.find_opt t.by_object obj_id with
+  | Some sections -> Hashtbl.mem sections section
+  | None -> false
 
 let iter_sections_touching t ~obj_id f =
   match Hashtbl.find_opt t.by_object obj_id with
-  | Some sections -> Hashtbl.iter (fun section () -> f section) sections
+  | Some sections -> Hashtbl.iter (fun section _ -> f section) sections
   | None -> ()
 
+(* Remove the object from one section, keeping the others in order. *)
+let remove_entry t section obj_id =
+  let e = t.sections.(section) in
+  let i = index_of e obj_id 0 in
+  Array.blit e.objs (i + 1) e.objs i (e.n - i - 1);
+  Array.blit e.needs (i + 1) e.needs i (e.n - i - 1);
+  e.n <- e.n - 1;
+  t.entry_count <- t.entry_count - 1
+
 let forget_object t ~obj_id =
-  (match Hashtbl.find_opt t.by_object obj_id with
+  match Hashtbl.find_opt t.by_object obj_id with
   | Some sections ->
-    Hashtbl.iter
-      (fun section () ->
-        invalidate t section;
-        match Hashtbl.find_opt t.by_section section with
-        | Some objs -> Hashtbl.remove objs obj_id
-        | None -> ())
-      sections
-  | None -> ());
-  Hashtbl.remove t.by_object obj_id
+    Hashtbl.iter (fun section _ -> remove_entry t section obj_id) sections;
+    Hashtbl.remove t.by_object obj_id
+  | None -> ()
 
-let section_count t = Hashtbl.length t.by_section
-
-let entry_count t =
-  Hashtbl.fold (fun _ objs acc -> acc + Hashtbl.length objs) t.by_section 0
+let section_count t = t.section_count
+let entry_count t = t.entry_count
 
 let pp_need fmt = function
   | Needs_read -> Format.pp_print_string fmt "r"
