@@ -68,7 +68,17 @@ let workloads () =
      appear in the pick sequence. *)
   line "convoy/threads=300/kard-default"
     (Runner.run ~threads:300 ~scale:0.003 ~detector:(Runner.Kard Config.default)
-       (Runner.Spec (Registry.find "convoy")))
+       (Runner.Spec (Registry.find "convoy")));
+  (* The benchmark's thread count on a workload with Read-only-domain
+     races: one of them names two reader holders, so these lines pin
+     the order in which a race record lists its holding sides. *)
+  List.iter
+    (fun (label, config) ->
+      line
+        (Printf.sprintf "memcached/threads=64/kard-%s" label)
+        (Runner.run ~threads:64 ~scale:0.003 ~detector:(Runner.Kard config)
+           (Runner.Spec (Registry.find "memcached"))))
+    workload_configs
 
 let scenarios () =
   List.iter
