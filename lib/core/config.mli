@@ -23,7 +23,10 @@ type t = {
   protection_interleaving : bool;
       (** The false-positive filter of section 5.5. *)
   timestamp_pruning : bool;
-      (** Treat keys released less than a fault-delay ago as held. *)
+      (** Retired: must be [true].  Keys released less than a
+          fault-delay ago always count as held (section 5.5);
+          {!Detector.create} and the replay log decoder reject
+          [false]. *)
   redundancy_pruning : bool;
       (** Drop repeated records of the same object/section pair. *)
   metadata_pruning : bool;
@@ -32,10 +35,13 @@ type t = {
           touches the faulted object is key multiplexing, not a
           conflict. *)
   prefer_recycle : bool;
-      (** Rule 3 of effective key assignment: recycle before sharing. *)
+      (** Retired: must be [true].  Rule 3 of effective key
+          assignment always recycles before sharing; rejected as
+          [timestamp_pruning] is. *)
   share_disjoint_sections : bool;
-      (** When sharing is forced, prefer keys whose sections touch
-          disjoint object sets (the Table 4 mitigation). *)
+      (** Retired: must be [true].  Forced sharing always prefers keys
+          whose sections touch disjoint object sets (the Table 4
+          mitigation); rejected as [timestamp_pruning] is. *)
   software_fallback : bool;
       (** Retired: must be [false].  The section 8 software key pool
           it enabled is gone — virtual keys ([vkeys]) cover the same

@@ -29,6 +29,9 @@ type frame = {
       (** Whether this section ran the full entry protocol; an
           unsampled section skipped the k_na retraction, the
           proactive walk and the PKRU switch (DESIGN.md §12). *)
+  mutable entered : int;
+      (** The run's section entries at this entry: orders the open
+          sections of all threads by entry. *)
 }
 
 type thread_state = {
@@ -47,7 +50,6 @@ type stats = {
   reactive_acquisitions : int;
   demotions : int;
   timestamp_rescues : int;
-  max_active_sections : int;
   reuse_events : int;
   fresh_events : int;
   recycling_events : int;
@@ -87,18 +89,13 @@ type t = {
   pruning : Pruning.t;
   vkey : Vkey.t;
   slots : int array; (* physical residency slots, virtual mode only *)
-  (* Per-thread and per-site state is indexed by the (small, dense)
-     id, and the seen-object sets are bitsets: these are touched on
-     every section entry/exit and must not hash or allocate. *)
+  (* Per-thread state is indexed by the (small, dense) id, and the
+     seen-object sets are bitsets: these are touched on every section
+     entry/exit and must not hash or allocate. *)
   mutable threads : thread_state option array; (* index = tid *)
-  (* site -> executing threads, as an int stack: slot [site] of
-     [active] holds [active_n.(site)] live tids. *)
-  mutable active : int array array;
-  mutable active_n : int array;
   ro_seen : Dense.Bitset.t;
   rw_seen : Dense.Bitset.t;
-  mutable active_count : int;
-  mutable max_active : int;
+  mutable active_count : int; (* open sampled sections, all threads *)
   mutable na_faults : int;
   mutable ro_faults : int;
   mutable data_faults : int;
@@ -157,6 +154,14 @@ let data_key_ints = List.map Pkey.to_int Pkey.data_keys
 let create ?(config = Config.default) env =
   if config.Config.software_fallback then
     invalid_arg "Detector.create: software_fallback is retired (use vkeys)";
+  if
+    not
+      (config.Config.timestamp_pruning && config.Config.prefer_recycle
+     && config.Config.share_disjoint_sections)
+  then
+    invalid_arg
+      "Detector.create: timestamp_pruning, prefer_recycle and share_disjoint_sections are \
+       retired and must stay true";
   let vpool = max 0 config.Config.vkeys in
   (* Virtual mode reserves the last data key as the evict tag. *)
   let slots =
@@ -178,12 +183,9 @@ let create ?(config = Config.default) env =
     vkey;
     slots;
     threads = Array.make 16 None;
-    active = Array.make 64 [||];
-    active_n = Array.make 64 0;
     ro_seen = Dense.Bitset.create ~capacity:256 ();
     rw_seen = Dense.Bitset.create ~capacity:256 ();
     active_count = 0;
-    max_active = 0;
     na_faults = 0;
     ro_faults = 0;
     data_faults = 0;
@@ -265,7 +267,7 @@ let thread_state t tid =
 
 (* Reuse the frame slot at [depth] (growing the stack with fresh
    records when the nesting exceeds anything seen before). *)
-let push_frame ts ~lock ~site ~saved_pkru ~wrpkru_at_entry =
+let push_frame ts ~lock ~site ~saved_pkru ~wrpkru_at_entry ~entered =
   if ts.depth = Array.length ts.frames then begin
     let cap = max 4 (2 * ts.depth) in
     let bigger =
@@ -273,7 +275,7 @@ let push_frame ts ~lock ~site ~saved_pkru ~wrpkru_at_entry =
           if i < ts.depth then ts.frames.(i)
           else
             { lock; site; saved_pkru; wrpkru_at_entry; acquired = Array.make 4 0; nacquired = 0;
-              sampled = true })
+              sampled = true; entered })
     in
     ts.frames <- bigger
   end;
@@ -285,6 +287,7 @@ let push_frame ts ~lock ~site ~saved_pkru ~wrpkru_at_entry =
   frame.wrpkru_at_entry <- wrpkru_at_entry;
   frame.nacquired <- 0;
   frame.sampled <- true;
+  frame.entered <- entered;
   frame
 
 (* Scans on per-event paths are top-level recursions: without flambda
@@ -300,70 +303,60 @@ let current_frame t tid =
 
 let current_site t tid = Option.map (fun f -> f.site) (current_frame t tid)
 
-(* {2 Active-section tracking (used for Read-only domain conflicts)} *)
+(* {2 Readers of an object (the Read-only domain write fault)} *)
 
-let ensure_site t site =
-  if site < 0 then invalid_arg "Detector: negative section id";
-  if site >= Array.length t.active then begin
-    let cap = Dense.grow_pow2 (Array.length t.active) site in
-    let active = Array.make cap [||] in
-    Array.blit t.active 0 active 0 (Array.length t.active);
-    t.active <- active;
-    let active_n = Array.make cap 0 in
-    Array.blit t.active_n 0 active_n 0 (Array.length t.active_n);
-    t.active_n <- active_n
-  end
+let reads_object t ~obj_id (f : frame) =
+  f.sampled
+  &&
+  match Section_object_map.need_of t.somap ~section:f.site ~obj_id with
+  | Some Section_object_map.Needs_read -> true
+  | Some Section_object_map.Needs_write | None -> false
 
-let active_enter t ~site ~tid =
-  ensure_site t site;
-  let n = t.active_n.(site) in
-  if n = Array.length t.active.(site) then begin
-    let bigger = Array.make (max 4 (2 * n)) 0 in
-    Array.blit t.active.(site) 0 bigger 0 n;
-    t.active.(site) <- bigger
-  end;
-  t.active.(site).(n) <- tid;
-  t.active_n.(site) <- n + 1;
-  t.active_count <- t.active_count + 1;
-  if t.active_count > t.max_active then t.max_active <- t.active_count
+(* Whether a thread other than [excluding_tid], from [tid] on, has an
+   open sampled section recorded as reading the object. *)
+let rec some_reader t ~obj_id ~excluding_tid tid d =
+  tid < Array.length t.threads
+  &&
+  match t.threads.(tid) with
+  | Some ts when tid <> excluding_tid && d < ts.depth ->
+    reads_object t ~obj_id ts.frames.(d) || some_reader t ~obj_id ~excluding_tid tid (d + 1)
+  | Some _ | None -> some_reader t ~obj_id ~excluding_tid (tid + 1) 0
 
-let rec last_index (stk : int array) (tid : int) i =
-  if i < 0 then -1 else if stk.(i) = tid then i else last_index stk tid (i - 1)
-
-let active_exit t ~site ~tid =
-  ensure_site t site;
-  (* Drop the most recent entry of [tid], as the cons-list
-     predecessor's head-first scan did. *)
-  let stk = t.active.(site) in
-  let n = t.active_n.(site) in
-  let i = last_index stk tid (n - 1) in
-  if i >= 0 then begin
-    for j = i to n - 2 do
-      stk.(j) <- stk.(j + 1)
-    done;
-    t.active_n.(site) <- n - 1
-  end;
-  t.active_count <- t.active_count - 1
+(* The open sampled sections at [site] of threads other than
+   [excluding_tid], as [(entered, tid)] pairs. *)
+let open_at t ~site ~excluding_tid =
+  let acc = ref [] in
+  Array.iteri
+    (fun tid -> function
+      | Some ts when tid <> excluding_tid ->
+        for d = 0 to ts.depth - 1 do
+          let f = ts.frames.(d) in
+          if f.sampled && f.site = site then acc := (f.entered, tid) :: !acc
+        done
+      | Some _ | None -> ())
+    t.threads;
+  !acc
 
 (* Threads other than [excluding_tid] executing a section recorded as
-   reading the object, as [(tid, site)] pairs.  The order is the order
-   of the holding sides in the race record: sites in the reverse of the
-   object's section-set order, each site's threads most recent entry
-   first.  The section set is walked in place and the need is probed
-   only for sites someone is executing, so the usual empty answer
-   allocates no list. *)
+   reading the object, as [(tid, site)] pairs, read from the threads'
+   frames.  The order is the order of the holding sides in the race
+   record: sites in the reverse of the object's section-set order, each
+   site's sections newest entry first.  The section set is walked only
+   when some frame qualifies, so the usual empty answer allocates no
+   list. *)
 let active_readers t ~obj_id ~excluding_tid =
-  let acc = ref [] in
-  Section_object_map.iter_sections_touching t.somap ~obj_id (fun site ->
-      if site >= 0 && site < Array.length t.active && t.active_n.(site) > 0 then
+  if not (some_reader t ~obj_id ~excluding_tid 0 0) then []
+  else begin
+    let acc = ref [] in
+    Section_object_map.iter_sections_touching t.somap ~obj_id (fun site ->
         match Section_object_map.need_of t.somap ~section:site ~obj_id with
         | Some Section_object_map.Needs_read ->
-          let stk = t.active.(site) in
-          for i = 0 to t.active_n.(site) - 1 do
-            if stk.(i) <> excluding_tid then acc := (stk.(i), site) :: !acc
-          done
+          List.iter
+            (fun (_, tid) -> acc := (tid, site) :: !acc)
+            (List.sort compare (open_at t ~site ~excluding_tid))
         | Some Section_object_map.Needs_write | None -> ());
-  !acc
+    !acc
+  end
 
 (* {2 Protection changes} *)
 
@@ -569,11 +562,7 @@ let share_fallback t ~section =
   let disjoint v =
     Key_assign.disjoint_sections t.somap ~section (Key_section_map.holders t.ksmap v)
   in
-  let preferred =
-    if t.config.Config.share_disjoint_sections then List.find_opt disjoint candidates
-    else None
-  in
-  match (preferred, candidates) with
+  match (List.find_opt disjoint candidates, candidates) with
   | Some v, _ -> v
   | None, v :: _ -> v
   | None, [] -> assert false (* Full implies every slot resident *)
@@ -604,6 +593,16 @@ let frame_note_acquired frame key =
 
 (* {2 Key assignment for a write-identified object} *)
 
+(* Every key the thread's open frames acquired, from frame [d] and its
+   slot [i] on.  A nested exit releases its keys, so a key listed here
+   may no longer be held. *)
+let rec acquired_keys ts d i acc =
+  if d >= ts.depth then acc
+  else
+    let f = ts.frames.(d) in
+    if i >= f.nacquired then acquired_keys ts (d + 1) 0 acc
+    else acquired_keys ts d (i + 1) (f.acquired.(i) :: acc)
+
 (* Returns cycles.  The object lands in the Read-write domain and, if
    the thread gained a key, the PKRU context is updated (reactive
    acquisition, section 5.4). *)
@@ -611,6 +610,7 @@ let assign_write_key t ~tid ~frame (meta : Obj_meta.t) =
   let site = frame.site in
   let chosen =
     Key_assign.choose t.assign ~ksmap:t.ksmap ~domains:t.domains ~somap:t.somap ~tid ~section:site
+      ~held:(acquired_keys (thread_state t tid) 0 0 [])
   in
   (* Virtual mode: a Fresh or Recycle choice needs a physical slot
      before its pages can be tagged.  Only when every slot is pinned
@@ -864,7 +864,7 @@ let handle_data_fault t (fault : Fault.t) (meta : Obj_meta.t) key =
     else conflicts
   in
   let conflicts, rescued =
-    if conflicts = [] && t.config.Config.timestamp_pruning then
+    if conflicts = [] then
       (* The key may have been released between the #GP firing and the
          handler running — a window of one fault round trip (section
          5.5).  Two filters keep the window precise: the releaser's
@@ -1115,16 +1115,17 @@ let on_lock t ~tid ~lock ~site =
   let pkru0 = Mpk_hw.pkru_of (hw t) ~tid in
   let frame =
     push_frame ts ~lock ~site ~saved_pkru:pkru0 ~wrpkru_at_entry:(Mpk_hw.wrpkru_count (hw t))
+      ~entered:t.cs_entries
   in
   if enabled && not (Sampling.sampled_section t.sampling ~epoch:t.cur_epoch ~section:site)
   then begin
     (* Unsampled section: the near-zero fast path.  No k_na
        retraction (so nothing identifies), no proactive walk, no
-       ksmap traffic, no active-set entry — the PKRU is opened to
-       all-access for the section's duration so nothing inside can
-       fault either (a reactive fault costs a 24k-cycle round trip,
-       which would dwarf the protocol it replaces).  The section's
-       accesses are simply invisible to the detector — the
+       ksmap traffic, and its frame reads no object — the PKRU is
+       opened to all-access for the section's duration so nothing
+       inside can fault either (a reactive fault costs a 24k-cycle
+       round trip, which would dwarf the protocol it replaces).  The
+       section's accesses are simply invisible to the detector — the
        sampled-miss semantic — and the only charges are the policy
        check and the PKRU switch the exit undoes. *)
     frame.sampled <- false;
@@ -1136,7 +1137,8 @@ let on_lock t ~tid ~lock ~site =
       t.sampled_sections <- t.sampled_sections + 1;
       Kard_obs.Trace.incr (trace t) "sampling.sampled_sections"
     end;
-    active_enter t ~site ~tid;
+    if site < 0 then invalid_arg "Detector: negative section id";
+    t.active_count <- t.active_count + 1;
     (* Internal synchronization scales with concurrently executing
        sections: the runtime's maps are shared state. *)
     let sync_cost = c.Cost_model.atomic_op * (1 + t.active_count) in
@@ -1170,7 +1172,7 @@ let on_unlock t ~tid ~lock =
         (Printf.sprintf "Kard: thread %d releases lock %d but innermost section holds %d" tid lock
            frame.lock);
     ts.depth <- ts.depth - 1;
-    (* An unsampled frame never entered the active set or touched the
+    (* An unsampled frame was never counted as active nor touched the
        ksmap; its exit only restores the PKRU its entry opened to
        all-access. *)
     let cycles =
@@ -1209,7 +1211,7 @@ let on_unlock t ~tid ~lock =
         (Mpk_hw.wrpkru_count (hw t) - frame.wrpkru_at_entry);
       sample_occupancy t
     | Some _ -> ());
-    if frame.sampled then active_exit t ~site:frame.site ~tid;
+    if frame.sampled then t.active_count <- t.active_count - 1;
     !cycles
   end
 
@@ -1321,7 +1323,6 @@ let stats t : stats =
     reactive_acquisitions = t.reactive_acq;
     demotions = t.demotions;
     timestamp_rescues = t.ts_rescues;
-    max_active_sections = t.max_active;
     reuse_events = ks.Key_assign.reuse_events;
     fresh_events = ks.Key_assign.fresh_events;
     recycling_events = ks.Key_assign.recycling_events;

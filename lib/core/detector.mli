@@ -19,7 +19,6 @@ type stats = {
   reactive_acquisitions : int;
   demotions : int;          (** Objects bounced back to Not-accessed. *)
   timestamp_rescues : int;  (** Races attributed via the release-time window. *)
-  max_active_sections : int;
   reuse_events : int;
   fresh_events : int;
   recycling_events : int;
@@ -65,8 +64,10 @@ type stats = {
 }
 
 val create : ?config:Config.t -> Kard_sched.Hooks.env -> t
-(** @raise Invalid_argument when [config.software_fallback] is set:
-    the software key pool is retired. *)
+(** @raise Invalid_argument when [config] sets a retired knob to
+    anything but its default: [software_fallback] (the software key
+    pool is gone), or [timestamp_pruning], [prefer_recycle] or
+    [share_disjoint_sections] off (their alternatives are gone). *)
 
 val hooks : t -> Kard_sched.Hooks.t
 (** [access] is [None] at every sampling rate: the detector observes

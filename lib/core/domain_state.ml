@@ -13,7 +13,7 @@ type domain =
 
    Encoding: [k >= 0] is Read-write under data key [k]; the negative
    codes distinguish "never recorded" from an explicit Not-accessed so
-   [tracked]/[count_in] keep their hash-table meanings.
+   [tracked] keeps its hash-table meaning.
 
    Keys are small dense ints too, so each key's object set is found by
    an array read.  The sets themselves stay hash tables, mapping each
@@ -135,22 +135,6 @@ let key_load t key =
   match find_bucket t key with
   | Some bucket -> Hashtbl.length bucket
   | None -> 0
-
-let count_in t which =
-  let wanted_code =
-    match which with
-    | `Not_accessed -> code_not_accessed
-    | `Read_only -> code_read_only
-    | `Read_write -> 0 (* sentinel; matched by the >= 0 test below *)
-  in
-  let n = ref 0 in
-  Array.iter
-    (fun code ->
-      match which with
-      | `Read_write -> if code >= 0 then incr n
-      | `Not_accessed | `Read_only -> if code = wanted_code then incr n)
-    t.codes;
-  !n
 
 let migrations t = t.migrations
 let tracked t = t.tracked

@@ -50,9 +50,6 @@ val key_pages : t -> int -> int
 (** The pages of every object in the Read-write domain under this
     key, summed in O(1): what retagging all of them would touch. *)
 
-val count_in : t -> [ `Not_accessed | `Read_only | `Read_write ] -> int
-(** Objects explicitly recorded in the given domain. *)
-
 val migrations : t -> int
 (** Domain changes performed so far (a performance counter). *)
 

@@ -72,106 +72,101 @@ let disjoint_sections somap ~section holders =
       not (touches_any somap mine ~theirs:h.Key_section_map.section 0))
     holders
 
-(* Legacy share scoring, shared by both modes (virtual mode only
-   reaches it with the whole pool held). *)
+(* The first key with the fewest holdings. *)
+let rec least_held ksmap best best_n = function
+  | [] -> best
+  | key :: rest ->
+    let n = Key_section_map.held_count ksmap key in
+    if n < best_n then least_held ksmap key n rest else least_held ksmap best best_n rest
+
+(* Rule 3b, shared by both modes (virtual mode only reaches it with
+   the whole pool held): the first key whose holders' sections are
+   disjoint from [section], else the least held. *)
 let choose_share t ~ksmap ~somap ~section =
-  let scored = List.map (fun key -> (key, Key_section_map.holders ksmap key)) t.keys in
-  let disjoint =
-    if t.config.Config.share_disjoint_sections then
-      List.find_opt (fun (_, holders) -> disjoint_sections somap ~section holders) scored
-    else None
-  in
-  match disjoint with
-  | Some (key, _) -> Share key
-  | None ->
-    (* Least-loaded key as a fallback. *)
-    let sorted =
-      List.sort (fun (_, a) (_, b) -> compare (List.length a) (List.length b)) scored
-    in
-    (match sorted with
-    | (key, _) :: _ -> Share key
-    | [] -> assert false (* t.keys is non-empty by construction *))
+  match
+    List.find_opt
+      (fun key -> disjoint_sections somap ~section (Key_section_map.holders ksmap key))
+      t.keys
+  with
+  | Some key -> Share key
+  | None -> Share (least_held ksmap (-1) max_int t.keys)
+
+let unheld ksmap key = Key_section_map.held_count ksmap key = 0
+
+(* Rule 2 in identity mode: the first key nobody holds and that
+   protects no object; -1 if none. *)
+let rec first_free ksmap domains = function
+  | [] -> -1
+  | key :: rest ->
+    if unheld ksmap key && Domain_state.key_load domains key = 0 then key
+    else first_free ksmap domains rest
+
+(* Rule 3a in identity mode: the first unheld key of least load; -1 if
+   every key is held. *)
+let rec least_loaded_unheld ksmap domains best best_load = function
+  | [] -> best
+  | key :: rest ->
+    let load = if unheld ksmap key then Domain_state.key_load domains key else max_int in
+    if load < best_load then least_loaded_unheld ksmap domains key load rest
+    else least_loaded_unheld ksmap domains best best_load rest
 
 let choose_identity t ~ksmap ~domains ~somap ~section =
-  (* Rule 2: an unassigned key (no holders, protects no object). *)
-  let fresh =
-    List.find_opt
-      (fun key ->
-        Key_section_map.holders ksmap key = [] && Domain_state.objects_with_key domains key = [])
-      t.keys
-  in
-  match fresh with
-  | Some key -> Fresh key
-  | None -> begin
-    (* Rule 3a: recycle an unheld key, demoting its objects. *)
-    let recyclable =
-      if t.config.Config.prefer_recycle then
-        let unheld = Key_section_map.unheld_keys ksmap ~among:t.keys in
-        let with_load =
-          List.map (fun key -> (key, Domain_state.objects_with_key domains key)) unheld
-        in
-        match List.sort (fun (_, a) (_, b) -> compare (List.length a) (List.length b)) with_load with
-        | [] -> None
-        | (key, objs) :: _ -> Some (key, objs)
-      else None
-    in
-    match recyclable with
-    | Some (key, objs) -> Recycle (key, objs)
-    | None -> choose_share t ~ksmap ~somap ~section
-  end
+  let fresh = first_free ksmap domains t.keys in
+  if fresh >= 0 then Fresh fresh
+  else
+    let key = least_loaded_unheld ksmap domains (-1) max_int t.keys in
+    if key >= 0 then Recycle (key, Domain_state.objects_with_key domains key)
+    else choose_share t ~ksmap ~somap ~section
+
+(* The first unheld key at or after the recycle hand, in pool order
+   and wrapping, that also protects no object when [free]; -1 if none.
+   O(scan) amortized instead of an O(pool) load-sorted sweep per
+   assignment. *)
+let rec scan_pool t ksmap domains ~free i =
+  if i >= t.pool then -1
+  else
+    let key = ((t.recycle_hand - 1 + i) mod t.pool) + 1 in
+    if unheld ksmap key && ((not free) || Domain_state.key_load domains key = 0) then key
+    else scan_pool t ksmap domains ~free (i + 1)
 
 let choose_virtual t ~ksmap ~domains ~somap ~section =
   if t.next_fresh <= t.pool then Fresh t.next_fresh
-  else begin
-    (* Recycle hand: first matching key at or after the hand, pool
-       order, wrapping — O(scan) amortized instead of an O(pool)
-       load-sorted sweep per assignment. *)
-    let scan pred =
-      let found = ref (-1) in
-      let i = ref 0 in
-      while !found < 0 && !i < t.pool do
-        let key = ((t.recycle_hand - 1 + !i) mod t.pool) + 1 in
-        if pred key then found := key;
-        incr i
-      done;
-      if !found < 0 then None else Some !found
-    in
-    let unheld key = Key_section_map.held_count ksmap key = 0 in
-    let recyclable =
-      if t.config.Config.prefer_recycle then
-        (* Prefer a free key — unheld {e and} protecting nothing — over
-           stealing a live association: a pool sized past the active
-           section count then converges to stable per-section keys
-           (the whole point of virtualization) instead of churning
-           object–key bindings the way 13 physical keys must. *)
-        match scan (fun key -> unheld key && Domain_state.key_load domains key = 0) with
-        | Some key -> Some (key, [])
-        | None ->
-          (match scan unheld with
-          | Some key -> Some (key, Domain_state.objects_with_key domains key)
-          | None -> None)
-      else None
-    in
-    match recyclable with
-    | Some (key, objs) -> Recycle (key, objs)
-    | None -> choose_share t ~ksmap ~somap ~section
-  end
+  else
+    (* Prefer a free key — unheld {e and} protecting nothing — over
+       stealing a live association: a pool sized past the active
+       section count then converges to stable per-section keys (the
+       whole point of virtualization) instead of churning object–key
+       bindings the way 13 physical keys must. *)
+    let free = scan_pool t ksmap domains ~free:true 0 in
+    if free >= 0 then Recycle (free, [])
+    else
+      let key = scan_pool t ksmap domains ~free:false 0 in
+      if key >= 0 then Recycle (key, Domain_state.objects_with_key domains key)
+      else choose_share t ~ksmap ~somap ~section
 
-let choose t ~ksmap ~domains ~somap ~tid ~section =
+(* Rule 1: the lowest key of [held] in key space that the thread still
+   holds with read-write permission; -1 if none. *)
+let rec lowest_reusable t ksmap ~tid best = function
+  | [] -> best
+  | key :: rest ->
+    let best =
+      if (best < 0 || key < best)
+         && in_key_space t key
+         && Kard_mpk.Perm.equal (Key_section_map.perm_of ksmap key ~tid) Kard_mpk.Perm.Read_write
+      then key
+      else best
+    in
+    lowest_reusable t ksmap ~tid best rest
+
+let choose t ~ksmap ~domains ~somap ~tid ~section ~held =
   (* Rule 1: reuse a data key the faulting thread already holds with
      read-write permission (granting another thread's read-only key a
-     new object would leak writes). *)
-  let held =
-    List.filter
-      (fun (key, perm) ->
-        in_key_space t key && Kard_mpk.Perm.equal perm Kard_mpk.Perm.Read_write)
-      (Key_section_map.held_by ksmap ~tid)
-  in
-  match held with
-  | (key, _) :: _ -> Reuse key
-  | [] ->
-    if t.pool > 0 then choose_virtual t ~ksmap ~domains ~somap ~section
-    else choose_identity t ~ksmap ~domains ~somap ~section
+     new object would leak writes).  [held] may list keys a nested
+     exit has released since, hence the map check. *)
+  let reuse = lowest_reusable t ksmap ~tid (-1) held in
+  if reuse >= 0 then Reuse reuse
+  else if t.pool > 0 then choose_virtual t ~ksmap ~domains ~somap ~section
+  else choose_identity t ~ksmap ~domains ~somap ~section
 
 let note t decision =
   let s = t.stats in

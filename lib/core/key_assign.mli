@@ -8,6 +8,12 @@
     whose holding sections touch disjoint object sets, since sharing
     is the one source of false negatives (Table 4).
 
+    Rule 1 reads the keys the thread's open sections acquired, which
+    the caller passes in, and checks each against the key-section map:
+    the map keeps no per-thread index.  The other rules read each
+    key's holding count and object count, and list only the chosen
+    key's objects.
+
     Keys are plain [int]s: physical data pkeys ([1..data_keys]) in
     identity mode, virtual keys ([1..vkeys]) under the vkey cache
     (DESIGN.md §11).  Virtual mode replaces the O(keys) fresh/recycle
@@ -53,9 +59,13 @@ val choose :
   somap:Section_object_map.t ->
   tid:int ->
   section:int ->
+  held:int list ->
   decision
 (** Decide a key for a new Read-write domain object identified by
-    [tid] inside [section]. *)
+    [tid] inside [section].  [held] lists the keys the thread's open
+    sections acquired, in any order and possibly with repeats; rule 1
+    reuses the lowest of them in key space that the thread still holds
+    with read-write permission. *)
 
 val note : t -> decision -> unit
 (** Record the decision in the statistics and advance the virtual-mode

@@ -4,15 +4,15 @@
     currently hold each Read-write domain key, with what permission,
     and when each key was last released — the input to race checks,
     key assignment and the timestamp-based pruning of section 5.5.
-    Which sections are executing is the detector's to track (its
-    per-site active stacks); this map knows a section only as the
-    field of a holding.
+    The map keeps nothing per thread: which sections are executing,
+    and which keys a thread's open sections acquired, are the
+    detector's frames; this map knows a section only as the field of
+    a holding.
 
     Keys are plain [int]s: the physical data pkeys in identity mode,
     or virtual keys [1..pool] under the vkey cache (DESIGN.md §11).
-    Per-key storage grows on demand, so a pool of thousands only pays
-    for the keys actually touched; {!held_by} is answered from a
-    per-thread index in O(keys held). *)
+    A key's storage is made on its first acquisition, so a pool of
+    thousands only pays for the keys actually touched. *)
 
 type holder = {
   tid : int;
@@ -34,6 +34,7 @@ type t
 val create : unit -> t
 
 val holders : t -> int -> holder list
+(** Newest holding first. *)
 
 val other_holders : t -> int -> tid:int -> holder list
 
@@ -43,9 +44,9 @@ val write_holder : t -> int -> holder option
 val held_count : t -> int -> int
 (** Live holdings of a key, O(1) — the vkey layer's pinning input. *)
 
-val held_by : t -> tid:int -> (int * Kard_mpk.Perm.t) list
-(** Keys the thread holds with their permissions, ascending key
-    order. *)
+val perm_of : t -> int -> tid:int -> Kard_mpk.Perm.t
+(** The thread's permission on the key, [No_access] when it holds
+    none. *)
 
 val can_acquire : t -> int -> tid:int -> Kard_mpk.Perm.t -> bool
 (** Read-write: no other holder at all; read-only: no other
@@ -55,7 +56,8 @@ val acquire :
   t -> int -> tid:int -> Kard_mpk.Perm.t -> section:int -> lock:int -> proactive:bool -> unit
 (** Record a holding of the key, given by the fields of a {!holder}
     (passed one by one, so the section-entry walk builds no record per
-    key).  Upgrades in place if the thread already holds the key.
+    key).  Upgrades in place if the thread already holds the key, and
+    the holding becomes the newest.
     @raise Invalid_argument when the acquisition is not permitted. *)
 
 val force_acquire :
@@ -64,16 +66,19 @@ val force_acquire :
     violates exclusivity — the documented false-negative source. *)
 
 val release : t -> int -> tid:int -> time:int -> unit
-(** Removes the thread's holding and stamps the release time. *)
+(** Removes the thread's holding and stamps the release time; a no-op
+    when the thread holds no such key.
+    @raise Invalid_argument when [time] is below the key's latest
+    release stamp: a key's stamps never decrease. *)
 
 val last_release_time : t -> int -> int
-(** The stamp of the key's most recent release, [-1] if it was never
+(** The stamp of the key's latest release, [-1] if it was never
     released: the section-entry walk's delay-injection cooldown. *)
 
 val last_release_by_other : t -> int -> tid:int -> (int * holder) option
-(** The most recent release of the key by a thread other than [tid]
-    (each thread's latest release is remembered separately, so a
-    faulter's own releases do not mask the conflicting one), for the
-    fault-delay window check of section 5.5. *)
+(** The latest release of the key by a thread other than [tid] (so a
+    faulter's own releases do not mask the conflicting one), the
+    lowest releasing tid winning on equal stamps, for the fault-delay
+    window check of section 5.5. *)
 
 val unheld_keys : t -> among:int list -> int list

@@ -1,7 +1,6 @@
 type counter = { mutable c : int }
 
 type histogram = {
-  bounds : int array; (* ascending upper bounds *)
   buckets : int array; (* length bounds + 1; last is overflow *)
   mutable h_count : int;
   mutable h_total : int;
@@ -31,21 +30,17 @@ let counter t name =
 let incr ?(by = 1) c = c.c <- c.c + by
 let counter_value c = c.c
 
-let default_buckets = Array.init 31 (fun i -> 1 lsl i)
+(* Every histogram's ascending upper bounds: powers of two from 1 to
+   2^30, one relative-error band per doubling, enough reach for cycle
+   latencies. *)
+let bounds = Array.init 31 (fun i -> 1 lsl i)
 
-let histogram t ?(buckets = default_buckets) name =
+let histogram t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
-    if Array.length buckets = 0 then invalid_arg "Metrics.histogram: empty buckets";
-    Array.iteri
-      (fun i b ->
-        if i > 0 && buckets.(i - 1) >= b then
-          invalid_arg "Metrics.histogram: buckets must be strictly ascending")
-      buckets;
     let h =
-      { bounds = Array.copy buckets;
-        buckets = Array.make (Array.length buckets + 1) 0;
+      { buckets = Array.make (Array.length bounds + 1) 0;
         h_count = 0;
         h_total = 0;
         h_min = max_int;
@@ -54,20 +49,20 @@ let histogram t ?(buckets = default_buckets) name =
     Hashtbl.replace t.histograms name h;
     h
 
-let bucket_index h v =
-  let n = Array.length h.bounds in
+let bucket_index v =
+  let n = Array.length bounds in
   let rec search lo hi =
     (* First bound >= v, or the overflow bucket. *)
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if h.bounds.(mid) >= v then search lo mid else search (mid + 1) hi
+      if bounds.(mid) >= v then search lo mid else search (mid + 1) hi
   in
   search 0 n
 
 let observe h v =
   let v = max 0 v in
-  h.buckets.(bucket_index h v) <- h.buckets.(bucket_index h v) + 1;
+  h.buckets.(bucket_index v) <- h.buckets.(bucket_index v) + 1;
   h.h_count <- h.h_count + 1;
   h.h_total <- h.h_total + v;
   if v < h.h_min then h.h_min <- v;
@@ -86,9 +81,9 @@ let percentile h q =
     in
     let i, before = walk 0 0 in
     let in_bucket = h.buckets.(i) in
-    let lo = if i = 0 then 0. else float_of_int h.bounds.(i - 1) in
+    let lo = if i = 0 then 0. else float_of_int bounds.(i - 1) in
     let hi =
-      if i < Array.length h.bounds then float_of_int h.bounds.(i) else float_of_int h.h_max
+      if i < Array.length bounds then float_of_int bounds.(i) else float_of_int h.h_max
     in
     let est =
       if in_bucket = 0 then lo

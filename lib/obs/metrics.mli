@@ -24,15 +24,10 @@ val counter_value : counter -> int
 
 (** {1 Histograms} *)
 
-val default_buckets : int array
-(** Powers of two from 1 to 2^30: one relative-error band per
-    doubling, enough reach for cycle latencies. *)
-
-val histogram : t -> ?buckets:int array -> string -> histogram
-(** Find or create; [buckets] are ascending upper bounds and only
-    apply on creation.
-    @raise Invalid_argument when [buckets] is empty or not strictly
-    ascending. *)
+val histogram : t -> string -> histogram
+(** Find or create.  The buckets' upper bounds are the powers of two
+    from 1 to 2^30: one relative-error band per doubling, enough reach
+    for cycle latencies. *)
 
 val observe : histogram -> int -> unit
 (** Record one sample (clamped to [0] from below). *)

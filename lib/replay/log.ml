@@ -178,10 +178,16 @@ let get_config c =
     | [ a; b; c; d; e; f; g; h ] -> (a, b, c, d, e, f, g, h)
     | _ -> assert false
   in
-  (* The retired software key pool keeps its wire bit; no detector can
-     replay a log that sets it. *)
+  (* Retired knobs keep their wire bits; no detector can replay a log
+     that sets one to anything but its default. *)
   if software_fallback then
     raise (Error (Corrupt "config sets the retired software_fallback"));
+  if not (timestamp_pruning && prefer_recycle && share_disjoint_sections) then
+    raise
+      (Error
+         (Corrupt
+            "config clears a retired knob (timestamp_pruning, prefer_recycle or \
+             share_disjoint_sections)"));
   let exit_delay_cycles = get_varint c in
   let section_identity =
     match byte c with
@@ -374,17 +380,6 @@ let decode data =
 let pick_count t = t.pick_count
 let grant_count t = t.grant_count
 let anchor_count t = t.anchor_count
-
-let picks t =
-  let arr = Array.make t.pick_count 0 in
-  let i = ref 0 in
-  iter t
-    ~pick:(fun tid ->
-      arr.(!i) <- tid;
-      incr i)
-    ~grant:(fun ~lock:_ ~tid:_ -> ())
-    ~anchor:(fun ~picks:_ ~clock:_ -> ());
-  arr
 
 (* {2 Event lists}
 

@@ -129,9 +129,6 @@ val iter :
 (** Walk the body in stream order.  Anchors arrive with their absolute
     pick count and clock. *)
 
-val picks : t -> int array
-(** The pick stream alone — feed to {!Kard_sched.Schedule.Replay}. *)
-
 val pick_count : t -> int
 val grant_count : t -> int
 val anchor_count : t -> int

@@ -58,13 +58,13 @@ let test_domain_counts () =
   (* Setting a fresh object to Not-accessed is a no-op: that is
      already its implicit domain. *)
   Domain_state.set d ~obj_id:3 Domain_state.Not_accessed;
-  check_int "ro count" 1 (Domain_state.count_in d `Read_only);
-  check_int "rw count" 1 (Domain_state.count_in d `Read_write);
-  check_int "na count" 0 (Domain_state.count_in d `Not_accessed);
   check_int "tracked" 2 (Domain_state.tracked d);
-  (* A demotion from a real domain is tracked explicitly. *)
+  (* A demotion from a real domain is tracked explicitly, and a
+     forgotten object is not. *)
   Domain_state.set d ~obj_id:1 Domain_state.Not_accessed;
-  check_int "demoted counts as na" 1 (Domain_state.count_in d `Not_accessed)
+  check_int "demoted stays tracked" 2 (Domain_state.tracked d);
+  Domain_state.forget d ~obj_id:1;
+  check_int "forgotten" 1 (Domain_state.tracked d)
 
 (* {1 Section_object_map} *)
 
@@ -297,7 +297,13 @@ let test_ksmap_release_and_timestamp () =
   (match Ksmap.last_release_by_other m k ~tid:1 with
   | Some (1000, h) -> check_int "releaser identity kept" 0 h.Ksmap.tid
   | _ -> Alcotest.fail "expected release record");
-  check "own release does not count" true (Ksmap.last_release_by_other m k ~tid:0 = None)
+  check "own release does not count" true (Ksmap.last_release_by_other m k ~tid:0 = None);
+  acquire m k (holder 1);
+  check "a stamp below the latest is refused" true
+    (try
+       Ksmap.release m k ~tid:1 ~time:999;
+       false
+     with Invalid_argument _ -> true)
 
 let test_ksmap_upgrade () =
   let m = Ksmap.create () in
@@ -332,17 +338,180 @@ let test_ksmap_holdings () =
   acquire m 4 (holder ~perm:Perm.Read_only 0);
   check_int "two holdings of 7" 2 (Ksmap.held_count m 7);
   check_int "key never held" 0 (Ksmap.held_count m 9);
-  check "thread 1's keys ascending" true
-    (Ksmap.held_by m ~tid:1 = [ (2, Perm.Read_write); (7, Perm.Read_only) ]);
+  let perms tid = List.map (fun key -> Ksmap.perm_of m key ~tid) [ 2; 4; 7; 9 ] in
+  check "thread 1's keys" true
+    (perms 1 = [ Perm.Read_write; Perm.No_access; Perm.Read_only; Perm.No_access ]);
   check "thread 0's keys" true
-    (Ksmap.held_by m ~tid:0 = [ (4, Perm.Read_only); (7, Perm.Read_only) ]);
-  check "unknown thread holds nothing" true (Ksmap.held_by m ~tid:5 = []);
+    (perms 0 = [ Perm.No_access; Perm.Read_only; Perm.Read_only; Perm.No_access ]);
+  check "unknown thread holds nothing" true (List.for_all (( = ) Perm.No_access) (perms 5));
   check "other holders skip the caller" true
     (List.map (fun h -> h.Ksmap.tid) (Ksmap.other_holders m 7 ~tid:0) = [ 1 ]);
   check "unheld among" true (Ksmap.unheld_keys m ~among:[ 2; 3; 4; 9 ] = [ 3; 9 ]);
   Ksmap.release m 7 ~tid:1 ~time:50;
   check_int "one holding of 7 left" 1 (Ksmap.held_count m 7);
-  check "thread 1 keeps key 2" true (Ksmap.held_by m ~tid:1 = [ (2, Perm.Read_write) ])
+  check "thread 1 keeps key 2" true
+    (perms 1 = [ Perm.Read_write; Perm.No_access; Perm.No_access; Perm.No_access ])
+
+(* {2 The key-section map against a list model} *)
+
+type ksmap_op =
+  | Take of bool * int * Ksmap.holder (* forced?, key, holding *)
+  | Drop of int * int * int (* tid, key, stamp increment (0 repeats) *)
+
+(* Keys 0-20 and 37 (past the initial capacity of 16 and the first
+   doubling), most operations on keys 0-3 so that several threads
+   contend for each key. *)
+let ksmap_keys = List.init 21 Fun.id @ [ 37 ]
+
+let ksmap_op_gen =
+  QCheck.Gen.(
+    let key = frequency [ (8, int_range 0 3); (4, int_range 0 20); (1, return 37) ] in
+    let tid = int_range 0 5 in
+    frequency
+      [ ( 5,
+          let* forced = frequency [ (4, return false); (1, return true) ] in
+          let* key = key in
+          let* tid = tid in
+          let* perm = oneofl [ Perm.Read_only; Perm.Read_only; Perm.Read_write ] in
+          let* section = int_range 0 9 in
+          let* lock = int_range 0 3 in
+          let* proactive = bool in
+          return (Take (forced, key, { Ksmap.tid; perm; section; lock; proactive })) );
+        ( 4,
+          let* tid = tid in
+          let* key = key in
+          let* dt = oneofl [ 0; 0; 1; 3 ] in
+          return (Drop (tid, key, dt)) ) ])
+
+(* The reference: each key's holdings newest first, as the cons-list
+   predecessor kept them, and every release ever made, newest first. *)
+type ksmap_model = {
+  held : (int * Ksmap.holder list) list;
+  released : (int * int * Ksmap.holder) list; (* key, stamp, holding *)
+  clock : int;
+}
+
+let model_holders model key = Option.value ~default:[] (List.assoc_opt key model.held)
+
+let model_can_acquire model key ~tid perm =
+  let others = List.filter (fun (h : Ksmap.holder) -> h.Ksmap.tid <> tid) (model_holders model key) in
+  match perm with
+  | Perm.Read_write -> others = []
+  | Perm.Read_only ->
+    List.for_all (fun (h : Ksmap.holder) -> not (Perm.equal h.Ksmap.perm Perm.Read_write)) others
+  | Perm.No_access -> false
+
+let with_holders model key hs = { model with held = (key, hs) :: List.remove_assoc key model.held }
+
+(* The latest release of [key] by each thread other than [tid], the
+   latest of those winning and the lowest tid on equal stamps. *)
+let model_last_release_by_other model key ~tid =
+  let latest_by =
+    List.fold_left
+      (fun acc (k, time, (h : Ksmap.holder)) ->
+        if k <> key || h.Ksmap.tid = tid || List.mem_assoc h.Ksmap.tid acc then acc
+        else (h.Ksmap.tid, (time, h)) :: acc)
+      [] model.released
+  in
+  List.fold_left
+    (fun best (r, (time, h)) ->
+      match best with
+      | Some (bt, (bh : Ksmap.holder)) when bt > time || (bt = time && bh.Ksmap.tid < r) -> best
+      | Some _ | None -> Some (time, h))
+    None latest_by
+
+let ksmap_model_step model = function
+  | Take (forced, key, h) ->
+    let tid = h.Ksmap.tid in
+    if (not forced) && not (model_can_acquire model key ~tid h.Ksmap.perm) then model
+    else
+      let hs = model_holders model key in
+      let h =
+        match List.find_opt (fun (o : Ksmap.holder) -> o.Ksmap.tid = tid) hs with
+        | None -> h
+        | Some o ->
+          { h with
+            Ksmap.perm = Perm.join o.Ksmap.perm h.Ksmap.perm;
+            proactive = o.Ksmap.proactive && h.Ksmap.proactive }
+      in
+      with_holders model key (h :: List.filter (fun (o : Ksmap.holder) -> o.Ksmap.tid <> tid) hs)
+  | Drop (tid, key, dt) ->
+    let time = model.clock + dt in
+    let model = { model with clock = time } in
+    let hs = model_holders model key in
+    (match List.find_opt (fun (o : Ksmap.holder) -> o.Ksmap.tid = tid) hs with
+    | None -> model
+    | Some h ->
+      let model =
+        with_holders model key (List.filter (fun (o : Ksmap.holder) -> o.Ksmap.tid <> tid) hs)
+      in
+      { model with released = (key, time, h) :: model.released })
+
+(* Every view of the map, for every key and thread, against the
+   reference; key 64 was never touched. *)
+let ksmap_agrees m model =
+  List.for_all
+    (fun key ->
+      let hs = model_holders model key in
+      Ksmap.holders m key = hs
+      && Ksmap.held_count m key = List.length hs
+      && Ksmap.write_holder m key
+         = List.find_opt (fun (h : Ksmap.holder) -> Perm.equal h.Ksmap.perm Perm.Read_write) hs
+      && Ksmap.last_release_time m key
+         = (match List.find_opt (fun (k, _, _) -> k = key) model.released with
+           | Some (_, time, _) -> time
+           | None -> -1)
+      && List.for_all
+           (fun tid ->
+             Ksmap.other_holders m key ~tid
+             = List.filter (fun (h : Ksmap.holder) -> h.Ksmap.tid <> tid) hs
+             && Ksmap.perm_of m key ~tid
+                = (match List.find_opt (fun (h : Ksmap.holder) -> h.Ksmap.tid = tid) hs with
+                  | Some h -> h.Ksmap.perm
+                  | None -> Perm.No_access)
+             && List.for_all
+                  (fun perm ->
+                    Ksmap.can_acquire m key ~tid perm = model_can_acquire model key ~tid perm)
+                  [ Perm.Read_write; Perm.Read_only; Perm.No_access ]
+             && Ksmap.last_release_by_other m key ~tid
+                = model_last_release_by_other model key ~tid)
+           (List.init 6 Fun.id))
+    (ksmap_keys @ [ 64 ])
+
+(* Random acquisitions, forced acquisitions and releases over threads
+   0-5, with release stamps that never decrease and often repeat,
+   checked against the reference after every operation.  A refused
+   acquisition must raise and change nothing. *)
+let ksmap_model_prop =
+  QCheck.Test.make ~name:"key-section map equals its list model" ~count:200
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 200) ksmap_op_gen))
+    (fun ops ->
+      let m = Ksmap.create () in
+      let rec go model = function
+        | [] -> true
+        | op :: rest ->
+          let refused =
+            match op with
+            | Take (forced, key, h) -> (
+              try
+                acquire ~force:forced m key h;
+                false
+              with Invalid_argument _ -> true)
+            | Drop (tid, key, dt) ->
+              Ksmap.release m key ~tid ~time:(model.clock + dt);
+              false
+          in
+          let model' = ksmap_model_step model op in
+          let refusal_ok =
+            match op with
+            | Take (false, key, h) ->
+              refused = not (model_can_acquire model key ~tid:h.Ksmap.tid h.Ksmap.perm)
+            | Take (true, _, _) | Drop _ -> not refused
+          in
+          refusal_ok && ksmap_agrees m model' && go model' rest
+      in
+      go { held = []; released = []; clock = 0 } ops)
 
 (* {1 Key_assign: the three rules of section 5.4} *)
 
@@ -353,13 +522,13 @@ let assign_env () =
 let test_assign_reuse_rule () =
   let ka, ksmap, domains, somap = assign_env () in
   acquire ksmap 5 (holder 0);
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 with
+  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[ 5 ] with
   | Key_assign.Reuse k -> check_int "reuses held key" 5 k
   | _ -> Alcotest.fail "expected Reuse")
 
 let test_assign_fresh_rule () =
   let ka, ksmap, domains, somap = assign_env () in
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 with
+  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] with
   | Key_assign.Fresh _ -> ()
   | _ -> Alcotest.fail "expected Fresh when keys are unassigned")
 
@@ -372,7 +541,7 @@ let test_assign_recycle_rule () =
       Domain_state.set domains ~obj_id:(100 + i) (Domain_state.Read_write key);
       if i <> 4 then Domain_state.set domains ~obj_id:(200 + i) (Domain_state.Read_write key))
     (Key_assign.available_keys ka);
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 with
+  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] with
   | Key_assign.Recycle (k, objs) ->
     check_int "cheapest key" 5 k;
     check_int "its objects listed" 1 (List.length objs)
@@ -416,7 +585,7 @@ let test_assign_share_rule () =
   Somap.record somap ~section:20 ~obj_id:0 Somap.Needs_write;
   Somap.record somap ~section:21 ~obj_id:1 Somap.Needs_write;
   Somap.record somap ~section:10 ~obj_id:50 Somap.Needs_write;
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:5 ~section:10 with
+  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:5 ~section:10 ~held:[] with
   | Key_assign.Share _ -> ()
   | d -> Alcotest.failf "expected Share, got %s" (Format.asprintf "%a" Key_assign.pp_decision d))
 
@@ -436,7 +605,7 @@ let test_assign_key_budget () =
 
 let test_assign_stats () =
   let ka, ksmap, domains, somap = assign_env () in
-  let d = Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 in
+  let d = Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] in
   Key_assign.note ka d;
   check_int "fresh counted" 1 (Key_assign.stats ka).Key_assign.fresh_events
 
@@ -457,7 +626,7 @@ let test_assign_saturation_share () =
   let ka, ksmap, domains, somap = assign_env () in
   saturate ka ksmap domains somap;
   Somap.record somap ~section:10 ~obj_id:500 Somap.Needs_write;
-  match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 with
+  match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[] with
   | Key_assign.Share k ->
     check "shared key is a data key" true (List.mem k (Key_assign.available_keys ka));
     check "shared key is genuinely held" true (Ksmap.holders ksmap k <> [])
@@ -473,7 +642,7 @@ let test_assign_saturation_recycle () =
   saturate ~skip:(fun i -> i = spare_idx) ka ksmap domains somap;
   let spare = List.nth (Key_assign.available_keys ka) spare_idx in
   Domain_state.set domains ~obj_id:300 (Domain_state.Read_write spare);
-  match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 with
+  match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[] with
   | Key_assign.Recycle (k, objs) ->
     check_int "the single unheld key" spare k;
     check "every protected object demoted" true
@@ -499,7 +668,7 @@ let test_assign_saturation_vkey_pool () =
     let somap = Somap.create () in
     for i = 0 to n - 1 do
       Somap.record somap ~section:(20 + i) ~obj_id:(100 + i) Somap.Needs_write;
-      match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:i ~section:(20 + i) with
+      match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:i ~section:(20 + i) ~held:[] with
       | Key_assign.Fresh key as d ->
         Key_assign.note ka d;
         Domain_state.set domains ~obj_id:(100 + i) (Domain_state.Read_write key);
@@ -507,7 +676,7 @@ let test_assign_saturation_vkey_pool () =
       | d -> fail_with (Printf.sprintf "Fresh for section %d" i) d
     done;
     Somap.record somap ~section:10 ~obj_id:500 Somap.Needs_write;
-    Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10
+    Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[]
   in
   let one_key = { Config.default with Config.data_keys = 1 } in
   (match sections one_key 1 with
@@ -556,7 +725,7 @@ let assign_decision_prop =
           | None -> ())
         key_states;
       let faulter = 9 (* holds nothing *) in
-      let decision = Key_assign.choose ka ~ksmap ~domains ~somap ~tid:faulter ~section:10 in
+      let decision = Key_assign.choose ka ~ksmap ~domains ~somap ~tid:faulter ~section:10 ~held:[] in
       let unassigned_exists =
         List.exists
           (fun key ->
@@ -598,7 +767,8 @@ let () =
           Alcotest.test_case "release and timestamp" `Quick test_ksmap_release_and_timestamp;
           Alcotest.test_case "upgrade" `Quick test_ksmap_upgrade;
           Alcotest.test_case "force acquire (sharing)" `Quick test_ksmap_force_acquire;
-          Alcotest.test_case "holdings per key and thread" `Quick test_ksmap_holdings ] );
+          Alcotest.test_case "holdings per key and thread" `Quick test_ksmap_holdings;
+          QCheck_alcotest.to_alcotest ksmap_model_prop ] );
       ( "key_assign",
         [ Alcotest.test_case "rule 1: reuse" `Quick test_assign_reuse_rule;
           Alcotest.test_case "rule 2: fresh" `Quick test_assign_fresh_rule;

@@ -241,6 +241,62 @@ let test_free_in_section_cleans_up () =
   check_int "no dangling domains" 0 (Kard_core.Domain_state.tracked (Detector.domains d));
   check_int "no races" 0 (List.length (Detector.races d))
 
+(* Rule 1 of key assignment reads the keys the thread's open sections
+   acquired.  An inner section that upgrades a key the outer section
+   holds read-only releases the holding at its exit, while the outer
+   frame still lists the key: a write identification in the outer
+   section must skip it and reuse the lowest key the thread still
+   holds read-write. *)
+let test_reuse_after_inner_release () =
+  let machine, cell = micro_machine Config.default in
+  let ids = Array.make 4 0 and bases = Array.make 4 0 in
+  let alloc i =
+    Op.Alloc
+      { size = 32;
+        site = 1;
+        on_result =
+          (fun m ->
+            ids.(i) <- m.Kard_alloc.Obj_meta.id;
+            bases.(i) <- m.Kard_alloc.Obj_meta.base) }
+  in
+  let ops f = Program.delay (fun () -> Program.of_list (f ())) in
+  let write_in ~lock i =
+    ops (fun () ->
+        Kard_workloads.Builder.critical_section ~lock ~site:lock [ Op.Write bases.(i) ])
+  in
+  let prog =
+    Program.concat
+      [ Program.of_list [ alloc 0; alloc 1; alloc 2; alloc 3 ];
+        (* Objects 0, 1 and 2 take keys 1, 2 and 3 in turn. *)
+        write_in ~lock:1 0;
+        write_in ~lock:2 1;
+        write_in ~lock:3 2;
+        ops (fun () ->
+            [ Op.Lock { lock = 5; site = 5 };
+              Op.Read bases.(0);
+              Op.Write bases.(1);
+              Op.Write bases.(2);
+              Op.Lock { lock = 6; site = 6 };
+              Op.Write bases.(0);
+              Op.Unlock { lock = 6 };
+              Op.Write bases.(3);
+              Op.Unlock { lock = 5 } ]) ]
+  in
+  let (_ : int) = Machine.spawn machine prog in
+  let (_ : Machine.report) = Machine.run machine in
+  let d = Option.get !cell in
+  let key i =
+    match Kard_core.Domain_state.domain_of (Detector.domains d) ~obj_id:ids.(i) with
+    | Kard_core.Domain_state.Read_write key -> key
+    | Kard_core.Domain_state.Read_only | Kard_core.Domain_state.Not_accessed -> -1
+  in
+  check "keys 1, 2 and 3 handed out in turn" true (List.map key [ 0; 1; 2 ] = [ 1; 2; 3 ]);
+  check_int "the new object reuses key 2, not the released key 1" 2 (key 3);
+  let stats = Detector.stats d in
+  check_int "one reuse" 1 stats.Detector.reuse_events;
+  check_int "three fresh keys" 3 stats.Detector.fresh_events;
+  check_int "no races" 0 (List.length (Detector.races d))
+
 let test_lifo_unlock_enforced () =
   let machine, _ = micro_machine Config.default in
   let (_ : int) =
@@ -278,4 +334,6 @@ let () =
           Alcotest.test_case "outside-CS access free" `Quick test_outside_cs_access_is_free;
           Alcotest.test_case "proactive second entry" `Quick test_proactive_second_entry;
           Alcotest.test_case "free in section" `Quick test_free_in_section_cleans_up;
+          Alcotest.test_case "reuse after an inner exit's release" `Quick
+            test_reuse_after_inner_release;
           Alcotest.test_case "LIFO unlock" `Quick test_lifo_unlock_enforced ] ) ]

@@ -195,9 +195,16 @@ let test_legacy_shards_field () =
     check "legacy tape consumed" true (fidelity = Ok ());
     check "legacy log replays to the recorded result" true (replayed = r)
 
-(* [~shards] survives only for callers pinning 1, and
-   [Config.software_fallback] only as [false]: any other value is
-   rejected up front. *)
+(* Each retired knob moved off its default, on top of [config]. *)
+let retired_settings config =
+  [ ("software_fallback", { config with Config.software_fallback = true });
+    ("timestamp_pruning", { config with Config.timestamp_pruning = false });
+    ("prefer_recycle", { config with Config.prefer_recycle = false });
+    ("share_disjoint_sections", { config with Config.share_disjoint_sections = false }) ]
+
+(* [~shards] survives only for callers pinning 1, and the retired
+   [Config] knobs only at their defaults: any other value is rejected
+   up front. *)
 let test_shards_other_than_one_rejected () =
   let s = Race_suite.find "ilu-lock-lock" in
   let detector = Runner.Kard s.Race_suite.config in
@@ -207,11 +214,13 @@ let test_shards_other_than_one_rejected () =
     | () -> Alcotest.failf "%s accepted a retired setting" name
     | exception Invalid_argument _ -> ()
   in
-  let soft = { s.Race_suite.config with Config.software_fallback = true } in
-  rejects "Detector.create" (fun () ->
-      ignore
-        (Runner.run_build ~threads:1 ~scale:0.01 ~seed:1 ~detector:(Runner.Kard soft)
-           (fun _ -> ()) "empty"));
+  List.iter
+    (fun (knob, config) ->
+      rejects ("Detector.create with " ^ knob) (fun () ->
+          ignore
+            (Runner.run_build ~threads:1 ~scale:0.01 ~seed:1 ~detector:(Runner.Kard config)
+               (fun _ -> ()) "empty")))
+    (retired_settings s.Race_suite.config);
   rejects "Runner.run_build" (fun () ->
       ignore
         (Runner.run_build ~shards:2 ~threads:1 ~scale:0.01 ~seed:1 ~detector (fun _ -> ()) "empty"));
@@ -224,18 +233,19 @@ let test_shards_other_than_one_rejected () =
   check "Record.replay ~shards:1 replays" true
     (match Record.replay ~shards:1 log with Ok (_, fidelity) -> fidelity = Ok () | Error _ -> false)
 
-(* The log keeps the retired [software_fallback] bit in its config
-   flags, and its version: a header that sets the bit must not
-   decode, while the same header with it clear does. *)
+(* The log keeps the retired knobs' bits in its config flags, and its
+   version: a header that moves any of them off its default must not
+   decode, while the same header at the defaults does. *)
 let test_software_fallback_bit_rejected () =
   let header config =
     Log.header ~detector:"kard" ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ~config ()
   in
   let encode config = Log.encode (Log.of_events (header config) []) in
-  let soft = { Config.default with Config.software_fallback = true } in
-  expect_error "software_fallback bit" (encode soft)
-    (function Log.Corrupt _ -> true | _ -> false);
-  check "the bit clear decodes" true
+  List.iter
+    (fun (knob, config) ->
+      expect_error (knob ^ " bit") (encode config) (function Log.Corrupt _ -> true | _ -> false))
+    (retired_settings Config.default);
+  check "the defaults decode" true
     ((Log.decode (encode Config.default)).Log.header = header Config.default)
 
 (* {1 Record -> replay identity} *)
