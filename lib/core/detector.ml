@@ -89,6 +89,7 @@ type t = {
   pruning : Pruning.t;
   vkey : Vkey.t;
   slots : int array; (* physical residency slots, virtual mode only *)
+  evictable : slot:int -> vkey:int -> bool; (* the vkey clock's pinning test *)
   (* Per-thread state is indexed by the (small, dense) id, and the
      seen-object sets are bitsets: these are touched on every section
      entry/exit and must not hash or allocate. *)
@@ -172,16 +173,26 @@ let create ?(config = Config.default) env =
         (fun i -> i + 1)
   in
   let vkey = if vpool = 0 then Vkey.identity else Vkey.create ~pool:vpool ~phys:slots in
+  let ksmap = Key_section_map.create () in
+  (* Pinning is answered from ground truth — a key with live holders,
+     or whose slot some thread's PKRU still grants, must not be
+     displaced or that thread would touch the newly resident key's
+     objects unchecked.  Built once, so a vkey load makes no closure. *)
+  let evictable ~slot ~vkey =
+    Key_section_map.held_count ksmap vkey = 0
+    && not (Mpk_hw.any_grant env.Hooks.hw (Pkey.of_int slot))
+  in
   { config;
     env;
     domains = Domain_state.create ();
     somap = Section_object_map.create ();
-    ksmap = Key_section_map.create ();
+    ksmap;
     assign = Key_assign.create config;
     interleave = Interleave.create ();
     pruning = Pruning.create ~dedupe:config.Config.redundancy_pruning ();
     vkey;
     slots;
+    evictable;
     threads = Array.make 16 None;
     ro_seen = Dense.Bitset.create ~capacity:256 ();
     rw_seen = Dense.Bitset.create ~capacity:256 ();
@@ -297,11 +308,14 @@ let rec holds_lock_from ts lock i =
 
 let holds_lock ts lock = holds_lock_from ts lock 0
 
-let current_frame t tid =
-  let ts = thread_state t tid in
-  if ts.depth = 0 then None else Some ts.frames.(ts.depth - 1)
+(* The innermost open frame, for [ts.depth > 0]: the fault handlers
+   test the depth and read the frame, so finding it allocates no
+   option. *)
+let innermost ts = ts.frames.(ts.depth - 1)
 
-let current_site t tid = Option.map (fun f -> f.site) (current_frame t tid)
+let current_site t tid =
+  let ts = thread_state t tid in
+  if ts.depth = 0 then None else Some (innermost ts).site
 
 (* {2 Readers of an object (the Read-only domain write fault)} *)
 
@@ -464,7 +478,7 @@ let drain_unsampled t (meta : Obj_meta.t) =
   drain_note t meta.Obj_meta.id;
   let c = cost t in
   let mprotect = protect_pages t meta Pkey.k_def in
-  { Hooks.fault_cycles = mprotect + c.Cost_model.map_op; action = Hooks.Retry }
+  Hooks.retry (mprotect + c.Cost_model.map_op)
 
 (* Epoch rotation, observed at section entry against the virtual
    clock: fast-path objects redrawn into the new epoch's sampled set
@@ -521,20 +535,14 @@ let maybe_rotate t =
 (* Make [key] resident (virtual mode), driving the effects the vkey
    table itself never performs: the displaced key's pages are rebound
    to the always-deny tag and the loaded key's pages to its slot.
-   Pinning is answered from ground truth — a key with live holders, or
-   whose slot some thread's PKRU still grants, must not be displaced
-   or that thread would touch the newly resident key's objects
-   unchecked.  Returns the cycle cost, or [None] when
-   every slot is pinned by a running thread. *)
+   Pinned slots are those [t.evictable] refuses.  Returns the cycle
+   cost, or [-1] when every slot is pinned by a running thread. *)
 let ensure_resident t ~tid key =
-  match
-    Vkey.ensure t.vkey key ~evictable:(fun ~slot ~vkey ->
-        Key_section_map.held_count t.ksmap vkey = 0
-        && not (Mpk_hw.any_grant (hw t) (Pkey.of_int slot)))
-  with
-  | Vkey.Hit _ -> Some 0
-  | Vkey.Full -> None
-  | Vkey.Loaded { slot; evicted } ->
+  match Vkey.ensure t.vkey key ~evictable:t.evictable with
+  | Vkey.Hit -> 0
+  | Vkey.Full -> -1
+  | Vkey.Loaded ->
+    let slot = Vkey.phys_of t.vkey key and evicted = Vkey.evicted t.vkey in
     let evict_cycles = if evicted >= 0 then rebind_key t evicted evict_tag else 0 in
     let load_cycles = rebind_key t key (Pkey.of_int slot) in
     (match trace t with
@@ -545,7 +553,7 @@ let ensure_resident t ~tid key =
         if evicted >= 0 then pages + Domain_state.key_pages t.domains evicted else pages
       in
       Kard_obs.Trace.emit tr ~tid (Kard_obs.Event.Vkey_load { vkey = key; slot; evicted; pages }));
-    Some ((cost t).Cost_model.vkey_load + evict_cycles + load_cycles)
+    (cost t).Cost_model.vkey_load + evict_cycles + load_cycles
 
 (* Every slot is pinned: pick the resident key to share, preferring
    one whose holding sections touch disjoint object sets (the Table 4
@@ -593,113 +601,133 @@ let frame_note_acquired frame key =
 
 (* {2 Key assignment for a write-identified object} *)
 
-(* Every key the thread's open frames acquired, from frame [d] and its
-   slot [i] on.  A nested exit releases its keys, so a key listed here
-   may no longer be held. *)
-let rec acquired_keys ts d i acc =
-  if d >= ts.depth then acc
+(* Rule 1's candidate: the lowest key the thread's open frames
+   acquired, from frame [d] and its slot [i] on, that
+   {!Key_assign.reusable} accepts; [best] is the lowest so far, -1 for
+   none.  A nested exit releases its keys, so a key listed here may no
+   longer be held. *)
+let rec lowest_reusable t ~tid ts d i best =
+  if d >= ts.depth then best
   else
     let f = ts.frames.(d) in
-    if i >= f.nacquired then acquired_keys ts (d + 1) 0 acc
-    else acquired_keys ts d (i + 1) (f.acquired.(i) :: acc)
+    if i >= f.nacquired then lowest_reusable t ~tid ts (d + 1) 0 best
+    else
+      let key = f.acquired.(i) in
+      let best =
+        if (best < 0 || key < best) && Key_assign.reusable t.assign ~ksmap:t.ksmap ~tid key then key
+        else best
+      in
+      lowest_reusable t ~tid ts d (i + 1) best
+
+(* Demote a recycled key's objects to the Read-only domain, in list
+   order; returns the cycles plus [acc]. *)
+let rec demote_recycled t acc = function
+  | [] -> acc
+  | obj_id :: rest ->
+    Dense.Bitset.add t.prov_recycled obj_id;
+    let acc =
+      match Meta_table.find_id t.env.Hooks.meta obj_id with
+      | Some other -> acc + demote_to_ro t other
+      | None ->
+        Domain_state.forget t.domains ~obj_id;
+        acc
+    in
+    demote_recycled t acc rest
+
+(* The tail of every assignment: the object lands in the Read-write
+   domain under [key] and its pages are tagged.  Returns [extra] plus
+   the tagging and map cycles. *)
+let finish_assign t ~tid (meta : Obj_meta.t) key assign extra =
+  let obj_id = meta.Obj_meta.id in
+  (match trace t with
+  | None -> ()
+  | Some tr ->
+    (match Domain_state.domain_of t.domains ~obj_id with
+    | Domain_state.Read_write old when old <> key ->
+      Kard_obs.Trace.emit tr ~tid
+        (Kard_obs.Event.Key_migrate { obj_id; from_key = old; to_key = key })
+    | Domain_state.Read_write _ | Domain_state.Read_only | Domain_state.Not_accessed -> ());
+    Kard_obs.Trace.emit tr ~tid (Kard_obs.Event.Key_assign { key; obj_id; assign }));
+  (* Grouping provenance: landing under a key that other live
+     objects already carry multiplexes them — faults and non-faults
+     against this key stop distinguishing the group members.  Every
+     member of a key with two or more members is marked already, so
+     only a key's sole member can still need it. *)
+  let members = Domain_state.key_load t.domains key in
+  let others =
+    if Domain_state.rw_key_code t.domains ~obj_id = key then members - 1 else members
+  in
+  if others > 0 then begin
+    if members = 1 then
+      Domain_state.iter_objects_with_key t.domains key (Dense.Bitset.add t.prov_grouped);
+    Dense.Bitset.add t.prov_grouped obj_id
+  end;
+  Domain_state.set_read_write t.domains ~obj_id ~pages:(object_pages meta) key;
+  Dense.Bitset.add t.rw_seen obj_id;
+  let mprotect = protect_key_pages t meta key in
+  sample_occupancy t;
+  extra + mprotect + (cost t).Cost_model.map_op
+
+(* The thread gains [key] for the frame's section (reactive
+   acquisition, section 5.4): the holding, the frame's key list and
+   the PKRU context. *)
+let gain_key t ~tid ~frame key ~share =
+  if share then
+    Key_section_map.force_acquire t.ksmap key ~tid Perm.Read_write ~section:frame.site
+      ~lock:frame.lock ~proactive:false
+  else
+    Key_section_map.acquire t.ksmap key ~tid Perm.Read_write ~section:frame.site ~lock:frame.lock
+      ~proactive:false;
+  frame_note_acquired frame key;
+  grant_in_context t ~tid key Perm.Read_write;
+  t.reactive_acq <- t.reactive_acq + 1
+
+(* Apply the decision [rule] on [key], [load_cycles] being what making
+   the key resident cost.  Returns cycles. *)
+let apply_key t ~tid ~frame (meta : Obj_meta.t) rule key load_cycles =
+  Key_assign.note t.assign rule key;
+  let c = cost t in
+  match rule with
+  | Key_assign.Reuse -> finish_assign t ~tid meta key Kard_obs.Event.Assign_reuse load_cycles
+  | Key_assign.Fresh ->
+    gain_key t ~tid ~frame key ~share:false;
+    finish_assign t ~tid meta key Kard_obs.Event.Assign_fresh (load_cycles + c.Cost_model.atomic_op)
+  | Key_assign.Recycle ->
+    let demote_cost = demote_recycled t 0 (Domain_state.objects_with_key t.domains key) in
+    gain_key t ~tid ~frame key ~share:false;
+    finish_assign t ~tid meta key Kard_obs.Event.Assign_recycle
+      (load_cycles + demote_cost + c.Cost_model.atomic_op)
+  | Key_assign.Share ->
+    (* Sharing provenance: the key stays multi-held, so accesses by
+       any co-holder to any object under it stop faulting — mark the
+       incoming object and everything already grouped under the key. *)
+    Dense.Bitset.add t.prov_key_shared meta.Obj_meta.id;
+    Domain_state.iter_objects_with_key t.domains key (Dense.Bitset.add t.prov_key_shared);
+    gain_key t ~tid ~frame key ~share:true;
+    finish_assign t ~tid meta key Kard_obs.Event.Assign_share c.Cost_model.atomic_op
 
 (* Returns cycles.  The object lands in the Read-write domain and, if
    the thread gained a key, the PKRU context is updated (reactive
    acquisition, section 5.4). *)
 let assign_write_key t ~tid ~frame (meta : Obj_meta.t) =
   let site = frame.site in
-  let chosen =
-    Key_assign.choose t.assign ~ksmap:t.ksmap ~domains:t.domains ~somap:t.somap ~tid ~section:site
-      ~held:(acquired_keys (thread_state t tid) 0 0 [])
+  let reuse = lowest_reusable t ~tid (thread_state t tid) 0 0 (-1) in
+  let rule =
+    Key_assign.choose t.assign ~ksmap:t.ksmap ~domains:t.domains ~somap:t.somap ~section:site
+      ~reuse
   in
+  let key = Key_assign.chosen t.assign in
   (* Virtual mode: a Fresh or Recycle choice needs a physical slot
      before its pages can be tagged.  Only when every slot is pinned
      by a running thread does sharing a resident key become the last
      resort — eviction strictly before sharing (DESIGN.md §11). *)
-  let decision, load_cycles =
-    match chosen with
-    | (Key_assign.Fresh key | Key_assign.Recycle (key, _)) when Vkey.virtualized t.vkey -> begin
-      match ensure_resident t ~tid key with
-      | Some cycles -> (chosen, cycles)
-      | None -> (Key_assign.Share (share_fallback t ~section:site), 0)
-    end
-    | d -> (d, 0)
-  in
-  Key_assign.note t.assign decision;
-  let c = cost t in
-  let finish_with key assign extra =
-    (match trace t with
-    | None -> ()
-    | Some tr ->
-      (match Domain_state.domain_of t.domains ~obj_id:meta.Obj_meta.id with
-      | Domain_state.Read_write old when old <> key ->
-        Kard_obs.Trace.emit tr ~tid
-          (Kard_obs.Event.Key_migrate
-             { obj_id = meta.Obj_meta.id; from_key = old; to_key = key })
-      | Domain_state.Read_write _ | Domain_state.Read_only | Domain_state.Not_accessed -> ());
-      Kard_obs.Trace.emit tr ~tid
-        (Kard_obs.Event.Key_assign { key; obj_id = meta.Obj_meta.id; assign }));
-    (* Grouping provenance: landing under a key that other live
-       objects already carry multiplexes them — faults and non-faults
-       against this key stop distinguishing the group members.  Every
-       member of a key with two or more members is marked already, so
-       only a key's sole member can still need it. *)
-    let obj_id = meta.Obj_meta.id in
-    let members = Domain_state.key_load t.domains key in
-    let others =
-      if Domain_state.rw_key_code t.domains ~obj_id = key then members - 1 else members
-    in
-    if others > 0 then begin
-      if members = 1 then
-        Domain_state.iter_objects_with_key t.domains key (Dense.Bitset.add t.prov_grouped);
-      Dense.Bitset.add t.prov_grouped obj_id
-    end;
-    Domain_state.set t.domains ~obj_id ~pages:(object_pages meta) (Domain_state.Read_write key);
-    Dense.Bitset.add t.rw_seen obj_id;
-    let mprotect = protect_key_pages t meta key in
-    sample_occupancy t;
-    extra + mprotect + c.Cost_model.map_op
-  in
-  match decision with
-  | Key_assign.Reuse key -> (key, finish_with key Kard_obs.Event.Assign_reuse load_cycles)
-  | Key_assign.Fresh key ->
-    Key_section_map.acquire t.ksmap key ~tid Perm.Read_write ~section:site ~lock:frame.lock
-      ~proactive:false;
-    frame_note_acquired frame key;
-    grant_in_context t ~tid key Perm.Read_write;
-    t.reactive_acq <- t.reactive_acq + 1;
-    (key, finish_with key Kard_obs.Event.Assign_fresh (load_cycles + c.Cost_model.atomic_op))
-  | Key_assign.Recycle (key, obj_ids) ->
-    let demote_cost =
-      List.fold_left
-        (fun acc obj_id ->
-          Dense.Bitset.add t.prov_recycled obj_id;
-          match Meta_table.find_id t.env.Hooks.meta obj_id with
-          | Some other -> acc + demote_to_ro t other
-          | None ->
-            Domain_state.forget t.domains ~obj_id;
-            acc)
-        0 obj_ids
-    in
-    Key_section_map.acquire t.ksmap key ~tid Perm.Read_write ~section:site ~lock:frame.lock
-      ~proactive:false;
-    frame_note_acquired frame key;
-    grant_in_context t ~tid key Perm.Read_write;
-    t.reactive_acq <- t.reactive_acq + 1;
-    (key, finish_with key Kard_obs.Event.Assign_recycle
-            (load_cycles + demote_cost + c.Cost_model.atomic_op))
-  | Key_assign.Share key ->
-    (* Sharing provenance: the key stays multi-held, so accesses by
-       any co-holder to any object under it stop faulting — mark the
-       incoming object and everything already grouped under the key. *)
-    Dense.Bitset.add t.prov_key_shared meta.Obj_meta.id;
-    Domain_state.iter_objects_with_key t.domains key (Dense.Bitset.add t.prov_key_shared);
-    Key_section_map.force_acquire t.ksmap key ~tid Perm.Read_write ~section:site
-      ~lock:frame.lock ~proactive:false;
-    frame_note_acquired frame key;
-    grant_in_context t ~tid key Perm.Read_write;
-    t.reactive_acq <- t.reactive_acq + 1;
-    (key, finish_with key Kard_obs.Event.Assign_share c.Cost_model.atomic_op)
+  match rule with
+  | (Key_assign.Fresh | Key_assign.Recycle) when Vkey.virtualized t.vkey ->
+    let load_cycles = ensure_resident t ~tid key in
+    if load_cycles >= 0 then apply_key t ~tid ~frame meta rule key load_cycles
+    else apply_key t ~tid ~frame meta Key_assign.Share (share_fallback t ~section:site) 0
+  | Key_assign.Reuse | Key_assign.Fresh | Key_assign.Recycle | Key_assign.Share ->
+    apply_key t ~tid ~frame meta rule key 0
 
 (* {2 Race records} *)
 
@@ -779,17 +807,22 @@ let observe_interleaving t (fault : Fault.t) (meta : Obj_meta.t) =
 
 (* {2 Fault handling (section 5.5)} *)
 
+(* The Not-accessed, Read-only and data-key handlers resolve every
+   fault they take, so each returns its cycles and the access is
+   retried; only {!on_fault} and the vkey miss build an outcome. *)
+
 let handle_na_fault t (fault : Fault.t) (meta : Obj_meta.t) =
   t.na_faults <- t.na_faults + 1;
   observe_interleaving t fault meta;
   let c = cost t in
-  match current_frame t fault.Fault.thread with
-  | None ->
+  let tid = fault.Fault.thread in
+  let ts = thread_state t tid in
+  if ts.depth = 0 then
     (* Threads outside critical sections hold k_na read-write; a fault
        here means the scheduler caught a demotion mid-flight.  Retry. *)
-    { Hooks.fault_cycles = c.Cost_model.map_op; action = Hooks.Retry }
-  | Some frame -> begin
-    let tid = fault.Fault.thread in
+    c.Cost_model.map_op
+  else begin
+    let frame = innermost ts in
     match fault.Fault.access with
     | `Read ->
       t.ident_read <- t.ident_read + 1;
@@ -797,13 +830,12 @@ let handle_na_fault t (fault : Fault.t) (meta : Obj_meta.t) =
       Section_object_map.record t.somap ~section:frame.site ~obj_id:meta.Obj_meta.id
         Section_object_map.Needs_read;
       let mprotect = demote_to_ro t meta in
-      { Hooks.fault_cycles = mprotect + (2 * c.Cost_model.map_op); action = Hooks.Retry }
+      mprotect + (2 * c.Cost_model.map_op)
     | `Write ->
       t.ident_write <- t.ident_write + 1;
       Section_object_map.record t.somap ~section:frame.site ~obj_id:meta.Obj_meta.id
         Section_object_map.Needs_write;
-      let _key, cycles = assign_write_key t ~tid ~frame meta in
-      { Hooks.fault_cycles = cycles + (2 * c.Cost_model.map_op); action = Hooks.Retry }
+      assign_write_key t ~tid ~frame meta + (2 * c.Cost_model.map_op)
   end
 
 let handle_ro_fault t (fault : Fault.t) (meta : Obj_meta.t) =
@@ -814,8 +846,9 @@ let handle_ro_fault t (fault : Fault.t) (meta : Obj_meta.t) =
      (k_ro is universal), so conflicts are found through the
      section-object map: sections recorded as readers of this object
      that some other thread is executing right now. *)
-  let readers = active_readers t ~obj_id:meta.Obj_meta.id ~excluding_tid:tid in
-  if readers <> [] then begin
+  (match active_readers t ~obj_id:meta.Obj_meta.id ~excluding_tid:tid with
+  | [] -> observe_interleaving t fault meta
+  | readers ->
     let holding =
       List.map
         (fun (reader_tid, site) ->
@@ -823,85 +856,116 @@ let handle_ro_fault t (fault : Fault.t) (meta : Obj_meta.t) =
         readers
     in
     log_race t fault meta holding;
-    Dense.Bitset.add t.prov_ro_blamed meta.Obj_meta.id
-  end
-  else observe_interleaving t fault meta;
-  match current_frame t tid with
-  | Some frame ->
+    Dense.Bitset.add t.prov_ro_blamed meta.Obj_meta.id);
+  let ts = thread_state t tid in
+  if ts.depth > 0 then begin
+    let frame = innermost ts in
     t.ident_write <- t.ident_write + 1;
     Section_object_map.record t.somap ~section:frame.site ~obj_id:meta.Obj_meta.id
       Section_object_map.Needs_write;
-    let _key, cycles = assign_write_key t ~tid ~frame meta in
-    { Hooks.fault_cycles = cycles + (2 * c.Cost_model.map_op); action = Hooks.Retry }
-  | None ->
-    let mprotect = demote_to_kna t meta in
-    { Hooks.fault_cycles = mprotect + (2 * c.Cost_model.map_op); action = Hooks.Retry }
+    assign_write_key t ~tid ~frame meta + (2 * c.Cost_model.map_op)
+  end
+  else demote_to_kna t meta + (2 * c.Cost_model.map_op)
+
+(* {3 Conflict checks}
+
+   They read the key's holdings and release records in place
+   ({!Key_section_map.holding}), so a fault that finds no conflict
+   builds nothing: holder records are made only for the race a
+   conflict logs. *)
+
+(* Non-racy violation pruning (section 5.5): few keys multiplex many
+   objects, so a holding whose section never touches the faulted
+   object is a key collision, not a conflict. *)
+let touches_object t ~obj_id (s : Key_section_map.slot) =
+  (not t.config.Config.metadata_pruning)
+  || Section_object_map.touches t.somap ~section:s.Key_section_map.s_section ~obj_id
+
+(* A write's conflicts: the holdings of [key] from index [i] on that
+   are other threads' and touch the object, newest first. *)
+let rec other_holders_from t key ~tid ~obj_id i acc =
+  if i >= Key_section_map.held_count t.ksmap key then acc
+  else
+    let s = Key_section_map.holding t.ksmap key i in
+    let acc =
+      if s.Key_section_map.s_tid <> tid && touches_object t ~obj_id s then
+        Key_section_map.holder_of s :: acc
+      else acc
+    in
+    other_holders_from t key ~tid ~obj_id (i + 1) acc
+
+(* A read's conflict: the key's newest read-write holding, when it is
+   another thread's and touches the object. *)
+let writer_conflict t key ~tid ~obj_id =
+  let w = Key_section_map.newest_writer t.ksmap key in
+  if w < 0 then []
+  else
+    let s = Key_section_map.holding t.ksmap key w in
+    if s.Key_section_map.s_tid <> tid && touches_object t ~obj_id s then
+      [ Key_section_map.holder_of s ]
+    else []
+
+(* The key may have been released between the #GP firing and the
+   handler running — a window of one fault round trip (section 5.5).
+   Two filters keep the window precise: the releaser's section must
+   touch this object (key multiplexing otherwise), and it must have
+   run under a lock the faulter does not hold — back-to-back sections
+   of one lock are ordered, not racing.  Whether the latest release by
+   another thread passes. *)
+let released_in_window t (fault : Fault.t) key ~obj_id =
+  let tid = fault.Fault.thread in
+  let r = Key_section_map.release_by_other t.ksmap key ~tid in
+  r.Key_section_map.s_tid >= 0
+  && now t - Key_section_map.release_time_by_other t.ksmap key ~tid
+     <= Cost_model.fault_delay_threshold (cost t)
+  && (match fault.Fault.access with
+     | `Write -> true
+     | `Read -> Perm.equal r.Key_section_map.s_perm Perm.Read_write)
+  && (not (holds_lock (thread_state t tid) r.Key_section_map.s_lock))
+  && touches_object t ~obj_id r
 
 let handle_data_fault t (fault : Fault.t) (meta : Obj_meta.t) key =
   t.data_faults <- t.data_faults + 1;
   let c = cost t in
   let tid = fault.Fault.thread in
+  let obj_id = meta.Obj_meta.id in
   (* Who conflicts?  A write conflicts with any other holder; a read
      only with a read-write holder (shared read is fine). *)
   let conflicts =
     match fault.Fault.access with
-    | `Write -> Key_section_map.other_holders t.ksmap key ~tid
-    | `Read -> begin
-      match Key_section_map.write_holder t.ksmap key with
-      | Some h when h.Key_section_map.tid <> tid -> [ h ]
-      | Some _ | None -> []
-    end
+    | `Write -> other_holders_from t key ~tid ~obj_id 0 []
+    | `Read -> writer_conflict t key ~tid ~obj_id
   in
-  (* Non-racy violation pruning (section 5.5): few keys multiplex many
-     objects, so a holder whose section never touches the faulted
-     object is a key collision, not a conflict. *)
-  let section_touches_obj (h : Key_section_map.holder) =
-    Section_object_map.touches t.somap ~section:h.Key_section_map.section
-      ~obj_id:meta.Obj_meta.id
-  in
+  let rescued = conflicts = [] && released_in_window t fault key ~obj_id in
   let conflicts =
-    if t.config.Config.metadata_pruning then List.filter section_touches_obj conflicts
+    if rescued then begin
+      t.ts_rescues <- t.ts_rescues + 1;
+      Dense.Bitset.add t.prov_rescued obj_id;
+      [ Key_section_map.holder_of (Key_section_map.release_by_other t.ksmap key ~tid) ]
+    end
     else conflicts
   in
-  let conflicts, rescued =
-    if conflicts = [] then
-      (* The key may have been released between the #GP firing and the
-         handler running — a window of one fault round trip (section
-         5.5).  Two filters keep the window precise: the releaser's
-         section must touch this object (key multiplexing otherwise),
-         and it must have run under a lock the faulter does not hold —
-         back-to-back sections of one lock are ordered, not racing. *)
-      let faulter = thread_state t tid in
-      match Key_section_map.last_release_by_other t.ksmap key ~tid with
-      | Some (time, h)
-        when h.Key_section_map.tid <> tid
-             && now t - time <= Cost_model.fault_delay_threshold c
-             && (fault.Fault.access = `Write || Perm.equal h.Key_section_map.perm Perm.Read_write)
-             && (not (holds_lock faulter h.Key_section_map.lock))
-             && ((not t.config.Config.metadata_pruning) || section_touches_obj h)
-        ->
-        ([ h ], true)
-      | Some _ | None -> (conflicts, false)
-    else (conflicts, false)
-  in
-  if rescued then begin
-    t.ts_rescues <- t.ts_rescues + 1;
-    Dense.Bitset.add t.prov_rescued meta.Obj_meta.id
-  end;
-  if conflicts <> [] then begin
+  let conflict = conflicts <> [] in
+  if conflict then begin
     (* Blame-time provenance: when the record blames a hold formed by
        the proactive entry walk, Algorithm 1 may never have granted
        that hold (it takes only the uncontested subset of KR/KW at
        entry and forgets holds dropped by a nested exit), so the
        report can be runtime-only. *)
     if List.exists (fun (h : Key_section_map.holder) -> h.Key_section_map.proactive) conflicts
-    then Dense.Bitset.add t.prov_proactive_blame meta.Obj_meta.id;
+    then Dense.Bitset.add t.prov_proactive_blame obj_id;
     log_race t fault meta (List.map side_of_holder conflicts)
   end
   else observe_interleaving t fault meta;
-  match current_frame t tid with
-  | Some frame ->
-    if conflicts = [] then begin
+  let ts = thread_state t tid in
+  if ts.depth > 0 then begin
+    let frame = innermost ts in
+    let need =
+      match fault.Fault.access with
+      | `Write -> Section_object_map.Needs_write
+      | `Read -> Section_object_map.Needs_read
+    in
+    if not conflict then begin
       (* Benign: late (reactive) acquisition of an unheld key. *)
       let perm =
         match fault.Fault.access with
@@ -914,40 +978,27 @@ let handle_data_fault t (fault : Fault.t) (meta : Obj_meta.t) key =
         frame_note_acquired frame key;
         grant_in_context t ~tid key perm;
         t.reactive_acq <- t.reactive_acq + 1;
-        let need =
-          match fault.Fault.access with
-          | `Write -> Section_object_map.Needs_write
-          | `Read -> Section_object_map.Needs_read
-        in
-        Section_object_map.record t.somap ~section:frame.site ~obj_id:meta.Obj_meta.id need;
+        Section_object_map.record t.somap ~section:frame.site ~obj_id need;
         sample_occupancy t;
-        { Hooks.fault_cycles = 3 * c.Cost_model.map_op; action = Hooks.Retry }
+        3 * c.Cost_model.map_op
       end
-      else begin
+      else
         (* Raced with another acquisition while handling; retag the
            object with a key of ours (protection interleaving keeps
            both sides observable). *)
-        let _key, cycles = assign_write_key t ~tid ~frame meta in
-        { Hooks.fault_cycles = cycles; action = Hooks.Retry }
-      end
+        assign_write_key t ~tid ~frame meta
     end
     else begin
       (* Conflict: interleave protection so the holder faults next
          (figure 4): move the object under a key of the faulter. *)
-      let need =
-        match fault.Fault.access with
-        | `Write -> Section_object_map.Needs_write
-        | `Read -> Section_object_map.Needs_read
-      in
-      Section_object_map.record t.somap ~section:frame.site ~obj_id:meta.Obj_meta.id need;
-      let _key, cycles = assign_write_key t ~tid ~frame meta in
-      { Hooks.fault_cycles = cycles + (2 * c.Cost_model.map_op); action = Hooks.Retry }
+      Section_object_map.record t.somap ~section:frame.site ~obj_id need;
+      assign_write_key t ~tid ~frame meta + (2 * c.Cost_model.map_op)
     end
-  | None ->
+  end
+  else
     (* Keyless thread outside any section: stop protecting the object
        until it is re-identified (terminating any interleaving). *)
-    let mprotect = demote_to_kna t meta in
-    { Hooks.fault_cycles = mprotect + (2 * c.Cost_model.map_op); action = Hooks.Retry }
+    demote_to_kna t meta + (2 * c.Cost_model.map_op)
 
 (* A fault on the always-deny tag of evicted virtual keys: the
    fault-path event that loads a key back in (DESIGN.md §11).  Routing
@@ -957,50 +1008,51 @@ let handle_data_fault t (fault : Fault.t) (meta : Obj_meta.t) key =
 let handle_vkey_miss t (fault : Fault.t) (meta : Obj_meta.t) =
   let c = cost t in
   let tid = fault.Fault.thread in
-  match Domain_state.domain_of t.domains ~obj_id:meta.Obj_meta.id with
-  | Domain_state.Not_accessed -> handle_na_fault t fault meta
-  | Domain_state.Read_only ->
-    let mprotect = protect_pages t meta Pkey.k_ro in
-    { Hooks.fault_cycles = mprotect + c.Cost_model.map_op; action = Hooks.Retry }
-  | Domain_state.Read_write key ->
-    if Vkey.resident t.vkey key then begin
-      (* Stale tag (the key was reloaded while this access was in
-         flight): heal and retry. *)
-      let mprotect = protect_key_pages t meta key in
-      { Hooks.fault_cycles = mprotect + c.Cost_model.map_op; action = Hooks.Retry }
-    end
+  let obj_id = meta.Obj_meta.id in
+  (* The key code first: [domain_of] would box a Read-write key. *)
+  let key = Domain_state.rw_key_code t.domains ~obj_id in
+  if key < 0 then begin
+    match Domain_state.domain_of t.domains ~obj_id with
+    | Domain_state.Read_only ->
+      let mprotect = protect_pages t meta Pkey.k_ro in
+      Hooks.retry (mprotect + c.Cost_model.map_op)
+    | Domain_state.Not_accessed | Domain_state.Read_write _ ->
+      Hooks.retry (handle_na_fault t fault meta)
+  end
+  else if Vkey.resident t.vkey key then begin
+    (* Stale tag (the key was reloaded while this access was in
+       flight): heal and retry. *)
+    let mprotect = protect_key_pages t meta key in
+    Hooks.retry (mprotect + c.Cost_model.map_op)
+  end
+  else if (thread_state t tid).depth = 0 then
+    (* Keyless thread outside any section: demote rather than load,
+       exactly as the identity-mode data-fault path does. *)
+    Hooks.retry (demote_to_kna t meta + (2 * c.Cost_model.map_op))
+  else begin
+    let load_cycles = ensure_resident t ~tid key in
+    if load_cycles >= 0 then
+      (* Resident again: the ordinary data-fault logic (conflict
+         check, timestamp rescue, reactive acquisition) runs on the
+         virtual key, plus the load bill. *)
+      Hooks.retry (handle_data_fault t fault meta key + load_cycles)
     else begin
-      match current_frame t tid with
-      | None ->
-        (* Keyless thread outside any section: demote rather than
-           load, exactly as the identity-mode data-fault path does. *)
-        let mprotect = demote_to_kna t meta in
-        { Hooks.fault_cycles = mprotect + (2 * c.Cost_model.map_op); action = Hooks.Retry }
-      | Some _ -> begin
-        match ensure_resident t ~tid key with
-        | Some load_cycles ->
-          (* Resident again: the ordinary data-fault logic (conflict
-             check, timestamp rescue, reactive acquisition) runs on
-             the virtual key, plus the load bill. *)
-          let r = handle_data_fault t fault meta key in
-          { r with Hooks.fault_cycles = r.Hooks.fault_cycles + load_cycles }
-        | None ->
-          (* Every slot pinned: the access proceeds unprotected — the
-             documented vkey stall window the differential classifier
-             attributes via this provenance bit. *)
-          Dense.Bitset.add t.prov_vkey_blamed meta.Obj_meta.id;
-          { Hooks.fault_cycles = 2 * c.Cost_model.map_op; action = Hooks.Emulate }
-      end
+      (* Every slot pinned: the access proceeds unprotected — the
+         documented vkey stall window the differential classifier
+         attributes via this provenance bit. *)
+      Dense.Bitset.add t.prov_vkey_blamed obj_id;
+      Hooks.emulate (2 * c.Cost_model.map_op)
     end
+  end
+
+(* A fault on no object, or on a key Kard never hands out. *)
+let anomaly t =
+  t.anomalies <- t.anomalies + 1;
+  Hooks.emulate (cost t).Cost_model.map_op
 
 let on_fault t (fault : Fault.t) =
-  let c = cost t in
-  let anomaly () =
-    t.anomalies <- t.anomalies + 1;
-    { Hooks.fault_cycles = c.Cost_model.map_op; action = Hooks.Emulate }
-  in
   match Meta_table.find_vpage t.env.Hooks.meta fault.Fault.vpage with
-  | None -> anomaly ()
+  | None -> anomaly t
   | Some meta ->
     if
       Sampling.enabled t.sampling
@@ -1009,19 +1061,19 @@ let on_fault t (fault : Fault.t) =
       (* A rotation drew the object out of the sampled set after it
          was tagged: this fault is the lazy drain point. *)
       drain_unsampled t meta
-    else if Pkey.equal fault.Fault.pkey Pkey.k_na then handle_na_fault t fault meta
-    else if Pkey.equal fault.Fault.pkey Pkey.k_ro then handle_ro_fault t fault meta
+    else if Pkey.equal fault.Fault.pkey Pkey.k_na then Hooks.retry (handle_na_fault t fault meta)
+    else if Pkey.equal fault.Fault.pkey Pkey.k_ro then Hooks.retry (handle_ro_fault t fault meta)
     else if Vkey.virtualized t.vkey then begin
       if Pkey.equal fault.Fault.pkey evict_tag then handle_vkey_miss t fault meta
       else
         (* A live residency slot: the fault concerns whichever virtual
            key is resident in it right now. *)
         let v = Vkey.vkey_of_phys t.vkey (Pkey.to_int fault.Fault.pkey) in
-        if v >= 0 then handle_data_fault t fault meta v else anomaly ()
+        if v >= 0 then Hooks.retry (handle_data_fault t fault meta v) else anomaly t
     end
     else if Pkey.is_data_key fault.Fault.pkey then
-      handle_data_fault t fault meta (Pkey.to_int fault.Fault.pkey)
-    else anomaly ()
+      Hooks.retry (handle_data_fault t fault meta (Pkey.to_int fault.Fault.pkey))
+    else anomaly t
 
 (* {2 Section entry and exit (section 5.4)} *)
 
@@ -1160,6 +1212,22 @@ let on_lock t ~tid ~lock ~site =
     cycles + rotation + (if enabled then c.Cost_model.sampling_check else 0)
   end
 
+(* Demote the objects of the interleavings an exiting thread ended, in
+   list order; returns the cycles plus [acc].  A top-level recursion,
+   so that no closure captures the exit's cycle count: a captured ref
+   is a heap block on every exit. *)
+let rec demote_ended t acc = function
+  | [] -> acc
+  | obj_id :: rest ->
+    let acc =
+      match Meta_table.find_id t.env.Hooks.meta obj_id with
+      | Some meta -> acc + demote_to_kna t meta
+      | None ->
+        Domain_state.forget t.domains ~obj_id;
+        acc
+    in
+    demote_ended t acc rest
+
 let on_unlock t ~tid ~lock =
   let c = cost t in
   let ts = thread_state t tid in
@@ -1192,17 +1260,8 @@ let on_unlock t ~tid ~lock =
       cycles := !cycles + c.Cost_model.atomic_op
     done;
     (* Terminate interleavings this thread participated in: the object
-       stays unprotected (Not-accessed) until re-identified.  The
-       match keeps the common no-interleaving exit closure-free. *)
-    (match Interleave.finish_thread t.interleave ~tid with
-    | [] -> ()
-    | affected ->
-      List.iter
-        (fun obj_id ->
-          match Meta_table.find_id t.env.Hooks.meta obj_id with
-          | Some meta -> cycles := !cycles + demote_to_kna t meta
-          | None -> Domain_state.forget t.domains ~obj_id)
-        affected);
+       stays unprotected (Not-accessed) until re-identified. *)
+    cycles := demote_ended t !cycles (Interleave.finish_thread t.interleave ~tid);
     cycles := !cycles + Mpk_hw.wrpkru (hw t) ~tid frame.saved_pkru;
     (match trace t with
     | None -> ()

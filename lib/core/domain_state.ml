@@ -94,10 +94,9 @@ let leave t key obj_id =
   t.key_pages.(key) <- t.key_pages.(key) - Hashtbl.find bucket obj_id;
   Hashtbl.remove bucket obj_id
 
-let set t ~obj_id ?(pages = 0) domain =
+let set_code t ~obj_id ~pages code =
   if obj_id < 0 then invalid_arg "Domain_state.set: negative obj_id";
   let before_code = code_of t ~obj_id in
-  let code = encode domain in
   (* Compare codes, counting a never-seen object as Not-accessed:
      recording Not-accessed on it stays a no-op, exactly as the
      implicit default did. *)
@@ -110,6 +109,10 @@ let set t ~obj_id ?(pages = 0) domain =
     if code >= 0 then join t code obj_id pages;
     t.migrations <- t.migrations + 1
   end
+
+let set t ~obj_id ?(pages = 0) domain = set_code t ~obj_id ~pages (encode domain)
+(* A Read-write domain's code is its key. *)
+let set_read_write t ~obj_id ~pages key = set_code t ~obj_id ~pages key
 
 let forget t ~obj_id =
   let code = code_of t ~obj_id in

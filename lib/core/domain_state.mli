@@ -31,6 +31,10 @@ val set : t -> obj_id:int -> ?pages:int -> domain -> unit
     count, added to {!key_pages} of its key while it is Read-write
     there; it is read only when the object joins a key. *)
 
+val set_read_write : t -> obj_id:int -> pages:int -> int -> unit
+(** [set t ~obj_id ~pages (Read_write key)] without the option and the
+    constructor: the fault path's form. *)
+
 val forget : t -> obj_id:int -> unit
 
 val objects_with_key : t -> int -> int list

@@ -1,8 +1,8 @@
-type decision =
-  | Reuse of int
-  | Fresh of int
-  | Recycle of int * int list
-  | Share of int
+type rule =
+  | Reuse
+  | Fresh
+  | Recycle
+  | Share
 
 type stats = {
   reuse_events : int;
@@ -25,14 +25,22 @@ type stats = {
      sorting all keys by load;
    - sharing — only reachable when every key in the pool is held,
      i.e. essentially never with a real pool — falls back to the
-     legacy whole-pool scan. *)
+     legacy whole-pool scan.
+
+   A choice is a constant rule plus the key in [chosen], and the
+   decisions are counted in place, so choosing and noting a key
+   allocate nothing. *)
 type t = {
   config : Config.t;
   keys : int list;
   pool : int; (* 0 = identity mode *)
   mutable next_fresh : int;
   mutable recycle_hand : int; (* 1-based pool position *)
-  mutable stats : stats;
+  mutable chosen : int;
+  mutable reuses : int;
+  mutable freshes : int;
+  mutable recycles : int;
+  mutable shares : int;
 }
 
 let create config =
@@ -52,7 +60,11 @@ let create config =
     pool;
     next_fresh = 1;
     recycle_hand = 1;
-    stats = { reuse_events = 0; fresh_events = 0; recycling_events = 0; sharing_events = 0 } }
+    chosen = -1;
+    reuses = 0;
+    freshes = 0;
+    recycles = 0;
+    shares = 0 }
 
 let available_keys t = t.keys
 
@@ -79,6 +91,11 @@ let rec least_held ksmap best best_n = function
     let n = Key_section_map.held_count ksmap key in
     if n < best_n then least_held ksmap key n rest else least_held ksmap best best_n rest
 
+(* Every rule ends here: the key goes to [chosen]. *)
+let pick t rule key =
+  t.chosen <- key;
+  rule
+
 (* Rule 3b, shared by both modes (virtual mode only reaches it with
    the whole pool held): the first key whose holders' sections are
    disjoint from [section], else the least held. *)
@@ -88,8 +105,8 @@ let choose_share t ~ksmap ~somap ~section =
       (fun key -> disjoint_sections somap ~section (Key_section_map.holders ksmap key))
       t.keys
   with
-  | Some key -> Share key
-  | None -> Share (least_held ksmap (-1) max_int t.keys)
+  | Some key -> pick t Share key
+  | None -> pick t Share (least_held ksmap (-1) max_int t.keys)
 
 let unheld ksmap key = Key_section_map.held_count ksmap key = 0
 
@@ -112,11 +129,10 @@ let rec least_loaded_unheld ksmap domains best best_load = function
 
 let choose_identity t ~ksmap ~domains ~somap ~section =
   let fresh = first_free ksmap domains t.keys in
-  if fresh >= 0 then Fresh fresh
+  if fresh >= 0 then pick t Fresh fresh
   else
     let key = least_loaded_unheld ksmap domains (-1) max_int t.keys in
-    if key >= 0 then Recycle (key, Domain_state.objects_with_key domains key)
-    else choose_share t ~ksmap ~somap ~section
+    if key >= 0 then pick t Recycle key else choose_share t ~ksmap ~somap ~section
 
 (* The first unheld key at or after the recycle hand, in pool order
    and wrapping, that also protects no object when [free]; -1 if none.
@@ -130,7 +146,7 @@ let rec scan_pool t ksmap domains ~free i =
     else scan_pool t ksmap domains ~free (i + 1)
 
 let choose_virtual t ~ksmap ~domains ~somap ~section =
-  if t.next_fresh <= t.pool then Fresh t.next_fresh
+  if t.next_fresh <= t.pool then pick t Fresh t.next_fresh
   else
     (* Prefer a free key — unheld {e and} protecting nothing — over
        stealing a live association: a pool sized past the active
@@ -138,57 +154,41 @@ let choose_virtual t ~ksmap ~domains ~somap ~section =
        whole point of virtualization) instead of churning object–key
        bindings the way 13 physical keys must. *)
     let free = scan_pool t ksmap domains ~free:true 0 in
-    if free >= 0 then Recycle (free, [])
+    if free >= 0 then pick t Recycle free
     else
       let key = scan_pool t ksmap domains ~free:false 0 in
-      if key >= 0 then Recycle (key, Domain_state.objects_with_key domains key)
-      else choose_share t ~ksmap ~somap ~section
+      if key >= 0 then pick t Recycle key else choose_share t ~ksmap ~somap ~section
 
-(* Rule 1: the lowest key of [held] in key space that the thread still
-   holds with read-write permission; -1 if none. *)
-let rec lowest_reusable t ksmap ~tid best = function
-  | [] -> best
-  | key :: rest ->
-    let best =
-      if (best < 0 || key < best)
-         && in_key_space t key
-         && Kard_mpk.Perm.equal (Key_section_map.perm_of ksmap key ~tid) Kard_mpk.Perm.Read_write
-      then key
-      else best
-    in
-    lowest_reusable t ksmap ~tid best rest
+(* Rule 1: reuse a data key the faulting thread already holds with
+   read-write permission (granting another thread's read-only key a
+   new object would leak writes).  A key an open section acquired may
+   have been released by a nested exit since, hence the map check. *)
+let reusable t ~ksmap ~tid key =
+  in_key_space t key
+  && Kard_mpk.Perm.equal (Key_section_map.perm_of ksmap key ~tid) Kard_mpk.Perm.Read_write
 
-let choose t ~ksmap ~domains ~somap ~tid ~section ~held =
-  (* Rule 1: reuse a data key the faulting thread already holds with
-     read-write permission (granting another thread's read-only key a
-     new object would leak writes).  [held] may list keys a nested
-     exit has released since, hence the map check. *)
-  let reuse = lowest_reusable t ksmap ~tid (-1) held in
-  if reuse >= 0 then Reuse reuse
+let choose t ~ksmap ~domains ~somap ~section ~reuse =
+  if reuse >= 0 then pick t Reuse reuse
   else if t.pool > 0 then choose_virtual t ~ksmap ~domains ~somap ~section
   else choose_identity t ~ksmap ~domains ~somap ~section
 
-let note t decision =
-  let s = t.stats in
-  (match decision with
-  | Fresh key when t.pool > 0 ->
-    if key >= t.next_fresh then t.next_fresh <- key + 1
-  | Recycle (key, _) when t.pool > 0 ->
+let chosen t = t.chosen
+
+let note t rule key =
+  match rule with
+  | Reuse -> t.reuses <- t.reuses + 1
+  | Fresh ->
+    if t.pool > 0 && key >= t.next_fresh then t.next_fresh <- key + 1;
+    t.freshes <- t.freshes + 1
+  | Recycle ->
     (* Advance the hand past the recycled key so successive recycles
        spread over the pool instead of thrashing one key. *)
-    t.recycle_hand <- (key mod t.pool) + 1
-  | _ -> ());
-  t.stats <-
-    (match decision with
-    | Reuse _ -> { s with reuse_events = s.reuse_events + 1 }
-    | Fresh _ -> { s with fresh_events = s.fresh_events + 1 }
-    | Recycle _ -> { s with recycling_events = s.recycling_events + 1 }
-    | Share _ -> { s with sharing_events = s.sharing_events + 1 })
+    if t.pool > 0 then t.recycle_hand <- (key mod t.pool) + 1;
+    t.recycles <- t.recycles + 1
+  | Share -> t.shares <- t.shares + 1
 
-let stats t = t.stats
-
-let pp_decision fmt = function
-  | Reuse key -> Format.fprintf fmt "reuse k%d" key
-  | Fresh key -> Format.fprintf fmt "fresh k%d" key
-  | Recycle (key, objs) -> Format.fprintf fmt "recycle k%d (%d objects)" key (List.length objs)
-  | Share key -> Format.fprintf fmt "share k%d" key
+let stats t =
+  { reuse_events = t.reuses;
+    fresh_events = t.freshes;
+    recycling_events = t.recycles;
+    sharing_events = t.shares }

@@ -22,8 +22,9 @@ type holder = {
    [n] are spares.  Slot order encodes the history the cons-list
    predecessor exposed: slot [n-1] is the most recent holding (list
    head), a new holding takes the first spare, and an upgrade moves
-   the holding to the top.  The public [holder] records are built only
-   by the cold callers (race logging, key sharing).
+   the holding to the top.  The fault path reads the records in place
+   ({!holding}); the public [holder] records are built only by the
+   cold callers (race logging, key sharing, the validator).
 
    Releases keep two records per key: the latest release, and the
    latest release by a thread other than the latest releaser, [-1] in
@@ -91,27 +92,25 @@ let holder_of s =
    per call, and the scans below run on every section entry and exit
    or on the fault path. *)
 
-(* Newest holding first, as the cons-list predecessor returned;
-   [skip] names a thread to leave out ([-1] leaves out nobody). *)
-let rec holders_from st ~skip i acc =
-  if i >= st.n then acc
-  else
-    let s = st.slots.(i) in
-    holders_from st ~skip (i + 1) (if s.s_tid <> skip then holder_of s :: acc else acc)
+(* Newest holding first, as the cons-list predecessor returned. *)
+let rec holders_from st i acc =
+  if i >= st.n then acc else holders_from st (i + 1) (holder_of st.slots.(i) :: acc)
 
-let holders t key = holders_from (state t key) ~skip:(-1) 0 []
-let other_holders t key ~tid = holders_from (state t key) ~skip:tid 0 []
+let holders t key = holders_from (state t key) 0 []
+let held_count t key = (state t key).n
+
+let holding t key i =
+  let st = state t key in
+  if i < 0 || i >= st.n then
+    invalid_arg (Printf.sprintf "Key_section_map.holding: k%d has no holding %d" key i);
+  st.slots.(i)
 
 let rec writer_below st i =
-  if i < 0 then None
-  else if Perm.equal st.slots.(i).s_perm Perm.Read_write then Some (holder_of st.slots.(i))
-  else writer_below st (i - 1)
+  if i < 0 || Perm.equal st.slots.(i).s_perm Perm.Read_write then i else writer_below st (i - 1)
 
-let write_holder t key =
+let newest_writer t key =
   let st = state t key in
   writer_below st (st.n - 1)
-
-let held_count t key = (state t key).n
 
 let rec slot_from st tid i =
   if i >= st.n then -1 else if st.slots.(i).s_tid = tid then i else slot_from st tid (i + 1)
@@ -231,11 +230,12 @@ let release t key ~tid ~time =
 
 let last_release_time t key = (state t key).latest_time
 
-let release_of r time = if r.s_tid < 0 then None else Some (time, holder_of r)
-
-let last_release_by_other t key ~tid =
+let release_by_other t key ~tid =
   let st = state t key in
-  if st.latest.s_tid <> tid then release_of st.latest st.latest_time
-  else release_of st.runner_up st.runner_up_time
+  if st.latest.s_tid <> tid then st.latest else st.runner_up
+
+let release_time_by_other t key ~tid =
+  let st = state t key in
+  if st.latest.s_tid <> tid then st.latest_time else st.runner_up_time
 
 let unheld_keys t ~among = List.filter (fun key -> held_count t key = 0) among

@@ -29,6 +29,19 @@ type holder = {
                                uncontested subset. *)
 }
 
+(** A holding as the map stores it: the fields of a {!holder}.  The
+    record is the map's own storage, reused in place, so it changes
+    with the key and must not be kept across an acquisition or release
+    of the key.  Reading it allocates nothing, which is what the fault
+    path's conflict checks need. *)
+type slot = private {
+  mutable s_tid : int;  (** [-1] in a release record that is none. *)
+  mutable s_perm : Kard_mpk.Perm.t;
+  mutable s_section : int;
+  mutable s_lock : int;
+  mutable s_proactive : bool;
+}
+
 type t
 
 val create : unit -> t
@@ -36,13 +49,19 @@ val create : unit -> t
 val holders : t -> int -> holder list
 (** Newest holding first. *)
 
-val other_holders : t -> int -> tid:int -> holder list
-
-val write_holder : t -> int -> holder option
-(** The holder with read-write permission, if any (at most one). *)
-
 val held_count : t -> int -> int
 (** Live holdings of a key, O(1) — the vkey layer's pinning input. *)
+
+val holding : t -> int -> int -> slot
+(** [holding t key i]: the key's live holding [i], oldest first, for
+    [0 <= i < held_count t key]; the newest is the last.
+    @raise Invalid_argument outside that range. *)
+
+val newest_writer : t -> int -> int
+(** The index of the key's newest holding with read-write permission
+    (there is at most one unless the key is shared), [-1] if none. *)
+
+val holder_of : slot -> holder
 
 val perm_of : t -> int -> tid:int -> Kard_mpk.Perm.t
 (** The thread's permission on the key, [No_access] when it holds
@@ -75,10 +94,15 @@ val last_release_time : t -> int -> int
 (** The stamp of the key's latest release, [-1] if it was never
     released: the section-entry walk's delay-injection cooldown. *)
 
-val last_release_by_other : t -> int -> tid:int -> (int * holder) option
+val release_by_other : t -> int -> tid:int -> slot
 (** The latest release of the key by a thread other than [tid] (so a
     faulter's own releases do not mask the conflicting one), the
     lowest releasing tid winning on equal stamps, for the fault-delay
-    window check of section 5.5. *)
+    window check of section 5.5: the released holding, with [s_tid]
+    [-1] when no other thread released the key.  The record is the
+    map's own storage, as for {!holding}. *)
+
+val release_time_by_other : t -> int -> tid:int -> int
+(** The stamp of that release, [-1] when there is none. *)
 
 val unheld_keys : t -> among:int list -> int list

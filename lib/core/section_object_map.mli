@@ -7,8 +7,9 @@
 
     One index per direction: each section's entries are two growable
     parallel arrays in identification order, which the section-entry
-    walk reads in place; each object maps the sections that touched it
-    to their need, in hash order. *)
+    walk reads in place; an array indexed by object id holds each
+    object's table of the sections that touched it and their need, in
+    hash order.  Lookups allocate nothing. *)
 
 type need =
   | Needs_read
@@ -22,7 +23,7 @@ val record : t -> section:int -> obj_id:int -> need -> unit
 (** Append a new entry, or upgrade a read need to a write need in
     place; a write need is never downgraded, and re-recording an entry
     that already holds is a no-op.
-    @raise Invalid_argument on a negative section id. *)
+    @raise Invalid_argument on a negative section or object id. *)
 
 (** A section's entries: [objs.(i)] needs [needs.(i)] for [i < n], in
     the order the objects were first recorded.  The record is the

@@ -1,17 +1,26 @@
 type access = [ `Read | `Write ]
 
 type t = {
-  addr : Page.addr;
-  vpage : Page.vpage;
-  pkey : Pkey.t;
-  access : access;
-  thread : int;
-  ip : int;
-  time : int;
+  mutable addr : Page.addr;
+  mutable vpage : Page.vpage;
+  mutable pkey : Pkey.t;
+  mutable access : access;
+  mutable thread : int;
+  mutable ip : int;
+  mutable time : int;
 }
 
 let make ~addr ~pkey ~access ~thread ~ip ~time =
   { addr; vpage = Page.vpage_of_addr addr; pkey; access; thread; ip; time }
+
+let overwrite t ~addr ~pkey ~access ~thread ~ip ~time =
+  t.addr <- addr;
+  t.vpage <- Page.vpage_of_addr addr;
+  t.pkey <- pkey;
+  t.access <- access;
+  t.thread <- thread;
+  t.ip <- ip;
+  t.time <- time
 
 let pp_access fmt = function
   | `Read -> Format.pp_print_string fmt "read"

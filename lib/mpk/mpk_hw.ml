@@ -18,7 +18,7 @@ type t = {
   trace : Kard_obs.Trace.sink;
   page_table : Page_table.t;
   mutable cores : core option array; (* index = tid *)
-  mutable last_fault : Fault.t; (* details of the latest [try_access] fault *)
+  last_fault : Fault.t; (* the latest [try_access] fault, overwritten by the next *)
   mutable wrpkru_calls : int;
   mutable rdpkru_calls : int;
   mutable pkey_mprotect_calls : int;
@@ -27,15 +27,12 @@ type t = {
   mutable default_grants : int; (* granted accesses to [k_def] pages *)
 }
 
-let no_fault =
-  Fault.make ~addr:0 ~pkey:Pkey.k_def ~access:`Read ~thread:(-1) ~ip:0 ~time:0
-
 let create ?(cost = Cost_model.default) ?trace () =
   { cost;
     trace;
     page_table = Page_table.create ();
     cores = Array.make 64 None;
-    last_fault = no_fault;
+    last_fault = Fault.make ~addr:0 ~pkey:Pkey.k_def ~access:`Read ~thread:(-1) ~ip:0 ~time:0;
     wrpkru_calls = 0;
     rdpkru_calls = 0;
     pkey_mprotect_calls = 0;
@@ -123,18 +120,16 @@ let pkey_mprotect_vkey t ~base ~len ~vkey pkey =
 (* Does any registered thread's PKRU currently grant [pkey]?  The
    vkey layer's pinning ground truth: a slot some saved context still
    grants must not be evicted, or that thread would touch the newly
-   resident key's objects unchecked.  O(threads), cold fault path
-   only. *)
-let any_grant t pkey =
-  let n = Array.length t.cores in
-  let rec scan i =
-    if i >= n then false
-    else
-      match t.cores.(i) with
-      | Some core when Pkru.get core.pkru pkey <> Perm.No_access -> true
-      | Some _ | None -> scan (i + 1)
-  in
-  scan 0
+   resident key's objects unchecked.  O(threads), on a vkey miss only;
+   a top-level recursion, so the scan makes no closure. *)
+let rec grant_from cores pkey i =
+  i < Array.length cores
+  &&
+  match cores.(i) with
+  | Some core when Pkru.get core.pkru pkey <> Perm.No_access -> true
+  | Some _ | None -> grant_from cores pkey (i + 1)
+
+let any_grant t pkey = grant_from t.cores pkey 0
 
 (* Batched retag for the virtual-key cache: one counted syscall for
    any number of ranges (libmpk's eviction batches the per-object
@@ -185,7 +180,7 @@ let try_access t ~tid ~addr ~access ~ip ~time =
       Kard_obs.Trace.emit tr ~tid
         (Kard_obs.Event.Fault_raised { addr; pkey = Pkey.to_int pkey; access });
       Kard_obs.Trace.incr t.trace "hw.faults");
-    t.last_fault <- Fault.make ~addr ~pkey ~access ~thread:tid ~ip ~time;
+    Fault.overwrite t.last_fault ~addr ~pkey ~access ~thread:tid ~ip ~time;
     -1
   end
 

@@ -91,16 +91,19 @@ val try_access :
 (** The machine's per-access hot call.  [>= 0]: access granted, the
     cycles consumed.  [-1]: the access faulted and {!last_fault} holds
     the details.  Same semantics as {!check_access} without a [result]
-    allocation per access. *)
+    allocation per access, and a fault allocates nothing either. *)
 
 val last_fault : t -> Fault.t
-(** The fault behind the latest [-1] from {!try_access}. *)
+(** The fault behind the latest [-1] from {!try_access}.  The machine
+    keeps one fault record and overwrites it on each fault, so it is
+    valid until the next access; copy what must outlive that. *)
 
 val check_access :
   t -> tid:int -> addr:Page.addr -> access:Fault.access -> ip:int -> time:int ->
   (int, Fault.t) result
 (** [Ok cycles] on success; [Error fault] raises no exception so the
-    scheduler can route the fault to the registered handler.
+    scheduler can route the fault to the registered handler.  The
+    fault is {!last_fault}'s record, valid until the next access.
 
     The check costs a single dTLB lookup on the hit path: TLB entries
     cache the translated protection key alongside the translation

@@ -22,6 +22,7 @@ type t = {
   slot_vkey : int array;       (* slot index -> resident vkey, -1 = free *)
   ref_bits : bool array;       (* second-chance bits, per slot *)
   mutable hand : int;          (* clock hand, a slot index *)
+  mutable evicted : int;       (* vkey the latest load displaced, -1 = none *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -31,11 +32,9 @@ type t = {
 }
 
 type outcome =
-  | Hit of int                            (* resident; the physical key *)
-  | Loaded of { slot : int; evicted : int }
-      (* now resident in physical key [slot]; [evicted] is the virtual
-         key displaced, or -1 if the slot was free *)
-  | Full                                  (* every slot pinned *)
+  | Hit     (* resident *)
+  | Loaded  (* now resident; [evicted] is the virtual key displaced *)
+  | Full    (* every slot pinned *)
 
 type stats = {
   st_pool : int;
@@ -56,6 +55,7 @@ let identity =
     slot_vkey = [||];
     ref_bits = [||];
     hand = 0;
+    evicted = -1;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -85,6 +85,7 @@ let create ~pool ~phys =
       slot_vkey = Array.make n (-1);
       ref_bits = Array.make n false;
       hand = 0;
+      evicted = -1;
       hits = 0;
       misses = 0;
       evictions = 0;
@@ -131,14 +132,14 @@ let resident_count t =
    spends every reference bit, the second must select any unpinned
    slot.  [Full] means every slot is pinned by a running thread. *)
 let ensure t v ~evictable =
-  if t.pool = 0 then Hit v
+  if t.pool = 0 then Hit
   else begin
     check_vkey t v;
     let s = t.vkey_slot.(v) in
     if s >= 0 then begin
       t.ref_bits.(s) <- true;
       t.hits <- t.hits + 1;
-      Hit t.phys.(s)
+      Hit
     end
     else begin
       t.misses <- t.misses + 1;
@@ -168,10 +169,13 @@ let ensure t v ~evictable =
         t.vkey_slot.(v) <- i;
         t.ref_bits.(i) <- true;
         t.loads <- t.loads + 1;
-        Loaded { slot = t.phys.(i); evicted }
+        t.evicted <- evicted;
+        Loaded
       end
     end
   end
+
+let evicted t = t.evicted
 
 let note_retag_pages t n = t.retag_pages <- t.retag_pages + n
 

@@ -18,13 +18,14 @@
 type t
 
 type outcome =
-  | Hit of int
-      (** Already resident; the physical key backing it. *)
-  | Loaded of { slot : int; evicted : int }
-      (** Loaded into physical key [slot]; [evicted] is the virtual key
-          displaced, or [-1] if the slot was free.  The caller must
-          retag the evicted key's pages to the always-deny tag and the
-          loaded key's pages to [slot]. *)
+  | Hit
+      (** Already resident; {!phys_of} gives the physical key backing
+          it. *)
+  | Loaded
+      (** Loaded into the physical key {!phys_of} now gives; {!evicted}
+          names the virtual key displaced.  The caller must retag the
+          evicted key's pages to the always-deny tag and the loaded
+          key's pages to the new slot. *)
   | Full
       (** Every slot is pinned; the access must be emulated unprotected
           (counted in {!stats} as a stall — the documented
@@ -72,7 +73,12 @@ val resident_count : t -> int
 val ensure : t -> int -> evictable:(slot:int -> vkey:int -> bool) -> outcome
 (** Make a virtual key resident, evicting under the clock if needed.
     Counts a hit, or a miss plus (on success) a load and possibly an
-    eviction. *)
+    eviction.  The outcome is a constant, so an ensure allocates
+    nothing as long as the predicate is built once by its caller. *)
+
+val evicted : t -> int
+(** The virtual key the latest {!Loaded} displaced, or [-1] if it took
+    a free slot. *)
 
 val note_retag_pages : t -> int -> unit
 (** Account pages retagged by the caller's batched load/evict

@@ -10,7 +10,13 @@ type fault_action =
   | Retry
   | Emulate
 
-type fault_outcome = { fault_cycles : int; action : fault_action }
+(* The cycles, shifted left once; the low bit set for [Emulate]. *)
+type fault_outcome = int
+
+let retry cycles = cycles lsl 1
+let emulate cycles = (cycles lsl 1) lor 1
+let fault_cycles o = o asr 1
+let fault_action o = if o land 1 = 0 then Retry else Emulate
 
 type access_hooks = {
   on_read : tid:int -> addr:Op.addr -> int;
@@ -53,7 +59,7 @@ let null ~name =
     on_lock = (fun ~tid:_ ~lock:_ ~site:_ -> 0);
     on_unlock = (fun ~tid:_ ~lock:_ -> 0);
     access = None;
-    on_fault = (fun _ -> { fault_cycles = 0; action = Emulate });
+    on_fault = (fun _ -> emulate 0);
     on_thread_exit = (fun ~tid:_ -> 0);
     on_finish = (fun () -> ());
     metadata_bytes = (fun () -> 0) }

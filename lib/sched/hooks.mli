@@ -20,7 +20,20 @@ type fault_action =
   | Retry    (** The handler resolved the fault; re-execute the access. *)
   | Emulate  (** Let this one access through without re-protecting. *)
 
-type fault_outcome = { fault_cycles : int; action : fault_action }
+type fault_outcome = private int
+(** What a fault handler returns: the cycles it consumed and its
+    {!fault_action}, packed into one immediate int so that returning
+    it allocates nothing.  Build it with {!retry} or {!emulate}; read
+    it with {!fault_cycles} and {!fault_action}. *)
+
+val retry : int -> fault_outcome
+(** The handler consumed the cycles given and resolved the fault. *)
+
+val emulate : int -> fault_outcome
+(** The handler consumed the cycles given and lets the access through. *)
+
+val fault_cycles : fault_outcome -> int
+val fault_action : fault_outcome -> fault_action
 
 type access_hooks = {
   on_read : tid:int -> addr:Op.addr -> int;
@@ -58,6 +71,10 @@ type t = {
           wrapper that intercepts an access must install [Some], so it
           can never inherit "no observer" by accident. *)
   on_fault : Kard_mpk.Fault.t -> fault_outcome;
+      (** The fault is the machine's one fault record
+          ({!Kard_mpk.Mpk_hw.last_fault}), which the next access
+          overwrites: a handler reads it during the call and copies
+          whatever it keeps. *)
   on_thread_exit : tid:int -> int;
   on_finish : unit -> unit;
   metadata_bytes : unit -> int;

@@ -86,7 +86,7 @@ let release t ~lock ~tid =
   let n = Dense.Int_ring.length s.waiters in
   if n = 0 then begin
     s.owner <- -1;
-    None
+    -1
   end
   else begin
     (* The queue hands the lock over: close the releaser's share and
@@ -97,7 +97,7 @@ let release t ~lock ~tid =
     s.owner <- next;
     s.opened <- t.charged.(next);
     t.waiting.(next) <- t.waiting.(next) + n - 1;
-    Some next
+    next
   end
 
 let[@inline] charge_held t ~tid cycles =

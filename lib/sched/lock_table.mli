@@ -26,9 +26,10 @@ val acquire : t -> lock:int -> tid:int -> acquire_result
 (** @raise Invalid_argument if [tid] already owns [lock] (the
     simulated program deadlocked on itself). *)
 
-val release : t -> lock:int -> tid:int -> int option
+val release : t -> lock:int -> tid:int -> int
 (** Returns the woken waiter, to whom ownership transfers directly
-    (with the lock's other waiters, in the per-thread counts).
+    (with the lock's other waiters, in the per-thread counts), or [-1]
+    when nobody waits and the lock is now free.
     @raise Invalid_argument if [tid] does not own [lock]. *)
 
 val charge_held : t -> tid:int -> int -> int

@@ -257,16 +257,16 @@ let rec access_attempt t thread addr access n emulate =
                 thread.tid n Fault.pp fault));
       charge t thread t.cost.Cost_model.fault_roundtrip;
       let outcome = t.hooks.Hooks.on_fault fault in
-      charge t thread outcome.Hooks.fault_cycles;
+      charge t thread (Hooks.fault_cycles outcome);
       (match t.trace with
       | None -> ()
       | Some tr ->
-        let latency = t.cost.Cost_model.fault_roundtrip + outcome.Hooks.fault_cycles in
+        let latency = t.cost.Cost_model.fault_roundtrip + Hooks.fault_cycles outcome in
         Kard_obs.Trace.emit tr ~tid:thread.tid
           (Kard_obs.Event.Fault_resolved
              { addr; pkey = Kard_mpk.Pkey.to_int fault.Fault.pkey; latency });
         Kard_obs.Trace.observe t.trace "fault.roundtrip_cycles" latency);
-      match outcome.Hooks.action with
+      match Hooks.fault_action outcome with
       | Hooks.Retry -> access_attempt t thread addr access (n + 1) false
       | Hooks.Emulate -> access_attempt t thread addr access n true
     end
@@ -379,9 +379,8 @@ let do_unlock t thread ~lock =
   | Some tr ->
     Kard_obs.Trace.emit tr ~tid:thread.tid (Kard_obs.Event.Lock_release { lock }));
   exit_section t thread;
-  match Lock_table.release t.locks ~lock ~tid:thread.tid with
-  | None -> ()
-  | Some waiter_tid ->
+  let waiter_tid = Lock_table.release t.locks ~lock ~tid:thread.tid in
+  if waiter_tid >= 0 then begin
     (* Ownership transfers directly; the waiter pays the contended
        acquisition and its section-entry hook fires now. *)
     let waiter = thread_by_tid t waiter_tid in
@@ -405,6 +404,7 @@ let do_unlock t thread ~lock =
         (Kard_obs.Event.Lock_acquire { lock; site; contended = true }));
     enter_section t waiter;
     charge t waiter (t.hooks.Hooks.on_lock ~tid:waiter_tid ~lock ~site)
+  end
 
 let exec_op t thread op =
   match op with

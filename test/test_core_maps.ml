@@ -138,18 +138,24 @@ let test_somap_entries_order () =
 type somap_op =
   | Record of int * int * Somap.need
   | Forget of int
+  | Renew of int * int * Somap.need (* forget the object, then record it again *)
 
 let somap_sections = [ 0; 1; 2; 3; 4; 7 ]
 
+(* Objects 0-80, and four past the object index's first 256 slots and
+   its first doubling, so that the index grows while objects are
+   recorded in it. *)
+let somap_objects = Array.of_list (List.init 81 Fun.id @ [ 255; 256; 511; 700 ])
+
 let somap_op_gen =
   QCheck.Gen.(
+    let obj_id = frequency [ (12, int_range 0 80); (1, oneofl [ 255; 256; 511; 700 ]) ] in
+    let need = map (fun w -> if w then Somap.Needs_write else Somap.Needs_read) bool in
+    let section = oneofl somap_sections in
     frequency
-      [ ( 6,
-          map3
-            (fun section obj_id w ->
-              Record (section, obj_id, if w then Somap.Needs_write else Somap.Needs_read))
-            (oneofl somap_sections) (int_range 0 80) bool );
-        (1, map (fun obj_id -> Forget obj_id) (int_range 0 80)) ])
+      [ (6, map3 (fun section obj_id need -> Record (section, obj_id, need)) section obj_id need);
+        (1, map (fun obj_id -> Forget obj_id) obj_id);
+        (1, map3 (fun section obj_id need -> Renew (section, obj_id, need)) section obj_id need) ])
 
 (* The reference: each section's entries as an association list in
    identification order, and the sections ever recorded. *)
@@ -161,7 +167,7 @@ type somap_model = {
 let model_entries model section =
   Option.value ~default:[] (List.assoc_opt section model.lists)
 
-let model_step model = function
+let rec model_step model = function
   | Record (section, obj_id, need) ->
     let l = model_entries model section in
     let l =
@@ -178,20 +184,21 @@ let model_step model = function
   | Forget obj_id ->
     { model with
       lists = List.map (fun (section, l) -> (section, List.remove_assoc obj_id l)) model.lists }
+  | Renew (section, obj_id, need) ->
+    model_step (model_step model (Forget obj_id)) (Record (section, obj_id, need))
 
 (* Every view of the map against the reference: each section's arrays
    slot by slot, the need and membership of every object, the object's
    section set, both counts, and the sharing test for every pair of
-   sections.  [needs.(s).(o)] is the reference's need of object [o] in
-   the [s]-th section. *)
+   sections.  [needs.(s).(o)] is the reference's need of the [o]-th
+   object of [somap_objects] in the [s]-th section. *)
 let somap_agrees m model =
   let sections = Array.of_list somap_sections in
   let needs =
     Array.map
       (fun section ->
-        let row = Array.make 81 None in
-        List.iter (fun (obj_id, need) -> row.(obj_id) <- Some need) (model_entries model section);
-        row)
+        let entries = model_entries model section in
+        Array.map (fun obj_id -> List.assoc_opt obj_id entries) somap_objects)
       sections
   in
   let holder_in section =
@@ -207,7 +214,8 @@ let somap_agrees m model =
          (List.init e.Somap.n Fun.id)
     && Array.for_all Fun.id
          (Array.mapi
-            (fun obj_id need ->
+            (fun oi need ->
+              let obj_id = somap_objects.(oi) in
               Somap.need_of m ~section ~obj_id = need
               && Somap.touches m ~section ~obj_id = Option.is_some need)
             needs.(si))
@@ -216,27 +224,29 @@ let somap_agrees m model =
             (fun sj other ->
               let shared = ref false in
               Array.iteri
-                (fun obj_id need ->
-                  if Option.is_some need && Option.is_some needs.(sj).(obj_id) then shared := true)
+                (fun oi need ->
+                  if Option.is_some need && Option.is_some needs.(sj).(oi) then shared := true)
                 needs.(si);
               Key_assign.disjoint_sections m ~section [ holder_in other ] = not !shared)
             sections)
   in
-  let object_ok obj_id =
+  let object_ok oi obj_id =
     let yielded = ref [] in
     Somap.iter_sections_touching m ~obj_id (fun section -> yielded := section :: !yielded);
     List.sort compare !yielded
-    = List.filteri (fun si _ -> Option.is_some needs.(si).(obj_id)) somap_sections
+    = List.filteri (fun si _ -> Option.is_some needs.(si).(oi)) somap_sections
   in
   Array.for_all Fun.id (Array.mapi section_ok sections)
-  && List.for_all object_ok (List.init 81 Fun.id)
+  && Array.for_all Fun.id (Array.mapi object_ok somap_objects)
   && Somap.entry_count m = List.fold_left (fun acc (_, l) -> acc + List.length l) 0 model.lists
   && Somap.section_count m = List.length model.recorded
 
-(* Random records and forgets over sections 0-4 and 7 and objects
-   0-80, checked against the reference after every operation.  A
-   section gathers a dozen or more objects, so its arrays grow past
-   their first capacity, and forgets remove from the middle. *)
+(* Random records, forgets and forget-then-record renewals over
+   sections 0-4 and 7 and the objects of [somap_objects], checked
+   against the reference after every operation.  A section gathers a
+   dozen or more objects, so its arrays grow past their first
+   capacity, forgets remove from the middle, and a renewed object must
+   come back with only its new section. *)
 let somap_model_prop =
   QCheck.Test.make ~name:"section-object map equals its list model" ~count:100
     (QCheck.make ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
@@ -248,7 +258,10 @@ let somap_model_prop =
         | op :: rest ->
           (match op with
           | Record (section, obj_id, need) -> Somap.record m ~section ~obj_id need
-          | Forget obj_id -> Somap.forget_object m ~obj_id);
+          | Forget obj_id -> Somap.forget_object m ~obj_id
+          | Renew (section, obj_id, need) ->
+            Somap.forget_object m ~obj_id;
+            Somap.record m ~section ~obj_id need);
           let model = model_step model op in
           somap_agrees m model && go model rest
       in
@@ -264,6 +277,22 @@ let acquire ?(force = false) m k (h : Ksmap.holder) =
     m k ~tid:h.Ksmap.tid h.Ksmap.perm ~section:h.Ksmap.section ~lock:h.Ksmap.lock
     ~proactive:h.Ksmap.proactive
 
+(* The fault path's in-place views as holder records: the newest
+   read-write holding, and the latest release by a thread other than
+   [tid] with its stamp. *)
+let write_holder m k =
+  let w = Ksmap.newest_writer m k in
+  if w < 0 then None else Some (Ksmap.holder_of (Ksmap.holding m k w))
+
+let release_by_other m k ~tid =
+  let r = Ksmap.release_by_other m k ~tid in
+  if r.Ksmap.s_tid < 0 then None
+  else Some (Ksmap.release_time_by_other m k ~tid, Ksmap.holder_of r)
+
+(* Every live holding of [k] through [holding], newest first. *)
+let holdings m k =
+  List.rev (List.init (Ksmap.held_count m k) (fun i -> Ksmap.holder_of (Ksmap.holding m k i)))
+
 let test_ksmap_exclusive_write () =
   let m = Ksmap.create () in
   let k = 1 in
@@ -272,7 +301,7 @@ let test_ksmap_exclusive_write () =
   check "ro denied under rw" false (Ksmap.can_acquire m k ~tid:1 Perm.Read_only);
   check "holder may re-acquire" true (Ksmap.can_acquire m k ~tid:0 Perm.Read_write);
   check "write holder found" true
-    (match Ksmap.write_holder m k with
+    (match write_holder m k with
     | Some h -> h.Ksmap.tid = 0
     | None -> false)
 
@@ -284,7 +313,7 @@ let test_ksmap_shared_read () =
   acquire m k (holder ~perm:Perm.Read_only ~section:20 1);
   check_int "two holders" 2 (List.length (Ksmap.holders m k));
   check "writer denied under readers" false (Ksmap.can_acquire m k ~tid:2 Perm.Read_write);
-  check "no write holder" true (Ksmap.write_holder m k = None)
+  check "no write holder" true (write_holder m k = None)
 
 let test_ksmap_release_and_timestamp () =
   let m = Ksmap.create () in
@@ -294,10 +323,10 @@ let test_ksmap_release_and_timestamp () =
   check "released" true (Ksmap.holders m k = []);
   check_int "release stamped" 1000 (Ksmap.last_release_time m k);
   check_int "never released" (-1) (Ksmap.last_release_time m 6);
-  (match Ksmap.last_release_by_other m k ~tid:1 with
+  (match release_by_other m k ~tid:1 with
   | Some (1000, h) -> check_int "releaser identity kept" 0 h.Ksmap.tid
   | _ -> Alcotest.fail "expected release record");
-  check "own release does not count" true (Ksmap.last_release_by_other m k ~tid:0 = None);
+  check "own release does not count" true (release_by_other m k ~tid:0 = None);
   acquire m k (holder 1);
   check "a stamp below the latest is refused" true
     (try
@@ -310,7 +339,7 @@ let test_ksmap_upgrade () =
   let k = 4 in
   acquire m k (holder ~perm:Perm.Read_only 0);
   acquire m k (holder ~perm:Perm.Read_write 0);
-  (match Ksmap.write_holder m k with
+  (match write_holder m k with
   | Some h -> check_int "upgraded in place" 0 h.Ksmap.tid
   | None -> Alcotest.fail "expected upgrade");
   check_int "still one holding" 1 (List.length (Ksmap.holders m k))
@@ -344,8 +373,13 @@ let test_ksmap_holdings () =
   check "thread 0's keys" true
     (perms 0 = [ Perm.No_access; Perm.Read_only; Perm.Read_only; Perm.No_access ]);
   check "unknown thread holds nothing" true (List.for_all (( = ) Perm.No_access) (perms 5));
-  check "other holders skip the caller" true
-    (List.map (fun h -> h.Ksmap.tid) (Ksmap.other_holders m 7 ~tid:0) = [ 1 ]);
+  check "holdings oldest first in place" true
+    (List.init (Ksmap.held_count m 7) (fun i -> (Ksmap.holding m 7 i).Ksmap.s_tid) = [ 0; 1 ]);
+  check "no holding past the live ones" true
+    (try
+       ignore (Ksmap.holding m 7 2 : Ksmap.slot);
+       false
+     with Invalid_argument _ -> true);
   check "unheld among" true (Ksmap.unheld_keys m ~among:[ 2; 3; 4; 9 ] = [ 3; 9 ]);
   Ksmap.release m 7 ~tid:1 ~time:50;
   check_int "one holding of 7 left" 1 (Ksmap.held_count m 7);
@@ -455,7 +489,8 @@ let ksmap_agrees m model =
       let hs = model_holders model key in
       Ksmap.holders m key = hs
       && Ksmap.held_count m key = List.length hs
-      && Ksmap.write_holder m key
+      && holdings m key = hs
+      && write_holder m key
          = List.find_opt (fun (h : Ksmap.holder) -> Perm.equal h.Ksmap.perm Perm.Read_write) hs
       && Ksmap.last_release_time m key
          = (match List.find_opt (fun (k, _, _) -> k = key) model.released with
@@ -463,9 +498,7 @@ let ksmap_agrees m model =
            | None -> -1)
       && List.for_all
            (fun tid ->
-             Ksmap.other_holders m key ~tid
-             = List.filter (fun (h : Ksmap.holder) -> h.Ksmap.tid <> tid) hs
-             && Ksmap.perm_of m key ~tid
+             Ksmap.perm_of m key ~tid
                 = (match List.find_opt (fun (h : Ksmap.holder) -> h.Ksmap.tid = tid) hs with
                   | Some h -> h.Ksmap.perm
                   | None -> Perm.No_access)
@@ -473,8 +506,7 @@ let ksmap_agrees m model =
                   (fun perm ->
                     Ksmap.can_acquire m key ~tid perm = model_can_acquire model key ~tid perm)
                   [ Perm.Read_write; Perm.Read_only; Perm.No_access ]
-             && Ksmap.last_release_by_other m key ~tid
-                = model_last_release_by_other model key ~tid)
+             && release_by_other m key ~tid = model_last_release_by_other model key ~tid)
            (List.init 6 Fun.id))
     (ksmap_keys @ [ 64 ])
 
@@ -519,17 +551,48 @@ let assign_env () =
   let config = Config.default in
   (Key_assign.create config, Ksmap.create (), Domain_state.create (), Somap.create ())
 
+(* A decision as the detector takes it: rule 1's candidate is the
+   lowest key of [held], the keys the thread's open sections acquired,
+   that [reusable] accepts; the result is the rule and its key. *)
+let choose ka ~ksmap ~domains ~somap ~tid ~section ~held =
+  let reuse =
+    List.fold_left
+      (fun best key ->
+        if (best < 0 || key < best) && Key_assign.reusable ka ~ksmap ~tid key then key else best)
+      (-1) held
+  in
+  let rule = Key_assign.choose ka ~ksmap ~domains ~somap ~section ~reuse in
+  (rule, Key_assign.chosen ka)
+
+let rule_name = function
+  | Key_assign.Reuse -> "reuse"
+  | Key_assign.Fresh -> "fresh"
+  | Key_assign.Recycle -> "recycle"
+  | Key_assign.Share -> "share"
+
+let pp_decision fmt (rule, key) = Format.fprintf fmt "%s k%d" (rule_name rule) key
+
 let test_assign_reuse_rule () =
   let ka, ksmap, domains, somap = assign_env () in
   acquire ksmap 5 (holder 0);
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[ 5 ] with
-  | Key_assign.Reuse k -> check_int "reuses held key" 5 k
-  | _ -> Alcotest.fail "expected Reuse")
+  acquire ksmap 3 (holder ~perm:Perm.Read_only 0);
+  acquire ksmap 8 (holder 0);
+  check "a read-write key is reusable" true (Key_assign.reusable ka ~ksmap ~tid:0 5);
+  check "a read-only key is not" false (Key_assign.reusable ka ~ksmap ~tid:0 3);
+  check "another thread's key is not" false (Key_assign.reusable ka ~ksmap ~tid:1 5);
+  check "a key outside key space is not" false (Key_assign.reusable ka ~ksmap ~tid:0 14);
+  (match choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[ 8; 3; 5; 8 ] with
+  | Key_assign.Reuse, k -> check_int "reuses the lowest held key" 5 k
+  | d -> Alcotest.failf "expected Reuse, got %a" pp_decision d);
+  Ksmap.release ksmap 5 ~tid:0 ~time:1;
+  (match choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[ 8; 3; 5 ] with
+  | Key_assign.Reuse, k -> check_int "a released key is skipped" 8 k
+  | d -> Alcotest.failf "expected Reuse, got %a" pp_decision d)
 
 let test_assign_fresh_rule () =
   let ka, ksmap, domains, somap = assign_env () in
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] with
-  | Key_assign.Fresh _ -> ()
+  (match choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] with
+  | Key_assign.Fresh, _ -> ()
   | _ -> Alcotest.fail "expected Fresh when keys are unassigned")
 
 let test_assign_recycle_rule () =
@@ -541,10 +604,10 @@ let test_assign_recycle_rule () =
       Domain_state.set domains ~obj_id:(100 + i) (Domain_state.Read_write key);
       if i <> 4 then Domain_state.set domains ~obj_id:(200 + i) (Domain_state.Read_write key))
     (Key_assign.available_keys ka);
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] with
-  | Key_assign.Recycle (k, objs) ->
+  (match choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] with
+  | Key_assign.Recycle, k ->
     check_int "cheapest key" 5 k;
-    check_int "its objects listed" 1 (List.length objs)
+    check_int "one object to demote" 1 (List.length (Domain_state.objects_with_key domains k))
   | _ -> Alcotest.fail "expected Recycle")
 
 (* Table 4's sharing test: a key may be shared with its holders only
@@ -585,9 +648,9 @@ let test_assign_share_rule () =
   Somap.record somap ~section:20 ~obj_id:0 Somap.Needs_write;
   Somap.record somap ~section:21 ~obj_id:1 Somap.Needs_write;
   Somap.record somap ~section:10 ~obj_id:50 Somap.Needs_write;
-  (match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:5 ~section:10 ~held:[] with
-  | Key_assign.Share _ -> ()
-  | d -> Alcotest.failf "expected Share, got %s" (Format.asprintf "%a" Key_assign.pp_decision d))
+  (match choose ka ~ksmap ~domains ~somap ~tid:5 ~section:10 ~held:[] with
+  | Key_assign.Share, _ -> ()
+  | d -> Alcotest.failf "expected Share, got %a" pp_decision d)
 
 let test_assign_key_budget () =
   check "zero keys rejected" true
@@ -605,9 +668,14 @@ let test_assign_key_budget () =
 
 let test_assign_stats () =
   let ka, ksmap, domains, somap = assign_env () in
-  let d = Key_assign.choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] in
-  Key_assign.note ka d;
-  check_int "fresh counted" 1 (Key_assign.stats ka).Key_assign.fresh_events
+  let rule, key = choose ka ~ksmap ~domains ~somap ~tid:0 ~section:10 ~held:[] in
+  Key_assign.note ka rule key;
+  Key_assign.note ka Key_assign.Share key;
+  Key_assign.note ka Key_assign.Share key;
+  let s = Key_assign.stats ka in
+  check_int "fresh counted" 1 s.Key_assign.fresh_events;
+  check_int "shares counted" 2 s.Key_assign.sharing_events;
+  check_int "nothing else" 0 (s.Key_assign.reuse_events + s.Key_assign.recycling_events)
 
 (* {1 Key_assign saturation: the full-table decisions} *)
 
@@ -626,13 +694,11 @@ let test_assign_saturation_share () =
   let ka, ksmap, domains, somap = assign_env () in
   saturate ka ksmap domains somap;
   Somap.record somap ~section:10 ~obj_id:500 Somap.Needs_write;
-  match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[] with
-  | Key_assign.Share k ->
+  match choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[] with
+  | Key_assign.Share, k ->
     check "shared key is a data key" true (List.mem k (Key_assign.available_keys ka));
     check "shared key is genuinely held" true (Ksmap.holders ksmap k <> [])
-  | d ->
-    Alcotest.failf "expected Share at full saturation, got %s"
-      (Format.asprintf "%a" Key_assign.pp_decision d)
+  | d -> Alcotest.failf "expected Share at full saturation, got %a" pp_decision d
 
 let test_assign_saturation_recycle () =
   (* One holder short of saturation: the single unheld key must be
@@ -642,24 +708,16 @@ let test_assign_saturation_recycle () =
   saturate ~skip:(fun i -> i = spare_idx) ka ksmap domains somap;
   let spare = List.nth (Key_assign.available_keys ka) spare_idx in
   Domain_state.set domains ~obj_id:300 (Domain_state.Read_write spare);
-  match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[] with
-  | Key_assign.Recycle (k, objs) ->
-    check_int "the single unheld key" spare k;
-    check "every protected object demoted" true
-      (List.sort compare objs
-      = List.sort compare (Domain_state.objects_with_key domains spare))
-  | d ->
-    Alcotest.failf "expected Recycle of the unheld key, got %s"
-      (Format.asprintf "%a" Key_assign.pp_decision d)
+  match choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[] with
+  | Key_assign.Recycle, k -> check_int "the single unheld key" spare k
+  | d -> Alcotest.failf "expected Recycle of the unheld key, got %a" pp_decision d
 
 let test_assign_saturation_vkey_pool () =
   (* The sharing moment with a virtual pool over the same hardware:
      once a one-key budget's key is held the next section must share
      it, but a 16-key pool over that one key hands out fresh keys
      until all 16 are held, and shares only then. *)
-  let fail_with expected d =
-    Alcotest.failf "expected %s, got %s" expected (Format.asprintf "%a" Key_assign.pp_decision d)
-  in
+  let fail_with expected d = Alcotest.failf "expected %s, got %a" expected pp_decision d in
   let sections config n =
     (* Threads 0..n-1 each enter a section that takes a fresh key and
        keeps holding it; then thread 50 enters one more. *)
@@ -668,29 +726,29 @@ let test_assign_saturation_vkey_pool () =
     let somap = Somap.create () in
     for i = 0 to n - 1 do
       Somap.record somap ~section:(20 + i) ~obj_id:(100 + i) Somap.Needs_write;
-      match Key_assign.choose ka ~ksmap ~domains ~somap ~tid:i ~section:(20 + i) ~held:[] with
-      | Key_assign.Fresh key as d ->
-        Key_assign.note ka d;
+      match choose ka ~ksmap ~domains ~somap ~tid:i ~section:(20 + i) ~held:[] with
+      | Key_assign.Fresh, key ->
+        Key_assign.note ka Key_assign.Fresh key;
         Domain_state.set domains ~obj_id:(100 + i) (Domain_state.Read_write key);
         acquire ksmap key (holder ~section:(20 + i) ~lock:i i)
       | d -> fail_with (Printf.sprintf "Fresh for section %d" i) d
     done;
     Somap.record somap ~section:10 ~obj_id:500 Somap.Needs_write;
-    Key_assign.choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[]
+    choose ka ~ksmap ~domains ~somap ~tid:50 ~section:10 ~held:[]
   in
   let one_key = { Config.default with Config.data_keys = 1 } in
   (match sections one_key 1 with
-  | Key_assign.Share k -> check_int "one key shares the held key" 1 k
+  | Key_assign.Share, k -> check_int "one key shares the held key" 1 k
   | d -> fail_with "Share" d);
   let pooled = { one_key with Config.vkeys = 16 } in
   (match sections pooled 1 with
-  | Key_assign.Fresh k -> check_int "the pool hands out its second key" 2 k
+  | Key_assign.Fresh, k -> check_int "the pool hands out its second key" 2 k
   | d -> fail_with "Fresh" d);
   (match sections pooled 15 with
-  | Key_assign.Fresh k -> check_int "and its last" 16 k
+  | Key_assign.Fresh, k -> check_int "and its last" 16 k
   | d -> fail_with "Fresh" d);
   match sections pooled 16 with
-  | Key_assign.Share k -> check "shares a pool key" true (k >= 1 && k <= 16)
+  | Key_assign.Share, k -> check "shares a pool key" true (k >= 1 && k <= 16)
   | d -> fail_with "Share at full pool saturation" d
 
 (* {1 Key assignment properties} *)
@@ -725,7 +783,7 @@ let assign_decision_prop =
           | None -> ())
         key_states;
       let faulter = 9 (* holds nothing *) in
-      let decision = Key_assign.choose ka ~ksmap ~domains ~somap ~tid:faulter ~section:10 ~held:[] in
+      let decision = choose ka ~ksmap ~domains ~somap ~tid:faulter ~section:10 ~held:[] in
       let unassigned_exists =
         List.exists
           (fun key ->
@@ -736,17 +794,13 @@ let assign_decision_prop =
         List.exists (fun key -> Ksmap.holders ksmap key = []) (Key_assign.available_keys ka)
       in
       match decision with
-      | Key_assign.Reuse _ -> false (* the faulter holds nothing *)
-      | Key_assign.Fresh key ->
+      | Key_assign.Reuse, _ -> false (* the faulter holds nothing *)
+      | Key_assign.Fresh, key ->
         unassigned_exists
         && Ksmap.holders ksmap key = []
         && Domain_state.objects_with_key domains key = []
-      | Key_assign.Recycle (key, objs) ->
-        (not unassigned_exists)
-        && Ksmap.holders ksmap key = []
-        && List.sort compare objs
-           = List.sort compare (Domain_state.objects_with_key domains key)
-      | Key_assign.Share _ -> not unheld_exists)
+      | Key_assign.Recycle, key -> (not unassigned_exists) && Ksmap.holders ksmap key = []
+      | Key_assign.Share, _ -> not unheld_exists)
 
 let () =
   Alcotest.run "kard_core_maps"

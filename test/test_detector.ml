@@ -9,6 +9,13 @@ module Detector = Kard_core.Detector
 module Config = Kard_core.Config
 module Race_suite = Kard_workloads.Race_suite
 module Runner = Kard_harness.Runner
+module Fault = Kard_mpk.Fault
+module Mpk_hw = Kard_mpk.Mpk_hw
+module Page = Kard_mpk.Page
+module Hooks = Kard_sched.Hooks
+module Obj_meta = Kard_alloc.Obj_meta
+module Meta_table = Kard_alloc.Meta_table
+module Race_record = Kard_core.Race_record
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -312,6 +319,69 @@ let test_lifo_unlock_enforced () =
        false
      with Machine.Stuck _ | Invalid_argument _ -> true)
 
+(* {1 The machine's one fault record} *)
+
+(* The machine raises every fault into one record and overwrites it on
+   the next fault, so a handler copies what it keeps: a race record
+   logged from one fault still names that fault's thread, ip and time
+   after a second fault has rewritten the record.  The detector is
+   driven through its hooks, the faults through [Mpk_hw.try_access]. *)
+let test_fault_record_outlived () =
+  let hw = Mpk_hw.create () in
+  let meta = Meta_table.create () in
+  let clock = ref 0 in
+  let env =
+    { Hooks.hw; meta; cost = Kard_mpk.Cost_model.default; now = (fun () -> !clock); trace = None }
+  in
+  let d = Detector.create env in
+  let h = Detector.hooks d in
+  List.iter
+    (fun tid ->
+      Mpk_hw.register_thread hw tid;
+      ignore (h.Hooks.on_spawn ~tid : int))
+    [ 0; 1 ];
+  let objs =
+    Array.init 2 (fun id ->
+        let m =
+          { Obj_meta.id; base = Page.base_of_vpage (0x40 + (2 * id)); size = 64; reserved = 64;
+            kind = Obj_meta.Heap 0; pages = 1 }
+        in
+        Meta_table.register meta m;
+        ignore (h.Hooks.on_alloc ~tid:0 m : int);
+        m)
+  in
+  let base i = objs.(i).Obj_meta.base in
+  (* One access at [time]: the fault, if any, goes to the handler. *)
+  let fault ~tid ~ip ~time addr access =
+    clock := time;
+    Mpk_hw.try_access hw ~tid ~addr ~access ~ip ~time < 0
+    && (ignore (h.Hooks.on_fault (Mpk_hw.last_fault hw) : Hooks.fault_outcome);
+        true)
+  in
+  (* Thread 0 identifies object 0 in section 1 and takes a key for it;
+     thread 1 then writes it in section 2, under another lock. *)
+  ignore (h.Hooks.on_lock ~tid:0 ~lock:1 ~site:1 : int);
+  check "thread 0 identifies the object" true (fault ~tid:0 ~ip:3 ~time:100 (base 0) `Write);
+  check "and then holds its key" false (fault ~tid:0 ~ip:4 ~time:110 (base 0) `Write);
+  ignore (h.Hooks.on_lock ~tid:1 ~lock:2 ~site:2 : int);
+  let first = Mpk_hw.last_fault hw in
+  check "thread 1 faults on the held key" true (fault ~tid:1 ~ip:7 ~time:200 (base 0 + 8) `Write);
+  check_int "the fault logs one race" 1 (List.length (Detector.races d));
+  check "thread 0 faults on the other object" true (fault ~tid:0 ~ip:11 ~time:300 (base 1) `Read);
+  let second = Mpk_hw.last_fault hw in
+  check "one record, rewritten in place" true
+    (second == first && second.Fault.thread = 0 && second.Fault.ip = 11
+   && second.Fault.time = 300);
+  match Detector.races d with
+  | [ r ] ->
+    let f = r.Race_record.faulting in
+    check_int "the record keeps the first fault's thread" 1 f.Race_record.thread;
+    check_int "its ip" 7 f.Race_record.ip;
+    check_int "its time" 200 r.Race_record.time;
+    check_int "its offset" 8 r.Race_record.offset;
+    check "its access" true (f.Race_record.access = `Write)
+  | records -> Alcotest.failf "expected one race record, got %d" (List.length records)
+
 let () =
   Alcotest.run "kard_detector"
     [ ("scenarios", List.map scenario_case Race_suite.all);
@@ -336,4 +406,6 @@ let () =
           Alcotest.test_case "free in section" `Quick test_free_in_section_cleans_up;
           Alcotest.test_case "reuse after an inner exit's release" `Quick
             test_reuse_after_inner_release;
-          Alcotest.test_case "LIFO unlock" `Quick test_lifo_unlock_enforced ] ) ]
+          Alcotest.test_case "LIFO unlock" `Quick test_lifo_unlock_enforced;
+          Alcotest.test_case "a race record outlives the fault record" `Quick
+            test_fault_record_outlived ] ) ]

@@ -188,7 +188,7 @@ let test_runnable_set_exhaustive_vs_list () =
 
 let rejects f =
   try
-    ignore (f () : int option);
+    ignore (f () : int);
     false
   with Invalid_argument _ -> true
 
@@ -197,19 +197,17 @@ let test_lock_acquire_release () =
   check "acquire free" true (Lock_table.acquire lt ~lock:1 ~tid:0 = Lock_table.Acquired);
   check "second must wait" true (Lock_table.acquire lt ~lock:1 ~tid:1 = Lock_table.Must_wait);
   check "owner" true (rejects (fun () -> Lock_table.release lt ~lock:1 ~tid:1));
-  (match Lock_table.release lt ~lock:1 ~tid:0 with
-  | Some 1 -> ()
-  | _ -> Alcotest.fail "ownership should transfer to waiter");
+  check_int "ownership transfers to the waiter" 1 (Lock_table.release lt ~lock:1 ~tid:0);
   check "waiter owns" true (rejects (fun () -> Lock_table.release lt ~lock:1 ~tid:0));
-  check "release to none" true (Lock_table.release lt ~lock:1 ~tid:1 = None)
+  check_int "release to none" (-1) (Lock_table.release lt ~lock:1 ~tid:1)
 
 let test_lock_fifo () =
   let lt = Lock_table.create () in
   ignore (Lock_table.acquire lt ~lock:1 ~tid:0);
   ignore (Lock_table.acquire lt ~lock:1 ~tid:1);
   ignore (Lock_table.acquire lt ~lock:1 ~tid:2);
-  check "first waiter first" true (Lock_table.release lt ~lock:1 ~tid:0 = Some 1);
-  check "then second" true (Lock_table.release lt ~lock:1 ~tid:1 = Some 2)
+  check_int "first waiter first" 1 (Lock_table.release lt ~lock:1 ~tid:0);
+  check_int "then second" 2 (Lock_table.release lt ~lock:1 ~tid:1)
 
 let test_lock_errors () =
   let lt = Lock_table.create () in
@@ -253,13 +251,13 @@ let test_lock_nested_holds () =
   check "nested holds" true (stalled lt ~tid:0 = (2, [ 1; 2 ]));
   check "other thread isolated" true (stalled lt ~tid:1 = (1, [ 3 ]));
   check "a waiter holds nothing" true (stalled lt ~tid:5 = (0, []));
-  check "hand-off to the waiter" true (Lock_table.release lt ~lock:2 ~tid:0 = Some 6);
+  check_int "hand-off to the waiter" 6 (Lock_table.release lt ~lock:2 ~tid:0);
   check "hand-off leaves the releaser's other lock" true (stalled lt ~tid:0 = (1, [ 1 ]));
   (* A contended hand-off moves the lock, and its other waiters, to
      the waiter. *)
   ignore (Lock_table.acquire lt ~lock:1 ~tid:1);
   check "waiter not yet an owner" true (stalled lt ~tid:1 = (1, [ 3 ]));
-  check "first waiter first" true (Lock_table.release lt ~lock:1 ~tid:0 = Some 5);
+  check_int "first waiter first" 5 (Lock_table.release lt ~lock:1 ~tid:0);
   check "releaser holds nothing" true (stalled lt ~tid:0 = (0, []));
   check "transferred lock charged to the waiter" true (stalled lt ~tid:5 = (1, [ 1 ]))
 
@@ -271,7 +269,7 @@ let test_lock_waiter_iteration () =
   check_int "two waiters" 2 (Lock_table.charge_held lt ~tid:0 10);
   check_int "counter moved by the cycles" 10 (Lock_table.dilation lt ~lock:9);
   check "FIFO order" true
-    (Lock_table.release lt ~lock:9 ~tid:0 = Some 2 && Lock_table.release lt ~lock:9 ~tid:2 = Some 1);
+    (Lock_table.release lt ~lock:9 ~tid:0 = 2 && Lock_table.release lt ~lock:9 ~tid:2 = 1);
   check_int "last waiter owns it, none left" 0 (Lock_table.charge_held lt ~tid:1 10);
   check_int "no waiters, counter still" 10 (Lock_table.dilation lt ~lock:9);
   check_int "unknown lock has no stall" 0 (Lock_table.dilation lt ~lock:404);
@@ -288,7 +286,7 @@ let test_lock_counter_opens_at_first_waiter () =
   ignore (Lock_table.acquire lt ~lock:4 ~tid:1);
   check_int "one waiter" 1 (Lock_table.charge_held lt ~tid:0 7);
   check_int "only the cycles since it queued" 7 (Lock_table.dilation lt ~lock:4);
-  check "hand-off" true (Lock_table.release lt ~lock:4 ~tid:0 = Some 1);
+  check_int "hand-off" 1 (Lock_table.release lt ~lock:4 ~tid:0);
   check_int "the new owner has no waiters" 0 (Lock_table.charge_held lt ~tid:1 50);
   check_int "counter still after hand-off" 7 (Lock_table.dilation lt ~lock:4);
   ignore (Lock_table.acquire lt ~lock:4 ~tid:0);
@@ -382,7 +380,8 @@ let test_lock_charge_model () =
         depth.(tid) <- depth.(tid) - 1;
         held.(tid) <- List.filter (( <> ) lock) held.(tid);
         let next = Walk.release w ~lock in
-        check "same hand-off" true (Lock_table.release lt ~lock ~tid = next);
+        check_int "same hand-off" (Option.value next ~default:(-1))
+          (Lock_table.release lt ~lock ~tid);
         Option.iter
           (fun waiter ->
             match blocked.(waiter) with
