@@ -326,22 +326,23 @@ let hunt_cmd =
     let detector = Runner.Kard (own_config target) in
     (* Sweep one pool-width batch of seeds at a time, scanning each
        batch in seed order: the reported hit is always the smallest
-       racing seed, exactly as the old serial loop found it. *)
+       racing seed, exactly as a serial loop finds it, and no batch
+       after the first racing one runs. *)
     let width = Pool.resolve_jobs jobs in
-    let rec sweep = function
-      | [] -> None
-      | batch :: rest ->
-        let results =
-          Pool.run_jobs ?jobs (List.map (fun seed -> Job.make ~seed detector target) batch)
-        in
-        let hit =
-          List.find_opt
-            (fun (_, r) -> r.Runner.kard_ilu_races <> [])
-            (List.combine batch results)
-        in
-        (match hit with Some _ -> hit | None -> sweep rest)
+    let racing seed =
+      Pool.(
+        let+ r = job (Job.make ~seed detector target) in
+        if r.Runner.kard_ilu_races <> [] then Some (seed, r) else None)
     in
-    match sweep (Pool.chunks width (List.init tries (fun i -> i + 1))) with
+    let rec sweep first =
+      if first > tries then None
+      else
+        let seeds = List.init (min width (tries - first + 1)) (fun i -> first + i) in
+        match List.find_map Fun.id (Pool.execute ?jobs (Pool.all (List.map racing seeds))) with
+        | Some _ as hit -> hit
+        | None -> sweep (first + width)
+    in
+    match sweep 1 with
     | None -> Printf.printf "no race manifested in %d schedules\n" tries
     | Some (seed, found) ->
       Printf.printf "race manifested at seed %d (%d/%d schedules swept):\n" seed seed tries;
@@ -370,11 +371,7 @@ let hunt_cmd =
    of run, or fuzz:SEED:INDEX (a campaign program, reconstructed from
    the pair, whose own configuration is its campaign entry's). *)
 
-let fuzz_build (r : Campaign.reconstructed) machine =
-  let (_ : Kard_fuzz.Prog.run_ctx) =
-    Kard_fuzz.Prog.spawn_all r.Campaign.rp_prog ~machine ~on_event:(fun _ -> ())
-  in
-  ()
+let fuzz_build (r : Campaign.reconstructed) = Kard_fuzz.Prog.build r.Campaign.rp_prog
 
 let print_or_json ~json result =
   if json then

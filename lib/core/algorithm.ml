@@ -169,11 +169,6 @@ let run t events = List.concat_map (step t) events
 
 let keys_of_thread t tid = (thread_state t tid).held
 
-let kr_global t =
-  Hashtbl.fold
-    (fun key hs acc -> if K.is_read key && hs <> [] then K.Set.add key acc else acc)
-    t.key_holders K.Set.empty
-
 let kf t =
   Hashtbl.fold
     (fun obj () acc ->

@@ -49,9 +49,6 @@ val kr_of_section : t -> int -> Key_sets.Set.t
 val kw_of_section : t -> int -> Key_sets.Set.t
 (** KW(s). *)
 
-val kr_global : t -> Key_sets.Set.t
-(** Keys currently held read-only by at least one thread. *)
-
 val kf : t -> Key_sets.Set.t
 (** Free keys over the universe of objects seen so far. *)
 

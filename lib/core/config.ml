@@ -37,6 +37,25 @@ let default =
     sampling_epoch = 2_000_000;
     sampling_seed = 0x5eed }
 
+(* Each rule names its field; the first broken rule is the error. *)
+let validate t =
+  let keys = Kard_mpk.Pkey.data_key_count in
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  if t.data_keys < 1 || t.data_keys > keys then
+    fail "data_keys = %d is outside [1, %d]" t.data_keys keys
+  else if t.software_fallback then
+    fail "software_fallback is retired (use vkeys) and must stay false"
+  else if not (t.timestamp_pruning && t.prefer_recycle && t.share_disjoint_sections) then
+    fail
+      "timestamp_pruning, prefer_recycle and share_disjoint_sections are retired and must stay \
+       true"
+  else if t.exit_delay_cycles < 0 then fail "exit_delay_cycles = %d is negative" t.exit_delay_cycles
+  else if t.vkeys < 0 then fail "vkeys = %d is negative" t.vkeys
+  else if not (t.sampling > 0.0 && t.sampling <= 1.0) then
+    fail "sampling = %g is outside (0, 1]" t.sampling
+  else if t.sampling_epoch < 0 then fail "sampling_epoch = %d is negative" t.sampling_epoch
+  else Ok ()
+
 let pp fmt t =
   Format.fprintf fmt
     "@[<h>{keys=%d proactive=%b interleave=%b ts-prune=%b dedupe=%b meta-prune=%b recycle=%b \

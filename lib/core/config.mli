@@ -91,4 +91,15 @@ type t = {
 }
 
 val default : t
+
+val validate : t -> (unit, string) result
+(** The one statement of a valid configuration: [data_keys] within
+    [\[1, 13\]], every retired knob at its default, [exit_delay_cycles],
+    [vkeys] and [sampling_epoch] not negative, and [sampling] within
+    [(0, 1\]] (NaN fails).  [Error] names the first broken rule's
+    field.  Both ways a configuration enters a run apply it:
+    {!Detector.create} raises [Invalid_argument] and the replay log
+    decoder raises its [Corrupt] error, so no layer below clamps or
+    re-checks a field. *)
+
 val pp : Format.formatter -> t -> unit

@@ -153,17 +153,8 @@ let evict_tag = Pkey.of_int Pkey.data_key_count
 let data_key_ints = List.map Pkey.to_int Pkey.data_keys
 
 let create ?(config = Config.default) env =
-  if config.Config.software_fallback then
-    invalid_arg "Detector.create: software_fallback is retired (use vkeys)";
-  if
-    not
-      (config.Config.timestamp_pruning && config.Config.prefer_recycle
-     && config.Config.share_disjoint_sections)
-  then
-    invalid_arg
-      "Detector.create: timestamp_pruning, prefer_recycle and share_disjoint_sections are \
-       retired and must stay true";
-  let vpool = max 0 config.Config.vkeys in
+  Result.iter_error (fun msg -> invalid_arg ("Detector.create: " ^ msg)) (Config.validate config);
+  let vpool = config.Config.vkeys in
   (* Virtual mode reserves the last data key as the evict tag. *)
   let slots =
     if vpool = 0 then [||]
@@ -1438,7 +1429,6 @@ let provenance t ~obj_id =
     proactive_blamed = Dense.Bitset.mem t.prov_proactive_blame obj_id;
     vkey_blamed = Dense.Bitset.mem t.prov_vkey_blamed obj_id;
     sampling_skipped = Dense.Bitset.mem t.prov_sampling_skipped obj_id }
-let sampling_active t = Sampling.enabled t.sampling
 let cs_entries t = t.cs_entries
 let first_race_cs t = t.first_race_cs
 let domains t = t.domains

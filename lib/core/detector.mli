@@ -64,10 +64,8 @@ type stats = {
 }
 
 val create : ?config:Config.t -> Kard_sched.Hooks.env -> t
-(** @raise Invalid_argument when [config] sets a retired knob to
-    anything but its default: [software_fallback] (the software key
-    pool is gone), or [timestamp_pruning], [prefer_recycle] or
-    [share_disjoint_sections] off (their alternatives are gone). *)
+(** @raise Invalid_argument when {!Config.validate} rejects [config],
+    naming the broken rule; no field is clamped. *)
 
 val hooks : t -> Kard_sched.Hooks.t
 (** [access] is [None] at every sampling rate: the detector observes
@@ -128,9 +126,6 @@ type provenance = {
 }
 
 val provenance : t -> obj_id:int -> provenance
-
-val sampling_active : t -> bool
-(** Whether the run sampled at a rate below 1.0. *)
 
 val cs_entries : t -> int
 (** Total critical-section entries observed (sampled or not) — the

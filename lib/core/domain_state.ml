@@ -141,8 +141,3 @@ let key_load t key =
 
 let migrations t = t.migrations
 let tracked t = t.tracked
-
-let pp_domain fmt = function
-  | Not_accessed -> Format.pp_print_string fmt "not-accessed"
-  | Read_only -> Format.pp_print_string fmt "read-only"
-  | Read_write key -> Format.fprintf fmt "read-write(k%d)" key

@@ -58,4 +58,3 @@ val migrations : t -> int
 (** Domain changes performed so far (a performance counter). *)
 
 val tracked : t -> int
-val pp_domain : Format.formatter -> domain -> unit

@@ -44,11 +44,7 @@ type t = {
 }
 
 let create config =
-  let data_key_count = Kard_mpk.Pkey.data_key_count in
-  if config.Config.data_keys < 1 || config.Config.data_keys > data_key_count then
-    invalid_arg
-      (Printf.sprintf "Key_assign.create: data_keys must be within [1, %d]" data_key_count);
-  let pool = max 0 config.Config.vkeys in
+  let pool = config.Config.vkeys in
   let keys =
     if pool > 0 then List.init pool (fun i -> i + 1)
     else

@@ -152,7 +152,3 @@ let forget_object t ~obj_id =
 
 let section_count t = t.section_count
 let entry_count t = t.entry_count
-
-let pp_need fmt = function
-  | Needs_read -> Format.pp_print_string fmt "r"
-  | Needs_write -> Format.pp_print_string fmt "w"

@@ -58,4 +58,3 @@ val section_count : t -> int
     forgotten. *)
 
 val entry_count : t -> int
-val pp_need : Format.formatter -> need -> unit

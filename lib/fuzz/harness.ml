@@ -5,8 +5,8 @@ module Config = Kard_core.Config
 module D = Kard_core.Divergence
 module Race_record = Kard_core.Race_record
 module Log = Kard_replay.Log
-module Recorder = Kard_replay.Recorder
-module Replayer = Kard_replay.Replayer
+module Runner = Kard_harness.Runner
+module Record = Kard_harness.Record
 
 type outcome = {
   verdicts : Classify.obj_verdict list;
@@ -16,62 +16,55 @@ type outcome = {
   stuck : string option;
 }
 
-let allocator = Machine.Unique_page
-
-(* The program on an unwrapped Kard machine — no trace log — for the
-   dual-machine gates below.  [wrap] composes around the detector. *)
-let run_unlogged ?schedule ?interp ?(wrap = fun _ h -> h) ~config ~seed prog =
-  let cell = ref None in
-  let make_detector env = wrap env (Detector.make ~config ~cell env) in
-  let machine = Machine.create ~seed ?schedule ?interp ~allocator ~make_detector () in
-  let (_ : Prog.run_ctx) = Prog.spawn_all prog ~machine ~on_event:(fun _ -> ()) in
-  match Machine.run machine with
+(* [run ()], with a [Machine.Stuck] message as [Error]. *)
+let unlogged run =
+  match run () with
   | exception Machine.Stuck msg -> Error msg
-  | report -> Ok (report, Detector.races (Option.get !cell))
+  | r -> Ok r
 
-let same_outcome a b =
-  match (a, b) with
-  | Ok a, Ok b -> a = b
-  | Error a, Error b -> String.equal a b
-  | Ok _, Error _ | Error _, Ok _ -> false
+(* The program through {!Runner.run_build} under Kard, with no trace
+   log, for the dual-machine gates below. *)
+let run_unlogged ?interp ~config ~seed prog =
+  unlogged (fun () ->
+      Runner.run_build ?interp ~threads:(prog.Prog.workers + 1) ~scale:1.0 ~seed
+        ~detector:(Runner.Kard config) (Prog.build prog) "fuzz")
 
 (* The primary (trace-logged) machine runs the log's access hooks, so
    the path every Kard run takes outside the fuzzer — the compiled
    interpreter with no access hooks, at any sampling rate — is gated
    by a dual run, the batch gate: the same program, seed and
    configuration on two {e unwrapped} Kard machines, compiled vs
-   [`Thunks], whose full reports and race-record lists must be
-   structurally identical. *)
+   [`Thunks], whose whole {!Runner.result}s — report, detector
+   statistics and race records — must be structurally identical. *)
 let batch_gate_holds ~config ~seed prog =
-  same_outcome
-    (run_unlogged ~interp:`Compiled ~config ~seed prog)
-    (run_unlogged ~interp:`Thunks ~config ~seed prog)
+  run_unlogged ~interp:`Compiled ~config ~seed prog
+  = run_unlogged ~interp:`Thunks ~config ~seed prog
 
 (* The record/replay layer (DESIGN.md §13) is gated the same way: the
    program runs once more on an unwrapped Kard machine with the
    recorder composed in, the log is pushed through its wire encoding
    and back — so the codec round-trips on every generated program —
    and a strict replay driven by the decoded tape must reproduce the
-   report and race-record list exactly, with every pick, grant and
-   anchor matching and the tape fully consumed.  As in the batch gate,
+   whole result exactly, with every pick, grant and anchor matching
+   and the tape fully consumed.  As in the batch gate,
    the wrappers add no access hooks, so recording and replay both take
    the unhooked access path. *)
 let replay_gate ?(target = "fuzz") ~config ~seed prog =
-  let recorder = Recorder.create () in
-  let recorded = run_unlogged ~wrap:(Recorder.wrap recorder) ~config ~seed prog in
-  let header =
-    Log.header ~detector:"kard" ~target ~threads:(prog.Prog.workers + 1) ~scale:1.0 ~seed ~config
-      ()
+  let recording =
+    unlogged (fun () ->
+        Record.record_build ~threads:(prog.Prog.workers + 1) ~scale:1.0 ~seed
+          ~detector:(Runner.Kard config) ~target (Prog.build prog) "fuzz")
   in
-  match Log.decode (Log.encode (Recorder.log recorder ~header)) with
-  | exception Log.Error _ -> false
-  | log ->
-    let replayer = Replayer.create ~mode:Replayer.Strict log in
-    let replayed =
-      run_unlogged ~schedule:(Replayer.schedule replayer) ~wrap:(Replayer.wrap replayer) ~config
-        ~seed prog
-    in
-    Replayer.check replayer = Ok () && same_outcome recorded replayed
+  match recording with
+  | Error _ -> false
+  | Ok (recorded, log) -> (
+    match Log.decode (Log.encode log) with
+    | exception Log.Error _ -> false
+    | log -> (
+      (* The header carries [config], so the replay is strict. *)
+      match unlogged (fun () -> Record.replay_build log (Prog.build prog) "fuzz") with
+      | Ok (Ok (replayed, fidelity)) -> fidelity = Ok () && replayed = recorded
+      | Ok (Error _) | Error _ -> false))
 
 let run ?(kard_filter = fun (_ : Race_record.t) -> true)
     ?(provenance_filter = fun (p : Detector.provenance) -> p) ?(config = Config.default)
@@ -81,10 +74,8 @@ let run ?(kard_filter = fun (_ : Race_record.t) -> true)
   let make_detector env =
     Trace_log.wrap log ~meta:env.Hooks.meta (Detector.make ~config ~cell env)
   in
-  let machine = Machine.create ~seed ~allocator ~make_detector () in
-  let (_ : Prog.run_ctx) =
-    Prog.spawn_all prog ~machine ~on_event:(fun ev -> Trace_log.emit log ev)
-  in
+  let machine = Machine.create ~seed ~allocator:Machine.Unique_page ~make_detector () in
+  Prog.build ~on_event:(Trace_log.emit log) prog machine;
   match Machine.run machine with
   | exception Machine.Stuck msg ->
     { verdicts = []; divergent = []; classes = [ D.Unexpected ]; unexpected = true;

@@ -43,20 +43,21 @@ val run :
     schedule.
 
     [batch_gate] (default false) additionally runs the {e batch gate}:
-    the same program on two unwrapped Kard machines, neither with access
-    hooks — the compiled interpreter and the [`Thunks] oracle
-    interpreter — whose full reports and race-record lists must be
+    the same program through {!Kard_harness.Runner.run_build} on two
+    unwrapped Kard machines, neither with access hooks — the compiled
+    interpreter and the [`Thunks] oracle interpreter — whose whole
+    results (report, detector statistics, race records) must be
     structurally identical.  A mismatch adds the never-expected
     {!Kard_core.Divergence.Batch_divergence} class, so oracle
     equivalence gates the compiled interpreter on the unhooked access
     path every Kard run takes outside the fuzzer.
 
     [replay] (default false) additionally runs the {e replay gate}:
-    the program once more on an unwrapped Kard machine with the
-    {!Kard_replay.Recorder} composed in, the log round-tripped
-    through its wire encoding, and a strict {!Kard_replay.Replayer}
-    re-execution that must reproduce the report and race-record list
-    exactly with the tape fully consumed.  Any difference adds the
+    the program recorded once more by
+    {!Kard_harness.Record.record_build}, the log round-tripped through
+    its wire encoding, and a strict
+    {!Kard_harness.Record.replay_build} re-execution that must
+    reproduce the whole result exactly with the tape fully consumed.  Any difference adds the
     never-expected {!Kard_core.Divergence.Replay_divergence} class —
     the campaign cross-checks log fidelity on generated programs the
     same way it gates the compiled interpreter.  [replay_target] names

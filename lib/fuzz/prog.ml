@@ -266,7 +266,7 @@ let worker p ctx ~on_event w =
   in
   Program.concat (List.mapi run_phase p.phases)
 
-let spawn_all p ~machine ~on_event =
+let build ?(on_event = fun (_ : Trace_log.ev) -> ()) p machine =
   let ctx =
     { slots_meta = Array.make p.slots None;
       cur = ref (-1);
@@ -275,5 +275,4 @@ let spawn_all p ~machine ~on_event =
   ignore (Machine.spawn machine (coordinator p ctx ~on_event) : int);
   for w = 0 to p.workers - 1 do
     ignore (Machine.spawn machine (worker p ctx ~on_event w) : int)
-  done;
-  ctx
+  done

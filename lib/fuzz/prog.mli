@@ -76,15 +76,11 @@ val to_ocaml : t -> string
 
 (** {1 Compilation} *)
 
-type run_ctx
-(** Mutable per-run state: slot metas, barrier counters. *)
-
-val spawn_all :
-  t ->
-  machine:Kard_sched.Machine.t ->
-  on_event:(Trace_log.ev -> unit) ->
-  run_ctx
+val build : ?on_event:(Trace_log.ev -> unit) -> t -> Kard_sched.Machine.t -> unit
 (** Compile and spawn the coordinator (tid 0) and the workers (tids
-    1..[workers]) on the machine.  [on_event] receives the barrier
-    events ([Pass]/[Arrive]/[Release]) the compiled programs emit so
-    they interleave with the hook-recorded trace in program order. *)
+    1..[workers]) on the machine: the program's one build function,
+    for {!Kard_harness.Runner.run_build} and the record/replay layer
+    as for a trace-logged machine.  [on_event] (default: drop them)
+    receives the barrier events ([Pass]/[Arrive]/[Release]) the
+    compiled programs emit so they interleave with the hook-recorded
+    trace in program order. *)

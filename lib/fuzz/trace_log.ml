@@ -53,14 +53,3 @@ let wrap t ~meta (hooks : Hooks.t) =
       (fun ~tid m ->
         emit t (Free { tid; obj = m.Obj_meta.id });
         hooks.Hooks.on_free ~tid m) }
-
-let pp_ev fmt = function
-  | Lock { tid; lock; site } -> Format.fprintf fmt "t%d lock %d @%d" tid lock site
-  | Unlock { tid; lock } -> Format.fprintf fmt "t%d unlock %d" tid lock
-  | Read { tid; obj } -> Format.fprintf fmt "t%d read o%d" tid obj
-  | Write { tid; obj } -> Format.fprintf fmt "t%d write o%d" tid obj
-  | Alloc { tid; obj } -> Format.fprintf fmt "t%d alloc o%d" tid obj
-  | Free { tid; obj } -> Format.fprintf fmt "t%d free o%d" tid obj
-  | Pass { tid; phase } -> Format.fprintf fmt "t%d pass p%d" tid phase
-  | Arrive { tid; phase } -> Format.fprintf fmt "t%d arrive p%d" tid phase
-  | Release { phase } -> Format.fprintf fmt "release p%d" phase

@@ -35,5 +35,3 @@ val wrap :
 (** Record lock/unlock/read/write/alloc/free through the hook chain
     (resolving addresses to object ids via [meta]) before delegating
     to the wrapped detector. *)
-
-val pp_ev : Format.formatter -> ev -> unit

@@ -3,10 +3,13 @@ module Spec = Kard_workloads.Spec
 module Race_suite = Kard_workloads.Race_suite
 module Registry = Kard_workloads.Registry
 
-(* Each experiment is a {!Pool.plan} whose jobs are pure data and
-   whose merge reassembles rows in submission order, so
+(* Each experiment is a {!Pool.plan} composed from its runs: a row
+   names the jobs it reads with [let+ ... and+ ...], and a table is
+   the [Pool.all] of its rows, so no builder sees a result list.
    [Pool.execute ~jobs:1] and [~jobs:N] produce identical tables (see
    DESIGN.md §7). *)
+
+let ( let+ ), ( and+ ) = Pool.(( let+ ), ( and+ ))
 
 (* {1 Table 3} *)
 
@@ -18,24 +21,19 @@ type t3_row = {
   tsan : Runner.result;
 }
 
-let t3_detectors =
-  [ Runner.Baseline; Runner.Alloc; Runner.Kard (Defaults.kard_config ()); Runner.Tsan ]
-
 let table3_plan ?(threads = Defaults.table_threads) ?(scale = Defaults.scale)
     ?(specs = Registry.all) () =
-  let jobs =
-    List.concat_map
-      (fun spec -> List.map (fun d -> Job.make ~threads ~scale d (Runner.Spec spec)) t3_detectors)
-      specs
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      List.map2
-        (fun spec group ->
-          match group with
-          | [ base; alloc; kard; tsan ] -> { spec; base; alloc; kard; tsan }
-          | _ -> assert false)
-        specs
-        (Pool.chunks (List.length t3_detectors) results))
+  let detector = Runner.Kard (Defaults.kard_config ()) in
+  Pool.all
+    (List.map
+       (fun spec ->
+         let run d = Pool.job (Job.make ~threads ~scale d (Runner.Spec spec)) in
+         let+ base = run Runner.Baseline
+         and+ alloc = run Runner.Alloc
+         and+ kard = run detector
+         and+ tsan = run Runner.Tsan in
+         { spec; base; alloc; kard; tsan })
+       specs)
 
 let t3_kard_pct row = Runner.overhead_pct ~baseline:row.base row.kard
 let t3_alloc_pct row = Runner.overhead_pct ~baseline:row.base row.alloc
@@ -98,33 +96,25 @@ type scenario_row = {
 
 let scenarios_plan ?(names = List.map (fun s -> s.Race_suite.name) Race_suite.all)
     ?(seed = Defaults.seed) () =
-  let scenarios = List.map Race_suite.find names in
-  let jobs =
-    List.concat_map
-      (fun scenario ->
-        List.map
-          (fun d -> Job.make ~seed d (Runner.Scenario scenario))
-          [ Runner.Kard scenario.Race_suite.config; Runner.Tsan; Runner.Lockset ])
-      scenarios
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      List.map2
-        (fun scenario group ->
-          match group with
-          | [ kard; tsan; lockset ] ->
-            let kard_ilu = List.length kard.Runner.kard_ilu_races in
-            let tsan_n = List.length tsan.Runner.tsan_races in
-            let lockset_n = List.length lockset.Runner.lockset_warnings in
-            { scenario;
-              kard_ilu;
-              tsan = tsan_n;
-              lockset = lockset_n;
-              kard_ok = Race_suite.check scenario.Race_suite.expect_kard_ilu kard_ilu;
-              tsan_ok = Race_suite.check scenario.Race_suite.expect_tsan tsan_n;
-              lockset_ok = Race_suite.check scenario.Race_suite.expect_lockset lockset_n }
-          | _ -> assert false)
-        scenarios
-        (Pool.chunks 3 results))
+  Pool.all
+    (List.map
+       (fun name ->
+         let scenario = Race_suite.find name in
+         let run d = Pool.job (Job.make ~seed d (Runner.Scenario scenario)) in
+         let+ kard = run (Runner.Kard scenario.Race_suite.config)
+         and+ tsan = run Runner.Tsan
+         and+ lockset = run Runner.Lockset in
+         let kard_ilu = List.length kard.Runner.kard_ilu_races in
+         let tsan_n = List.length tsan.Runner.tsan_races in
+         let lockset_n = List.length lockset.Runner.lockset_warnings in
+         { scenario;
+           kard_ilu;
+           tsan = tsan_n;
+           lockset = lockset_n;
+           kard_ok = Race_suite.check scenario.Race_suite.expect_kard_ilu kard_ilu;
+           tsan_ok = Race_suite.check scenario.Race_suite.expect_tsan tsan_n;
+           lockset_ok = Race_suite.check scenario.Race_suite.expect_lockset lockset_n })
+       names)
 
 let print_scenarios rows =
   let header = [ "scenario"; "kard"; "expect"; "tsan"; "expect"; "lockset"; "expect"; "ok" ] in
@@ -156,20 +146,18 @@ let table5_plan ?(data_keys = Kard_mpk.Pkey.data_key_count) ?(threads_list = [ 4
     ?(scale = Defaults.scale) () =
   let memcached = Runner.Spec (Registry.find "memcached") in
   let config = { Kard_core.Config.default with Kard_core.Config.data_keys } in
-  let jobs =
-    List.map (fun threads -> Job.make ~threads ~scale (Runner.Kard config) memcached) threads_list
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      List.map2
-        (fun threads result ->
-          let stats = Option.get result.Runner.kard_stats in
-          { t5_threads = threads;
-            total_cs = result.Runner.report.Machine.cs_entries;
-            unique_cs = result.Runner.report.Machine.unique_sections;
-            max_concurrent = result.Runner.report.Machine.max_concurrent_sections;
-            recycling = stats.Kard_core.Detector.recycling_events;
-            sharing = stats.Kard_core.Detector.sharing_events })
-        threads_list results)
+  Pool.all
+    (List.map
+       (fun threads ->
+         let+ result = Pool.job (Job.make ~threads ~scale (Runner.Kard config) memcached) in
+         let stats = Option.get result.Runner.kard_stats in
+         { t5_threads = threads;
+           total_cs = result.Runner.report.Machine.cs_entries;
+           unique_cs = result.Runner.report.Machine.unique_sections;
+           max_concurrent = result.Runner.report.Machine.max_concurrent_sections;
+           recycling = stats.Kard_core.Detector.recycling_events;
+           sharing = stats.Kard_core.Detector.sharing_events })
+       threads_list)
 
 let print_table5 rows =
   let header = [ "memcached"; "t=4"; "t=8"; "t=16"; "t=32" ] in
@@ -211,33 +199,24 @@ let distinct_by f items =
 
 let table6_plan ?(scale = Defaults.scale) () =
   let paper = [ ("aget", 1, 1, 0); ("memcached", 3, 3, 0); ("nginx", 1, 1, 0); ("pigz", 1, 0, 0) ] in
-  let jobs =
-    List.concat_map
-      (fun (name, _, _, _) ->
-        let app = Runner.Spec (Registry.find name) in
-        [ Job.make ~scale (Runner.Kard (Defaults.kard_config ())) app;
-          Job.make ~scale Runner.Tsan app ])
-      paper
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      List.map2
-        (fun (name, pk, pti, ptn) group ->
-          match group with
-          | [ kard; tsan ] ->
-            let granule (r : Kard_baselines.Tsan.race) = r.Kard_baselines.Tsan.addr lsr 3 in
-            let tsan_ilu = distinct_by granule tsan.Runner.tsan_ilu_races in
-            { app = name;
-              kard_races =
-                distinct_by (fun (r : Kard_core.Race_record.t) -> r.Kard_core.Race_record.obj_id)
-                  kard.Runner.kard_races;
-              tsan_ilu;
-              tsan_non_ilu = distinct_by granule tsan.Runner.tsan_races - tsan_ilu;
-              paper_kard = pk;
-              paper_tsan_ilu = pti;
-              paper_tsan_non_ilu = ptn }
-          | _ -> assert false)
-        paper
-        (Pool.chunks 2 results))
+  Pool.all
+    (List.map
+       (fun (name, pk, pti, ptn) ->
+         let app = Runner.Spec (Registry.find name) in
+         let+ kard = Pool.job (Job.make ~scale (Runner.Kard (Defaults.kard_config ())) app)
+         and+ tsan = Pool.job (Job.make ~scale Runner.Tsan app) in
+         let granule (r : Kard_baselines.Tsan.race) = r.Kard_baselines.Tsan.addr lsr 3 in
+         let tsan_ilu = distinct_by granule tsan.Runner.tsan_ilu_races in
+         { app = name;
+           kard_races =
+             distinct_by (fun (r : Kard_core.Race_record.t) -> r.Kard_core.Race_record.obj_id)
+               kard.Runner.kard_races;
+           tsan_ilu;
+           tsan_non_ilu = distinct_by granule tsan.Runner.tsan_races - tsan_ilu;
+           paper_kard = pk;
+           paper_tsan_ilu = pti;
+           paper_tsan_non_ilu = ptn })
+       paper)
 
 let print_table6 rows =
   let header =
@@ -261,33 +240,28 @@ type f5_row = {
   by_threads : (int * float) list;
 }
 
+(* A baseline run and a Kard run of one target, in that order. *)
+let base_and_kard ?threads ~scale target =
+  let run d = Pool.job (Job.make ?threads ~scale d target) in
+  let+ base = run Runner.Baseline
+  and+ kard = run (Runner.Kard (Defaults.kard_config ())) in
+  (base, kard)
+
 let figure5_plan ?(threads_list = [ 8; 16; 32 ]) ?(scale = Defaults.scale)
     ?(specs = Registry.benchmarks) () =
-  let jobs =
-    List.concat_map
-      (fun spec ->
-        let target = Runner.Spec spec in
-        List.concat_map
-          (fun threads ->
-            [ Job.make ~threads ~scale Runner.Baseline target;
-              Job.make ~threads ~scale (Runner.Kard (Defaults.kard_config ())) target ])
-          threads_list)
-      specs
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      let per_spec = Pool.chunks (2 * List.length threads_list) results in
-      List.map2
-        (fun spec group ->
-          let by_threads =
-            List.map2
-              (fun threads pair ->
-                match pair with
-                | [ base; kard ] -> (threads, Runner.overhead_pct ~baseline:base kard)
-                | _ -> assert false)
-              threads_list (Pool.chunks 2 group)
-          in
-          { f5_name = spec.Spec.name; by_threads })
-        specs per_spec)
+  Pool.all
+    (List.map
+       (fun spec ->
+         let+ by_threads =
+           Pool.all
+             (List.map
+                (fun threads ->
+                  let+ base, kard = base_and_kard ~threads ~scale (Runner.Spec spec) in
+                  (threads, Runner.overhead_pct ~baseline:base kard))
+                threads_list)
+         in
+         { f5_name = spec.Spec.name; by_threads })
+       specs)
 
 let print_figure5 rows =
   match rows with
@@ -316,22 +290,14 @@ let print_figure5 rows =
 type nginx_row = { file_kb : int; kard_pct : float }
 
 let nginx_sweep_plan ?(sizes = [ 128; 256; 512; 1024 ]) ?(scale = Defaults.scale) () =
-  let jobs =
-    List.concat_map
-      (fun file_kb ->
-        let nginx = Runner.Spec (Kard_workloads.Apps.nginx_with_file ~file_kb) in
-        [ Job.make ~scale Runner.Baseline nginx;
-          Job.make ~scale (Runner.Kard (Defaults.kard_config ())) nginx ])
-      sizes
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      List.map2
-        (fun file_kb pair ->
-          match pair with
-          | [ base; kard ] -> { file_kb; kard_pct = Runner.overhead_pct ~baseline:base kard }
-          | _ -> assert false)
-        sizes
-        (Pool.chunks 2 results))
+  Pool.all
+    (List.map
+       (fun file_kb ->
+         let+ base, kard =
+           base_and_kard ~scale (Runner.Spec (Kard_workloads.Apps.nginx_with_file ~file_kb))
+         in
+         { file_kb; kard_pct = Runner.overhead_pct ~baseline:base kard })
+       sizes)
 
 let print_nginx_sweep rows =
   let header = [ "file size"; "kard overhead" ] in
@@ -390,33 +356,22 @@ type mem_row = {
 
 let memory_plan ?(threads = Defaults.table_threads) ?(scale = Defaults.scale)
     ?(specs = Registry.all) () =
-  let jobs =
-    List.concat_map
-      (fun spec ->
-        let target = Runner.Spec spec in
-        [ Job.make ~threads ~scale Runner.Baseline target;
-          Job.make ~threads ~scale (Runner.Kard (Defaults.kard_config ())) target ])
-      specs
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      List.map2
-        (fun spec pair ->
-          match pair with
-          | [ base; kard ] ->
-            let kr = kard.Runner.report in
-            let alloc_stats = kr.Machine.alloc_stats in
-            { mem_name = spec.Spec.name;
-              base_rss = base.Runner.report.Machine.rss_bytes;
-              kard_rss = kr.Machine.rss_bytes;
-              kard_data = kr.Machine.data_rss_bytes;
-              kard_page_tables = kr.Machine.page_table_bytes;
-              kard_metadata = kr.Machine.detector_metadata_bytes;
-              wasted =
-                alloc_stats.Kard_alloc.Alloc_iface.bytes_reserved
-                - alloc_stats.Kard_alloc.Alloc_iface.bytes_requested }
-          | _ -> assert false)
-        specs
-        (Pool.chunks 2 results))
+  Pool.all
+    (List.map
+       (fun spec ->
+         let+ base, kard = base_and_kard ~threads ~scale (Runner.Spec spec) in
+         let kr = kard.Runner.report in
+         let alloc_stats = kr.Machine.alloc_stats in
+         { mem_name = spec.Spec.name;
+           base_rss = base.Runner.report.Machine.rss_bytes;
+           kard_rss = kr.Machine.rss_bytes;
+           kard_data = kr.Machine.data_rss_bytes;
+           kard_page_tables = kr.Machine.page_table_bytes;
+           kard_metadata = kr.Machine.detector_metadata_bytes;
+           wasted =
+             alloc_stats.Kard_alloc.Alloc_iface.bytes_reserved
+             - alloc_stats.Kard_alloc.Alloc_iface.bytes_requested })
+       specs)
 
 let print_memory rows =
   let header =
@@ -471,23 +426,24 @@ let ablation_variants =
 
 let ablation_plan ?(scale = Defaults.scale) () =
   let memcached = Runner.Spec (Registry.find "memcached") in
-  let jobs =
-    Job.make ~scale Runner.Baseline memcached
-    :: List.map (fun (_, config) -> Job.make ~scale (Runner.Kard config) memcached)
-         ablation_variants
+  let+ base = Pool.job (Job.make ~scale Runner.Baseline memcached)
+  and+ variants =
+    Pool.all
+      (List.map
+         (fun (label, config) ->
+           let+ r = Pool.job (Job.make ~scale (Runner.Kard config) memcached) in
+           (label, r))
+         ablation_variants)
   in
-  Pool.plan jobs ~merge:(function
-    | base :: variants ->
-      List.map2
-        (fun (label, _) r ->
-          let stats = Option.get r.Runner.kard_stats in
-          { ab_label = label;
-            ab_pct = Runner.overhead_pct ~baseline:base r;
-            ab_records = List.length r.Runner.kard_races;
-            ab_recycling = stats.Kard_core.Detector.recycling_events;
-            ab_sharing = stats.Kard_core.Detector.sharing_events })
-        ablation_variants variants
-    | [] -> assert false)
+  List.map
+    (fun (label, r) ->
+      let stats = Option.get r.Runner.kard_stats in
+      { ab_label = label;
+        ab_pct = Runner.overhead_pct ~baseline:base r;
+        ab_records = List.length r.Runner.kard_races;
+        ab_recycling = stats.Kard_core.Detector.recycling_events;
+        ab_sharing = stats.Kard_core.Detector.sharing_events })
+    variants
 
 let print_ablation rows =
   print_string
@@ -513,28 +469,20 @@ type nolock_row = {
 }
 
 let nolock_plan ?(scale = Defaults.scale) () =
-  let specs = Registry.lock_free in
-  let jobs =
-    List.concat_map
-      (fun spec ->
-        List.map
-          (fun d -> Job.make ~scale d (Runner.Spec spec))
-          [ Runner.Baseline; Runner.Alloc; Runner.Kard (Defaults.kard_config ()) ])
-      specs
-  in
-  Pool.plan jobs ~merge:(fun results ->
-      List.map2
-        (fun spec group ->
-          match group with
-          | [ base; alloc; kard ] ->
-            { nl_name = spec.Spec.name;
-              nl_alloc_pct = Runner.overhead_pct ~baseline:base alloc;
-              nl_kard_pct = Runner.overhead_pct ~baseline:base kard;
-              nl_faults = kard.Runner.report.Machine.faults;
-              nl_cs_entries = kard.Runner.report.Machine.cs_entries }
-          | _ -> assert false)
-        specs
-        (Pool.chunks 3 results))
+  let detector = Runner.Kard (Defaults.kard_config ()) in
+  Pool.all
+    (List.map
+       (fun spec ->
+         let run d = Pool.job (Job.make ~scale d (Runner.Spec spec)) in
+         let+ base = run Runner.Baseline
+         and+ alloc = run Runner.Alloc
+         and+ kard = run detector in
+         { nl_name = spec.Spec.name;
+           nl_alloc_pct = Runner.overhead_pct ~baseline:base alloc;
+           nl_kard_pct = Runner.overhead_pct ~baseline:base kard;
+           nl_faults = kard.Runner.report.Machine.faults;
+           nl_cs_entries = kard.Runner.report.Machine.cs_entries })
+       Registry.lock_free)
 
 let print_nolock rows =
   print_string
@@ -555,25 +503,25 @@ let print_nolock rows =
 (* {1 Schedule exploration: detection is schedule-sensitive} *)
 
 let explore_plan () =
-  let scenario name = (name, Explorer.explore_scenario_plan (Race_suite.find name)) in
-  let spec name = (name, Explorer.explore_spec_plan (Registry.find name)) in
+  let labelled name plan =
+    let+ summary = plan in
+    (name, summary)
+  in
+  let scenario name = labelled name (Explorer.explore_scenario_plan (Race_suite.find name)) in
+  let spec name = labelled name (Explorer.explore_spec_plan (Registry.find name)) in
   (* Section 5.5's mitigation: delay injection raises the detection
      rate of rarely-overlapping sections. *)
   let delayed (label, delay) =
     let config = { Kard_core.Config.default with Kard_core.Config.exit_delay_cycles = delay } in
-    ( "small-cs-race " ^ label,
-      Explorer.explore_scenario_plan ~config Race_suite.small_cs_race )
+    labelled ("small-cs-race " ^ label)
+      (Explorer.explore_scenario_plan ~config Race_suite.small_cs_race)
   in
-  let sweeps =
-    List.map scenario
-      [ "ilu-lock-lock"; "ilu-lock-nolock"; "exclusive-write"; "different-offset-small-cs";
-        "small-cs-race" ]
+  Pool.all
+    (List.map scenario
+       [ "ilu-lock-lock"; "ilu-lock-nolock"; "exclusive-write"; "different-offset-small-cs";
+         "small-cs-race" ]
     @ List.map spec [ "aget"; "nginx" ]
-    @ List.map delayed [ ("(no delay)", 0); ("(delay 50k)", 50_000); ("(delay 200k)", 200_000) ]
-  in
-  let summaries = Pool.concat (List.map snd sweeps) in
-  Pool.plan summaries.Pool.jobs ~merge:(fun results ->
-      List.combine (List.map fst sweeps) (summaries.Pool.merge results))
+    @ List.map delayed [ ("(no delay)", 0); ("(delay 50k)", 50_000); ("(delay 200k)", 200_000) ])
 
 let print_explore rows =
   Printf.printf "per-run detection probability across %d scheduler seeds:\n"
@@ -644,55 +592,39 @@ let serve_plan ?(server = Openloop.Nginx) ?(model = Openloop.Poisson)
     ?(threads = Defaults.table_threads) ?(scale = Defaults.serve_scale)
     ?(seed = Defaults.seed) ?(slo = Defaults.serve_slo) () =
   let specs = List.map (fun rate -> (rate, Openloop.spec ~model ~rate server)) rates in
-  let jobs =
-    List.concat_map
-      (fun (_, detector) ->
-        List.map
-          (fun (_, spec) ->
-            Job.make ~threads ~scale ~seed ~trace:(Job.trace_request ()) detector
-              (Runner.Spec spec))
-          specs)
-      detectors
+  let row (dname, detector) (rate, spec) =
+    let+ result =
+      Pool.job
+        (Job.make ~threads ~scale ~seed ~trace:(Job.trace_request ()) detector (Runner.Spec spec))
+    in
+    let snapshot =
+      match result.Runner.trace with
+      | Some tr -> Snapshot.of_metrics (Kard_obs.Trace.metrics tr)
+      | None -> Snapshot.empty
+    in
+    let latency =
+      match Snapshot.find_window snapshot Openloop.metric_latency with
+      | Some w -> w.Snapshot.w_overall
+      | None -> empty_window_row
+    in
+    let requests = Snapshot.find_counter snapshot Openloop.counter_requests in
+    let cycles = result.Runner.report.Machine.cycles in
+    { sv_detector = dname;
+      sv_rate = rate;
+      sv_requests = requests;
+      sv_cycles = cycles;
+      sv_achieved =
+        (if cycles > 0 then float_of_int requests /. (float_of_int cycles /. 1_000_000.) else 0.);
+      sv_latency = latency;
+      sv_snapshot = snapshot }
   in
-  Pool.plan jobs ~merge:(fun results ->
-      let rows =
-        List.concat
-          (List.map2
-             (fun (dname, _) group ->
-               List.map2
-                 (fun (rate, _) result ->
-                   let snapshot =
-                     match result.Runner.trace with
-                     | Some tr -> Snapshot.of_metrics (Kard_obs.Trace.metrics tr)
-                     | None -> Snapshot.empty
-                   in
-                   let latency =
-                     match Snapshot.find_window snapshot Openloop.metric_latency with
-                     | Some w -> w.Snapshot.w_overall
-                     | None -> empty_window_row
-                   in
-                   let requests = Snapshot.find_counter snapshot Openloop.counter_requests in
-                   let cycles = result.Runner.report.Machine.cycles in
-                   { sv_detector = dname;
-                     sv_rate = rate;
-                     sv_requests = requests;
-                     sv_cycles = cycles;
-                     sv_achieved =
-                       (if cycles > 0 then
-                          float_of_int requests /. (float_of_int cycles /. 1_000_000.)
-                        else 0.);
-                     sv_latency = latency;
-                     sv_snapshot = snapshot })
-                 specs group)
-             detectors
-             (Pool.chunks (List.length specs) results))
-      in
-      { ss_server = Openloop.server_name server;
-        ss_model = Openloop.arrival_name model;
-        ss_slo = slo;
-        ss_threads = threads;
-        ss_rows = rows;
-        ss_goodput = serve_goodput ~slo rows })
+  let+ rows = Pool.all (List.concat_map (fun d -> List.map (row d) specs) detectors) in
+  { ss_server = Openloop.server_name server;
+    ss_model = Openloop.arrival_name model;
+    ss_slo = slo;
+    ss_threads = threads;
+    ss_rows = rows;
+    ss_goodput = serve_goodput ~slo rows }
 
 let print_serve sweep =
   Printf.printf "open-loop %s, %s arrivals, %d workers; SLO: p99 <= %s cycles\n" sweep.ss_server
@@ -770,7 +702,7 @@ let default_keys_pool sections = 2 * sections
    alive (DESIGN.md §11). *)
 let keys_plan ?(points = default_keys_points) ?(data_keys = default_keys_data_keys) ?pool
     ?threads ?(scale = 1.0) ?(seed = Defaults.seed) () =
-  let point_jobs (pname, profile) =
+  let point (pname, profile) =
     let p = profile.Kard_workloads.Keypressure.sections in
     let pool = match pool with Some n -> n | None -> default_keys_pool p in
     let spec =
@@ -778,86 +710,61 @@ let keys_plan ?(points = default_keys_points) ?(data_keys = default_keys_data_ke
         profile
     in
     let threads = Option.value ~default:spec.Spec.default_threads threads in
-    let configs =
-      List.concat_map
-        (fun dk ->
-          [ (Printf.sprintf "phys-%d" dk, dk, 0); (Printf.sprintf "vkeys-%d" dk, dk, pool) ])
-        data_keys
+    let run d = Pool.job (Job.make ~threads ~scale ~seed d (Runner.Spec spec)) in
+    let kard (mode, dk, vk) =
+      let config = { Kard_core.Config.default with Kard_core.Config.data_keys = dk; vkeys = vk } in
+      let+ result = run (Runner.Kard config) in
+      ((mode, dk, vk), result)
     in
-    let jobs =
-      Job.make ~threads ~scale ~seed Runner.Baseline (Runner.Spec spec)
-      :: List.map
-           (fun (_, dk, vk) ->
-             let config =
-               { Kard_core.Config.default with Kard_core.Config.data_keys = dk; vkeys = vk }
-             in
-             Job.make ~threads ~scale ~seed (Runner.Kard config) (Runner.Spec spec))
-           configs
+    let+ base = run Runner.Baseline
+    and+ kards =
+      Pool.all
+        (List.concat_map
+           (fun dk ->
+             [ kard (Printf.sprintf "phys-%d" dk, dk, 0);
+               kard (Printf.sprintf "vkeys-%d" dk, dk, pool) ])
+           data_keys)
     in
-    (configs, threads, jobs)
+    let base_cycles = base.Runner.report.Machine.cycles in
+    let row ((mode, dk, vk), (result : Runner.result)) =
+      let stats = Option.get result.Runner.kard_stats in
+      let races = result.Runner.kard_races in
+      let distinct =
+        List.sort_uniq compare (List.map (fun r -> r.Kard_core.Race_record.obj_id) races)
+      in
+      { kp_point = pname;
+        kp_mode = mode;
+        kp_objects = Kard_workloads.Keypressure.effective_objects profile ~scale;
+        kp_sections = profile.Kard_workloads.Keypressure.sections;
+        kp_data_keys = dk;
+        kp_vkeys = vk;
+        kp_planted = Kard_workloads.Keypressure.planted profile ~scale;
+        kp_detected = List.length races;
+        kp_detected_objects = List.length distinct;
+        kp_cycles = result.Runner.report.Machine.cycles;
+        kp_overhead_pct =
+          (if base_cycles > 0 then
+             100.
+             *. (float_of_int result.Runner.report.Machine.cycles /. float_of_int base_cycles
+                -. 1.)
+           else 0.);
+        kp_sharing = stats.Kard_core.Detector.sharing_events;
+        kp_recycling = stats.Kard_core.Detector.recycling_events;
+        kp_vkey_evictions = stats.Kard_core.Detector.vkey_evictions;
+        kp_vkey_loads = stats.Kard_core.Detector.vkey_loads;
+        kp_vkey_retag_pages = stats.Kard_core.Detector.vkey_retag_pages;
+        kp_vkey_stalls = stats.Kard_core.Detector.vkey_stalls }
+    in
+    (threads, List.map row kards)
   in
-  let prepared = List.map (fun point -> (point, point_jobs point)) points in
-  let jobs = List.concat_map (fun (_, (_, _, jobs)) -> jobs) prepared in
-  Pool.plan jobs ~merge:(fun results ->
-      let rec split results prepared acc =
-        match prepared with
-        | [] -> List.rev acc
-        | ((pname, profile), (configs, threads, jobs)) :: rest ->
-          let n = List.length jobs in
-          let group = List.filteri (fun i _ -> i < n) results in
-          let remaining = List.filteri (fun i _ -> i >= n) results in
-          let base, kards =
-            match group with
-            | base :: kards -> (base, kards)
-            | [] -> assert false
-          in
-          let base_cycles = base.Runner.report.Machine.cycles in
-          let rows =
-            List.map2
-              (fun (mode, dk, vk) (result : Runner.result) ->
-                let stats = Option.get result.Runner.kard_stats in
-                let races = result.Runner.kard_races in
-                let distinct =
-                  List.sort_uniq compare
-                    (List.map (fun r -> r.Kard_core.Race_record.obj_id) races)
-                in
-                { kp_point = pname;
-                  kp_mode = mode;
-                  kp_objects = Kard_workloads.Keypressure.effective_objects profile ~scale;
-                  kp_sections = profile.Kard_workloads.Keypressure.sections;
-                  kp_data_keys = dk;
-                  kp_vkeys = vk;
-                  kp_planted = Kard_workloads.Keypressure.planted profile ~scale;
-                  kp_detected = List.length races;
-                  kp_detected_objects = List.length distinct;
-                  kp_cycles = result.Runner.report.Machine.cycles;
-                  kp_overhead_pct =
-                    (if base_cycles > 0 then
-                       100.
-                       *. (float_of_int result.Runner.report.Machine.cycles
-                           /. float_of_int base_cycles
-                          -. 1.)
-                     else 0.);
-                  kp_sharing = stats.Kard_core.Detector.sharing_events;
-                  kp_recycling = stats.Kard_core.Detector.recycling_events;
-                  kp_vkey_evictions = stats.Kard_core.Detector.vkey_evictions;
-                  kp_vkey_loads = stats.Kard_core.Detector.vkey_loads;
-                  kp_vkey_retag_pages = stats.Kard_core.Detector.vkey_retag_pages;
-                  kp_vkey_stalls = stats.Kard_core.Detector.vkey_stalls })
-              configs kards
-          in
-          split remaining rest ((threads, rows) :: acc)
-      in
-      let groups = split results prepared [] in
-      let threads =
-        match groups with
-        | (threads, _) :: _ -> threads
-        | [] -> Defaults.table_threads
-      in
-      { kp_threads = threads;
-        kp_scale = scale;
-        kp_seed = seed;
-        kp_rows = List.concat_map snd groups })
+  let+ groups = Pool.all (List.map point points) in
+  { kp_threads =
+      (match groups with
+      | (threads, _) :: _ -> threads
+      | [] -> Defaults.table_threads);
+    kp_scale = scale;
+    kp_seed = seed;
+    kp_rows = List.concat_map snd groups }
 
 let print_keys_bench b =
   Printf.printf "key-pressure sweep: %d threads, scale %g, seed %d\n" b.kp_threads b.kp_scale
@@ -981,105 +888,83 @@ let sampling_plan ?(scenarios = default_sampling_scenarios) ?(rates = default_sa
     in
     Job.make ~scale ~seed (Runner.Kard config) subject
   in
-  let sweep_jobs =
-    List.concat_map
-      (fun subject ->
-        List.concat_map (fun rate -> List.map (job subject rate) seeds) rates)
-      subjects
+  let subject_rows subject =
+    let+ by_rate =
+      Pool.all
+        (List.map
+           (fun rate ->
+             let+ group =
+               Pool.all (List.map (fun seed -> Pool.job (job subject rate seed)) seeds)
+             in
+             (rate, group))
+           rates)
+    in
+    let full = Option.map (List.map sampling_race_objects) (List.assoc_opt 1.0 by_rate) in
+    List.map
+      (fun (rate, group) ->
+        let detecting = List.filter (fun r -> r.Runner.kard_races <> []) group in
+        let latencies =
+          List.filter_map
+            (fun r ->
+              match r.Runner.kard_stats with
+              | Some s when s.Kard_core.Detector.first_race_cs >= 0 ->
+                Some s.Kard_core.Detector.first_race_cs
+              | Some _ | None -> None)
+            group
+        in
+        (* The subset oracle only applies to pinned interleavings: the
+           scenarios replay a fixed schedule, so the same seed's
+           rate-1.0 run is the right superset.  Open-schedule subjects
+           (keypressure) reschedule under sampling — the charges shift
+           the virtual clock — so cross-run containment is undefined
+           there; the fuzz taxonomy (same-execution oracles) carries
+           the no-invented-races guarantee instead. *)
+        let subset_ok =
+          match (subject, full) with
+          | Runner.Spec _, _ | _, None -> true
+          | Runner.Scenario _, Some full_sets ->
+            List.for_all2
+              (fun r full_set ->
+                List.for_all (fun o -> List.mem o full_set) (sampling_race_objects r))
+              group full_sets
+        in
+        let sum_stat f =
+          List.fold_left
+            (fun acc r ->
+              match r.Runner.kard_stats with
+              | Some s -> acc + f s
+              | None -> acc)
+            0 group
+        in
+        let mean_int f =
+          float_of_int (List.fold_left (fun acc r -> acc + f r) 0 group)
+          /. float_of_int (List.length group)
+        in
+        { sp_subject = Runner.target_name subject;
+          sp_rate = rate;
+          sp_runs = List.length group;
+          sp_detected = List.length detecting;
+          sp_detection_pct =
+            100. *. float_of_int (List.length detecting)
+            /. float_of_int (max 1 (List.length group));
+          sp_subset_ok = subset_ok;
+          sp_latency_min = (match latencies with [] -> -1 | l -> List.fold_left min max_int l);
+          sp_latency_p50 = sampling_median latencies;
+          sp_latency_max = List.fold_left max (-1) latencies;
+          sp_mean_cs_entries = mean_int (fun r -> r.Runner.report.Machine.cs_entries);
+          sp_sampled_sections = sum_stat (fun s -> s.Kard_core.Detector.sampled_sections);
+          sp_skipped_sections = sum_stat (fun s -> s.Kard_core.Detector.skipped_sections);
+          sp_skipped_accesses = sum_stat (fun s -> s.Kard_core.Detector.skipped_accesses);
+          sp_mean_cycles = mean_int (fun r -> r.Runner.report.Machine.cycles) })
+      by_rate
   in
-  let serve_p = serve_plan ~detectors:(serve_sampling_detectors serve_rates) ?slo () in
-  Pool.plan (sweep_jobs @ serve_p.Pool.jobs) ~merge:(fun results ->
-      let n_sweep = List.length sweep_jobs in
-      let sweep_results = List.filteri (fun i _ -> i < n_sweep) results in
-      let serve_results = List.filteri (fun i _ -> i >= n_sweep) results in
-      let per_seed = List.length seeds in
-      let per_subject = per_seed * List.length rates in
-      let rows =
-        List.concat
-          (List.map2
-             (fun subject subject_results ->
-               let by_rate =
-                 List.map2
-                   (fun rate group -> (rate, group))
-                   rates
-                   (Pool.chunks per_seed subject_results)
-               in
-               let full =
-                 Option.map (List.map sampling_race_objects) (List.assoc_opt 1.0 by_rate)
-               in
-               List.map
-                 (fun (rate, group) ->
-                   let detecting =
-                     List.filter (fun r -> r.Runner.kard_races <> []) group
-                   in
-                   let latencies =
-                     List.filter_map
-                       (fun r ->
-                         match r.Runner.kard_stats with
-                         | Some s when s.Kard_core.Detector.first_race_cs >= 0 ->
-                           Some s.Kard_core.Detector.first_race_cs
-                         | Some _ | None -> None)
-                       group
-                   in
-                   (* The subset oracle only applies to pinned
-                      interleavings: the scenarios replay a fixed
-                      schedule, so the same seed's rate-1.0 run is the
-                      right superset.  Open-schedule subjects
-                      (keypressure) reschedule under sampling — the
-                      charges shift the virtual clock — so cross-run
-                      containment is undefined there; the fuzz
-                      taxonomy (same-execution oracles) carries the
-                      no-invented-races guarantee instead. *)
-                   let subset_ok =
-                     match (subject, full) with
-                     | Runner.Spec _, _ | _, None -> true
-                     | Runner.Scenario _, Some full_sets ->
-                       List.for_all2
-                         (fun r full_set ->
-                           List.for_all
-                             (fun o -> List.mem o full_set)
-                             (sampling_race_objects r))
-                         group full_sets
-                   in
-                   let sum_stat f =
-                     List.fold_left
-                       (fun acc r ->
-                         match r.Runner.kard_stats with
-                         | Some s -> acc + f s
-                         | None -> acc)
-                       0 group
-                   in
-                   let mean_int f =
-                     float_of_int (List.fold_left (fun acc r -> acc + f r) 0 group)
-                     /. float_of_int (List.length group)
-                   in
-                   { sp_subject = Runner.target_name subject;
-                     sp_rate = rate;
-                     sp_runs = List.length group;
-                     sp_detected = List.length detecting;
-                     sp_detection_pct =
-                       100. *. float_of_int (List.length detecting)
-                       /. float_of_int (max 1 (List.length group));
-                     sp_subset_ok = subset_ok;
-                     sp_latency_min =
-                       (match latencies with [] -> -1 | l -> List.fold_left min max_int l);
-                     sp_latency_p50 = sampling_median latencies;
-                     sp_latency_max = List.fold_left max (-1) latencies;
-                     sp_mean_cs_entries =
-                       mean_int (fun r -> r.Runner.report.Machine.cs_entries);
-                     sp_sampled_sections = sum_stat (fun s -> s.Kard_core.Detector.sampled_sections);
-                     sp_skipped_sections = sum_stat (fun s -> s.Kard_core.Detector.skipped_sections);
-                     sp_skipped_accesses = sum_stat (fun s -> s.Kard_core.Detector.skipped_accesses);
-                     sp_mean_cycles = mean_int (fun r -> r.Runner.report.Machine.cycles) })
-                 by_rate)
-             subjects
-             (Pool.chunks per_subject sweep_results))
-      in
-      { sp_epoch = epoch;
-        sp_seeds = seeds;
-        sp_rates = rates;
-        sp_rows = rows;
-        sp_serve = serve_p.Pool.merge serve_results })
+  let+ rows = Pool.all (List.map subject_rows subjects)
+  and+ serve = serve_plan ~detectors:(serve_sampling_detectors serve_rates) ?slo () in
+  { sp_epoch = epoch;
+    sp_seeds = seeds;
+    sp_rates = rates;
+    sp_rows = List.concat rows;
+    sp_serve = serve }
 
 let print_sampling b =
   Printf.printf "sampling sweep: %d seeds per point, epoch %s cycles\n" (List.length b.sp_seeds)

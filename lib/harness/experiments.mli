@@ -1,15 +1,16 @@
 (** Drivers that regenerate every table and figure of the paper's
     evaluation (section 7).
 
-    Every experiment is a {e plan}: [<name>_plan] describes the runs
-    as a {!Pool.plan} — a list of pure-data {!Job.t}s plus a merge
-    that reassembles rows in submission order — and the caller runs
-    it with {!Pool.execute}.  Because each job is a pure
-    function of its inputs and rows are merged in submission order,
+    Every experiment is a {e plan}: [<name>_plan] composes its runs
+    into a {!Pool.plan} — each row names the pure-data {!Job.t}s it
+    reads with [let+ ... and+ ...], and a table is the {!Pool.all} of
+    its rows — and the caller runs it with {!Pool.execute}.  No row
+    ever sees a result list.  Because each job is a pure function of
+    its inputs and each row reads exactly its own runs' results,
     [~jobs:1] and [~jobs:N] produce identical tables (DESIGN.md §7);
-    the test suite asserts this.  Each plan merges into structured
-    data (so tests can assert on shapes), and each experiment has a
-    printer that renders a paper-style table. *)
+    the test suite and CI assert this.  Each plan's value is
+    structured data (so tests can assert on shapes), and each
+    experiment has a printer that renders a paper-style table. *)
 
 (** {1 Table 3: performance, memory and dTLB overheads} *)
 
@@ -227,7 +228,7 @@ val serve_plan :
   ?slo:int ->
   unit ->
   serve_sweep Pool.plan
-(** One traced job per (detector, offered rate); the merge computes
+(** One traced job per (detector, offered rate); each row computes
     latency percentiles from each run's [serve.latency_cycles]
     windowed histogram and goodput-under-SLO per detector.  Every
     sweep point replays the identical arrival timetable (a pure
@@ -366,7 +367,7 @@ val sampling_plan :
   unit ->
   sampling_bench Pool.plan
 (** One Kard run per (subject, rate, seed), plus the serve sweep's
-    jobs; the merge aggregates detection probability, the
+    jobs; each row aggregates detection probability, the
     detection-latency distribution and the subset check per row.
     [scale] (default 0.1) applies to the key-pressure subject only —
     scenarios always run at full scale. *)

@@ -27,30 +27,31 @@ let summarize outcomes =
     max_races = List.fold_left max 0 races;
     outcomes }
 
-(* Merging in submission order keeps [outcomes] in seed order, so a
-   summary is independent of how many domains executed the sweep. *)
-let sweep_plan jobs_of_seeds seeds =
-  Pool.plan (jobs_of_seeds seeds) ~merge:(fun results ->
-      summarize
-        (List.map2
-           (fun seed r ->
-             { seed;
-               kard_ilu = List.length r.Runner.kard_ilu_races;
-               records = List.length r.Runner.kard_races })
-           seeds results))
+let ( let+ ) = Pool.( let+ )
+
+(* One job per seed, listed in seed order, so [outcomes] is in seed
+   order however many domains executed the sweep. *)
+let sweep_plan job_of_seed seeds =
+  let+ outcomes =
+    Pool.all
+      (List.map
+         (fun seed ->
+           let+ r = Pool.job (job_of_seed seed) in
+           { seed;
+             kard_ilu = List.length r.Runner.kard_ilu_races;
+             records = List.length r.Runner.kard_races })
+         seeds)
+  in
+  summarize outcomes
 
 let explore_scenario_plan ?(seeds = default_seeds) ?config
     (scenario : Kard_workloads.Race_suite.t) =
   let config = Option.value ~default:scenario.Kard_workloads.Race_suite.config config in
-  sweep_plan
-    (List.map (fun seed -> Job.make ~seed (Runner.Kard config) (Runner.Scenario scenario)))
-    seeds
+  sweep_plan (fun seed -> Job.make ~seed (Runner.Kard config) (Runner.Scenario scenario)) seeds
 
 let explore_spec_plan ?(seeds = default_seeds) ?(scale = Defaults.explorer_scale) ?threads spec =
   let detector = Runner.Kard (Defaults.kard_config ()) in
-  sweep_plan
-    (List.map (fun seed -> Job.make ?threads ~scale ~seed detector (Runner.Spec spec)))
-    seeds
+  sweep_plan (fun seed -> Job.make ?threads ~scale ~seed detector (Runner.Spec spec)) seeds
 
 let print_summary ~name s =
   Printf.printf "%-28s detection rate %3.0f%% (%d/%d runs), races per run %d..%d\n" name

@@ -6,9 +6,9 @@
     scheduler seeds and reports how often each detector observes the
     race — an estimate of per-run detection probability.
 
-    Sweeps are plans for {!Pool.execute}: each seed is one job, and
-    outcomes are merged back in seed order, so a summary is identical
-    at [~jobs:1] and [~jobs:N]. *)
+    Sweeps are plans for {!Pool.execute}: each seed is one job, listed
+    in seed order, so [outcomes] is in seed order and a summary is
+    identical at [~jobs:1] and [~jobs:N]. *)
 
 type outcome = {
   seed : int;

@@ -61,36 +61,39 @@ let map ?jobs ?(label = default_label) f items =
 
 let run_jobs ?jobs js = map ?jobs ~label:(fun _ j -> Job.describe j) Job.run js
 
+(* A plan keeps its leaves left to right and a reader that takes its
+   own results from the front of a shared cursor, in that same order:
+   [all] and [and+] read their parts one after the other, so each
+   sub-plan sees exactly the results of its own jobs. *)
 type 'a plan = {
-  jobs : Job.t list;
-  merge : Runner.result list -> 'a;
+  leaves : Job.t list;
+  read : (unit -> Runner.result) -> 'a;
 }
 
-let plan jobs ~merge = { jobs; merge }
+let job j = { leaves = [ j ]; read = (fun next -> next ()) }
+let jobs p = p.leaves
+let ( let+ ) p f = { leaves = p.leaves; read = (fun next -> f (p.read next)) }
 
-let execute ?jobs p = p.merge (run_jobs ?jobs p.jobs)
+let ( and+ ) a b =
+  { leaves = a.leaves @ b.leaves;
+    read =
+      (fun next ->
+        let x = a.read next in
+        (x, b.read next)) }
 
-let concat plans =
-  let rec split results = function
+let all ps =
+  let rec read next = function
     | [] -> []
     | p :: rest ->
-      let n = List.length p.jobs in
-      p.merge (List.filteri (fun i _ -> i < n) results)
-      :: split (List.filteri (fun i _ -> i >= n) results) rest
+      let x = p.read next in
+      x :: read next rest
   in
-  { jobs = List.concat_map (fun p -> p.jobs) plans; merge = (fun results -> split results plans) }
+  { leaves = List.concat_map jobs ps; read = (fun next -> read next ps) }
 
-let chunks k l =
-  if k <= 0 then invalid_arg "Pool.chunks: k must be positive";
-  let rec take n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> take (n - 1) (x :: acc) rest
-  in
-  let rec go = function
-    | [] -> []
-    | l ->
-      let group, rest = take k [] l in
-      group :: go rest
-  in
-  go l
+let execute ?jobs p =
+  let results = Array.of_list (run_jobs ?jobs p.leaves) in
+  let cursor = ref 0 in
+  p.read (fun () ->
+      let r = results.(!cursor) in
+      incr cursor;
+      r)

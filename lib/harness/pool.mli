@@ -1,15 +1,15 @@
-(** A deterministic Domain-based worker pool, and the run plans it
-    executes.
+(** A deterministic Domain-based worker pool, and the composable run
+    plans it executes.
 
     Workers pull items from a shared queue and execute them {e out of
-    order}, but results are merged back in {e submission order}, and a
-    seeded simulator run is a pure function of its {!Job.t} inputs —
-    so a plan executed at [~jobs:1] and at [~jobs:64] produces
-    bit-identical merged output: every table cell, JSON report, race
-    list and exported trace.  That determinism contract is the
-    refactor's correctness oracle (the parallel-vs-serial tests in
-    [test/test_pool.ml] assert it byte-for-byte) and is documented in
-    DESIGN.md §7.
+    order}, but results come back in {e submission order}, each plan
+    reads exactly its own jobs' results, and a seeded simulator run is
+    a pure function of its {!Job.t} inputs — so a plan executed at
+    [~jobs:1] and at [~jobs:64] produces bit-identical output: every
+    table cell, JSON report, race list and exported trace.  That
+    determinism contract is the pool's correctness oracle (the
+    parallel-vs-serial tests in [test/test_pool.ml] assert it
+    byte-for-byte) and is documented in DESIGN.md §7.
 
     [~jobs] defaults to {!Defaults.jobs} ([$KARD_JOBS] or
     [Domain.recommended_domain_count ()]).  [~jobs:1] (or a singleton
@@ -38,28 +38,33 @@ val run_jobs : ?jobs:int -> Job.t list -> Runner.result list
 
 (** {1 Plans}
 
-    A plan is a list of jobs plus a merge function over their results
-    (in submission order).  Experiment drivers are plan-{e builders}:
-    they describe the runs as data, and the pool decides how to
-    execute them. *)
+    A plan describes runs as data and says what to make of their
+    results.  Experiment drivers are plan-{e builders}: {!job} is one
+    run, [let+] maps a plan's value, [and+] pairs two plans and {!all}
+    lists plans, so a row is written once, next to the runs it reads.
+    Nothing runs until {!execute}, which runs every leaf job on the
+    pool and hands each sub-plan the results of its own jobs: no
+    builder ever sees a result list, or cuts one back into rows. *)
 
-type 'a plan = {
-  jobs : Job.t list;
-  merge : Runner.result list -> 'a;
-}
+type 'a plan
 
-val plan : Job.t list -> merge:(Runner.result list -> 'a) -> 'a plan
+val job : Job.t -> Runner.result plan
+(** One run; its value is the run's result. *)
+
+val ( let+ ) : 'a plan -> ('a -> 'b) -> 'b plan
+(** [let+ x = p in f x]: the same jobs, the value mapped by [f]. *)
+
+val ( and+ ) : 'a plan -> 'b plan -> ('a * 'b) plan
+(** Both plans' jobs, the left plan's first; the value pairs theirs. *)
+
+val all : 'a plan list -> 'a list plan
+(** Every plan's jobs, in list order; the value lists theirs.
+    [all []] runs nothing. *)
+
+val jobs : 'a plan -> Job.t list
+(** The leaf jobs, left to right: the order {!execute} submits them
+    in, so a {!Job_failed} index is a position in this list. *)
 
 val execute : ?jobs:int -> 'a plan -> 'a
-(** Run the plan's jobs on the pool and merge in submission order. *)
-
-val concat : 'a plan list -> 'a list plan
-(** One plan running every given plan's jobs, so they share the pool;
-    its merge hands each plan the results of its own jobs and lists
-    the merged values in the given order. *)
-
-val chunks : int -> 'b list -> 'b list list
-(** [chunks k l] splits [l] into consecutive groups of [k] (the last
-    group may be shorter).  Merge helper for plan-builders that submit
-    a fixed number of jobs per row.  @raise Invalid_argument if
-    [k <= 0]. *)
+(** Run the plan's jobs on the pool ({!run_jobs}) and build its value
+    from their results. *)

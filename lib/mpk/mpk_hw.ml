@@ -186,10 +186,6 @@ let try_access t ~tid ~addr ~access ~ip ~time =
 
 let last_fault t = t.last_fault
 
-let check_access t ~tid ~addr ~access ~ip ~time =
-  let cycles = try_access t ~tid ~addr ~access ~ip ~time in
-  if cycles >= 0 then Ok cycles else Error t.last_fault
-
 let note_tlb_hits t ~tid n = Tlb.note_hits (core_of t tid).tlb n
 
 let note_tlb_misses t ~tid n =

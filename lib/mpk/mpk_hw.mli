@@ -2,10 +2,10 @@
     per-core dTLBs, with cycle accounting.
 
     Every data access of the simulated machine flows through
-    {!check_access}, which performs exactly the check the MMU performs:
+    {!try_access}, which performs exactly the check the MMU performs:
     look up the page's protection key, consult the accessing thread's
     PKRU, and either charge the access cost (plus a possible dTLB miss
-    penalty) or produce a {!Fault.t}. *)
+    penalty) or record a {!Fault.t}. *)
 
 type t
 
@@ -90,20 +90,8 @@ val try_access :
   int
 (** The machine's per-access hot call.  [>= 0]: access granted, the
     cycles consumed.  [-1]: the access faulted and {!last_fault} holds
-    the details.  Same semantics as {!check_access} without a [result]
-    allocation per access, and a fault allocates nothing either. *)
-
-val last_fault : t -> Fault.t
-(** The fault behind the latest [-1] from {!try_access}.  The machine
-    keeps one fault record and overwrites it on each fault, so it is
-    valid until the next access; copy what must outlive that. *)
-
-val check_access :
-  t -> tid:int -> addr:Page.addr -> access:Fault.access -> ip:int -> time:int ->
-  (int, Fault.t) result
-(** [Ok cycles] on success; [Error fault] raises no exception so the
-    scheduler can route the fault to the registered handler.  The
-    fault is {!last_fault}'s record, valid until the next access.
+    the details.  No exception and no allocation either way, so the
+    scheduler routes the fault to the registered handler.
 
     The check costs a single dTLB lookup on the hit path: TLB entries
     cache the translated protection key alongside the translation
@@ -112,6 +100,11 @@ val check_access :
     is only walked on a miss or after a protection change.  The
     translation — and its dTLB accounting — happens even for accesses
     that fault, since the MMU applies the key check after the walk. *)
+
+val last_fault : t -> Fault.t
+(** The fault behind the latest [-1] from {!try_access}.  The machine
+    keeps one fault record and overwrites it on each fault, so it is
+    valid until the next access; copy what must outlive that. *)
 
 val note_tlb_hits : t -> tid:int -> int -> unit
 (** Account [n] extra dTLB hits for streamed block accesses. *)

@@ -12,5 +12,4 @@ let pages_spanned base len =
   if len = 0 then 1
   else vpage_of_addr (base + len - 1) - vpage_of_addr base + 1
 
-let round_up bytes = (bytes + size - 1) land lnot (size - 1)
 let pp_addr fmt addr = Format.fprintf fmt "0x%x" addr

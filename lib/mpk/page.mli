@@ -20,7 +20,4 @@ val pages_spanned : addr -> int -> int
 (** [pages_spanned base len] is how many pages the byte range
     [\[base, base+len)] touches.  A zero-length range touches one. *)
 
-val round_up : int -> int
-(** Round a byte count up to a whole number of pages. *)
-
 val pp_addr : Format.formatter -> addr -> unit

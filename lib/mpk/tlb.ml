@@ -86,16 +86,16 @@ let[@inline] touch t vpage =
     way
   end
 
-(* The hot-path variant of [access_translate]: same accounting, same
-   replacement, but no closure, no tuple and no option — page-table
-   walks go through [pt] directly and the hit/miss verdict is left in
-   [last_missed].  Per the allocation contract, every simulated data
-   access runs through here. *)
+(* No closure, no tuple and no option: page-table walks go through
+   [pt] directly and the hit/miss verdict is left in [last_missed].
+   Per the allocation contract, every simulated data access runs
+   through here. *)
 let translate t vpage ~gen ~pt =
   let way = touch t vpage in
   let table = t.table in
-  (* Hit/miss accounting is translation presence only (see
-     [access_translate]): a stale pkey re-walks but still hits. *)
+  (* Hit/miss accounting is translation presence only: a stale pkey
+     still has a cached translation, it just re-walks the key — so
+     dTLB statistics are unaffected by pkey churn. *)
   if table.(way + gen_at) <> gen then begin
     table.(way + pkey_at) <- Pkey.to_int (Page_table.pkey_of_vpage pt vpage);
     table.(way + gen_at) <- gen
@@ -103,18 +103,6 @@ let translate t vpage ~gen ~pt =
   Pkey.of_int table.(way + pkey_at)
 
 let last_missed t = t.last_miss
-
-let access_translate t vpage ~gen ~load =
-  let way = touch t vpage in
-  let table = t.table in
-  (* Hit/miss accounting is translation presence only: a stale pkey
-     still has a cached translation, it just re-walks the key — so dTLB
-     statistics are unaffected by pkey churn. *)
-  if table.(way + gen_at) <> gen then begin
-    table.(way + pkey_at) <- Pkey.to_int (load ());
-    table.(way + gen_at) <- gen
-  end;
-  (Pkey.of_int table.(way + pkey_at), if t.last_miss then `Miss else `Hit)
 
 let access t vpage =
   (* Translation-only probe: leaves no usable pkey cache. *)

@@ -188,10 +188,3 @@ let stats t =
     st_loads = t.loads;
     st_retag_pages = t.retag_pages;
     st_stalls = t.stalls }
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[<h>vkeys: pool=%d slots=%d hits=%d misses=%d evictions=%d loads=%d retag_pages=%d \
-     stalls=%d@]"
-    s.st_pool s.st_slots s.st_hits s.st_misses s.st_evictions s.st_loads s.st_retag_pages
-    s.st_stalls

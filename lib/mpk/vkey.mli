@@ -85,4 +85,3 @@ val note_retag_pages : t -> int -> unit
     [pkey_mprotect]s (the table does not touch the page table itself). *)
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -35,7 +35,3 @@ let closed_count t = t.closed_count
 let open_count t = Hashtbl.length t.open_
 let dropped_closes t = t.dropped_closes
 let duration s = s.stop - s.start
-
-let pp_span fmt s =
-  Format.fprintf fmt "@[<h>%s#%d lane=%d [%d, %d) (%d cycles)@]" s.name s.id s.lane s.start
-    s.stop (duration s)

@@ -39,5 +39,3 @@ val closed_count : t -> int
 val open_count : t -> int
 val dropped_closes : t -> int
 val duration : span -> int
-
-val pp_span : Format.formatter -> span -> unit

@@ -178,16 +178,6 @@ let get_config c =
     | [ a; b; c; d; e; f; g; h ] -> (a, b, c, d, e, f, g, h)
     | _ -> assert false
   in
-  (* Retired knobs keep their wire bits; no detector can replay a log
-     that sets one to anything but its default. *)
-  if software_fallback then
-    raise (Error (Corrupt "config sets the retired software_fallback"));
-  if not (timestamp_pruning && prefer_recycle && share_disjoint_sections) then
-    raise
-      (Error
-         (Corrupt
-            "config clears a retired knob (timestamp_pruning, prefer_recycle or \
-             share_disjoint_sections)"));
   let exit_delay_cycles = get_varint c in
   let section_identity =
     match byte c with
@@ -199,10 +189,18 @@ let get_config c =
   let sampling = get_float c in
   let sampling_epoch = get_varint c in
   let sampling_seed = get_zigzag c in
-  { Config.data_keys; proactive_acquisition; protection_interleaving; timestamp_pruning;
-    redundancy_pruning; metadata_pruning; prefer_recycle; share_disjoint_sections;
-    software_fallback; exit_delay_cycles; section_identity; vkeys; sampling; sampling_epoch;
-    sampling_seed }
+  let config =
+    { Config.data_keys; proactive_acquisition; protection_interleaving; timestamp_pruning;
+      redundancy_pruning; metadata_pruning; prefer_recycle; share_disjoint_sections;
+      software_fallback; exit_delay_cycles; section_identity; vkeys; sampling; sampling_epoch;
+      sampling_seed }
+  in
+  (* Retired knobs keep their wire bits.  No detector can replay a
+     config that breaks a rule, so reject it here as one [Corrupt]
+     line, not later at replay. *)
+  match Config.validate config with
+  | Ok () -> config
+  | Error msg -> raise (Error (Corrupt ("config " ^ msg)))
 
 (* {2 Body writer}
 

@@ -14,7 +14,11 @@
     Decoding is strict: a truncated body, an unknown tag, a
     non-canonical encoding or a trailer/body count mismatch all raise
     {!Error} rather than produce a best-effort log — replaying an
-    approximate schedule would silently re-execute a different run. *)
+    approximate schedule would silently re-execute a different run.
+    A header config that {!Kard_core.Config.validate} rejects (a
+    retired knob off its default, [data_keys] outside [\[1, 13\]],
+    [sampling] outside [(0, 1\]]) is [Corrupt] too, so the decoder
+    fails where the log is read, not where the run would start. *)
 
 type header = {
   detector : string;  (** Runner detector name: ["kard"], ["baseline"], ... *)

@@ -124,7 +124,6 @@ let env t =
     trace = t.trace }
 
 let aspace t = t.aspace
-let alloc_iface t = t.alloc
 let now t = Sim_clock.now t.clock
 let trace t = t.trace
 
@@ -565,14 +564,3 @@ let run t =
   loop ();
   t.hooks.Hooks.on_finish ();
   report_of t
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<v>[%s] cycles=%d (io=%d, wall=%d) steps=%d r/w=%d/%d cs=%d(contended %d) sites=%d \
-     maxconc=%d faults=%d rss=%dB@,\
-     [%s] dtlb=%d/%d (miss rate %.5f) wrpkru=%d rdpkru=%d pkey_mprotect=%d (%d pages)@]"
-    r.detector_name r.cycles r.io_cycles r.wall_cycles r.steps r.reads r.writes r.cs_entries
-    r.contended_entries r.unique_sections r.max_concurrent_sections r.faults r.rss_bytes
-    r.detector_name r.hw_stats.Mpk_hw.dtlb_misses r.hw_stats.Mpk_hw.dtlb_accesses
-    r.dtlb_miss_rate r.hw_stats.Mpk_hw.wrpkru_calls r.hw_stats.Mpk_hw.rdpkru_calls
-    r.hw_stats.Mpk_hw.pkey_mprotect_calls r.hw_stats.Mpk_hw.pages_retagged

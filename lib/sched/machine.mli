@@ -61,7 +61,6 @@ val spawn : t -> Program.t -> int
 
 val env : t -> Hooks.env
 val aspace : t -> Kard_vm.Address_space.t
-val alloc_iface : t -> Kard_alloc.Alloc_iface.t
 val now : t -> int
 val trace : t -> Kard_obs.Trace.sink
 
@@ -112,5 +111,3 @@ val run : t -> report
     Every operation is charged as it runs, so the virtual clock that
     any hook reads — [on_pick] included — is the committed total of
     all work done so far. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -95,37 +95,3 @@ let mapped_pages t = Hashtbl.length t.map
 let page_table_pages t = Hashtbl.length t.pt_groups
 let peak_page_table_pages t = t.peak_pt_groups
 let peak_mapped_pages t = t.peak_mapped
-
-exception Segfault of Page.addr
-
-let resolve t addr =
-  match Hashtbl.find_opt t.map (Page.vpage_of_addr addr) with
-  | None -> raise (Segfault addr)
-  | Some (Anon frame) -> (Phys_mem.bytes_of_frame t.phys frame, Page.offset_in_page addr)
-  | Some (File_shared (memfd, file_page)) ->
-    let frame = Memfd.frame_of_page memfd file_page in
-    (Phys_mem.bytes_of_frame t.phys frame, Page.offset_in_page addr)
-
-let read_u8 t addr =
-  let bytes, off = resolve t addr in
-  Char.code (Bytes.get bytes off)
-
-let write_u8 t addr v =
-  let bytes, off = resolve t addr in
-  Bytes.set bytes off (Char.chr (v land 0xff))
-
-(* Multi-byte accesses may straddle a page boundary; go byte by byte
-   so aliased mappings stay coherent. *)
-let read_i64 t addr =
-  let rec loop acc i =
-    if i >= 8 then acc
-    else
-      let byte = Int64.of_int (read_u8 t (addr + i)) in
-      loop (Int64.logor acc (Int64.shift_left byte (8 * i))) (i + 1)
-  in
-  loop 0L 0
-
-let write_i64 t addr v =
-  for i = 0 to 7 do
-    write_u8 t (addr + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-  done

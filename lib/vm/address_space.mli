@@ -3,9 +3,11 @@
     Virtual pages are handed out by a bump allocator (real [mmap] also
     returns fresh ranges) and are backed either by anonymous frames or
     by pages of an in-memory file ([MAP_SHARED]) — the aliasing that
-    consolidated unique page allocation relies on.  Byte-level loads
-    and stores resolve through the mapping, so two virtual pages
-    mapped onto the same file page really do share data. *)
+    consolidated unique page allocation relies on: two virtual pages
+    mapped onto the same file page resolve, through
+    {!backing_of_vpage} and {!Memfd.frame_of_page}, to one physical
+    frame.  No simulated operation carries data, so the space holds
+    mappings, not bytes. *)
 
 type t
 
@@ -48,12 +50,3 @@ val peak_mapped_pages : t -> int
     Models what /proc RSS reports: shared physical pages are counted
     once {e per mapping}, which is precisely why consolidated unique
     page allocation still shows large RSS numbers (section 7.5). *)
-
-(** {1 Data access} *)
-
-exception Segfault of Kard_mpk.Page.addr
-
-val read_u8 : t -> Kard_mpk.Page.addr -> int
-val write_u8 : t -> Kard_mpk.Page.addr -> int -> unit
-val read_i64 : t -> Kard_mpk.Page.addr -> int64
-val write_i64 : t -> Kard_mpk.Page.addr -> int64 -> unit

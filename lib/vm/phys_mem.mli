@@ -13,16 +13,14 @@ type frame = private int
 val create : unit -> t
 
 val alloc_frame : t -> frame
-(** Allocate a zeroed frame and count it resident. *)
+(** Allocate a frame and count it resident.  Frames hold no bytes: no
+    simulated operation carries data, so aliasing shows as two virtual
+    pages backed by one frame ({!Address_space.backing_of_vpage}). *)
 
 val free_frame : t -> frame -> unit
 (** @raise Invalid_argument on double free. *)
 
-val bytes_of_frame : t -> frame -> bytes
-(** The frame's backing store, always {!Kard_mpk.Page.size} long. *)
-
 val resident_frames : t -> int
-val resident_bytes : t -> int
 val peak_resident_bytes : t -> int
 val total_allocated_frames : t -> int
 

@@ -77,13 +77,17 @@ let test_aliased_objects_share_physical_page () =
   let _, aspace, _, _, iface = make_upa () in
   let m1, _ = iface.Alloc_iface.alloc ~site:1 32 in
   let m2, _ = iface.Alloc_iface.alloc ~site:1 32 in
-  (* Writing through object 1's page at object 2's offset must land in
-     object 2: both virtual pages alias the same physical page. *)
-  let off2 = Page.offset_in_page m2.Obj_meta.base in
-  let m1_page_base = Page.base_of_vpage (Page.vpage_of_addr m1.Obj_meta.base) in
-  Kard_vm.Address_space.write_u8 aspace (m1_page_base + off2) 0x5a;
-  check_int "aliased write visible through object 2" 0x5a
-    (Kard_vm.Address_space.read_u8 aspace m2.Obj_meta.base)
+  (* Two objects, two virtual pages, one physical frame: both pages
+     map the same page of the backing file. *)
+  let frame_of (m : Obj_meta.t) =
+    match Kard_vm.Address_space.backing_of_vpage aspace (Page.vpage_of_addr m.Obj_meta.base) with
+    | Some (Kard_vm.Address_space.File_shared (fd, page)) ->
+      Kard_vm.Phys_mem.frame_to_int (Kard_vm.Memfd.frame_of_page fd page)
+    | Some (Kard_vm.Address_space.Anon _) | None -> Alcotest.fail "object page not file-backed"
+  in
+  check "distinct virtual pages" true
+    (Page.vpage_of_addr m1.Obj_meta.base <> Page.vpage_of_addr m2.Obj_meta.base);
+  check_int "one physical frame" (frame_of m1) (frame_of m2)
 
 (* {1 Granule rounding (the water_nsquared pathology)} *)
 

@@ -652,17 +652,8 @@ let test_assign_share_rule () =
   | Key_assign.Share, _ -> ()
   | d -> Alcotest.failf "expected Share, got %a" pp_decision d)
 
+(* The budget's range is [Config.validate]'s to check (test_detector). *)
 let test_assign_key_budget () =
-  check "zero keys rejected" true
-    (try
-       ignore (Key_assign.create { Config.default with Config.data_keys = 0 });
-       false
-     with Invalid_argument _ -> true);
-  check "14 keys rejected" true
-    (try
-       ignore (Key_assign.create { Config.default with Config.data_keys = 14 });
-       false
-     with Invalid_argument _ -> true);
   let ka = Key_assign.create { Config.default with Config.data_keys = 3 } in
   check_int "budget respected" 3 (List.length (Key_assign.available_keys ka))
 

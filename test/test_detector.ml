@@ -382,6 +382,52 @@ let test_fault_record_outlived () =
     check "its access" true (f.Race_record.access = `Write)
   | records -> Alcotest.failf "expected one race record, got %d" (List.length records)
 
+(* {1 Configuration validation} *)
+
+(* Each rule of [Config.validate], broken once on top of the default. *)
+let broken_rules =
+  let d = Config.default in
+  [ ("data_keys below 1", { d with Config.data_keys = 0 });
+    ("data_keys above 13", { d with Config.data_keys = Kard_mpk.Pkey.data_key_count + 1 });
+    ("software_fallback on", { d with Config.software_fallback = true });
+    ("timestamp_pruning off", { d with Config.timestamp_pruning = false });
+    ("prefer_recycle off", { d with Config.prefer_recycle = false });
+    ("share_disjoint_sections off", { d with Config.share_disjoint_sections = false });
+    ("negative exit_delay_cycles", { d with Config.exit_delay_cycles = -1 });
+    ("negative vkeys", { d with Config.vkeys = -1 });
+    ("sampling 0", { d with Config.sampling = 0.0 });
+    ("sampling above 1", { d with Config.sampling = 1.5 });
+    ("sampling NaN", { d with Config.sampling = Float.nan });
+    ("negative sampling_epoch", { d with Config.sampling_epoch = -1 }) ]
+
+let test_validate_rules () =
+  check "the default is valid" true (Config.validate Config.default = Ok ());
+  check "every budget in [1, 13] is valid" true
+    (List.for_all
+       (fun data_keys -> Config.validate { Config.default with Config.data_keys } = Ok ())
+       (List.init Kard_mpk.Pkey.data_key_count succ));
+  List.iter
+    (fun (rule, config) ->
+      match Config.validate config with
+      | Ok () -> Alcotest.failf "Config.validate accepted %s" rule
+      | Error _ -> ())
+    broken_rules
+
+(* The run-time entry point: no layer below clamps what it accepts. *)
+let test_create_rejects_every_rule () =
+  List.iter
+    (fun (rule, config) ->
+      match
+        Runner.run_build ~threads:1 ~scale:1.0 ~seed:1 ~detector:(Runner.Kard config)
+          (fun _ -> ())
+          "empty"
+      with
+      | (_ : Runner.result) -> Alcotest.failf "Detector.create accepted %s" rule
+      | exception Invalid_argument msg ->
+        check (rule ^ ": named by Detector.create") true
+          (String.starts_with ~prefix:"Detector.create: " msg))
+    broken_rules
+
 let () =
   Alcotest.run "kard_detector"
     [ ("scenarios", List.map scenario_case Race_suite.all);
@@ -408,4 +454,8 @@ let () =
             test_reuse_after_inner_release;
           Alcotest.test_case "LIFO unlock" `Quick test_lifo_unlock_enforced;
           Alcotest.test_case "a race record outlives the fault record" `Quick
-            test_fault_record_outlived ] ) ]
+            test_fault_record_outlived ] );
+      ( "config",
+        [ Alcotest.test_case "validate states every rule" `Quick test_validate_rules;
+          Alcotest.test_case "create rejects every broken rule" `Quick
+            test_create_rejects_every_rule ] ) ]

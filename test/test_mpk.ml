@@ -198,53 +198,47 @@ let test_tlb_lru () =
   check "LRU (2) evicted, 0 stays" true (Tlb.access tlb 0 = `Hit);
   check "2 gone" true (Tlb.access tlb 2 = `Miss)
 
-(* The pkey-carrying fast path: [access_translate] must resolve key and
-   translation in one lookup, re-walking the page table only on a miss
-   or when the table's generation moved since the fill. *)
+(* The pkey-carrying fast path: [translate] resolves key and
+   translation in one lookup, reading the page table only on a miss or
+   when the table's generation moved since the fill.  Asking under the
+   fill generation after the table changed shows the read is skipped:
+   the cached key answers, not the table's new one. *)
 let test_tlb_pkey_caching () =
   let pt = Page_table.create () in
   Page_table.set_pkey pt 9 (Pkey.of_int 3);
   let tlb = Tlb.create ~entries:8 ~ways:2 () in
-  let walks = ref 0 in
-  let load () = incr walks; Page_table.pkey_of_vpage pt 9 in
-  let probe () = Tlb.access_translate tlb 9 ~gen:(Page_table.generation pt) ~load in
-  let k1, hm1 = probe () in
-  check "first touch misses" true (hm1 = `Miss);
-  check "miss walks the table" true (!walks = 1);
-  check "key resolved" true (Pkey.equal k1 (Pkey.of_int 3));
-  let k2, hm2 = probe () in
-  check "second touch hits" true (hm2 = `Hit);
-  check_int "hit performs no walk" 1 !walks;
-  check "cached key served" true (Pkey.equal k2 (Pkey.of_int 3));
-  (* A page-table write anywhere moves the generation: the next hit
-     must re-read the key, but the translation is still cached. *)
+  let fill_gen = Page_table.generation pt in
+  let probe gen = Tlb.translate tlb 9 ~gen ~pt in
+  check "miss resolves the key" true (Pkey.equal (probe fill_gen) (Pkey.of_int 3));
+  check "first touch misses" true (Tlb.last_missed tlb);
+  check "hit serves the cached key" true (Pkey.equal (probe fill_gen) (Pkey.of_int 3));
+  check "second touch hits" false (Tlb.last_missed tlb);
   Page_table.set_pkey pt 9 (Pkey.of_int 7);
-  let k3, hm3 = probe () in
-  check "stale gen still a translation hit" true (hm3 = `Hit);
-  check_int "stale gen re-walks" 2 !walks;
-  check "fresh key observed" true (Pkey.equal k3 (Pkey.of_int 7));
-  let _, hm4 = probe () in
-  check "refilled gen hits without walk" true (hm4 = `Hit && !walks = 2);
-  check_int "four accesses, one miss" 1 (Tlb.misses tlb);
-  check_int "accesses counted" 4 (Tlb.accesses tlb)
+  check "the fill generation reads no table" true
+    (Pkey.equal (probe fill_gen) (Pkey.of_int 3));
+  (* A page-table write anywhere moves the generation: a lookup under
+     it re-reads the key, but the translation is still cached. *)
+  let gen = Page_table.generation pt in
+  check "a newer generation re-reads the key" true (Pkey.equal (probe gen) (Pkey.of_int 7));
+  check "stale gen still a translation hit" false (Tlb.last_missed tlb);
+  check "refilled gen hits" true
+    (Pkey.equal (probe gen) (Pkey.of_int 7) && not (Tlb.last_missed tlb));
+  check_int "five accesses, one miss" 1 (Tlb.misses tlb);
+  check_int "accesses counted" 5 (Tlb.accesses tlb)
 
 (* The TLB against a reference model: one list per set, most recently
    used first, holding each page with the generation its key was
-   cached at ([None] after a plain [access]).  Random [access],
-   [access_translate] and [translate] sequences, interleaved with
-   page-table writes that bump the generation, must give the model's
-   hit/miss verdicts and counters, the page table's current key, and a
-   walk exactly when the model has no key cached at the current
-   generation. *)
+   cached at ([None] after a plain [access]).  Random [access] and
+   [translate] sequences, interleaved with page-table writes that bump
+   the generation, must give the model's hit/miss verdicts and
+   counters and the page table's current key. *)
 type tlb_op =
   | Access of int
-  | Access_translate of int
   | Translate of int
   | Retag of int * int (* vpage, key *)
 
 let pp_tlb_op = function
   | Access vp -> Printf.sprintf "access %d" vp
-  | Access_translate vp -> Printf.sprintf "access_translate %d" vp
   | Translate vp -> Printf.sprintf "translate %d" vp
   | Retag (vp, k) -> Printf.sprintf "retag %d k%d" vp k
 
@@ -255,7 +249,6 @@ let tlb_model_prop ~entries ~ways =
     QCheck.Gen.(
       frequency
         [ (3, map (fun vp -> Access vp) vpage);
-          (3, map (fun vp -> Access_translate vp) vpage);
           (3, map (fun vp -> Translate vp) vpage);
           (1, map2 (fun vp k -> Retag (vp, k)) vpage (int_bound (Pkey.count - 1))) ])
   in
@@ -283,18 +276,6 @@ let tlb_model_prop ~entries ~ways =
       in
       let step = function
         | Access vp -> Tlb.access tlb vp = fst (touch vp ~cache:None)
-        | Access_translate vp ->
-          let gen = Page_table.generation pt in
-          let walks = ref 0 in
-          let load () =
-            incr walks;
-            Page_table.pkey_of_vpage pt vp
-          in
-          let key, verdict = Tlb.access_translate tlb vp ~gen ~load in
-          let expected, cached = touch vp ~cache:(Some gen) in
-          verdict = expected
-          && Pkey.equal key (Page_table.pkey_of_vpage pt vp)
-          && !walks = if cached = Some gen then 0 else 1
         | Translate vp ->
           let gen = Page_table.generation pt in
           let key = Tlb.translate tlb vp ~gen ~pt in
@@ -317,25 +298,27 @@ let make_hw () =
   Mpk_hw.register_thread hw 1;
   hw
 
+(* Whether [try_access] grants the access; a fault leaves its record
+   in [last_fault]. *)
+let allowed hw ~tid addr access = Mpk_hw.try_access hw ~tid ~addr ~access ~ip:0 ~time:0 >= 0
+
 let test_hw_access_default () =
   let hw = make_hw () in
-  (match Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Write ~ip:0 ~time:0 with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "default key should allow access");
+  check "default key allows access" true
+    (Mpk_hw.try_access hw ~tid:0 ~addr:0x4000 ~access:`Write ~ip:0 ~time:0 >= 0);
   check_int "no faults" 0 (Mpk_hw.stats hw).Mpk_hw.faults
 
 let test_hw_fault_on_denied () =
   let hw = make_hw () in
   let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x4000 ~len:4096 Pkey.k_na in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 Pkru.deny_all in
-  (match Mpk_hw.check_access hw ~tid:0 ~addr:0x4123 ~access:`Read ~ip:7 ~time:99 with
-  | Ok _ -> Alcotest.fail "expected a fault"
-  | Error f ->
-    check "fault key" true (Pkey.equal f.Fault.pkey Pkey.k_na);
-    check_int "fault addr" 0x4123 f.Fault.addr;
-    check_int "fault thread" 0 f.Fault.thread;
-    check_int "fault ip" 7 f.Fault.ip;
-    check_int "fault time" 99 f.Fault.time);
+  check_int "faults" (-1) (Mpk_hw.try_access hw ~tid:0 ~addr:0x4123 ~access:`Read ~ip:7 ~time:99);
+  let f = Mpk_hw.last_fault hw in
+  check "fault key" true (Pkey.equal f.Fault.pkey Pkey.k_na);
+  check_int "fault addr" 0x4123 f.Fault.addr;
+  check_int "fault thread" 0 f.Fault.thread;
+  check_int "fault ip" 7 f.Fault.ip;
+  check_int "fault time" 99 f.Fault.time;
   check_int "fault counted" 1 (Mpk_hw.stats hw).Mpk_hw.faults
 
 let test_hw_per_thread_pkru () =
@@ -344,10 +327,8 @@ let test_hw_per_thread_pkru () =
   let granted = Pkru.set Pkru.deny_all (Pkey.of_int 3) Perm.Read_write in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 granted in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:1 Pkru.deny_all in
-  check "thread 0 can write" true
-    (Result.is_ok (Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Write ~ip:0 ~time:0));
-  check "thread 1 faults" true
-    (Result.is_error (Mpk_hw.check_access hw ~tid:1 ~addr:0x4000 ~access:`Write ~ip:0 ~time:0))
+  check "thread 0 can write" true (allowed hw ~tid:0 0x4000 `Write);
+  check "thread 1 faults" false (allowed hw ~tid:1 0x4000 `Write)
 
 let test_hw_read_only_permission () =
   let hw = make_hw () in
@@ -355,10 +336,8 @@ let test_hw_read_only_permission () =
   let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x8000 ~len:4096 key in
   let ro = Pkru.set Pkru.deny_all key Perm.Read_only in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 ro in
-  check "read allowed" true
-    (Result.is_ok (Mpk_hw.check_access hw ~tid:0 ~addr:0x8000 ~access:`Read ~ip:0 ~time:0));
-  check "write faults" true
-    (Result.is_error (Mpk_hw.check_access hw ~tid:0 ~addr:0x8000 ~access:`Write ~ip:0 ~time:0))
+  check "read allowed" true (allowed hw ~tid:0 0x8000 `Read);
+  check "write faults" false (allowed hw ~tid:0 0x8000 `Write)
 
 let test_hw_costs () =
   let hw = make_hw () in
@@ -388,12 +367,10 @@ let test_hw_retag_faults_despite_tlb_hit () =
   let k3 = Pkey.of_int 3 and k5 = Pkey.of_int 5 in
   let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x4000 ~len:4096 k3 in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 (Pkru.set Pkru.deny_all k3 Perm.Read_write) in
-  check "access allowed, TLB warmed" true
-    (Result.is_ok (Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Write ~ip:0 ~time:0));
+  check "access allowed, TLB warmed" true (allowed hw ~tid:0 0x4000 `Write);
   let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x4000 ~len:4096 k5 in
-  (match Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Write ~ip:1 ~time:1 with
-  | Ok _ -> Alcotest.fail "stale cached pkey masked the #GP"
-  | Error f -> check "fault sees the new key" true (Pkey.equal f.Fault.pkey k5));
+  check "stale cached pkey does not mask the #GP" false (allowed hw ~tid:0 0x4000 `Write);
+  check "fault sees the new key" true (Pkey.equal (Mpk_hw.last_fault hw).Fault.pkey k5);
   let s = Mpk_hw.stats hw in
   (* Both accesses translate; the second still hits (translation was
      cached — only the key was refreshed). *)
@@ -407,11 +384,9 @@ let test_hw_direct_page_table_write_not_masked () =
   let k3 = Pkey.of_int 3 in
   let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x9000 ~len:4096 k3 in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 (Pkru.set Pkru.deny_all k3 Perm.Read_write) in
-  check "warm the TLB" true
-    (Result.is_ok (Mpk_hw.check_access hw ~tid:0 ~addr:0x9000 ~access:`Read ~ip:0 ~time:0));
+  check "warm the TLB" true (allowed hw ~tid:0 0x9000 `Read);
   Page_table.set_pkey (Mpk_hw.page_table hw) (Page.vpage_of_addr 0x9000) Pkey.k_na;
-  check "direct retag faults immediately" true
-    (Result.is_error (Mpk_hw.check_access hw ~tid:0 ~addr:0x9000 ~access:`Read ~ip:1 ~time:1))
+  check "direct retag faults immediately" false (allowed hw ~tid:0 0x9000 `Read)
 
 (* The fault path performs (and counts) the translation: denied
    accesses generate real dTLB traffic, and the post-fault retry finds
@@ -420,21 +395,18 @@ let test_hw_fault_path_dtlb_accounting () =
   let hw = make_hw () in
   let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x4000 ~len:4096 Pkey.k_na in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 Pkru.deny_all in
-  check "denied" true
-    (Result.is_error (Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Read ~ip:0 ~time:0));
+  check "denied" false (allowed hw ~tid:0 0x4000 `Read);
   let s1 = Mpk_hw.stats hw in
   check_int "faulting access translates" 1 s1.Mpk_hw.dtlb_accesses;
   check_int "cold fault misses" 1 s1.Mpk_hw.dtlb_misses;
-  check "denied again" true
-    (Result.is_error (Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Read ~ip:1 ~time:1));
+  check "denied again" false (allowed hw ~tid:0 0x4000 `Read);
   let s2 = Mpk_hw.stats hw in
   check_int "retry translates too" 2 s2.Mpk_hw.dtlb_accesses;
   check_int "retry hits the warmed TLB" 1 s2.Mpk_hw.dtlb_misses;
   (* Granting access afterwards charges no extra miss: the fault left
      the translation cached. *)
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 (Pkru.set Pkru.deny_all Pkey.k_na Perm.Read_only) in
-  check "granted read succeeds" true
-    (Result.is_ok (Mpk_hw.check_access hw ~tid:0 ~addr:0x4000 ~access:`Read ~ip:2 ~time:2));
+  check "granted read succeeds" true (allowed hw ~tid:0 0x4000 `Read);
   check_int "still one miss total" 1 (Mpk_hw.stats hw).Mpk_hw.dtlb_misses
 
 (* [default_grants] is counted where the MMU takes its verdict: a
@@ -446,12 +418,11 @@ let test_hw_default_grants () =
   let k3 = Pkey.of_int 3 in
   let (_ : int) = Mpk_hw.pkey_mprotect hw ~base:0x8000 ~len:4096 k3 in
   let (_ : int) = Mpk_hw.wrpkru hw ~tid:0 (Pkru.set Pkru.deny_all k3 Perm.Read_only) in
-  let access addr access = Mpk_hw.check_access hw ~tid:0 ~addr ~access ~ip:0 ~time:0 in
-  check "k_def write granted" true (Result.is_ok (access 0x4000 `Write));
-  check "k_def read granted" true (Result.is_ok (access 0x4010 `Read));
+  check "k_def write granted" true (allowed hw ~tid:0 0x4000 `Write);
+  check "k_def read granted" true (allowed hw ~tid:0 0x4010 `Read);
   check_int "both k_def grants counted" 2 (Mpk_hw.default_grants hw);
-  check "keyed read granted" true (Result.is_ok (access 0x8000 `Read));
-  check "keyed write faults" true (Result.is_error (access 0x8000 `Write));
+  check "keyed read granted" true (allowed hw ~tid:0 0x8000 `Read);
+  check "keyed write faults" false (allowed hw ~tid:0 0x8000 `Write);
   check_int "keyed grant and fault not counted" 2 (Mpk_hw.default_grants hw);
   check_int "the fault itself counted" 1 (Mpk_hw.stats hw).Mpk_hw.faults;
   Mpk_hw.reset_stats hw;

@@ -1,4 +1,4 @@
-(* Tests for the job/plan/pool layer: submission-order merging, the
+(* Tests for the job/plan/pool layer: plan composition, the
    deterministic error policy, the serial degenerate path, and the
    parallel-vs-serial oracle — bit-identical tables, summaries and
    JSON reports at any worker count. *)
@@ -40,18 +40,6 @@ let test_resolve_jobs () =
   check_int "explicit" 3 (Pool.resolve_jobs (Some 3));
   check_int "clamped to 1" 1 (Pool.resolve_jobs (Some 0));
   check "default >= 1" true (Pool.resolve_jobs None >= 1)
-
-let test_chunks () =
-  Alcotest.(check (list (list int)))
-    "uneven tail"
-    [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
-    (Pool.chunks 2 [ 1; 2; 3; 4; 5 ]);
-  Alcotest.(check (list (list int))) "empty" [] (Pool.chunks 3 []);
-  check "k=0 rejected" true
-    (try
-       ignore (Pool.chunks 0 [ 1 ]);
-       false
-     with Invalid_argument _ -> true)
 
 (* [~jobs:1] (and a singleton input at any [jobs]) is the inline fast
    path: every item runs on the caller's domain, no [Domain.spawn].
@@ -105,6 +93,69 @@ let test_crash_smallest_index () =
           && String.sub message 0 (String.length "Failure") = "Failure"))
     [ 1; 2; 8 ]
 
+(* {1 Plan composition} *)
+
+let ( let+ ), ( and+ ) = Pool.(( let+ ), ( and+ ))
+
+(* Cheap leaves: race scenarios, told apart by seed. *)
+let leaf ?(detector = Runner.Tsan) seed =
+  Job.make ~seed detector (Runner.Scenario (Race_suite.find "ilu-lock-lock"))
+
+(* An [all] of [and+] pairs of [all]s, with an empty [all] inside, over
+   leaves seeded 1..6 left to right. *)
+let nested () =
+  let part seeds = Pool.all (List.map (fun seed -> Pool.job (leaf seed)) seeds) in
+  Pool.all
+    [ (let+ a = part [ 1; 2 ] and+ b = part [ 3 ] in
+       (a, b));
+      (let+ a = part [] and+ b = part [ 4; 5; 6 ] in
+       (a, b)) ]
+
+(* Each sub-plan gets exactly its own jobs' results: the nested value
+   equals running every leaf alone, at any worker count. *)
+let test_nested_plan () =
+  let alone seeds = List.map (fun seed -> Job.run (leaf seed)) seeds in
+  let expected = [ (alone [ 1; 2 ], alone [ 3 ]); (alone [], alone [ 4; 5; 6 ]) ] in
+  List.iter
+    (fun jobs ->
+      check (Printf.sprintf "nested plan at jobs=%d" jobs) true
+        (Pool.execute ~jobs (nested ()) = expected))
+    [ 1; 4 ]
+
+let test_jobs_left_to_right () =
+  check_ints "leaves in order" [ 1; 2; 3; 4; 5; 6 ]
+    (List.map (fun (j : Job.t) -> j.Job.seed) (Pool.jobs (nested ())))
+
+(* A leaf whose detector config is invalid fails at [Detector.create];
+   its [Job_failed] index is its position in [Pool.jobs], whatever the
+   nesting and the worker count. *)
+let test_failing_leaf_index () =
+  let bad =
+    leaf ~detector:(Runner.Kard { Kard_core.Config.default with Kard_core.Config.data_keys = 0 }) 9
+  in
+  let plan =
+    Pool.all
+      [ (let+ a = Pool.job (leaf 1) and+ b = Pool.all [ Pool.job (leaf 2); Pool.job bad ] in
+         a :: b);
+        Pool.all [ Pool.job (leaf 3) ] ]
+  in
+  check_ints "the bad leaf is third" [ 1; 2; 9; 3 ]
+    (List.map (fun (j : Job.t) -> j.Job.seed) (Pool.jobs plan));
+  List.iter
+    (fun jobs ->
+      match Pool.execute ~jobs plan with
+      | (_ : Runner.result list list) -> Alcotest.fail "expected Job_failed"
+      | exception Pool.Job_failed { index; label; _ } ->
+        check_int (Printf.sprintf "index at jobs=%d" jobs) 2 index;
+        Alcotest.(check string) "label" (Job.describe bad) label)
+    [ 1; 4 ]
+
+let test_all_empty () =
+  check_int "no leaves" 0 (List.length (Pool.jobs (Pool.all [])));
+  check "empty value" true (Pool.execute ~jobs:4 (Pool.all []) = []);
+  check_int "a mapped empty plan still runs nothing" 0
+    (Pool.execute (let+ l = Pool.all [] in List.length l))
+
 (* {1 Cross-run isolation (the shared-state audit's regression test)} *)
 
 (* Two identical jobs racing on the pool must produce identical
@@ -156,19 +207,18 @@ let test_table3_oracle () =
       check "tsan" true (s.Experiments.tsan = p.Experiments.tsan))
     serial par
 
-(* A concatenated plan hands each plan exactly its own results: the
+(* An [all] of plans hands each plan exactly its own results: the
    same values as executing the plans one by one, at any worker
    count, in the given order. *)
-let test_concat_oracle () =
+let test_all_oracle () =
   let sweep name seeds = Explorer.explore_scenario_plan ~seeds (Race_suite.find name) in
   let plans = [ sweep "ilu-lock-lock" [ 1; 2; 3 ]; sweep "small-cs-race" [ 4; 5 ] ] in
   let one_by_one = List.map (Pool.execute ~jobs:1) plans in
   List.iter
     (fun jobs ->
-      check (Printf.sprintf "concat at jobs=%d" jobs) true
-        (Pool.execute ~jobs (Pool.concat plans) = one_by_one))
-    [ 1; 4 ];
-  check "empty concat" true (Pool.execute (Pool.concat []) = [])
+      check (Printf.sprintf "all at jobs=%d" jobs) true
+        (Pool.execute ~jobs (Pool.all plans) = one_by_one))
+    [ 1; 4 ]
 
 let test_explorer_oracle () =
   let scenario = Race_suite.find "ilu-lock-lock" in
@@ -242,17 +292,21 @@ let () =
         [ Alcotest.test_case "map preserves submission order" `Quick test_map_order;
           Alcotest.test_case "map empty/singleton" `Quick test_map_empty_and_singleton;
           Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
-          Alcotest.test_case "chunks" `Quick test_chunks;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_runs_inline;
           Alcotest.test_case "jobs=1 error semantics" `Quick test_jobs1_error_semantics;
           Alcotest.test_case "crash reports smallest index" `Quick test_crash_smallest_index ] );
+      ( "plan",
+        [ Alcotest.test_case "nested plan equals each leaf alone" `Quick test_nested_plan;
+          Alcotest.test_case "jobs lists leaves left to right" `Quick test_jobs_left_to_right;
+          Alcotest.test_case "failing leaf's index" `Quick test_failing_leaf_index;
+          Alcotest.test_case "all [] runs nothing" `Quick test_all_empty ] );
       ( "isolation",
         [ Alcotest.test_case "concurrent identical jobs" `Slow test_concurrent_identical_jobs ] );
       ( "oracle",
         [ Alcotest.test_case "run_jobs jobs 1 vs 4" `Slow test_run_jobs_oracle;
           Alcotest.test_case "table3 jobs 1 vs 4" `Slow test_table3_oracle;
           Alcotest.test_case "explorer jobs 1 vs 4" `Slow test_explorer_oracle;
-          Alcotest.test_case "concat jobs 1 vs 4" `Slow test_concat_oracle;
+          Alcotest.test_case "all jobs 1 vs 4" `Slow test_all_oracle;
           Alcotest.test_case "json byte-for-byte" `Slow test_json_byte_identical;
           Alcotest.test_case "traces identical" `Slow test_trace_oracle ] );
       ( "job",

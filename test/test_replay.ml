@@ -81,8 +81,13 @@ let codec_roundtrip =
     (QCheck.make ~print:print_events gen_events)
     (fun (header, events) ->
       let log = Log.of_events header events in
-      let decoded = Log.decode (Log.encode log) in
-      decoded = log && Log.events decoded = events)
+      (* A header config that breaks a rule never decodes. *)
+      let valid =
+        match header.Log.config with None -> true | Some c -> Config.validate c = Ok ()
+      in
+      match Log.decode (Log.encode log) with
+      | decoded -> valid && decoded = log && Log.events decoded = events
+      | exception Log.Error (Log.Corrupt _) -> not valid)
 
 (* {1 Codec: strict rejection} *)
 
@@ -234,17 +239,26 @@ let test_shards_other_than_one_rejected () =
     (match Record.replay ~shards:1 log with Ok (_, fidelity) -> fidelity = Ok () | Error _ -> false)
 
 (* The log keeps the retired knobs' bits in its config flags, and its
-   version: a header that moves any of them off its default must not
-   decode, while the same header at the defaults does. *)
-let test_software_fallback_bit_rejected () =
+   version.  A header that breaks any rule of [Config.validate] the
+   wire can express must not decode — a retired knob off its default,
+   [data_keys] or [sampling] out of range — while the same header at
+   the defaults does.  A varint is never negative, so a log cannot
+   break the non-negativity rules. *)
+let test_invalid_config_rejected () =
   let header config =
     Log.header ~detector:"kard" ~target:"spec:x" ~threads:1 ~scale:1.0 ~seed:0 ~config ()
   in
   let encode config = Log.encode (Log.of_events (header config) []) in
+  let d = Config.default in
   List.iter
-    (fun (knob, config) ->
-      expect_error (knob ^ " bit") (encode config) (function Log.Corrupt _ -> true | _ -> false))
-    (retired_settings Config.default);
+    (fun (rule, config) ->
+      expect_error rule (encode config) (function Log.Corrupt _ -> true | _ -> false))
+    (retired_settings d
+    @ [ ("data_keys 0", { d with Config.data_keys = 0 });
+        ("data_keys 14", { d with Config.data_keys = Kard_mpk.Pkey.data_key_count + 1 });
+        ("sampling 0", { d with Config.sampling = 0.0 });
+        ("sampling 1.5", { d with Config.sampling = 1.5 });
+        ("sampling NaN", { d with Config.sampling = Float.nan }) ]);
   check "the defaults decode" true
     ((Log.decode (encode Config.default)).Log.header = header Config.default)
 
@@ -476,13 +490,8 @@ let test_fixture_replays () =
     check "log carries grants to verify" true (Log.grant_count log > 0);
     check_int "header seed matches the reconstruction" r.Campaign.rp_machine_seed
       log.Log.header.Log.seed;
-    let build machine =
-      let (_ : Prog.run_ctx) =
-        Prog.spawn_all r.Campaign.rp_prog ~machine ~on_event:(fun _ -> ())
-      in
-      ()
-    in
-    (match Record.replay_build log build (Printf.sprintf "fuzz-%d-%d" seed index) with
+    let name = Printf.sprintf "fuzz-%d-%d" seed index in
+    (match Record.replay_build log (Prog.build r.Campaign.rp_prog) name with
     | Error e -> Alcotest.failf "fixture replay failed: %s" e
     | Ok (_, fidelity) ->
       check "fixture tape consumed" true (fidelity = Ok ()))
@@ -504,8 +513,8 @@ let () =
           Alcotest.test_case "legacy shards field ignored" `Quick test_legacy_shards_field;
           Alcotest.test_case "shards other than 1 rejected" `Quick
             test_shards_other_than_one_rejected;
-          Alcotest.test_case "software fallback bit rejected" `Quick
-            test_software_fallback_bit_rejected;
+          Alcotest.test_case "invalid header config rejected" `Quick
+            test_invalid_config_rejected;
           Alcotest.test_case "non-canonical pick rejected" `Quick
             test_non_canonical_pick_rejected;
           Alcotest.test_case "non-canonical varints rejected" `Quick
